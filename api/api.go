@@ -417,13 +417,6 @@ type WhatIfRequest struct {
 	// Branches lists the futures to compare. Empty defaults to the four
 	// Table IV policies (baseline, safe-vmin, placement, optimal).
 	Branches []WhatIfBranchSpec `json:"branches,omitempty"`
-	// Solo opts out of batched branch advancement: each branch then
-	// advances independently on its own worker instead of in one
-	// structure-of-arrays lockstep batch. The outcomes are equivalent
-	// either way (integer state identical, energies within 1e-9
-	// relative); solo trades the batch's fold sharing for per-branch
-	// parallelism.
-	Solo bool `json:"solo,omitempty"`
 	// Fast answers every branch from the fitted closed-form surrogate
 	// instead of simulating: microseconds instead of milliseconds per
 	// branch, within the surrogate's fitted error bounds. The report's
@@ -487,9 +480,10 @@ type WhatIfReport struct {
 	// ties); "" when no branch succeeded.
 	BestEnergy string `json:"best_energy,omitempty"`
 	BestPerf   string `json:"best_perf,omitempty"`
-	// Batch describes the lockstep engine's work when the branches were
-	// advanced as one structure-of-arrays batch; absent for solo
-	// advancement (request Solo, or the fleet running with NoBatch).
+	// Batch describes the lockstep engine's work: every simulated report
+	// (sync, or a fast what-if's refinement job) advances its branches
+	// as one structure-of-arrays batch. Absent from surrogate reports and
+	// when the worker pool rejected the batch outright.
 	Batch *WhatIfBatch `json:"batch,omitempty"`
 	// Source reports which engine produced the branch metrics:
 	// "simulated" (the default replay path) or "surrogate" (the fast

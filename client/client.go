@@ -137,16 +137,6 @@ func (c *Client) CreateSession(ctx context.Context, req api.CreateSessionRequest
 	return s, err
 }
 
-// ListSessions enumerates live sessions in one unpaginated response.
-//
-// Deprecated: on large fleets the unbounded response is expensive to
-// assemble and to parse; use ListSessionsPage (one page) or EachSession
-// (auto-paged iteration) instead. ListSessions remains supported — it
-// is the zero-options page with no limit.
-func (c *Client) ListSessions(ctx context.Context) (api.SessionList, error) {
-	return c.ListSessionsPage(ctx, ListOptions{})
-}
-
 // ListOptions filters and paginates session listings.
 type ListOptions struct {
 	// Cursor resumes after the given session ID (the previous page's

@@ -172,7 +172,7 @@ func TestConcurrentSessions32(t *testing.T) {
 			t.Errorf("session %d advanced to %v, want 20", i, now)
 		}
 	}
-	l, err := c.ListSessions(context.Background())
+	l, err := c.ListSessionsPage(context.Background(), client.ListOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

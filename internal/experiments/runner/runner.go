@@ -38,9 +38,9 @@ func (e *PanicError) Error() string {
 // on a closed channel; tiny campaigns (a 4-variant ablation sweep on a
 // 64-way host) therefore spin up 4 workers, not 64. The result is always
 // at least 1. Pool deliberately does not use this resolution: its
-// callers park workers on purpose (long-running session gangs block in
-// turn-taking protocols), so an explicit Pool width wider than the
-// machine is meaningful there.
+// callers hold workers across blocking waits (a fleet run waits on its
+// session's lock between chunks), so an explicit Pool width wider than
+// the machine is meaningful there.
 func EffectiveWidth(requested, jobs int) int {
 	w := runtime.GOMAXPROCS(0)
 	if requested > 0 && requested < w {

@@ -2,14 +2,16 @@ package service
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"avfs/api"
 	"avfs/internal/sim"
+	"avfs/internal/snapshot"
 )
 
 // submitMix creates a session with the standard mixed workload loaded
@@ -39,19 +41,20 @@ func relDiff(a, b float64) float64 {
 	return d / math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestGangRunsMatchSolo drives several identical sessions through a
-// batching fleet concurrently and checks every one of them against the
-// same run on a NoBatch fleet: integer state exact, energy within the
-// documented 1e-9 relative tolerance.
-func TestGangRunsMatchSolo(t *testing.T) {
-	solo, _ := testFleet(t, Config{NoBatch: true})
-	ss := submitMix(t, solo, "optimal")
-	want, err := solo.RunSync(context.Background(), ss.ID, api.RunRequest{Seconds: 60})
-	if err != nil {
-		t.Fatalf("solo RunSync: %v", err)
-	}
-
+// TestConcurrentRunsMatchSerial drives several identical sessions
+// through one fleet concurrently — every machine attached to the fleet's
+// shared steady-segment memo — and checks each against a serial run of
+// the same workload on that fleet: integer state exact, energy within
+// the documented 1e-9 relative tolerance.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
 	f, _ := testFleet(t, Config{Workers: 8})
+	ss := submitMix(t, f, "optimal")
+	want, err := f.RunSync(context.Background(), ss.ID, api.RunRequest{Seconds: 60})
+	if err != nil {
+		t.Fatalf("serial RunSync: %v", err)
+	}
+	hits0 := f.memo.Hits()
+
 	const n = 4
 	ids := make([]string, n)
 	for i := range ids {
@@ -71,7 +74,7 @@ func TestGangRunsMatchSolo(t *testing.T) {
 
 	for i := range got {
 		if errs[i] != nil {
-			t.Fatalf("gang RunSync %d: %v", i, errs[i])
+			t.Fatalf("concurrent RunSync %d: %v", i, errs[i])
 		}
 		if got[i].Now != want.Now || got[i].Ticks != want.Ticks || got[i].Emergencies != want.Emergencies {
 			t.Errorf("session %d integer state diverged: got %+v want %+v", i, got[i], want)
@@ -80,76 +83,75 @@ func TestGangRunsMatchSolo(t *testing.T) {
 			t.Errorf("session %d energy diverged: got %v want %v (rel %g)", i, got[i].EnergyJ, want.EnergyJ, rd)
 		}
 	}
-	if f.gang.ticks.Load() == 0 {
-		t.Error("gang committed no ticks; sessions did not advance through the batch engine")
+	if f.memo.Hits() == hits0 {
+		t.Error("no steady-segment memo hits while the sessions ran; they did not share the fleet memo")
 	}
-	t.Logf("gang: ticks=%d lockstep=%d shared=%d lastShard=%d",
-		f.gang.ticks.Load(), f.gang.lockstep.Load(), f.gang.shared.Load(), f.gang.lastShard.Load())
+	t.Logf("memo: hits=%d (serial run %d) misses=%d", f.memo.Hits(), hits0, f.memo.Misses())
 }
 
-// TestGangMultiMemberShard proves a session arriving while a round is in
-// flight joins the leader's shard instead of waiting for it to finish:
-// the leader's machine blocks inside a step (via a bounded hook) until
-// the second session has enrolled, then both run to their budgets in one
-// multi-member shard.
-func TestGangMultiMemberShard(t *testing.T) {
-	f, _ := testFleet(t, Config{})
-	a := submitMix(t, f, "optimal")
-	b := submitMix(t, f, "optimal")
-	sa, _ := f.lookup(a.ID)
-	sb, _ := f.lookup(b.ID)
-
-	inStep := make(chan struct{})
-	release := make(chan struct{})
-	var fired atomic.Bool
-	sa.m.OnTickBounded(func(*sim.Machine, int) {
-		if fired.CompareAndSwap(false, true) {
-			close(inStep)
-			<-release
+// soloAdvance runs one branch machine by itself, the way RunFor or
+// RunUntilIdle would; not reaching idle within the budget is a what-if
+// outcome, not a failure.
+func soloAdvance(ctx context.Context, m *sim.Machine, seconds float64, untilIdle bool) error {
+	if untilIdle {
+		err := m.RunUntilIdleContext(ctx, seconds)
+		if errors.Is(err, sim.ErrNotIdle) {
+			return nil
 		}
-	}, func() float64 {
-		if fired.Load() {
-			return math.Inf(1)
-		}
-		return 1.0
-	})
+		return err
+	}
+	return m.RunForContext(ctx, seconds)
+}
 
-	ctx := context.Background()
-	errc := make(chan error, 2)
-	go func() { errc <- f.gang.advance(ctx, sa.m, 60) }()
-	<-inStep // leader is mid-step; with the lock held across Step this deadlocks
-	go func() { errc <- f.gang.advance(ctx, sb.m, 60) }()
-	for f.gang.enrolled.Load() != 2 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	for i := 0; i < 2; i++ {
-		if err := <-errc; err != nil {
-			t.Fatalf("gang advance: %v", err)
+// soloBranches is the what-if oracle: each branch restored, overridden
+// and advanced alone, with no batch and no shared memo.
+func soloBranches(t *testing.T, st *snapshot.SessionState, specs []branchSpec, seconds float64, untilIdle bool) []api.WhatIfBranch {
+	t.Helper()
+	out := branchReports(st, specs)
+	for i, sp := range specs {
+		rig, err := buildBranch(st, sp)
+		if err != nil {
+			t.Fatalf("buildBranch %s: %v", sp.name, err)
 		}
+		if err := soloAdvance(context.Background(), rig.m, seconds, untilIdle); err != nil {
+			t.Fatalf("solo advance %s: %v", sp.name, err)
+		}
+		rig.report(&out[i])
 	}
+	return out
+}
 
-	if got := sa.m.Ticks(); got != 6000 {
-		t.Errorf("leader advanced %d ticks, want 6000", got)
+// sameBranches checks two what-if branch lists agree: integers exact,
+// energies within 1e-9 relative.
+func sameBranches(t *testing.T, label string, got, want []api.WhatIfBranch) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: branch counts differ: %d vs %d", label, len(got), len(want))
 	}
-	if got := sb.m.Ticks(); got != 6000 {
-		t.Errorf("joiner advanced %d ticks, want 6000", got)
-	}
-	if got := f.gang.lastShard.Load(); got != 2 {
-		t.Errorf("final shard had %d members, want 2", got)
-	}
-	if got := f.gang.ticks.Load(); got != 12000 {
-		t.Errorf("gang committed %d member-ticks, want 12000", got)
-	}
-	if f.gang.lockstep.Load() == 0 {
-		t.Error("no lockstep ticks: the shard never committed a shared round")
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Error != nil || w.Error != nil {
+			t.Fatalf("%s: branch %s failed: got %v want %v", label, g.Name, g.Error, w.Error)
+		}
+		if g.Name != w.Name || g.Policy != w.Policy {
+			t.Fatalf("%s: branch order diverged: %s vs %s", label, g.Name, w.Name)
+		}
+		if g.Ticks != w.Ticks || g.Now != w.Now || g.Seconds != w.Seconds ||
+			g.Completed != w.Completed || g.Running != w.Running || g.Pending != w.Pending ||
+			g.Emergencies != w.Emergencies || g.VoltageMV != w.VoltageMV ||
+			g.MakespanS != w.MakespanS || g.P50RuntimeS != w.P50RuntimeS || g.P99RuntimeS != w.P99RuntimeS {
+			t.Errorf("%s: branch %s state diverged:\ngot  %+v\nwant %+v", label, g.Name, g, w)
+		}
+		if rd := relDiff(g.EnergyJ, w.EnergyJ); rd > 1e-9 {
+			t.Errorf("%s: branch %s energy diverged: %v vs %v (rel %g)", label, g.Name, g.EnergyJ, w.EnergyJ, rd)
+		}
 	}
 }
 
-// TestWhatIfBatchedMatchesSolo runs the same what-if twice — batched
-// (default) and Solo — and checks the branch outcomes agree: integers
-// exact, energies within 1e-9 relative. The batched report must carry
-// the Batch block.
+// TestWhatIfBatchedMatchesSolo checks the batched what-if against the
+// solo oracle — every branch restored from the same snapshot and
+// advanced alone — for a fixed window and a run-until-idle budget, and
+// that the report carries the Batch block.
 func TestWhatIfBatchedMatchesSolo(t *testing.T) {
 	f, _ := testFleet(t, Config{})
 	s := seedSession(t, f, "optimal")
@@ -157,90 +159,141 @@ func TestWhatIfBatchedMatchesSolo(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	ctx := context.Background()
-	batched, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{SnapshotID: snap.ID, Seconds: 60})
-	if err != nil {
-		t.Fatalf("batched WhatIf: %v", err)
+	st, ok := f.snaps.Get(snap.ID)
+	if !ok {
+		t.Fatalf("snapshot %s not stored", snap.ID)
 	}
-	plain, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{SnapshotID: snap.ID, Seconds: 60, Solo: true})
-	if err != nil {
-		t.Fatalf("solo WhatIf: %v", err)
+	specs := make([]branchSpec, 0, 4)
+	for _, p := range []string{PolicyBaseline, PolicySafeVmin, PolicyPlacement, PolicyOptimal} {
+		sp, err := parseBranchSpec(api.WhatIfBranchSpec{Policy: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, sp)
 	}
 
-	if plain.Batch != nil {
-		t.Errorf("solo report unexpectedly carries a Batch block: %+v", plain.Batch)
-	}
-	if batched.Batch == nil {
-		t.Fatal("batched report is missing the Batch block")
-	}
-	if batched.Batch.Branches != len(batched.Branches) || batched.Batch.Ticks == 0 {
-		t.Errorf("bad Batch block: %+v", batched.Batch)
-	}
-	if batched.Batch.SpeedupEst < 1 {
-		t.Errorf("SpeedupEst = %v, want >= 1", batched.Batch.SpeedupEst)
-	}
+	for _, tc := range []struct {
+		seconds   float64
+		untilIdle bool
+	}{{60, false}, {3600, true}} {
+		batched, err := f.WhatIf(context.Background(), s.ID, api.WhatIfRequest{
+			SnapshotID: snap.ID, Seconds: tc.seconds, UntilIdle: tc.untilIdle,
+		})
+		if err != nil {
+			t.Fatalf("batched WhatIf: %v", err)
+		}
+		if batched.Batch == nil {
+			t.Fatal("batched report is missing the Batch block")
+		}
+		if batched.Batch.Branches != len(batched.Branches) || batched.Batch.Ticks == 0 {
+			t.Errorf("bad Batch block: %+v", batched.Batch)
+		}
+		if batched.Batch.SpeedupEst < 1 {
+			t.Errorf("SpeedupEst = %v, want >= 1", batched.Batch.SpeedupEst)
+		}
 
-	if len(batched.Branches) != len(plain.Branches) {
-		t.Fatalf("branch counts differ: %d vs %d", len(batched.Branches), len(plain.Branches))
-	}
-	for i := range batched.Branches {
-		b, p := batched.Branches[i], plain.Branches[i]
-		if b.Error != nil || p.Error != nil {
-			t.Fatalf("branch %s failed: batched=%v solo=%v", b.Name, b.Error, p.Error)
+		solo := soloBranches(t, st, specs, tc.seconds, tc.untilIdle)
+		sameBranches(t, fmt.Sprintf("batched vs solo (until idle %v)", tc.untilIdle), batched.Branches, solo)
+		oracle := api.WhatIfReport{Branches: solo}
+		fillBests(&oracle)
+		if batched.BestEnergy != oracle.BestEnergy || batched.BestPerf != oracle.BestPerf {
+			t.Errorf("winners diverged: batched (%s, %s) vs solo (%s, %s)",
+				batched.BestEnergy, batched.BestPerf, oracle.BestEnergy, oracle.BestPerf)
 		}
-		if b.Name != p.Name || b.Policy != p.Policy {
-			t.Fatalf("branch order diverged: %s vs %s", b.Name, p.Name)
+		if tc.untilIdle {
+			for _, b := range batched.Branches {
+				if b.Running != 0 || b.Pending != 0 {
+					t.Errorf("branch %s not idle after an until-idle what-if: %+v", b.Name, b)
+				}
+			}
 		}
-		if b.Ticks != p.Ticks || b.Now != p.Now || b.Seconds != p.Seconds ||
-			b.Completed != p.Completed || b.Running != p.Running || b.Pending != p.Pending ||
-			b.Emergencies != p.Emergencies || b.VoltageMV != p.VoltageMV ||
-			b.MakespanS != p.MakespanS || b.P50RuntimeS != p.P50RuntimeS || b.P99RuntimeS != p.P99RuntimeS {
-			t.Errorf("branch %s state diverged:\nbatched %+v\nsolo    %+v", b.Name, b, p)
-		}
-		if rd := relDiff(b.EnergyJ, p.EnergyJ); rd > 1e-9 {
-			t.Errorf("branch %s energy diverged: %v vs %v (rel %g)", b.Name, b.EnergyJ, p.EnergyJ, rd)
-		}
-	}
-	if batched.BestEnergy != plain.BestEnergy || batched.BestPerf != plain.BestPerf {
-		t.Errorf("winners diverged: batched (%s, %s) vs solo (%s, %s)",
-			batched.BestEnergy, batched.BestPerf, plain.BestEnergy, plain.BestPerf)
 	}
 }
 
-// TestBatchMetricsExported checks the batched-stepping scrape surface is
-// registered on every fleet (all-zero under NoBatch) and counts work
-// after sessions advance.
+// TestWhatIfRefineMatchesSync checks a fast what-if's background
+// refinement produces the same simulated report as the sync what-if of
+// the same snapshot.
+func TestWhatIfRefineMatchesSync(t *testing.T) {
+	f, _ := testFleet(t, Config{Workers: 1})
+	s := seedSession(t, f, "optimal")
+	snap, err := f.Snapshot(s.ID)
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	ctx := context.Background()
+	want, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{SnapshotID: snap.ID, Seconds: 60})
+	if err != nil {
+		t.Fatalf("sync WhatIf: %v", err)
+	}
+	fast, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{SnapshotID: snap.ID, Seconds: 60, Fast: true, Refine: true})
+	if err != nil {
+		t.Fatalf("fast+refine WhatIf: %v", err)
+	}
+	var j api.Job
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if j, err = f.Job(s.ID, fast.RefineJob); err != nil {
+			t.Fatalf("Job: %v", err)
+		}
+		if j.Status != api.JobQueued && j.Status != api.JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("refinement never finished: %+v", j)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if j.Status != api.JobDone || j.WhatIf == nil {
+		t.Fatalf("refinement status = %q, report %+v", j.Status, j.WhatIf)
+	}
+	refined := j.WhatIf
+	if refined.Source != want.Source || refined.SnapshotID != want.SnapshotID ||
+		refined.BaseTicks != want.BaseTicks || refined.BaseNow != want.BaseNow {
+		t.Errorf("report header diverged: refined %+v sync %+v", refined, want)
+	}
+	if refined.Batch == nil || refined.Batch.Ticks != want.Batch.Ticks {
+		t.Errorf("refined Batch block %+v, sync %+v", refined.Batch, want.Batch)
+	}
+	sameBranches(t, "refined vs sync", refined.Branches, want.Branches)
+	if refined.BestEnergy != want.BestEnergy || refined.BestPerf != want.BestPerf {
+		t.Errorf("winners diverged: refined (%s, %s) vs sync (%s, %s)",
+			refined.BestEnergy, refined.BestPerf, want.BestEnergy, want.BestPerf)
+	}
+}
+
+// TestBatchMetricsExported checks the what-if batching and memo scrape
+// surface is registered on every fleet and counts work once a what-if
+// runs.
 func TestBatchMetricsExported(t *testing.T) {
 	names := []string{
-		"avfs_sim_batch_sessions",
-		"avfs_sim_batch_shard_size",
 		"avfs_sim_batch_ticks_total",
 		"avfs_sim_batch_shared_ticks_total",
 		"avfs_sim_batch_memo_hits_total",
 		"avfs_sim_batch_memo_misses_total",
 	}
-
-	off, _ := testFleet(t, Config{NoBatch: true})
-	seedSession(t, off, "optimal")
-	for _, name := range names {
-		if v, ok := off.reg.Value(name); !ok {
-			t.Errorf("NoBatch fleet is missing metric %s", name)
-		} else if v != 0 {
-			t.Errorf("NoBatch fleet reports %s = %v, want 0", name, v)
-		}
-	}
-
 	f, _ := testFleet(t, Config{})
-	seedSession(t, f, "optimal")
+	s := seedSession(t, f, "optimal")
 	for _, name := range names {
 		if _, ok := f.reg.Value(name); !ok {
 			t.Errorf("fleet is missing metric %s", name)
 		}
 	}
-	if v, _ := f.reg.Value("avfs_sim_batch_ticks_total"); v <= 0 {
-		t.Errorf("avfs_sim_batch_ticks_total = %v after a 30s run, want > 0", v)
+	for _, gone := range []string{"avfs_sim_batch_sessions", "avfs_sim_batch_shard_size"} {
+		if _, ok := f.reg.Value(gone); ok {
+			t.Errorf("fleet still exports %s", gone)
+		}
 	}
-	if v, _ := f.reg.Value("avfs_sim_batch_sessions"); v != 0 {
-		t.Errorf("avfs_sim_batch_sessions = %v while idle, want 0", v)
+	if v, _ := f.reg.Value("avfs_sim_batch_ticks_total"); v != 0 {
+		t.Errorf("avfs_sim_batch_ticks_total = %v before any what-if, want 0", v)
+	}
+	rep, err := f.WhatIf(context.Background(), s.ID, api.WhatIfRequest{Seconds: 30})
+	if err != nil {
+		t.Fatalf("WhatIf: %v", err)
+	}
+	if v, _ := f.reg.Value("avfs_sim_batch_ticks_total"); v <= 0 || uint64(v) != rep.Batch.Ticks {
+		t.Errorf("avfs_sim_batch_ticks_total = %v after a what-if, want %d", v, rep.Batch.Ticks)
+	}
+	if v, _ := f.reg.Value("avfs_sim_batch_shared_ticks_total"); uint64(v) != rep.Batch.SharedTicks {
+		t.Errorf("avfs_sim_batch_shared_ticks_total = %v, want %d", v, rep.Batch.SharedTicks)
 	}
 }

@@ -227,17 +227,12 @@ func (f *Fleet) whatIfFast(id, snapID string, st *snapshot.SessionState, specs [
 		BaseTicks:  st.Machine.Ticks,
 		Seconds:    req.Seconds,
 		Source:     whatIfSurrogate,
-		Branches:   make([]api.WhatIfBranch, len(specs)),
+		Branches:   branchReports(st, specs),
 	}
 	err = f.withEstimator(spec, model, 0, surrogate.CONS, func(est *surrogate.Estimator) error {
 		for i := range specs {
 			sp := specs[i]
 			out := &report.Branches[i]
-			out.Name, out.Policy = sp.name, st.Policy
-			out.PowerCapW, out.Placement = sp.capW, sp.placeName
-			if sp.policy != "" {
-				out.Policy = sp.policy
-			}
 			bs := surrogate.BranchSpec{
 				Config:    systemConfigOf(out.Policy),
 				PowerCapW: sp.capW,
@@ -307,9 +302,11 @@ func (f *Fleet) startRefinement(s *session, id, snapID string, st *snapshot.Sess
 			BaseTicks:  baseTicks,
 			Seconds:    req.Seconds,
 			Source:     whatIfSimulated,
-			Branches:   make([]api.WhatIfBranch, len(specs)),
+			Branches:   branchReports(st, specs),
 		}
-		runErr := f.refineBranches(ctx, st, specs, req.Seconds, req.UntilIdle, &rep)
+		// Already on a pool worker: advance the batch inline.
+		rep.Batch = f.advanceBranches(ctx, st, specs, req.Seconds, req.UntilIdle, rep.Branches)
+		runErr := ctx.Err()
 		if runErr == nil {
 			fillBests(&rep)
 			f.mSurRefines.Inc()
@@ -364,30 +361,6 @@ func (f *Fleet) startRefinement(s *session, id, snapID string, st *snapshot.Sess
 	}()
 	f.mRuns.Inc()
 	return jid, nil
-}
-
-// refineBranches advances every branch of a refinement inline: the
-// caller already runs on a pool worker, so going through pool.Do again
-// would deadlock a single-worker pool. Per-branch failures land in the
-// branch's Error field; cancellation fails the job.
-func (f *Fleet) refineBranches(ctx context.Context, st *snapshot.SessionState, specs []branchSpec, seconds float64, untilIdle bool, rep *api.WhatIfReport) error {
-	for i := range specs {
-		sp := specs[i]
-		out := &rep.Branches[i]
-		out.Name, out.Policy = sp.name, st.Policy
-		out.PowerCapW, out.Placement = sp.capW, sp.placeName
-		if sp.policy != "" {
-			out.Policy = sp.policy
-		}
-		if err := ctx.Err(); err != nil {
-			out.Error = wireError(err)
-			continue
-		}
-		if err := advanceBranch(ctx, st, sp, seconds, untilIdle, out); err != nil {
-			out.Error = wireError(err)
-		}
-	}
-	return ctx.Err()
 }
 
 // refineRelErr is the largest relative energy error between the fast

@@ -89,10 +89,13 @@ func TestListPagination(t *testing.T) {
 		t.Fatalf("idle filter returned %d, want 7 (runs are synchronous)", len(idle.Sessions))
 	}
 
-	// The deprecated unpaginated List still answers everything.
-	whole := f.List()
+	// The zero-options page answers everything.
+	whole, err := f.ListPage("", 0, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(whole.Sessions) != 7 || whole.NextCursor != "" {
-		t.Fatalf("deprecated List: %d sessions, cursor %q", len(whole.Sessions), whole.NextCursor)
+		t.Fatalf("unpaginated ListPage: %d sessions, cursor %q", len(whole.Sessions), whole.NextCursor)
 	}
 
 	// Bad parameters refuse.

@@ -82,12 +82,6 @@ type Config struct {
 	// NoTrace disables the span/SLO layer entirely — the tracing-off
 	// baseline of the overhead gate. Access and slow logs still work.
 	NoTrace bool
-	// NoBatch disables batched multi-session stepping: sessions advance
-	// solo (no gang shards, no shared steady-segment memo, what-if
-	// branches on their own pool workers). It is the solo baseline of the
-	// batch equality tests; the default (false) is strictly an
-	// optimization — batched stepping is bit-identical to solo.
-	NoBatch bool
 }
 
 // withDefaults resolves the zero value.
@@ -148,11 +142,12 @@ type Fleet struct {
 	estimators map[string]*estimatorEntry
 	// memo is the fleet-wide cross-session steady-segment memo: every
 	// session's machine (and every what-if branch) shares it, so one
-	// tenant's transient warms the next tenant's. nil when NoBatch.
+	// tenant's transient warms the next tenant's.
 	memo *sim.SteadyMemo
-	// gang is the lockstep shard stepper session advances route through
-	// (see shard.go). nil when NoBatch — sessions then step solo.
-	gang *gang
+	// batchTicks/batchShared accumulate the sim.BatchStats of every
+	// what-if batch (sync and refinement) for the /metrics counters.
+	batchTicks  atomic.Uint64
+	batchShared atomic.Uint64
 
 	// baseCtx parents every session context; Close cancels it, aborting
 	// whatever Drain left behind.
@@ -237,15 +232,12 @@ func New(cfg Config) *Fleet {
 		snaps:      snapshot.NewStore(cfg.SnapshotDir),
 		surModels:  surrogate.NewStore(surDir),
 		estimators: make(map[string]*estimatorEntry),
+		memo:       sim.NewSteadyMemo(0),
 		sessions:   make(map[string]*session),
 		reapStop:   make(chan struct{}),
 		reapDone:   make(chan struct{}),
 	}
 	f.baseCtx, f.cancelBase = context.WithCancel(context.Background())
-	if !cfg.NoBatch {
-		f.memo = sim.NewSteadyMemo(0)
-		f.gang = newGang()
-	}
 	f.store.Instrument(f.reg)
 	f.mSessions = f.reg.Counter("avfs_fleet_sessions_created_total", "Sessions created.")
 	f.mReaped = f.reg.Counter("avfs_fleet_sessions_reaped_total", "Sessions deleted by the TTL reaper.")
@@ -298,49 +290,23 @@ func New(cfg Config) *Fleet {
 		JobDone:   func(d time.Duration) { f.hPoolRun.Observe(d.Seconds()) },
 	})
 
-	// Batched-stepping surface: always registered (stable scrape schema),
-	// all-zero when NoBatch. The functions read lock-free atomics, so the
-	// scrape cost stays within the telemetry overhead budget.
-	f.reg.Gauge("avfs_sim_batch_sessions",
-		"Sessions currently advancing inside a lockstep gang shard.", func() float64 {
-			if f.gang == nil {
-				return 0
-			}
-			return float64(f.gang.enrolled.Load())
-		})
-	f.reg.Gauge("avfs_sim_batch_shard_size",
-		"Member count of the most recently completed gang shard round.", func() float64 {
-			if f.gang == nil {
-				return 0
-			}
-			return float64(f.gang.lastShard.Load())
-		})
+	// What-if batching and the shared steady-segment memo. The functions
+	// read lock-free atomics, so the scrape cost stays within the
+	// telemetry overhead budget.
 	f.reg.CounterFunc("avfs_sim_batch_ticks_total",
-		"Member-ticks committed through gang shard rounds.", func() float64 {
-			if f.gang == nil {
-				return 0
-			}
-			return float64(f.gang.ticks.Load())
+		"Branch-ticks committed by what-if batches (sync and refinement).", func() float64 {
+			return float64(f.batchTicks.Load())
 		})
 	f.reg.CounterFunc("avfs_sim_batch_shared_ticks_total",
-		"Gang member-ticks that reused an identical member's lockstep fold.", func() float64 {
-			if f.gang == nil {
-				return 0
-			}
-			return float64(f.gang.shared.Load())
+		"What-if branch-ticks that reused an identical branch's lockstep fold.", func() float64 {
+			return float64(f.batchShared.Load())
 		})
 	f.reg.CounterFunc("avfs_sim_batch_memo_hits_total",
 		"Full simulated ticks served from the cross-session steady-segment memo.", func() float64 {
-			if f.memo == nil {
-				return 0
-			}
 			return float64(f.memo.Hits())
 		})
 	f.reg.CounterFunc("avfs_sim_batch_memo_misses_total",
 		"Steady-segment memo probes that fell through to full tick computation.", func() float64 {
-			if f.memo == nil {
-				return 0
-			}
 			return float64(f.memo.Misses())
 		})
 
@@ -365,11 +331,11 @@ func (f *Fleet) Registry() *telemetry.Registry { return f.reg }
 
 // sessionWiring assembles the fleet-derived settings a new or restored
 // session is built with: the observability plane plus the shared
-// steady-segment memo and the gang stepper (both nil when NoBatch).
+// steady-segment memo.
 func (f *Fleet) sessionWiring() obsConfig {
 	return obsConfig{
 		enabled: !f.cfg.NoTrace, spanCap: f.cfg.SpanCap, window: f.cfg.SLOWindow,
-		memo: f.memo, gang: f.gang, node: f.cfg.NodeName,
+		memo: f.memo, node: f.cfg.NodeName,
 	}
 }
 
@@ -510,16 +476,6 @@ func (f *Fleet) lookup(id string) (*session, error) {
 		return s, nil
 	}
 	return nil, fmt.Errorf("%w: %s", ErrSessionNotFound, id)
-}
-
-// List snapshots every live session, ordered by ID.
-//
-// Deprecated: List is the unpaginated v1 listing, kept for
-// compatibility; use ListPage, which adds cursor pagination and
-// state/policy filters.
-func (f *Fleet) List() api.SessionList {
-	out, _ := f.ListPage("", 0, "", "")
-	return out
 }
 
 // ListPage snapshots live sessions ordered by ID, starting strictly

@@ -57,8 +57,8 @@ func TestSessionLifecycle(t *testing.T) {
 	if s.ID == "" || s.Policy != "optimal" || s.Model != "xgene3" {
 		t.Fatalf("bad session snapshot: %+v", s)
 	}
-	if got := len(f.List().Sessions); got != 1 {
-		t.Fatalf("List has %d sessions, want 1", got)
+	if l, err := f.ListPage("", 0, "", ""); err != nil || len(l.Sessions) != 1 {
+		t.Fatalf("ListPage = %d sessions, %v; want 1", len(l.Sessions), err)
 	}
 	if _, err := f.Get(s.ID); err != nil {
 		t.Fatalf("Get: %v", err)

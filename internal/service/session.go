@@ -89,11 +89,6 @@ type session struct {
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
 
-	// gang is the fleet's lockstep shard stepper; runChunked routes every
-	// advance through it. nil (Config.NoBatch) means solo stepping.
-	// Immutable after construction.
-	gang *gang
-
 	// Observability plane (all nil when the fleet runs with NoTrace):
 	// spans is the session's bounded span ring; reqSLO/advSLO track
 	// request- and advance-chunk latency for the /slo surface;
@@ -158,16 +153,14 @@ type job struct {
 const traceCap = 4096
 
 // obsConfig carries the fleet's observability settings into a session,
-// plus the shared batched-stepping plumbing (see Fleet.sessionWiring).
+// plus the shared steady-segment memo (see Fleet.sessionWiring).
 type obsConfig struct {
 	enabled bool
 	spanCap int
 	window  time.Duration
 	// memo is the fleet-wide steady-segment memo the session's machine
-	// attaches to; gang is the lockstep shard stepper runChunked routes
-	// advances through. Both nil under Config.NoBatch (solo stepping).
+	// attaches to.
 	memo *sim.SteadyMemo
-	gang *gang
 	// node is the fleet's Config.NodeName, stamped on the session.
 	node string
 }
@@ -233,10 +226,7 @@ func newSession(parent context.Context, id string, req api.CreateSessionRequest,
 	if req.Coalescing != nil {
 		s.m.SetCoalescing(*req.Coalescing)
 	}
-	if obs.memo != nil {
-		s.m.SetSteadyMemo(obs.memo)
-	}
-	s.gang = obs.gang
+	s.m.SetSteadyMemo(obs.memo)
 	s.tracer.Subscribe(s.appendTrace)
 	telemetry.WireMachine(s.m, s.reg, s.tracer)
 
@@ -312,10 +302,7 @@ func restoreSession(parent context.Context, id string, st *snapshot.SessionState
 		cancel()
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	if obs.memo != nil {
-		s.m.SetSteadyMemo(obs.memo)
-	}
-	s.gang = obs.gang
+	s.m.SetSteadyMemo(obs.memo)
 	s.tracer.Subscribe(s.appendTrace)
 	telemetry.WireMachine(s.m, s.reg, s.tracer)
 
@@ -650,9 +637,7 @@ func (s *session) runChunked(ctx context.Context, seconds float64, untilIdle boo
 			break
 		}
 		ticksBefore := s.m.Ticks()
-		// The gang steps compatible concurrently-advancing sessions in
-		// lockstep (bit-identical to solo); a nil gang is solo stepping.
-		err := s.gang.advance(ctx, s.m, step)
+		err := s.m.RunForContext(ctx, step)
 		ticks := s.m.Ticks() - ticksBefore
 		s.lastTouch = clk()
 		s.mu.Unlock()

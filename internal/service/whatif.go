@@ -2,10 +2,8 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"avfs/api"
@@ -184,10 +182,10 @@ func parseBranchSpec(b api.WhatIfBranchSpec) (branchSpec, error) {
 }
 
 // WhatIf branches N hypothetical futures from one snapshot of a session
-// and advances them in parallel on the fleet's worker pool, returning a
-// compared report. The branches are transient: they never appear in the
-// session registry and vanish once the report is built. An empty branch
-// list compares the four Table IV policies.
+// and advances them together as one batch on the fleet's worker pool,
+// returning a compared report. The branches are transient: they never
+// appear in the session registry and vanish once the report is built.
+// An empty branch list compares the four Table IV policies.
 func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (api.WhatIfReport, error) {
 	s, err := f.lookup(id)
 	if err != nil {
@@ -251,27 +249,23 @@ func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (a
 		BaseTicks:  st.Machine.Ticks,
 		Seconds:    req.Seconds,
 		Source:     whatIfSimulated,
-		Branches:   make([]api.WhatIfBranch, len(specs)),
+		Branches:   branchReports(st, specs),
 	}
-	if req.Solo || f.memo == nil {
-		// Solo: one pool job per branch, each advancing independently.
-		var wg sync.WaitGroup
-		for i := range specs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				report.Branches[i] = f.runBranch(ctx, st, specs[i], req.Seconds, req.UntilIdle)
-			}(i)
+	// All branches advance as one structure-of-arrays batch on a single
+	// pool job. Branches of one snapshot start bitwise identical, so
+	// until their overrides drive them apart the batch folds their ticks
+	// together (and serves transients from the fleet's steady-segment
+	// memo); the report records how much work that sharing saved.
+	err = f.pool.Do(ctx, func(jctx context.Context) error {
+		report.Batch = f.advanceBranches(jctx, st, specs, req.Seconds, req.UntilIdle, report.Branches)
+		return nil
+	})
+	if err != nil {
+		for i := range report.Branches {
+			if report.Branches[i].Error == nil {
+				report.Branches[i].Error = wireError(err)
+			}
 		}
-		wg.Wait()
-	} else {
-		// Default: all branches advance as one structure-of-arrays batch
-		// on a single pool job. Branches of one snapshot start bitwise
-		// identical, so until their overrides drive them apart the batch
-		// folds their ticks together (and serves transients from the
-		// fleet's steady-segment memo); the report records how much work
-		// that sharing saved.
-		report.Batch = f.runBranchesBatched(ctx, st, specs, req.Seconds, req.UntilIdle, report.Branches)
 	}
 
 	fillBests(&report)
@@ -304,28 +298,6 @@ func fillBests(report *api.WhatIfReport) {
 	if bestPerf >= 0 {
 		report.BestPerf = report.Branches[bestPerf].Name
 	}
-}
-
-// runBranch executes one branch on the worker pool and reports its
-// outcome; every failure mode (admission, restore, run) lands in the
-// branch's Error field rather than failing the whole comparison.
-func (f *Fleet) runBranch(ctx context.Context, st *snapshot.SessionState, spec branchSpec, seconds float64, untilIdle bool) api.WhatIfBranch {
-	out := api.WhatIfBranch{
-		Name:      spec.name,
-		Policy:    st.Policy,
-		PowerCapW: spec.capW,
-		Placement: spec.placeName,
-	}
-	if spec.policy != "" {
-		out.Policy = spec.policy
-	}
-	err := f.pool.Do(ctx, func(jctx context.Context) error {
-		return advanceBranch(jctx, st, spec, seconds, untilIdle, &out)
-	})
-	if err != nil {
-		out.Error = wireError(err)
-	}
-	return out
 }
 
 // branchRig is one restored, override-applied what-if branch ready to
@@ -383,20 +355,6 @@ func buildBranch(st *snapshot.SessionState, spec branchSpec) (*branchRig, error)
 	}, nil
 }
 
-// soloAdvance runs one branch machine by itself. Not reaching idle
-// within the budget is a legitimate what-if outcome (the report says how
-// much work was left), not a failure.
-func soloAdvance(ctx context.Context, m *sim.Machine, seconds float64, untilIdle bool) error {
-	if untilIdle {
-		err := m.RunUntilIdleContext(ctx, seconds)
-		if err != nil && errors.Is(err, sim.ErrNotIdle) {
-			return nil
-		}
-		return err
-	}
-	return m.RunForContext(ctx, seconds)
-}
-
 // report fills the branch report with window-delta metrics (measured
 // from the snapshot point) at the rig's current state.
 func (r *branchRig) report(out *api.WhatIfBranch) {
@@ -429,29 +387,11 @@ func (r *branchRig) report(out *api.WhatIfBranch) {
 	}
 }
 
-// advanceBranch restores a transient machine from the snapshot, applies
-// the branch's overrides and advances it alone (the solo path).
-func advanceBranch(ctx context.Context, st *snapshot.SessionState, spec branchSpec, seconds float64, untilIdle bool, out *api.WhatIfBranch) error {
-	rig, err := buildBranch(st, spec)
-	if err != nil {
-		return err
-	}
-	if err := soloAdvance(ctx, rig.m, seconds, untilIdle); err != nil {
-		return err
-	}
-	rig.report(out)
-	return nil
-}
-
-// runBranchesBatched advances every branch as one structure-of-arrays
-// batch on a single pool job, sharing the fleet's steady-segment memo.
-// Per-branch failures land in that branch's Error field; an admission or
-// cancellation failure lands on every branch still unfinished. The
-// returned summary records the sharing the batch achieved (nil when the
-// pool rejected the job outright).
-func (f *Fleet) runBranchesBatched(ctx context.Context, st *snapshot.SessionState, specs []branchSpec, seconds float64, untilIdle bool, out []api.WhatIfBranch) *api.WhatIfBatch {
-	for i := range specs {
-		sp := specs[i]
+// branchReports returns each branch's report header (name and the
+// configuration it runs), the metrics left for the engine to fill.
+func branchReports(st *snapshot.SessionState, specs []branchSpec) []api.WhatIfBranch {
+	out := make([]api.WhatIfBranch, len(specs))
+	for i, sp := range specs {
 		out[i] = api.WhatIfBranch{
 			Name: sp.name, Policy: st.Policy,
 			PowerCapW: sp.capW, Placement: sp.placeName,
@@ -460,82 +400,81 @@ func (f *Fleet) runBranchesBatched(ctx context.Context, st *snapshot.SessionStat
 			out[i].Policy = sp.policy
 		}
 	}
-	var bs api.WhatIfBatch
-	err := f.pool.Do(ctx, func(jctx context.Context) error {
-		hits0, misses0 := f.memo.Hits(), f.memo.Misses()
-		begin := time.Now()
-		b := sim.NewBatch()
-		rigs := make([]*branchRig, len(specs))
-		idxOf := make([]int, len(specs))
-		for i := range specs {
-			idxOf[i] = -1
-			rig, err := buildBranch(st, specs[i])
-			if err != nil {
-				out[i].Error = wireError(err)
-				continue
-			}
-			rig.m.SetSteadyMemo(f.memo)
-			bi, err := b.Add(rig.m, seconds, untilIdle)
-			if err != nil {
-				// Unreachable — every branch restores from one snapshot,
-				// so the admission triple always matches — but a branch
-				// must never be lost: advance it solo instead.
-				if aerr := soloAdvance(jctx, rig.m, seconds, untilIdle); aerr != nil {
-					out[i].Error = wireError(aerr)
-				} else {
-					rig.report(&out[i])
-				}
-				continue
-			}
-			rigs[i], idxOf[i] = rig, bi
+	return out
+}
+
+// advanceBranches restores every branch and advances them all as one
+// structure-of-arrays batch on the calling goroutine, sharing the
+// fleet's steady-segment memo, and fills out (headed by branchReports).
+// It must run on a pool worker: the sync what-if calls it inside
+// pool.Do, a refinement job directly on its own worker (going through
+// pool.Do again would deadlock a one-worker pool). Per-branch failures
+// land in that branch's Error field; a cancellation lands on every
+// branch still unfinished. The returned summary records the sharing the
+// batch achieved.
+func (f *Fleet) advanceBranches(ctx context.Context, st *snapshot.SessionState, specs []branchSpec, seconds float64, untilIdle bool, out []api.WhatIfBranch) *api.WhatIfBatch {
+	hits0, misses0 := f.memo.Hits(), f.memo.Misses()
+	begin := time.Now()
+	b := sim.NewBatch()
+	rigs := make([]*branchRig, len(specs))
+	idxOf := make([]int, len(specs))
+	for i := range specs {
+		idxOf[i] = -1
+		rig, err := buildBranch(st, specs[i])
+		if err != nil {
+			out[i].Error = wireError(err)
+			continue
 		}
-		for {
-			if err := jctx.Err(); err != nil {
-				for i := range specs {
-					if idxOf[i] >= 0 && !b.Done(idxOf[i]) {
-						b.Eject(idxOf[i])
-						out[i].Error = wireError(err)
-						rigs[i] = nil
-					}
-				}
-				break
-			}
-			if !b.Step() {
-				break
-			}
+		rig.m.SetSteadyMemo(f.memo)
+		// Admission cannot fail — every branch restores from one
+		// snapshot, so the admission triple always matches — but a
+		// branch must never be lost silently.
+		bi, err := b.Add(rig.m, seconds, untilIdle)
+		if err != nil {
+			out[i].Error = wireError(err)
+			continue
 		}
-		for i, rig := range rigs {
-			if rig != nil {
-				rig.report(&out[i])
-			}
-		}
-		stats := b.Stats()
-		bs = api.WhatIfBatch{
-			Branches:      b.Len(),
-			Ticks:         stats.Ticks,
-			LockstepTicks: stats.LockstepTicks,
-			SharedTicks:   stats.SharedTicks,
-			MemoHits:      f.memo.Hits() - hits0,
-			MemoMisses:    f.memo.Misses() - misses0,
-			WallSeconds:   time.Since(begin).Seconds(),
-		}
-		if bs.WallSeconds > 0 {
-			bs.TicksPerSec = float64(bs.Ticks) / bs.WallSeconds
-		}
-		if own := stats.Ticks - stats.SharedTicks; own > 0 {
-			bs.SpeedupEst = float64(stats.Ticks) / float64(own)
-		}
-		return nil
-	})
-	if err != nil {
-		for i := range out {
-			if out[i].Error == nil {
-				out[i].Error = wireError(err)
-			}
-		}
-		return nil
+		rigs[i], idxOf[i] = rig, bi
 	}
-	return &bs
+	for {
+		if err := ctx.Err(); err != nil {
+			for i := range specs {
+				if idxOf[i] >= 0 && !b.Done(idxOf[i]) {
+					b.Eject(idxOf[i])
+					out[i].Error = wireError(err)
+					rigs[i] = nil
+				}
+			}
+			break
+		}
+		if !b.Step() {
+			break
+		}
+	}
+	for i, rig := range rigs {
+		if rig != nil {
+			rig.report(&out[i])
+		}
+	}
+	stats := b.Stats()
+	f.batchTicks.Add(stats.Ticks)
+	f.batchShared.Add(stats.SharedTicks)
+	bs := &api.WhatIfBatch{
+		Branches:      b.Len(),
+		Ticks:         stats.Ticks,
+		LockstepTicks: stats.LockstepTicks,
+		SharedTicks:   stats.SharedTicks,
+		MemoHits:      f.memo.Hits() - hits0,
+		MemoMisses:    f.memo.Misses() - misses0,
+		WallSeconds:   time.Since(begin).Seconds(),
+	}
+	if bs.WallSeconds > 0 {
+		bs.TicksPerSec = float64(bs.Ticks) / bs.WallSeconds
+	}
+	if own := stats.Ticks - stats.SharedTicks; own > 0 {
+		bs.SpeedupEst = float64(stats.Ticks) / float64(own)
+	}
+	return bs
 }
 
 // replaceRunning re-places every running process's threads in canonical

@@ -154,7 +154,7 @@ func (b *Batch) Step() bool {
 	divergent := false
 	for _, i := range active {
 		m := b.members[i].m
-		ok := k > 1 && m.coalescing && !m.hasLegacy && m.cacheFresh()
+		ok := k > 1 && m.coalescing && m.cacheFresh()
 		if !ok {
 			divergent = true
 		}

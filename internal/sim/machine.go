@@ -100,14 +100,12 @@ type steadyCache struct {
 	emCheck bool
 }
 
-// tickHook is one registered end-of-tick callback. Legacy OnTick hooks
-// observe every tick and therefore disable coalescing; bounded hooks
-// declare the next simulation time they care about, letting the engine
-// batch every tick strictly before it.
+// tickHook is one registered end-of-tick callback. It declares the next
+// simulation time it cares about, letting the engine batch every tick
+// strictly before it.
 type tickHook struct {
-	legacy func(*Machine)
-	fn     func(*Machine, int)
-	next   func() float64
+	fn   func(*Machine, int)
+	next func() float64
 }
 
 // Machine is one simulated X-Gene server.
@@ -220,10 +218,8 @@ type Machine struct {
 	// onFinish callbacks run after a process completes (within Step,
 	// after state updates), in registration order.
 	onFinish []func(*Process)
-	// hooks are the end-of-tick callbacks in registration order;
-	// hasLegacy notes whether any of them must observe every tick.
-	hooks     []tickHook
-	hasLegacy bool
+	// hooks are the end-of-tick callbacks in registration order.
+	hooks []tickHook
 }
 
 // New creates an idle machine for the given chip spec.
@@ -263,13 +259,13 @@ func (m *Machine) SetCoalescing(on bool) { m.coalescing = on }
 func (m *Machine) OnFinish(fn func(*Process)) { m.onFinish = append(m.onFinish, fn) }
 
 // OnTick registers a callback invoked at the end of every step, in
-// registration order with OnTickBounded hooks. A legacy per-tick hook
-// must see every tick, so registering one disables tick coalescing for
-// the machine; components that can state when they next need to run
-// should use OnTickBounded instead.
+// registration order with OnTickBounded hooks. It is an OnTickBounded
+// hook whose boundary is always the current time, so every commit is a
+// single exact tick and tick coalescing is off while it is registered;
+// components that can state when they next need to run should use
+// OnTickBounded instead.
 func (m *Machine) OnTick(fn func(*Machine)) {
-	m.hooks = append(m.hooks, tickHook{legacy: fn})
-	m.hasLegacy = true
+	m.OnTickBounded(func(m *Machine, _ int) { fn(m) }, m.Now)
 }
 
 // OnTickBounded registers a batch-aware end-of-tick callback. fn runs
@@ -287,12 +283,8 @@ func (m *Machine) OnTickBounded(fn func(*Machine, int), next func() float64) {
 // runHooks invokes the end-of-tick callbacks for a commit of k ticks.
 func (m *Machine) runHooks(k int) {
 	for i := range m.hooks {
-		h := &m.hooks[i]
-		switch {
-		case h.legacy != nil:
-			h.legacy(m)
-		case h.fn != nil:
-			h.fn(m, k)
+		if fn := m.hooks[i].fn; fn != nil {
+			fn(m, k)
 		}
 	}
 }
@@ -1126,13 +1118,13 @@ func (m *Machine) fillPowerState() *power.State {
 // state (and coalescing is enabled). It returns the number of ticks
 // committed. The batch is bounded by the earliest thread completion, the
 // next boundary any OnTickBounded hook declares, and the max-horizon cap;
-// legacy OnTick hooks force per-tick stepping.
+// OnTick hooks force per-tick stepping.
 func (m *Machine) Advance() int { return m.advance(1 << 30) }
 
 // advance is Advance bounded additionally by limit ticks (used by
 // RunFor/RunUntilIdle to stop exactly on their deadlines).
 func (m *Machine) advance(limit int) int {
-	if limit <= 1 || !m.coalescing || m.hasLegacy || !m.steadyReady() {
+	if limit <= 1 || !m.coalescing || !m.steadyReady() {
 		m.Step()
 		return 1
 	}

@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full repository check: vet, build, race-enabled tests, the
+# Full repository check: vet, build, race-enabled tests, a perfbench
+# smoke run (the benchmark module builds and replays correctly), the
 # telemetry-overhead benchmark, the simulator hot-path benchmark, the
 # experiment-runner speedup gate, the characterization-store memoization
 # gate, the control-plane throughput gate, the request-tracing overhead
@@ -26,6 +27,15 @@ go build ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+# perfbench/ is its own Go module, so the build above never compiles it;
+# a one-second advance run builds it against this tree and replays its
+# ops for correctness.
+echo "==> perfbench smoke run (advance, 1 s)"
+last="$(bash perfbench/run.sh --workload advance --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+echo "$last"
+echo "$last" | grep -q '"correct":true' || { echo "perfbench: replay not correct" >&2; exit 1; }
+echo "$last" | grep -Eq '"failed":0[,}]' || { echo "perfbench: failed ops" >&2; exit 1; }
 
 echo "==> telemetry overhead benchmark"
 AVFS_BENCH_OUT="$(pwd)/BENCH_telemetry.json" \
