@@ -151,12 +151,22 @@ type Stats struct {
 
 // procState is the daemon's bookkeeping for one process.
 type procState struct {
-	proc   *sim.Process
-	class  Class
+	proc  *sim.Process
+	class Class
+	// sample is the open measurement window; a migration off its core
+	// set invalidates it.
 	sample *perfmon.Sample
-	// sampleCores remembers the core set the open sample was taken on;
-	// a migration invalidates it.
-	sampleCores []chip.CoreID
+}
+
+// blockedKey identifies everything a placement plan depends on besides
+// the configuration: the machine's placement generation (submissions,
+// placements, migrations, completions), the chip's electrical
+// generation, the daemon's class epoch and the pending count.
+type blockedKey struct {
+	placeGen   uint64
+	chipGen    uint64
+	classEpoch uint64
+	pending    int
 }
 
 // Daemon is the online monitoring daemon bound to one machine.
@@ -170,6 +180,16 @@ type Daemon struct {
 	nextPoll float64
 	// dirty is set when arrivals/completions require a placement pass.
 	dirty bool
+	// classEpoch counts class changes; poll bumps it on every one.
+	classEpoch uint64
+	// blocked is the key of the last replan that changed nothing while
+	// work was pending (the FIFO head did not fit), valid while
+	// blockedOK. As long as the key still matches, a replan would change
+	// nothing again, so tick skips it and the machine may coalesce up to
+	// the next poll. It is not captured in snapshots: a restored daemon
+	// replans once, as a no-op, and re-establishes it.
+	blocked   blockedKey
+	blockedOK bool
 
 	// queue holds the staged phases of an in-flight transition when
 	// Cfg.TransitionTicks > 0; cooldown counts ticks until the next
@@ -240,7 +260,7 @@ func (d *Daemon) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		{MetricMigrations, "Running processes migrated.", func() float64 { return float64(d.stats.Migrations) }},
 		{MetricVoltageChanges, "Regulator programmings.", func() float64 { return float64(d.stats.VoltageChanges) }},
 		{MetricFreqChanges, "PMD clock programmings.", func() float64 { return float64(d.stats.FreqChanges) }},
-		{MetricReconfigs, "Fail-safe transition sequences started.", func() float64 { return float64(d.reconfigs) }},
+		{MetricReconfigs, "Fail-safe transition sequences started (a replan that changes nothing starts none).", func() float64 { return float64(d.reconfigs) }},
 	}
 	for _, c := range counters {
 		reg.CounterFunc(c.name, c.help, c.fn)
@@ -311,7 +331,7 @@ func (d *Daemon) ClassOf(p *sim.Process) Class {
 // CPU-intensive and memory-intensive (Unknown counts as CPU-intensive,
 // matching the placement default) — the Fig. 15 observable.
 func (d *Daemon) ClassCounts() (cpu, mem int) {
-	for _, p := range d.M.Running() {
+	for _, p := range d.M.RunningView() {
 		if d.ClassOf(p) == MemoryIntensive {
 			mem++
 		} else {
@@ -322,9 +342,9 @@ func (d *Daemon) ClassCounts() (cpu, mem int) {
 }
 
 // Attach hooks the daemon into the machine's event loop. The hook is
-// batch-aware: while the daemon has no staged transition, no pending
-// arrivals and no dirty placement, the machine may coalesce steady ticks
-// up to the daemon's next poll instant.
+// batch-aware: while the daemon has no staged transition, no dirty
+// placement and no pending arrival it has not yet found blocked, the
+// machine may coalesce steady ticks up to the daemon's next poll instant.
 func (d *Daemon) Attach() {
 	d.M.OnFinish(func(p *sim.Process) {
 		delete(d.states, p.ID)
@@ -337,9 +357,11 @@ func (d *Daemon) Attach() {
 
 // nextBoundary reports the next simulation time the daemon must observe a
 // tick-exact step. Any in-flight transition, dirty placement or pending
-// arrival needs per-tick processing (return a time already passed);
-// otherwise the daemon sleeps until its next monitoring poll. A disabled
-// daemon with no staged transition left imposes no boundary at all.
+// arrival that needs a replan requires per-tick processing (return a time
+// already passed); otherwise — including while the pending queue is
+// blocked behind a head that does not fit — the daemon sleeps until its
+// next monitoring poll. A disabled daemon with no staged transition left
+// imposes no boundary at all.
 func (d *Daemon) nextBoundary() float64 {
 	if len(d.queue) > 0 {
 		return 0
@@ -347,10 +369,27 @@ func (d *Daemon) nextBoundary() float64 {
 	if d.disabled {
 		return math.Inf(1)
 	}
-	if d.dirty || d.M.PendingCount() > 0 {
+	if d.dirty || d.needsReplan() {
 		return 0
 	}
 	return d.nextPoll
+}
+
+// needsReplan reports whether pending work calls for a placement pass:
+// something is pending and the queue is not known to be blocked under
+// the current key.
+func (d *Daemon) needsReplan() bool {
+	return d.M.PendingCount() > 0 && !(d.blockedOK && d.blocked == d.key())
+}
+
+// key returns the current blockedKey.
+func (d *Daemon) key() blockedKey {
+	return blockedKey{
+		placeGen:   d.M.PlacementGeneration(),
+		chipGen:    d.M.Chip.Generation(),
+		classEpoch: d.classEpoch,
+		pending:    d.M.PendingCount(),
+	}
 }
 
 // SetEnabled suspends or resumes the daemon's decision loop. Disabling
@@ -425,8 +464,9 @@ func (d *Daemon) tick(ticks int) {
 	if d.disabled {
 		return
 	}
-	// Arrivals: any pending process triggers the placement path.
-	if d.M.PendingCount() > 0 {
+	// Arrivals: pending work triggers the placement path, unless the
+	// last replan found the queue blocked and nothing has changed since.
+	if d.needsReplan() {
 		d.dirty = true
 	}
 	if d.dirty {
@@ -466,19 +506,19 @@ func (d *Daemon) poll() {
 		d.hMargin.Observe(float64(d.M.Chip.Voltage() - d.M.RequiredSafeVmin()))
 	}
 	flipped := false
-	for _, p := range d.M.Running() {
+	// Nothing in the loop changes the running set, so it iterates the
+	// machine's own list; a steady poll allocates nothing.
+	for _, p := range d.M.RunningView() {
 		st := d.state(p)
-		cores := p.Cores()
-		if st.sample == nil || !sameCores(st.sampleCores, cores) {
-			st.sample = d.sampler.Open(cores)
-			st.sampleCores = cores
+		if st.sample == nil || !onCores(p, st.sample.Cores()) {
+			st.sample = d.sampler.Open(p.Cores())
 			continue
 		}
 		if !st.sample.Ready() {
 			continue // fewer than 1M cycles elapsed; keep waiting
 		}
 		meas := st.sample.Close()
-		rate := meas.L3CPer1M(len(cores))
+		rate := meas.L3CPer1M(len(st.sample.Cores()))
 		d.stats.Classifications++
 		newClass, rule := d.classify(st.class, rate)
 		if d.traceActive() {
@@ -500,10 +540,10 @@ func (d *Daemon) poll() {
 				}
 			}
 			st.class = newClass
+			d.classEpoch++
 			flipped = true
 		}
-		st.sample = d.sampler.Open(cores)
-		st.sampleCores = cores
+		st.sample.Rearm()
 	}
 	if flipped && d.Cfg.AdaptPlacement {
 		d.retune()
@@ -539,12 +579,14 @@ func (d *Daemon) state(p *sim.Process) *procState {
 	return st
 }
 
-func sameCores(a, b []chip.CoreID) bool {
-	if len(a) != len(b) {
+// onCores reports whether p's threads sit exactly on cores, in order
+// (p.Cores() == cores, without building the list).
+func onCores(p *sim.Process, cores []chip.CoreID) bool {
+	if len(p.Threads) != len(cores) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i, t := range p.Threads {
+		if t.Core != cores[i] {
 			return false
 		}
 	}
@@ -640,25 +682,37 @@ func (d *Daemon) setFreq(p chip.PMDID, f chip.MHz) {
 }
 
 // plan is a complete target configuration produced by the placement
-// policy.
+// policy; admitted counts the pending processes it places.
 type plan struct {
 	assign   map[*sim.Process][]chip.CoreID
 	pmdFreq  []chip.MHz
 	utilized []bool
+	admitted int
 }
 
 // replace is the Placement part for arrival/completion events: it computes
 // the full target assignment and applies it under the fail-safe protocol.
+// A plan that admits nothing and matches the machine's cores, PMD
+// frequencies and voltage is not a reconfiguration: replace returns
+// without starting a transition, and with work pending it records the
+// blocked key so later ticks skip the identical replan.
 func (d *Daemon) replace() {
+	d.blockedOK = false
 	if !d.Cfg.AdaptPlacement {
 		// Monitoring-only mode: nothing to place (an external placer
 		// owns the cores), but voltage adaptation may still apply.
-		if d.Cfg.AdaptVoltage {
+		if d.Cfg.AdaptVoltage && d.M.Chip.Voltage() != d.M.Spec.ClampVoltage(d.currentRequired()) {
 			d.transition(nil)
+			return
 		}
+		d.noop()
 		return
 	}
 	pl := d.buildPlan()
+	if pl.admitted == 0 && d.applied(pl) {
+		d.noop()
+		return
+	}
 	if d.traceActive() {
 		utilized := 0
 		for _, u := range pl.utilized {
@@ -677,6 +731,39 @@ func (d *Daemon) replace() {
 	d.transition(pl)
 }
 
+// noop finishes a replan that changed nothing, recording the blocked key
+// when work is pending.
+func (d *Daemon) noop() {
+	if d.M.PendingCount() > 0 {
+		d.blocked, d.blockedOK = d.key(), true
+	}
+}
+
+// applied reports whether transition(pl) would change nothing: every
+// planned process already runs on its planned cores, every PMD already
+// runs at its planned frequency, and both the guard raise and the settle
+// would leave the voltage where it is. The caller has checked that pl
+// admits no pending process.
+func (d *Daemon) applied(pl *plan) bool {
+	for p, cores := range pl.assign {
+		if !onCores(p, cores) {
+			return false
+		}
+	}
+	spec := d.M.Spec
+	for p, f := range pl.pmdFreq {
+		if d.M.Chip.PMDFreq(chip.PMDID(p)) != spec.ClampFreq(f) {
+			return false
+		}
+	}
+	v := d.M.Chip.Voltage()
+	if !d.Cfg.AdaptVoltage {
+		return v >= spec.NominalMV
+	}
+	target := d.requiredMV(pl.pmdFreq, pl.utilized)
+	return v == spec.ClampVoltage(target) && v == spec.ClampVoltage(maxMV(d.currentRequired(), target))
+}
+
 // retune re-programs frequencies (and voltage) for the current placement
 // after classification changes, without migrating anything: utilized PMDs
 // can only change on arrival/completion (Sec. VI-A).
@@ -689,7 +776,7 @@ func (d *Daemon) retune() {
 	for p := 0; p < spec.PMDs(); p++ {
 		pl.pmdFreq[p] = spec.MinFreq
 	}
-	for _, proc := range d.M.Running() {
+	for _, proc := range d.M.RunningView() {
 		cls := d.ClassOf(proc)
 		for _, c := range proc.Cores() {
 			pmd := spec.PMDOf(c)
@@ -725,18 +812,20 @@ func (d *Daemon) buildPlan() *plan {
 	}
 	var jobs []job
 	capacity := spec.Cores
-	for _, p := range d.M.Running() {
+	for _, p := range d.M.RunningView() {
 		jobs = append(jobs, job{p, d.ClassOf(p)})
 		capacity -= len(p.Threads)
 	}
+	admitted := 0
 	for _, p := range d.M.Pending() {
 		if len(p.Threads) > capacity {
 			break // FIFO admission
 		}
 		jobs = append(jobs, job{p, Unknown})
 		capacity -= len(p.Threads)
-		d.stats.Placements++
+		admitted++
 	}
+	d.stats.Placements += admitted
 
 	// Split thread demand by class, preserving process order.
 	var cpuJobs, memJobs []job
@@ -752,6 +841,7 @@ func (d *Daemon) buildPlan() *plan {
 		assign:   map[*sim.Process][]chip.CoreID{},
 		pmdFreq:  make([]chip.MHz, spec.PMDs()),
 		utilized: make([]bool, spec.PMDs()),
+		admitted: admitted,
 	}
 	for p := range pl.pmdFreq {
 		pl.pmdFreq[p] = spec.MinFreq
@@ -919,7 +1009,7 @@ func (d *Daemon) transition(pl *plan) {
 					continue
 				}
 				assign[p] = cores
-				if p.State == sim.Running && !sameCores(p.Cores(), cores) {
+				if p.State == sim.Running && !onCores(p, cores) {
 					migrations++
 				}
 			}

@@ -66,7 +66,7 @@ func (d *Daemon) CaptureState() (*State, error) {
 		if ps.sample != nil {
 			s := ps.sample.State()
 			pcs.Sample = &s
-			for _, c := range ps.sampleCores {
+			for _, c := range ps.sample.Cores() {
 				pcs.SampleCores = append(pcs.SampleCores, int(c))
 			}
 		}
@@ -114,8 +114,7 @@ func (d *Daemon) RestoreState(st *State) error {
 				return fmt.Errorf("daemon: process %d: %w", pcs.Proc, err)
 			}
 			ps.sample = s
-			ps.sampleCores = s.Cores()
-			if len(pcs.SampleCores) != len(ps.sampleCores) {
+			if len(pcs.SampleCores) != len(s.Cores()) {
 				return fmt.Errorf("daemon: process %d sample core mismatch", pcs.Proc)
 			}
 		}
@@ -136,5 +135,8 @@ func (d *Daemon) RestoreState(st *State) error {
 	}
 	d.resValid = false
 	d.resSpan = 0
+	// The blocked key is not part of the snapshot: the first tick with
+	// work pending replans once, as a no-op, and records it afresh.
+	d.blockedOK = false
 	return nil
 }

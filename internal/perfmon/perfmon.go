@@ -87,12 +87,19 @@ func (d *DeltaSampler) Open(cores []chip.CoreID) *Sample {
 		l3c0:   make([]uint64, len(cores)),
 		instr0: make([]uint64, len(cores)),
 	}
-	for i, c := range cores {
-		s.cycle0[i] = d.PMU.Read(c, Cycles)
-		s.l3c0[i] = d.PMU.Read(c, L3CAccesses)
-		s.instr0[i] = d.PMU.Read(c, Instructions)
-	}
+	s.Rearm()
 	return s
+}
+
+// Rearm restarts the window over the same cores by taking the first read
+// again, in place: it is Open(s.Cores()) without allocating, for a
+// monitor that closes a window and immediately opens the next one.
+func (s *Sample) Rearm() {
+	for i, c := range s.cores {
+		s.cycle0[i] = s.pmu.Read(c, Cycles)
+		s.l3c0[i] = s.pmu.Read(c, L3CAccesses)
+		s.instr0[i] = s.pmu.Read(c, Instructions)
+	}
 }
 
 // MinWindowCycles is the cycle span the paper's module waits for between

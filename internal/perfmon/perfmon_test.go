@@ -1,6 +1,7 @@
 package perfmon
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -54,6 +55,36 @@ func TestDeltaProtocolMatchesCatalogRate(t *testing.T) {
 		if math.Abs(got-want)/want > 0.30 {
 			t.Errorf("%s: measured L3C rate %.0f, catalog %.0f", name, got, want)
 		}
+	}
+}
+
+// TestRearmMatchesOpen: re-arming a closed window in place yields exactly
+// the window a fresh Open over the same cores would — the same readings
+// and the same serialized SampleState bytes — without allocating.
+func TestRearmMatchesOpen(t *testing.T) {
+	m := sim.New(chip.XGene3Spec())
+	sampler := DeltaSampler{PMU: &PMU{M: m}}
+	cores := []chip.CoreID{0, 1, 5}
+	p := m.MustSubmit(workload.MustByName("CG"), len(cores))
+	if err := m.Place(p, cores); err != nil {
+		t.Fatal(err)
+	}
+	s := sampler.Open(cores)
+	m.RunFor(0.5)
+	s.Close()
+	if allocs := testing.AllocsPerRun(10, s.Rearm); allocs != 0 {
+		t.Errorf("Rearm allocates %v times, want 0", allocs)
+	}
+	got, err := json.Marshal(s.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(sampler.Open(cores).State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("re-armed window state\n%s\nwant a fresh window's\n%s", got, want)
 	}
 }
 

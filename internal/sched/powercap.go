@@ -60,8 +60,8 @@ func NewPowerCap(m *sim.Machine, budgetW float64) *PowerCap {
 
 // Attach hooks the governor (and the default placer) onto the machine.
 // The tick boundary is the governor's next sample instant (immediate while
-// processes await placement), so steady spans between control-loop
-// evaluations can be coalesced.
+// the FIFO head fits the free cores), so steady spans between
+// control-loop evaluations can be coalesced.
 func (g *PowerCap) Attach() {
 	placer := &DefaultPlacer{M: g.M}
 	g.M.OnTickBounded(func(*sim.Machine, int) {
@@ -70,7 +70,7 @@ func (g *PowerCap) Attach() {
 			g.Tick()
 		}
 	}, func() float64 {
-		if g.M.PendingCount() > 0 {
+		if headFits(g.M) {
 			return 0
 		}
 		if g.disabled {

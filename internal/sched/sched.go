@@ -74,36 +74,38 @@ func (p *DefaultPlacer) pickCores(n int) []chip.CoreID {
 // FIFO order; a process that does not fit blocks the queue (FIFO fairness,
 // mirroring a batch spooler feeding a fully loaded server).
 func (p *DefaultPlacer) PlacePending() {
-	if p.M.PendingCount() == 0 {
-		return
-	}
-	for _, proc := range p.M.Pending() {
-		cores := p.pickCores(len(proc.Threads))
-		if cores == nil {
-			return
-		}
-		if err := p.M.Place(proc, cores); err != nil {
-			panic(err) // cores were just verified free
+	for headFits(p.M) {
+		proc := p.M.PendingHead()
+		if err := p.M.Place(proc, p.pickCores(len(proc.Threads))); err != nil {
+			panic(err) // the head fits, so pickCores found free cores
 		}
 	}
 }
 
 // Attach hooks the placer to the machine so pending processes are placed
-// on every tick (completions free cores, so the next tick drains the
-// queue). The hook is batch-aware: with nothing pending the placer never
-// needs a tick-exact step (completions invalidate the machine's steady
-// state on their own, so arrival-free stretches coalesce freely).
+// on every tick (completions free cores, so the tick that completes a
+// process drains the queue behind it). The hook is batch-aware: unless
+// the FIFO head fits the free cores the placer never needs a tick-exact
+// step — a head that does not fit waits for a completion, and the tick
+// of a completion is always stepped exactly — so arrival-free stretches
+// coalesce freely even with a blocked queue.
 func (p *DefaultPlacer) Attach() {
 	p.M.OnTickBounded(func(*sim.Machine, int) { p.PlacePending() }, p.nextBoundary)
 }
 
-// nextBoundary forces per-tick stepping only while something waits for
-// placement.
+// nextBoundary forces a tick-exact step only while the FIFO head fits.
 func (p *DefaultPlacer) nextBoundary() float64 {
-	if p.M.PendingCount() > 0 {
+	if headFits(p.M) {
 		return 0
 	}
 	return math.Inf(1)
+}
+
+// headFits reports whether the pending FIFO's head fits the free cores:
+// exactly when PlacePending would place something.
+func headFits(m *sim.Machine) bool {
+	h := m.PendingHead()
+	return h != nil && len(h.Threads) <= m.FreeCoreCount()
 }
 
 // Ondemand is the Linux ondemand cpufreq governor operating per policy
@@ -185,13 +187,13 @@ func NewBaseline(m *sim.Machine) *Baseline {
 		b.Placer.PlacePending()
 		b.Governor.Tick()
 	}, func() float64 {
-		// A suspended stack imposes no tick boundary; pending work needs
-		// per-tick placement attempts; otherwise the stack next acts at
-		// the governor's sample instant.
+		// A suspended stack imposes no tick boundary; a FIFO head that
+		// fits is placed on the next tick; otherwise the stack next acts
+		// at the governor's sample instant.
 		if b.disabled {
 			return math.Inf(1)
 		}
-		if m.PendingCount() > 0 {
+		if headFits(m) {
 			return 0
 		}
 		return b.Governor.NextSample()

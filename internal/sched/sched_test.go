@@ -55,6 +55,48 @@ func TestDefaultPlacerFIFOBlocks(t *testing.T) {
 	}
 }
 
+// TestBlockedHeadCoalesces: a FIFO head that cannot fit forces no
+// tick-exact steps — the baseline stack coalesces up to the governor's
+// samples while blocked — and the head is still placed on the very tick
+// its cores free up, as with per-tick placement attempts.
+func TestBlockedHeadCoalesces(t *testing.T) {
+	run := func(coalesce bool) (*sim.Machine, *sim.Process) {
+		m := sim.New(chip.XGene2Spec())
+		m.SetCoalescing(coalesce)
+		NewBaseline(m)
+		m.MustSubmit(workload.MustByName("EP"), 6)
+		m.MustSubmit(workload.MustByName("namd"), 1)
+		m.MustSubmit(workload.MustByName("gcc"), 1)
+		big := m.MustSubmit(workload.MustByName("CG"), 8)
+		m.MustSubmit(workload.MustByName("namd"), 1)
+		m.RunFor(5)
+		if big.State != sim.Pending || headFits(m) {
+			t.Fatal("precondition: the CG head must be blocked at 5 s")
+		}
+		return m, big
+	}
+	serial, sBig := run(false)
+	batched, bBig := run(true)
+	if c := batched.CoalescedTicks(); c < 250 {
+		t.Errorf("blocked baseline coalesced %d of 500 ticks, want most of them", c)
+	}
+	for _, m := range []*sim.Machine{serial, batched} {
+		if err := m.RunUntilIdle(24 * 3600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sBig.Started != bBig.Started || serial.Ticks() != batched.Ticks() {
+		t.Errorf("blocked head started at %v (%d ticks total), want %v (%d ticks) as with per-tick stepping",
+			bBig.Started, batched.Ticks(), sBig.Started, serial.Ticks())
+	}
+	fs, fb := serial.Finished(), batched.Finished()
+	for i := range fs {
+		if fs[i].ID != fb[i].ID || fs[i].Completed != fb[i].Completed {
+			t.Errorf("finish %d: proc %d at %v, want proc %d at %v", i, fb[i].ID, fb[i].Completed, fs[i].ID, fs[i].Completed)
+		}
+	}
+}
+
 func TestDefaultPlacerParallelProcess(t *testing.T) {
 	m := sim.New(chip.XGene3Spec())
 	p := &DefaultPlacer{M: m}

@@ -102,9 +102,9 @@ func (f *Fleet) MigrateSession(ctx context.Context, req api.MigrateRequest) (api
 		s.mu.Unlock()
 		return api.Migration{}, fmt.Errorf("%w: migration already in flight", ErrConflict)
 	}
-	if s.activeJobs > 0 {
+	if n := s.activeJobs; n > 0 {
 		s.mu.Unlock()
-		return api.Migration{}, fmt.Errorf("%w: %d runs in flight", ErrConflict, s.activeJobs)
+		return api.Migration{}, fmt.Errorf("%w: %d runs in flight", ErrConflict, n)
 	}
 	st, err := s.captureStateLocked()
 	if err != nil {

@@ -639,13 +639,14 @@ func (s *session) runChunked(ctx context.Context, seconds float64, untilIdle boo
 		ticksBefore := s.m.Ticks()
 		err := s.m.RunForContext(ctx, step)
 		ticks := s.m.Ticks() - ticksBefore
-		s.lastTouch = clk()
+		touched := clk()
+		s.lastTouch = touched
 		s.mu.Unlock()
 		held := time.Since(holdStart)
 		if s.hLockHold != nil {
 			s.hLockHold.Observe(held.Seconds())
 		}
-		s.advSLO.Observe(held, err != nil, s.lastTouch)
+		s.advSLO.Observe(held, err != nil, touched)
 		cell.AddTicks(ticks)
 		if s.spans != nil {
 			if chunkSpans < chunkSpanBudget {

@@ -126,7 +126,7 @@ func (b *Batch) Step() bool {
 			continue
 		}
 		m := mb.m
-		if m.now >= mb.end-1e-12 || (mb.untilIdle && len(m.running) == 0 && m.pendingN == 0) {
+		if m.now >= mb.end-1e-12 || (mb.untilIdle && len(m.running) == 0 && len(m.pending) == 0) {
 			mb.finished = true
 			continue
 		}
@@ -244,7 +244,7 @@ func (b *Batch) Step() bool {
 				mb.finished = true
 				continue
 			}
-			if mb.untilIdle && len(m.running) == 0 && m.pendingN == 0 {
+			if mb.untilIdle && len(m.running) == 0 && len(m.pending) == 0 {
 				mb.finished = true
 				continue
 			}

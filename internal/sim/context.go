@@ -47,14 +47,14 @@ func (m *Machine) RunUntilIdleContext(ctx context.Context, maxSeconds float64) e
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if len(m.running) == 0 && m.pendingN == 0 {
+		if len(m.running) == 0 && len(m.pending) == 0 {
 			return nil
 		}
 		m.advance(m.ticksUntil(deadline))
 	}
-	if len(m.running) != 0 || m.pendingN != 0 {
+	if len(m.running) != 0 || len(m.pending) != 0 {
 		return fmt.Errorf("%w after %.0fs (running=%d pending=%d)",
-			ErrNotIdle, maxSeconds, len(m.running), m.pendingN)
+			ErrNotIdle, maxSeconds, len(m.running), len(m.pending))
 	}
 	return nil
 }

@@ -129,11 +129,12 @@ type Machine struct {
 	coreThr  []*Thread // occupancy: one thread per core, or nil
 	counters []CoreCounters
 
-	// running mirrors procs' Running subset in ascending ID order;
-	// pendingN counts the Pending subset. Both are maintained on state
-	// transitions so the hot path never rebuilds or sorts them.
-	running  []*Process
-	pendingN int
+	// running mirrors procs' Running subset and pending its Pending
+	// subset (the admission FIFO), both in ascending ID order. Both are
+	// maintained on state transitions so the hot path never rebuilds or
+	// sorts them.
+	running []*Process
+	pending []*Process
 	// finCheck marks that a thread may have completed since the last
 	// completion scan (set by Phase 5 and by placements, which can admit
 	// zero-work processes).
@@ -297,7 +298,7 @@ func (m *Machine) Submit(b *workload.Benchmark, nThreads int) (*Process, error) 
 	}
 	m.nextID++
 	m.procs[p.ID] = p
-	m.pendingN++
+	m.pending = append(m.pending, p)
 	m.placeGen++
 	m.logEvent(EvSubmit, p.ID, "%s x%d threads", b.Name, nThreads)
 	return p, nil
@@ -312,12 +313,19 @@ func (m *Machine) MustSubmit(b *workload.Benchmark, nThreads int) *Process {
 	return p
 }
 
-// startRunning transitions a pending process to Running and inserts it
-// into the maintained running list (ascending ID order).
+// startRunning transitions a pending process to Running, moving it from
+// the maintained pending FIFO into the running list (ascending ID order).
 func (m *Machine) startRunning(p *Process) {
 	p.State = Running
 	p.Started = m.now
-	m.pendingN--
+	for j, q := range m.pending {
+		if q == p {
+			copy(m.pending[j:], m.pending[j+1:])
+			m.pending[len(m.pending)-1] = nil
+			m.pending = m.pending[:len(m.pending)-1]
+			break
+		}
+	}
 	i := len(m.running)
 	for i > 0 && m.running[i-1].ID > p.ID {
 		i--
@@ -493,6 +501,18 @@ func (m *Machine) checkFree(cores []chip.CoreID, owner *Process) error {
 	return nil
 }
 
+// FreeCoreCount returns the number of unoccupied cores without building
+// the list.
+func (m *Machine) FreeCoreCount() int {
+	n := 0
+	for _, t := range m.coreThr {
+		if t == nil {
+			n++
+		}
+	}
+	return n
+}
+
 // FreeCores returns the unoccupied cores in ascending order.
 func (m *Machine) FreeCores() []chip.CoreID {
 	var out []chip.CoreID
@@ -512,6 +532,13 @@ func (m *Machine) Running() []*Process {
 	return append([]*Process(nil), m.running...)
 }
 
+// RunningView returns the maintained running list itself, in submission
+// order, without copying it. The slice is read-only and valid until the
+// machine next changes state (a step, placement, migration or
+// completion); callers that keep it, or change the machine while
+// iterating, use Running.
+func (m *Machine) RunningView() []*Process { return m.running }
+
 // RunningCount returns the number of running processes without copying
 // the list.
 func (m *Machine) RunningCount() int { return len(m.running) }
@@ -519,21 +546,31 @@ func (m *Machine) RunningCount() int { return len(m.running) }
 // Pending returns the pending (submitted, unplaced) processes in
 // submission order.
 func (m *Machine) Pending() []*Process {
-	if m.pendingN == 0 {
+	if len(m.pending) == 0 {
 		return nil
 	}
-	out := make([]*Process, 0, m.pendingN)
-	for id := 0; id < m.nextID && len(out) < m.pendingN; id++ {
-		if p, ok := m.procs[id]; ok && p.State == Pending {
-			out = append(out, p)
-		}
+	return append([]*Process(nil), m.pending...)
+}
+
+// PendingHead returns the head of the pending FIFO — the oldest
+// submitted, unplaced process — or nil when nothing is pending.
+func (m *Machine) PendingHead() *Process {
+	if len(m.pending) == 0 {
+		return nil
 	}
-	return out
+	return m.pending[0]
 }
 
 // PendingCount returns the number of pending processes without building
 // the list.
-func (m *Machine) PendingCount() int { return m.pendingN }
+func (m *Machine) PendingCount() int { return len(m.pending) }
+
+// PlacementGeneration returns the placement generation: a counter that
+// advances on every placement-affecting change (submit, place, migrate,
+// reassign, completion, aging drift). Together with the chip's
+// Generation it tells a controller whether anything it planned against
+// can have changed.
+func (m *Machine) PlacementGeneration() uint64 { return m.placeGen }
 
 // Finished returns every completed process so far, in completion order.
 func (m *Machine) Finished() []*Process { return m.finished }
@@ -1260,14 +1297,14 @@ func (m *Machine) RunFor(d float64) {
 func (m *Machine) RunUntilIdle(maxSeconds float64) error {
 	deadline := m.now + maxSeconds
 	for m.now < deadline {
-		if len(m.running) == 0 && m.pendingN == 0 {
+		if len(m.running) == 0 && len(m.pending) == 0 {
 			return nil
 		}
 		m.advance(m.ticksUntil(deadline))
 	}
-	if len(m.running) != 0 || m.pendingN != 0 {
+	if len(m.running) != 0 || len(m.pending) != 0 {
 		return fmt.Errorf("%w after %.0fs (running=%d pending=%d)",
-			ErrNotIdle, maxSeconds, len(m.running), m.pendingN)
+			ErrNotIdle, maxSeconds, len(m.running), len(m.pending))
 	}
 	return nil
 }

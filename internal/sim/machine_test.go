@@ -21,6 +21,63 @@ func runSolo(t *testing.T, m *Machine, bench string, cores []chip.CoreID) *Proce
 	return p
 }
 
+// TestPendingFIFOMaintained: the pending FIFO keeps submission order
+// through placements of its head and of later entries, PendingHead
+// follows it, and a snapshot restores it; every placement-affecting
+// change advances PlacementGeneration.
+func TestPendingFIFOMaintained(t *testing.T) {
+	m := xg2()
+	var ps []*Process
+	gen := m.PlacementGeneration()
+	for _, name := range []string{"namd", "lbm", "gcc", "mcf"} {
+		ps = append(ps, m.MustSubmit(workload.MustByName(name), 1))
+		if g := m.PlacementGeneration(); g <= gen {
+			t.Fatalf("submit did not advance the placement generation (%d -> %d)", gen, g)
+		}
+		gen = m.PlacementGeneration()
+	}
+	want := func(label string, m *Machine, ids ...int) {
+		t.Helper()
+		got := m.Pending()
+		if len(got) != len(ids) || m.PendingCount() != len(ids) {
+			t.Fatalf("%s: %d pending (count %d), want %v", label, len(got), m.PendingCount(), ids)
+		}
+		for i, p := range got {
+			if p.ID != ids[i] {
+				t.Fatalf("%s: pending[%d] = %d, want %v", label, i, p.ID, ids)
+			}
+		}
+		if h := m.PendingHead(); (h == nil) != (len(ids) == 0) || (h != nil && h.ID != ids[0]) {
+			t.Fatalf("%s: PendingHead = %v, want the head of %v", label, h, ids)
+		}
+	}
+	want("submitted", m, 0, 1, 2, 3)
+	if err := m.Place(ps[2], []chip.CoreID{4}); err != nil { // out of FIFO order
+		t.Fatal(err)
+	}
+	want("middle placed", m, 0, 1, 3)
+	if err := m.Reassign(map[*Process][]chip.CoreID{ps[0]: {0}}); err != nil {
+		t.Fatal(err)
+	}
+	want("head placed", m, 1, 3)
+	if m.PlacementGeneration() <= gen || m.FreeCoreCount() != m.Spec.Cores-2 {
+		t.Fatalf("placements: generation %d (was %d), %d free cores", m.PlacementGeneration(), gen, m.FreeCoreCount())
+	}
+	if v := m.RunningView(); len(v) != 2 || v[0] != ps[0] || v[1] != ps[2] {
+		t.Fatalf("RunningView = %v, want processes 0 and 2", v)
+	}
+	r, err := RestoreMachine(m.Spec, m.CaptureState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want("restored", r, 1, 3)
+	if err := r.Place(r.PendingHead(), []chip.CoreID{6}); err != nil {
+		t.Fatal(err)
+	}
+	want("restored head placed", r, 3)
+	want("original untouched", m, 1, 3)
+}
+
 func TestProcessLifecycle(t *testing.T) {
 	m := xg3()
 	p := m.MustSubmit(workload.MustByName("namd"), 1)

@@ -300,10 +300,11 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 		m.procs[p.ID] = p
 		switch p.State {
 		case Pending:
-			m.pendingN++
-		case Running:
 			// Processes were captured in ascending ID order, which is
-			// exactly the running list's maintained order.
+			// exactly the maintained order of the pending FIFO and the
+			// running list.
+			m.pending = append(m.pending, p)
+		case Running:
 			m.running = append(m.running, p)
 		}
 	}

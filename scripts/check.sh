@@ -1,8 +1,9 @@
 #!/bin/sh
-# Full repository check: vet, build, race-enabled tests, a perfbench
-# smoke run (the benchmark module builds and replays correctly), the
-# telemetry-overhead benchmark, the simulator hot-path benchmark, the
-# experiment-runner speedup gate, the characterization-store memoization
+# Full repository check: vet, build, race-enabled tests, two perfbench
+# smoke runs (the benchmark module builds, replays correctly and
+# reproduces the golden Table III/IV rows), the telemetry-overhead
+# benchmark, the simulator hot-path benchmark, the experiment-runner
+# speedup gate, the characterization-store memoization
 # gate, the control-plane throughput gate, the request-tracing overhead
 # gate, the snapshot restore-and-replay gate, the batched-stepping
 # speedup gate, and the cluster scale-out gate (3-node router-proxied
@@ -35,6 +36,15 @@ echo "==> perfbench smoke run (advance, 1 s)"
 last="$(bash perfbench/run.sh --workload advance --seed 1 --seconds 1 --trace 0 | tail -n 1)"
 echo "$last"
 echo "$last" | grep -q '"correct":true' || { echo "perfbench: replay not correct" >&2; exit 1; }
+echo "$last" | grep -Eq '"failed":0[,}]' || { echo "perfbench: failed ops" >&2; exit 1; }
+
+# The campaign workload's golden check recomputes the canonical Table
+# III/IV rows, so a change to the tick-boundary logic of the daemon or the
+# placers that alters any paper result fails here.
+echo "==> perfbench smoke run (campaign, 1 s)"
+last="$(bash perfbench/run.sh --workload campaign --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+echo "$last"
+echo "$last" | grep -q '"correct":true' || { echo "perfbench: campaign golden check not correct" >&2; exit 1; }
 echo "$last" | grep -Eq '"failed":0[,}]' || { echo "perfbench: failed ops" >&2; exit 1; }
 
 echo "==> telemetry overhead benchmark"
