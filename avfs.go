@@ -108,20 +108,6 @@ type BenchmarkModel = workload.Benchmark
 // Spec returns the chip specification for a model.
 func Spec(m Model) *ChipSpec { return chip.SpecFor(m) }
 
-// NewMachine creates an idle simulated server of the given model, at
-// nominal voltage with every PMD at maximum frequency.
-//
-// Deprecated: use NewMachineWithOptions, which reports configuration
-// errors instead of requiring post-construction setters.
-func NewMachine(m Model) *Machine { return sim.New(chip.SpecFor(m)) }
-
-// NewDaemon creates the online monitoring daemon for a machine. Call
-// Attach on the result to start it. It panics on an invalid config.
-//
-// Deprecated: use NewDaemonWithOptions, which validates the configuration
-// and returns an error instead of panicking.
-func NewDaemon(m *Machine, cfg DaemonConfig) *Daemon { return daemon.New(m, cfg) }
-
 // OptimalDaemonConfig returns the paper's "Optimal" configuration:
 // placement, frequency and voltage adaptation.
 func OptimalDaemonConfig() DaemonConfig { return daemon.DefaultConfig() }
@@ -134,13 +120,6 @@ func PlacementDaemonConfig() DaemonConfig { return daemon.PlacementOnlyConfig() 
 // placement + ondemand governor at nominal voltage) onto a machine — the
 // paper's Baseline configuration.
 func AttachBaseline(m *Machine) { sched.NewBaseline(m) }
-
-// Benchmark returns the model of a program by name (e.g. "CG", "milc");
-// it panics on unknown names. Use Benchmarks() to enumerate.
-//
-// Deprecated: use BenchmarkByName, which returns ErrUnknownBenchmark
-// instead of panicking.
-func Benchmark(name string) *BenchmarkModel { return workload.MustByName(name) }
 
 // BenchmarkByName returns the model of a program by name (e.g. "CG",
 // "milc"). Unknown names report an error wrapping ErrUnknownBenchmark.

@@ -4,13 +4,45 @@ import (
 	"testing"
 )
 
+// newMachine builds an idle machine of a model, failing the test on error.
+func newMachine(t *testing.T, model Model) *Machine {
+	t.Helper()
+	m, err := NewMachineWithOptions(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// attachDaemon builds the daemon for m and starts it, failing the test on
+// error.
+func attachDaemon(t *testing.T, m *Machine, opts ...DaemonOption) *Daemon {
+	t.Helper()
+	d, err := NewDaemonWithOptions(m, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Attach()
+	return d
+}
+
+// benchmark looks up a catalog program, failing the test on an unknown
+// name.
+func benchmark(t *testing.T, name string) *BenchmarkModel {
+	t.Helper()
+	b, err := BenchmarkByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestQuickstartFlow exercises the README's quickstart through the public
 // facade: machine, daemon, submit, run, observe.
 func TestQuickstartFlow(t *testing.T) {
-	m := NewMachine(XGene3)
-	d := NewDaemon(m, OptimalDaemonConfig())
-	d.Attach()
-	p, err := m.Submit(Benchmark("CG"), 8)
+	m := newMachine(t, XGene3)
+	attachDaemon(t, m)
+	p, err := m.Submit(benchmark(t, "CG"), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +102,7 @@ func TestFacadeCharacterizer(t *testing.T) {
 		Spec:      Spec(XGene3),
 		FreqClass: FullSpeed,
 		Cores:     cores,
-		Bench:     Benchmark("CG"),
+		Bench:     benchmark(t, "CG"),
 	})
 	if cz.SafeVmin != 830 {
 		t.Errorf("CG 32T safe Vmin = %v, want 830 (Table II envelope setter)", cz.SafeVmin)
@@ -98,9 +130,9 @@ func TestFacadeWorkloadAndEvaluate(t *testing.T) {
 }
 
 func TestBaselineFacade(t *testing.T) {
-	m := NewMachine(XGene2)
+	m := newMachine(t, XGene2)
 	AttachBaseline(m)
-	m.MustSubmit(Benchmark("gcc"), 1)
+	m.MustSubmit(benchmark(t, "gcc"), 1)
 	if err := m.RunUntilIdle(3600); err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,20 @@ import (
 // The library's core flow: a simulated server, the paper's daemon, a
 // mixed workload, and the resulting V/F decisions.
 func Example() {
-	machine := avfs.NewMachine(avfs.XGene3)
-	d := avfs.NewDaemon(machine, avfs.OptimalDaemonConfig())
+	machine, err := avfs.NewMachineWithOptions(avfs.XGene3)
+	if err != nil {
+		panic(err)
+	}
+	d, err := avfs.NewDaemonWithOptions(machine) // the Optimal configuration
+	if err != nil {
+		panic(err)
+	}
 	d.Attach()
 
-	cg := machine.MustSubmit(avfs.Benchmark("CG"), 8)     // memory-intensive
-	namd := machine.MustSubmit(avfs.Benchmark("namd"), 1) // CPU-intensive
+	cgModel, _ := avfs.BenchmarkByName("CG")     // memory-intensive
+	namdModel, _ := avfs.BenchmarkByName("namd") // CPU-intensive
+	cg := machine.MustSubmit(cgModel, 8)
+	namd := machine.MustSubmit(namdModel, 1)
 	machine.RunFor(3)
 
 	fmt.Println("CG:", d.ClassOf(cg))
@@ -49,11 +57,12 @@ func ExampleSafeVminEnvelope() {
 func ExampleCharacterizer() {
 	ch := &avfs.Characterizer{SafeTrials: 200, UnsafeTrials: 60}
 	cores, _ := avfs.ClusteredAllocation(avfs.XGene3, 32)
+	cg, _ := avfs.BenchmarkByName("CG")
 	cz := ch.Characterize(&avfs.VminConfig{
 		Spec:      avfs.Spec(avfs.XGene3),
 		FreqClass: avfs.FullSpeed,
 		Cores:     cores,
-		Bench:     avfs.Benchmark("CG"),
+		Bench:     cg,
 	})
 	fmt.Println("safe Vmin:", cz.SafeVmin)
 	fmt.Println("guardband:", cz.GuardbandMV())

@@ -43,11 +43,15 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
+		bench, err := avfs.BenchmarkByName(cfg.bench)
+		if err != nil {
+			panic(err)
+		}
 		cz := ch.Characterize(&avfs.VminConfig{
 			Spec:      spec,
 			FreqClass: cfg.fc,
 			Cores:     cores,
-			Bench:     avfs.Benchmark(cfg.bench),
+			Bench:     bench,
 		})
 		fmt.Printf("%-28s safe Vmin %v  (guardband %v, %d runs spent)\n",
 			cfg.label, cz.SafeVmin, cz.GuardbandMV(), cz.TotalRuns)

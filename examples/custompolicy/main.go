@@ -54,15 +54,23 @@ func (r *raceToIdle) tick() {
 
 // mix submits the same job mix on a machine.
 func mix(m *avfs.Machine) {
-	for _, name := range []string{"milc", "lbm", "mcf", "libquantum", "namd", "povray"} {
-		m.MustSubmit(avfs.Benchmark(name), 1)
+	for _, job := range []struct {
+		name    string
+		threads int
+	}{{"milc", 1}, {"lbm", 1}, {"mcf", 1}, {"libquantum", 1}, {"namd", 1}, {"povray", 1}, {"CG", 4}, {"EP", 4}} {
+		b, err := avfs.BenchmarkByName(job.name)
+		if err != nil {
+			panic(err)
+		}
+		m.MustSubmit(b, job.threads)
 	}
-	m.MustSubmit(avfs.Benchmark("CG"), 4)
-	m.MustSubmit(avfs.Benchmark("EP"), 4)
 }
 
 func run(name string, setup func(*avfs.Machine)) (energy, seconds float64) {
-	m := avfs.NewMachine(avfs.XGene3)
+	m, err := avfs.NewMachineWithOptions(avfs.XGene3)
+	if err != nil {
+		panic(err)
+	}
 	setup(m)
 	mix(m)
 	if err := m.RunUntilIdle(3600); err != nil {
@@ -78,7 +86,11 @@ func main() {
 	baseE, baseT := run("baseline", func(m *avfs.Machine) { avfs.AttachBaseline(m) })
 	raceE, raceT := run("race-to-idle", func(m *avfs.Machine) { (&raceToIdle{m: m}).attach() })
 	daemonE, daemonT := run("paper daemon", func(m *avfs.Machine) {
-		avfs.NewDaemon(m, avfs.OptimalDaemonConfig()).Attach()
+		d, err := avfs.NewDaemonWithOptions(m)
+		if err != nil {
+			panic(err)
+		}
+		d.Attach()
 	})
 
 	fmt.Printf("%-14s %10s %10s %10s\n", "policy", "energy (J)", "time (s)", "ED2P")

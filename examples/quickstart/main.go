@@ -16,17 +16,28 @@ import (
 // memory-intensive job (CG), one parallel CPU-intensive job (EP) and a few
 // single-threaded SPEC programs.
 func submitMix(m *avfs.Machine) {
-	m.MustSubmit(avfs.Benchmark("CG"), 8)
-	m.MustSubmit(avfs.Benchmark("EP"), 8)
-	for _, name := range []string{"namd", "milc", "gcc", "lbm"} {
-		m.MustSubmit(avfs.Benchmark(name), 1)
+	for _, job := range []struct {
+		name    string
+		threads int
+	}{{"CG", 8}, {"EP", 8}, {"namd", 1}, {"milc", 1}, {"gcc", 1}, {"lbm", 1}} {
+		b, err := avfs.BenchmarkByName(job.name)
+		if err != nil {
+			panic(err)
+		}
+		m.MustSubmit(b, job.threads)
 	}
 }
 
 func main() {
 	// --- Run 1: the paper's daemon (Optimal configuration).
-	optimal := avfs.NewMachine(avfs.XGene3)
-	d := avfs.NewDaemon(optimal, avfs.OptimalDaemonConfig())
+	optimal, err := avfs.NewMachineWithOptions(avfs.XGene3)
+	if err != nil {
+		panic(err)
+	}
+	d, err := avfs.NewDaemonWithOptions(optimal)
+	if err != nil {
+		panic(err)
+	}
 	d.Attach()
 	submitMix(optimal)
 	optimal.RunFor(2) // let the monitor classify
@@ -45,7 +56,10 @@ func main() {
 	}
 
 	// --- Run 2: the Linux-like baseline (ondemand governor, nominal V).
-	baseline := avfs.NewMachine(avfs.XGene3)
+	baseline, err := avfs.NewMachineWithOptions(avfs.XGene3)
+	if err != nil {
+		panic(err)
+	}
 	avfs.AttachBaseline(baseline)
 	submitMix(baseline)
 	if err := baseline.RunUntilIdle(3600); err != nil {

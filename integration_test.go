@@ -123,18 +123,18 @@ func TestFullPipelineConsistency(t *testing.T) {
 // TestDaemonOnAgedMachineEndToEnd exercises the aging extension through
 // the facade: a 5-year-old machine with an age-aware guard stays safe.
 func TestDaemonOnAgedMachineEndToEnd(t *testing.T) {
-	m := NewMachine(XGene2)
+	m := newMachine(t, XGene2)
 	m.SetVminDrift(16) // ≈ 5 years on the X-Gene 2 aging model
 	cfg := OptimalDaemonConfig()
 	cfg.GuardMV = 16 + Spec(XGene2).VoltageStep
-	d := NewDaemon(m, cfg)
-	d.Attach()
+	attachDaemon(t, m, WithDaemonConfig(cfg))
 	for _, name := range []string{"lbm", "namd", "CG"} {
+		b := benchmark(t, name)
 		n := 1
-		if Benchmark(name).Parallel {
+		if b.Parallel {
 			n = 4
 		}
-		m.MustSubmit(Benchmark(name), n)
+		m.MustSubmit(b, n)
 	}
 	if err := m.RunUntilIdle(3600); err != nil {
 		t.Fatal(err)

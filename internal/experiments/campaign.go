@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 
+	"avfs/internal/castore"
 	"avfs/internal/experiments/runner"
 	"avfs/internal/vmin"
 	"avfs/internal/vmin/store"
@@ -38,7 +39,7 @@ type Campaign struct {
 // cached cells (with the run count the store saved) otherwise.
 func (cam Campaign) characterize(ch *vmin.Characterizer, cfg *vmin.Config) vmin.Characterization {
 	cz, src := cam.Store.Get(ch, cfg)
-	if src == store.SourceComputed {
+	if src == castore.Computed {
 		cam.Stats.AddRuns(cz.TotalRuns)
 	} else {
 		cam.Stats.AddCached(cz.TotalRuns)

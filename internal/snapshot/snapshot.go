@@ -4,12 +4,13 @@
 // fork and what-if primitives (ROADMAP item 1): capture once, branch N
 // deterministic children from it.
 //
-// The store follows the internal/vmin/store envelope discipline: files are
-// named by the sha256 of their content, written atomically (temp file +
-// rename), wrapped in a {version, id, state} envelope, and every load
-// failure — missing file, corruption, version skew, id mismatch — is a
-// miss, never an error. Snapshots are immutable by construction: the id is
-// the hash, so a corrupted or tampered file simply fails to resolve.
+// The store is a thin wrapper over internal/castore: the id is the sha256
+// of the versioned payload and is the cache key, the payload rides in
+// castore's {version, key, payload} envelope, and every load failure —
+// missing file, corruption, version skew, id mismatch — is a miss, never
+// an error. Snapshots are immutable by construction: a loaded payload must
+// hash back to its id, so a corrupted or tampered file simply fails to
+// resolve.
 package snapshot
 
 import (
@@ -25,8 +26,8 @@ import (
 
 // Version tags the serialization format. Restoring a snapshot written by
 // a different format version is a miss (the state layout or the
-// simulator's numeric trajectory may have changed), mirroring the
-// characterization store's model-version discipline.
+// simulator's numeric trajectory may have changed). It is hashed into
+// every id, so changing it changes every content address.
 const Version = "snap-v1"
 
 // SessionState is the complete serializable state of one fleet session:

@@ -2,38 +2,27 @@ package snapshot
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
+	"errors"
+
+	"avfs/internal/castore"
 )
+
+// errNotFound is the fill of a lookup: an id neither tier holds.
+var errNotFound = errors.New("snapshot: not found")
 
 // Store holds snapshots in memory and, when given a directory, mirrors
 // them to disk so forks survive server restarts. All methods are safe for
 // concurrent use.
 type Store struct {
-	dir string
-
-	mu  sync.Mutex
-	mem map[string][]byte
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	puts   atomic.Int64
+	cas *castore.Store[json.RawMessage]
 }
 
 // NewStore creates a store. dir may be empty for memory-only operation;
 // a non-empty dir is created lazily on the first Put.
 func NewStore(dir string) *Store {
-	return &Store{dir: dir, mem: map[string][]byte{}}
-}
-
-// diskFile is the on-disk envelope. Version and ID are verified on load;
-// any mismatch (or any decode failure) is treated as a miss.
-type diskFile struct {
-	Version string          `json:"version"`
-	ID      string          `json:"id"`
-	State   json.RawMessage `json:"state"`
+	return &Store{cas: castore.New(dir, Version, func(id string, payload json.RawMessage) bool {
+		return idOf(payload) == id
+	})}
 }
 
 // Put stores a session state and returns its content address. The disk
@@ -45,107 +34,23 @@ func (s *Store) Put(st *SessionState) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	_, existed := s.mem[id]
-	if !existed {
-		s.mem[id] = payload
+	// The only error is a concurrent Get's not-found for this id, handed to
+	// the Put that waited on it; the next round stores the payload.
+	for {
+		if _, _, err := s.cas.Get(id, func() (json.RawMessage, error) { return payload, nil }); err == nil {
+			return id, nil
+		}
 	}
-	s.mu.Unlock()
-	if !existed {
-		s.puts.Add(1)
-		s.saveDisk(id, payload)
-	}
-	return id, nil
 }
 
 // Get resolves a snapshot by id, checking the memory tier first and then
 // the disk mirror. The returned state is a fresh copy; mutating it never
 // affects the stored snapshot.
 func (s *Store) Get(id string) (*SessionState, bool) {
-	s.mu.Lock()
-	payload, ok := s.mem[id]
-	s.mu.Unlock()
-	if !ok {
-		payload, ok = s.loadDisk(id)
-		if ok {
-			s.mu.Lock()
-			s.mem[id] = payload
-			s.mu.Unlock()
-		}
-	}
-	if !ok {
-		s.misses.Add(1)
-		return nil, false
-	}
-	var st SessionState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		s.misses.Add(1)
-		return nil, false
-	}
-	s.hits.Add(1)
-	return &st, true
-}
-
-// Stats returns the store's hit/miss/put counters.
-func (s *Store) Stats() (hits, misses, puts int64) {
-	return s.hits.Load(), s.misses.Load(), s.puts.Load()
-}
-
-// path returns the file path for an id. The id is hex (the content hash),
-// so it is already filesystem-safe.
-func (s *Store) path(id string) string {
-	return filepath.Join(s.dir, id+".json")
-}
-
-// loadDisk reads and verifies a snapshot file. Every failure mode —
-// absent file, truncation, corruption, version skew, id mismatch — is a
-// plain miss.
-func (s *Store) loadDisk(id string) ([]byte, bool) {
-	if s.dir == "" {
-		return nil, false
-	}
-	raw, err := os.ReadFile(s.path(id))
+	payload, _, err := s.cas.Get(id, func() (json.RawMessage, error) { return nil, errNotFound })
 	if err != nil {
 		return nil, false
 	}
-	var f diskFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return nil, false
-	}
-	if f.Version != Version || f.ID != id || idOf(f.State) != id {
-		return nil, false
-	}
-	return []byte(f.State), true
-}
-
-// saveDisk mirrors a snapshot to disk atomically (temp file + rename) so
-// a concurrent reader or a crash never observes a partial file. Errors
-// are swallowed: persistence is an optimization here, not a guarantee.
-func (s *Store) saveDisk(id string, payload []byte) {
-	if s.dir == "" {
-		return
-	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return
-	}
-	raw, err := json.Marshal(diskFile{Version: Version, ID: id, State: payload})
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(s.dir, "snapshot-*.tmp")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), s.path(id)); err != nil {
-		os.Remove(tmp.Name())
-	}
+	st, err := Decode(payload)
+	return st, err == nil
 }

@@ -34,6 +34,16 @@ func sampleState(t *testing.T, seconds float64) *SessionState {
 	return &SessionState{Model: "xgene3", Policy: "optimal", Machine: m.CaptureState(), Daemon: ds}
 }
 
+// oneFile returns the single snapshot file in dir.
+func oneFile(t *testing.T, dir string) string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(names) != 1 {
+		t.Fatalf("want exactly one snapshot file in %s, got %v (%v)", dir, names, err)
+	}
+	return names[0]
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	st := sampleState(t, 15)
 	s := NewStore("")
@@ -61,8 +71,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil || id2 != id {
 		t.Fatalf("re-Put = %q, %v; want %q", id2, err, id)
 	}
-	if _, _, puts := s.Stats(); puts != 1 {
-		t.Errorf("puts = %d, want 1 (dedup)", puts)
+	if fills := s.cas.Misses(); fills != 1 {
+		t.Errorf("stored %d payloads, want 1 (dedup)", fills)
 	}
 
 	// Different state → different address.
@@ -85,9 +95,7 @@ func TestStoreDiskPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, id+".json")); err != nil {
-		t.Fatalf("snapshot not mirrored to disk: %v", err)
-	}
+	path := oneFile(t, dir)
 
 	// A fresh store over the same directory resolves the id from disk.
 	s2 := NewStore(dir)
@@ -101,7 +109,7 @@ func TestStoreDiskPersistence(t *testing.T) {
 	}
 	// The load promoted it to the memory tier: a corrupted file no longer
 	// matters for this store instance.
-	if err := os.Remove(filepath.Join(dir, id+".json")); err != nil {
+	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s2.Get(id); !ok {
@@ -118,7 +126,7 @@ func TestStoreLoadFailuresAreMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, id+".json")
+	path := oneFile(t, dir)
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -143,24 +151,19 @@ func TestStoreLoadFailuresAreMisses(t *testing.T) {
 		b[i] ^= 0x01
 		return b
 	})
-	corrupt("version skew", func(b []byte) []byte {
-		var f diskFile
-		if err := json.Unmarshal(b, &f); err != nil {
-			t.Fatal(err)
+	envelopeField := func(field, value string) func([]byte) []byte {
+		return func(b []byte) []byte {
+			var f map[string]json.RawMessage
+			if err := json.Unmarshal(b, &f); err != nil {
+				t.Fatal(err)
+			}
+			f[field] = json.RawMessage(value)
+			out, _ := json.Marshal(f)
+			return out
 		}
-		f.Version = "snap-v0"
-		out, _ := json.Marshal(f)
-		return out
-	})
-	corrupt("id mismatch", func(b []byte) []byte {
-		var f diskFile
-		if err := json.Unmarshal(b, &f); err != nil {
-			t.Fatal(err)
-		}
-		f.ID = strings.Repeat("ab", 32)
-		out, _ := json.Marshal(f)
-		return out
-	})
+	}
+	corrupt("version skew", envelopeField("version", `"snap-v0"`))
+	corrupt("id mismatch", envelopeField("key", `"`+strings.Repeat("ab", 32)+`"`))
 
 	// Restore the pristine bytes: the file resolves again, proving the
 	// misses above came from the mutations and nothing else.

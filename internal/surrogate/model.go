@@ -87,8 +87,8 @@ type PolicyCell struct {
 
 // Model is the fitted surrogate for one chip: the correction cells the
 // closed-form engine multiplies its analytic answers by. It is immutable
-// derived data, content-addressed and persisted by Store with the same
-// envelope discipline as the characterization store.
+// derived data, content-addressed and persisted by Store in the same
+// internal/castore store as the characterization datasets.
 type Model struct {
 	Version string `json:"version"`
 	Chip    string `json:"chip"`

@@ -1,58 +1,43 @@
 package surrogate
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
+	"strings"
 
+	"avfs/internal/castore"
 	"avfs/internal/chip"
 )
 
-// Store caches fitted models behind a singleflight memory tier and an
-// optional content-addressed disk tier, following the characterization
-// store's envelope discipline: artifacts are sha256-named JSON files
-// whose payload embeds the full canonical key and model version, writes
-// go through a temp file plus atomic rename (safe on a shared cache
-// directory), and any skew — wrong key, wrong version, unreadable file —
-// silently falls through to a refit.
+// Store caches fitted models in an internal/castore store: a singleflight
+// memory tier and an optional content-addressed disk tier whose envelopes
+// embed the full canonical key and model version. Any skew — wrong key,
+// wrong version, an artifact fitted for another chip, an unreadable file
+// — silently falls through to a refit.
 type Store struct {
-	dir string // "" disables the disk tier
-	mu  sync.Mutex
-	mem map[string]*fitEntry
-}
-
-type fitEntry struct {
-	done chan struct{}
-	m    *Model
-	err  error
+	cas *castore.Store[*Model]
 }
 
 // NewStore opens a model store rooted at dir; "" keeps models in memory
 // only. The directory is created lazily on first write.
 func NewStore(dir string) *Store {
-	return &Store{dir: dir, mem: map[string]*fitEntry{}}
+	return &Store{cas: castore.New(dir, Version, func(key string, m *Model) bool {
+		// The key starts with the identity a valid artifact carries, so a
+		// loaded model proves it belongs to this code and chip.
+		return m != nil && strings.HasPrefix(key, modelID(m.Version, m.Chip, m.ChipModel)+"|")
+	})}
+}
+
+// modelID is the identity an artifact records about itself: the model
+// version and the chip it was fitted for.
+func modelID(version, chipName string, chipModel int) string {
+	return fmt.Sprintf("%s|chip=%s/%d", version, chipName, chipModel)
 }
 
 // storeKey is the canonical identity of a fitted artifact: everything
 // that, if changed, must invalidate it.
 func storeKey(spec *chip.Spec, salt int64) string {
-	return fmt.Sprintf("%s|chip=%s/%d|nom=%d|floor=%d|cores=%d|salt=%d",
-		Version, spec.Name, int(spec.Model), int(spec.NominalMV), int(spec.MinSafeMV), spec.Cores, salt)
-}
-
-func storeFile(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:]) + ".json"
-}
-
-// envelope is the on-disk artifact shape.
-type envelope struct {
-	Key   string `json:"key"`
-	Model *Model `json:"model"`
+	return fmt.Sprintf("%s|nom=%d|floor=%d|cores=%d|salt=%d",
+		modelID(Version, spec.Name, int(spec.Model)), int(spec.NominalMV), int(spec.MinSafeMV), spec.Cores, salt)
 }
 
 // Get returns the fitted model for a chip, fitting it at most once per
@@ -64,87 +49,8 @@ func (s *Store) Get(spec *chip.Spec, fc FitConfig) (*Model, error) {
 	if salt == 0 {
 		salt = 1
 	}
-	key := storeKey(spec, salt)
-	s.mu.Lock()
-	if e, ok := s.mem[key]; ok {
-		s.mu.Unlock()
-		<-e.done
-		return e.m, e.err
-	}
-	e := &fitEntry{done: make(chan struct{})}
-	s.mem[key] = e
-	s.mu.Unlock()
-
-	e.m, e.err = s.fill(spec, key, salt)
-	close(e.done)
-	if e.err != nil {
-		s.mu.Lock()
-		delete(s.mem, key)
-		s.mu.Unlock()
-	}
-	return e.m, e.err
-}
-
-func (s *Store) fill(spec *chip.Spec, key string, salt int64) (*Model, error) {
-	if m := s.readDisk(spec, key); m != nil {
-		return m, nil
-	}
-	m, err := Fit(spec, FitConfig{Salt: salt})
-	if err != nil {
-		return nil, err
-	}
-	s.writeDisk(key, m) // best-effort: a read-only cache dir just refits next process
-	return m, nil
-}
-
-// readDisk loads a persisted artifact, returning nil on any skew.
-func (s *Store) readDisk(spec *chip.Spec, key string) *Model {
-	if s.dir == "" {
-		return nil
-	}
-	raw, err := os.ReadFile(filepath.Join(s.dir, storeFile(key)))
-	if err != nil {
-		return nil
-	}
-	var env envelope
-	if json.Unmarshal(raw, &env) != nil || env.Key != key || env.Model == nil {
-		return nil
-	}
-	if env.Model.validate(spec) != nil {
-		return nil
-	}
-	return env.Model
-}
-
-// writeDisk persists an artifact atomically (temp file + rename), so
-// concurrent writers on a shared directory can only ever race to the
-// same content.
-func (s *Store) writeDisk(key string, m *Model) {
-	if s.dir == "" {
-		return
-	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return
-	}
-	raw, err := json.MarshalIndent(envelope{Key: key, Model: m}, "", "  ")
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(s.dir, ".surrogate-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, filepath.Join(s.dir, storeFile(key))); err != nil {
-		os.Remove(name)
-	}
+	m, _, err := s.cas.Get(storeKey(spec, salt), func() (*Model, error) {
+		return Fit(spec, FitConfig{Salt: salt})
+	})
+	return m, err
 }

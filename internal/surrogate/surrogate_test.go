@@ -253,23 +253,28 @@ func TestModelStoreRoundTrip(t *testing.T) {
 	if string(r1) != string(r2) {
 		t.Fatal("disk round-trip changed the model")
 	}
-	// Version skew → refit, not an error.
+	// Model version skew or an artifact fitted for another chip inside a
+	// well-formed envelope → refit, not an error (and not a later
+	// NewEstimator failure).
 	files, _ := os.ReadDir(dir)
 	if len(files) != 1 {
 		t.Fatalf("expected 1 artifact, got %d", len(files))
 	}
-	bad := *m1
-	bad.Version = "surrogate-v0+stale"
-	raw, _ := json.Marshal(envelope{Key: storeKey(spec, 1), Model: &bad})
-	if err := os.WriteFile(filepath.Join(dir, files[0].Name()), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m3, err := NewStore(dir).Get(spec, FitConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m3.Version != Version {
-		t.Fatalf("skewed artifact not refitted: %q", m3.Version)
+	stale, otherChip := *m1, *m1
+	stale.Version = "surrogate-v0+stale"
+	otherChip.ChipModel = int(chip.XGene3)
+	for name, bad := range map[string]*Model{"version skew": &stale, "chip mismatch": &otherChip} {
+		raw, _ := json.Marshal(map[string]any{"version": Version, "key": storeKey(spec, 1), "payload": bad})
+		if err := os.WriteFile(filepath.Join(dir, files[0].Name()), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m3, err := NewStore(dir).Get(spec, FitConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m3.Version != Version || m3.ChipModel != int(spec.Model) {
+			t.Fatalf("%s: skewed artifact not refitted: %q chip %d", name, m3.Version, m3.ChipModel)
+		}
 	}
 }
 

@@ -3,20 +3,16 @@
 // so any two requests with the same configuration identity, salt, trial
 // counts and model version are interchangeable.
 //
-// The store has two tiers. The in-process tier deduplicates concurrent
-// requests for the same cell (singleflight: duplicates wait on the one
-// in-flight sweep instead of recomputing) and serves repeats for the
-// lifetime of the process. The optional on-disk tier persists one JSON
-// dataset per key so characterization cost is paid once across process
-// boundaries — campaigns, CLI invocations and service restarts. Disk
-// entries are written atomically (temp file + rename) and anything
-// unreadable, corrupt or written by a different model version is treated
-// as a miss, never an error.
+// The store is a typed wrapper over internal/castore, which supplies the
+// in-process tier (singleflight: duplicates wait on the one in-flight
+// sweep instead of recomputing), the optional on-disk tier (one envelope
+// per key, so characterization cost is paid once across campaigns, CLI
+// invocations and service restarts) and the rule that any unreadable,
+// corrupt or skewed file is a miss, never an error. This package owns the
+// key derivation and the dataset copy-out.
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -75,9 +71,3 @@ func KeyFor(ch *vmin.Characterizer, c *vmin.Config) Key {
 // String returns the canonical key string (stored verbatim in disk
 // entries so a loaded file can prove it belongs to its name).
 func (k Key) String() string { return k.id }
-
-// filename is the content-addressed file name of the key's disk entry.
-func (k Key) filename() string {
-	sum := sha256.Sum256([]byte(k.id))
-	return hex.EncodeToString(sum[:]) + ".json"
-}

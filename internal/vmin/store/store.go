@@ -1,43 +1,11 @@
 package store
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
-
+	"avfs/internal/castore"
 	"avfs/internal/chip"
 	"avfs/internal/telemetry"
 	"avfs/internal/vmin"
 )
-
-// Source reports which tier satisfied a Get.
-type Source int
-
-const (
-	// SourceComputed means the store ran the sweep (a miss in both tiers).
-	SourceComputed Source = iota
-	// SourceMemory means the in-process tier had the dataset (including
-	// waiting on an in-flight computation of the same cell).
-	SourceMemory
-	// SourceDisk means the dataset was loaded from the cache directory.
-	SourceDisk
-)
-
-// String names the source.
-func (s Source) String() string {
-	switch s {
-	case SourceComputed:
-		return "computed"
-	case SourceMemory:
-		return "memory"
-	case SourceDisk:
-		return "disk"
-	default:
-		return "unknown"
-	}
-}
 
 // Metric names registered by Instrument.
 const (
@@ -84,53 +52,24 @@ func (d dataset) characterization(c *vmin.Config) vmin.Characterization {
 	}
 }
 
-// diskFile is the on-disk envelope. Version and Key let a load prove the
-// file was written by the same model version for the same cell; any
-// mismatch (or any decode error) is a miss.
-type diskFile struct {
-	Version string  `json:"version"`
-	Key     string  `json:"key"`
-	Dataset dataset `json:"dataset"`
-}
-
-// entry is one in-process cell: created by the first Get (the leader)
-// before it computes, closed when the result is ready. Waiters block on
-// done; ok=false means the leader panicked and waiters must compute for
-// themselves.
-type entry struct {
-	done chan struct{}
-	res  dataset
-	ok   bool
-}
-
-// Store is a two-tier, content-addressed characterization cache. The zero
-// value is not usable; construct with New. A nil *Store is a valid
-// "no caching" store: Get computes directly.
+// Store is a two-tier, content-addressed characterization cache over
+// castore: its counters (Hits, DiskHits, Misses, InflightWaits, Entries)
+// are the cache's. Construct with New. A nil *Store is a valid "no
+// caching" store: Get computes directly.
 type Store struct {
-	dir string // "" = in-process tier only
+	*castore.Store[dataset]
 
 	// compute is the sweep implementation; tests replace it to make
 	// singleflight behaviour observable.
 	compute func(*vmin.Characterizer, *vmin.Config) vmin.Characterization
-
-	mu      sync.Mutex
-	entries map[string]*entry
-
-	hits          atomic.Int64 // memory-tier hits (incl. in-flight waits)
-	diskHits      atomic.Int64
-	misses        atomic.Int64
-	inflightWaits atomic.Int64
 }
 
 // New builds a store. dir is the on-disk tier's directory ("" disables
 // persistence); it is created lazily on the first write.
 func New(dir string) *Store {
 	return &Store{
-		dir: dir,
-		compute: func(ch *vmin.Characterizer, c *vmin.Config) vmin.Characterization {
-			return ch.Characterize(c)
-		},
-		entries: map[string]*entry{},
+		Store:   castore.New[dataset](dir, vmin.ModelVersion, nil),
+		compute: (*vmin.Characterizer).Characterize,
 	}
 }
 
@@ -141,146 +80,16 @@ func New(dir string) *Store {
 // with Config bound to cfg — and owns its Levels slice.
 //
 // A nil store performs no caching and simply computes.
-func (s *Store) Get(ch *vmin.Characterizer, cfg *vmin.Config) (vmin.Characterization, Source) {
+func (s *Store) Get(ch *vmin.Characterizer, cfg *vmin.Config) (vmin.Characterization, castore.Source) {
 	if s == nil {
-		return ch.Characterize(cfg), SourceComputed
+		return ch.Characterize(cfg), castore.Computed
 	}
-	k := KeyFor(ch, cfg)
-
-	s.mu.Lock()
-	if e, ok := s.entries[k.id]; ok {
-		s.mu.Unlock()
-		select {
-		case <-e.done:
-		default:
-			s.inflightWaits.Add(1)
-			<-e.done
-		}
-		if !e.ok {
-			// The computation this call deduplicated against panicked;
-			// reproduce the failure (or result, if it was transient) on
-			// this caller's own stack instead of deadlocking.
-			return s.compute(ch, cfg), SourceComputed
-		}
-		s.hits.Add(1)
-		return e.res.characterization(cfg), SourceMemory
-	}
-	e := &entry{done: make(chan struct{})}
-	s.entries[k.id] = e
-	s.mu.Unlock()
-
-	if d, ok := s.loadDisk(k); ok {
-		e.res, e.ok = d, true
-		close(e.done)
-		s.diskHits.Add(1)
-		return d.characterization(cfg), SourceDisk
-	}
-
-	completed := false
-	defer func() {
-		if completed {
-			return
-		}
-		// The sweep panicked (invalid configuration reaching Characterize):
-		// retire the entry so a later Get retries, and release any waiters
-		// to their own computation before the panic unwinds.
-		s.mu.Lock()
-		delete(s.entries, k.id)
-		s.mu.Unlock()
-		close(e.done)
-	}()
-	cz := s.compute(ch, cfg)
-	completed = true
-
-	e.res = dataset{
-		SafeVmin:  cz.SafeVmin,
-		SafeFound: cz.SafeFound,
-		TotalRuns: cz.TotalRuns,
-		Levels:    cz.Levels,
-	}
-	e.ok = true
-	close(e.done)
-	s.misses.Add(1)
-	s.saveDisk(k, e.res)
-	// Hand back a copy of the cached dataset rather than cz itself so the
-	// cache's Levels slice is never aliased by a caller.
-	return e.res.characterization(cfg), SourceComputed
-}
-
-// loadDisk tries the on-disk tier. Every failure mode — no directory,
-// unreadable file, truncated or corrupt JSON, a different model version
-// or a key collision — is a miss.
-func (s *Store) loadDisk(k Key) (dataset, bool) {
-	if s.dir == "" {
-		return dataset{}, false
-	}
-	raw, err := os.ReadFile(filepath.Join(s.dir, k.filename()))
-	if err != nil {
-		return dataset{}, false
-	}
-	var f diskFile
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return dataset{}, false
-	}
-	if f.Version != vmin.ModelVersion || f.Key != k.id {
-		return dataset{}, false
-	}
-	return f.Dataset, true
-}
-
-// saveDisk persists a dataset atomically: write to a temp file in the
-// cache directory, then rename over the final name so readers only ever
-// see complete files. Persistence is best effort — a read-only or full
-// disk degrades the store to in-process caching, it does not fail the
-// sweep.
-func (s *Store) saveDisk(k Key, d dataset) {
-	if s.dir == "" {
-		return
-	}
-	if err := os.MkdirAll(s.dir, 0o755); err != nil {
-		return
-	}
-	raw, err := json.Marshal(diskFile{Version: vmin.ModelVersion, Key: k.id, Dataset: d})
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(s.dir, "dataset-*.tmp")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, filepath.Join(s.dir, k.filename())); err != nil {
-		os.Remove(name)
-	}
-}
-
-// Hits returns memory-tier hits (including in-flight waits).
-func (s *Store) Hits() int64 { return s.hits.Load() }
-
-// DiskHits returns datasets served from the cache directory.
-func (s *Store) DiskHits() int64 { return s.diskHits.Load() }
-
-// Misses returns cells the store had to simulate.
-func (s *Store) Misses() int64 { return s.misses.Load() }
-
-// InflightWaits returns Gets that blocked on another caller's in-flight
-// computation of the same cell.
-func (s *Store) InflightWaits() int64 { return s.inflightWaits.Load() }
-
-// Entries returns the datasets resident in the in-process tier.
-func (s *Store) Entries() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
+	// The sweep never fails; an invalid configuration panics inside it.
+	d, src, _ := s.Store.Get(KeyFor(ch, cfg).id, func() (dataset, error) {
+		cz := s.compute(ch, cfg)
+		return dataset{SafeVmin: cz.SafeVmin, SafeFound: cz.SafeFound, TotalRuns: cz.TotalRuns, Levels: cz.Levels}, nil
+	})
+	return d.characterization(cfg), src
 }
 
 // Instrument registers the store's counters on a telemetry registry

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"avfs/internal/castore"
 	"avfs/internal/chip"
 	"avfs/internal/clock"
 	"avfs/internal/telemetry"
@@ -57,14 +58,14 @@ func TestGetMatchesDirectCharacterize(t *testing.T) {
 		want := fastCh.Characterize(cfg)
 
 		got, src := st.Get(fastCh, cfg)
-		if src != SourceComputed {
+		if src != castore.Computed {
 			t.Fatalf("first Get source = %v, want computed", src)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q: computed result != direct Characterize", bench)
 		}
 		again, src := st.Get(fastCh, cfg)
-		if src != SourceMemory {
+		if src != castore.Memory {
 			t.Fatalf("second Get source = %v, want memory", src)
 		}
 		if !reflect.DeepEqual(again, want) {
@@ -88,7 +89,7 @@ func TestNilStoreComputes(t *testing.T) {
 	var st *Store
 	cfg := testConfig("EP")
 	got, src := st.Get(fastCh, cfg)
-	if src != SourceComputed {
+	if src != castore.Computed {
 		t.Fatalf("source = %v, want computed", src)
 	}
 	if !reflect.DeepEqual(got, fastCh.Characterize(cfg)) {
@@ -164,7 +165,7 @@ func TestSingleflightDeduplicates(t *testing.T) {
 
 	var wg sync.WaitGroup
 	results := make([]vmin.Characterization, n)
-	sources := make([]Source, n)
+	sources := make([]castore.Source, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -193,9 +194,9 @@ func TestSingleflightDeduplicates(t *testing.T) {
 			t.Fatalf("goroutine %d got a divergent result", i)
 		}
 		switch sources[i] {
-		case SourceComputed:
+		case castore.Computed:
 			computed++
-		case SourceMemory:
+		case castore.Memory:
 			memory++
 		}
 	}
@@ -279,7 +280,7 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 		t.Fatal("waiter must fall back to its own computation")
 	}
 	// The failed entry was retired: a later Get computes again.
-	if _, src := st.Get(fastCh, cfg); src != SourceComputed {
+	if _, src := st.Get(fastCh, cfg); src != castore.Computed {
 		t.Errorf("post-panic Get source = %v, want computed", src)
 	}
 }
@@ -290,13 +291,13 @@ func TestDiskRoundTrip(t *testing.T) {
 	want := fastCh.Characterize(cfg)
 
 	first := New(dir)
-	if _, src := first.Get(fastCh, cfg); src != SourceComputed {
+	if _, src := first.Get(fastCh, cfg); src != castore.Computed {
 		t.Fatalf("cold Get source = %v, want computed", src)
 	}
 
 	second := New(dir)
 	got, src := second.Get(fastCh, cfg)
-	if src != SourceDisk {
+	if src != castore.Disk {
 		t.Fatalf("fresh-process Get source = %v, want disk", src)
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -306,7 +307,7 @@ func TestDiskRoundTrip(t *testing.T) {
 		t.Errorf("diskHits/misses = %d/%d, want 1/0", second.DiskHits(), second.Misses())
 	}
 	// And it is now resident: the next Get is a memory hit.
-	if _, src := second.Get(fastCh, cfg); src != SourceMemory {
+	if _, src := second.Get(fastCh, cfg); src != castore.Memory {
 		t.Errorf("resident Get source = %v, want memory", src)
 	}
 }
@@ -328,14 +329,14 @@ func TestDiskCorruptionRecomputes(t *testing.T) {
 
 	st := New(dir)
 	got, src := st.Get(fastCh, cfg)
-	if src != SourceComputed {
+	if src != castore.Computed {
 		t.Fatalf("truncated file: source = %v, want computed (miss)", src)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("recomputed result must match")
 	}
 	// The recompute healed the file for the next process.
-	if _, src := New(dir).Get(fastCh, cfg); src != SourceDisk {
+	if _, src := New(dir).Get(fastCh, cfg); src != castore.Disk {
 		t.Errorf("healed file: source = %v, want disk", src)
 	}
 }
@@ -364,7 +365,7 @@ func TestDiskVersionSkewRecomputes(t *testing.T) {
 	}
 
 	st := New(dir)
-	if _, src := st.Get(fastCh, cfg); src != SourceComputed {
+	if _, src := st.Get(fastCh, cfg); src != castore.Computed {
 		t.Fatalf("stale model version: source = %v, want computed (miss)", src)
 	}
 	if st.Misses() != 1 {
@@ -380,10 +381,10 @@ func TestDiskUnwritableDirDegradesGracefully(t *testing.T) {
 	}
 	st := New(filepath.Join(dir, "nested"))
 	cfg := testConfig("CG")
-	if _, src := st.Get(fastCh, cfg); src != SourceComputed {
+	if _, src := st.Get(fastCh, cfg); src != castore.Computed {
 		t.Fatal("first Get must compute")
 	}
-	if _, src := st.Get(fastCh, cfg); src != SourceMemory {
+	if _, src := st.Get(fastCh, cfg); src != castore.Memory {
 		t.Error("memory tier must still work without a usable directory")
 	}
 }
@@ -472,11 +473,15 @@ func TestSharedCacheDirConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var f diskFile
+		var f struct {
+			Version string   `json:"version"`
+			Key     string   `json:"key"`
+			Payload *dataset `json:"payload"`
+		}
 		if err := json.Unmarshal(raw, &f); err != nil {
 			t.Fatalf("%s is not a complete envelope: %v", name, err)
 		}
-		if f.Version != vmin.ModelVersion || f.Key == "" {
+		if f.Version != vmin.ModelVersion || f.Key == "" || f.Payload == nil {
 			t.Fatalf("%s has a bad envelope: %+v", name, f)
 		}
 	}
@@ -485,7 +490,7 @@ func TestSharedCacheDirConcurrent(t *testing.T) {
 	// shared disk tier without a single sweep.
 	fresh := New(dir)
 	for _, bench := range benches {
-		if _, src := fresh.Get(fastCh, testConfig(bench)); src != SourceDisk {
+		if _, src := fresh.Get(fastCh, testConfig(bench)); src != castore.Disk {
 			t.Errorf("fresh store source for %q = %v, want disk", bench, src)
 		}
 	}

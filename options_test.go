@@ -72,7 +72,7 @@ func TestNewDaemonWithOptions(t *testing.T) {
 		t.Errorf("options not applied: %+v", d.Cfg)
 	}
 	d.Attach()
-	if _, err := m.Submit(Benchmark("CG"), 8); err != nil {
+	if _, err := m.Submit(benchmark(t, "CG"), 8); err != nil {
 		t.Fatal(err)
 	}
 	m.RunFor(10)
@@ -109,7 +109,7 @@ func TestRunForContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit(Benchmark("CG"), 8); err != nil {
+	if _, err := m.Submit(benchmark(t, "CG"), 8); err != nil {
 		t.Fatal(err)
 	}
 	AttachBaseline(m)
@@ -147,7 +147,7 @@ func TestRunUntilIdleContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	AttachBaseline(m)
-	if _, err := m.Submit(Benchmark("blackscholes"), 4); err != nil {
+	if _, err := m.Submit(benchmark(t, "blackscholes"), 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.RunUntilIdleContext(context.Background(), 7200); err != nil {
@@ -158,7 +158,7 @@ func TestRunUntilIdleContext(t *testing.T) {
 	}
 
 	// Timeout with work still pending wraps ErrNotIdle.
-	if _, err := m.Submit(Benchmark("CG"), 8); err != nil {
+	if _, err := m.Submit(benchmark(t, "CG"), 8); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.RunUntilIdleContext(context.Background(), 1); !errors.Is(err, ErrNotIdle) {

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Full repository check: vet, build, race-enabled tests, two perfbench
-# smoke runs (the benchmark module builds, replays correctly and
-# reproduces the golden Table III/IV rows), the telemetry-overhead
+# Full repository check: vet, build, race-enabled tests, a 5 s fuzz smoke
+# of every fuzz target (`go test ./...` only replays their seed corpora),
+# two perfbench smoke runs (the benchmark module builds, replays correctly
+# and reproduces the golden Table III/IV rows), the telemetry-overhead
 # benchmark, the simulator hot-path benchmark, the experiment-runner
 # speedup gate, the characterization-store memoization
 # gate, the control-plane throughput gate, the request-tracing overhead
@@ -28,6 +29,14 @@ go build ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+# -fuzz takes one package and one target per run.
+echo "==> fuzz smoke (5 s per target)"
+go test ./internal/castore -run '^$' -fuzz '^FuzzLoad$' -fuzztime 5s
+go test ./internal/chip -run '^$' -fuzz '^FuzzClamps$' -fuzztime 5s
+go test ./internal/export -run '^$' -fuzz '^FuzzSanitize$' -fuzztime 5s
+go test ./internal/sysfs -run '^$' -fuzz '^FuzzReadWrite$' -fuzztime 5s
+go test ./internal/telemetry/export -run '^$' -fuzz '^FuzzParsePrometheus$' -fuzztime 5s
 
 # perfbench/ is its own Go module, so the build above never compiles it;
 # a one-second advance run builds it against this tree and replays its
