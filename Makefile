@@ -3,12 +3,11 @@
 # hot-path benchmark + the experiment-runner speedup benchmark + the
 # characterization-store memoization benchmark + the control-plane
 # throughput benchmark + the request-tracing overhead benchmark + the
-# snapshot restore-and-replay benchmark + the batched-stepping speedup
-# benchmark + the cluster scale-out benchmark + the closed-form
-# surrogate gates, which record their JSON summaries in
-# BENCH_telemetry.json, BENCH_sim.json, BENCH_experiments.json,
-# BENCH_cache.json, BENCH_service.json, BENCH_trace.json,
-# BENCH_snapshot.json, BENCH_batch.json, BENCH_cluster.json and
+# snapshot restore-and-replay benchmark + the cluster scale-out
+# benchmark + the closed-form surrogate gates, which record their JSON
+# summaries in BENCH_telemetry.json, BENCH_sim.json,
+# BENCH_experiments.json, BENCH_cache.json, BENCH_service.json,
+# BENCH_trace.json, BENCH_snapshot.json, BENCH_cluster.json and
 # BENCH_surrogate.json).
 
 GO ?= go
@@ -47,8 +46,6 @@ bench:
 		$(GO) test ./internal/service -run TestTraceOverheadBudget -count=1 -v
 	AVFS_BENCH_SNAPSHOT_OUT=$(CURDIR)/BENCH_snapshot.json \
 		$(GO) test ./internal/sim -run TestSnapshotRestoreBudget -count=1 -v
-	AVFS_BENCH_BATCH_OUT=$(CURDIR)/BENCH_batch.json \
-		$(GO) test ./internal/sim -run TestBatchStepBudget -count=1 -v
 	AVFS_BENCH_CLUSTER_OUT=$(CURDIR)/BENCH_cluster.json \
 		AVFS_BENCH_SERVICE_JSON=$(CURDIR)/BENCH_service.json \
 		$(GO) test ./internal/cluster -run TestClusterScaleBudget -count=1 -v

@@ -480,10 +480,10 @@ type WhatIfReport struct {
 	// ties); "" when no branch succeeded.
 	BestEnergy string `json:"best_energy,omitempty"`
 	BestPerf   string `json:"best_perf,omitempty"`
-	// Batch describes the lockstep engine's work: every simulated report
+	// Batch summarizes the simulated advancement: every simulated report
 	// (sync, or a fast what-if's refinement job) advances its branches
-	// as one structure-of-arrays batch. Absent from surrogate reports and
-	// when the worker pool rejected the batch outright.
+	// one after another on one pool job. Absent from surrogate reports
+	// and when the worker pool rejected the job outright.
 	Batch *WhatIfBatch `json:"batch,omitempty"`
 	// Source reports which engine produced the branch metrics:
 	// "simulated" (the default replay path) or "surrogate" (the fast
@@ -495,31 +495,25 @@ type WhatIfReport struct {
 	RefineJob string `json:"refine_job,omitempty"`
 }
 
-// WhatIfBatch summarizes one batched what-if advancement: how much of
-// the branches' combined tick work the lockstep engine folded together
-// or served from the cross-session steady-segment memo, and the
-// resulting speedup estimate over advancing each branch alone.
+// WhatIfBatch summarizes one simulated what-if advancement: the ticks
+// its branches committed and how many full ticks the cross-session
+// steady-segment memo served.
 type WhatIfBatch struct {
-	// Branches is the number of branches enrolled in the batch.
+	// Branches is the number of branches advanced.
 	Branches int `json:"branches"`
-	// Ticks is the aggregate member-ticks committed; LockstepTicks of
-	// those went through the structure-of-arrays fold, and SharedTicks
-	// reused a bitwise-identical sibling branch's fold outright.
-	Ticks         uint64 `json:"ticks"`
-	LockstepTicks uint64 `json:"lockstep_ticks"`
-	SharedTicks   uint64 `json:"shared_ticks"`
+	// Ticks is the branch-ticks committed across all branches.
+	Ticks uint64 `json:"ticks"`
 	// MemoHits/MemoMisses are the steady-segment memo's probe outcomes
 	// during this advancement (fleet-wide counters sampled around the
 	// run, so concurrent traffic can inflate them slightly).
 	MemoHits   uint64 `json:"memo_hits"`
 	MemoMisses uint64 `json:"memo_misses"`
-	// WallSeconds is the wall-clock time of the batched advancement;
+	// WallSeconds is the wall-clock time of the advancement;
 	// TicksPerSec is Ticks/WallSeconds.
 	WallSeconds float64 `json:"wall_seconds"`
 	TicksPerSec float64 `json:"ticks_per_second"`
-	// SpeedupEst estimates the fold-sharing speedup over advancing every
-	// branch on its own: total member-ticks divided by the ticks that
-	// needed their own fold or solo step (Ticks / (Ticks - SharedTicks)).
+	// SpeedupEst is always 1: every branch steps on its own. It is kept
+	// only for wire compatibility with clients that read it.
 	SpeedupEst float64 `json:"speedup_est"`
 }
 

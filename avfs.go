@@ -38,8 +38,6 @@
 // Machine.RunUntilIdleContext stop between tick batches when the context
 // ends, which is how the fleet service (internal/service, cmd/avfs-server)
 // propagates request deadlines and drain cancellation into simulations.
-// The original zero-option constructors remain as thin deprecated
-// wrappers.
 package avfs
 
 import (

@@ -304,7 +304,7 @@ func (f *Fleet) startRefinement(s *session, id, snapID string, st *snapshot.Sess
 			Source:     whatIfSimulated,
 			Branches:   branchReports(st, specs),
 		}
-		// Already on a pool worker: advance the batch inline.
+		// Already on a pool worker: advance the branches inline.
 		rep.Batch = f.advanceBranches(ctx, st, specs, req.Seconds, req.UntilIdle, rep.Branches)
 		runErr := ctx.Err()
 		if runErr == nil {

@@ -144,10 +144,9 @@ type Fleet struct {
 	// session's machine (and every what-if branch) shares it, so one
 	// tenant's transient warms the next tenant's.
 	memo *sim.SteadyMemo
-	// batchTicks/batchShared accumulate the sim.BatchStats of every
-	// what-if batch (sync and refinement) for the /metrics counters.
-	batchTicks  atomic.Uint64
-	batchShared atomic.Uint64
+	// batchTicks accumulates the branch-ticks of every simulated what-if
+	// (sync and refinement) for the /metrics counter.
+	batchTicks atomic.Uint64
 
 	// baseCtx parents every session context; Close cancels it, aborting
 	// whatever Drain left behind.
@@ -290,16 +289,12 @@ func New(cfg Config) *Fleet {
 		JobDone:   func(d time.Duration) { f.hPoolRun.Observe(d.Seconds()) },
 	})
 
-	// What-if batching and the shared steady-segment memo. The functions
+	// What-if work and the shared steady-segment memo. The functions
 	// read lock-free atomics, so the scrape cost stays within the
 	// telemetry overhead budget.
 	f.reg.CounterFunc("avfs_sim_batch_ticks_total",
-		"Branch-ticks committed by what-if batches (sync and refinement).", func() float64 {
+		"Branch-ticks committed by simulated what-ifs (sync and refinement).", func() float64 {
 			return float64(f.batchTicks.Load())
-		})
-	f.reg.CounterFunc("avfs_sim_batch_shared_ticks_total",
-		"What-if branch-ticks that reused an identical branch's lockstep fold.", func() float64 {
-			return float64(f.batchShared.Load())
 		})
 	f.reg.CounterFunc("avfs_sim_batch_memo_hits_total",
 		"Full simulated ticks served from the cross-session steady-segment memo.", func() float64 {

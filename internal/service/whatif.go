@@ -2,8 +2,10 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"avfs/api"
@@ -182,10 +184,10 @@ func parseBranchSpec(b api.WhatIfBranchSpec) (branchSpec, error) {
 }
 
 // WhatIf branches N hypothetical futures from one snapshot of a session
-// and advances them together as one batch on the fleet's worker pool,
-// returning a compared report. The branches are transient: they never
-// appear in the session registry and vanish once the report is built.
-// An empty branch list compares the four Table IV policies.
+// and advances them one after another in a single job on the fleet's
+// worker pool, returning a compared report. The branches are transient:
+// they never appear in the session registry and vanish once the report
+// is built. An empty branch list compares the four Table IV policies.
 func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (api.WhatIfReport, error) {
 	s, err := f.lookup(id)
 	if err != nil {
@@ -251,15 +253,30 @@ func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (a
 		Source:     whatIfSimulated,
 		Branches:   branchReports(st, specs),
 	}
-	// All branches advance as one structure-of-arrays batch on a single
-	// pool job. Branches of one snapshot start bitwise identical, so
-	// until their overrides drive them apart the batch folds their ticks
-	// together (and serves transients from the fleet's steady-segment
-	// memo); the report records how much work that sharing saved.
-	err = f.pool.Do(ctx, func(jctx context.Context) error {
+	// The job owns the report's branches once it starts; a request
+	// cancelled while the job still waits in the queue claims them back
+	// and answers without it.
+	var claimed atomic.Bool
+	done, err := f.pool.Go(ctx, func(jctx context.Context) error {
+		if !claimed.CompareAndSwap(false, true) {
+			return jctx.Err()
+		}
 		report.Batch = f.advanceBranches(jctx, st, specs, req.Seconds, req.UntilIdle, report.Branches)
 		return nil
 	})
+	if err == nil {
+		select {
+		case err = <-done:
+		case <-ctx.Done():
+			if claimed.CompareAndSwap(false, true) {
+				err = ctx.Err()
+			} else {
+				// advanceBranches notices the cancellation at its next
+				// commit and marks the unfinished branches itself.
+				err = <-done
+			}
+		}
+	}
 	if err != nil {
 		for i := range report.Branches {
 			if report.Branches[i].Error == nil {
@@ -403,78 +420,60 @@ func branchReports(st *snapshot.SessionState, specs []branchSpec) []api.WhatIfBr
 	return out
 }
 
-// advanceBranches restores every branch and advances them all as one
-// structure-of-arrays batch on the calling goroutine, sharing the
-// fleet's steady-segment memo, and fills out (headed by branchReports).
-// It must run on a pool worker: the sync what-if calls it inside
-// pool.Do, a refinement job directly on its own worker (going through
-// pool.Do again would deadlock a one-worker pool). Per-branch failures
-// land in that branch's Error field; a cancellation lands on every
-// branch still unfinished. The returned summary records the sharing the
-// batch achieved.
+// advanceBranches restores every branch and advances each alone on the
+// calling goroutine with the fleet's steady-segment memo attached, and
+// fills out (headed by branchReports). It must run on a pool worker: the
+// sync what-if calls it inside a pool job, a refinement job directly on
+// its own worker (going through the pool again would deadlock a
+// one-worker pool). Per-branch failures land in that branch's Error
+// field; a cancellation lands on every branch not yet finished. The
+// returned summary records the ticks committed and the memo traffic.
 func (f *Fleet) advanceBranches(ctx context.Context, st *snapshot.SessionState, specs []branchSpec, seconds float64, untilIdle bool, out []api.WhatIfBranch) *api.WhatIfBatch {
 	hits0, misses0 := f.memo.Hits(), f.memo.Misses()
 	begin := time.Now()
-	b := sim.NewBatch()
-	rigs := make([]*branchRig, len(specs))
-	idxOf := make([]int, len(specs))
+	bs := &api.WhatIfBatch{SpeedupEst: 1}
 	for i := range specs {
-		idxOf[i] = -1
+		if err := ctx.Err(); err != nil {
+			out[i].Error = wireError(err)
+			continue
+		}
 		rig, err := buildBranch(st, specs[i])
 		if err != nil {
 			out[i].Error = wireError(err)
 			continue
 		}
 		rig.m.SetSteadyMemo(f.memo)
-		// Admission cannot fail — every branch restores from one
-		// snapshot, so the admission triple always matches — but a
-		// branch must never be lost silently.
-		bi, err := b.Add(rig.m, seconds, untilIdle)
+		bs.Branches++
+		ticks0 := rig.m.Ticks()
+		err = advanceBranch(ctx, rig.m, seconds, untilIdle)
+		bs.Ticks += rig.m.Ticks() - ticks0
 		if err != nil {
 			out[i].Error = wireError(err)
 			continue
 		}
-		rigs[i], idxOf[i] = rig, bi
+		rig.report(&out[i])
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			for i := range specs {
-				if idxOf[i] >= 0 && !b.Done(idxOf[i]) {
-					b.Eject(idxOf[i])
-					out[i].Error = wireError(err)
-					rigs[i] = nil
-				}
-			}
-			break
-		}
-		if !b.Step() {
-			break
-		}
-	}
-	for i, rig := range rigs {
-		if rig != nil {
-			rig.report(&out[i])
-		}
-	}
-	stats := b.Stats()
-	f.batchTicks.Add(stats.Ticks)
-	f.batchShared.Add(stats.SharedTicks)
-	bs := &api.WhatIfBatch{
-		Branches:      b.Len(),
-		Ticks:         stats.Ticks,
-		LockstepTicks: stats.LockstepTicks,
-		SharedTicks:   stats.SharedTicks,
-		MemoHits:      f.memo.Hits() - hits0,
-		MemoMisses:    f.memo.Misses() - misses0,
-		WallSeconds:   time.Since(begin).Seconds(),
-	}
+	f.batchTicks.Add(bs.Ticks)
+	bs.MemoHits = f.memo.Hits() - hits0
+	bs.MemoMisses = f.memo.Misses() - misses0
+	bs.WallSeconds = time.Since(begin).Seconds()
 	if bs.WallSeconds > 0 {
 		bs.TicksPerSec = float64(bs.Ticks) / bs.WallSeconds
 	}
-	if own := stats.Ticks - stats.SharedTicks; own > 0 {
-		bs.SpeedupEst = float64(stats.Ticks) / float64(own)
-	}
 	return bs
+}
+
+// advanceBranch advances one branch machine by seconds, or until idle
+// within that budget; not reaching idle is a what-if outcome, not a
+// failure.
+func advanceBranch(ctx context.Context, m *sim.Machine, seconds float64, untilIdle bool) error {
+	if untilIdle {
+		if err := m.RunUntilIdleContext(ctx, seconds); !errors.Is(err, sim.ErrNotIdle) {
+			return err
+		}
+		return nil
+	}
+	return m.RunForContext(ctx, seconds)
 }
 
 // replaceRunning re-places every running process's threads in canonical

@@ -736,24 +736,10 @@ func (m *Machine) Step() {
 // the tick (a finishing tick changes the busy set and must take the full
 // path).
 func (m *Machine) steadyReady() bool {
-	return m.cacheFresh() && m.steadyHeadroom()
-}
-
-// cacheFresh reports whether the steady cache is valid for the current
-// electrical/placement generations and tick length — the per-machine
-// half of steadyReady. The batch engine checks it per member and shares
-// the lane-dependent half across members with identical lane blocks.
-func (m *Machine) cacheFresh() bool {
 	c := &m.steady
-	return c.valid && c.tick == m.Tick && c.placeGen == m.placeGen && c.chipGen == m.Chip.Generation()
-}
-
-// steadyHeadroom reports whether no covered thread would finish within
-// the next tick. It depends only on the (progress, increment, total)
-// lanes, so members of a batch whose lane blocks are bitwise identical
-// share one evaluation.
-func (m *Machine) steadyHeadroom() bool {
-	c := &m.steady
+	if !c.valid || c.tick != m.Tick || c.placeGen != m.placeGen || c.chipGen != m.Chip.Generation() {
+		return false
+	}
 	for i := 0; i < c.n; i++ {
 		u := &m.upds[i]
 		if u.t.instrDone+u.instr >= u.t.instrTotal {
@@ -801,50 +787,8 @@ func (m *Machine) commitSteady(k int) {
 			m.upds[i].t.instrDone = done[i]
 		}
 	}
-	m.commitSteadyScalars(k)
-}
 
-// foldLanes advances done[i] by k repeated additions of inc[i] per lane.
-// len(done) must be a multiple of 8 (pad with zero lanes, which fold
-// harmlessly). The fold runs through 8 accumulators held in registers:
-// the chains are independent, so eight 4-cycle FP adds overlap and each
-// batch tick costs ~4 cycles per 8 lanes instead of a store-bound pass
-// over memory. Because each lane folds independently of its position,
-// lanes from many machines can share one array — the batch engine's
-// structure-of-arrays commit — with results bitwise equal to each
-// machine folding alone.
-func foldLanes(done, inc []float64, k int) {
-	for i := 0; i < len(done); i += 8 {
-		d0, d1, d2, d3 := done[i], done[i+1], done[i+2], done[i+3]
-		d4, d5, d6, d7 := done[i+4], done[i+5], done[i+6], done[i+7]
-		x0, x1, x2, x3 := inc[i], inc[i+1], inc[i+2], inc[i+3]
-		x4, x5, x6, x7 := inc[i+4], inc[i+5], inc[i+6], inc[i+7]
-		for j := 0; j < k; j++ {
-			d0 += x0
-			d1 += x1
-			d2 += x2
-			d3 += x3
-			d4 += x4
-			d5 += x5
-			d6 += x6
-			d7 += x7
-		}
-		done[i], done[i+1], done[i+2], done[i+3] = d0, d1, d2, d3
-		done[i+4], done[i+5], done[i+6], done[i+7] = d4, d5, d6, d7
-	}
-}
-
-// commitSteadyScalars applies everything of a k-tick steady commit except
-// the per-thread progress fold: power and energy accounting, the
-// emergency-check tally, PMU counters, per-process energy attribution,
-// the tick clock, and the end-of-commit hooks. The batch engine performs
-// the progress fold itself over its shared lane arrays and then calls
-// this for each member, so batched and solo commits run the same code.
-func (m *Machine) commitSteadyScalars(k int) {
-	c := &m.steady
-	dt := m.Tick
-	dtk := dt * float64(k)
-
+	dtk := m.Tick * float64(k)
 	m.lastWatts = c.watts
 	m.Meter.Accumulate(c.watts, dtk)
 	m.energyBD.CoreDynamic += c.bd.CoreDynamic * dtk
@@ -870,6 +814,33 @@ func (m *Machine) commitSteadyScalars(k int) {
 	m.ticks += ku
 	m.now = float64(m.ticks) * m.Tick
 	m.runHooks(k)
+}
+
+// foldLanes advances done[i] by k repeated additions of inc[i] per lane.
+// len(done) must be a multiple of 8 (pad with zero lanes, which fold
+// harmlessly). The fold runs through 8 accumulators held in registers:
+// the chains are independent, so eight 4-cycle FP adds overlap and each
+// batch tick costs ~4 cycles per 8 lanes instead of a store-bound pass
+// over memory.
+func foldLanes(done, inc []float64, k int) {
+	for i := 0; i < len(done); i += 8 {
+		d0, d1, d2, d3 := done[i], done[i+1], done[i+2], done[i+3]
+		d4, d5, d6, d7 := done[i+4], done[i+5], done[i+6], done[i+7]
+		x0, x1, x2, x3 := inc[i], inc[i+1], inc[i+2], inc[i+3]
+		x4, x5, x6, x7 := inc[i+4], inc[i+5], inc[i+6], inc[i+7]
+		for j := 0; j < k; j++ {
+			d0 += x0
+			d1 += x1
+			d2 += x2
+			d3 += x3
+			d4 += x4
+			d5 += x5
+			d6 += x6
+			d7 += x7
+		}
+		done[i], done[i+1], done[i+2], done[i+3] = d0, d1, d2, d3
+		done[i+4], done[i+5], done[i+6], done[i+7] = d4, d5, d6, d7
+	}
 }
 
 // stepFull is the exact one-tick path: the full contention fixed point,
@@ -1184,13 +1155,6 @@ func (m *Machine) batchTicks(limit int) int {
 	if k > maxBatchTicks {
 		k = maxBatchTicks
 	}
-	k = m.hookTicksBound(k)
-	return m.completionTicksBound(k)
-}
-
-// hookTicksBound shrinks k to stop at (and include) the first tick any
-// bounded hook needs to observe — the per-machine half of batchTicks.
-func (m *Machine) hookTicksBound(k int) int {
 	for i := range m.hooks {
 		h := &m.hooks[i]
 		if h.next == nil {
@@ -1200,13 +1164,6 @@ func (m *Machine) hookTicksBound(k int) int {
 			k = kb
 		}
 	}
-	return k
-}
-
-// completionTicksBound shrinks k so no thread can finish inside the
-// batch — the lane-dependent half of batchTicks, shared by the batch
-// engine across members with identical lane blocks.
-func (m *Machine) completionTicksBound(k int) int {
 	c := &m.steady
 	for i := 0; i < c.n && k > 1; i++ {
 		u := &m.upds[i]

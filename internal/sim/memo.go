@@ -94,12 +94,6 @@ type SteadyMemo struct {
 	max     int
 	seed    maphash.Seed
 
-	// last is the most recently published or served segment — machines
-	// stepping just behind each other through the same stretch (a shard's
-	// members crossing a completion together) match it by direct key
-	// comparison and skip the hash entirely.
-	last atomic.Pointer[steadySegment]
-
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	inserts   atomic.Uint64
@@ -222,11 +216,6 @@ func (m *Machine) encodeSteadySignature() bool {
 // signature just encoded into m.sigBuf, filling *sum with the signature
 // hash on a miss (so the caller can publish under it).
 func (sm *SteadyMemo) serve(m *Machine, sum *memoKey) bool {
-	if last := sm.last.Load(); last != nil && bytes.Equal(last.key, m.sigBuf) {
-		m.applyMemoTick(last)
-		sm.hits.Add(1)
-		return true
-	}
 	*sum = maphash.Bytes(sm.seed, m.sigBuf)
 	sm.mu.RLock()
 	e := sm.entries[*sum]
@@ -235,7 +224,6 @@ func (sm *SteadyMemo) serve(m *Machine, sum *memoKey) bool {
 		sm.misses.Add(1)
 		return false
 	}
-	sm.last.Store(e)
 	m.applyMemoTick(e)
 	sm.hits.Add(1)
 	return true
@@ -296,7 +284,6 @@ func (sm *SteadyMemo) store(m *Machine, sum memoKey, watts float64, bd power.Bre
 		sm.inserts.Add(1)
 	}
 	sm.mu.Unlock()
-	sm.last.Store(e)
 }
 
 // applyMemoTick replays a memoized full tick: the exact sequence of

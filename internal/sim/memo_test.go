@@ -6,8 +6,29 @@ import (
 	"sync"
 	"testing"
 
+	"avfs/internal/chip"
 	"avfs/internal/sim"
 )
+
+// steadyTemplate builds the standard mixed load, converges it, and
+// captures the state: every restore of it is a bit-identical machine
+// with a live steady cache, the shape of a forked fleet session.
+func steadyTemplate(t testing.TB) *sim.MachineState {
+	t.Helper()
+	m := sim.New(chip.XGene3Spec())
+	fillBusy(m)
+	m.RunFor(2)
+	return m.CaptureState()
+}
+
+func restoreFrom(t testing.TB, st *sim.MachineState) *sim.Machine {
+	t.Helper()
+	m, err := sim.RestoreMachine(chip.XGene3Spec(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // TestMemoServeBitIdentical: a machine serving its steady ticks from a
 // memo another machine populated must follow the exact trajectory it
@@ -15,7 +36,7 @@ import (
 // accumulator, because serve replays the publisher's tick in the same
 // per-tick order solo stepping uses.
 func TestMemoServeBitIdentical(t *testing.T) {
-	st := batchTemplate(t)
+	st := steadyTemplate(t)
 	run := func(m *sim.Machine) *sim.MachineState {
 		m.RunFor(5)
 		m.Chip.SetAllFreq(m.Spec.HalfFreq())
@@ -58,7 +79,7 @@ func TestMemoServeBitIdentical(t *testing.T) {
 // TestMemoEviction: a memo bounded to one entry displaces segments on
 // insert and accounts for it.
 func TestMemoEviction(t *testing.T) {
-	st := batchTemplate(t)
+	st := steadyTemplate(t)
 	memo := sim.NewSteadyMemo(1)
 	m := restoreFrom(t, st)
 	m.SetSteadyMemo(memo)
@@ -83,7 +104,7 @@ func TestMemoEviction(t *testing.T) {
 // TestMemoDetach: detaching restores pure solo stepping; counters stop
 // moving.
 func TestMemoDetach(t *testing.T) {
-	st := batchTemplate(t)
+	st := steadyTemplate(t)
 	memo := sim.NewSteadyMemo(0)
 	m := restoreFrom(t, st)
 	m.SetSteadyMemo(memo)
@@ -104,7 +125,7 @@ func TestMemoDetach(t *testing.T) {
 // memo (run under -race) and checks every machine still lands on the
 // reference trajectory.
 func TestMemoConcurrentPublish(t *testing.T) {
-	st := batchTemplate(t)
+	st := steadyTemplate(t)
 	ref := restoreFrom(t, st)
 	ref.RunFor(8)
 	want := ref.CaptureState()

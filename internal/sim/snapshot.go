@@ -225,6 +225,12 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 	if st.Tick <= 0 {
 		return nil, fmt.Errorf("sim: snapshot has non-positive tick %v", st.Tick)
 	}
+	// The clock is float64(ticks)*Tick and the stepping loops count ticks
+	// up from it; past 2^53 the conversion is inexact, and near 2^64 the
+	// tick arithmetic wraps and never reaches its target.
+	if st.Ticks >= 1<<53 {
+		return nil, fmt.Errorf("sim: snapshot tick count %d out of range", st.Ticks)
+	}
 	if len(st.Counters) != spec.Cores || len(st.PMDFreqMHz) != spec.PMDs() {
 		return nil, fmt.Errorf("sim: snapshot shape mismatch (counters=%d pmds=%d)",
 			len(st.Counters), len(st.PMDFreqMHz))
@@ -259,19 +265,29 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 	}
 
 	// Processes and threads, rebuilt verbatim (not through newProcess —
-	// the Amdahl split already happened at original submission).
-	for _, ps := range st.Processes {
+	// the Amdahl split already happened at original submission). A
+	// machine never forgets a process, so IDs 0..NextID-1 are all present,
+	// in order: this rejects gaps, duplicates and an inflated NextID that
+	// would make every later capture scan a huge ID range.
+	if len(st.Processes) != st.NextID {
+		return nil, fmt.Errorf("sim: snapshot has %d processes but next ID %d", len(st.Processes), st.NextID)
+	}
+	for id, ps := range st.Processes {
+		if ps.ID != id {
+			return nil, fmt.Errorf("sim: snapshot process %d has ID %d", id, ps.ID)
+		}
+		state := ProcState(ps.State)
+		if state != Pending && state != Running && state != Finished {
+			return nil, fmt.Errorf("sim: snapshot process %d has unknown state %d", ps.ID, ps.State)
+		}
 		b, err := workload.ByName(ps.Bench)
 		if err != nil {
 			return nil, fmt.Errorf("sim: snapshot process %d: %w", ps.ID, err)
 		}
-		if ps.ID < 0 || ps.ID >= st.NextID {
-			return nil, fmt.Errorf("sim: snapshot process ID %d out of range", ps.ID)
-		}
 		p := &Process{
 			ID:          ps.ID,
 			Bench:       b,
-			State:       ProcState(ps.State),
+			State:       state,
 			Submitted:   ps.Submitted,
 			Started:     ps.Started,
 			Completed:   ps.Completed,
@@ -290,12 +306,18 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 				stalledUntilTick: ts.StalledUntilTick,
 			}
 			p.Threads = append(p.Threads, t)
-			if t.Core >= 0 {
-				if !spec.ValidCore(t.Core) || m.coreThr[t.Core] != nil {
-					return nil, fmt.Errorf("sim: snapshot process %d thread %d: bad core %d", ps.ID, i, ts.Core)
+			// Exactly the threads of running processes occupy cores, one
+			// thread per core.
+			if state != Running {
+				if t.Core != -1 {
+					return nil, fmt.Errorf("sim: snapshot process %d (%v) thread %d on core %d", ps.ID, state, i, ts.Core)
 				}
-				m.coreThr[t.Core] = t
+				continue
 			}
+			if !spec.ValidCore(t.Core) || m.coreThr[t.Core] != nil {
+				return nil, fmt.Errorf("sim: snapshot process %d thread %d: bad core %d", ps.ID, i, ts.Core)
+			}
+			m.coreThr[t.Core] = t
 		}
 		m.procs[p.ID] = p
 		switch p.State {
@@ -324,6 +346,10 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 			p := m.procs[us.Proc]
 			if p == nil || us.Thread < 0 || us.Thread >= len(p.Threads) {
 				return nil, fmt.Errorf("sim: snapshot steady quantum references process %d thread %d", us.Proc, us.Thread)
+			}
+			if th := p.Threads[us.Thread]; th.Core < 0 || us.Core != int(th.Core) {
+				return nil, fmt.Errorf("sim: snapshot steady quantum for process %d thread %d on core %d, thread is on %d",
+					us.Proc, us.Thread, us.Core, th.Core)
 			}
 			m.upds = append(m.upds, upd{
 				t:       p.Threads[us.Thread],

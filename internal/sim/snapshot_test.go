@@ -244,6 +244,101 @@ func TestSnapshotRestoreValidation(t *testing.T) {
 	}
 }
 
+// restoreBase is a captured X-Gene 2 machine (small, so the fuzzer's
+// seed stays short) with three running processes (IDs 0-2: CG on cores
+// 0-3, namd on 4, lbm on 5), one pending process (ID 3, mcf) and a live
+// steady cache.
+func restoreBase(t testing.TB) *sim.MachineState {
+	t.Helper()
+	m := sim.New(chip.XGene2Spec())
+	for _, r := range []struct {
+		bench string
+		cores []chip.CoreID
+	}{{"CG", []chip.CoreID{0, 1, 2, 3}}, {"namd", []chip.CoreID{4}}, {"lbm", []chip.CoreID{5}}} {
+		p, err := m.Submit(workload.MustByName(r.bench), len(r.cores))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Place(p, r.cores); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.Submit(workload.MustByName("mcf"), 1); err != nil {
+		t.Fatal(err)
+	}
+	m.RunFor(2)
+	st := m.CaptureState()
+	if st.Steady == nil || len(st.Processes) != 4 || st.Processes[3].State != int(sim.Pending) {
+		t.Fatalf("unexpected base state: steady=%v processes=%d", st.Steady != nil, len(st.Processes))
+	}
+	return st
+}
+
+// TestRestoreRejectsMalformed feeds RestoreMachine one malformed state
+// per case, each the shape a peer could send through a cluster import.
+// Every one must be rejected rather than restored into a machine that
+// panics on its first step or makes every later capture scan a huge ID
+// range.
+func TestRestoreRejectsMalformed(t *testing.T) {
+	base := restoreBase(t)
+	if _, err := sim.RestoreMachine(chip.XGene2Spec(), roundTrip(t, base)); err != nil {
+		t.Fatalf("the unmodified base must restore: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(st *sim.MachineState)
+	}{
+		{"running thread off core", func(st *sim.MachineState) { st.Processes[0].Threads[0].Core = -1 }},
+		{"running thread past the last core", func(st *sim.MachineState) { st.Processes[1].Threads[0].Core = 8 }},
+		{"pending thread on a core", func(st *sim.MachineState) { st.Processes[3].Threads[0].Core = 6 }},
+		{"finished thread on a core", func(st *sim.MachineState) { st.Processes[2].State = int(sim.Finished) }},
+		{"unknown state", func(st *sim.MachineState) { st.Processes[1].State = 3 }},
+		{"negative state", func(st *sim.MachineState) { st.Processes[3].State = -1 }},
+		{"ID gap", func(st *sim.MachineState) { st.Processes[2].ID = 7 }},
+		{"duplicate ID", func(st *sim.MachineState) { st.Processes[2].ID = 1 }},
+		{"inflated next ID", func(st *sim.MachineState) { st.NextID = 1 << 40 }},
+		{"negative next ID", func(st *sim.MachineState) { st.NextID = -1 }},
+		{"wrapping tick count", func(st *sim.MachineState) { st.Ticks = 1<<64 - 1 }},
+		{"missing process", func(st *sim.MachineState) { st.Processes = st.Processes[:3] }},
+		{"steady quantum on another core", func(st *sim.MachineState) { st.Steady.Upds[0].Core = 6 }},
+		{"steady quantum for a pending thread", func(st *sim.MachineState) {
+			st.Steady.Upds[0].Proc, st.Steady.Upds[0].Thread, st.Steady.Upds[0].Core = 3, 0, -1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := roundTrip(t, base)
+			tc.edit(st)
+			if _, err := sim.RestoreMachine(chip.XGene2Spec(), st); err == nil {
+				t.Fatal("malformed state restored without error")
+			}
+		})
+	}
+}
+
+// FuzzRestoreMachine drives arbitrary JSON through the snapshot trust
+// boundary: whatever RestoreMachine accepts must step and capture again
+// without panicking. It steps one simulated second, capped at 1e5 ticks
+// so a mutated sub-microsecond tick cannot stall the fuzzer.
+func FuzzRestoreMachine(f *testing.F) {
+	raw, err := json.Marshal(restoreBase(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st sim.MachineState
+		if json.Unmarshal(data, &st) != nil {
+			return
+		}
+		m, err := sim.RestoreMachine(chip.XGene2Spec(), &st)
+		if err != nil {
+			return
+		}
+		m.RunFor(math.Min(1, 1e5*st.Tick))
+		m.CaptureState()
+	})
+}
+
 // snapshotBenchReport is the JSON summary recorded as BENCH_snapshot.json.
 type snapshotBenchReport struct {
 	ColdMS          float64 `json:"cold_ms"`

@@ -6,14 +6,13 @@
 # benchmark, the simulator hot-path benchmark, the experiment-runner
 # speedup gate, the characterization-store memoization
 # gate, the control-plane throughput gate, the request-tracing overhead
-# gate, the snapshot restore-and-replay gate, the batched-stepping
-# speedup gate, and the cluster scale-out gate (3-node router-proxied
-# read throughput vs the single-node floor, plus drain-to-peer
-# migration latency), and the closed-form surrogate gates (query
-# latency/allocs plus surrogate-vs-simulator accuracy). The benchmarks'
-# JSON summaries are written to BENCH_telemetry.json, BENCH_sim.json,
-# BENCH_experiments.json, BENCH_cache.json, BENCH_service.json,
-# BENCH_trace.json, BENCH_snapshot.json, BENCH_batch.json,
+# gate, the snapshot restore-and-replay gate, and the cluster scale-out
+# gate (3-node router-proxied read throughput vs the single-node floor,
+# plus drain-to-peer migration latency), and the closed-form surrogate
+# gates (query latency/allocs plus surrogate-vs-simulator accuracy). The
+# benchmarks' JSON summaries are written to BENCH_telemetry.json,
+# BENCH_sim.json, BENCH_experiments.json, BENCH_cache.json,
+# BENCH_service.json, BENCH_trace.json, BENCH_snapshot.json,
 # BENCH_cluster.json and BENCH_surrogate.json at the repository root
 # (see docs/OBSERVABILITY.md, docs/PERFORMANCE.md, EXPERIMENTS.md and
 # docs/API.md).
@@ -34,6 +33,7 @@ go test -race ./...
 echo "==> fuzz smoke (5 s per target)"
 go test ./internal/castore -run '^$' -fuzz '^FuzzLoad$' -fuzztime 5s
 go test ./internal/chip -run '^$' -fuzz '^FuzzClamps$' -fuzztime 5s
+go test ./internal/sim -run '^$' -fuzz '^FuzzRestoreMachine$' -fuzztime 5s
 go test ./internal/export -run '^$' -fuzz '^FuzzSanitize$' -fuzztime 5s
 go test ./internal/sysfs -run '^$' -fuzz '^FuzzReadWrite$' -fuzztime 5s
 go test ./internal/telemetry/export -run '^$' -fuzz '^FuzzParsePrometheus$' -fuzztime 5s
@@ -104,13 +104,6 @@ AVFS_BENCH_SNAPSHOT_OUT="$(pwd)/BENCH_snapshot.json" \
 
 echo "==> BENCH_snapshot.json"
 cat BENCH_snapshot.json
-
-echo "==> batched-stepping benchmark (solo loop vs structure-of-arrays lockstep)"
-AVFS_BENCH_BATCH_OUT="$(pwd)/BENCH_batch.json" \
-	go test ./internal/sim -run TestBatchStepBudget -count=1 -v
-
-echo "==> BENCH_batch.json"
-cat BENCH_batch.json
 
 # Runs after the service gate so BENCH_service.json carries the
 # single-node floor the 2.5x scale target is derived from.
