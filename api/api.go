@@ -173,9 +173,13 @@ type Process struct {
 	CoreEnergyJ float64 `json:"core_energy_joules"`
 }
 
-// ProcessList is the response of GET /v1/sessions/{id}/processes.
+// ProcessList is the response of GET /v1/sessions/{id}/processes: the
+// live processes plus the newest finished ones. FinishedDropped counts the
+// older finished processes the session no longer lists; Session.Done
+// counts every finished process.
 type ProcessList struct {
-	Processes []Process `json:"processes"`
+	Processes       []Process `json:"processes"`
+	FinishedDropped int       `json:"finished_dropped,omitempty"`
 }
 
 // RunRequest advances a session's simulated time.
@@ -360,8 +364,8 @@ type Snapshot struct {
 	Now     float64 `json:"now_seconds"`
 	Ticks   uint64  `json:"ticks"`
 	EnergyJ float64 `json:"energy_joules"`
-	// Processes counts every process the snapshot carries (pending,
-	// running and finished).
+	// Processes counts the processes the snapshot carries: pending,
+	// running and the newest finished ones the session retains.
 	Processes int `json:"processes"`
 }
 

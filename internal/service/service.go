@@ -238,6 +238,7 @@ func New(cfg Config) *Fleet {
 	}
 	f.baseCtx, f.cancelBase = context.WithCancel(context.Background())
 	f.store.Instrument(f.reg)
+	f.snaps.Instrument(f.reg)
 	f.mSessions = f.reg.Counter("avfs_fleet_sessions_created_total", "Sessions created.")
 	f.mReaped = f.reg.Counter("avfs_fleet_sessions_reaped_total", "Sessions deleted by the TTL reaper.")
 	f.mRuns = f.reg.Counter("avfs_fleet_runs_total", "Time-advance operations admitted (sync and async).")

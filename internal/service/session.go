@@ -108,11 +108,12 @@ type session struct {
 	ttl       time.Duration
 	lastTouch time.Time
 	// traceBuf is the bounded decision-trace ring the JSONL endpoint
-	// serves; traceBase is the absolute index of traceBuf[0]. The cursor
-	// is int64 end-to-end (like the span cursor): a long-lived session's
-	// absolute offsets must not overflow on 32-bit builds.
+	// serves: decision abs lives in slot abs%traceCap, and traceNext is the
+	// absolute index of the next one. The cursor is int64 end-to-end (like
+	// the span cursor): a long-lived session's absolute offsets must not
+	// overflow on 32-bit builds.
 	traceBuf  []telemetry.Decision
-	traceBase int64
+	traceNext int64
 	// jobs holds every async run ever admitted for the session (they are
 	// few and tiny; reaping the session drops them all).
 	jobs []*job
@@ -151,6 +152,12 @@ type job struct {
 // Optimal daemon on the paper's workload emits a few thousand decisions;
 // the ring holds the recent window and reports how much it dropped.
 const traceCap = 4096
+
+// sessionHistory is how many finished processes and voltage emergencies
+// a session's machine retains (see sim.Machine.SetHistoryLimit), so
+// snapshots, what-ifs, forks and migrations cost O(live), not O(everything
+// ever run). The session's counts stay exact.
+const sessionHistory = 64
 
 // obsConfig carries the fleet's observability settings into a session,
 // plus the shared steady-segment memo (see Fleet.sessionWiring).
@@ -226,6 +233,7 @@ func newSession(parent context.Context, id string, req api.CreateSessionRequest,
 	if req.Coalescing != nil {
 		s.m.SetCoalescing(*req.Coalescing)
 	}
+	s.m.SetHistoryLimit(sessionHistory)
 	s.m.SetSteadyMemo(obs.memo)
 	s.tracer.Subscribe(s.appendTrace)
 	telemetry.WireMachine(s.m, s.reg, s.tracer)
@@ -302,6 +310,7 @@ func restoreSession(parent context.Context, id string, st *snapshot.SessionState
 		cancel()
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
+	s.m.SetHistoryLimit(sessionHistory)
 	s.m.SetSteadyMemo(obs.memo)
 	s.tracer.Subscribe(s.appendTrace)
 	telemetry.WireMachine(s.m, s.reg, s.tracer)
@@ -706,7 +715,7 @@ func (s *session) runResultLocked() api.RunResult {
 		Now:         s.m.Now(),
 		Ticks:       s.m.Ticks(),
 		EnergyJ:     s.m.Meter.Energy(),
-		Emergencies: len(s.m.Emergencies()),
+		Emergencies: s.m.EmergencyCount(),
 	}
 }
 
@@ -729,13 +738,13 @@ func (s *session) snapshot(now time.Time) api.Session {
 		Ticks:          s.m.Ticks(),
 		Running:        s.m.RunningCount(),
 		Pending:        s.m.PendingCount(),
-		Done:           len(s.m.Finished()),
+		Done:           s.m.FinishedCount(),
 		VoltageMV:      int(s.m.Chip.Voltage()),
 		RequiredVminMV: int(s.m.RequiredSafeVmin()),
 		EnergyJ:        s.m.Meter.Energy(),
 		AvgPowerW:      s.m.Meter.AveragePower(),
 		PeakPowerW:     s.m.Meter.Peak(),
-		Emergencies:    len(s.m.Emergencies()),
+		Emergencies:    s.m.EmergencyCount(),
 		UtilizedPMDs:   s.m.UtilizedPMDCount(),
 		IdleSeconds:    now.Sub(s.lastTouch).Seconds(),
 	}
@@ -753,7 +762,7 @@ func (s *session) energy() api.Energy {
 		PeakPowerW:     s.m.Meter.Peak(),
 		VoltageMV:      int(s.m.Chip.Voltage()),
 		RequiredVminMV: int(s.m.RequiredSafeVmin()),
-		Emergencies:    len(s.m.Emergencies()),
+		Emergencies:    s.m.EmergencyCount(),
 		Breakdown: map[string]float64{
 			"core_dynamic": bd.CoreDynamic,
 			"pmd_uncore":   bd.PMDUncore,
@@ -764,11 +773,15 @@ func (s *session) energy() api.Energy {
 	}
 }
 
-// processes lists every process the session has seen, pending first.
+// processes lists the session's live processes, pending first, then the
+// retained finished tail in completion order.
 func (s *session) processes() api.ProcessList {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := api.ProcessList{Processes: []api.Process{}}
+	out := api.ProcessList{
+		Processes:       []api.Process{},
+		FinishedDropped: s.m.FinishedCount() - len(s.m.Finished()),
+	}
 	for _, set := range [][]*sim.Process{s.m.Pending(), s.m.Running(), s.m.Finished()} {
 		for _, p := range set {
 			out.Processes = append(out.Processes, s.wireProcessLocked(p))
@@ -806,31 +819,40 @@ func (s *session) wireProcessLocked(p *sim.Process) api.Process {
 
 // appendTrace feeds the decision ring (called under mu: the tracer only
 // emits while the machine steps, and the machine only steps under mu).
+// Once full, each decision overwrites the oldest slot in O(1).
 func (s *session) appendTrace(d telemetry.Decision) {
-	if len(s.traceBuf) == traceCap {
-		n := copy(s.traceBuf, s.traceBuf[1:])
-		s.traceBuf = s.traceBuf[:n]
-		s.traceBase++
+	if len(s.traceBuf) < traceCap {
+		s.traceBuf = append(s.traceBuf, d)
+	} else {
+		s.traceBuf[s.traceNext%traceCap] = d
 	}
-	s.traceBuf = append(s.traceBuf, d)
+	s.traceNext++
 }
 
 // traceSince returns the buffered decisions with absolute index >= since,
-// plus the next offset to poll from and whether the offset had fallen
-// behind the ring (decisions between it and the oldest retained record
-// were dropped — the caller must know it missed data rather than
+// in order, plus the next offset to poll from and whether the offset had
+// fallen behind the ring (decisions between it and the oldest retained
+// record were dropped — the caller must know it missed data rather than
 // silently resuming).
 func (s *session) traceSince(since int64) (recs []telemetry.Decision, next int64, truncated bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if since < s.traceBase {
+	if oldest := s.traceNext - int64(len(s.traceBuf)); since < oldest {
 		truncated = true
-		since = s.traceBase
+		since = oldest
 	}
-	if rel := since - s.traceBase; rel < int64(len(s.traceBuf)) {
-		recs = append(recs, s.traceBuf[rel:]...)
+	if since < s.traceNext {
+		recs = make([]telemetry.Decision, 0, s.traceNext-since)
 	}
-	return recs, s.traceBase + int64(len(s.traceBuf)), truncated
+	// The window is at most two runs of the backing array: from since's
+	// slot to the end, then from slot 0.
+	for since < s.traceNext {
+		i := since % traceCap
+		run := s.traceBuf[i:min(int64(len(s.traceBuf)), i+s.traceNext-since)]
+		recs = append(recs, run...)
+		since += int64(len(run))
+	}
+	return recs, s.traceNext, truncated
 }
 
 // lookupJob finds an async handle by ID.

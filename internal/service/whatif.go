@@ -368,7 +368,7 @@ func buildBranch(st *snapshot.SessionState, spec branchSpec) (*branchRig, error)
 	}
 	return &branchRig{
 		m: m, now0: m.Now(), energy0: m.Meter.Energy(),
-		em0: len(m.Emergencies()), done0: len(m.Finished()),
+		em0: m.EmergencyCount(), done0: m.FinishedCount(),
 	}, nil
 }
 
@@ -385,10 +385,13 @@ func (r *branchRig) report(out *api.WhatIfBranch) {
 	}
 	out.Running = m.RunningCount()
 	out.Pending = m.PendingCount()
-	out.Emergencies = len(m.Emergencies()) - r.em0
+	out.Emergencies = m.EmergencyCount() - r.em0
 	out.VoltageMV = int(m.Chip.Voltage())
 
-	fins := m.Finished()[r.done0:]
+	// Branch machines keep their full history past the snapshot point, so
+	// the window's completions are the newest entries of the tail.
+	fins := m.Finished()
+	fins = fins[len(fins)-(m.FinishedCount()-r.done0):]
 	out.Completed = len(fins)
 	if len(fins) > 0 {
 		runtimes := make([]float64, 0, len(fins))

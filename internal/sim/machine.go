@@ -144,8 +144,14 @@ type Machine struct {
 	// demand/latency fixed point across ticks.
 	memRho float64
 
+	// emergencies and finished are the retained history, oldest first;
+	// emDropped and finDropped count the entries trimmed off their fronts
+	// under histLimit (0 keeps everything), so the totals stay exact.
 	emergencies []Emergency
 	finished    []*Process
+	emDropped   int
+	finDropped  int
+	histLimit   int
 	lastWatts   float64
 	// energyBD accumulates joules per power-model component.
 	energyBD power.Breakdown
@@ -572,8 +578,44 @@ func (m *Machine) PendingCount() int { return len(m.pending) }
 // can have changed.
 func (m *Machine) PlacementGeneration() uint64 { return m.placeGen }
 
-// Finished returns every completed process so far, in completion order.
+// Finished returns the retained completed processes in completion order:
+// all of them unless SetHistoryLimit bounds the tail.
 func (m *Machine) Finished() []*Process { return m.finished }
+
+// FinishedCount returns how many processes have completed, including
+// those SetHistoryLimit dropped from Finished.
+func (m *Machine) FinishedCount() int { return m.finDropped + len(m.finished) }
+
+// SetHistoryLimit bounds the retained history to the newest n finished
+// processes and the newest n emergencies (0, the default, keeps
+// everything). Older finished processes leave Finished and ProcessByID;
+// FinishedCount and EmergencyCount stay exact. Nothing on the stepping
+// path reads a finished process, so the limit never changes a trajectory.
+func (m *Machine) SetHistoryLimit(n int) {
+	m.histLimit = max(n, 0)
+	m.trimHistory()
+}
+
+// trimHistory drops the history beyond the limit off the fronts of the
+// tails. Reslicing keeps each drop O(1): append reallocates a tail once its
+// capacity runs out, copying only the retained entries.
+func (m *Machine) trimHistory() {
+	if m.histLimit == 0 {
+		return
+	}
+	if k := len(m.finished) - m.histLimit; k > 0 {
+		for i, p := range m.finished[:k] {
+			delete(m.procs, p.ID)
+			m.finished[i] = nil
+		}
+		m.finished = m.finished[k:]
+		m.finDropped += k
+	}
+	if k := len(m.emergencies) - m.histLimit; k > 0 {
+		m.emergencies = m.emergencies[k:]
+		m.emDropped += k
+	}
+}
 
 // ActiveCores returns the cores currently hosting threads.
 func (m *Machine) ActiveCores() []chip.CoreID {
@@ -597,8 +639,13 @@ func (m *Machine) UtilizedPMDCount() int {
 // Counters returns a copy of core c's PMU counters.
 func (m *Machine) Counters(c chip.CoreID) CoreCounters { return m.counters[c] }
 
-// Emergencies returns the recorded voltage-emergency instants.
+// Emergencies returns the retained voltage-emergency instants, oldest
+// first: all of them unless SetHistoryLimit bounds the tail.
 func (m *Machine) Emergencies() []Emergency { return m.emergencies }
+
+// EmergencyCount returns how many voltage emergencies were recorded,
+// including those SetHistoryLimit dropped from Emergencies.
+func (m *Machine) EmergencyCount() int { return m.emDropped + len(m.emergencies) }
 
 // EmergencyChecks returns how many times the voltage-emergency check ran.
 func (m *Machine) EmergencyChecks() int { return m.emChecks }
@@ -953,6 +1000,7 @@ func (m *Machine) stepFull() {
 			m.emergencies = append(m.emergencies, Emergency{
 				At: m.now, Voltage: m.Chip.Voltage(), Required: req,
 			})
+			m.trimHistory()
 			m.logEvent(EvEmergency, -1, "V=%v < required %v", m.Chip.Voltage(), req)
 		}
 	}
@@ -1056,6 +1104,7 @@ func (m *Machine) completeFinished() {
 		p.State = Finished
 		p.Completed = m.now
 		m.finished = append(m.finished, p)
+		m.trimHistory()
 		m.placeGen++
 		m.logEvent(EvFinish, p.ID, "%s after %.1fs", p.Bench.Name, p.Runtime())
 		for _, fn := range m.onFinish {

@@ -351,6 +351,7 @@ func (m *Machine) applyMemoTick(e *steadySegment) {
 			m.emergencies = append(m.emergencies, Emergency{
 				At: m.now, Voltage: m.Chip.Voltage(), Required: e.reqMV,
 			})
+			m.trimHistory()
 			m.logEvent(EvEmergency, -1, "V=%v < required %v", m.Chip.Voltage(), e.reqMV)
 		}
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"avfs/internal/chip"
 	"avfs/internal/power"
@@ -111,10 +112,17 @@ type MachineState struct {
 	Emergencies []Emergency    `json:"emergencies,omitempty"`
 	Counters    []CoreCounters `json:"counters"`
 
-	// Processes in ascending ID order; FinishedOrder records completion
-	// order by ID (the procs map alone cannot reproduce it).
+	// Processes are the retained ones in ascending ID order; FinishedOrder
+	// records completion order by ID (the procs map alone cannot
+	// reproduce it).
 	Processes     []ProcessState `json:"processes"`
 	FinishedOrder []int          `json:"finished_order,omitempty"`
+
+	// FinishedDropped and EmergenciesDropped count the history a bounded
+	// machine trimmed (see SetHistoryLimit). Both are omitted when zero, so
+	// a state that dropped nothing encodes exactly as before they existed.
+	FinishedDropped    int `json:"finished_dropped,omitempty"`
+	EmergenciesDropped int `json:"emergencies_dropped,omitempty"`
 
 	// Steady is non-nil when the coalescing cache was live at capture.
 	Steady *SteadyState `json:"steady,omitempty"`
@@ -148,17 +156,20 @@ func (m *Machine) CaptureState() *MachineState {
 		FinCheck:         m.finCheck,
 		Counters:         append([]CoreCounters(nil), m.counters...),
 	}
+	st.FinishedDropped, st.EmergenciesDropped = m.finDropped, m.emDropped
 	for p := 0; p < m.Spec.PMDs(); p++ {
 		st.PMDFreqMHz = append(st.PMDFreqMHz, int(m.Chip.PMDFreq(chip.PMDID(p))))
 	}
 	if len(m.emergencies) > 0 {
 		st.Emergencies = append([]Emergency(nil), m.emergencies...)
 	}
-	for id := 0; id < m.nextID; id++ {
-		p, ok := m.procs[id]
-		if !ok {
-			continue
-		}
+	ids := make([]int, 0, len(m.procs))
+	for id := range m.procs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		p := m.procs[id]
 		ps := ProcessState{
 			ID:         p.ID,
 			Bench:      p.Bench.Name,
@@ -231,6 +242,15 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 	if st.Ticks >= 1<<53 {
 		return nil, fmt.Errorf("sim: snapshot tick count %d out of range", st.Ticks)
 	}
+	// The history counts are exported as float64 metrics; past 2^53 they
+	// would stop being exact.
+	if st.NextID < 0 || int64(st.NextID) >= 1<<53 {
+		return nil, fmt.Errorf("sim: snapshot next ID %d out of range", st.NextID)
+	}
+	if st.FinishedDropped < 0 || st.EmergenciesDropped < 0 || int64(st.EmergenciesDropped) >= 1<<53 {
+		return nil, fmt.Errorf("sim: snapshot dropped counts %d/%d out of range",
+			st.FinishedDropped, st.EmergenciesDropped)
+	}
 	if len(st.Counters) != spec.Cores || len(st.PMDFreqMHz) != spec.PMDs() {
 		return nil, fmt.Errorf("sim: snapshot shape mismatch (counters=%d pmds=%d)",
 			len(st.Counters), len(st.PMDFreqMHz))
@@ -254,6 +274,8 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 	if len(st.Emergencies) > 0 {
 		m.emergencies = append([]Emergency(nil), st.Emergencies...)
 	}
+	m.emDropped = st.EmergenciesDropped
+	m.finDropped = st.FinishedDropped
 	m.Meter.Restore(power.MeterState{EnergyJ: st.EnergyJ, Seconds: st.Seconds, PeakW: st.PeakW})
 
 	// Electrical state. The captured values were read from a live chip, so
@@ -266,15 +288,18 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 
 	// Processes and threads, rebuilt verbatim (not through newProcess —
 	// the Amdahl split already happened at original submission). A
-	// machine never forgets a process, so IDs 0..NextID-1 are all present,
-	// in order: this rejects gaps, duplicates and an inflated NextID that
-	// would make every later capture scan a huge ID range.
-	if len(st.Processes) != st.NextID {
-		return nil, fmt.Errorf("sim: snapshot has %d processes but next ID %d", len(st.Processes), st.NextID)
+	// machine forgets only the finished processes it dropped, so the
+	// retained IDs strictly ascend below NextID and account for every ID
+	// the dropped count does not: with nothing dropped, 0..NextID-1 are
+	// all present. This rejects gaps, duplicates and an inflated NextID.
+	if st.NextID-st.FinishedDropped != len(st.Processes) {
+		return nil, fmt.Errorf("sim: snapshot has %d processes and %d dropped but next ID %d",
+			len(st.Processes), st.FinishedDropped, st.NextID)
 	}
-	for id, ps := range st.Processes {
-		if ps.ID != id {
-			return nil, fmt.Errorf("sim: snapshot process %d has ID %d", id, ps.ID)
+	nFinished := 0
+	for i, ps := range st.Processes {
+		if ps.ID < 0 || ps.ID >= st.NextID || (i > 0 && ps.ID <= st.Processes[i-1].ID) {
+			return nil, fmt.Errorf("sim: snapshot process %d has ID %d out of order", i, ps.ID)
 		}
 		state := ProcState(ps.State)
 		if state != Pending && state != Running && state != Finished {
@@ -328,13 +353,22 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 			m.pending = append(m.pending, p)
 		case Running:
 			m.running = append(m.running, p)
+		case Finished:
+			nFinished++
 		}
 	}
+	// FinishedOrder lists every retained finished process exactly once.
+	if len(st.FinishedOrder) != nFinished {
+		return nil, fmt.Errorf("sim: snapshot finished-order has %d entries for %d finished processes",
+			len(st.FinishedOrder), nFinished)
+	}
+	listed := make(map[int]bool, nFinished)
 	for _, id := range st.FinishedOrder {
 		p := m.procs[id]
-		if p == nil || p.State != Finished {
+		if p == nil || p.State != Finished || listed[id] {
 			return nil, fmt.Errorf("sim: snapshot finished-order references process %d", id)
 		}
+		listed[id] = true
 		m.finished = append(m.finished, p)
 	}
 

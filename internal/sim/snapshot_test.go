@@ -316,15 +316,18 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 }
 
 // FuzzRestoreMachine drives arbitrary JSON through the snapshot trust
-// boundary: whatever RestoreMachine accepts must step and capture again
-// without panicking. It steps one simulated second, capped at 1e5 ticks
-// so a mutated sub-microsecond tick cannot stall the fuzzer.
+// boundary, seeded with a full-history and a trimmed state: whatever
+// RestoreMachine accepts must step and capture again without panicking.
+// It steps one simulated second, capped at 1e5 ticks so a mutated
+// sub-microsecond tick cannot stall the fuzzer.
 func FuzzRestoreMachine(f *testing.F) {
-	raw, err := json.Marshal(restoreBase(f))
-	if err != nil {
-		f.Fatal(err)
+	for _, st := range []*sim.MachineState{restoreBase(f), restoreTrimmed(f)} {
+		raw, err := json.Marshal(st)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
 	}
-	f.Add(raw)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st sim.MachineState
 		if json.Unmarshal(data, &st) != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"avfs/internal/castore"
+	"avfs/internal/telemetry"
 )
 
 // errNotFound is the fill of a lookup: an id neither tier holds.
@@ -15,6 +16,15 @@ var errNotFound = errors.New("snapshot: not found")
 // concurrent use.
 type Store struct {
 	cas *castore.Store[json.RawMessage]
+	// hBytes observes every Put's payload size once Instrument ran.
+	hBytes *telemetry.Histogram
+}
+
+// Instrument registers the store's payload-size histogram on a telemetry
+// registry. Call it before the first Put.
+func (s *Store) Instrument(reg *telemetry.Registry) {
+	s.hBytes = reg.Histogram("avfs_snapshot_bytes", "Encoded size of each snapshot stored, in bytes.",
+		[]float64{1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20})
 }
 
 // NewStore creates a store. dir may be empty for memory-only operation;
@@ -33,6 +43,9 @@ func (s *Store) Put(st *SessionState) (string, error) {
 	id, payload, err := Encode(st)
 	if err != nil {
 		return "", err
+	}
+	if s.hBytes != nil {
+		s.hBytes.Observe(float64(len(payload)))
 	}
 	// The only error is a concurrent Get's not-found for this id, handed to
 	// the Put that waited on it; the next round stores the payload.

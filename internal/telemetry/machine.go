@@ -64,7 +64,7 @@ func WireMachine(m *sim.Machine, reg *Registry, tr *Tracer) {
 			m.MemUtilization)
 		reg.Gauge(MetricSimSeconds, "Simulation time.", m.Now)
 		reg.CounterFunc(MetricEmergencies, "Instants with programmed voltage below the requirement.",
-			func() float64 { return float64(len(m.Emergencies())) })
+			func() float64 { return float64(m.EmergencyCount()) })
 		reg.CounterFunc(MetricEmergChecks, "Voltage-emergency evaluations performed.",
 			func() float64 { return float64(m.EmergencyChecks()) })
 		reg.CounterFunc(MetricSimTicks, "Simulator ticks committed.",
