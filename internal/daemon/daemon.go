@@ -408,9 +408,6 @@ func (d *Daemon) SetEnabled(on bool) {
 	}
 }
 
-// Enabled reports whether the decision loop is active.
-func (d *Daemon) Enabled() bool { return !d.disabled }
-
 // Reconfigure swaps the daemon's configuration at runtime (the service
 // layer's policy flips). It validates like New, refuses to interleave with
 // a staged transition, and marks the placement dirty so the next tick

@@ -2,19 +2,18 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"avfs/internal/ascii"
 	"avfs/internal/chip"
-	"avfs/internal/clock"
 	"avfs/internal/daemon"
 	"avfs/internal/metrics"
 	"avfs/internal/power"
-	"avfs/internal/sched"
 	"avfs/internal/sim"
 	"avfs/internal/trace"
-	"avfs/internal/vmin"
 	"avfs/internal/wlgen"
 )
 
@@ -50,6 +49,36 @@ func (c SystemConfig) String() string {
 	default:
 		return fmt.Sprintf("SystemConfig(%d)", int(c))
 	}
+}
+
+// Name is the configuration's wire name: baseline, safe-vmin, placement
+// or optimal.
+func (c SystemConfig) Name() string {
+	if c < Baseline || c > Optimal {
+		return c.String()
+	}
+	return [...]string{"baseline", "safe-vmin", "placement", "optimal"}[c]
+}
+
+// ErrUnknownPolicy rejects a wire name of none of the configurations.
+var ErrUnknownPolicy = errors.New("experiments: unknown policy")
+
+// ParseSystemConfig resolves a wire name, case-insensitively: a Name,
+// the aliases safevmin and safe_vmin, or "" for Optimal.
+func ParseSystemConfig(s string) (SystemConfig, error) {
+	switch name := strings.ToLower(strings.TrimSpace(s)); name {
+	case "":
+		return Optimal, nil
+	case "safevmin", "safe_vmin":
+		return SafeVmin, nil
+	default:
+		for _, c := range SystemConfigs() {
+			if c.Name() == name {
+				return c, nil
+			}
+		}
+	}
+	return Optimal, fmt.Errorf("%w: %q (want baseline, safe-vmin, placement or optimal)", ErrUnknownPolicy, s)
 }
 
 // SystemConfigs lists all four in table order.
@@ -106,25 +135,9 @@ func evaluate(spec *chip.Spec, wl *wlgen.Workload, cfg SystemConfig, coalesce bo
 	m := sim.New(spec)
 	m.SetCoalescing(coalesce)
 	res := EvalResult{Config: cfg, Chip: spec}
-
-	var d *daemon.Daemon
-	switch cfg {
-	case Baseline:
-		sched.NewBaseline(m)
-	case SafeVmin:
-		sched.NewBaseline(m)
-		// Static undervolt to the worst-case class envelope: safe for
-		// every placement the default stack can produce at any
-		// frequency (full speed is the binding class).
-		m.Chip.SetVoltage(vmin.ClassEnvelope(spec, clock.FullSpeed, spec.PMDs()) + GuardMV)
-	case Placement:
-		d = daemon.New(m, daemon.PlacementOnlyConfig())
-		d.Attach()
-	case Optimal:
-		d = daemon.New(m, daemon.DefaultConfig())
-		d.Attach()
-	default:
-		return res, nil, fmt.Errorf("experiments: unknown system config %v", cfg)
+	stack, err := NewStack(m, cfg, 0, nil, nil)
+	if err != nil {
+		return res, nil, err
 	}
 
 	rec := trace.NewRecorder(1.0)
@@ -133,8 +146,8 @@ func evaluate(spec *chip.Spec, wl *wlgen.Workload, cfg SystemConfig, coalesce bo
 		return float64(len(m.ActiveCores()))
 	})
 	classCounts := func() (cpu, mem int) {
-		if d != nil {
-			return d.ClassCounts()
+		if cfg.runsDaemon() {
+			return stack.D.ClassCounts()
 		}
 		for _, p := range m.Running() {
 			if p.Bench.MemoryIntensive() {
@@ -166,9 +179,9 @@ func evaluate(spec *chip.Spec, wl *wlgen.Workload, cfg SystemConfig, coalesce bo
 	res.AvgPowerW = m.Meter.AveragePower()
 	res.ED2P = res.EnergyJ * res.TimeSec * res.TimeSec
 	res.Emergencies = len(m.Emergencies())
-	if d != nil {
-		res.DaemonStats = d.Stats()
-	}
+	// A disabled daemon takes no actions, so Baseline and Safe Vmin stay
+	// at zero.
+	res.DaemonStats = stack.D.Stats()
 	return res, m, nil
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"avfs/internal/ascii"
 	"avfs/internal/chip"
-	"avfs/internal/daemon"
 	"avfs/internal/metrics"
 	"avfs/internal/sched"
 	"avfs/internal/sim"
@@ -42,12 +41,6 @@ func RunCapStudy(spec *chip.Spec, duration float64, seed int64) (CapStudy, error
 	return RunCapStudyContext(context.Background(), Campaign{}, spec, duration, seed)
 }
 
-// capVariant is one labelled system of the capping comparison.
-type capVariant struct {
-	label string
-	setup func(*sim.Machine)
-}
-
 // RunCapStudyContext is RunCapStudy with explicit cancellation and a
 // campaign. The Baseline and Optimal replays are independent cells; the
 // capped replay must wait for them because its budget is the Optimal
@@ -56,9 +49,7 @@ func RunCapStudyContext(ctx context.Context, cam Campaign, spec *chip.Spec, dura
 	wl := wlgen.Generate(spec, wlgen.Config{Duration: duration}, seed)
 	st := CapStudy{Chip: spec, Seed: seed, Duration: duration}
 
-	replay := func(label string, setup func(*sim.Machine)) (CapPoint, error) {
-		m := sim.New(spec)
-		setup(m)
+	replay := func(label string, m *sim.Machine) (CapPoint, error) {
 		if err := replayArrivals(m, wl, "cap-study "+label); err != nil {
 			return CapPoint{}, err
 		}
@@ -72,30 +63,30 @@ func RunCapStudyContext(ctx context.Context, cam Campaign, spec *chip.Spec, dura
 		}, nil
 	}
 
-	firstTwo, err := runCells(ctx, cam, []capVariant{
-		{label: "Baseline (ondemand)", setup: func(m *sim.Machine) { sched.NewBaseline(m) }},
-		{label: "Optimal daemon", setup: func(m *sim.Machine) {
-			daemon.New(m, daemon.DefaultConfig()).Attach()
-		}},
-	}, func(_ context.Context, v capVariant) (CapPoint, error) {
-		return replay(v.label, v.setup)
+	labels := map[SystemConfig]string{Baseline: "Baseline (ondemand)", Optimal: "Optimal daemon"}
+	firstTwo, err := runCells(ctx, cam, []SystemConfig{Baseline, Optimal}, func(_ context.Context, cfg SystemConfig) (CapPoint, error) {
+		m := sim.New(spec)
+		if _, err := NewStack(m, cfg, 0, nil, nil); err != nil {
+			return CapPoint{}, err
+		}
+		return replay(labels[cfg], m)
 	})
 	if err != nil {
 		return st, err
 	}
 	base, opt := firstTwo[0], firstTwo[1]
 	st.BudgetW = opt.AvgPowerW
-	cappedRes, err := runCells(ctx, cam, []capVariant{
-		{label: fmt.Sprintf("Power cap @ %.1fW", st.BudgetW), setup: func(m *sim.Machine) {
-			sched.NewPowerCap(m, st.BudgetW).Attach()
-		}},
-	}, func(_ context.Context, v capVariant) (CapPoint, error) {
-		return replay(v.label, v.setup)
+	capped, err := runCells(ctx, cam, []float64{st.BudgetW}, func(_ context.Context, w float64) (CapPoint, error) {
+		// The RAPL-only system: the standalone governor brings its own
+		// placer and no policy stack.
+		m := sim.New(spec)
+		sched.NewPowerCap(m, w).Attach()
+		return replay(fmt.Sprintf("Power cap @ %.1fW", w), m)
 	})
 	if err != nil {
 		return st, err
 	}
-	st.Points = []CapPoint{base, cappedRes[0], opt}
+	st.Points = []CapPoint{base, capped[0], opt}
 	return st, nil
 }
 

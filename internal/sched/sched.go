@@ -206,9 +206,6 @@ func NewBaseline(m *sim.Machine) *Baseline {
 // simulator's tick coalescing.
 func (b *Baseline) SetEnabled(on bool) { b.disabled = !on }
 
-// Enabled reports whether the stack is active.
-func (b *Baseline) Enabled() bool { return !b.disabled }
-
 // BaselineState is the serializable controller state of a Baseline stack,
 // captured by the fleet's session snapshots.
 type BaselineState struct {

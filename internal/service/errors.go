@@ -25,6 +25,7 @@ package service
 import (
 	"errors"
 
+	"avfs/internal/experiments"
 	"avfs/internal/experiments/runner"
 )
 
@@ -41,7 +42,7 @@ var (
 	ErrUnknownModel = errors.New("service: unknown chip model")
 	// ErrUnknownPolicy rejects a policy outside the four Table IV
 	// configurations (baseline, safe-vmin, placement, optimal).
-	ErrUnknownPolicy = errors.New("service: unknown policy")
+	ErrUnknownPolicy = experiments.ErrUnknownPolicy
 	// ErrConflict rejects an operation that cannot interleave with the
 	// session's current state (e.g. a policy flip while the daemon's
 	// fail-safe transition is in flight).

@@ -161,21 +161,6 @@ func (f *Fleet) Estimate(req api.EstimateRequest) (api.Estimate, error) {
 	return out, nil
 }
 
-// systemConfigOf maps a canonical wire policy name onto the Table IV
-// configuration the surrogate's policy cells are keyed by.
-func systemConfigOf(policy string) experiments.SystemConfig {
-	switch policy {
-	case PolicyBaseline:
-		return experiments.Baseline
-	case PolicySafeVmin:
-		return experiments.SafeVmin
-	case PolicyPlacement:
-		return experiments.Placement
-	default:
-		return experiments.Optimal
-	}
-}
-
 // surrogateProcs extracts the remaining work of a snapshot's pending and
 // running processes as surrogate process descriptors: the slowest
 // thread's remaining instruction fraction drives the closed-form finish
@@ -233,10 +218,11 @@ func (f *Fleet) whatIfFast(id, snapID string, st *snapshot.SessionState, specs [
 		for i := range specs {
 			sp := specs[i]
 			out := &report.Branches[i]
-			bs := surrogate.BranchSpec{
-				Config:    systemConfigOf(out.Policy),
-				PowerCapW: sp.capW,
+			cfg, err := experiments.ParseSystemConfig(out.Policy)
+			if err != nil {
+				return err
 			}
+			bs := surrogate.BranchSpec{Config: cfg, PowerCapW: sp.capW}
 			if sp.place != nil {
 				bs.Placement, bs.HasPlacement = *sp.place, true
 			}

@@ -246,7 +246,7 @@ func TestSessionHistoryExact(t *testing.T) {
 		t.Errorf("fork done %d ticks %d, parent done %d ticks %d", child.Done, child.Ticks, after.Done, after.Ticks)
 	}
 	for _, b := range rep.Branches {
-		if b.Policy != PolicyOptimal {
+		if b.Policy != "optimal" {
 			continue
 		}
 		if b.Completed != after.Done-before.Done || b.Ticks != after.Ticks || b.Emergencies != after.Emergencies-before.Emergencies {

@@ -228,6 +228,6 @@ func (f *Fleet) SetSessionPowerCap(id string, w float64) error {
 	if s.migrating {
 		return fmt.Errorf("%w: session migrating to a peer", ErrConflict)
 	}
-	s.setPowerCapLocked(w)
+	s.stack.SetPowerCap(w)
 	return nil
 }

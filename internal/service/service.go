@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"avfs/api"
+	"avfs/internal/experiments"
 	"avfs/internal/experiments/runner"
 	"avfs/internal/sim"
 	"avfs/internal/snapshot"
@@ -490,11 +491,11 @@ func (f *Fleet) ListPage(cursor string, limit int, state, policy string) (api.Se
 		return api.SessionList{}, fmt.Errorf("%w: state %q (want idle or busy)", ErrInvalidRequest, state)
 	}
 	if policy != "" {
-		p, err := parsePolicy(policy)
+		cfg, err := experiments.ParseSystemConfig(policy)
 		if err != nil {
 			return api.SessionList{}, err
 		}
-		policy = p
+		policy = cfg.Name()
 	}
 	now := f.cfg.Clock()
 	f.mu.Lock()

@@ -10,37 +10,13 @@ import (
 	"avfs/api"
 	"avfs/internal/chip"
 	"avfs/internal/clock"
-	"avfs/internal/daemon"
-	"avfs/internal/sched"
+	"avfs/internal/experiments"
 	"avfs/internal/sim"
 	"avfs/internal/snapshot"
 	"avfs/internal/telemetry"
 	"avfs/internal/vmin"
 	"avfs/internal/workload"
 )
-
-// Policy names the four Table IV system configurations on the wire.
-const (
-	PolicyBaseline  = "baseline"
-	PolicySafeVmin  = "safe-vmin"
-	PolicyPlacement = "placement"
-	PolicyOptimal   = "optimal"
-)
-
-// parsePolicy canonicalizes a wire policy name ("" defaults to optimal).
-func parsePolicy(s string) (string, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", PolicyOptimal:
-		return PolicyOptimal, nil
-	case PolicyBaseline:
-		return PolicyBaseline, nil
-	case PolicySafeVmin, "safevmin", "safe_vmin":
-		return PolicySafeVmin, nil
-	case PolicyPlacement:
-		return PolicyPlacement, nil
-	}
-	return "", fmt.Errorf("%w: %q (want baseline, safe-vmin, placement or optimal)", ErrUnknownPolicy, s)
-}
 
 // parsePlacement resolves a wire placement name ("" defaults to
 // clustered), returning the canonical name alongside.
@@ -102,9 +78,7 @@ type session struct {
 
 	mu        sync.Mutex
 	m         *sim.Machine
-	d         *daemon.Daemon
-	base      *sched.Baseline
-	policy    string
+	stack     *experiments.Stack
 	ttl       time.Duration
 	lastTouch time.Time
 	// traceBuf is the bounded decision-trace ring the JSONL endpoint
@@ -126,12 +100,6 @@ type session struct {
 	// lands between the shipped snapshot and the deletion. Cleared if the
 	// ship fails.
 	migrating bool
-	// cap is the session's power-cap governor, attached lazily on the
-	// first cap request (governor-only: the active policy stack owns
-	// placement) and then toggled/retuned in place. capW mirrors the
-	// active budget (0 = uncapped) for the read surface.
-	cap  *sched.PowerCap
-	capW float64
 }
 
 // job is the handle of one asynchronous time advance (or what-if
@@ -190,75 +158,30 @@ func newSession(parent context.Context, id string, req api.CreateSessionRequest,
 	if err != nil {
 		return nil, err
 	}
-	policy, err := parsePolicy(req.Policy)
+	cfg, err := experiments.ParseSystemConfig(req.Policy)
 	if err != nil {
 		return nil, err
 	}
 	if req.TickSeconds < 0 || req.PollSeconds < 0 || req.TTLSeconds < 0 {
 		return nil, fmt.Errorf("%w: negative duration", ErrInvalidRequest)
 	}
-
-	ctx, cancel := context.WithCancel(parent)
-	s := &session{
-		id:        id,
-		model:     model,
-		node:      obs.node,
-		created:   now,
-		ctx:       ctx,
-		cancel:    cancel,
-		reg:       telemetry.NewRegistry(),
-		tracer:    telemetry.NewTracer(),
-		policy:    policy,
-		ttl:       defaultTTL,
-		lastTouch: now,
-	}
-	if req.TTLSeconds > 0 {
-		s.ttl = time.Duration(req.TTLSeconds * float64(time.Second))
-	}
-	if obs.enabled {
-		s.spans = telemetry.NewSpanRing(obs.spanCap)
-		s.reqSLO = telemetry.NewSLOTracker(obs.window)
-		s.advSLO = telemetry.NewSLOTracker(obs.window)
-		lockBounds := []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
-		s.hLockWait = s.reg.Histogram("avfs_session_lock_wait_seconds",
-			"Actor mailbox queue-wait: time spent acquiring the session lock per run chunk.", lockBounds)
-		s.hLockHold = s.reg.Histogram("avfs_session_lock_hold_seconds",
-			"Actor hold-time: time the session lock was held per run chunk.", lockBounds)
-	}
-
-	s.m = sim.New(spec)
+	m := sim.New(spec)
 	if req.TickSeconds > 0 {
-		s.m.Tick = req.TickSeconds
+		m.Tick = req.TickSeconds
 	}
 	if req.Coalescing != nil {
-		s.m.SetCoalescing(*req.Coalescing)
+		m.SetCoalescing(*req.Coalescing)
 	}
-	s.m.SetHistoryLimit(sessionHistory)
-	s.m.SetSteadyMemo(obs.memo)
-	s.tracer.Subscribe(s.appendTrace)
-	telemetry.WireMachine(s.m, s.reg, s.tracer)
-
-	// Both stacks attach up front; policy selection enables exactly one.
-	// A disabled stack's hooks are inert and impose no tick boundary, so
-	// it costs nothing while the other runs (and nothing blocks the
-	// simulator's steady-state coalescing).
-	s.base = sched.NewBaseline(s.m)
-	cfg := daemon.DefaultConfig()
-	if req.PollSeconds > 0 {
-		cfg.PollInterval = req.PollSeconds
-	}
-	s.d = daemon.New(s.m, cfg)
-	s.d.Instrument(s.reg, s.tracer)
-	s.d.Attach()
-	s.applyPolicyLocked(policy)
-	return s, nil
+	return assembleSession(parent, id, model, m, req.TTLSeconds, defaultTTL, now, obs,
+		func(reg *telemetry.Registry, tr *telemetry.Tracer) (*experiments.Stack, error) {
+			return experiments.NewStack(m, cfg, req.PollSeconds, reg, tr)
+		})
 }
 
-// restoreSession rebuilds a session from a snapshot: a fresh machine and
-// both control stacks wired in the exact order newSession uses (so hooks
-// fire in the same sequence and replay stays bit-deterministic), then the
-// serialized state written over them. The policy field is set directly —
-// applyPolicyLocked would clobber the restored electrical state.
+// restoreSession rebuilds a session from a snapshot: the machine, then
+// its control stack with the captured controller state written over it
+// (see experiments.RestoreStack, which also rejects a stack that
+// contradicts the snapshot's policy label).
 func restoreSession(parent context.Context, id string, st *snapshot.SessionState,
 	ttlSeconds float64, defaultTTL time.Duration, now time.Time, obs obsConfig) (*session, error) {
 
@@ -266,16 +189,30 @@ func restoreSession(parent context.Context, id string, st *snapshot.SessionState
 	if err != nil {
 		return nil, err
 	}
-	policy, err := parsePolicy(st.Policy)
-	if err != nil {
-		return nil, err
-	}
-	if st.Machine == nil || st.Daemon == nil {
-		return nil, fmt.Errorf("%w: snapshot missing machine or daemon state", ErrInvalidRequest)
+	if st.Machine == nil {
+		return nil, fmt.Errorf("%w: snapshot missing machine state", ErrInvalidRequest)
 	}
 	if ttlSeconds < 0 {
 		return nil, fmt.Errorf("%w: negative duration", ErrInvalidRequest)
 	}
+	m, err := sim.RestoreMachine(spec, st.Machine)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+	}
+	return assembleSession(parent, id, model, m, ttlSeconds, defaultTTL, now, obs,
+		func(reg *telemetry.Registry, tr *telemetry.Tracer) (*experiments.Stack, error) {
+			return experiments.RestoreStack(m, st, reg, tr)
+		})
+}
+
+// assembleSession wraps machine m in a session: its private telemetry,
+// the observability plane, the bounded history and the fleet memo, then
+// the control stack that build attaches to m (after the machine's
+// telemetry hooks, so hooks fire in one order for every session). A
+// stack that does not build is an invalid request.
+func assembleSession(parent context.Context, id, model string, m *sim.Machine, ttlSeconds float64,
+	defaultTTL time.Duration, now time.Time, obs obsConfig,
+	build func(*telemetry.Registry, *telemetry.Tracer) (*experiments.Stack, error)) (*session, error) {
 
 	ctx, cancel := context.WithCancel(parent)
 	s := &session{
@@ -287,7 +224,7 @@ func restoreSession(parent context.Context, id string, st *snapshot.SessionState
 		cancel:    cancel,
 		reg:       telemetry.NewRegistry(),
 		tracer:    telemetry.NewTracer(),
-		policy:    policy,
+		m:         m,
 		ttl:       defaultTTL,
 		lastTouch: now,
 	}
@@ -304,130 +241,41 @@ func restoreSession(parent context.Context, id string, st *snapshot.SessionState
 		s.hLockHold = s.reg.Histogram("avfs_session_lock_hold_seconds",
 			"Actor hold-time: time the session lock was held per run chunk.", lockBounds)
 	}
-
-	s.m, err = sim.RestoreMachine(spec, st.Machine)
-	if err != nil {
-		cancel()
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-	}
-	s.m.SetHistoryLimit(sessionHistory)
-	s.m.SetSteadyMemo(obs.memo)
+	m.SetHistoryLimit(sessionHistory)
+	m.SetSteadyMemo(obs.memo)
 	s.tracer.Subscribe(s.appendTrace)
-	telemetry.WireMachine(s.m, s.reg, s.tracer)
-
-	// Stack wiring mirrors newSession exactly; the snapshot's daemon config
-	// already carries the session's poll interval and policy configuration.
-	s.base = sched.NewBaseline(s.m)
-	s.d = daemon.New(s.m, daemon.DefaultConfig())
-	s.d.Instrument(s.reg, s.tracer)
-	s.d.Attach()
-	if err := s.d.RestoreState(st.Daemon); err != nil {
+	telemetry.WireMachine(m, s.reg, s.tracer)
+	var err error
+	if s.stack, err = build(s.reg, s.tracer); err != nil {
 		cancel()
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-	}
-	s.base.RestoreState(st.Baseline)
-	// The snapshot recorded which stack was enabled via the policy name and
-	// the daemon/baseline Disabled flags; both were just restored, so only
-	// the session-level label needs setting.
-	s.policy = policy
-	// A captured power-cap governor re-attaches last, mirroring the lazy
-	// attach order of the live session (policy stacks first, cap after),
-	// so the hook sequence — and therefore replay — is identical.
-	if st.PowerCap != nil {
-		s.cap = sched.RestorePowerCap(s.m, *st.PowerCap)
-		s.cap.AttachGovernor()
-		if s.cap.Enabled() {
-			s.capW = s.cap.BudgetW
-		}
+		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
 	return s, nil
 }
 
 // captureStateLocked serializes the session's full (machine, daemon,
-// baseline) state. mu must be held. It fails with ErrConflict while the
-// daemon has a staged fail-safe transition in flight (the queued phases
-// are closures and cannot be serialized); callers should retry after at
-// most 3*TransitionTicks ticks.
+// baseline, power cap) state. mu must be held. It fails with ErrConflict
+// while the daemon has a staged fail-safe transition in flight (the
+// queued phases are closures and cannot be serialized); callers should
+// retry after at most 3*TransitionTicks ticks.
 func (s *session) captureStateLocked() (*snapshot.SessionState, error) {
-	ds, err := s.d.CaptureState()
-	if err != nil {
+	st := &snapshot.SessionState{Model: s.model, Machine: s.m.CaptureState()}
+	if err := s.stack.Capture(st); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConflict, err)
-	}
-	st := &snapshot.SessionState{
-		Model:    s.model,
-		Policy:   s.policy,
-		Machine:  s.m.CaptureState(),
-		Daemon:   ds,
-		Baseline: s.base.CaptureState(),
-	}
-	if s.cap != nil {
-		cs := s.cap.CaptureState()
-		st.PowerCap = &cs
 	}
 	return st, nil
 }
 
-// applyPolicy flips the enabled stack and electrical state of a
-// (machine, daemon, baseline) triple to the given (already canonicalized)
-// policy. It is shared by live sessions (under their lock) and by the
-// transient what-if branches, which apply policy overrides to restored
-// machines that never become sessions.
-func applyPolicy(m *sim.Machine, d *daemon.Daemon, base *sched.Baseline, policy string) {
-	spec := m.Spec
-	switch policy {
-	case PolicyBaseline, PolicySafeVmin:
-		d.SetEnabled(false)
-		// The default stack owns frequency (ondemand) and assumes a fixed
-		// voltage: nominal for Baseline, the worst-case static undervolt
-		// envelope for Safe Vmin (Sec. VI-B).
-		m.Chip.SetAllFreq(spec.MaxFreq)
-		if policy == PolicySafeVmin {
-			m.Chip.SetVoltage(vmin.ClassEnvelope(spec, clock.FullSpeed, spec.PMDs()) +
-				daemon.DefaultConfig().GuardMV)
-		} else {
-			m.Chip.SetVoltage(spec.NominalMV)
-		}
-		base.SetEnabled(true)
-	case PolicyPlacement, PolicyOptimal:
-		base.SetEnabled(false)
-		cfg := d.Cfg
-		if policy == PolicyPlacement {
-			poCfg := daemon.PlacementOnlyConfig()
-			poCfg.PollInterval = cfg.PollInterval
-			cfg = poCfg
-		} else {
-			optCfg := daemon.DefaultConfig()
-			optCfg.PollInterval = cfg.PollInterval
-			cfg = optCfg
-		}
-		if policy == PolicyPlacement {
-			// The Placement configuration holds the voltage at nominal.
-			m.Chip.SetVoltage(spec.NominalMV)
-		}
-		// Reconfigure cannot fail here: the caller verified no transition
-		// is in flight, and the poll interval is inherited (positive).
-		_ = d.Reconfigure(cfg)
-		d.SetEnabled(true)
-	}
-}
-
-// applyPolicyLocked flips the session to the given (already canonicalized)
-// policy. mu must be held (or the session not yet published).
-func (s *session) applyPolicyLocked(policy string) {
-	applyPolicy(s.m, s.d, s.base, policy)
-	s.policy = policy
-}
-
 // setPolicy flips a live session between the Table IV configurations
 // and/or retunes its power cap. A request with PowerCapW set and Policy
-// "" is cap-only: the active policy is left alone (parsePolicy would
-// otherwise read "" as the optimal default).
+// "" is cap-only: the active policy is left alone (ParseSystemConfig
+// would otherwise read "" as the optimal default).
 func (s *session) setPolicy(req api.PolicyRequest, now time.Time) error {
 	flip := req.Policy != "" || req.PowerCapW == nil
-	var policy string
+	var cfg experiments.SystemConfig
 	if flip {
 		var err error
-		if policy, err = parsePolicy(req.Policy); err != nil {
+		if cfg, err = experiments.ParseSystemConfig(req.Policy); err != nil {
 			return err
 		}
 	}
@@ -440,38 +288,15 @@ func (s *session) setPolicy(req api.PolicyRequest, now time.Time) error {
 	if s.migrating {
 		return fmt.Errorf("%w: session migrating to a peer", ErrConflict)
 	}
-	if flip && policy != s.policy {
-		if s.d.TransitionInFlight() {
-			return fmt.Errorf("%w: fail-safe voltage transition draining; retry", ErrConflict)
+	if flip {
+		if err := s.stack.Apply(cfg); err != nil {
+			return fmt.Errorf("%w: %v", ErrConflict, err)
 		}
-		s.applyPolicyLocked(policy)
 	}
 	if req.PowerCapW != nil {
-		s.setPowerCapLocked(*req.PowerCapW)
+		s.stack.SetPowerCap(*req.PowerCapW)
 	}
 	return nil
-}
-
-// setPowerCapLocked attaches, retunes or lifts the session's power-cap
-// governor. mu must be held. The governor attaches once (machines have
-// no hook removal) and is toggled in place afterwards; disabled it is
-// inert and imposes no tick boundary.
-func (s *session) setPowerCapLocked(w float64) {
-	if w <= 0 {
-		if s.cap != nil {
-			s.cap.SetEnabled(false)
-		}
-		s.capW = 0
-		return
-	}
-	if s.cap == nil {
-		s.cap = sched.NewPowerCap(s.m, w)
-		s.cap.AttachGovernor()
-	} else {
-		s.cap.SetBudget(w)
-	}
-	s.cap.SetEnabled(true)
-	s.capW = w
 }
 
 // submit queues a program on the machine. It takes effect immediately when
@@ -730,10 +555,10 @@ func (s *session) snapshot(now time.Time) api.Session {
 	return api.Session{
 		ID:             s.id,
 		Model:          s.model,
-		Policy:         s.policy,
+		Policy:         s.stack.Config.Name(),
 		State:          state,
 		Node:           s.node,
-		PowerCapW:      s.capW,
+		PowerCapW:      s.stack.PowerCapW(),
 		Now:            s.m.Now(),
 		Ticks:          s.m.Ticks(),
 		Running:        s.m.RunningCount(),

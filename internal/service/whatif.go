@@ -10,8 +10,7 @@ import (
 
 	"avfs/api"
 	"avfs/internal/chip"
-	"avfs/internal/daemon"
-	"avfs/internal/sched"
+	"avfs/internal/experiments"
 	"avfs/internal/sim"
 	"avfs/internal/snapshot"
 )
@@ -92,9 +91,9 @@ func (f *Fleet) Fork(id string, req api.ForkRequest) (api.Fork, error) {
 	if err != nil {
 		return api.Fork{}, err
 	}
-	var childPolicy string
+	var childCfg experiments.SystemConfig
 	if req.Policy != "" {
-		if childPolicy, err = parsePolicy(req.Policy); err != nil {
+		if childCfg, err = experiments.ParseSystemConfig(req.Policy); err != nil {
 			return api.Fork{}, err
 		}
 	}
@@ -124,10 +123,12 @@ func (f *Fleet) Fork(id string, req api.ForkRequest) (api.Fork, error) {
 	if err != nil {
 		return api.Fork{}, err
 	}
-	if childPolicy != "" && childPolicy != child.policy {
+	if req.Policy != "" {
 		// The restored daemon cannot have a transition in flight (capture
 		// refuses one), so the flip is always legal here.
-		child.applyPolicyLocked(childPolicy)
+		if err := child.stack.Apply(childCfg); err != nil {
+			return api.Fork{}, fmt.Errorf("%w: %v", ErrConflict, err)
+		}
 	}
 	ws, err := f.publish(child, now)
 	if err != nil {
@@ -139,7 +140,7 @@ func (f *Fleet) Fork(id string, req api.ForkRequest) (api.Fork, error) {
 // branchSpec is one validated what-if branch configuration.
 type branchSpec struct {
 	name      string
-	policy    string // canonical, or "" to inherit the snapshot's
+	cfg       *experiments.SystemConfig // nil inherits the snapshot's
 	capW      float64
 	place     *sim.Placement
 	placeName string
@@ -149,11 +150,11 @@ type branchSpec struct {
 func parseBranchSpec(b api.WhatIfBranchSpec) (branchSpec, error) {
 	var out branchSpec
 	if b.Policy != "" {
-		p, err := parsePolicy(b.Policy)
+		cfg, err := experiments.ParseSystemConfig(b.Policy)
 		if err != nil {
 			return out, err
 		}
-		out.policy = p
+		out.cfg = &cfg
 	}
 	if b.PowerCapW < 0 {
 		return out, fmt.Errorf("%w: power_cap_watts must be >= 0", ErrInvalidRequest)
@@ -170,8 +171,8 @@ func parseBranchSpec(b api.WhatIfBranchSpec) (branchSpec, error) {
 	out.name = b.Name
 	if out.name == "" {
 		switch {
-		case out.policy != "":
-			out.name = out.policy
+		case out.cfg != nil:
+			out.name = out.cfg.Name()
 		case out.capW > 0:
 			out.name = fmt.Sprintf("cap-%gw", out.capW)
 		case out.placeName != "":
@@ -201,11 +202,8 @@ func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (a
 	}
 	wire := req.Branches
 	if len(wire) == 0 {
-		wire = []api.WhatIfBranchSpec{
-			{Policy: PolicyBaseline},
-			{Policy: PolicySafeVmin},
-			{Policy: PolicyPlacement},
-			{Policy: PolicyOptimal},
+		for _, cfg := range experiments.SystemConfigs() {
+			wire = append(wire, api.WhatIfBranchSpec{Policy: cfg.Name()})
 		}
 	}
 	specs := make([]branchSpec, len(wire))
@@ -327,10 +325,10 @@ type branchRig struct {
 	done0   int
 }
 
-// buildBranch restores a transient machine from the snapshot and applies
-// the branch's overrides (policy flip, power cap, re-placement), exactly
-// as restoreSession wires a real session minus telemetry — branches are
-// unobserved and never enter the registry.
+// buildBranch restores a transient machine and its control stack from the
+// snapshot and applies the branch's overrides. The policy flip and the
+// power cap compose exactly as PUT /policy applies them to a live
+// session; the branch is unobserved and never enters the registry.
 func buildBranch(st *snapshot.SessionState, spec branchSpec) (*branchRig, error) {
 	chipSpec, _, err := parseModel(st.Model)
 	if err != nil {
@@ -340,26 +338,18 @@ func buildBranch(st *snapshot.SessionState, spec branchSpec) (*branchRig, error)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	// Stack wiring mirrors restoreSession: baseline first, then daemon,
-	// then state restore.
-	base := sched.NewBaseline(m)
-	d := daemon.New(m, daemon.DefaultConfig())
-	d.Attach()
-	if err := d.RestoreState(st.Daemon); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+	stack, err := experiments.RestoreStack(m, st, nil, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
-	base.RestoreState(st.Baseline)
-
-	if spec.policy != "" && spec.policy != st.Policy {
-		applyPolicy(m, d, base, spec.policy)
+	if spec.cfg != nil {
+		// Capture refuses an in-flight transition, so the flip is legal.
+		if err := stack.Apply(*spec.cfg); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrConflict, err)
+		}
 	}
-	// A cap override replaces any captured governor; otherwise the
-	// snapshot's own cap is restored so a control branch replays the
-	// capped session faithfully.
 	if spec.capW > 0 {
-		sched.NewPowerCap(m, spec.capW).Attach()
-	} else if st.PowerCap != nil {
-		sched.RestorePowerCap(m, *st.PowerCap).AttachGovernor()
+		stack.SetPowerCap(spec.capW)
 	}
 	if spec.place != nil {
 		if err := replaceRunning(m, *spec.place); err != nil {
@@ -416,8 +406,8 @@ func branchReports(st *snapshot.SessionState, specs []branchSpec) []api.WhatIfBr
 			Name: sp.name, Policy: st.Policy,
 			PowerCapW: sp.capW, Placement: sp.placeName,
 		}
-		if sp.policy != "" {
-			out[i].Policy = sp.policy
+		if sp.cfg != nil {
+			out[i].Policy = sp.cfg.Name()
 		}
 	}
 	return out

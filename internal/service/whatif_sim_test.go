@@ -166,7 +166,7 @@ func TestWhatIfMatchesSolo(t *testing.T) {
 		t.Fatalf("snapshot %s not stored", snap.ID)
 	}
 	specs := make([]branchSpec, 0, 4)
-	for _, p := range []string{PolicyBaseline, PolicySafeVmin, PolicyPlacement, PolicyOptimal} {
+	for _, p := range []string{"baseline", "safe-vmin", "placement", "optimal"} {
 		sp, err := parseBranchSpec(api.WhatIfBranchSpec{Policy: p})
 		if err != nil {
 			t.Fatal(err)

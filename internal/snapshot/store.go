@@ -58,12 +58,13 @@ func (s *Store) Put(st *SessionState) (string, error) {
 
 // Get resolves a snapshot by id, checking the memory tier first and then
 // the disk mirror. The returned state is a fresh copy; mutating it never
-// affects the stored snapshot.
+// affects the stored snapshot. A payload without its machine or daemon
+// state (a planted disk file can carry a matching id) is a miss.
 func (s *Store) Get(id string) (*SessionState, bool) {
 	payload, _, err := s.cas.Get(id, func() (json.RawMessage, error) { return nil, errNotFound })
 	if err != nil {
 		return nil, false
 	}
 	st, err := Decode(payload)
-	return st, err == nil
+	return st, err == nil && st.Machine != nil && st.Daemon != nil
 }
