@@ -231,9 +231,6 @@ type Job struct {
 	Seconds float64    `json:"seconds"`
 	Error   *Error     `json:"error,omitempty"`
 	Result  *RunResult `json:"result,omitempty"`
-	// WhatIf holds the simulated comparison report of a finished what-if
-	// refinement job (fast what-if with refine); nil for run jobs.
-	WhatIf *WhatIfReport `json:"whatif,omitempty"`
 	// Node names the fleet node the job ran on ("" on an unnamed
 	// single-node deployment).
 	Node string `json:"node,omitempty"`
@@ -426,11 +423,6 @@ type WhatIfRequest struct {
 	// branch, within the surrogate's fitted error bounds. The report's
 	// Source says which engine produced it.
 	Fast bool `json:"fast,omitempty"`
-	// Refine (with Fast) additionally kicks off the full simulated
-	// comparison as a background job; the report's RefineJob carries the
-	// job handle, and the finished job's WhatIf field holds the simulated
-	// report for the same snapshot and branches.
-	Refine bool `json:"refine,omitempty"`
 }
 
 // WhatIfBranch reports one branch's outcome over the what-if window
@@ -484,19 +476,15 @@ type WhatIfReport struct {
 	// ties); "" when no branch succeeded.
 	BestEnergy string `json:"best_energy,omitempty"`
 	BestPerf   string `json:"best_perf,omitempty"`
-	// Batch summarizes the simulated advancement: every simulated report
-	// (sync, or a fast what-if's refinement job) advances its branches
-	// one after another on one pool job. Absent from surrogate reports
-	// and when the worker pool rejected the job outright.
+	// Batch summarizes the simulated advancement: a simulated report
+	// advances its branches one after another on one pool job. Absent
+	// from surrogate reports and when the worker pool rejected the job
+	// outright.
 	Batch *WhatIfBatch `json:"batch,omitempty"`
 	// Source reports which engine produced the branch metrics:
 	// "simulated" (the default replay path) or "surrogate" (the fast
 	// closed-form tier).
 	Source string `json:"source,omitempty"`
-	// RefineJob is the background simulated-comparison job handle when the
-	// request asked for fast + refine; poll it via the jobs API and read
-	// the simulated report from the finished job's WhatIf field.
-	RefineJob string `json:"refine_job,omitempty"`
 }
 
 // WhatIfBatch summarizes one simulated what-if advancement: the ticks

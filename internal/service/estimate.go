@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -18,10 +17,10 @@ import (
 
 // This file is the serving-path side of the fleet's instant-estimate
 // tier: GET /v1/estimate answers closed-form surrogate queries with no
-// session at all, and the fast what-if mode answers every branch of a
-// POST /v1/sessions/{id}/whatif from the surrogate in microseconds,
-// optionally kicking off the full simulated comparison as a background
-// refinement job whose outcome feeds the surrogate error gauge.
+// session at all, the fast what-if mode answers every branch of a
+// POST /v1/sessions/{id}/whatif from the surrogate in microseconds, and
+// every simulated what-if checks the surrogate against its own result to
+// feed the surrogate drift gauge.
 
 // WhatIfReport.Source values.
 const (
@@ -197,14 +196,6 @@ func surrogateProcs(st *snapshot.SessionState) ([]surrogate.Proc, error) {
 // EstimateSet per branch over the snapshot's remaining work, microseconds
 // in total where the simulated path pays milliseconds per branch.
 func (f *Fleet) whatIfFast(id, snapID string, st *snapshot.SessionState, specs []branchSpec, req api.WhatIfRequest) (api.WhatIfReport, error) {
-	spec, model, err := parseModel(st.Model)
-	if err != nil {
-		return api.WhatIfReport{}, err
-	}
-	procs, err := surrogateProcs(st)
-	if err != nil {
-		return api.WhatIfReport{}, err
-	}
 	report := api.WhatIfReport{
 		Session:    id,
 		SnapshotID: snapID,
@@ -214,11 +205,30 @@ func (f *Fleet) whatIfFast(id, snapID string, st *snapshot.SessionState, specs [
 		Source:     whatIfSurrogate,
 		Branches:   branchReports(st, specs),
 	}
-	err = f.withEstimator(spec, model, 0, surrogate.CONS, func(est *surrogate.Estimator) error {
-		for i := range specs {
-			sp := specs[i]
-			out := &report.Branches[i]
-			cfg, err := experiments.ParseSystemConfig(out.Policy)
+	if err := f.estimateBranches(st, specs, req.Seconds, req.UntilIdle, report.Branches); err != nil {
+		return api.WhatIfReport{}, err
+	}
+	f.mSurQueries.Add(int64(len(specs)))
+	fillBests(&report)
+	return report, nil
+}
+
+// estimateBranches fills out (headed by branchReports) with the
+// surrogate's answer for every branch over the snapshot's remaining work.
+func (f *Fleet) estimateBranches(st *snapshot.SessionState, specs []branchSpec, seconds float64, untilIdle bool, out []api.WhatIfBranch) error {
+	spec, model, err := parseModel(st.Model)
+	if err != nil {
+		return err
+	}
+	procs, err := surrogateProcs(st)
+	if err != nil {
+		return err
+	}
+	baseNow := float64(st.Machine.Ticks) * st.Machine.Tick
+	return f.withEstimator(spec, model, 0, surrogate.CONS, func(est *surrogate.Estimator) error {
+		for i, sp := range specs {
+			b := &out[i]
+			cfg, err := experiments.ParseSystemConfig(b.Policy)
 			if err != nil {
 				return err
 			}
@@ -226,145 +236,50 @@ func (f *Fleet) whatIfFast(id, snapID string, st *snapshot.SessionState, specs [
 			if sp.place != nil {
 				bs.Placement, bs.HasPlacement = *sp.place, true
 			}
-			se := est.EstimateSet(procs, bs, req.Seconds, req.UntilIdle)
-			out.Seconds = se.Seconds
-			out.Now = report.BaseNow + se.Seconds
-			out.EnergyJ = se.EnergyJ
-			out.AvgPowerW = se.AvgPowerW
-			out.Completed, out.Running, out.Pending = se.Completed, se.Running, se.Pending
-			out.MakespanS = se.MakespanS
-			out.P50RuntimeS, out.P99RuntimeS = se.P50RuntimeS, se.P99RuntimeS
-			out.VoltageMV = int(se.VoltageMV)
-			f.mSurQueries.Inc()
+			se := est.EstimateSet(procs, bs, seconds, untilIdle)
+			b.Seconds = se.Seconds
+			b.Now = baseNow + se.Seconds
+			b.EnergyJ = se.EnergyJ
+			b.AvgPowerW = se.AvgPowerW
+			b.Completed, b.Running, b.Pending = se.Completed, se.Running, se.Pending
+			b.MakespanS = se.MakespanS
+			b.P50RuntimeS, b.P99RuntimeS = se.P50RuntimeS, se.P99RuntimeS
+			b.VoltageMV = int(se.VoltageMV)
 		}
 		return nil
 	})
-	if err != nil {
-		return api.WhatIfReport{}, err
-	}
-	fillBests(&report)
-	return report, nil
 }
 
-// startRefinement launches the full simulated comparison behind a fast
-// what-if answer as a background job on the session. The finished job
-// carries the simulated report (api.Job.WhatIf), and its completion
-// updates the refinement counter and the surrogate error gauge with the
-// largest relative energy error between the fast and simulated branches.
-func (f *Fleet) startRefinement(s *session, id, snapID string, st *snapshot.SessionState, specs []branchSpec, req api.WhatIfRequest, fast *api.WhatIfReport) (string, error) {
-	f.mu.Lock()
-	f.nextJob++
-	jid := fmt.Sprintf("j-%06d", f.nextJob)
-	f.mu.Unlock()
-
-	jctx, cancel := context.WithCancel(s.ctx)
-	j := &job{
-		id:        jid,
-		seconds:   req.Seconds,
-		untilIdle: req.UntilIdle,
-		status:    api.JobQueued,
-		cancel:    cancel,
-		done:      make(chan struct{}),
+// publishDrift is the surrogate drift canary of a finished simulated
+// what-if: it answers the same branches from the surrogate and stores the
+// worst relative energy error in avfs_surrogate_refine_rel_err. It reads
+// the report without changing it, counts no surrogate query, skips on a
+// surrogate error, and leaves the gauge alone when no branch was
+// simulated to the end (a cancelled or rejected what-if): a 0 there would
+// read as "no drift".
+func (f *Fleet) publishDrift(st *snapshot.SessionState, specs []branchSpec, seconds float64, untilIdle bool, simulated []api.WhatIfBranch) {
+	est := branchReports(st, specs)
+	if f.estimateBranches(st, specs, seconds, untilIdle, est) != nil {
+		return
 	}
-	s.mu.Lock()
-	if s.migrating {
-		s.mu.Unlock()
-		cancel()
-		return "", fmt.Errorf("%w: session migrating to a peer", ErrConflict)
+	if worst, ok := surrogateRelErr(est, simulated); ok {
+		f.surDriftErr.Store(math.Float64bits(worst))
 	}
-	s.jobs = append(s.jobs, j)
-	s.activeJobs++
-	s.mu.Unlock()
-
-	baseNow, baseTicks := fast.BaseNow, fast.BaseTicks
-	doneCh, err := f.pool.Go(jctx, func(ctx context.Context) error {
-		s.mu.Lock()
-		j.status = api.JobRunning
-		s.mu.Unlock()
-		rep := api.WhatIfReport{
-			Session:    id,
-			SnapshotID: snapID,
-			BaseNow:    baseNow,
-			BaseTicks:  baseTicks,
-			Seconds:    req.Seconds,
-			Source:     whatIfSimulated,
-			Branches:   branchReports(st, specs),
-		}
-		// Already on a pool worker: advance the branches inline.
-		rep.Batch = f.advanceBranches(ctx, st, specs, req.Seconds, req.UntilIdle, rep.Branches)
-		runErr := ctx.Err()
-		if runErr == nil {
-			fillBests(&rep)
-			f.mSurRefines.Inc()
-			f.surRefineErr.Store(math.Float64bits(refineRelErr(fast, &rep)))
-		}
-		s.mu.Lock()
-		j.whatif = &rep
-		j.err = runErr
-		switch {
-		case runErr == nil:
-			j.status = api.JobDone
-		case ctx.Err() != nil:
-			j.status = api.JobCanceled
-		default:
-			j.status = api.JobFailed
-		}
-		s.activeJobs--
-		s.mu.Unlock()
-		close(j.done)
-		return runErr
-	})
-	if err != nil {
-		// Admission failed: withdraw the handle (by identity — another
-		// request may have appended since).
-		s.mu.Lock()
-		for i, cand := range s.jobs {
-			if cand == j {
-				s.jobs = append(s.jobs[:i], s.jobs[i+1:]...)
-				break
-			}
-		}
-		s.activeJobs--
-		s.mu.Unlock()
-		cancel()
-		f.mRejected.Inc()
-		return "", err
-	}
-	// A job cancelled while still queued is retired by the pool without
-	// ever running its body; finalize the handle from the done channel.
-	go func() {
-		<-doneCh
-		s.mu.Lock()
-		if j.status == api.JobQueued {
-			j.status = api.JobCanceled
-			j.err = jctx.Err()
-			s.activeJobs--
-			s.mu.Unlock()
-			close(j.done)
-			return
-		}
-		s.mu.Unlock()
-	}()
-	f.mRuns.Inc()
-	return jid, nil
 }
 
-// refineRelErr is the largest relative energy error between the fast
-// (surrogate) and refined (simulated) reports over branches both engines
-// answered — what the avfs_surrogate_refine_rel_err gauge reports.
-func refineRelErr(fast, refined *api.WhatIfReport) float64 {
-	worst := 0.0
-	for i := range refined.Branches {
-		if i >= len(fast.Branches) {
-			break
-		}
-		r, q := &refined.Branches[i], &fast.Branches[i]
-		if r.Error != nil || q.Error != nil || r.EnergyJ <= 0 {
+// surrogateRelErr is the largest relative energy error of the surrogate
+// branches est against the simulated ones over the branches the simulator
+// finished with energy spent; ok is false when there were none.
+func surrogateRelErr(est, simulated []api.WhatIfBranch) (worst float64, ok bool) {
+	for i := range simulated {
+		r := &simulated[i]
+		if r.Error != nil || r.EnergyJ <= 0 {
 			continue
 		}
-		if e := math.Abs(q.EnergyJ-r.EnergyJ) / r.EnergyJ; e > worst {
+		ok = true
+		if e := math.Abs(est[i].EnergyJ-r.EnergyJ) / r.EnergyJ; e > worst {
 			worst = e
 		}
 	}
-	return worst
+	return worst, ok
 }

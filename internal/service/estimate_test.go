@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"avfs/api"
 	"avfs/internal/workload"
@@ -192,79 +191,71 @@ func TestWhatIfFast(t *testing.T) {
 	if got := f.mSurQueries.Value(); got != int64(len(want)) {
 		t.Errorf("surrogate query counter = %d, want %d", got, len(want))
 	}
-	// No refinement was requested: no job handle, no background work.
-	if rep.RefineJob != "" {
-		t.Errorf("unexpected refine job %q", rep.RefineJob)
-	}
 	if jobs, _ := f.Jobs(s.ID); len(jobs.Jobs) != 0 {
 		t.Errorf("fast what-if spawned %d jobs", len(jobs.Jobs))
 	}
 }
 
-// TestWhatIfFastRefine: fast + refine answers instantly from the
-// surrogate and runs the simulated comparison behind a job whose handle
-// carries the refined report; completion feeds the error gauge.
-func TestWhatIfFastRefine(t *testing.T) {
-	f, _ := testFleet(t, Config{})
+// TestWhatIfFastTracksSimulated answers one snapshot from both engines:
+// the surrogate's branches track the simulated ones, and the sync
+// what-if publishes the drift canary (the worst relative energy error of
+// the two) without counting a surrogate query. A cancelled what-if that
+// finished no branch leaves the canary where it was.
+func TestWhatIfFastTracksSimulated(t *testing.T) {
+	f, _ := testFleet(t, Config{Workers: 1})
 	s := seedSession(t, f, "baseline")
-
-	rep, err := f.WhatIf(context.Background(), s.ID, api.WhatIfRequest{Seconds: 60, Fast: true, Refine: true})
+	snap, err := f.Snapshot(s.ID)
 	if err != nil {
-		t.Fatalf("fast+refine WhatIf: %v", err)
+		t.Fatalf("Snapshot: %v", err)
 	}
-	if rep.Source != "surrogate" || rep.RefineJob == "" {
-		t.Fatalf("bad fast report: source %q, refine_job %q", rep.Source, rep.RefineJob)
+	ctx := context.Background()
+	fast, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{SnapshotID: snap.ID, Seconds: 60, Fast: true})
+	if err != nil {
+		t.Fatalf("fast WhatIf: %v", err)
 	}
-
-	var j api.Job
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j, err = f.Job(s.ID, rep.RefineJob)
-		if err != nil {
-			t.Fatalf("Job: %v", err)
+	queries := f.mSurQueries.Value()
+	req := api.WhatIfRequest{SnapshotID: snap.ID, Seconds: 60}
+	simulated, err := f.WhatIf(ctx, s.ID, req)
+	if err != nil {
+		t.Fatalf("sync WhatIf: %v", err)
+	}
+	if got := f.mSurQueries.Value(); got != queries {
+		t.Errorf("sync what-if moved the surrogate query counter %d -> %d", queries, got)
+	}
+	if len(fast.Branches) != len(simulated.Branches) {
+		t.Fatalf("fast %d branches, simulated %d", len(fast.Branches), len(simulated.Branches))
+	}
+	worst := 0.0
+	for i, fb := range fast.Branches {
+		sb := simulated.Branches[i]
+		if fb.Name != sb.Name || fb.Policy != sb.Policy {
+			t.Fatalf("branch %d: fast %s/%s, simulated %s/%s", i, fb.Name, fb.Policy, sb.Name, sb.Policy)
 		}
-		if j.Status != api.JobQueued && j.Status != api.JobRunning {
-			break
+		if sb.Error != nil || sb.EnergyJ <= 0 {
+			t.Fatalf("simulated branch %s: %+v", sb.Name, sb)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("refinement never finished: %+v", j)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if j.Status != api.JobDone {
-		t.Fatalf("refinement status = %q: %+v", j.Status, j)
-	}
-	if j.WhatIf == nil || j.WhatIf.Source != "simulated" {
-		t.Fatalf("refined report missing or mis-sourced: %+v", j.WhatIf)
-	}
-	if len(j.WhatIf.Branches) != len(rep.Branches) {
-		t.Fatalf("refined %d branches, fast had %d", len(j.WhatIf.Branches), len(rep.Branches))
-	}
-	for _, br := range j.WhatIf.Branches {
-		if br.Error != nil {
-			t.Errorf("refined branch %q failed: %+v", br.Name, br.Error)
-		}
-		if br.EnergyJ <= 0 || br.Ticks == 0 {
-			t.Errorf("refined branch %q not simulated: %+v", br.Name, br)
-		}
-	}
-	if got := f.mSurRefines.Value(); got != 1 {
-		t.Errorf("refinement counter = %d, want 1", got)
-	}
-	relErr := math.Float64frombits(f.surRefineErr.Load())
-	if relErr <= 0 || relErr >= 0.6 {
-		t.Errorf("refinement error gauge = %v, want (0, 0.6)", relErr)
-	}
-
-	// The instant answers must track the simulated truth per branch.
-	for i, fb := range rep.Branches {
-		rb := j.WhatIf.Branches[i]
-		if rb.EnergyJ <= 0 {
-			continue
-		}
-		if e := math.Abs(fb.EnergyJ-rb.EnergyJ) / rb.EnergyJ; e >= 0.6 {
+		e := math.Abs(fb.EnergyJ-sb.EnergyJ) / sb.EnergyJ
+		if e >= 0.6 {
 			t.Errorf("branch %q surrogate energy off by %.0f%% (fast %v, simulated %v)",
-				fb.Name, 100*e, fb.EnergyJ, rb.EnergyJ)
+				fb.Name, 100*e, fb.EnergyJ, sb.EnergyJ)
 		}
+		worst = math.Max(worst, e)
+	}
+	gauge, _ := f.reg.Value("avfs_surrogate_refine_rel_err")
+	if gauge <= 0 || gauge != worst {
+		t.Errorf("avfs_surrogate_refine_rel_err = %v, want the worst branch error %v", gauge, worst)
+	}
+
+	cancelled, err := f.WhatIf(newCountdownCtx(1), s.ID, req)
+	if err != nil {
+		t.Fatalf("cancelled WhatIf: %v", err)
+	}
+	for _, b := range cancelled.Branches {
+		if b.Error == nil {
+			t.Fatalf("branch %s finished under a context cancelled at its first check", b.Name)
+		}
+	}
+	if got, _ := f.reg.Value("avfs_surrogate_refine_rel_err"); got != gauge {
+		t.Errorf("a what-if with no finished branch moved the canary %v -> %v", gauge, got)
 	}
 }

@@ -146,7 +146,7 @@ type Fleet struct {
 	// tenant's transient warms the next tenant's.
 	memo *sim.SteadyMemo
 	// batchTicks accumulates the branch-ticks of every simulated what-if
-	// (sync and refinement) for the /metrics counter.
+	// for the /metrics counter.
 	batchTicks atomic.Uint64
 
 	// baseCtx parents every session context; Close cancels it, aborting
@@ -177,12 +177,10 @@ type Fleet struct {
 	// once so Handler stays idempotent.
 	mHTTP [6]*telemetry.Counter
 	// Surrogate-tier telemetry: answers served from the closed-form
-	// engine, background simulated refinements completed, and (as float64
-	// bits) the last refinement's worst surrogate-vs-simulator relative
-	// energy error.
-	mSurQueries  *telemetry.Counter
-	mSurRefines  *telemetry.Counter
-	surRefineErr atomic.Uint64
+	// engine, and (as float64 bits) the last simulated what-if's worst
+	// surrogate-vs-simulator relative energy error.
+	mSurQueries *telemetry.Counter
+	surDriftErr atomic.Uint64
 
 	// reqSLO tracks fleet-wide request latency (nil when NoTrace).
 	reqSLO *telemetry.SLOTracker
@@ -246,11 +244,9 @@ func New(cfg Config) *Fleet {
 	f.mRejected = f.reg.Counter("avfs_fleet_runs_rejected_total", "Runs rejected by pool backpressure.")
 	f.mSurQueries = f.reg.Counter("avfs_surrogate_queries_total",
 		"Closed-form surrogate answers served (GET /v1/estimate and fast what-if branches).")
-	f.mSurRefines = f.reg.Counter("avfs_surrogate_refinements_total",
-		"Background simulated refinements completed behind fast what-if answers.")
 	f.reg.Gauge("avfs_surrogate_refine_rel_err",
-		"Worst surrogate-vs-simulator relative energy error observed by the last refinement.", func() float64 {
-			return math.Float64frombits(f.surRefineErr.Load())
+		"Worst surrogate-vs-simulator relative energy error over the branches of the last sync simulated what-if.", func() float64 {
+			return math.Float64frombits(f.surDriftErr.Load())
 		})
 	for i := 1; i <= 5; i++ {
 		f.mHTTP[i] = f.reg.Counter("avfs_http_requests_total",
@@ -295,7 +291,7 @@ func New(cfg Config) *Fleet {
 	// read lock-free atomics, so the scrape cost stays within the
 	// telemetry overhead budget.
 	f.reg.CounterFunc("avfs_sim_batch_ticks_total",
-		"Branch-ticks committed by simulated what-ifs (sync and refinement).", func() float64 {
+		"Branch-ticks committed by simulated what-ifs.", func() float64 {
 			return float64(f.batchTicks.Load())
 		})
 	f.reg.CounterFunc("avfs_sim_batch_memo_hits_total",

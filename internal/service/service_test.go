@@ -18,7 +18,7 @@ import (
 
 // testFleet builds a fleet with the background reaper off and a
 // deterministic clock the test can advance.
-func testFleet(t *testing.T, cfg Config) (*Fleet, *fakeClock) {
+func testFleet(t testing.TB, cfg Config) (*Fleet, *fakeClock) {
 	t.Helper()
 	clk := &fakeClock{}
 	clk.set(time.Unix(1_000_000, 0))
@@ -42,7 +42,7 @@ func (c *fakeClock) advance(d time.Duration) {
 }
 func (c *fakeClock) now() time.Time { c.mu.Lock(); defer c.mu.Unlock(); return c.t }
 
-func mustCreate(t *testing.T, f *Fleet, req api.CreateSessionRequest) api.Session {
+func mustCreate(t testing.TB, f *Fleet, req api.CreateSessionRequest) api.Session {
 	t.Helper()
 	s, err := f.Create(req)
 	if err != nil {

@@ -102,15 +102,13 @@ type session struct {
 	migrating bool
 }
 
-// job is the handle of one asynchronous time advance (or what-if
-// refinement, which fills whatif instead of result).
+// job is the handle of one asynchronous time advance.
 type job struct {
 	id        string
 	seconds   float64
 	untilIdle bool
 	status    string // api.JobQueued/Running/Done/Failed/Canceled
 	result    api.RunResult
-	whatif    *api.WhatIfReport
 	err       error
 	cancel    context.CancelFunc
 	done      chan struct{}
@@ -471,7 +469,9 @@ func (s *session) runChunked(ctx context.Context, seconds float64, untilIdle boo
 			break
 		}
 		ticksBefore := s.m.Ticks()
-		err := s.m.RunForContext(ctx, step)
+		// An until-idle run stops at the idle instant inside the chunk,
+		// where a what-if branch or a campaign cell stops.
+		err := advanceMachine(ctx, s.m, step, untilIdle)
 		ticks := s.m.Ticks() - ticksBefore
 		touched := clk()
 		s.lastTouch = touched
@@ -718,10 +718,6 @@ func (s *session) wireJobLocked(j *job) api.Job {
 		}
 		r := j.result
 		wj.Result = &r
-	}
-	if j.whatif != nil && j.status != api.JobQueued && j.status != api.JobRunning {
-		wj.WhatIf = j.whatif
-		wj.Result = nil // a refinement job carries a report, not a run result
 	}
 	return wj
 }

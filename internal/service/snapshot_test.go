@@ -16,7 +16,7 @@ import (
 
 // seedSession creates a session with the standard mixed workload and
 // advances it to a mid-run instant worth branching from.
-func seedSession(t *testing.T, f *Fleet, policy string) api.Session {
+func seedSession(t testing.TB, f *Fleet, policy string) api.Session {
 	t.Helper()
 	s := mustCreate(t, f, api.CreateSessionRequest{Model: "xgene3", Policy: policy})
 	for _, sub := range []api.SubmitRequest{
@@ -269,6 +269,15 @@ func TestWhatIfValidation(t *testing.T) {
 		Branches: []api.WhatIfBranchSpec{{Placement: "diagonal"}}}); !errors.Is(err, ErrInvalidRequest) {
 		t.Errorf("unknown placement = %v, want ErrInvalidRequest", err)
 	}
+	// The session is at 30 s of 10 ms ticks: a window to tick 2^53 is
+	// refused, one a second short of it is answered.
+	limit := float64(1<<53)*0.01 - 30
+	if _, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{Seconds: limit, Fast: true}); !errors.Is(err, ErrInvalidRequest) {
+		t.Errorf("window to tick 2^53 = %v, want ErrInvalidRequest", err)
+	}
+	if _, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{Seconds: limit - 1, Fast: true}); err != nil {
+		t.Errorf("window to tick 2^53-100 = %v, want an answer", err)
+	}
 }
 
 // TestSnapshotJobsImmuneToReaping is the lifecycle fix: a session with an
@@ -381,6 +390,33 @@ func TestSnapshotEndpointsHTTP(t *testing.T) {
 	var rep api.WhatIfReport
 	if err := json.Unmarshal(body, &rep); err != nil || len(rep.Branches) != 4 {
 		t.Fatalf("whatif body %s: %v", body, err)
+	}
+
+	// A window past the tick counter's 2^53 limit is a 400 on both engines
+	// (the surrogate's energy would be +Inf, which JSON cannot carry; the
+	// simulator would never get there). The deadline keeps a server that
+	// accepts the window from hanging the test.
+	for _, fast := range []bool{false, true} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		raw, _ := json.Marshal(api.WhatIfRequest{Seconds: 1e308, Fast: fast})
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/sessions/"+s.ID+"/whatif", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			cancel()
+			t.Errorf("1e308 s what-if (fast %t): %v", fast, err)
+			continue
+		}
+		var apiErr api.Error
+		decErr := json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		cancel()
+		if resp.StatusCode != http.StatusBadRequest || decErr != nil || apiErr.Code != api.CodeInvalidRequest {
+			t.Errorf("1e308 s what-if (fast %t) = %d %+v (%v), want 400 %s",
+				fast, resp.StatusCode, apiErr, decErr, api.CodeInvalidRequest)
+		}
 	}
 
 	resp, body = post("/v1/sessions/"+s.ID+"/fork", api.ForkRequest{SnapshotID: "nope"})

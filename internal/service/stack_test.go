@@ -17,17 +17,19 @@ import (
 // TestWhatIfBranchMatchesLiveOverride pins a what-if branch to the live
 // session it predicts: one branch's override (policy flip, power cap or
 // both) advanced 60 s must land where PUT /policy with the same override
-// takes the session in a 60 s run. Ticks, emergencies and voltage are
-// exact; the window energy agrees within 1e-9 relative. The seeded mix
-// draws 6.5-9 W, so caps of 12 W and up never bind (the branch must
-// still not bring a second placer or free boosting), and the 5-7 W
-// caps do; a branch of a capped session retunes its governor.
+// takes the session in a 60 s run, and an until-idle branch must stop
+// where an until-idle session run stops. Ticks, clock, emergencies and
+// voltage are exact; the window energy agrees within 1e-9 relative. The
+// seeded mix draws 6.5-9 W, so caps of 12 W and up never bind (the
+// branch must still not bring a second placer or free boosting), and the
+// 5-7 W caps do; a branch of a capped session retunes its governor.
 func TestWhatIfBranchMatchesLiveOverride(t *testing.T) {
 	for _, tc := range []struct {
-		seed     string
-		seedCapW float64 // a cap the session already runs under
-		policy   string
-		capW     float64
+		seed      string
+		seedCapW  float64 // a cap the session already runs under
+		policy    string
+		capW      float64
+		untilIdle bool // run to idle within an hour instead of 60 s
 	}{
 		{seed: "optimal", policy: "baseline"},
 		{seed: "baseline", policy: "optimal"},
@@ -42,8 +44,15 @@ func TestWhatIfBranchMatchesLiveOverride(t *testing.T) {
 		{seed: "placement", capW: 7},
 		{seed: "optimal", policy: "baseline", capW: 7},
 		{seed: "optimal", seedCapW: 5, capW: 6},
+		{seed: "optimal", untilIdle: true},
+		{seed: "baseline", untilIdle: true},
 	} {
 		name := fmt.Sprintf("%s-cap%g/%s-cap%g", tc.seed, tc.seedCapW, tc.policy, tc.capW)
+		seconds := 60.0
+		if tc.untilIdle {
+			name += "-until-idle"
+			seconds = 3600
+		}
 		t.Run(name, func(t *testing.T) {
 			f, _ := testFleet(t, Config{})
 			ctx := context.Background()
@@ -53,7 +62,7 @@ func TestWhatIfBranchMatchesLiveOverride(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			rep, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{Seconds: 60,
+			rep, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{Seconds: seconds, UntilIdle: tc.untilIdle,
 				Branches: []api.WhatIfBranchSpec{{Policy: tc.policy, PowerCapW: tc.capW}}})
 			if err != nil {
 				t.Fatalf("WhatIf: %v", err)
@@ -67,14 +76,17 @@ func TestWhatIfBranchMatchesLiveOverride(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			req := api.PolicyRequest{Policy: tc.policy}
-			if tc.capW > 0 {
-				req.PowerCapW = &tc.capW
+			// A control branch (no override) predicts the untouched session.
+			if tc.policy != "" || tc.capW > 0 {
+				req := api.PolicyRequest{Policy: tc.policy}
+				if tc.capW > 0 {
+					req.PowerCapW = &tc.capW
+				}
+				if _, err := f.SetPolicy(s.ID, req); err != nil {
+					t.Fatalf("SetPolicy: %v", err)
+				}
 			}
-			if _, err := f.SetPolicy(s.ID, req); err != nil {
-				t.Fatalf("SetPolicy: %v", err)
-			}
-			run, err := f.RunSync(ctx, s.ID, api.RunRequest{Seconds: 60})
+			run, err := f.RunSync(ctx, s.ID, api.RunRequest{Seconds: seconds, UntilIdle: tc.untilIdle})
 			if err != nil {
 				t.Fatalf("RunSync: %v", err)
 			}
@@ -82,13 +94,16 @@ func TestWhatIfBranchMatchesLiveOverride(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b.Ticks != run.Ticks || b.Emergencies != run.Emergencies-before.Emergencies || b.VoltageMV != live.VoltageMV {
-				t.Errorf("branch ticks %d emergencies %d voltage %d mV, live %d %d %d mV",
-					b.Ticks, b.Emergencies, b.VoltageMV, run.Ticks, run.Emergencies-before.Emergencies, live.VoltageMV)
+			if b.Ticks != run.Ticks || b.Now != run.Now || b.Emergencies != run.Emergencies-before.Emergencies || b.VoltageMV != live.VoltageMV {
+				t.Errorf("branch ticks %d now %v s emergencies %d voltage %d mV, live %d %v s %d %d mV",
+					b.Ticks, b.Now, b.Emergencies, b.VoltageMV, run.Ticks, run.Now, run.Emergencies-before.Emergencies, live.VoltageMV)
 			}
 			energy := run.EnergyJ - before.EnergyJ
 			if rd := relDiff(b.EnergyJ, energy); rd > 1e-9 {
 				t.Errorf("branch energy %.3f J, live %.3f J (rel %g)", b.EnergyJ, energy, rd)
+			}
+			if tc.untilIdle && (b.Running != 0 || b.Pending != 0) {
+				t.Errorf("until-idle branch ended with %d running, %d pending", b.Running, b.Pending)
 			}
 		})
 	}
@@ -96,8 +111,8 @@ func TestWhatIfBranchMatchesLiveOverride(t *testing.T) {
 
 // TestSessionMatchesCampaignCell feeds a fleet session the wlgen workload
 // of a Table III/IV campaign cell, submitting each arrival at the first
-// tick at or after its time as the campaign's replay does, and checks
-// that the session runs the cell: the same drain instant and tick, the
+// tick at or after its time as the campaign's replay does, then runs it
+// until idle, and checks that the session runs the cell: the same drain instant and tick, the
 // same completions, emergencies and daemon actions, and the same energy
 // within 1e-9 relative. The session differs from the cell only in what
 // cannot move the result: its telemetry hooks, the campaign's 1 s power
@@ -139,8 +154,10 @@ func TestSessionMatchesCampaignCell(t *testing.T) {
 						t.Fatalf("Submit %s: %v", a.Bench.Name, err)
 					}
 				}
-				if now < want.TimeSec {
-					advance(want.TimeSec - now)
+				// An until-idle run stops at the last completion, where the
+				// campaign's replay stops.
+				if _, err := f.RunSync(ctx, ws.ID, api.RunRequest{Seconds: 3600, UntilIdle: true}); err != nil {
+					t.Fatalf("until-idle RunSync: %v", err)
 				}
 
 				got, err := f.Get(ws.ID)

@@ -224,22 +224,16 @@ func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (a
 		return api.WhatIfReport{}, err
 	}
 
+	// A window past sim.MaxTicks has no simulated answer, and the
+	// surrogate's would not be finite.
+	if (float64(st.Machine.Ticks)*st.Machine.Tick+req.Seconds)/st.Machine.Tick >= sim.MaxTicks {
+		return api.WhatIfReport{}, fmt.Errorf("%w: a %g s what-if window takes the tick counter past 2^53", ErrInvalidRequest, req.Seconds)
+	}
+
 	if req.Fast {
 		// The instant tier: every branch answered from the closed-form
-		// surrogate, optionally with the simulated comparison running
-		// behind it as a background job.
-		rep, err := f.whatIfFast(id, snapID, st, specs, req)
-		if err != nil {
-			return api.WhatIfReport{}, err
-		}
-		if req.Refine {
-			jid, err := f.startRefinement(s, id, snapID, st, specs, req, &rep)
-			if err != nil {
-				return api.WhatIfReport{}, err
-			}
-			rep.RefineJob = jid
-		}
-		return rep, nil
+		// surrogate.
+		return f.whatIfFast(id, snapID, st, specs, req)
 	}
 
 	report := api.WhatIfReport{
@@ -284,12 +278,13 @@ func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (a
 	}
 
 	fillBests(&report)
+	f.publishDrift(st, specs, req.Seconds, req.UntilIdle, report.Branches)
 	return report, nil
 }
 
 // fillBests names the report's best branch per axis: the lowest window
 // energy, and the most in-window completions with makespan breaking
-// ties. Shared by the simulated, surrogate and refinement paths.
+// ties. Shared by the simulated and surrogate paths.
 func fillBests(report *api.WhatIfReport) {
 	bestEnergy, bestPerf := -1, -1
 	for i := range report.Branches {
@@ -414,13 +409,11 @@ func branchReports(st *snapshot.SessionState, specs []branchSpec) []api.WhatIfBr
 }
 
 // advanceBranches restores every branch and advances each alone on the
-// calling goroutine with the fleet's steady-segment memo attached, and
-// fills out (headed by branchReports). It must run on a pool worker: the
-// sync what-if calls it inside a pool job, a refinement job directly on
-// its own worker (going through the pool again would deadlock a
-// one-worker pool). Per-branch failures land in that branch's Error
-// field; a cancellation lands on every branch not yet finished. The
-// returned summary records the ticks committed and the memo traffic.
+// calling goroutine (the what-if's pool job) with the fleet's
+// steady-segment memo attached, and fills out (headed by branchReports).
+// Per-branch failures land in that branch's Error field; a cancellation
+// lands on every branch not yet finished. The returned summary records
+// the ticks committed and the memo traffic.
 func (f *Fleet) advanceBranches(ctx context.Context, st *snapshot.SessionState, specs []branchSpec, seconds float64, untilIdle bool, out []api.WhatIfBranch) *api.WhatIfBatch {
 	hits0, misses0 := f.memo.Hits(), f.memo.Misses()
 	begin := time.Now()
@@ -438,7 +431,7 @@ func (f *Fleet) advanceBranches(ctx context.Context, st *snapshot.SessionState, 
 		rig.m.SetSteadyMemo(f.memo)
 		bs.Branches++
 		ticks0 := rig.m.Ticks()
-		err = advanceBranch(ctx, rig.m, seconds, untilIdle)
+		err = advanceMachine(ctx, rig.m, seconds, untilIdle)
 		bs.Ticks += rig.m.Ticks() - ticks0
 		if err != nil {
 			out[i].Error = wireError(err)
@@ -456,10 +449,10 @@ func (f *Fleet) advanceBranches(ctx context.Context, st *snapshot.SessionState, 
 	return bs
 }
 
-// advanceBranch advances one branch machine by seconds, or until idle
-// within that budget; not reaching idle is a what-if outcome, not a
-// failure.
-func advanceBranch(ctx context.Context, m *sim.Machine, seconds float64, untilIdle bool) error {
+// advanceMachine advances m by seconds, or until idle within that budget;
+// not reaching idle is not a failure here (a what-if reports it as an
+// outcome, a session run checks for it once its last chunk is done).
+func advanceMachine(ctx context.Context, m *sim.Machine, seconds float64, untilIdle bool) error {
 	if untilIdle {
 		if err := m.RunUntilIdleContext(ctx, seconds); !errors.Is(err, sim.ErrNotIdle) {
 			return err

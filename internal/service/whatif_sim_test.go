@@ -1,10 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,7 +97,7 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 
 // soloAdvance runs one branch machine by itself, the way RunFor or
 // RunUntilIdle would; not reaching idle within the budget is a what-if
-// outcome, not a failure. It is kept apart from advanceBranch so the
+// outcome, not a failure. It is kept apart from advanceMachine so the
 // oracle does not share the code it checks.
 func soloAdvance(ctx context.Context, m *sim.Machine, seconds float64, untilIdle bool) error {
 	if untilIdle {
@@ -292,33 +297,6 @@ func TestWhatIfCancelMidWindow(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// A refinement job cancelled while its branches step also retires.
-	fast, err := f.WhatIf(context.Background(), s.ID, api.WhatIfRequest{
-		SnapshotID: snap.ID, Seconds: 7 * 24 * 3600, Fast: true, Refine: true,
-	})
-	if err != nil {
-		t.Fatalf("fast+refine WhatIf: %v", err)
-	}
-	if _, err := f.CancelJob(s.ID, fast.RefineJob); err != nil {
-		t.Fatalf("CancelJob: %v", err)
-	}
-	for {
-		j, err := f.Job(s.ID, fast.RefineJob)
-		if err != nil {
-			t.Fatalf("Job: %v", err)
-		}
-		if j.Status == api.JobCanceled {
-			break
-		}
-		if j.Status != api.JobQueued && j.Status != api.JobRunning {
-			t.Fatalf("cancelled refinement ended %q, want %q", j.Status, api.JobCanceled)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cancelled refinement never retired: %+v", j)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
 	run := api.RunRequest{Seconds: 60}
 	after, err := f.RunSync(context.Background(), s.ID, run)
 	if err != nil {
@@ -333,57 +311,6 @@ func TestWhatIfCancelMidWindow(t *testing.T) {
 	}
 	if rd := relDiff(after.EnergyJ, ref.EnergyJ); rd > 1e-9 {
 		t.Errorf("session energy diverged from its twin: %v vs %v (rel %g)", after.EnergyJ, ref.EnergyJ, rd)
-	}
-}
-
-// TestWhatIfRefineMatchesSync checks a fast what-if's background
-// refinement produces the same simulated report as the sync what-if of
-// the same snapshot.
-func TestWhatIfRefineMatchesSync(t *testing.T) {
-	f, _ := testFleet(t, Config{Workers: 1})
-	s := seedSession(t, f, "optimal")
-	snap, err := f.Snapshot(s.ID)
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	ctx := context.Background()
-	want, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{SnapshotID: snap.ID, Seconds: 60})
-	if err != nil {
-		t.Fatalf("sync WhatIf: %v", err)
-	}
-	fast, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{SnapshotID: snap.ID, Seconds: 60, Fast: true, Refine: true})
-	if err != nil {
-		t.Fatalf("fast+refine WhatIf: %v", err)
-	}
-	var j api.Job
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if j, err = f.Job(s.ID, fast.RefineJob); err != nil {
-			t.Fatalf("Job: %v", err)
-		}
-		if j.Status != api.JobQueued && j.Status != api.JobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("refinement never finished: %+v", j)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if j.Status != api.JobDone || j.WhatIf == nil {
-		t.Fatalf("refinement status = %q, report %+v", j.Status, j.WhatIf)
-	}
-	refined := j.WhatIf
-	if refined.Source != want.Source || refined.SnapshotID != want.SnapshotID ||
-		refined.BaseTicks != want.BaseTicks || refined.BaseNow != want.BaseNow {
-		t.Errorf("report header diverged: refined %+v sync %+v", refined, want)
-	}
-	if refined.Batch == nil || refined.Batch.Ticks != want.Batch.Ticks {
-		t.Errorf("refined Batch block %+v, sync %+v", refined.Batch, want.Batch)
-	}
-	sameBranches(t, "refined vs sync", refined.Branches, want.Branches)
-	if refined.BestEnergy != want.BestEnergy || refined.BestPerf != want.BestPerf {
-		t.Errorf("winners diverged: refined (%s, %s) vs sync (%s, %s)",
-			refined.BestEnergy, refined.BestPerf, want.BestEnergy, want.BestPerf)
 	}
 }
 
@@ -402,7 +329,8 @@ func TestBatchMetricsExported(t *testing.T) {
 			t.Errorf("fleet is missing metric %s", name)
 		}
 	}
-	for _, gone := range []string{"avfs_sim_batch_sessions", "avfs_sim_batch_shard_size", "avfs_sim_batch_shared_ticks_total"} {
+	for _, gone := range []string{"avfs_sim_batch_sessions", "avfs_sim_batch_shard_size", "avfs_sim_batch_shared_ticks_total",
+		"avfs_surrogate_refinements_total"} {
 		if _, ok := f.reg.Value(gone); ok {
 			t.Errorf("fleet still exports %s", gone)
 		}
@@ -417,4 +345,71 @@ func TestBatchMetricsExported(t *testing.T) {
 	if v, _ := f.reg.Value("avfs_sim_batch_ticks_total"); v <= 0 || uint64(v) != rep.Batch.Ticks {
 		t.Errorf("avfs_sim_batch_ticks_total = %v after a what-if, want %d", v, rep.Batch.Ticks)
 	}
+}
+
+// FuzzWhatIfHTTP posts arbitrary bodies to one seeded session's what-if
+// endpoint through the fleet's HTTP handler, each under a 100 ms deadline
+// so that long simulated windows exercise cancellation. No body may panic
+// the server or draw a 5xx, and every 200 must carry a report with
+// finite numbers and one branch per requested spec (the four Table IV
+// policies when none are given).
+func FuzzWhatIfHTTP(f *testing.F) {
+	for _, body := range []string{
+		`{"seconds":1e308,"fast":true}`,
+		`{"seconds":1e308}`,
+		`{"seconds":60}`,
+		`{"seconds":60,"fast":true}`,
+		`{"seconds":3600,"until_idle":true,"branches":[{"policy":"baseline","power_cap_watts":7},{"placement":"spreaded"},{}]}`,
+		`{"seconds":1e6,"until_idle":true,"fast":true,"branches":[{"name":"x","policy":"safe-vmin","placement":"clustered"}]}`,
+		`{"snapshot_id":"nope","seconds":1}`,
+		`{"seconds":5e-324,"fast":true}`,
+		`{"seconds":-1}`,
+		``,
+		`[`,
+	} {
+		f.Add([]byte(body))
+	}
+	fl, _ := testFleet(f, Config{})
+	path := "/v1/sessions/" + seedSession(f, fl, "optimal").ID + "/whatif"
+	h := fl.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx))
+		if rec.Code >= 500 {
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var req api.WhatIfRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+			t.Fatalf("200 for a body the handler could not have decoded: %v", err)
+		}
+		var rep api.WhatIfReport
+		if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
+			t.Fatalf("200 body %q does not decode: %v", rec.Body.Bytes(), err)
+		}
+		want := len(req.Branches)
+		if want == 0 {
+			want = 4
+		}
+		if len(rep.Branches) != want {
+			t.Fatalf("%d branches for %d specs", len(rep.Branches), want)
+		}
+		nums := []float64{rep.BaseNow, rep.Seconds}
+		for _, b := range rep.Branches {
+			nums = append(nums, b.PowerCapW, b.Now, b.Seconds, b.EnergyJ, b.AvgPowerW,
+				b.MakespanS, b.P50RuntimeS, b.P99RuntimeS)
+		}
+		if bs := rep.Batch; bs != nil {
+			nums = append(nums, bs.WallSeconds, bs.TicksPerSec, bs.SpeedupEst)
+		}
+		for _, v := range nums {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("non-finite number in %+v", rep)
+			}
+		}
+	})
 }

@@ -223,6 +223,12 @@ func (m *Machine) CaptureState() *MachineState {
 	return st
 }
 
+// MaxTicks bounds a machine's tick count. The clock is float64(ticks)*Tick
+// and the stepping loops count ticks up from it; past 2^53 the conversion
+// is inexact, and near 2^64 the tick arithmetic wraps and never reaches
+// its target.
+const MaxTicks = 1 << 53
+
 // RestoreMachine builds a machine on spec from a captured state. The
 // restored machine has no hooks, subscribers or event log — the caller
 // re-attaches its controller stack (in the same registration order as the
@@ -236,10 +242,7 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 	if st.Tick <= 0 {
 		return nil, fmt.Errorf("sim: snapshot has non-positive tick %v", st.Tick)
 	}
-	// The clock is float64(ticks)*Tick and the stepping loops count ticks
-	// up from it; past 2^53 the conversion is inexact, and near 2^64 the
-	// tick arithmetic wraps and never reaches its target.
-	if st.Ticks >= 1<<53 {
+	if st.Ticks >= MaxTicks {
 		return nil, fmt.Errorf("sim: snapshot tick count %d out of range", st.Ticks)
 	}
 	// The history counts are exported as float64 metrics; past 2^53 they

@@ -7,8 +7,8 @@
 // models carry per-cell correction ratios regressed from small
 // calibration simulations, the accuracy gates in surrogate_test.go bound
 // the residual error per workload class across all four Table IV
-// policies, and the serving path can kick off a simulated refinement
-// behind every fast answer.
+// policies, and the serving path checks the surrogate against every
+// simulated what-if it runs (the avfs_surrogate_refine_rel_err gauge).
 //
 // The model also carries a technology-node axis (tech.go): ITRS/CONS
 // roadmap ratios project the two real chips (28 nm X-Gene 2, 16 nm
