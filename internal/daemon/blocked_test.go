@@ -242,3 +242,21 @@ func TestSteadyPollAllocationFree(t *testing.T) {
 		t.Errorf("steady poll allocates %v times per poll interval, want 0", allocs)
 	}
 }
+
+// TestCurrentRequiredAllocationFree: the Table II requirement of the
+// present placement and frequencies, which every transition and every
+// applied check reads, allocates nothing on a loaded machine.
+func TestCurrentRequiredAllocationFree(t *testing.T) {
+	m, d := newOptimal(t, chip.XGene3Spec())
+	for _, name := range []string{"namd", "lbm", "gcc", "milc"} {
+		m.MustSubmit(workload.MustByName(name), 1)
+	}
+	m.MustSubmit(workload.MustByName("CG"), 8)
+	m.RunFor(3)
+	if m.RunningCount() != 5 {
+		t.Fatalf("precondition: every program placed, %d running", m.RunningCount())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { d.currentRequired() }); allocs != 0 {
+		t.Errorf("currentRequired allocates %v objects per call, want 0", allocs)
+	}
+}

@@ -205,6 +205,13 @@ type Daemon struct {
 
 	stats Stats
 
+	// curFreq/curUtil are currentRequired's per-PMD scratch; jobs and
+	// memSlots are buildPlan's. Replans reuse them instead of allocating.
+	curFreq  []chip.MHz
+	curUtil  []bool
+	jobs     []planJob
+	memSlots []chip.CoreID
+
 	// Telemetry (all nil/zero when uninstrumented — the hot path then
 	// pays only nil checks; the overhead benchmark in internal/telemetry
 	// keeps that claim honest).
@@ -312,6 +319,8 @@ func New(m *sim.Machine, cfg Config) *Daemon {
 		pmu:     pmu,
 		sampler: perfmon.DeltaSampler{PMU: pmu},
 		states:  map[int]*procState{},
+		curFreq: make([]chip.MHz, m.Spec.PMDs()),
+		curUtil: make([]bool, m.Spec.PMDs()),
 	}
 }
 
@@ -650,15 +659,13 @@ func (d *Daemon) requiredMV(pmdFreq []chip.MHz, utilized []bool) chip.Millivolts
 // present placement and frequencies.
 func (d *Daemon) currentRequired() chip.Millivolts {
 	spec := d.M.Spec
-	freqs := make([]chip.MHz, spec.PMDs())
-	utilized := make([]bool, spec.PMDs())
-	for p := 0; p < spec.PMDs(); p++ {
-		freqs[p] = d.M.Chip.PMDFreq(chip.PMDID(p))
+	for p := range d.curFreq {
+		pmd := chip.PMDID(p)
+		c0, c1 := spec.CoresOf(pmd)
+		d.curFreq[p] = d.M.Chip.PMDFreq(pmd)
+		d.curUtil[p] = d.M.ThreadOn(c0) != nil || d.M.ThreadOn(c1) != nil
 	}
-	for _, c := range d.M.ActiveCores() {
-		utilized[spec.PMDOf(c)] = true
-	}
-	return d.requiredMV(freqs, utilized)
+	return d.requiredMV(d.curFreq, d.curUtil)
 }
 
 // setVoltage programs the regulator if the target differs, counting the
@@ -678,8 +685,15 @@ func (d *Daemon) setFreq(p chip.PMDID, f chip.MHz) {
 	}
 }
 
+// planJob is one process the placement policy places, with its class.
+type planJob struct {
+	proc *sim.Process
+	cls  Class
+}
+
 // plan is a complete target configuration produced by the placement
-// policy; admitted counts the pending processes it places.
+// policy; admitted counts the pending processes it places. The
+// transition that applies a plan consumes its assign map.
 type plan struct {
 	assign   map[*sim.Process][]chip.CoreID
 	pmdFreq  []chip.MHz
@@ -775,8 +789,11 @@ func (d *Daemon) retune() {
 	}
 	for _, proc := range d.M.RunningView() {
 		cls := d.ClassOf(proc)
-		for _, c := range proc.Cores() {
-			pmd := spec.PMDOf(c)
+		for _, t := range proc.Threads {
+			if t.Core < 0 {
+				continue
+			}
+			pmd := spec.PMDOf(t.Core)
 			pl.utilized[pmd] = true
 			want := d.cpuFreq()
 			if cls == MemoryIntensive {
@@ -803,14 +820,10 @@ func (d *Daemon) retune() {
 // Pending processes are admitted FIFO while capacity lasts.
 func (d *Daemon) buildPlan() *plan {
 	spec := d.M.Spec
-	type job struct {
-		proc *sim.Process
-		cls  Class
-	}
-	var jobs []job
+	jobs := d.jobs[:0]
 	capacity := spec.Cores
 	for _, p := range d.M.RunningView() {
-		jobs = append(jobs, job{p, d.ClassOf(p)})
+		jobs = append(jobs, planJob{p, d.ClassOf(p)})
 		capacity -= len(p.Threads)
 	}
 	admitted := 0
@@ -818,24 +831,16 @@ func (d *Daemon) buildPlan() *plan {
 		if len(p.Threads) > capacity {
 			break // FIFO admission
 		}
-		jobs = append(jobs, job{p, Unknown})
+		jobs = append(jobs, planJob{p, Unknown})
 		capacity -= len(p.Threads)
 		admitted++
 	}
+	d.jobs = jobs
+	defer clear(jobs) // the scratch holds no process past the plan
 	d.stats.Placements += admitted
 
-	// Split thread demand by class, preserving process order.
-	var cpuJobs, memJobs []job
-	for _, j := range jobs {
-		if j.cls == MemoryIntensive {
-			memJobs = append(memJobs, j)
-		} else {
-			cpuJobs = append(cpuJobs, j)
-		}
-	}
-
 	pl := &plan{
-		assign:   map[*sim.Process][]chip.CoreID{},
+		assign:   make(map[*sim.Process][]chip.CoreID, len(jobs)),
 		pmdFreq:  make([]chip.MHz, spec.PMDs()),
 		utilized: make([]bool, spec.PMDs()),
 		admitted: admitted,
@@ -843,22 +848,30 @@ func (d *Daemon) buildPlan() *plan {
 	for p := range pl.pmdFreq {
 		pl.pmdFreq[p] = spec.MinFreq
 	}
+	// Every planned core list is cut from one arena: admission keeps the
+	// plan within the chip's cores. Thread demand is split by class,
+	// preserving process order: CPU jobs (and Unknown) first, then memory
+	// jobs.
+	arena := make([]chip.CoreID, 0, spec.Cores)
 
 	// CPU block: consecutive cores from 0 upwards.
 	next := 0
-	for _, j := range cpuJobs {
-		cores := make([]chip.CoreID, len(j.proc.Threads))
-		for i := range cores {
-			cores[i] = chip.CoreID(next)
+	for _, j := range jobs {
+		if j.cls == MemoryIntensive {
+			continue
+		}
+		start := len(arena)
+		for range j.proc.Threads {
+			arena = append(arena, chip.CoreID(next))
 			next++
 		}
-		pl.assign[j.proc] = cores
+		pl.assign[j.proc] = arena[start:len(arena):len(arena)]
 	}
 	cpuPMDs := (next + 1) / 2
 
 	// Memory threads: spread over PMDs from the top downwards, even
 	// cores first; overflow fills odd cores, still from the top.
-	var memSlots []chip.CoreID
+	memSlots := d.memSlots[:0]
 	for p := spec.PMDs() - 1; p >= cpuPMDs; p-- {
 		c0, _ := spec.CoresOf(chip.PMDID(p))
 		memSlots = append(memSlots, c0)
@@ -871,29 +884,39 @@ func (d *Daemon) buildPlan() *plan {
 	if next%2 == 1 {
 		memSlots = append(memSlots, chip.CoreID(next))
 	}
+	d.memSlots = memSlots
 	slot := 0
-	for _, j := range memJobs {
-		cores := make([]chip.CoreID, len(j.proc.Threads))
-		for i := range cores {
+	for _, j := range jobs {
+		if j.cls != MemoryIntensive {
+			continue
+		}
+		start := len(arena)
+		for range j.proc.Threads {
 			if slot >= len(memSlots) {
 				panic("daemon: placement overflow despite admission control")
 			}
-			cores[i] = memSlots[slot]
+			arena = append(arena, memSlots[slot])
 			slot++
 		}
-		pl.assign[j.proc] = cores
+		pl.assign[j.proc] = arena[start:len(arena):len(arena)]
 	}
 
 	// Frequencies: max on PMDs with any CPU/Unknown thread, reduced on
 	// memory-only PMDs.
-	for _, j := range cpuJobs {
+	for _, j := range jobs {
+		if j.cls == MemoryIntensive {
+			continue
+		}
 		for _, c := range pl.assign[j.proc] {
 			pmd := spec.PMDOf(c)
 			pl.utilized[pmd] = true
 			pl.pmdFreq[pmd] = d.cpuFreq()
 		}
 	}
-	for _, j := range memJobs {
+	for _, j := range jobs {
+		if j.cls != MemoryIntensive {
+			continue
+		}
 		for _, c := range pl.assign[j.proc] {
 			pmd := spec.PMDOf(c)
 			pl.utilized[pmd] = true
@@ -999,18 +1022,19 @@ func (d *Daemon) transition(pl *plan) {
 		migrations := 0
 		if pl.assign != nil {
 			// Processes may have finished while the transition was
-			// staged; their planned cores are simply free by now.
-			assign := make(map[*sim.Process][]chip.CoreID, len(pl.assign))
+			// staged; their planned cores are simply free by now. The
+			// plan belongs to this transition alone, so they leave its
+			// own map.
 			for p, cores := range pl.assign {
 				if p.State == sim.Finished {
+					delete(pl.assign, p)
 					continue
 				}
-				assign[p] = cores
 				if p.State == sim.Running && !onCores(p, cores) {
 					migrations++
 				}
 			}
-			if err := d.M.Reassign(assign); err != nil {
+			if err := d.M.Reassign(pl.assign); err != nil {
 				panic(fmt.Sprintf("daemon: reassign failed: %v", err))
 			}
 			d.stats.Migrations += migrations

@@ -143,13 +143,13 @@ func evaluate(spec *chip.Spec, wl *wlgen.Workload, cfg SystemConfig, coalesce bo
 	rec := trace.NewRecorder(1.0)
 	res.Power = rec.Track("power (W)", m.LastPower)
 	res.Load = rec.Track("busy cores", func() float64 {
-		return float64(len(m.ActiveCores()))
+		return float64(m.Spec.Cores - m.FreeCoreCount())
 	})
 	classCounts := func() (cpu, mem int) {
 		if cfg.runsDaemon() {
 			return stack.D.ClassCounts()
 		}
-		for _, p := range m.Running() {
+		for _, p := range m.RunningView() {
 			if p.Bench.MemoryIntensive() {
 				mem++
 			} else {

@@ -109,6 +109,53 @@ func TestWhatIfBranchMatchesLiveOverride(t *testing.T) {
 	}
 }
 
+// TestUntilIdleWindowMatchesBranch: a session's until-idle run over a
+// window the machine does not finish runs in 1 s chunks, each with its own
+// deadline, where a control what-if branch sets one deadline for the whole
+// window; both stop on the same tick. From tick 3001 the second chunk's
+// deadline (now + 1 s) rounds above the tick grid, which without the
+// deadline slop RunFor uses committed one tick more than the branch.
+// Ticks and clock are exact.
+func TestUntilIdleWindowMatchesBranch(t *testing.T) {
+	f, _ := testFleet(t, Config{})
+	ctx := context.Background()
+	s := seedSession(t, f, "optimal")
+	if _, err := f.RunSync(ctx, s.ID, api.RunRequest{Seconds: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	const window = 2.37
+	rep, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{Seconds: window, UntilIdle: true,
+		Branches: []api.WhatIfBranchSpec{{}}})
+	if err != nil {
+		t.Fatalf("WhatIf: %v", err)
+	}
+	b := rep.Branches[0]
+	if b.Error != nil {
+		t.Fatalf("branch failed: %v", b.Error)
+	}
+	before, err := f.Get(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Ticks != 3001 {
+		t.Fatalf("precondition: the window starts at tick 3001, not %d", before.Ticks)
+	}
+	run, err := f.RunSync(ctx, s.ID, api.RunRequest{Seconds: window, UntilIdle: true})
+	if err == nil || b.Running == 0 {
+		t.Fatalf("precondition: the window must not reach idle (run error %v, branch running %d)", err, b.Running)
+	}
+	if b.Ticks != run.Ticks || b.Now != run.Now || run.Ticks != before.Ticks+237 {
+		t.Errorf("branch ends at tick %d (%v s), session run at tick %d (%v s); want tick %d",
+			b.Ticks, b.Now, run.Ticks, run.Now, before.Ticks+237)
+	}
+	// The chunk ends split the session's coalesced batches where the
+	// branch commits one, so the window energy agrees to FP-summation
+	// tolerance rather than in every bit (with one chunk it is bit-equal).
+	if energy := run.EnergyJ - before.EnergyJ; relDiff(b.EnergyJ, energy) > 1e-12 {
+		t.Errorf("branch energy %v J, session window %v J", b.EnergyJ, energy)
+	}
+}
+
 // TestSessionMatchesCampaignCell feeds a fleet session the wlgen workload
 // of a Table III/IV campaign cell, submitting each arrival at the first
 // tick at or after its time as the campaign's replay does, then runs it

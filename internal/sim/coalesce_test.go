@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"avfs/internal/chip"
+	"avfs/internal/clock"
+	"avfs/internal/vmin"
 	"avfs/internal/workload"
 )
 
@@ -262,5 +264,69 @@ func TestSteadyStepAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() { m.Step() })
 	if allocs != 0 {
 		t.Errorf("steady Step allocates %.1f objects per tick, want 0", allocs)
+	}
+}
+
+// TestControlPathAllocationFree pins the control work a loaded X-Gene 3
+// machine does per full tick and per placement decision at zero
+// allocations: the requirement after a frequency-class change, the
+// utilized-PMD count, the safe-Vmin model itself, and a Reassign that
+// migrates one running process with no event log attached.
+func TestControlPathAllocationFree(t *testing.T) {
+	m := xg3()
+	cg := m.MustSubmit(workload.MustByName("CG"), 8)
+	cores, _ := ClusteredCores(m.Spec, 8)
+	if err := m.Place(cg, cores); err != nil {
+		t.Fatal(err)
+	}
+	var lbm *Process
+	for i, name := range []string{"lbm", "namd", "milc", "gcc"} {
+		p := m.MustSubmit(workload.MustByName(name), 1)
+		if err := m.Place(p, []chip.CoreID{chip.CoreID(16 + 2*i)}); err != nil {
+			t.Fatal(err)
+		}
+		if name == "lbm" {
+			lbm = p
+		}
+	}
+	m.RunFor(1)
+	spec := m.Spec
+	all, _ := ClusteredCores(spec, spec.Cores)
+	toHigh := map[*Process][]chip.CoreID{lbm: {30}}
+	toLow := map[*Process][]chip.CoreID{lbm: {16}}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"RequiredSafeVmin after a frequency-class change", func() {
+			f := spec.HalfFreq()
+			if m.Chip.PMDFreq(0) == f {
+				f = spec.MaxFreq
+			}
+			gen := m.Chip.Generation()
+			m.Chip.SetPMDFreq(0, f)
+			if m.Chip.Generation() == gen {
+				t.Fatal("precondition: the frequency write must change the chip")
+			}
+			m.RequiredSafeVmin()
+		}},
+		{"UtilizedPMDCount", func() { m.UtilizedPMDCount() }},
+		{"vmin.SafeVmin", func() {
+			cfg := vmin.Config{Spec: spec, FreqClass: clock.FullSpeed, Cores: all, Bench: cg.Bench}
+			vmin.SafeVmin(&cfg)
+		}},
+		{"Reassign migrating one process", func() {
+			assign := toHigh
+			if lbm.Threads[0].Core == 30 {
+				assign = toLow
+			}
+			if err := m.Reassign(assign); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {
+			t.Errorf("%s allocates %v objects per call, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -42,7 +42,7 @@ func (m *Machine) RunForContext(ctx context.Context, d float64) error {
 // until maxSeconds of additional simulated time elapse, re-checking ctx at
 // every commit like RunForContext. A timeout wraps ErrNotIdle.
 func (m *Machine) RunUntilIdleContext(ctx context.Context, maxSeconds float64) error {
-	deadline := m.now + maxSeconds
+	deadline := m.now + maxSeconds - 1e-12
 	for m.now < deadline {
 		if err := ctx.Err(); err != nil {
 			return err

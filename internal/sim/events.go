@@ -156,7 +156,16 @@ func (m *Machine) logEvent(kind EventKind, proc int, format string, args ...any)
 	}
 }
 
-// coresString renders a core list compactly.
-func coresString(cores []chip.CoreID) string {
-	return fmt.Sprint(cores)
+// logPlacement records a place or migrate event for p onto cores. The
+// core list is formatted only when events are on, so placements on an
+// unobserved machine allocate nothing for logging.
+func (m *Machine) logPlacement(kind EventKind, p *Process, cores []chip.CoreID) {
+	if !m.eventsOn() {
+		return
+	}
+	verb := "on"
+	if kind == EvMigrate {
+		verb = "to"
+	}
+	m.logEvent(kind, p.ID, "%s %s %v", p.Bench.Name, verb, cores)
 }

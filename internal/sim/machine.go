@@ -221,6 +221,13 @@ type Machine struct {
 	reqChipGen  uint64
 	reqPlaceGen uint64
 	reqValid    bool
+	// reqBench/reqCores are computeRequiredVmin's grouping scratch: the
+	// distinct programs on active cores and each one's core list.
+	reqBench []*workload.Benchmark
+	reqCores [][]chip.CoreID
+
+	// planned is Reassign's scratch: the planned process per target core.
+	planned []*Process
 
 	// onFinish callbacks run after a process completes (within Step,
 	// after state updates), in registration order.
@@ -363,7 +370,7 @@ func (m *Machine) Place(p *Process, cores []chip.CoreID) error {
 	}
 	m.startRunning(p)
 	m.placeGen++
-	m.logEvent(EvPlace, p.ID, "%s on %s", p.Bench.Name, coresString(cores))
+	m.logPlacement(EvPlace, p, cores)
 	return nil
 }
 
@@ -402,7 +409,7 @@ func (m *Machine) Migrate(p *Process, cores []chip.CoreID) error {
 		t.stalledUntilTick = stall
 	}
 	m.placeGen++
-	m.logEvent(EvMigrate, p.ID, "%s to %s", p.Bench.Name, coresString(cores))
+	m.logPlacement(EvMigrate, p, cores)
 	return nil
 }
 
@@ -413,8 +420,14 @@ func (m *Machine) Migrate(p *Process, cores []chip.CoreID) error {
 // outside the map — so arbitrary permutations are expressible without
 // intermediate-state conflicts.
 func (m *Machine) Reassign(assign map[*Process][]chip.CoreID) error {
-	// Validate shapes and global distinctness.
-	seen := map[chip.CoreID]*Process{}
+	// Validate shapes and global distinctness; planned[c] is the process
+	// a target core c is assigned to. The scratch is cleared on every
+	// return.
+	if m.planned == nil {
+		m.planned = make([]*Process, m.Spec.Cores)
+	}
+	planned := m.planned
+	defer clear(planned)
 	for p, cores := range assign {
 		if p.State == Finished {
 			return fmt.Errorf("%w: process %d already finished", ErrInvalidPlacement, p.ID)
@@ -426,66 +439,50 @@ func (m *Machine) Reassign(assign map[*Process][]chip.CoreID) error {
 			if !m.Spec.ValidCore(c) {
 				return fmt.Errorf("%w: core %d out of range", ErrInvalidPlacement, c)
 			}
-			if other, dup := seen[c]; dup {
+			if other := planned[c]; other != nil {
 				return fmt.Errorf("%w: core %d assigned to both process %d and %d", ErrInvalidPlacement, c, other.ID, p.ID)
 			}
-			seen[c] = p
+			planned[c] = p
 		}
 	}
 	// Cores used by the assignment must not be occupied by outsiders.
-	for c := range seen {
-		if t := m.coreThr[c]; t != nil {
+	for c, p := range planned {
+		if t := m.coreThr[c]; p != nil && t != nil {
 			if _, inPlan := assign[t.Proc]; !inPlan {
 				return fmt.Errorf("%w: core %d occupied by process %d outside the reassignment", ErrInvalidPlacement, c, t.Proc.ID)
 			}
 		}
 	}
-	// Remember the prior placement so unchanged processes are not
-	// charged a migration.
-	oldCores := map[*Process][]chip.CoreID{}
-	for p := range assign {
-		oldCores[p] = append([]chip.CoreID(nil), p.Cores()...)
-	}
-	// Apply: vacate all planned processes, then pin to targets.
+	// Apply: vacate all planned processes, then pin to targets. Thread
+	// cores keep their prior values through the vacate so a process that
+	// lands where it was is not charged a migration.
 	for p := range assign {
 		for _, t := range p.Threads {
 			if t.Core >= 0 && m.coreThr[t.Core] == t {
 				m.coreThr[t.Core] = nil
 			}
-			t.Core = -1
 		}
 	}
 	stall := m.ticks + m.stallTicks()
 	for p, cores := range assign {
+		moved := false
 		for i, t := range p.Threads {
+			moved = moved || t.Core != cores[i]
 			t.Core = cores[i]
 			m.coreThr[cores[i]] = t
 		}
 		if p.State == Pending {
 			m.startRunning(p)
-			m.logEvent(EvPlace, p.ID, "%s on %s", p.Bench.Name, coresString(cores))
-		} else if !coresEqual(oldCores[p], cores) {
+			m.logPlacement(EvPlace, p, cores)
+		} else if moved {
 			for _, t := range p.Threads {
 				t.stalledUntilTick = stall
 			}
-			m.logEvent(EvMigrate, p.ID, "%s to %s", p.Bench.Name, coresString(cores))
+			m.logPlacement(EvMigrate, p, cores)
 		}
 	}
 	m.placeGen++
 	return nil
-}
-
-// coresEqual reports whether two core lists match element-wise.
-func coresEqual(a, b []chip.CoreID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // checkFree verifies that the cores are valid, distinct and not occupied
@@ -617,23 +614,19 @@ func (m *Machine) trimHistory() {
 	}
 }
 
-// ActiveCores returns the cores currently hosting threads.
-func (m *Machine) ActiveCores() []chip.CoreID {
-	var out []chip.CoreID
-	for c, t := range m.coreThr {
-		if t != nil {
-			out = append(out, chip.CoreID(c))
-		}
-	}
-	return out
-}
-
 // ThreadOn returns the thread on core c, or nil.
 func (m *Machine) ThreadOn(c chip.CoreID) *Thread { return m.coreThr[c] }
 
 // UtilizedPMDCount returns the number of PMDs with at least one busy core.
 func (m *Machine) UtilizedPMDCount() int {
-	return len(UtilizedPMDs(m.Spec, m.ActiveCores()))
+	n := 0
+	for p := 0; p < m.Spec.PMDs(); p++ {
+		c0, c1 := m.Spec.CoresOf(chip.PMDID(p))
+		if m.coreThr[c0] != nil || m.coreThr[c1] != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // Counters returns a copy of core c's PMU counters.
@@ -700,21 +693,41 @@ func (m *Machine) RequiredSafeVmin() chip.Millivolts {
 	return m.cachedRequiredVmin()
 }
 
-// computeRequiredVmin derives the requirement from scratch.
+// computeRequiredVmin derives the requirement from scratch. It allocates
+// nothing once the grouping scratch has grown to the machine's program
+// mix.
 func (m *Machine) computeRequiredVmin() chip.Millivolts {
-	active := m.ActiveCores()
-	if len(active) == 0 {
-		return m.Spec.MinSafeMV
-	}
-	utilized := len(UtilizedPMDs(m.Spec, active))
 	// Group active cores by the benchmark they run so per-workload
 	// offsets apply to each program's own core set.
-	perBench := map[*workload.Benchmark][]chip.CoreID{}
-	var req chip.Millivolts
-	for _, c := range active {
-		perBench[m.coreThr[c].Proc.Bench] = append(perBench[m.coreThr[c].Proc.Bench], c)
+	nb := 0
+	for c, t := range m.coreThr {
+		if t == nil {
+			continue
+		}
+		b := t.Proc.Bench
+		i := 0
+		for i < nb && m.reqBench[i] != b {
+			i++
+		}
+		if i == nb {
+			if nb == len(m.reqBench) {
+				m.reqBench = append(m.reqBench, nil)
+				m.reqCores = append(m.reqCores, nil)
+			}
+			m.reqBench[i] = b
+			m.reqCores[i] = m.reqCores[i][:0]
+			nb++
+		}
+		m.reqCores[i] = append(m.reqCores[i], chip.CoreID(c))
 	}
-	for b, cores := range perBench {
+	if nb == 0 {
+		return m.Spec.MinSafeMV
+	}
+	utilized := m.UtilizedPMDCount()
+	var req chip.Millivolts
+	for i, b := range m.reqBench[:nb] {
+		cores := m.reqCores[i]
+		m.reqBench[i] = nil // hold no program past this call
 		// The binding frequency class for a program is the fastest
 		// class among the PMDs its threads occupy.
 		fc := clock.HalfSpeed
@@ -727,10 +740,10 @@ func (m *Machine) computeRequiredVmin() chip.Millivolts {
 				fc = cfc
 			}
 		}
-		cfg := &vmin.Config{Spec: m.Spec, FreqClass: fc, Cores: cores, Bench: b}
+		cfg := vmin.Config{Spec: m.Spec, FreqClass: fc, Cores: cores, Bench: b}
 		// The droop class is set by the whole machine's utilized PMDs,
 		// not only this program's; widen the config accordingly.
-		v := vmin.SafeVmin(cfg)
+		v := vmin.SafeVmin(&cfg)
 		env := vmin.ClassEnvelope(m.Spec, fc, cfg.UtilizedPMDs())
 		envAll := vmin.ClassEnvelope(m.Spec, fc, utilized)
 		v += envAll - env
@@ -1301,7 +1314,7 @@ func (m *Machine) RunFor(d float64) {
 // maxSeconds of additional simulated time elapse. It returns an error on
 // timeout (which usually means a pending process was never placed).
 func (m *Machine) RunUntilIdle(maxSeconds float64) error {
-	deadline := m.now + maxSeconds
+	deadline := m.now + maxSeconds - 1e-12
 	for m.now < deadline {
 		if len(m.running) == 0 && len(m.pending) == 0 {
 			return nil

@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"avfs/internal/chip"
+	"avfs/internal/clock"
 	"avfs/internal/workload"
 )
 
@@ -410,6 +414,157 @@ func TestRunUntilIdleTimeout(t *testing.T) {
 	m.MustSubmit(workload.MustByName("namd"), 1) // never placed
 	if err := m.RunUntilIdle(1); err == nil {
 		t.Error("stuck pending process must time out")
+	}
+}
+
+// TestUntilIdleWindowMatchesRunFor: an until-idle window the machine
+// does not finish commits exactly the ticks a RunFor window of the same
+// length does. From ticks 41 and 68, start·Tick + 1 s rounds above the
+// tick grid, where a deadline without RunFor's slop committed a 101st
+// tick.
+func TestUntilIdleWindowMatchesRunFor(t *testing.T) {
+	ctx := context.Background()
+	for _, start := range []int{41, 42, 68} {
+		ticks := func(run func(m *Machine) error) uint64 {
+			m := xg3()
+			p := m.MustSubmit(workload.MustByName("CG"), 8)
+			cores, _ := ClusteredCores(m.Spec, 8)
+			if err := m.Place(p, cores); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < start; i++ {
+				m.Step()
+			}
+			before := m.Ticks()
+			if err := run(m); err != nil && !errors.Is(err, ErrNotIdle) {
+				t.Fatal(err)
+			}
+			if m.RunningCount() == 0 {
+				t.Fatal("precondition: the window must not reach idle")
+			}
+			return m.Ticks() - before
+		}
+		runFor := ticks(func(m *Machine) error { return m.RunForContext(ctx, 1.0) })
+		untilIdleCtx := ticks(func(m *Machine) error { return m.RunUntilIdleContext(ctx, 1.0) })
+		untilIdle := ticks(func(m *Machine) error { return m.RunUntilIdle(1.0) })
+		if runFor != 100 || untilIdleCtx != runFor || untilIdle != runFor {
+			t.Errorf("from tick %d: RunForContext %d ticks, RunUntilIdleContext %d, RunUntilIdle %d; want 100 each",
+				start, runFor, untilIdleCtx, untilIdle)
+		}
+	}
+}
+
+// TestRequiredVminCacheMatchesRecompute: the memoized requirement is an
+// exact oracle. Baseline-like trajectories (Place and Migrate onto random
+// free cores) and daemon-like ones (whole-machine Reassign plans) on both
+// chips mix in voltage-only writes, frequency changes within one class,
+// frequency-class flips, aging drift, migrations and completions; after
+// every change and at every commit RequiredSafeVmin must equal a
+// from-scratch computeRequiredVmin.
+func TestRequiredVminCacheMatchesRecompute(t *testing.T) {
+	benches := []string{"CG", "LU", "EP", "namd", "lbm", "mcf", "milc", "gcc"}
+	for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
+		for _, daemonLike := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/daemon-like=%v", spec.Name, daemonLike), func(t *testing.T) {
+				m := New(spec)
+				rng := rand.New(rand.NewSource(7))
+				check := func(where string) {
+					t.Helper()
+					if got, want := m.RequiredSafeVmin(), m.computeRequiredVmin(); got != want {
+						t.Fatalf("%s at tick %d: cached requirement %v, recomputed %v", where, m.Ticks(), got, want)
+					}
+				}
+				m.OnTickBounded(func(*Machine, int) { check("commit") }, func() float64 { return math.Inf(1) })
+				// classFreqs groups the selectable frequencies by class.
+				classFreqs := map[clock.FreqClass][]chip.MHz{}
+				for _, f := range spec.FreqSteps() {
+					fc := clock.ClassOf(spec, f)
+					classFreqs[fc] = append(classFreqs[fc], f)
+				}
+				pick := func(n int) []chip.CoreID {
+					free := m.FreeCores()
+					rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+					return free[:n]
+				}
+				threadsOf := func(b *workload.Benchmark) int {
+					if !b.Parallel {
+						return 1
+					}
+					return 1 + rng.Intn(spec.Cores/2)
+				}
+				// replan reassigns every running process, plus p when it is
+				// pending, onto a random permutation of the cores.
+				replan := func(p *Process) {
+					all := rng.Perm(spec.Cores)
+					assign := map[*Process][]chip.CoreID{}
+					next := 0
+					for _, q := range append(m.Running(), p) {
+						if q == nil || assign[q] != nil {
+							continue
+						}
+						cores := make([]chip.CoreID, len(q.Threads))
+						for i := range cores {
+							cores[i] = chip.CoreID(all[next])
+							next++
+						}
+						assign[q] = cores
+					}
+					if err := m.Reassign(assign); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for round := 0; round < 400; round++ {
+					switch op := rng.Intn(8); op {
+					case 0, 1: // arrival
+						b := workload.MustByName(benches[rng.Intn(len(benches))])
+						n := threadsOf(b)
+						if n > m.FreeCoreCount() {
+							continue
+						}
+						p := m.MustSubmit(b, n)
+						check("submit")
+						if daemonLike {
+							replan(p)
+						} else if err := m.Place(p, pick(n)); err != nil {
+							t.Fatal(err)
+						}
+					case 2: // voltage-only write
+						m.Chip.SetVoltage(spec.MinSafeMV + chip.Millivolts(rng.Intn(int(spec.NominalMV-spec.MinSafeMV)+1)))
+					case 3: // frequency change within the PMD's class
+						pmd := chip.PMDID(rng.Intn(spec.PMDs()))
+						same := classFreqs[clock.ClassOf(spec, m.Chip.PMDFreq(pmd))]
+						m.Chip.SetPMDFreq(pmd, same[rng.Intn(len(same))])
+					case 4: // frequency-class flip
+						pmd := chip.PMDID(rng.Intn(spec.PMDs()))
+						steps := spec.FreqSteps()
+						m.Chip.SetPMDFreq(pmd, steps[rng.Intn(len(steps))])
+					case 5:
+						m.SetVminDrift(chip.Millivolts(rng.Intn(40)))
+					case 6: // migration
+						running := m.Running()
+						if len(running) == 0 {
+							continue
+						}
+						if daemonLike {
+							replan(nil)
+							break
+						}
+						p := running[rng.Intn(len(running))]
+						cores := append(p.Cores(), m.FreeCores()...)
+						rng.Shuffle(len(cores), func(i, j int) { cores[i], cores[j] = cores[j], cores[i] })
+						if err := m.Migrate(p, cores[:len(p.Threads)]); err != nil {
+							t.Fatal(err)
+						}
+					case 7: // run, with completions
+						m.RunFor(rng.Float64() * 10)
+					}
+					check(fmt.Sprintf("round %d", round))
+				}
+				if m.FinishedCount() == 0 || m.Ticks() == 0 {
+					t.Fatalf("precondition: the trajectory must complete work (finished %d, ticks %d)", m.FinishedCount(), m.Ticks())
+				}
+			})
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func WireMachine(m *sim.Machine, reg *Registry, tr *Tracer) {
 		reg.Gauge(MetricGuardMarginMV, "Programmed voltage minus the true safe Vmin.",
 			func() float64 { return float64(m.Chip.Voltage() - m.RequiredSafeVmin()) })
 		reg.Gauge(MetricBusyCores, "Cores currently hosting threads.",
-			func() float64 { return float64(len(m.ActiveCores())) })
+			func() float64 { return float64(spec.Cores - m.FreeCoreCount()) })
 		reg.Gauge(MetricUtilizedPMDs, "PMDs with at least one busy core.",
 			func() float64 { return float64(m.UtilizedPMDCount()) })
 		reg.Gauge(MetricDroopClass, "Table II droop magnitude class (0-3).",

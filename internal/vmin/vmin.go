@@ -129,15 +129,15 @@ func (c *Config) Validate() error {
 	if len(c.Cores) == 0 {
 		return fmt.Errorf("vmin: configuration has no active cores")
 	}
-	seen := map[chip.CoreID]bool{}
+	var buf [idSetWords]uint64
+	seen := newIDSet(&buf, c.Spec.Cores)
 	for _, id := range c.Cores {
 		if !c.Spec.ValidCore(id) {
 			return fmt.Errorf("vmin: core %d out of range for %s", id, c.Spec.Name)
 		}
-		if seen[id] {
+		if seen.add(int(id)) {
 			return fmt.Errorf("vmin: core %d listed twice", id)
 		}
-		seen[id] = true
 	}
 	if _, ok := tables[c.Spec.Model][c.FreqClass]; !ok {
 		return fmt.Errorf("vmin: %s has no %v frequency class", c.Spec.Name, c.FreqClass)
@@ -156,12 +156,40 @@ func (c *Config) Validate() error {
 }
 
 // UtilizedPMDs returns the number of distinct PMDs hosting active cores.
+// The configuration must be valid.
 func (c *Config) UtilizedPMDs() int {
-	set := map[chip.PMDID]bool{}
+	var buf [idSetWords]uint64
+	set := newIDSet(&buf, c.Spec.PMDs())
+	n := 0
 	for _, id := range c.Cores {
-		set[c.Spec.PMDOf(id)] = true
+		if !set.add(int(c.Spec.PMDOf(id))) {
+			n++
+		}
 	}
-	return len(set)
+	return n
+}
+
+// idSetWords sizes the stack buffer of an idSet: 256 ids, far beyond
+// either chip's 32 cores, so the requirement path never allocates.
+const idSetWords = 4
+
+// idSet is a bitset over the ids 0..n-1 of cores or PMDs.
+type idSet []uint64
+
+// newIDSet returns an empty set for ids below n, on buf when it fits.
+func newIDSet(buf *[idSetWords]uint64, n int) idSet {
+	if w := (n + 63) / 64; w > len(buf) {
+		return make(idSet, w)
+	}
+	return buf[:]
+}
+
+// add inserts id and reports whether it was already present.
+func (s idSet) add(id int) bool {
+	w, b := id/64, uint64(1)<<(id%64)
+	had := s[w]&b != 0
+	s[w] |= b
+	return had
 }
 
 // ClassEnvelope returns the safe-Vmin class envelope for a chip, frequency
