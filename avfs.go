@@ -41,6 +41,8 @@
 package avfs
 
 import (
+	"context"
+
 	"avfs/internal/chip"
 	"avfs/internal/daemon"
 	"avfs/internal/experiments"
@@ -160,7 +162,7 @@ func Evaluate(m Model, wl *Workload, cfg SystemConfig) (EvalResult, error) {
 
 // EvaluateAll runs the full four-configuration comparison.
 func EvaluateAll(m Model, wl *Workload) (*EvalSet, error) {
-	return experiments.EvaluateAll(chip.SpecFor(m), wl)
+	return experiments.EvaluateAllContext(context.Background(), experiments.Campaign{}, chip.SpecFor(m), wl)
 }
 
 // clusteredCores and spreadedCores adapt the sim package's allocation

@@ -10,6 +10,7 @@
 package avfs
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -32,7 +33,10 @@ func BenchmarkTableI(b *testing.B) {
 func BenchmarkFigure3_VminCharacterization(b *testing.B) {
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure3(benchTrials)
+		r, err := experiments.Figure3Context(context.Background(), experiments.Campaign{}, benchTrials)
+		if err != nil {
+			b.Fatal(err)
+		}
 		spread = 0
 		for _, c := range r.Configs {
 			if s := float64(c.SpreadMV()); s > spread {
@@ -46,7 +50,10 @@ func BenchmarkFigure3_VminCharacterization(b *testing.B) {
 func BenchmarkFigure4_CoreVariation(b *testing.B) {
 	var wl, core float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure4(benchTrials)
+		r, err := experiments.Figure4Context(context.Background(), experiments.Campaign{}, benchTrials)
+		if err != nil {
+			b.Fatal(err)
+		}
 		wl = float64(r.WorkloadVariationMV())
 		core = float64(r.CoreVariationMV())
 	}
@@ -57,7 +64,10 @@ func BenchmarkFigure4_CoreVariation(b *testing.B) {
 func BenchmarkFigure5_PFailCurves(b *testing.B) {
 	var lines float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure5(60)
+		r, err := experiments.Figure5Context(context.Background(), experiments.Campaign{}, 60)
+		if err != nil {
+			b.Fatal(err)
+		}
 		lines = float64(len(r.Lines))
 	}
 	b.ReportMetric(lines, "pfail-curves")
@@ -81,7 +91,10 @@ func BenchmarkFigure6_DroopDetections(b *testing.B) {
 func BenchmarkFigure7_ClusteredVsSpreaded(b *testing.B) {
 	var maxDiff float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Figure7(chip.XGene2Spec())
+		r, err := experiments.Figure7Context(context.Background(), experiments.Campaign{}, chip.XGene2Spec())
+		if err != nil {
+			b.Fatal(err)
+		}
 		maxDiff = 0
 		for _, e := range r.Entries {
 			if e.DiffFrac > maxDiff {
@@ -154,7 +167,11 @@ func benchGrid(b *testing.B, spec *chip.Spec, metric func(experiments.GridResult
 	b.Helper()
 	var v float64
 	for i := 0; i < b.N; i++ {
-		v = metric(experiments.EnergyGrid(spec, sim.Clustered))
+		g, err := experiments.EnergyGridContext(context.Background(), experiments.Campaign{}, spec, sim.Clustered)
+		if err != nil {
+			b.Fatal(err)
+		}
+		v = metric(g)
 	}
 	b.ReportMetric(v, name)
 }
@@ -175,7 +192,7 @@ func benchEvaluate(b *testing.B, spec *chip.Spec) {
 	var set *experiments.EvalSet
 	for i := 0; i < b.N; i++ {
 		var err error
-		set, err = experiments.EvaluateAll(spec, wl)
+		set, err = experiments.EvaluateAllContext(context.Background(), experiments.Campaign{}, spec, wl)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +257,7 @@ func benchAblation(b *testing.B, run func() (experiments.AblationResult, error),
 
 func BenchmarkAblation_Threshold(b *testing.B) {
 	benchAblation(b, func() (experiments.AblationResult, error) {
-		return experiments.AblateThreshold(chip.XGene2Spec(), 600, 42)
+		return experiments.Ablate(context.Background(), experiments.Campaign{}, "threshold", chip.XGene2Spec(), 600, 42)
 	}, func(r experiments.AblationResult) (float64, string) {
 		return 100 * r.Points[2].EnergySavings, "3K-threshold-savings-%"
 	})
@@ -248,7 +265,7 @@ func BenchmarkAblation_Threshold(b *testing.B) {
 
 func BenchmarkAblation_Guard(b *testing.B) {
 	benchAblation(b, func() (experiments.AblationResult, error) {
-		return experiments.AblateGuard(chip.XGene3Spec(), 600, 42)
+		return experiments.Ablate(context.Background(), experiments.Campaign{}, "guard", chip.XGene3Spec(), 600, 42)
 	}, func(r experiments.AblationResult) (float64, string) {
 		return float64(r.Points[len(r.Points)-1].Emergencies), "emergencies-at-guard--25mV"
 	})
@@ -256,7 +273,7 @@ func BenchmarkAblation_Guard(b *testing.B) {
 
 func BenchmarkAblation_Protocol(b *testing.B) {
 	benchAblation(b, func() (experiments.AblationResult, error) {
-		return experiments.AblateProtocol(chip.XGene3Spec(), 600, 42)
+		return experiments.Ablate(context.Background(), experiments.Campaign{}, "protocol", chip.XGene3Spec(), 600, 42)
 	}, func(r experiments.AblationResult) (float64, string) {
 		return float64(r.Points[1].Emergencies), "emergencies-inverted-order"
 	})
@@ -264,7 +281,7 @@ func BenchmarkAblation_Protocol(b *testing.B) {
 
 func BenchmarkExtension_Relaxed(b *testing.B) {
 	benchAblation(b, func() (experiments.AblationResult, error) {
-		return experiments.AblateRelaxed(chip.XGene3Spec(), 600, 42)
+		return experiments.Ablate(context.Background(), experiments.Campaign{}, "relaxed", chip.XGene3Spec(), 600, 42)
 	}, func(r experiments.AblationResult) (float64, string) {
 		return 100 * r.Points[len(r.Points)-1].EnergySavings, "half-speed-cpu-savings-%"
 	})
@@ -272,7 +289,7 @@ func BenchmarkExtension_Relaxed(b *testing.B) {
 
 func BenchmarkExtension_Aging(b *testing.B) {
 	benchAblation(b, func() (experiments.AblationResult, error) {
-		return experiments.AblateAging(chip.XGene3Spec(), 600, 42)
+		return experiments.Ablate(context.Background(), experiments.Campaign{}, "aging", chip.XGene3Spec(), 600, 42)
 	}, func(r experiments.AblationResult) (float64, string) {
 		return 100 * r.Points[len(r.Points)-1].EnergySavings, "7y-age-aware-savings-%"
 	})
@@ -282,7 +299,7 @@ func BenchmarkRobustness_Seeds(b *testing.B) {
 	var st experiments.SeedStudy
 	for i := 0; i < b.N; i++ {
 		var err error
-		st, err = experiments.RunSeedStudy(chip.XGene3Spec(), 480, []int64{1, 2, 3})
+		st, err = experiments.RunSeedStudyContext(context.Background(), experiments.Campaign{}, chip.XGene3Spec(), 480, []int64{1, 2, 3})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,10 +1,12 @@
 // Command ablate runs the design-choice ablation and extension studies:
-// sweeps of the classification threshold, voltage guard, monitoring
-// period, hysteresis band, memory-PMD frequency (X-Gene 2), the relaxed-
-// performance direction, the fail-safe transition ordering, aging drift,
-// migration cost, and the power-capping comparison. Each sweep replays
-// one fixed random workload under daemon variants and compares energy,
-// time and safety against the Baseline.
+// the daemon sweeps of experiments.AblationStudies (classification
+// threshold, voltage guard, monitoring period, hysteresis band,
+// memory-PMD frequency, relaxed performance, fail-safe transition
+// ordering, aging drift, migration cost), each through experiments.Ablate,
+// and the power-capping comparison. Each sweep replays one fixed random
+// workload under daemon variants and compares energy, time and safety
+// against the Baseline. The memory-PMD frequency sweep always runs on
+// X-Gene 2, whatever -chip says.
 //
 // Usage:
 //
@@ -49,16 +51,12 @@ func run() int {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file")
 	flag.Parse()
 
-	var spec *chip.Spec
-	switch *chipFlag {
-	case "xgene2":
-		spec = chip.XGene2Spec()
-	case "xgene3":
-		spec = chip.XGene3Spec()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown chip %q\n", *chipFlag)
+	model, err := chip.ParseModel(*chipFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ablate:", err)
 		return 2
 	}
+	spec := chip.SpecFor(model)
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -74,49 +72,15 @@ func run() int {
 	ctx := context.Background()
 	cam := experiments.Campaign{Workers: *jobs, Store: store.New(*cacheDir)}
 
-	type studyFn func() (experiments.AblationResult, error)
-	studies := []struct {
-		name string
-		fn   studyFn
-	}{
-		{"threshold", func() (experiments.AblationResult, error) {
-			return experiments.AblateThresholdContext(ctx, cam, spec, *duration, *seed)
-		}},
-		{"guard", func() (experiments.AblationResult, error) {
-			return experiments.AblateGuardContext(ctx, cam, spec, *duration, *seed)
-		}},
-		{"poll", func() (experiments.AblationResult, error) {
-			return experiments.AblatePollIntervalContext(ctx, cam, spec, *duration, *seed)
-		}},
-		{"hysteresis", func() (experiments.AblationResult, error) {
-			return experiments.AblateHysteresisContext(ctx, cam, spec, *duration, *seed)
-		}},
-		{"memfreq", func() (experiments.AblationResult, error) {
-			return experiments.AblateMemFreqContext(ctx, cam, *duration, *seed)
-		}},
-		{"relaxed", func() (experiments.AblationResult, error) {
-			return experiments.AblateRelaxedContext(ctx, cam, spec, *duration, *seed)
-		}},
-		{"protocol", func() (experiments.AblationResult, error) {
-			return experiments.AblateProtocolContext(ctx, cam, spec, *duration, *seed)
-		}},
-		{"aging", func() (experiments.AblationResult, error) {
-			return experiments.AblateAgingContext(ctx, cam, spec, *duration, *seed)
-		}},
-		{"migration", func() (experiments.AblationResult, error) {
-			return experiments.AblateMigrationCostContext(ctx, cam, spec, *duration, *seed)
-		}},
-	}
-
 	ran := false
-	for _, s := range studies {
-		if *study != "all" && *study != s.name {
+	for _, st := range experiments.AblationStudies() {
+		if *study != "all" && *study != st.Name {
 			continue
 		}
 		ran = true
-		res, err := s.fn()
+		res, err := experiments.Ablate(ctx, cam, st.Name, spec, *duration, *seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ablate %s: %v\n", s.name, err)
+			fmt.Fprintf(os.Stderr, "ablate %s: %v\n", st.Name, err)
 			return 1
 		}
 		res.Render(os.Stdout)

@@ -47,16 +47,12 @@ func main() {
 	telPath := flag.String("telemetry", "", "stream the JSONL decision trace to this file")
 	flag.Parse()
 
-	var spec *chip.Spec
-	switch *chipFlag {
-	case "xgene2":
-		spec = chip.XGene2Spec()
-	case "xgene3":
-		spec = chip.XGene3Spec()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown chip %q\n", *chipFlag)
+	model, err := chip.ParseModel(*chipFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "avfsd:", err)
 		os.Exit(2)
 	}
+	spec := chip.SpecFor(model)
 
 	var cfg daemon.Config
 	switch *mode {

@@ -21,16 +21,12 @@ func main() {
 	chipFlag := flag.String("chip", "xgene3", "chip: xgene2 or xgene3")
 	flag.Parse()
 
-	var spec *chip.Spec
-	switch *chipFlag {
-	case "xgene2":
-		spec = chip.XGene2Spec()
-	case "xgene3":
-		spec = chip.XGene3Spec()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown chip %q\n", *chipFlag)
+	model, err := chip.ParseModel(*chipFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "classify:", err)
 		os.Exit(2)
 	}
+	spec := chip.SpecFor(model)
 
 	ran := false
 	run := func(name string, fn func()) {

@@ -223,14 +223,14 @@ func runInstant(spec *chip.Spec, duration float64, seed int64, nodeStr, scalingS
 	return nil
 }
 
+// chipsFor resolves the -chip flag: a chip.ParseModel name or both.
 func chipsFor(name string) ([]*chip.Spec, error) {
-	switch name {
-	case "xgene2":
-		return []*chip.Spec{chip.XGene2Spec()}, nil
-	case "xgene3":
-		return []*chip.Spec{chip.XGene3Spec()}, nil
-	case "both":
+	if name == "both" {
 		return []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()}, nil
 	}
-	return nil, fmt.Errorf("unknown chip %q (want xgene2, xgene3 or both)", name)
+	model, err := chip.ParseModel(name)
+	if err != nil {
+		return nil, fmt.Errorf("evaluate: %w, or both", err)
+	}
+	return []*chip.Spec{chip.SpecFor(model)}, nil
 }

@@ -33,21 +33,19 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist characterization datasets under this directory (default: in-process memoization only)")
 	flag.Parse()
 
-	var specs []*chip.Spec
-	switch *chipFlag {
-	case "xgene2":
-		specs = []*chip.Spec{chip.XGene2Spec()}
-	case "xgene3":
-		specs = []*chip.Spec{chip.XGene3Spec()}
-	case "both":
-		specs = []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown chip %q\n", *chipFlag)
-		os.Exit(2)
+	specs := []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()}
+	if *chipFlag != "both" {
+		model, err := chip.ParseModel(*chipFlag)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tradeoffs:", err)
+			os.Exit(2)
+		}
+		specs = []*chip.Spec{chip.SpecFor(model)}
 	}
-	place := sim.Clustered
-	if *placeFlag == "spreaded" {
-		place = sim.Spreaded
+	place, err := sim.ParsePlacement(*placeFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tradeoffs:", err)
+		os.Exit(2)
 	}
 
 	ctx := context.Background()

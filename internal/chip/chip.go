@@ -15,8 +15,10 @@
 package chip
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Millivolts is a supply-voltage level in millivolts (mV).
@@ -60,6 +62,33 @@ func (m Model) String() string {
 	default:
 		return fmt.Sprintf("Model(%d)", int(m))
 	}
+}
+
+// Name is the model's wire name: xgene2 or xgene3.
+func (m Model) Name() string {
+	switch m {
+	case XGene2:
+		return "xgene2"
+	case XGene3:
+		return "xgene3"
+	default:
+		return m.String()
+	}
+}
+
+// ErrUnknownModel rejects a wire name of neither chip.
+var ErrUnknownModel = errors.New("chip: unknown model")
+
+// ParseModel resolves a wire name, case-insensitively: a Name, the
+// aliases x-gene2/xgene-2 and x-gene3/xgene-3, or "" for X-Gene 3.
+func ParseModel(s string) (Model, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "", "xgene3", "x-gene3", "xgene-3":
+		return XGene3, nil
+	case "xgene2", "x-gene2", "xgene-2":
+		return XGene2, nil
+	}
+	return XGene3, fmt.Errorf("%w: %q (want xgene2 or xgene3)", ErrUnknownModel, s)
 }
 
 // Process is the silicon technology node of a chip. It parameterizes the

@@ -1,9 +1,48 @@
 package chip
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
+
+// TestParseModel pins every wire alias of the two chips, the default and
+// the round trip through Name.
+func TestParseModel(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Model
+		ok   bool
+	}{
+		{"", XGene3, true},
+		{"xgene3", XGene3, true},
+		{" X-Gene3 ", XGene3, true},
+		{"xgene-3", XGene3, true},
+		{"xgene2", XGene2, true},
+		{"XGENE2", XGene2, true},
+		{"x-gene2", XGene2, true},
+		{"xgene-2", XGene2, true},
+		{"xgene", 0, false},
+		{"x-gene 2", 0, false},
+		{"both", 0, false},
+	} {
+		got, err := ParseModel(tc.in)
+		if !tc.ok {
+			if !errors.Is(err, ErrUnknownModel) {
+				t.Errorf("ParseModel(%q) = %v, %v; want ErrUnknownModel", tc.in, got, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, m := range []Model{XGene2, XGene3} {
+		if got, err := ParseModel(m.Name()); err != nil || got != m {
+			t.Errorf("ParseModel(%q) = %v, %v", m.Name(), got, err)
+		}
+	}
+}
 
 func TestSpecTopology(t *testing.T) {
 	for _, tc := range []struct {

@@ -10,6 +10,7 @@
 package claims
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -137,7 +138,10 @@ var all = []Claim{
 		Statement: "multicore safe Vmin is virtually workload-independent (max spread ~10 mV)",
 		Paper:     "<=10mV",
 		Check: func(f Fidelity) (string, bool) {
-			r := experiments.Figure3(f.Trials)
+			r, err := experiments.Figure3Context(context.Background(), experiments.Campaign{}, f.Trials)
+			if err != nil {
+				return err.Error(), false
+			}
 			var worst chip.Millivolts
 			for _, c := range r.Configs {
 				if c.Threads >= 4 && c.SpreadMV() > worst {
@@ -153,7 +157,10 @@ var all = []Claim{
 		Statement: "single-/two-core X-Gene 2 runs show up to ~40 mV workload and ~30 mV core-to-core variation",
 		Paper:     "40mV / 30mV",
 		Check: func(f Fidelity) (string, bool) {
-			r := experiments.Figure4(f.Trials)
+			r, err := experiments.Figure4Context(context.Background(), experiments.Campaign{}, f.Trials)
+			if err != nil {
+				return err.Error(), false
+			}
 			wl, core := r.WorkloadVariationMV(), r.CoreVariationMV()
 			ok := wl >= 25 && wl <= 50 && core >= 15 && core <= 40
 			return fmt.Sprintf("%dmV / %dmV", wl, core), ok
@@ -239,7 +246,10 @@ var all = []Claim{
 		Statement: "clustered-vs-spreaded energy difference spans roughly -9.6%..+14.2%, CPU-intensive preferring clustered and memory-intensive preferring spreaded",
 		Paper:     "-9.6%..+14.2%",
 		Check: func(Fidelity) (string, bool) {
-			r := experiments.Figure7(chip.XGene2Spec())
+			r, err := experiments.Figure7Context(context.Background(), experiments.Campaign{}, chip.XGene2Spec())
+			if err != nil {
+				return err.Error(), false
+			}
 			min, max := 0.0, 0.0
 			split := true
 			for i, e := range r.Entries {
@@ -297,7 +307,10 @@ var all = []Claim{
 		Statement: "X-Gene 2 at 0.9 GHz gives significant energy savings for all programs (deep-division undervolt)",
 		Paper:     "best energy at 0.9GHz for all",
 		Check: func(Fidelity) (string, bool) {
-			grid := experiments.EnergyGrid(chip.XGene2Spec(), sim.Clustered)
+			grid, err := experiments.EnergyGridContext(context.Background(), experiments.Campaign{}, chip.XGene2Spec(), sim.Clustered)
+			if err != nil {
+				return err.Error(), false
+			}
 			wins := 0
 			for _, b := range experiments.FiveBenchmarks() {
 				if grid.BestFreq(b.Name, 8, func(c experiments.GridCell) float64 { return c.EnergyJ }) == 900 {
@@ -312,7 +325,10 @@ var all = []Claim{
 		Statement: "ED2P: CPU-intensive programs best at max frequency; memory-intensive best at reduced frequency",
 		Paper:     "crossover by class",
 		Check: func(Fidelity) (string, bool) {
-			grid := experiments.EnergyGrid(chip.XGene3Spec(), sim.Clustered)
+			grid, err := experiments.EnergyGridContext(context.Background(), experiments.Campaign{}, chip.XGene3Spec(), sim.Clustered)
+			if err != nil {
+				return err.Error(), false
+			}
 			ed2p := func(c experiments.GridCell) float64 { return c.ED2P }
 			okCPU := grid.BestFreq("namd", 32, ed2p) == 3000 && grid.BestFreq("EP", 32, ed2p) == 3000
 			okMem := grid.BestFreq("CG", 32, ed2p) != 3000 && grid.BestFreq("milc", 32, ed2p) != 3000
@@ -328,7 +344,7 @@ var all = []Claim{
 			ok := true
 			for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
 				wl := wlgen.Generate(spec, wlgen.Config{Duration: f.EvalSeconds}, f.Seed)
-				set, err := experiments.EvaluateAll(spec, wl)
+				set, err := experiments.EvaluateAllContext(context.Background(), experiments.Campaign{}, spec, wl)
 				if err != nil {
 					return err.Error(), false
 				}
@@ -351,8 +367,7 @@ var all = []Claim{
 		Statement: "the daemon's placement overhead is negligible (equal to a Linux process migration)",
 		Paper:     "negligible overhead",
 		Check: func(f Fidelity) (string, bool) {
-			spec := chip.XGene3Spec()
-			r, err := experiments.AblateMigrationCost(spec, f.EvalSeconds, f.Seed)
+			r, err := experiments.Ablate(context.Background(), experiments.Campaign{}, "migration", chip.XGene3Spec(), f.EvalSeconds, f.Seed)
 			if err != nil {
 				return err.Error(), false
 			}

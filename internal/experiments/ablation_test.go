@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"io"
+	"math"
 	"testing"
 
 	"avfs/internal/chip"
+	"avfs/internal/metrics"
+	"avfs/internal/wlgen"
 )
 
 // Ablation tests use a reduced (10-minute) workload; the asserted
@@ -24,7 +28,7 @@ func skipIfShort(t *testing.T) {
 
 func TestAblateThresholdKnee(t *testing.T) {
 	skipIfShort(t)
-	r, err := AblateThreshold(chip.XGene2Spec(), ablDuration, ablSeed)
+	r, err := Ablate(context.Background(), Campaign{}, "threshold", chip.XGene2Spec(), ablDuration, ablSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +64,7 @@ func TestAblateThresholdKnee(t *testing.T) {
 
 func TestAblateGuardTightEnvelope(t *testing.T) {
 	skipIfShort(t)
-	r, err := AblateGuard(chip.XGene3Spec(), ablDuration, ablSeed)
+	r, err := Ablate(context.Background(), Campaign{}, "guard", chip.XGene3Spec(), ablDuration, ablSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +91,7 @@ func TestAblateGuardTightEnvelope(t *testing.T) {
 
 func TestAblatePollInterval(t *testing.T) {
 	skipIfShort(t)
-	r, err := AblatePollInterval(chip.XGene3Spec(), ablDuration, ablSeed)
+	r, err := Ablate(context.Background(), Campaign{}, "poll", chip.XGene3Spec(), ablDuration, ablSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +107,7 @@ func TestAblatePollInterval(t *testing.T) {
 
 func TestAblateMemFreqOrdering(t *testing.T) {
 	skipIfShort(t)
-	r, err := AblateMemFreq(ablDuration, ablSeed)
+	r, err := Ablate(context.Background(), Campaign{}, "memfreq", nil, ablDuration, ablSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestAblateMemFreqOrdering(t *testing.T) {
 
 func TestAblateRelaxedTradeoff(t *testing.T) {
 	skipIfShort(t)
-	r, err := AblateRelaxed(chip.XGene3Spec(), ablDuration, ablSeed)
+	r, err := Ablate(context.Background(), Campaign{}, "relaxed", chip.XGene3Spec(), ablDuration, ablSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +144,7 @@ func TestAblateRelaxedTradeoff(t *testing.T) {
 
 func TestAblateProtocolOrdering(t *testing.T) {
 	skipIfShort(t)
-	r, err := AblateProtocol(chip.XGene3Spec(), ablDuration, ablSeed)
+	r, err := Ablate(context.Background(), Campaign{}, "protocol", chip.XGene3Spec(), ablDuration, ablSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +171,7 @@ func indexPoints(t *testing.T, r AblationResult) map[string]AblationPoint {
 
 func TestAblateAging(t *testing.T) {
 	skipIfShort(t)
-	r, err := AblateAging(chip.XGene3Spec(), ablDuration, ablSeed)
+	r, err := Ablate(context.Background(), Campaign{}, "aging", chip.XGene3Spec(), ablDuration, ablSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +214,7 @@ func findPrefix(t *testing.T, r AblationResult, prefix string) AblationPoint {
 
 func TestSeedStudyRobustness(t *testing.T) {
 	skipIfShort(t)
-	st, err := RunSeedStudy(chip.XGene3Spec(), 480, []int64{1, 2, 3})
+	st, err := RunSeedStudyContext(context.Background(), Campaign{}, chip.XGene3Spec(), 480, []int64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestSeedStudyRobustness(t *testing.T) {
 
 func TestCapStudyDaemonBeatsNaiveCapping(t *testing.T) {
 	skipIfShort(t)
-	st, err := RunCapStudy(chip.XGene3Spec(), ablDuration, ablSeed)
+	st, err := RunCapStudyContext(context.Background(), Campaign{}, chip.XGene3Spec(), ablDuration, ablSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +269,7 @@ func TestCapStudyDaemonBeatsNaiveCapping(t *testing.T) {
 
 func TestAblateMigrationCostNegligible(t *testing.T) {
 	skipIfShort(t)
-	r, err := AblateMigrationCost(chip.XGene3Spec(), ablDuration, ablSeed)
+	r, err := Ablate(context.Background(), Campaign{}, "migration", chip.XGene3Spec(), ablDuration, ablSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +293,83 @@ func TestAblateMigrationCostNegligible(t *testing.T) {
 	for _, label := range []string{"migration cost 0ms", "migration cost 0.1ms", "migration cost 5ms"} {
 		if byLabel[label].Emergencies != 0 {
 			t.Errorf("%s: emergencies", label)
+		}
+	}
+}
+
+// TestAblationStudiesTable checks the study table: unique names, every
+// study builds variants on both chips, and Ablate rejects an unknown name.
+func TestAblationStudiesTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, st := range AblationStudies() {
+		if st.Name == "" || st.Title == "" || seen[st.Name] {
+			t.Errorf("study %q (%q): empty or duplicate name", st.Name, st.Title)
+		}
+		seen[st.Name] = true
+		for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
+			if len(st.variants(spec)) == 0 {
+				t.Errorf("%s on %s: no variants", st.Name, spec.Name)
+			}
+		}
+	}
+	if _, err := Ablate(context.Background(), Campaign{}, "nope", chip.XGene3Spec(), 60, 1); err == nil {
+		t.Error("Ablate accepted an unknown study")
+	}
+}
+
+// TestAblationPaperPolicyIsOptimalCell pins the relaxed sweep's paper
+// policy point to the Optimal campaign cell of the same workload: the
+// same ticks, completion time and daemon actions. Energy agrees within
+// 1e-12 relative, not bit for bit, because the cell's 1 Hz Fig. 14/15
+// recorder splits coalesced batches.
+func TestAblationPaperPolicyIsOptimalCell(t *testing.T) {
+	const duration, seed = 300, 42
+	for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
+		wl := wlgen.Generate(spec, wlgen.Config{Duration: duration}, seed)
+		r, err := Ablate(context.Background(), Campaign{}, "relaxed", spec, duration, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := Evaluate(spec, wl, Baseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, cm, err := evaluate(spec, wl, Optimal, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var relaxed AblationStudy
+		for _, st := range AblationStudies() {
+			if st.Name == "relaxed" {
+				relaxed = st
+			}
+		}
+		paper := relaxed.variants(spec)[0]
+		s, err := replayVariant(spec, wl, paper)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if s.M.Ticks() != cm.Ticks() || math.Float64bits(s.M.Now()) != math.Float64bits(cell.TimeSec) {
+			t.Errorf("%s: paper policy ends at tick %d (%v s), Optimal cell at tick %d (%v s)",
+				spec.Name, s.M.Ticks(), s.M.Now(), cm.Ticks(), cell.TimeSec)
+		}
+		if st := s.D.Stats(); st != cell.DaemonStats {
+			t.Errorf("%s: paper policy daemon stats %+v, Optimal cell %+v", spec.Name, st, cell.DaemonStats)
+		}
+		if d := math.Abs(s.M.Meter.Energy()-cell.EnergyJ) / cell.EnergyJ; d > 1e-12 {
+			t.Errorf("%s: paper policy energy %v J, Optimal cell %v J (rel %.2g)", spec.Name, s.M.Meter.Energy(), cell.EnergyJ, d)
+		}
+
+		// The sweep's point is the replayed variant against the Baseline.
+		pt := r.Points[0]
+		if pt.Label != paper.label ||
+			math.Float64bits(pt.TimePenalty) != math.Float64bits(metrics.RelDiff(cell.TimeSec, base.TimeSec)) ||
+			pt.Emergencies != cell.Emergencies ||
+			pt.ClassFlips != cell.DaemonStats.ClassFlips || pt.Migrations != cell.DaemonStats.Migrations ||
+			math.Abs(pt.EnergySavings-metrics.Savings(base.EnergyJ, cell.EnergyJ)) > 1e-12 {
+			t.Errorf("%s: sweep point %+v disagrees with the Optimal cell (%v s, %v J, %+v)",
+				spec.Name, pt, cell.TimeSec, cell.EnergyJ, cell.DaemonStats)
 		}
 	}
 }

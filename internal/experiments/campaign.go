@@ -52,12 +52,3 @@ func (cam Campaign) characterize(ch *vmin.Characterizer, cfg *vmin.Config) vmin.
 func runCells[J, R any](ctx context.Context, cam Campaign, cells []J, fn func(context.Context, J) (R, error)) ([]R, error) {
 	return runner.RunStats(ctx, cells, cam.Workers, cam.Stats, fn)
 }
-
-// mustCampaign unwraps a campaign result for the legacy panic-on-error
-// entry points.
-func mustCampaign[R any](r R, err error) R {
-	if err != nil {
-		panic(err)
-	}
-	return r
-}

@@ -64,15 +64,6 @@ type Fig3Result struct {
 	Configs []Fig3Config
 }
 
-// Figure3 characterizes the 25 benchmarks on both chips at the paper's
-// reported frequencies and thread-scaling options (8/4 threads on X-Gene 2
-// at 2.4/1.2/0.9 GHz; 32/16/8 threads on X-Gene 3 at 3/1.5 GHz). The
-// characterizer's trial counts can be reduced for fast runs; trials<=0
-// uses the paper's 1000-run criterion.
-func Figure3(trials int) Fig3Result {
-	return mustCampaign(Figure3Context(context.Background(), Campaign{}, trials))
-}
-
 // fig3Cell is one (panel, benchmark) characterization of Fig. 3.
 type fig3Cell struct {
 	panel int
@@ -80,9 +71,13 @@ type fig3Cell struct {
 	cfg   *vmin.Config
 }
 
-// Figure3Context is Figure3 with explicit cancellation and a campaign: the
-// (config, benchmark) cells are enumerated up front and dispatched through
-// the bounded worker pool. Results are identical for any worker width.
+// Figure3Context characterizes the 25 benchmarks on both chips at the
+// paper's reported frequencies and thread-scaling options (8/4 threads on
+// X-Gene 2 at 2.4/1.2/0.9 GHz; 32/16/8 threads on X-Gene 3 at 3/1.5 GHz).
+// The characterizer's trial counts can be reduced for fast runs;
+// trials<=0 uses the paper's 1000-run criterion. The (config, benchmark)
+// cells are enumerated up front and dispatched through the campaign's
+// bounded worker pool. Results are identical for any worker width.
 func Figure3Context(ctx context.Context, cam Campaign, trials int) (Fig3Result, error) {
 	ch := &vmin.Characterizer{SafeTrials: trials, UnsafeTrials: trials}
 	var panels []Fig3Config
@@ -168,13 +163,6 @@ type Fig4Result struct {
 	TwoCore    []Fig4Cell
 }
 
-// Figure4 characterizes every benchmark on every individual core (top
-// graphs) and on both cores of every PMD (bottom graphs) of the X-Gene 2
-// at 2.4 GHz.
-func Figure4(trials int) Fig4Result {
-	return mustCampaign(Figure4Context(context.Background(), Campaign{}, trials))
-}
-
 // fig4Cell is one (benchmark, core-or-PMD) characterization of Fig. 4.
 type fig4Cell struct {
 	single bool // true: single-core sweep; false: two-core (PMD) sweep
@@ -183,7 +171,9 @@ type fig4Cell struct {
 	cfg    *vmin.Config
 }
 
-// Figure4Context is Figure4 with explicit cancellation and a campaign.
+// Figure4Context characterizes every benchmark on every individual core
+// (top graphs) and on both cores of every PMD (bottom graphs) of the
+// X-Gene 2 at 2.4 GHz, one campaign cell per characterization.
 func Figure4Context(ctx context.Context, cam Campaign, trials int) (Fig4Result, error) {
 	spec := chip.XGene2Spec()
 	ch := &vmin.Characterizer{SafeTrials: trials, UnsafeTrials: trials}
@@ -363,13 +353,6 @@ type Fig5Result struct {
 	Lines []Fig5Line
 }
 
-// Figure5 sweeps the unsafe region for the paper's frequency, thread
-// scaling and core allocation options on both chips and averages the
-// pfail curves over the 25 benchmarks.
-func Figure5(trials int) Fig5Result {
-	return mustCampaign(Figure5Context(context.Background(), Campaign{}, trials))
-}
-
 // fig5Cell is one (line, benchmark) characterization of Fig. 5.
 type fig5Cell struct {
 	line int
@@ -386,10 +369,12 @@ type fig5Curve struct {
 	hasSafe bool
 }
 
-// Figure5Context is Figure5 with explicit cancellation and a campaign: the
-// per-benchmark sweeps of every line run as independent cells; averaging
-// happens afterwards in benchmark order, so the curve is bit-identical for
-// any worker width.
+// Figure5Context sweeps the unsafe region for the paper's frequency,
+// thread scaling and core allocation options on both chips and averages
+// the pfail curves over the 25 benchmarks. The per-benchmark sweeps of
+// every line run as independent campaign cells; averaging happens
+// afterwards in benchmark order, so the curve is bit-identical for any
+// worker width.
 func Figure5Context(ctx context.Context, cam Campaign, trials int) (Fig5Result, error) {
 	ch := &vmin.Characterizer{SafeTrials: trials, UnsafeTrials: trials}
 	type cfg struct {

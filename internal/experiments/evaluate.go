@@ -193,14 +193,9 @@ type EvalSet struct {
 	Results  map[SystemConfig]EvalResult
 }
 
-// EvaluateAll runs all four configurations over the same workload.
-func EvaluateAll(spec *chip.Spec, wl *wlgen.Workload) (*EvalSet, error) {
-	return EvaluateAllContext(context.Background(), Campaign{}, spec, wl)
-}
-
-// EvaluateAllContext is EvaluateAll with explicit cancellation and a
-// campaign: the four configuration replays run as independent cells, each
-// on its own fresh machine.
+// EvaluateAllContext runs all four configurations over the same
+// workload: the four replays run as independent campaign cells, each on
+// its own fresh machine.
 func EvaluateAllContext(ctx context.Context, cam Campaign, spec *chip.Spec, wl *wlgen.Workload) (*EvalSet, error) {
 	cfgs := SystemConfigs()
 	results, err := runCells(ctx, cam, cfgs, func(_ context.Context, cfg SystemConfig) (EvalResult, error) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -131,7 +132,10 @@ func TestFiveBenchmarks(t *testing.T) {
 // --- Figure 3 ----------------------------------------------------------
 
 func TestFigure3Acceptance(t *testing.T) {
-	r := Figure3(120)
+	r, err := Figure3Context(context.Background(), Campaign{}, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Configs) == 0 {
 		t.Fatal("no configs")
 	}
@@ -178,7 +182,10 @@ func TestFigure3Acceptance(t *testing.T) {
 // --- Figure 4 ----------------------------------------------------------
 
 func TestFigure4Acceptance(t *testing.T) {
-	r := Figure4(120)
+	r, err := Figure4Context(context.Background(), Campaign{}, 120)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.SingleCore) != 25*8 || len(r.TwoCore) != 25*4 {
 		t.Fatalf("sweep sizes %d/%d", len(r.SingleCore), len(r.TwoCore))
 	}
@@ -208,7 +215,10 @@ func TestFigure4Acceptance(t *testing.T) {
 // --- Figure 5 ----------------------------------------------------------
 
 func TestFigure5Acceptance(t *testing.T) {
-	r := Figure5(60)
+	r, err := Figure5Context(context.Background(), Campaign{}, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
 	find := func(label string) Fig5Line {
 		for _, l := range r.Lines {
 			if l.Label == label {

@@ -35,16 +35,11 @@ type CapStudy struct {
 	Points   []CapPoint
 }
 
-// RunCapStudy replays one workload under Baseline, a power cap at the
-// daemon's average power, and the Optimal daemon.
-func RunCapStudy(spec *chip.Spec, duration float64, seed int64) (CapStudy, error) {
-	return RunCapStudyContext(context.Background(), Campaign{}, spec, duration, seed)
-}
-
-// RunCapStudyContext is RunCapStudy with explicit cancellation and a
-// campaign. The Baseline and Optimal replays are independent cells; the
-// capped replay must wait for them because its budget is the Optimal
-// daemon's measured average power.
+// RunCapStudyContext replays one workload under Baseline, a power cap at
+// the daemon's average power, and the Optimal daemon. The Baseline and
+// Optimal replays are independent campaign cells; the capped replay must
+// wait for them because its budget is the Optimal daemon's measured
+// average power.
 func RunCapStudyContext(ctx context.Context, cam Campaign, spec *chip.Spec, duration float64, seed int64) (CapStudy, error) {
 	wl := wlgen.Generate(spec, wlgen.Config{Duration: duration}, seed)
 	st := CapStudy{Chip: spec, Seed: seed, Duration: duration}

@@ -36,14 +36,9 @@ type Fig7Result struct {
 	Entries []Fig7Entry
 }
 
-// Figure7 measures every characterization benchmark with half-of-half
-// threads (4 on X-Gene 2) under both allocations.
-func Figure7(spec *chip.Spec) Fig7Result {
-	return mustCampaign(Figure7Context(context.Background(), Campaign{}, spec))
-}
-
-// Figure7Context is Figure7 with explicit cancellation and a campaign:
-// each benchmark's clustered+spreaded pair is one independent cell.
+// Figure7Context measures every characterization benchmark with
+// half-of-half threads (4 on X-Gene 2) under both allocations: each
+// benchmark's clustered+spreaded pair is one independent campaign cell.
 func Figure7Context(ctx context.Context, cam Campaign, spec *chip.Spec) (Fig7Result, error) {
 	threads := spec.Cores / 2
 	benches := workload.SortByMemoryIntensity(workload.CharacterizationSet())
@@ -123,16 +118,10 @@ type GridResult struct {
 	Cells     []GridCell
 }
 
-// EnergyGrid measures the Fig. 11 grid on one chip: every (benchmark,
-// threads, frequency) combination at the configuration's safe Vmin. The
-// same data renders Fig. 12 via the ED2P field.
-func EnergyGrid(spec *chip.Spec, place sim.Placement) GridResult {
-	return mustCampaign(EnergyGridContext(context.Background(), Campaign{}, spec, place))
-}
-
-// EnergyGridContext is EnergyGrid with explicit cancellation and a
-// campaign: the (benchmark, threads, frequency) cells are enumerated up
-// front and measured through the worker pool.
+// EnergyGridContext measures the Fig. 11 grid on one chip: every
+// (benchmark, threads, frequency) combination at the configuration's safe
+// Vmin. The same data renders Fig. 12 via the ED2P field. The cells are
+// enumerated up front and measured through the campaign's worker pool.
 func EnergyGridContext(ctx context.Context, cam Campaign, spec *chip.Spec, place sim.Placement) (GridResult, error) {
 	var specs []RunSpec
 	for _, b := range FiveBenchmarks() {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -12,7 +13,10 @@ import (
 )
 
 func TestFigure7Acceptance(t *testing.T) {
-	r := Figure7(chip.XGene2Spec())
+	r, err := Figure7Context(context.Background(), Campaign{}, chip.XGene2Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Entries) != 25 || r.Threads != 4 {
 		t.Fatalf("%d entries / %d threads", len(r.Entries), r.Threads)
 	}
@@ -107,7 +111,10 @@ func TestFigure9Acceptance(t *testing.T) {
 
 func TestEnergyGridCrossover(t *testing.T) {
 	for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
-		grid := EnergyGrid(spec, sim.Clustered)
+		grid, err := EnergyGridContext(context.Background(), Campaign{}, spec, sim.Clustered)
+		if err != nil {
+			t.Fatal(err)
+		}
 		wantCells := 5 * 3 * len(clockFreqs(spec))
 		if len(grid.Cells) != wantCells {
 			t.Fatalf("%s: %d cells, want %d", spec.Name, len(grid.Cells), wantCells)
@@ -151,7 +158,10 @@ func clockFreqs(spec *chip.Spec) []chip.MHz {
 }
 
 func TestGridCellLookup(t *testing.T) {
-	grid := EnergyGrid(chip.XGene3Spec(), sim.Spreaded)
+	grid, err := EnergyGridContext(context.Background(), Campaign{}, chip.XGene3Spec(), sim.Spreaded)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := grid.Cell("namd", 32, 3000); !ok {
 		t.Error("expected cell missing")
 	}
@@ -165,7 +175,7 @@ func TestGridCellLookup(t *testing.T) {
 func shortEval(t *testing.T, spec *chip.Spec) *EvalSet {
 	t.Helper()
 	wl := wlgen.Generate(spec, wlgen.Config{Duration: 1200}, 42)
-	set, err := EvaluateAll(spec, wl)
+	set, err := EvaluateAllContext(context.Background(), Campaign{}, spec, wl)
 	if err != nil {
 		t.Fatal(err)
 	}

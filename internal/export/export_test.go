@@ -1,6 +1,7 @@
 package export
 
 import (
+	"context"
 	"encoding/csv"
 	"os"
 	"path/filepath"
@@ -43,7 +44,7 @@ func TestEvalSetCSV(t *testing.T) {
 	}
 	spec := chip.XGene2Spec()
 	wl := wlgen.Generate(spec, wlgen.Config{Duration: 240}, 4)
-	set, err := experiments.EvaluateAll(spec, wl)
+	set, err := experiments.EvaluateAllContext(context.Background(), experiments.Campaign{}, spec, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,10 @@ func TestEvalSetCSV(t *testing.T) {
 }
 
 func TestGridCSV(t *testing.T) {
-	grid := experiments.EnergyGrid(chip.XGene2Spec(), sim.Clustered)
+	grid, err := experiments.EnergyGridContext(context.Background(), experiments.Campaign{}, chip.XGene2Spec(), sim.Clustered)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	if err := Grid(&b, grid); err != nil {
 		t.Fatal(err)
@@ -94,7 +98,10 @@ func TestGridCSV(t *testing.T) {
 }
 
 func TestFig7CSV(t *testing.T) {
-	r := experiments.Figure7(chip.XGene2Spec())
+	r, err := experiments.Figure7Context(context.Background(), experiments.Campaign{}, chip.XGene2Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	if err := Fig7(&b, r); err != nil {
 		t.Fatal(err)

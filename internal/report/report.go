@@ -6,6 +6,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -65,8 +66,22 @@ func section(w io.Writer, title string, fn func(io.Writer)) {
 	fmt.Fprint(w, "```\n")
 }
 
+// ablationSections titles the report section of each ablation study.
+var ablationSections = map[string]string{
+	"threshold":  "Ablation — classification threshold",
+	"guard":      "Ablation — voltage guard",
+	"poll":       "Ablation — monitoring period",
+	"hysteresis": "Ablation — hysteresis",
+	"memfreq":    "Ablation — memory-PMD frequency (X-Gene 2)",
+	"relaxed":    "Extension — relaxed performance constraints",
+	"protocol":   "Ablation — fail-safe transition ordering",
+	"aging":      "Extension — aging drift vs voltage guard",
+	"migration":  "Ablation — migration cost",
+}
+
 // Generate runs everything and writes the report to w.
 func Generate(w io.Writer, opts Options) error {
+	ctx, cam := context.Background(), experiments.Campaign{}
 	fmt.Fprintln(w, "# AVFS reproduction report")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "Generated %s. Settings: trials=%d (0 = paper's 1000), evaluation %gs, ablations %gs, seed %d.\n",
@@ -78,24 +93,32 @@ func Generate(w io.Writer, opts Options) error {
 	section(w, "Table I — chip parameters", func(w io.Writer) {
 		experiments.TableI().Render(w)
 	})
-	section(w, "Figure 3 — safe Vmin characterization", func(w io.Writer) {
-		experiments.Figure3(opts.Trials).Render(w)
-	})
-	section(w, "Figure 4 — single-/two-core variation", func(w io.Writer) {
-		experiments.Figure4(opts.Trials).Render(w)
-	})
-	section(w, "Figure 5 — pfail below safe Vmin", func(w io.Writer) {
-		experiments.Figure5(opts.Trials).Render(w)
-	})
+	fig3, err := experiments.Figure3Context(ctx, cam, opts.Trials)
+	if err != nil {
+		return fmt.Errorf("report: figure 3: %w", err)
+	}
+	section(w, "Figure 3 — safe Vmin characterization", fig3.Render)
+	fig4, err := experiments.Figure4Context(ctx, cam, opts.Trials)
+	if err != nil {
+		return fmt.Errorf("report: figure 4: %w", err)
+	}
+	section(w, "Figure 4 — single-/two-core variation", fig4.Render)
+	fig5, err := experiments.Figure5Context(ctx, cam, opts.Trials)
+	if err != nil {
+		return fmt.Errorf("report: figure 5: %w", err)
+	}
+	section(w, "Figure 5 — pfail below safe Vmin", fig5.Render)
 	section(w, "Figure 6 — droop detections", func(w io.Writer) {
 		experiments.Figure6(500_000_000).Render(w)
 	})
 	section(w, "Table II — droop class vs Vmin", func(w io.Writer) {
 		experiments.TableII().Render(w)
 	})
-	section(w, "Figure 7 — clustered vs spreaded energy (X-Gene 2)", func(w io.Writer) {
-		experiments.Figure7(chip.XGene2Spec()).Render(w)
-	})
+	fig7, err := experiments.Figure7Context(ctx, cam, chip.XGene2Spec())
+	if err != nil {
+		return fmt.Errorf("report: figure 7: %w", err)
+	}
+	section(w, "Figure 7 — clustered vs spreaded energy (X-Gene 2)", fig7.Render)
 	section(w, "Figure 8 — contention ratios (X-Gene 3)", func(w io.Writer) {
 		experiments.Figure8(chip.XGene3Spec()).Render(w)
 	})
@@ -106,9 +129,11 @@ func Generate(w io.Writer, opts Options) error {
 		experiments.Figure10().Render(w)
 	})
 	for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
-		spec := spec
+		grid, err := experiments.EnergyGridContext(ctx, cam, spec, sim.Clustered)
+		if err != nil {
+			return fmt.Errorf("report: energy grid on %s: %w", spec.Name, err)
+		}
 		section(w, fmt.Sprintf("Figures 11/12 — energy and ED2P grids (%s)", spec.Name), func(w io.Writer) {
-			grid := experiments.EnergyGrid(spec, sim.Clustered)
 			grid.RenderEnergy(w)
 			fmt.Fprintln(w)
 			grid.RenderED2P(w)
@@ -117,7 +142,7 @@ func Generate(w io.Writer, opts Options) error {
 
 	for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
 		wl := wlgen.Generate(spec, wlgen.Config{Duration: opts.EvalDuration}, opts.Seed)
-		set, err := experiments.EvaluateAll(spec, wl)
+		set, err := experiments.EvaluateAllContext(ctx, cam, spec, wl)
 		if err != nil {
 			return fmt.Errorf("report: evaluation on %s: %w", spec.Name, err)
 		}
@@ -145,46 +170,17 @@ func Generate(w io.Writer, opts Options) error {
 		return nil
 	}
 
-	type study struct {
-		title string
-		run   func() (experiments.AblationResult, error)
-	}
 	x3 := chip.XGene3Spec()
-	studies := []study{
-		{"Ablation — classification threshold", func() (experiments.AblationResult, error) {
-			return experiments.AblateThreshold(chip.XGene2Spec(), opts.AblationDuration, opts.Seed)
-		}},
-		{"Ablation — voltage guard", func() (experiments.AblationResult, error) {
-			return experiments.AblateGuard(x3, opts.AblationDuration, opts.Seed)
-		}},
-		{"Ablation — monitoring period", func() (experiments.AblationResult, error) {
-			return experiments.AblatePollInterval(x3, opts.AblationDuration, opts.Seed)
-		}},
-		{"Ablation — hysteresis", func() (experiments.AblationResult, error) {
-			return experiments.AblateHysteresis(x3, opts.AblationDuration, opts.Seed)
-		}},
-		{"Ablation — memory-PMD frequency (X-Gene 2)", func() (experiments.AblationResult, error) {
-			return experiments.AblateMemFreq(opts.AblationDuration, opts.Seed)
-		}},
-		{"Extension — relaxed performance constraints", func() (experiments.AblationResult, error) {
-			return experiments.AblateRelaxed(x3, opts.AblationDuration, opts.Seed)
-		}},
-		{"Ablation — fail-safe transition ordering", func() (experiments.AblationResult, error) {
-			return experiments.AblateProtocol(x3, opts.AblationDuration, opts.Seed)
-		}},
-		{"Extension — aging drift vs voltage guard", func() (experiments.AblationResult, error) {
-			return experiments.AblateAging(x3, opts.AblationDuration, opts.Seed)
-		}},
-		{"Ablation — migration cost", func() (experiments.AblationResult, error) {
-			return experiments.AblateMigrationCost(x3, opts.AblationDuration, opts.Seed)
-		}},
-	}
-	for _, s := range studies {
-		res, err := s.run()
-		if err != nil {
-			return fmt.Errorf("report: %s: %w", s.title, err)
+	for _, st := range experiments.AblationStudies() {
+		spec := x3
+		if st.Name == "threshold" {
+			spec = chip.XGene2Spec()
 		}
-		section(w, s.title, func(w io.Writer) { res.Render(w) })
+		res, err := experiments.Ablate(ctx, cam, st.Name, spec, opts.AblationDuration, opts.Seed)
+		if err != nil {
+			return fmt.Errorf("report: %s: %w", ablationSections[st.Name], err)
+		}
+		section(w, ablationSections[st.Name], res.Render)
 	}
 
 	section(w, "Extension — chip-to-chip variation (fleet study)", func(w io.Writer) {
@@ -193,26 +189,22 @@ func Generate(w io.Writer, opts Options) error {
 		experiments.FleetStudy(x3, 100, opts.Seed).Render(w)
 	})
 
-	capStudy, err := experiments.RunCapStudy(x3, opts.AblationDuration, opts.Seed)
+	capStudy, err := experiments.RunCapStudyContext(ctx, cam, x3, opts.AblationDuration, opts.Seed)
 	if err != nil {
 		return fmt.Errorf("report: cap study: %w", err)
 	}
-	section(w, "Comparison — power capping vs the efficiency daemon", func(w io.Writer) {
-		capStudy.Render(w)
-	})
+	section(w, "Comparison — power capping vs the efficiency daemon", capStudy.Render)
 
 	if opts.Seeds > 0 {
 		var seeds []int64
 		for i := 0; i < opts.Seeds; i++ {
 			seeds = append(seeds, opts.Seed+int64(i))
 		}
-		st, err := experiments.RunSeedStudy(x3, opts.AblationDuration, seeds)
+		st, err := experiments.RunSeedStudyContext(ctx, cam, x3, opts.AblationDuration, seeds)
 		if err != nil {
 			return fmt.Errorf("report: seed study: %w", err)
 		}
-		section(w, "Robustness — savings across workload seeds", func(w io.Writer) {
-			st.Render(w)
-		})
+		section(w, "Robustness — savings across workload seeds", st.Render)
 	}
 	return nil
 }

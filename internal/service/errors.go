@@ -25,6 +25,7 @@ package service
 import (
 	"errors"
 
+	"avfs/internal/chip"
 	"avfs/internal/experiments"
 	"avfs/internal/experiments/runner"
 )
@@ -39,7 +40,7 @@ var (
 	// ErrJobNotFound reports an unknown async-run handle.
 	ErrJobNotFound = errors.New("service: job not found")
 	// ErrUnknownModel rejects a create request naming no known chip.
-	ErrUnknownModel = errors.New("service: unknown chip model")
+	ErrUnknownModel = chip.ErrUnknownModel
 	// ErrUnknownPolicy rejects a policy outside the four Table IV
 	// configurations (baseline, safe-vmin, placement, optimal).
 	ErrUnknownPolicy = experiments.ErrUnknownPolicy

@@ -73,10 +73,11 @@ func (f *Fleet) withEstimator(spec *chip.Spec, model string, node surrogate.Tech
 // (chip, node, roadmap) variant pays the one-time model fit (or loads
 // it from the cache directory), every later one is microseconds.
 func (f *Fleet) Estimate(req api.EstimateRequest) (api.Estimate, error) {
-	spec, model, err := parseModel(req.Model)
+	model, err := chip.ParseModel(req.Model)
 	if err != nil {
 		return api.Estimate{}, err
 	}
+	spec := chip.SpecFor(model)
 	node, err := surrogate.ParseTechNode(req.Node)
 	if err != nil {
 		return api.Estimate{}, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
@@ -92,9 +93,9 @@ func (f *Fleet) Estimate(req api.EstimateRequest) (api.Estimate, error) {
 	if err != nil {
 		return api.Estimate{}, err
 	}
-	place, _, err := parsePlacement(req.Placement)
+	place, err := sim.ParsePlacement(req.Placement)
 	if err != nil {
-		return api.Estimate{}, err
+		return api.Estimate{}, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 	var voltage chip.Millivolts
 	switch strings.ToLower(strings.TrimSpace(req.Voltage)) {
@@ -118,8 +119,8 @@ func (f *Fleet) Estimate(req api.EstimateRequest) (api.Estimate, error) {
 		return api.Estimate{}, fmt.Errorf("%w: search %q (want energy or ed2p)", ErrInvalidRequest, req.Search)
 	}
 
-	out := api.Estimate{Model: model, Search: search}
-	err = f.withEstimator(spec, model, node, sm, func(est *surrogate.Estimator) error {
+	out := api.Estimate{Model: model.Name(), Search: search}
+	err = f.withEstimator(spec, model.Name(), node, sm, func(est *surrogate.Estimator) error {
 		var e surrogate.Estimate
 		var qerr error
 		if search != "" {
@@ -216,7 +217,7 @@ func (f *Fleet) whatIfFast(id, snapID string, st *snapshot.SessionState, specs [
 // estimateBranches fills out (headed by branchReports) with the
 // surrogate's answer for every branch over the snapshot's remaining work.
 func (f *Fleet) estimateBranches(st *snapshot.SessionState, specs []branchSpec, seconds float64, untilIdle bool, out []api.WhatIfBranch) error {
-	spec, model, err := parseModel(st.Model)
+	model, err := chip.ParseModel(st.Model)
 	if err != nil {
 		return err
 	}
@@ -225,7 +226,7 @@ func (f *Fleet) estimateBranches(st *snapshot.SessionState, specs []branchSpec, 
 		return err
 	}
 	baseNow := float64(st.Machine.Ticks) * st.Machine.Tick
-	return f.withEstimator(spec, model, 0, surrogate.CONS, func(est *surrogate.Estimator) error {
+	return f.withEstimator(chip.SpecFor(model), model.Name(), 0, surrogate.CONS, func(est *surrogate.Estimator) error {
 		for i, sp := range specs {
 			b := &out[i]
 			cfg, err := experiments.ParseSystemConfig(b.Policy)

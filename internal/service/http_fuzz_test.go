@@ -7,11 +7,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"testing"
 	"time"
 
 	"avfs/api"
+	"avfs/internal/snapshot"
 )
 
 // sessionRoutes are the session-mutating endpoints FuzzSessionHTTP drives,
@@ -140,4 +142,83 @@ func finiteNumbers(v reflect.Value) bool {
 		}
 	}
 	return true
+}
+
+// FuzzImportHTTP posts arbitrary bodies to the cluster import endpoint,
+// the trust boundary for sessions a peer node ships in. No body may panic
+// the server or draw a 5xx, and the fleet never holds more than
+// MaxSessions sessions. A session that imports must answer GET and a
+// 0.1 s run without a 5xx; only the run request's own 100 ms deadline
+// may expire (the wire contract's 504), since a shipped tick can be
+// arbitrarily fine. Imported sessions are deleted again, so the fleet
+// stays small.
+func FuzzImportHTTP(f *testing.F) {
+	fl, _ := testFleet(f, Config{MaxSessions: 3})
+	seeded := seedSession(f, fl, "optimal").ID
+	s, err := fl.lookup(seeded)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.mu.Lock()
+	st, err := s.captureStateLocked()
+	s.mu.Unlock()
+	if err != nil {
+		f.Fatal(err)
+	}
+	id, state, err := snapshot.Encode(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, req := range []api.ImportRequest{
+		{Session: "imported", SnapshotID: id, State: state},
+		{Session: "imported", TTLSeconds: 60, State: state},
+		{Session: "imported", SnapshotID: "sha256:bogus", State: state},
+		{Session: seeded, State: state},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(``))
+	f.Add([]byte(`{"session":"imported","state":{}}`))
+	h := fl.Handler()
+	serve := func(t *testing.T, method, path string, body []byte, timeout time.Duration) *httptest.ResponseRecorder {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)).WithContext(ctx))
+		if rec.Code == http.StatusGatewayTimeout && ctx.Err() != nil &&
+			bytes.Contains(rec.Body.Bytes(), []byte(`"code":"`+api.CodeDeadline+`"`)) {
+			return rec // the request's own deadline expired mid-run
+		}
+		if rec.Code >= 500 {
+			t.Fatalf("%s %s: status %d for body %q: %s", method, path, rec.Code, body, rec.Body.Bytes())
+		}
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := serve(t, http.MethodPost, "/v1/cluster/import", body, time.Minute)
+		fl.mu.Lock()
+		live := len(fl.sessions)
+		fl.mu.Unlock()
+		if live > fl.cfg.MaxSessions {
+			t.Fatalf("%d sessions live, MaxSessions %d", live, fl.cfg.MaxSessions)
+		}
+		if rec.Code < 200 || rec.Code >= 300 {
+			return
+		}
+		var got api.Session
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%d body %q does not decode: %v", rec.Code, rec.Body.Bytes(), err)
+		}
+		defer func() { _ = fl.Delete(got.ID) }()
+		path := "/v1/sessions/" + url.PathEscape(got.ID)
+		if rec := serve(t, http.MethodGet, path, nil, time.Minute); rec.Code != http.StatusOK {
+			t.Fatalf("GET imported session %q: status %d: %s", got.ID, rec.Code, rec.Body.Bytes())
+		}
+		serve(t, http.MethodPost, path+"/run", []byte(`{"seconds":0.1}`), 100*time.Millisecond)
+	})
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -17,29 +16,6 @@ import (
 	"avfs/internal/vmin"
 	"avfs/internal/workload"
 )
-
-// parsePlacement resolves a wire placement name ("" defaults to
-// clustered), returning the canonical name alongside.
-func parsePlacement(s string) (sim.Placement, string, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "clustered", "cluster":
-		return sim.Clustered, "clustered", nil
-	case "spreaded", "spread":
-		return sim.Spreaded, "spreaded", nil
-	}
-	return sim.Clustered, "", fmt.Errorf("%w: placement %q (want clustered or spreaded)", ErrInvalidRequest, s)
-}
-
-// parseModel resolves a wire model name ("" defaults to xgene3).
-func parseModel(s string) (*chip.Spec, string, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "xgene3", "x-gene3", "xgene-3":
-		return chip.XGene3Spec(), "xgene3", nil
-	case "xgene2", "x-gene2", "xgene-2":
-		return chip.XGene2Spec(), "xgene2", nil
-	}
-	return nil, "", fmt.Errorf("%w: %q (want xgene2 or xgene3)", ErrUnknownModel, s)
-}
 
 // session is one fleet tenant: a simulated machine plus both control
 // stacks (the Linux-like baseline and the paper's daemon), of which
@@ -152,7 +128,7 @@ type runMeta struct {
 func newSession(parent context.Context, id string, req api.CreateSessionRequest,
 	defaultTTL time.Duration, now time.Time, obs obsConfig) (*session, error) {
 
-	spec, model, err := parseModel(req.Model)
+	model, err := chip.ParseModel(req.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -163,14 +139,14 @@ func newSession(parent context.Context, id string, req api.CreateSessionRequest,
 	if req.TickSeconds < 0 || req.PollSeconds < 0 || req.TTLSeconds < 0 {
 		return nil, fmt.Errorf("%w: negative duration", ErrInvalidRequest)
 	}
-	m := sim.New(spec)
+	m := sim.New(chip.SpecFor(model))
 	if req.TickSeconds > 0 {
 		m.Tick = req.TickSeconds
 	}
 	if req.Coalescing != nil {
 		m.SetCoalescing(*req.Coalescing)
 	}
-	return assembleSession(parent, id, model, m, req.TTLSeconds, defaultTTL, now, obs,
+	return assembleSession(parent, id, model.Name(), m, req.TTLSeconds, defaultTTL, now, obs,
 		func(reg *telemetry.Registry, tr *telemetry.Tracer) (*experiments.Stack, error) {
 			return experiments.NewStack(m, cfg, req.PollSeconds, reg, tr)
 		})
@@ -183,7 +159,7 @@ func newSession(parent context.Context, id string, req api.CreateSessionRequest,
 func restoreSession(parent context.Context, id string, st *snapshot.SessionState,
 	ttlSeconds float64, defaultTTL time.Duration, now time.Time, obs obsConfig) (*session, error) {
 
-	spec, model, err := parseModel(st.Model)
+	model, err := chip.ParseModel(st.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -193,11 +169,11 @@ func restoreSession(parent context.Context, id string, st *snapshot.SessionState
 	if ttlSeconds < 0 {
 		return nil, fmt.Errorf("%w: negative duration", ErrInvalidRequest)
 	}
-	m, err := sim.RestoreMachine(spec, st.Machine)
+	m, err := sim.RestoreMachine(chip.SpecFor(model), st.Machine)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	return assembleSession(parent, id, model, m, ttlSeconds, defaultTTL, now, obs,
+	return assembleSession(parent, id, model.Name(), m, ttlSeconds, defaultTTL, now, obs,
 		func(reg *telemetry.Registry, tr *telemetry.Tracer) (*experiments.Stack, error) {
 			return experiments.RestoreStack(m, st, reg, tr)
 		})
@@ -346,9 +322,9 @@ func (s *session) characterizeCell(req api.CharacterizeRequest) (*vmin.Character
 	if threads == 0 {
 		threads = spec.Cores
 	}
-	place, placeName, err := parsePlacement(req.Placement)
+	place, err := sim.ParsePlacement(req.Placement)
 	if err != nil {
-		return fail(err)
+		return fail(fmt.Errorf("%w: %v", ErrInvalidRequest, err))
 	}
 	cores, err := sim.CoresFor(spec, place, threads)
 	if err != nil {
@@ -370,7 +346,7 @@ func (s *session) characterizeCell(req api.CharacterizeRequest) (*vmin.Character
 		Model:     s.model,
 		FreqMHz:   int(freq),
 		Threads:   threads,
-		Placement: placeName,
+		Placement: place.String(),
 		Benchmark: req.Benchmark,
 	}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"avfs/api"
+	"avfs/internal/chip"
 	"avfs/internal/experiments"
 	"avfs/internal/snapshot"
 	"avfs/internal/wlgen"
@@ -166,10 +167,11 @@ func TestUntilIdleWindowMatchesBranch(t *testing.T) {
 // recorder, run chunking and the fleet's steady-segment memo.
 func TestSessionMatchesCampaignCell(t *testing.T) {
 	for _, model := range []string{"xgene2", "xgene3"} {
-		spec, _, err := parseModel(model)
+		mdl, err := chip.ParseModel(model)
 		if err != nil {
 			t.Fatal(err)
 		}
+		spec := chip.SpecFor(mdl)
 		wl := wlgen.Generate(spec, wlgen.Config{Duration: 300}, 42)
 		for _, cfg := range experiments.SystemConfigs() {
 			t.Run(model+"/"+cfg.Name(), func(t *testing.T) {

@@ -161,12 +161,12 @@ func parseBranchSpec(b api.WhatIfBranchSpec) (branchSpec, error) {
 	}
 	out.capW = b.PowerCapW
 	if b.Placement != "" {
-		place, name, err := parsePlacement(b.Placement)
+		place, err := sim.ParsePlacement(b.Placement)
 		if err != nil {
-			return out, err
+			return out, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 		}
 		out.place = &place
-		out.placeName = name
+		out.placeName = place.String()
 	}
 	out.name = b.Name
 	if out.name == "" {
@@ -325,11 +325,11 @@ type branchRig struct {
 // power cap compose exactly as PUT /policy applies them to a live
 // session; the branch is unobserved and never enters the registry.
 func buildBranch(st *snapshot.SessionState, spec branchSpec) (*branchRig, error) {
-	chipSpec, _, err := parseModel(st.Model)
+	model, err := chip.ParseModel(st.Model)
 	if err != nil {
 		return nil, err
 	}
-	m, err := sim.RestoreMachine(chipSpec, st.Machine)
+	m, err := sim.RestoreMachine(chip.SpecFor(model), st.Machine)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}

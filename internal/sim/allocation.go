@@ -11,6 +11,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"avfs/internal/chip"
 )
@@ -34,6 +35,19 @@ func (p Placement) String() string {
 		return "clustered"
 	}
 	return "spreaded"
+}
+
+// ParsePlacement resolves a wire name, case-insensitively: a String, the
+// aliases cluster and spread, or "" for Clustered. An unknown name wraps
+// ErrInvalidPlacement.
+func ParsePlacement(s string) (Placement, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "", "clustered", "cluster":
+		return Clustered, nil
+	case "spreaded", "spread":
+		return Spreaded, nil
+	}
+	return Clustered, fmt.Errorf("%w: %q (want clustered or spreaded)", ErrInvalidPlacement, s)
 }
 
 // ClusteredCores returns the canonical clustered allocation of n threads on

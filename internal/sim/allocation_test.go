@@ -1,11 +1,46 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"avfs/internal/chip"
 )
+
+// TestParsePlacement pins every wire alias of the two placements, the
+// default and the round trip through String.
+func TestParsePlacement(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Placement
+		ok   bool
+	}{
+		{"", Clustered, true},
+		{"clustered", Clustered, true},
+		{" Cluster ", Clustered, true},
+		{"spreaded", Spreaded, true},
+		{"SPREAD", Spreaded, true},
+		{"spreads", 0, false},
+		{"bogus", 0, false},
+	} {
+		got, err := ParsePlacement(tc.in)
+		if !tc.ok {
+			if !errors.Is(err, ErrInvalidPlacement) {
+				t.Errorf("ParsePlacement(%q) = %v, %v; want ErrInvalidPlacement", tc.in, got, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParsePlacement(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, p := range []Placement{Clustered, Spreaded} {
+		if got, err := ParsePlacement(p.String()); err != nil || got != p {
+			t.Errorf("ParsePlacement(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+}
 
 func TestClusteredCoresPattern(t *testing.T) {
 	s := chip.XGene3Spec()

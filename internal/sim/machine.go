@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -1222,7 +1223,11 @@ func (m *Machine) batchTicks(limit int) int {
 		if h.next == nil {
 			continue
 		}
-		if kb := m.ticksToBoundary(h.next()); kb < k {
+		// The batch stops on (and includes) the first tick whose time
+		// reaches the boundary less boundarySlop: the tick on which the
+		// consumer's own slop-tolerant check fires. A boundary at or
+		// before now forces a single exact tick.
+		if kb := m.ticksUntil(h.next() - boundarySlop); kb < k {
 			k = kb
 		}
 	}
@@ -1253,32 +1258,6 @@ func (m *Machine) batchTicks(limit int) int {
 	return k
 }
 
-// ticksToBoundary returns how many ticks may be committed before (and
-// including) the first tick whose time reaches b-1e-12 — the tick on
-// which a boundary consumer (recorder sample, daemon poll) fires. A
-// boundary at or before the current time forces a single exact tick.
-func (m *Machine) ticksToBoundary(b float64) int {
-	if math.IsInf(b, 1) {
-		return 1 << 30
-	}
-	target := b - boundarySlop
-	span := target - m.now
-	if span > float64(1<<30)*m.Tick {
-		return 1 << 30
-	}
-	k := 1
-	if est := int(span / m.Tick); est > k {
-		k = est
-	}
-	for k > 1 && float64(m.ticks+uint64(k-1))*m.Tick >= target {
-		k--
-	}
-	for float64(m.ticks+uint64(k))*m.Tick < target {
-		k++
-	}
-	return k
-}
-
 // ticksUntil returns the number of ticks serial stepping would take until
 // now reaches t (at least one).
 func (m *Machine) ticksUntil(t float64) int {
@@ -1302,30 +1281,15 @@ func (m *Machine) ticksUntil(t float64) int {
 	return k
 }
 
-// RunFor advances the simulation by d seconds.
-func (m *Machine) RunFor(d float64) {
-	end := m.now + d
-	for m.now < end-1e-12 {
-		m.advance(m.ticksUntil(end - 1e-12))
-	}
-}
+// RunFor advances the simulation by d seconds. It cannot fail: only a
+// cancelled context stops RunForContext early.
+func (m *Machine) RunFor(d float64) { _ = m.RunForContext(context.Background(), d) }
 
 // RunUntilIdle advances until no process is running or pending, or until
 // maxSeconds of additional simulated time elapse. It returns an error on
 // timeout (which usually means a pending process was never placed).
 func (m *Machine) RunUntilIdle(maxSeconds float64) error {
-	deadline := m.now + maxSeconds - 1e-12
-	for m.now < deadline {
-		if len(m.running) == 0 && len(m.pending) == 0 {
-			return nil
-		}
-		m.advance(m.ticksUntil(deadline))
-	}
-	if len(m.running) != 0 || len(m.pending) != 0 {
-		return fmt.Errorf("%w after %.0fs (running=%d pending=%d)",
-			ErrNotIdle, maxSeconds, len(m.running), len(m.pending))
-	}
-	return nil
+	return m.RunUntilIdleContext(context.Background(), maxSeconds)
 }
 
 // RunProcess is a convenience for characterization-style experiments: it

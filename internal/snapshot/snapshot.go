@@ -34,7 +34,7 @@ const Version = "snap-v1"
 // the machine and both controller stacks, plus the session-level knobs
 // needed to rebuild an equivalent session around them.
 type SessionState struct {
-	// Model is the session's chip model name (see service parseModel).
+	// Model is the session's chip model name (see chip.ParseModel).
 	Model string `json:"model"`
 	// Policy is the session's active Table IV policy name.
 	Policy string `json:"policy"`
