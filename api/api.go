@@ -487,19 +487,13 @@ type WhatIfReport struct {
 	Source string `json:"source,omitempty"`
 }
 
-// WhatIfBatch summarizes one simulated what-if advancement: the ticks
-// its branches committed and how many full ticks the cross-session
-// steady-segment memo served.
+// WhatIfBatch summarizes one simulated what-if advancement: the branches
+// advanced and the ticks they committed.
 type WhatIfBatch struct {
 	// Branches is the number of branches advanced.
 	Branches int `json:"branches"`
 	// Ticks is the branch-ticks committed across all branches.
 	Ticks uint64 `json:"ticks"`
-	// MemoHits/MemoMisses are the steady-segment memo's probe outcomes
-	// during this advancement (fleet-wide counters sampled around the
-	// run, so concurrent traffic can inflate them slightly).
-	MemoHits   uint64 `json:"memo_hits"`
-	MemoMisses uint64 `json:"memo_misses"`
 	// WallSeconds is the wall-clock time of the advancement;
 	// TicksPerSec is Ticks/WallSeconds.
 	WallSeconds float64 `json:"wall_seconds"`

@@ -1,5 +1,7 @@
 package cluster
 
+import "math"
+
 // PartitionBudget splits a total watt budget across consumers
 // proportionally to their demand. It is the single partition rule used
 // at both levels of the cluster power hierarchy: the router splits the
@@ -18,14 +20,27 @@ package cluster
 //     real share on the next repartition once they draw power. A zero
 //     share is delivered as a tiny positive cap by the applier, never
 //     as "no cap".
+//   - when the sum or a product total*demand_i overflows, every demand
+//     is first divided by the largest one, so shares stay finite for
+//     every finite input.
 func PartitionBudget(total float64, names []string, demands []float64) map[string]float64 {
 	if total <= 0 || len(names) == 0 || len(names) != len(demands) {
 		return map[string]float64{}
 	}
-	var sum float64
+	var sum, peak float64
 	for _, d := range demands {
 		if d > 0 {
 			sum += d
+			peak = math.Max(peak, d)
+		}
+	}
+	scale := 1.0
+	if math.IsInf(sum, 0) || math.IsInf(total*peak, 0) {
+		scale, sum = peak, 0
+		for _, d := range demands {
+			if d > 0 {
+				sum += d / scale
+			}
 		}
 	}
 	out := make(map[string]float64, len(names))
@@ -41,7 +56,7 @@ func PartitionBudget(total float64, names []string, demands []float64) map[strin
 		if d < 0 {
 			d = 0
 		}
-		out[n] = total * d / sum
+		out[n] = total * (d / scale) / sum
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -47,10 +48,18 @@ func NewRegistry(ttl time.Duration, clock func() time.Time) *Registry {
 
 // Heartbeat registers or refreshes a node and returns the current
 // epoch. A first beat, a URL change, a rejoin after expiry, or a
-// drain-state flip all bump the epoch; a plain refresh does not.
+// drain-state flip all bump the epoch; a plain refresh does not. A beat
+// without a name or URL, with a negative session count, or with a
+// negative or non-finite demand is rejected and changes nothing.
 func (r *Registry) Heartbeat(hb api.NodeHeartbeat) (int64, error) {
 	if hb.Name == "" || hb.URL == "" {
 		return 0, fmt.Errorf("heartbeat needs name and url")
+	}
+	if hb.Sessions < 0 {
+		return 0, fmt.Errorf("heartbeat sessions %d is negative", hb.Sessions)
+	}
+	if hb.DemandW < 0 || math.IsInf(hb.DemandW, 0) || math.IsNaN(hb.DemandW) {
+		return 0, fmt.Errorf("heartbeat demand_watts %v is not a finite non-negative number", hb.DemandW)
 	}
 	now := r.clock()
 	r.mu.Lock()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -191,5 +192,50 @@ func TestPartitionBudget(t *testing.T) {
 	mixed := PartitionBudget(100, []string{"hot", "cold"}, []float64{50, 0})
 	if mixed["hot"] < 99.9 || mixed["cold"] != 0 {
 		t.Fatalf("mixed demand shares wrong: %+v", mixed)
+	}
+}
+
+// TestPartitionBudgetFinite checks that every finite non-negative input
+// partitions into finite shares summing to the budget, and that inputs
+// whose arithmetic does not overflow keep the plain total*d/sum bits.
+func TestPartitionBudgetFinite(t *testing.T) {
+	for _, tc := range []struct {
+		total   float64
+		demands []float64
+	}{
+		{300, []float64{1e308}},
+		{300, []float64{1e308, 1e308}},
+		{300, []float64{math.MaxFloat64, math.MaxFloat64, 1}},
+		{300, []float64{100, 1e308}},
+		{1e308, []float64{1e308, 5}},
+		{math.MaxFloat64, []float64{3, 7}},
+		{300, []float64{5e-324, 5e-324}},
+		{100, []float64{30, 10}},
+		{100, []float64{50, 0, -3}},
+	} {
+		names := make([]string, len(tc.demands))
+		for i := range names {
+			names[i] = fmt.Sprint("n", i)
+		}
+		shares := PartitionBudget(tc.total, names, tc.demands)
+		var sum, plain float64
+		for _, d := range tc.demands {
+			plain += math.Max(d, 0)
+		}
+		overflow := math.IsInf(plain, 0)
+		for i, n := range names {
+			s := shares[n]
+			if math.IsInf(s, 0) || math.IsNaN(s) || s < 0 || s > tc.total {
+				t.Fatalf("PartitionBudget(%v, %v): share %s = %v", tc.total, tc.demands, n, s)
+			}
+			d := math.Max(tc.demands[i], 0)
+			if want := tc.total * d / plain; !overflow && !math.IsInf(tc.total*d, 0) && s != want {
+				t.Errorf("PartitionBudget(%v, %v): share %s = %v, want the plain %v", tc.total, tc.demands, n, s, want)
+			}
+			sum += s
+		}
+		if math.Abs(sum-tc.total) > 1e-9*tc.total {
+			t.Errorf("PartitionBudget(%v, %v): shares sum to %v", tc.total, tc.demands, sum)
+		}
 	}
 }

@@ -31,7 +31,10 @@ import (
 //     with X-AVFS-Node;
 //   - aggregate GET /v1/sessions and GET /metrics across the fleet;
 //   - partition the cluster power budget across nodes by demand and
-//     hand each node its watt share in heartbeat replies;
+//     hand each node its watt share in heartbeat replies (a heartbeat
+//     with a negative session count or a negative or non-finite demand
+//     is refused with 400 invalid_request, and any accepted demand, even
+//     1e308 W, yields finite shares);
 //   - rebalance: drain sessions back to their hash-chosen home nodes.
 type Router struct {
 	cfg    RouterConfig

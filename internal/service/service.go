@@ -16,7 +16,6 @@ import (
 	"avfs/api"
 	"avfs/internal/experiments"
 	"avfs/internal/experiments/runner"
-	"avfs/internal/sim"
 	"avfs/internal/snapshot"
 	"avfs/internal/surrogate"
 	"avfs/internal/telemetry"
@@ -141,10 +140,6 @@ type Fleet struct {
 	surModels  *surrogate.Store
 	estMu      sync.Mutex
 	estimators map[string]*estimatorEntry
-	// memo is the fleet-wide cross-session steady-segment memo: every
-	// session's machine (and every what-if branch) shares it, so one
-	// tenant's transient warms the next tenant's.
-	memo *sim.SteadyMemo
 	// batchTicks accumulates the branch-ticks of every simulated what-if
 	// for the /metrics counter.
 	batchTicks atomic.Uint64
@@ -230,7 +225,6 @@ func New(cfg Config) *Fleet {
 		snaps:      snapshot.NewStore(cfg.SnapshotDir),
 		surModels:  surrogate.NewStore(surDir),
 		estimators: make(map[string]*estimatorEntry),
-		memo:       sim.NewSteadyMemo(0),
 		sessions:   make(map[string]*session),
 		reapStop:   make(chan struct{}),
 		reapDone:   make(chan struct{}),
@@ -287,20 +281,11 @@ func New(cfg Config) *Fleet {
 		JobDone:   func(d time.Duration) { f.hPoolRun.Observe(d.Seconds()) },
 	})
 
-	// What-if work and the shared steady-segment memo. The functions
-	// read lock-free atomics, so the scrape cost stays within the
-	// telemetry overhead budget.
+	// What-if work. The function reads a lock-free atomic, so the scrape
+	// cost stays within the telemetry overhead budget.
 	f.reg.CounterFunc("avfs_sim_batch_ticks_total",
 		"Branch-ticks committed by simulated what-ifs.", func() float64 {
 			return float64(f.batchTicks.Load())
-		})
-	f.reg.CounterFunc("avfs_sim_batch_memo_hits_total",
-		"Full simulated ticks served from the cross-session steady-segment memo.", func() float64 {
-			return float64(f.memo.Hits())
-		})
-	f.reg.CounterFunc("avfs_sim_batch_memo_misses_total",
-		"Steady-segment memo probes that fell through to full tick computation.", func() float64 {
-			return float64(f.memo.Misses())
 		})
 
 	if !cfg.NoTrace {
@@ -323,12 +308,11 @@ func New(cfg Config) *Fleet {
 func (f *Fleet) Registry() *telemetry.Registry { return f.reg }
 
 // sessionWiring assembles the fleet-derived settings a new or restored
-// session is built with: the observability plane plus the shared
-// steady-segment memo.
+// session is built with: the observability plane and the node name.
 func (f *Fleet) sessionWiring() obsConfig {
 	return obsConfig{
 		enabled: !f.cfg.NoTrace, spanCap: f.cfg.SpanCap, window: f.cfg.SLOWindow,
-		memo: f.memo, node: f.cfg.NodeName,
+		node: f.cfg.NodeName,
 	}
 }
 

@@ -101,15 +101,12 @@ const traceCap = 4096
 // ever run). The session's counts stay exact.
 const sessionHistory = 64
 
-// obsConfig carries the fleet's observability settings into a session,
-// plus the shared steady-segment memo (see Fleet.sessionWiring).
+// obsConfig carries the fleet's observability settings into a session
+// (see Fleet.sessionWiring).
 type obsConfig struct {
 	enabled bool
 	spanCap int
 	window  time.Duration
-	// memo is the fleet-wide steady-segment memo the session's machine
-	// attaches to.
-	memo *sim.SteadyMemo
 	// node is the fleet's Config.NodeName, stamped on the session.
 	node string
 }
@@ -180,10 +177,10 @@ func restoreSession(parent context.Context, id string, st *snapshot.SessionState
 }
 
 // assembleSession wraps machine m in a session: its private telemetry,
-// the observability plane, the bounded history and the fleet memo, then
-// the control stack that build attaches to m (after the machine's
-// telemetry hooks, so hooks fire in one order for every session). A
-// stack that does not build is an invalid request.
+// the observability plane and the bounded history, then the control
+// stack that build attaches to m (after the machine's telemetry hooks,
+// so hooks fire in one order for every session). A stack that does not
+// build is an invalid request.
 func assembleSession(parent context.Context, id, model string, m *sim.Machine, ttlSeconds float64,
 	defaultTTL time.Duration, now time.Time, obs obsConfig,
 	build func(*telemetry.Registry, *telemetry.Tracer) (*experiments.Stack, error)) (*session, error) {
@@ -216,7 +213,6 @@ func assembleSession(parent context.Context, id, model string, m *sim.Machine, t
 			"Actor hold-time: time the session lock was held per run chunk.", lockBounds)
 	}
 	m.SetHistoryLimit(sessionHistory)
-	m.SetSteadyMemo(obs.memo)
 	s.tracer.Subscribe(s.appendTrace)
 	telemetry.WireMachine(m, s.reg, s.tracer)
 	var err error

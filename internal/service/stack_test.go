@@ -164,7 +164,7 @@ func TestUntilIdleWindowMatchesBranch(t *testing.T) {
 // same completions, emergencies and daemon actions, and the same energy
 // within 1e-9 relative. The session differs from the cell only in what
 // cannot move the result: its telemetry hooks, the campaign's 1 s power
-// recorder, run chunking and the fleet's steady-segment memo.
+// recorder and run chunking.
 func TestSessionMatchesCampaignCell(t *testing.T) {
 	for _, model := range []string{"xgene2", "xgene3"} {
 		mdl, err := chip.ParseModel(model)

@@ -409,13 +409,11 @@ func branchReports(st *snapshot.SessionState, specs []branchSpec) []api.WhatIfBr
 }
 
 // advanceBranches restores every branch and advances each alone on the
-// calling goroutine (the what-if's pool job) with the fleet's
-// steady-segment memo attached, and fills out (headed by branchReports).
-// Per-branch failures land in that branch's Error field; a cancellation
-// lands on every branch not yet finished. The returned summary records
-// the ticks committed and the memo traffic.
+// calling goroutine (the what-if's pool job), and fills out (headed by
+// branchReports). Per-branch failures land in that branch's Error field;
+// a cancellation lands on every branch not yet finished. The returned
+// summary records the ticks committed.
 func (f *Fleet) advanceBranches(ctx context.Context, st *snapshot.SessionState, specs []branchSpec, seconds float64, untilIdle bool, out []api.WhatIfBranch) *api.WhatIfBatch {
-	hits0, misses0 := f.memo.Hits(), f.memo.Misses()
 	begin := time.Now()
 	bs := &api.WhatIfBatch{SpeedupEst: 1}
 	for i := range specs {
@@ -428,7 +426,6 @@ func (f *Fleet) advanceBranches(ctx context.Context, st *snapshot.SessionState, 
 			out[i].Error = wireError(err)
 			continue
 		}
-		rig.m.SetSteadyMemo(f.memo)
 		bs.Branches++
 		ticks0 := rig.m.Ticks()
 		err = advanceMachine(ctx, rig.m, seconds, untilIdle)
@@ -440,8 +437,6 @@ func (f *Fleet) advanceBranches(ctx context.Context, st *snapshot.SessionState, 
 		rig.report(&out[i])
 	}
 	f.batchTicks.Add(bs.Ticks)
-	bs.MemoHits = f.memo.Hits() - hits0
-	bs.MemoMisses = f.memo.Misses() - misses0
 	bs.WallSeconds = time.Since(begin).Seconds()
 	if bs.WallSeconds > 0 {
 		bs.TicksPerSec = float64(bs.Ticks) / bs.WallSeconds

@@ -48,10 +48,9 @@ func relDiff(a, b float64) float64 {
 }
 
 // TestConcurrentRunsMatchSerial drives several identical sessions
-// through one fleet concurrently — every machine attached to the fleet's
-// shared steady-segment memo — and checks each against a serial run of
-// the same workload on that fleet: integer state exact, energy within
-// the documented 1e-9 relative tolerance.
+// through one fleet concurrently and checks each against a serial run of
+// the same workload on that fleet: sessions share no simulator state, so
+// integer state and energy bits must both be exact.
 func TestConcurrentRunsMatchSerial(t *testing.T) {
 	f, _ := testFleet(t, Config{Workers: 8})
 	ss := submitMix(t, f, "optimal")
@@ -59,7 +58,6 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serial RunSync: %v", err)
 	}
-	hits0 := f.memo.Hits()
 
 	const n = 4
 	ids := make([]string, n)
@@ -85,14 +83,10 @@ func TestConcurrentRunsMatchSerial(t *testing.T) {
 		if got[i].Now != want.Now || got[i].Ticks != want.Ticks || got[i].Emergencies != want.Emergencies {
 			t.Errorf("session %d integer state diverged: got %+v want %+v", i, got[i], want)
 		}
-		if rd := relDiff(got[i].EnergyJ, want.EnergyJ); rd > 1e-9 {
-			t.Errorf("session %d energy diverged: got %v want %v (rel %g)", i, got[i].EnergyJ, want.EnergyJ, rd)
+		if math.Float64bits(got[i].EnergyJ) != math.Float64bits(want.EnergyJ) {
+			t.Errorf("session %d energy diverged: got %v want %v", i, got[i].EnergyJ, want.EnergyJ)
 		}
 	}
-	if f.memo.Hits() == hits0 {
-		t.Error("no steady-segment memo hits while the sessions ran; they did not share the fleet memo")
-	}
-	t.Logf("memo: hits=%d (serial run %d) misses=%d", f.memo.Hits(), hits0, f.memo.Misses())
 }
 
 // soloAdvance runs one branch machine by itself, the way RunFor or
@@ -111,7 +105,7 @@ func soloAdvance(ctx context.Context, m *sim.Machine, seconds float64, untilIdle
 }
 
 // soloBranches is the what-if oracle: each branch restored, overridden
-// and advanced alone, with no shared memo.
+// and advanced alone.
 func soloBranches(t *testing.T, st *snapshot.SessionState, specs []branchSpec, seconds float64, untilIdle bool) []api.WhatIfBranch {
 	t.Helper()
 	out := branchReports(st, specs)
@@ -128,8 +122,8 @@ func soloBranches(t *testing.T, st *snapshot.SessionState, specs []branchSpec, s
 	return out
 }
 
-// sameBranches checks two what-if branch lists agree: integers exact,
-// energies within 1e-9 relative.
+// sameBranches checks two what-if branch lists agree bit for bit,
+// integers and energies alike.
 func sameBranches(t *testing.T, label string, got, want []api.WhatIfBranch) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -149,16 +143,15 @@ func sameBranches(t *testing.T, label string, got, want []api.WhatIfBranch) {
 			g.MakespanS != w.MakespanS || g.P50RuntimeS != w.P50RuntimeS || g.P99RuntimeS != w.P99RuntimeS {
 			t.Errorf("%s: branch %s state diverged:\ngot  %+v\nwant %+v", label, g.Name, g, w)
 		}
-		if rd := relDiff(g.EnergyJ, w.EnergyJ); rd > 1e-9 {
-			t.Errorf("%s: branch %s energy diverged: %v vs %v (rel %g)", label, g.Name, g.EnergyJ, w.EnergyJ, rd)
+		if math.Float64bits(g.EnergyJ) != math.Float64bits(w.EnergyJ) {
+			t.Errorf("%s: branch %s energy diverged: %v vs %v", label, g.Name, g.EnergyJ, w.EnergyJ)
 		}
 	}
 }
 
-// TestWhatIfMatchesSolo checks the what-if, whose branches share the
-// fleet's steady-segment memo, against the memo-less solo oracle for a
-// fixed window and a run-until-idle budget, and that the report carries
-// the Batch block with memo traffic in it.
+// TestWhatIfMatchesSolo checks the what-if against the solo oracle for
+// a fixed window and a run-until-idle budget, and that the report
+// carries the Batch block.
 func TestWhatIfMatchesSolo(t *testing.T) {
 	f, _ := testFleet(t, Config{})
 	s := seedSession(t, f, "optimal")
@@ -194,9 +187,6 @@ func TestWhatIfMatchesSolo(t *testing.T) {
 		}
 		if got.Batch.Branches != len(got.Branches) || got.Batch.Ticks == 0 || got.Batch.SpeedupEst != 1 {
 			t.Errorf("bad Batch block: %+v", got.Batch)
-		}
-		if got.Batch.MemoHits == 0 {
-			t.Errorf("no memo hits in %+v; the branches did not share the fleet memo", got.Batch)
 		}
 
 		solo := soloBranches(t, st, specs, tc.seconds, tc.untilIdle)
@@ -309,18 +299,16 @@ func TestWhatIfCancelMidWindow(t *testing.T) {
 	if after.Now != ref.Now || after.Ticks != ref.Ticks || after.Emergencies != ref.Emergencies {
 		t.Errorf("session diverged from its twin: got %+v want %+v", after, ref)
 	}
-	if rd := relDiff(after.EnergyJ, ref.EnergyJ); rd > 1e-9 {
-		t.Errorf("session energy diverged from its twin: %v vs %v (rel %g)", after.EnergyJ, ref.EnergyJ, rd)
+	if math.Float64bits(after.EnergyJ) != math.Float64bits(ref.EnergyJ) {
+		t.Errorf("session energy diverged from its twin: %v vs %v", after.EnergyJ, ref.EnergyJ)
 	}
 }
 
-// TestBatchMetricsExported checks the what-if and memo scrape surface is
+// TestBatchMetricsExported checks the what-if scrape surface is
 // registered on every fleet and counts work once a what-if runs.
 func TestBatchMetricsExported(t *testing.T) {
 	names := []string{
 		"avfs_sim_batch_ticks_total",
-		"avfs_sim_batch_memo_hits_total",
-		"avfs_sim_batch_memo_misses_total",
 	}
 	f, _ := testFleet(t, Config{})
 	s := seedSession(t, f, "optimal")
@@ -330,7 +318,7 @@ func TestBatchMetricsExported(t *testing.T) {
 		}
 	}
 	for _, gone := range []string{"avfs_sim_batch_sessions", "avfs_sim_batch_shard_size", "avfs_sim_batch_shared_ticks_total",
-		"avfs_surrogate_refinements_total"} {
+		"avfs_sim_batch_memo_hits_total", "avfs_sim_batch_memo_misses_total", "avfs_surrogate_refinements_total"} {
 		if _, ok := f.reg.Value(gone); ok {
 			t.Errorf("fleet still exports %s", gone)
 		}

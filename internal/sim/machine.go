@@ -198,16 +198,6 @@ type Machine struct {
 	foldDone []float64
 	foldInc  []float64
 
-	// memo, when set, shares converged steady-tick quanta across machines
-	// with identical configurations (see SteadyMemo); sigBuf is the
-	// reusable signature-encoding scratch, and sigPrefix the length of
-	// its machine-constant prefix (spec identity and tick length), encoded
-	// once and reused by every probe.
-	memo      *SteadyMemo
-	sigBuf    []byte
-	sigPrefix int
-	sigTick   float64
-
 	// steady is the coalescing engine's cached tick.
 	steady steadyCache
 	// coalescing gates multi-tick commits (Advance); per-tick Step always
@@ -908,19 +898,6 @@ func foldLanes(done, inc []float64, k int) {
 // power integration, emergency check, commit and completion scan. At the
 // end it rebuilds the steady cache if the tick closed in equilibrium.
 func (m *Machine) stepFull() {
-	// Cross-session memo: if another machine already ran a full tick in
-	// this exact configuration, replay its results instead of recomputing
-	// them. On a miss the signature hash is kept so this tick can be
-	// published at the bottom of this step.
-	var sigSum memoKey
-	sigOK := false
-	if m.memo != nil && m.encodeSteadySignature() {
-		if m.memo.serve(m, &sigSum) {
-			return
-		}
-		sigOK = true
-	}
-
 	dt := m.Tick
 	// The generations the tick's inputs were read under; callbacks at the
 	// end of the tick may change state, which these keys then invalidate.
@@ -1005,11 +982,9 @@ func (m *Machine) stepFull() {
 
 	// --- Phase 4: voltage-emergency check and V/F change logging.
 	voltageSafe := true
-	var req chip.Millivolts
 	if len(upds) > 0 {
 		m.emChecks++
-		req = m.cachedRequiredVmin()
-		if m.Chip.Voltage() < req {
+		if req := m.cachedRequiredVmin(); m.Chip.Voltage() < req {
 			voltageSafe = false
 			m.emergencies = append(m.emergencies, Emergency{
 				At: m.now, Voltage: m.Chip.Voltage(), Required: req,
@@ -1068,7 +1043,6 @@ func (m *Machine) stepFull() {
 	// tick's completions) moved the generations mid-tick. Power is
 	// re-evaluated against the just-committed stall fractions so the
 	// cached tick equals what the next full tick would compute.
-	steadyRebuilt := false
 	if !stalled && !clamped && !finished && voltageSafe &&
 		lastMix < steadyRhoEps && placeGen == m.placeGen {
 		st := m.fillPowerState()
@@ -1083,12 +1057,6 @@ func (m *Machine) stepFull() {
 			bd:       cbd,
 			emCheck:  len(upds) > 0,
 		}
-		steadyRebuilt = true
-	}
-	if sigOK {
-		// Publish this tick's configuration-determined results for every
-		// other machine in the same pre-tick configuration.
-		m.memo.store(m, sigSum, watts, bd, req, steadyRebuilt)
 	}
 
 	m.runHooks(1)
@@ -1096,8 +1064,8 @@ func (m *Machine) stepFull() {
 
 // completeFinished retires every running process whose threads have all
 // finished: the process leaves the running set, its cores go idle, the
-// finish is logged and the finish callbacks fire. Shared by the exact
-// tick path and the memo-served tick path.
+// finish is logged and the finish callbacks fire. Called by stepFull's
+// completion phase.
 func (m *Machine) completeFinished() {
 	i := 0
 	for i < len(m.running) {
@@ -1129,9 +1097,8 @@ func (m *Machine) completeFinished() {
 
 // syncVFEvents emits EvVoltage/EvFreq events for any V/F reprogramming
 // since the last full tick, by diffing the chip against the machine's
-// mirrors. Gated on the chip generation so steady ticks skip the scan;
-// shared by the exact tick path and the memo-served tick path so both
-// log identical event streams.
+// mirrors. Gated on the chip generation so steady ticks skip the scan.
+// Called by stepFull after the emergency check.
 func (m *Machine) syncVFEvents() {
 	if !m.eventsOn() {
 		return

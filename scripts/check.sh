@@ -38,6 +38,7 @@ go test ./internal/service -run '^$' -fuzz '^FuzzRestoreSession$' -fuzztime 5s
 go test ./internal/service -run '^$' -fuzz '^FuzzWhatIfHTTP$' -fuzztime 5s
 go test ./internal/service -run '^$' -fuzz '^FuzzSessionHTTP$' -fuzztime 5s
 go test ./internal/service -run '^$' -fuzz '^FuzzImportHTTP$' -fuzztime 5s
+go test ./internal/cluster -run '^$' -fuzz '^FuzzRouterHTTP$' -fuzztime 5s
 go test ./internal/export -run '^$' -fuzz '^FuzzSanitize$' -fuzztime 5s
 go test ./internal/sysfs -run '^$' -fuzz '^FuzzReadWrite$' -fuzztime 5s
 go test ./internal/telemetry/export -run '^$' -fuzz '^FuzzParsePrometheus$' -fuzztime 5s
