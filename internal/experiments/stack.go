@@ -84,9 +84,13 @@ func RestoreStack(m *sim.Machine, st *snapshot.SessionState, reg *telemetry.Regi
 	if err := s.D.RestoreState(st.Daemon); err != nil {
 		return nil, err
 	}
-	s.Base.RestoreState(st.Baseline)
+	if err := s.Base.RestoreState(st.Baseline); err != nil {
+		return nil, err
+	}
 	if st.PowerCap != nil {
-		s.Cap = sched.RestorePowerCap(m, *st.PowerCap)
+		if s.Cap, err = sched.RestorePowerCap(m, *st.PowerCap); err != nil {
+			return nil, err
+		}
 		s.Cap.AttachGovernor()
 	}
 	return s, nil

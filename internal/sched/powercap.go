@@ -162,8 +162,10 @@ func cloneRestore(in map[chip.PMDID]RestoreTarget) map[chip.PMDID]RestoreTarget 
 
 // RestorePowerCap rebuilds a governor from captured state on a restored
 // machine. The caller still chooses how to hook it (Attach or
-// AttachGovernor), mirroring how it was attached originally.
-func RestorePowerCap(m *sim.Machine, st PowerCapState) *PowerCap {
+// AttachGovernor), mirroring how it was attached originally. A sample
+// instant serial stepping cannot produce is rejected: one far in the
+// future would freeze the control loop.
+func RestorePowerCap(m *sim.Machine, st PowerCapState) (*PowerCap, error) {
 	g := NewPowerCap(m, math.Max(st.BudgetW, 1e-9))
 	if st.SamplePeriod > 0 {
 		g.SamplePeriod = st.SamplePeriod
@@ -171,12 +173,15 @@ func RestorePowerCap(m *sim.Machine, st PowerCapState) *PowerCap {
 	if st.Headroom > 0 {
 		g.Headroom = st.Headroom
 	}
+	if err := checkNextSample(st.NextSample, m.Now(), g.SamplePeriod); err != nil {
+		return nil, err
+	}
 	g.nextSample = st.NextSample
 	g.throttles = st.Throttles
 	g.boosts = st.Boosts
 	g.disabled = st.Disabled
 	g.restore = cloneRestore(st.Restore)
-	return g
+	return g, nil
 }
 
 // Throttles returns how many down-steps the controller issued.

@@ -8,6 +8,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -123,6 +124,18 @@ type Ondemand struct {
 	StepDownFactor float64
 
 	nextSample float64
+
+	// quiet memoizes Quiet on the placement and chip generations and the
+	// step it was evaluated with.
+	quiet quietMemo
+}
+
+// quietMemo is one memoized Quiet verdict and the inputs it holds for.
+type quietMemo struct {
+	valid             bool
+	placeGen, chipGen uint64
+	down              chip.MHz
+	quiet             bool
 }
 
 // NewOndemand creates the governor with Linux-like defaults.
@@ -130,8 +143,7 @@ func NewOndemand(m *sim.Machine) *Ondemand {
 	return &Ondemand{M: m, SamplePeriod: 0.1, StepDownFactor: 0.25}
 }
 
-// NextSample returns the simulation time of the next governor evaluation
-// — the tick boundary a coalescing simulator must not batch past.
+// NextSample returns the simulation time of the next governor evaluation.
 func (g *Ondemand) NextSample() float64 { return g.nextSample }
 
 // Tick runs one governor evaluation if the sample period elapsed.
@@ -141,23 +153,80 @@ func (g *Ondemand) Tick() {
 		return
 	}
 	g.nextSample = now + g.SamplePeriod
+	g.sample(true)
+}
+
+// sample is one evaluation of every PMD's policy: a busy PMD is above the
+// up-threshold and jumps straight to the maximum frequency, an idle one
+// decays one step toward the minimum. With apply false it changes
+// nothing; either way it reports whether any PMD's frequency would move.
+func (g *Ondemand) sample(apply bool) (moved bool) {
 	spec := g.M.Spec
+	down := g.step()
 	for p := 0; p < spec.PMDs(); p++ {
 		pmd := chip.PMDID(p)
 		c0, c1 := spec.CoresOf(pmd)
-		busy := g.M.ThreadOn(c0) != nil || g.M.ThreadOn(c1) != nil
 		cur := g.M.Chip.PMDFreq(pmd)
-		if busy {
-			// Above the up-threshold: jump straight to max.
-			if cur != spec.MaxFreq {
-				g.M.Chip.SetPMDFreq(pmd, spec.MaxFreq)
-			}
+		want := spec.MaxFreq
+		if g.M.ThreadOn(c0) == nil && g.M.ThreadOn(c1) == nil {
+			want = spec.ClampFreq(cur - down)
+		}
+		if want == cur {
 			continue
 		}
-		// Idle: decay toward the minimum frequency.
-		down := chip.MHz(float64(spec.MaxFreq) * g.StepDownFactor)
-		g.M.Chip.SetPMDFreq(pmd, cur-down)
+		if !apply {
+			return true
+		}
+		g.M.Chip.SetPMDFreq(pmd, want)
+		moved = true
 	}
+	return moved
+}
+
+// step is the frequency an idle PMD loses per sample.
+func (g *Ondemand) step() chip.MHz {
+	return chip.MHz(float64(g.M.Spec.MaxFreq) * g.StepDownFactor)
+}
+
+// Quiet reports whether a sample taken now would change nothing: every
+// busy PMD already runs at the maximum frequency and every idle PMD sits
+// where its decay step clamps to. It is a pure function of the placement
+// and the chip's PMD frequencies, memoized on their generations.
+func (g *Ondemand) Quiet() bool {
+	q := &g.quiet
+	pg, cg, down := g.M.PlacementGeneration(), g.M.Chip.Generation(), g.step()
+	if !q.valid || q.placeGen != pg || q.chipGen != cg || q.down != down {
+		*q = quietMemo{valid: true, placeGen: pg, chipGen: cg, down: down, quiet: !g.sample(false)}
+	}
+	return q.quiet
+}
+
+// nextBoundary is the tick boundary a coalescing simulator must not batch
+// past: the next sample instant, or none while the governor is quiet —
+// its samples are then no-ops, so a batch may cross them and tickBatch
+// replays their timing.
+func (g *Ondemand) nextBoundary() float64 {
+	if g.Quiet() {
+		return math.Inf(1)
+	}
+	return g.nextSample
+}
+
+// tickBatch is the governor's end-of-commit step for a commit of k ticks.
+// It replays the serial sample rule over the commit's first k-1 ticks —
+// a batch crosses a sample instant only while the governor is quiet, so
+// those samples move nothing but the sample phase — and then evaluates
+// the last tick through Tick, exactly as serial stepping would; k = 1 is
+// Tick. The replay is bounded by k, whatever the sample phase.
+func (g *Ondemand) tickBatch(k int) {
+	dt := g.M.Tick
+	end := g.M.Ticks()
+	for c := end - uint64(k-1); c < end; c++ {
+		if now := float64(c) * dt; now+1e-12 >= g.nextSample {
+			g.nextSample = now + g.SamplePeriod
+		}
+	}
+	g.Tick()
 }
 
 // Baseline bundles the default placer and the ondemand governor — the
@@ -180,23 +249,23 @@ func NewBaseline(m *sim.Machine) *Baseline {
 		Placer:   &DefaultPlacer{M: m},
 		Governor: NewOndemand(m),
 	}
-	m.OnTickBounded(func(*sim.Machine, int) {
+	m.OnTickBounded(func(_ *sim.Machine, k int) {
 		if b.disabled {
 			return
 		}
 		b.Placer.PlacePending()
-		b.Governor.Tick()
+		b.Governor.tickBatch(k)
 	}, func() float64 {
 		// A suspended stack imposes no tick boundary; a FIFO head that
 		// fits is placed on the next tick; otherwise the stack next acts
-		// at the governor's sample instant.
+		// at the governor's next sample that can move a frequency.
 		if b.disabled {
 			return math.Inf(1)
 		}
 		if headFits(m) {
 			return 0
 		}
-		return b.Governor.NextSample()
+		return b.Governor.nextBoundary()
 	})
 	return b
 }
@@ -219,8 +288,25 @@ func (b *Baseline) CaptureState() BaselineState {
 }
 
 // RestoreState overwrites the stack's mutable state from a snapshot. The
-// stack must already be attached to the restored machine.
-func (b *Baseline) RestoreState(st BaselineState) {
+// stack must already be attached to the restored machine. A sample
+// instant serial stepping cannot produce is rejected: one far in the
+// future would silence the governor for the rest of the session.
+func (b *Baseline) RestoreState(st BaselineState) error {
+	g := b.Governor
+	if err := checkNextSample(st.NextSample, g.M.Now(), g.SamplePeriod); err != nil {
+		return err
+	}
 	b.disabled = st.Disabled
-	b.Governor.nextSample = st.NextSample
+	g.nextSample = st.NextSample
+	return nil
+}
+
+// checkNextSample accepts a restored sample instant only within
+// [0, now+period], the range serial stepping produces: the instant is
+// either the initial 0 or set to an evaluation's time plus the period.
+func checkNextSample(next, now, period float64) error {
+	if !(next >= 0 && next <= now+period) {
+		return fmt.Errorf("sched: next sample %v outside [0, %v]", next, now+period)
+	}
+	return nil
 }

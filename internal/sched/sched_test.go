@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"testing"
 
 	"avfs/internal/chip"
@@ -176,5 +177,133 @@ func TestBaselineEndToEnd(t *testing.T) {
 	}
 	if len(m.Emergencies()) != 0 {
 		t.Error("baseline at nominal voltage can never emergency")
+	}
+}
+
+// TestOndemandQuiet: a sample is a no-op exactly when every busy PMD runs
+// at the maximum frequency and every idle PMD has decayed to where its
+// step clamps; the verdict follows placements and frequency writes.
+func TestOndemandQuiet(t *testing.T) {
+	m := sim.New(chip.XGene2Spec())
+	g := NewOndemand(m)
+	if g.Quiet() {
+		t.Fatal("idle PMDs at the maximum frequency still decay: not quiet")
+	}
+	for i := 0; i < 4; i++ {
+		g.nextSample = 0
+		g.Tick()
+	}
+	if !g.Quiet() {
+		t.Fatal("every idle PMD at the minimum frequency: quiet")
+	}
+	p := m.MustSubmit(workload.MustByName("namd"), 1)
+	if err := m.Place(p, []chip.CoreID{2}); err != nil {
+		t.Fatal(err)
+	}
+	if g.Quiet() {
+		t.Fatal("a busy PMD below the maximum frequency jumps: not quiet")
+	}
+	g.nextSample = 0
+	g.Tick()
+	if !g.Quiet() {
+		t.Fatal("busy PMD at the maximum, idle ones at the minimum: quiet")
+	}
+	m.Chip.SetPMDFreq(0, m.Spec.MaxFreq)
+	if g.Quiet() {
+		t.Fatal("an outside write raised an idle PMD: not quiet")
+	}
+}
+
+// TestQuietBaselineMatchesSerial: while the governor is quiet the
+// baseline stack lets a batch cross its sample instants, and replays
+// their timing so the sample phase, the frequencies and the finish
+// times equal serial stepping's, through busy, decaying and fully idle
+// stretches.
+func TestQuietBaselineMatchesSerial(t *testing.T) {
+	run := func(coalesce bool) (*sim.Machine, *Baseline) {
+		m := sim.New(chip.XGene2Spec())
+		m.SetCoalescing(coalesce)
+		b := NewBaseline(m)
+		m.MustSubmit(workload.MustByName("namd"), 1)
+		m.MustSubmit(workload.MustByName("lbm"), 1)
+		m.MustSubmit(workload.MustByName("CG"), 2)
+		return m, b
+	}
+	serial, sb := run(false)
+	batched, bb := run(true)
+	for _, d := range []float64{3.33, 20, 60, 200} {
+		serial.RunFor(d)
+		batched.RunFor(d)
+		if serial.Ticks() != batched.Ticks() || sb.Governor.NextSample() != bb.Governor.NextSample() {
+			t.Fatalf("after %v s: ticks %d, next sample %v; serial %d, %v", d,
+				batched.Ticks(), bb.Governor.NextSample(), serial.Ticks(), sb.Governor.NextSample())
+		}
+		for p := 0; p < serial.Spec.PMDs(); p++ {
+			if f, want := batched.Chip.PMDFreq(chip.PMDID(p)), serial.Chip.PMDFreq(chip.PMDID(p)); f != want {
+				t.Errorf("after %v s: PMD%d at %v, serial %v", d, p, f, want)
+			}
+		}
+	}
+	if !bb.Governor.Quiet() || batched.RunningCount() != 0 {
+		t.Fatal("precondition: the run must end idle and quiet")
+	}
+	fs, fb := serial.Finished(), batched.Finished()
+	if len(fs) != 3 || len(fb) != 3 {
+		t.Fatalf("%d and %d finished, want 3", len(fs), len(fb))
+	}
+	for i := range fs {
+		if fs[i].ID != fb[i].ID || fs[i].Completed != fb[i].Completed {
+			t.Errorf("finish %d: proc %d at %v, serial proc %d at %v", i, fb[i].ID, fb[i].Completed, fs[i].ID, fs[i].Completed)
+		}
+	}
+	// Idle and quiet, a batch is bounded by the max horizon, not by the
+	// 0.1 s samples.
+	if calls := batched.Ticks() - batched.CoalescedTicks(); calls > batched.Ticks()/50 {
+		t.Errorf("%d commits for %d ticks: batches stop at quiet samples", calls, batched.Ticks())
+	}
+}
+
+// TestRestoreRejectsUnreachableNextSample: serial stepping only sets a
+// sample instant in [0, now+period]; restore rejects any other, so a
+// snapshot cannot silence the ondemand governor or the power cap.
+func TestRestoreRejectsUnreachableNextSample(t *testing.T) {
+	m := sim.New(chip.XGene3Spec())
+	b := NewBaseline(m)
+	m.MustSubmit(workload.MustByName("namd"), 1)
+	m.RunFor(1.234)
+	st := b.CaptureState()
+	if err := b.RestoreState(st); err != nil {
+		t.Fatalf("restoring a captured state: %v", err)
+	}
+	g := NewPowerCap(m, 40)
+	g.AttachGovernor()
+	m.RunFor(0.5)
+	cs := g.CaptureState()
+	if _, err := RestorePowerCap(m, cs); err != nil {
+		t.Fatalf("restoring a captured cap: %v", err)
+	}
+	now := m.Now()
+	for _, next := range []float64{0, now, now + 0.01} {
+		cs.NextSample = next
+		if _, err := RestorePowerCap(m, cs); err != nil {
+			t.Errorf("cap next sample %v rejected: %v", next, err)
+		}
+	}
+	for _, next := range []float64{0, now, now + 0.1} {
+		if err := b.RestoreState(BaselineState{NextSample: next}); err != nil {
+			t.Errorf("baseline next sample %v rejected: %v", next, err)
+		}
+	}
+	for _, next := range []float64{-1e-9, now + 0.2, 1e308, math.NaN(), math.Inf(1)} {
+		if err := b.RestoreState(BaselineState{NextSample: next}); err == nil {
+			t.Errorf("baseline next sample %v accepted", next)
+		}
+		cs.NextSample = next
+		if _, err := RestorePowerCap(m, cs); err == nil {
+			t.Errorf("cap next sample %v accepted", next)
+		}
+	}
+	if b.Governor.NextSample() > now+0.1 {
+		t.Errorf("a rejected restore wrote next sample %v", b.Governor.NextSample())
 	}
 }

@@ -349,6 +349,12 @@ func TestRestoreChecksStackAgainstPolicy(t *testing.T) {
 			mutate("optimal", func(st *snapshot.SessionState) { st.Daemon.Cfg.UnsafeOrder = true })},
 		{"capped optimal without its guard step",
 			mutate("optimal-cap30", func(st *snapshot.SessionState) { st.Daemon.Cfg.GuardMV = 0 })},
+		{"baseline whose governor never samples again",
+			mutate("baseline", func(st *snapshot.SessionState) { st.Baseline.NextSample = 1e308 })},
+		{"safe-vmin with a negative sample instant",
+			mutate("safe-vmin", func(st *snapshot.SessionState) { st.Baseline.NextSample = -1 })},
+		{"capped optimal whose cap never samples again",
+			mutate("optimal-cap30", func(st *snapshot.SessionState) { st.PowerCap.NextSample = 1e308 })},
 	} {
 		if _, err := restore(tc.st); !errors.Is(err, ErrInvalidRequest) {
 			t.Errorf("%s: restore = %v, want ErrInvalidRequest", tc.name, err)
@@ -391,9 +397,33 @@ func TestStoredSnapshotWithoutStateIsMiss(t *testing.T) {
 // panicking; the step is capped at 1e5 ticks so a mutated tick cannot
 // stall the fuzzer.
 func FuzzRestoreSession(f *testing.F) {
-	for _, st := range capturedStates(f) {
+	states := capturedStates(f)
+	for _, st := range states {
 		_, payload, err := snapshot.Encode(st)
 		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	// Sample instants no serial run produces: restore must reject them.
+	for _, seed := range []struct {
+		name string
+		edit func(*snapshot.SessionState)
+	}{
+		{"baseline", func(st *snapshot.SessionState) { st.Baseline.NextSample = 1e308 }},
+		{"safe-vmin", func(st *snapshot.SessionState) { st.Baseline.NextSample = -1e308 }},
+		{"optimal-cap30", func(st *snapshot.SessionState) { st.PowerCap.NextSample = 1e308 }},
+	} {
+		_, payload, err := snapshot.Encode(states[seed.name])
+		if err != nil {
+			f.Fatal(err)
+		}
+		st, err := snapshot.Decode(payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed.edit(st)
+		if _, payload, err = snapshot.Encode(st); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(payload)

@@ -101,6 +101,14 @@ type steadyCache struct {
 	emCheck bool
 }
 
+// rosterKey records what the thread roster in Machine.upds was built
+// under: the chip and placement generations. It is valid only while no
+// thread of the roster can have stalled out of it or finished.
+type rosterKey struct {
+	valid             bool
+	chipGen, placeGen uint64
+}
+
 // tickHook is one registered end-of-tick callback. It declares the next
 // simulation time it cares about, letting the engine batch every tick
 // strictly before it.
@@ -190,9 +198,15 @@ type Machine struct {
 	placeGen uint64
 
 	// upds is the persistent Phase 1/2 scratch buffer; pst the persistent
-	// power-model input. Both are refilled in place every full tick.
-	upds []upd
-	pst  power.State
+	// power-model input. Every full tick recomputes upds' per-tick results
+	// in place and refills pst; the roster part of upds (which threads,
+	// their static factors) is rebuilt only when roster no longer holds.
+	upds   []upd
+	roster rosterKey
+	pst    power.State
+	// pstChipGen is the chip generation pst's electrical part was read
+	// under.
+	pstChipGen uint64
 	// foldDone/foldInc are dense scratch for the batch commit's progress
 	// fold (cache-friendly and free of per-iteration pointer chasing).
 	foldDone []float64
@@ -911,30 +925,17 @@ func (m *Machine) stepFull() {
 	// latency, which depends on demand; a few damped iterations starting
 	// from the previous tick's utilization converge to the equilibrium
 	// (the map is monotone decreasing, so the fixed point is unique).
-	upds := m.upds[:0]
+	// The roster of progressing threads and their static factors is a
+	// function of the placement, the V/F and which threads are done or
+	// stalled, so it is rebuilt only when one of them can have changed.
 	stalled := false
-	for c, t := range m.coreThr {
-		if t == nil || t.Done() {
-			// A thread that finished its work blocks (the kernel idles
-			// the core) until its whole process completes; it stops
-			// counting cycles and stops loading the memory system.
-			continue
-		}
-		if t.stalledUntilTick > m.ticks {
-			stalled = true
-			continue // paying a migration penalty: no forward progress
-		}
-		core := chip.CoreID(c)
-		fGHz := m.Chip.CoreFreq(core).GHz()
-		l2Infl := 1.0
-		if sib := m.siblingThread(core); sib != nil {
-			b, s := t.Proc.Bench, sib.Proc.Bench
-			pressure := math.Sqrt(b.L2ShareSensitivity * s.L2ShareSensitivity)
-			l2Infl = 1.0 + l2SharePenalty*pressure
-		}
-		upds = append(upds, upd{t: t, bench: t.Proc.Bench, core: core, fGHz: fGHz, l2Infl: l2Infl})
+	if r := &m.roster; !r.valid || r.chipGen != chipGen || r.placeGen != placeGen {
+		stalled = m.buildRoster()
+		// A stall expires without a generation change, so a roster
+		// built around a stalled thread is rebuilt on the next full tick.
+		*r = rosterKey{valid: !stalled, chipGen: chipGen, placeGen: placeGen}
 	}
-	m.upds = upds
+	upds := m.upds
 
 	rho := m.memRho
 	var lastMix float64
@@ -1028,7 +1029,10 @@ func (m *Machine) stepFull() {
 	m.ticks++
 	m.now = float64(m.ticks) * m.Tick
 	if finished {
+		// A finished thread leaves the roster (it blocks until its whole
+		// process completes), again without a generation change.
 		m.finCheck = true
+		m.roster.valid = false
 	}
 
 	// --- Phase 6: completions.
@@ -1060,6 +1064,37 @@ func (m *Machine) stepFull() {
 	}
 
 	m.runHooks(1)
+}
+
+// buildRoster refills upds with the threads that make progress this tick
+// — every placed thread that is neither done nor paying a migration
+// stall — and their static factors: core frequency and L2 sharing with
+// the PMD sibling. It reports whether any thread sat stalled.
+func (m *Machine) buildRoster() (stalled bool) {
+	upds := m.upds[:0]
+	for c, t := range m.coreThr {
+		if t == nil || t.Done() {
+			// A thread that finished its work blocks (the kernel idles
+			// the core) until its whole process completes; it stops
+			// counting cycles and stops loading the memory system.
+			continue
+		}
+		if t.stalledUntilTick > m.ticks {
+			stalled = true
+			continue // paying a migration penalty: no forward progress
+		}
+		core := chip.CoreID(c)
+		fGHz := m.Chip.CoreFreq(core).GHz()
+		l2Infl := 1.0
+		if sib := m.siblingThread(core); sib != nil {
+			b, s := t.Proc.Bench, sib.Proc.Bench
+			pressure := math.Sqrt(b.L2ShareSensitivity * s.L2ShareSensitivity)
+			l2Infl = 1.0 + l2SharePenalty*pressure
+		}
+		upds = append(upds, upd{t: t, bench: t.Proc.Bench, core: core, fGHz: fGHz, l2Infl: l2Infl})
+	}
+	m.upds = upds
+	return stalled
 }
 
 // completeFinished retires every running process whose threads have all
@@ -1125,18 +1160,21 @@ func (m *Machine) siblingThread(c chip.CoreID) *Thread {
 }
 
 // fillPowerState refills the machine's persistent power-model input for
-// this instant and returns it.
+// this instant and returns it. The voltage and PMD frequencies are reread
+// only when the chip generation moved.
 func (m *Machine) fillPowerState() *power.State {
 	st := &m.pst
-	if st.PMDFreq == nil {
-		m.pst = power.NewState(m.Spec)
-		st = &m.pst
+	if g := m.Chip.Generation(); st.PMDFreq == nil || m.pstChipGen != g {
+		if st.PMDFreq == nil {
+			m.pst = power.NewState(m.Spec)
+		}
+		st.Voltage = m.Chip.Voltage()
+		for p := range st.PMDFreq {
+			st.PMDFreq[p] = m.Chip.PMDFreq(chip.PMDID(p))
+		}
+		m.pstChipGen = g
 	}
-	st.Voltage = m.Chip.Voltage()
 	st.MemUtil = m.memRho
-	for p := 0; p < m.Spec.PMDs(); p++ {
-		st.PMDFreq[p] = m.Chip.PMDFreq(chip.PMDID(p))
-	}
 	for c, t := range m.coreThr {
 		if t == nil || t.Done() {
 			st.Cores[c] = power.CoreState{} // blocked threads leave their core in WFI

@@ -42,21 +42,39 @@ import (
 // droop magnitude class, for one frequency class of one chip.
 type classTable [droop.NumClasses]chip.Millivolts
 
-// tables holds the calibrated envelopes. X-Gene 3 values are Table II of
-// the paper verbatim; X-Gene 2 values are constructed to honour the
-// paper's reported percentages (see DESIGN.md §4).
-var tables = map[chip.Model]map[clock.FreqClass]classTable{
+// envelope is the class table of one frequency class of one chip; ok
+// marks the classes the chip has.
+type envelope struct {
+	ok bool
+	mv classTable
+}
+
+// tables holds the calibrated envelopes, indexed by chip model and
+// frequency class (an array, not a map: the requirement path looks one
+// up per program on every recompute). X-Gene 3 values are Table II of the
+// paper verbatim; X-Gene 2 values are constructed to honour the paper's
+// reported percentages (see DESIGN.md §4).
+var tables = [...][clock.DividedLow + 1]envelope{
 	chip.XGene3: {
-		clock.FullSpeed: {780, 800, 810, 830},
-		clock.HalfSpeed: {770, 780, 790, 820},
+		clock.FullSpeed: {true, classTable{780, 800, 810, 830}},
+		clock.HalfSpeed: {true, classTable{770, 780, 790, 820}},
 	},
 	chip.XGene2: {
 		// Only droop classes 0 (1-2 PMDs) and 1 (3-4 PMDs) are reachable
 		// on the 4-PMD X-Gene 2; higher entries repeat the envelope.
-		clock.FullSpeed:  {875, 910, 910, 910},
-		clock.HalfSpeed:  {845, 880, 880, 880},
-		clock.DividedLow: {760, 795, 795, 795},
+		clock.FullSpeed:  {true, classTable{875, 910, 910, 910}},
+		clock.HalfSpeed:  {true, classTable{845, 880, 880, 880}},
+		clock.DividedLow: {true, classTable{760, 795, 795, 795}},
 	},
+}
+
+// classTableOf returns the envelope of a chip model's frequency class,
+// or false when the chip has no such class.
+func classTableOf(m chip.Model, fc clock.FreqClass) (*classTable, bool) {
+	if uint(m) >= uint(len(tables)) || uint(fc) >= uint(len(tables[m])) || !tables[m][fc].ok {
+		return nil, false
+	}
+	return &tables[m][fc].mv, true
 }
 
 // pmdStaticOffsets is the fixed per-PMD silicon offset (≤0) below the
@@ -139,7 +157,7 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("vmin: core %d listed twice", id)
 		}
 	}
-	if _, ok := tables[c.Spec.Model][c.FreqClass]; !ok {
+	if _, ok := classTableOf(c.Spec.Model, c.FreqClass); !ok {
 		return fmt.Errorf("vmin: %s has no %v frequency class", c.Spec.Name, c.FreqClass)
 	}
 	if c.PMDOffsets != nil {
@@ -196,7 +214,7 @@ func (s idSet) add(id int) bool {
 // class and utilized-PMD count: the value Table II reports and the value
 // the daemon programs (worst case over workloads and cores).
 func ClassEnvelope(spec *chip.Spec, fc clock.FreqClass, utilizedPMDs int) chip.Millivolts {
-	t, ok := tables[spec.Model][fc]
+	t, ok := classTableOf(spec.Model, fc)
 	if !ok {
 		panic(fmt.Sprintf("vmin: %s has no %v class", spec.Name, fc))
 	}

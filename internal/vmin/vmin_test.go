@@ -290,11 +290,36 @@ func TestConfigValidate(t *testing.T) {
 		{Spec: s, FreqClass: clock.FullSpeed, Cores: []chip.CoreID{99}},
 		{Spec: s, FreqClass: clock.FullSpeed, Cores: []chip.CoreID{0, 0}},
 		{Spec: chip.XGene3Spec(), FreqClass: clock.DividedLow, Cores: cores(2)},
+		{Spec: s, FreqClass: clock.DividedLow + 1, Cores: cores(2)},
+		{Spec: s, FreqClass: -1, Cores: cores(2)},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+}
+
+// TestClassEnvelopeMissingClassPanics: a frequency class the chip lacks
+// has no envelope, whether the class exists on the other chip or not at
+// all.
+func TestClassEnvelopeMissingClassPanics(t *testing.T) {
+	for _, tc := range []struct {
+		spec *chip.Spec
+		fc   clock.FreqClass
+	}{
+		{chip.XGene3Spec(), clock.DividedLow},
+		{chip.XGene2Spec(), clock.DividedLow + 1},
+		{chip.XGene2Spec(), -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ClassEnvelope(%s, %v) did not panic", tc.spec.Name, tc.fc)
+				}
+			}()
+			ClassEnvelope(tc.spec, tc.fc, 1)
+		}()
 	}
 }
 
