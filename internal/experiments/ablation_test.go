@@ -334,7 +334,7 @@ func TestAblationPaperPolicyIsOptimalCell(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cell, cm, err := evaluate(spec, wl, Optimal, true)
+		cell, cs, err := evaluate(spec, wl, Optimal, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -350,9 +350,9 @@ func TestAblationPaperPolicyIsOptimalCell(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if s.M.Ticks() != cm.Ticks() || math.Float64bits(s.M.Now()) != math.Float64bits(cell.TimeSec) {
+		if s.M.Ticks() != cs.M.Ticks() || math.Float64bits(s.M.Now()) != math.Float64bits(cell.TimeSec) {
 			t.Errorf("%s: paper policy ends at tick %d (%v s), Optimal cell at tick %d (%v s)",
-				spec.Name, s.M.Ticks(), s.M.Now(), cm.Ticks(), cell.TimeSec)
+				spec.Name, s.M.Ticks(), s.M.Now(), cs.M.Ticks(), cell.TimeSec)
 		}
 		if st := s.D.Stats(); st != cell.DaemonStats {
 			t.Errorf("%s: paper policy daemon stats %+v, Optimal cell %+v", spec.Name, st, cell.DaemonStats)

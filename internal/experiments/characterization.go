@@ -80,6 +80,27 @@ type fig3Cell struct {
 // bounded worker pool. Results are identical for any worker width.
 func Figure3Context(ctx context.Context, cam Campaign, trials int) (Fig3Result, error) {
 	ch := &vmin.Characterizer{SafeTrials: trials, UnsafeTrials: trials}
+	panels, cells, err := fig3Cells()
+	if err != nil {
+		return Fig3Result{}, err
+	}
+	entries, err := runCells(ctx, cam, cells, func(_ context.Context, c fig3Cell) (Fig3Entry, error) {
+		cz := cam.characterize(ch, c.cfg)
+		return Fig3Entry{Bench: c.bench, SafeVmin: cz.SafeVmin, SafeFound: cz.SafeFound}, nil
+	})
+	if err != nil {
+		return Fig3Result{}, err
+	}
+	for i, e := range entries {
+		p := &panels[cells[i].panel]
+		p.Entries = append(p.Entries, e)
+	}
+	return Fig3Result{Configs: panels}, nil
+}
+
+// fig3Cells enumerates Figure 3's panels and their (panel, benchmark)
+// cells in campaign order.
+func fig3Cells() ([]Fig3Config, []fig3Cell, error) {
 	var panels []Fig3Config
 	var cells []fig3Cell
 	for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
@@ -91,7 +112,7 @@ func Figure3Context(ctx context.Context, cam Campaign, trials int) (Fig3Result, 
 			for _, n := range threadOpts {
 				cores, err := sim.SpreadedCores(spec, n)
 				if err != nil {
-					return Fig3Result{}, err
+					return nil, nil, err
 				}
 				panel := len(panels)
 				panels = append(panels, Fig3Config{Chip: spec, Freq: f, Threads: n})
@@ -106,18 +127,7 @@ func Figure3Context(ctx context.Context, cam Campaign, trials int) (Fig3Result, 
 			}
 		}
 	}
-	entries, err := runCells(ctx, cam, cells, func(_ context.Context, c fig3Cell) (Fig3Entry, error) {
-		cz := cam.characterize(ch, c.cfg)
-		return Fig3Entry{Bench: c.bench, SafeVmin: cz.SafeVmin, SafeFound: cz.SafeFound}, nil
-	})
-	if err != nil {
-		return Fig3Result{}, err
-	}
-	for i, e := range entries {
-		p := &panels[cells[i].panel]
-		p.Entries = append(p.Entries, e)
-	}
-	return Fig3Result{Configs: panels}, nil
+	return panels, cells, nil
 }
 
 // Render writes the figure as one table per panel. Benchmarks for which
@@ -177,6 +187,29 @@ type fig4Cell struct {
 func Figure4Context(ctx context.Context, cam Campaign, trials int) (Fig4Result, error) {
 	spec := chip.XGene2Spec()
 	ch := &vmin.Characterizer{SafeTrials: trials, UnsafeTrials: trials}
+	cells := fig4Cells(spec)
+	vmins, err := runCells(ctx, cam, cells, func(_ context.Context, c fig4Cell) (chip.Millivolts, error) {
+		cz := cam.characterize(ch, c.cfg)
+		return cz.SafeVmin, nil
+	})
+	if err != nil {
+		return Fig4Result{}, err
+	}
+	out := Fig4Result{Chip: spec}
+	for i, v := range vmins {
+		cell := Fig4Cell{Bench: cells[i].bench, Target: cells[i].target, SafeVmin: v}
+		if cells[i].single {
+			out.SingleCore = append(out.SingleCore, cell)
+		} else {
+			out.TwoCore = append(out.TwoCore, cell)
+		}
+	}
+	return out, nil
+}
+
+// fig4Cells enumerates Figure 4's single-core and PMD cells on spec in
+// campaign order.
+func fig4Cells(spec *chip.Spec) []fig4Cell {
 	var cells []fig4Cell
 	for _, b := range workload.CharacterizationSet() {
 		for c := 0; c < spec.Cores; c++ {
@@ -203,23 +236,7 @@ func Figure4Context(ctx context.Context, cam Campaign, trials int) (Fig4Result, 
 			})
 		}
 	}
-	vmins, err := runCells(ctx, cam, cells, func(_ context.Context, c fig4Cell) (chip.Millivolts, error) {
-		cz := cam.characterize(ch, c.cfg)
-		return cz.SafeVmin, nil
-	})
-	if err != nil {
-		return Fig4Result{}, err
-	}
-	out := Fig4Result{Chip: spec}
-	for i, v := range vmins {
-		cell := Fig4Cell{Bench: cells[i].bench, Target: cells[i].target, SafeVmin: v}
-		if cells[i].single {
-			out.SingleCore = append(out.SingleCore, cell)
-		} else {
-			out.TwoCore = append(out.TwoCore, cell)
-		}
-	}
-	return out, nil
+	return cells
 }
 
 // variation summarizes a cell group: the max-min spread.
@@ -377,43 +394,9 @@ type fig5Curve struct {
 // worker width.
 func Figure5Context(ctx context.Context, cam Campaign, trials int) (Fig5Result, error) {
 	ch := &vmin.Characterizer{SafeTrials: trials, UnsafeTrials: trials}
-	type cfg struct {
-		threadsDiv int
-		place      sim.Placement
-	}
-	var lines []Fig5Line
-	var cells []fig5Cell
-	for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
-		for _, f := range clock.ReportedFrequencies(spec) {
-			for _, c := range []cfg{
-				{1, sim.Clustered},
-				{2, sim.Spreaded},
-				{2, sim.Clustered},
-			} {
-				n := spec.Cores / c.threadsDiv
-				cores, err := sim.CoresFor(spec, c.place, n)
-				if err != nil {
-					return Fig5Result{}, err
-				}
-				label := fmt.Sprintf("%s %dT @ %v", spec.Name, n, f)
-				if c.threadsDiv > 1 {
-					label = fmt.Sprintf("%s %dT(%v) @ %v", spec.Name, n, c.place, f)
-				}
-				line := len(lines)
-				lines = append(lines, Fig5Line{
-					Label: label, Chip: spec, Freq: f,
-					Threads: n, Place: c.place,
-				})
-				for _, b := range workload.CharacterizationSet() {
-					cells = append(cells, fig5Cell{line: line, cfg: &vmin.Config{
-						Spec:      spec,
-						FreqClass: clock.ClassOf(spec, f),
-						Cores:     cores,
-						Bench:     b,
-					}})
-				}
-			}
-		}
+	lines, cells, err := fig5Cells()
+	if err != nil {
+		return Fig5Result{}, err
 	}
 	curves, err := runCells(ctx, cam, cells, func(_ context.Context, c fig5Cell) (fig5Curve, error) {
 		cz := cam.characterize(ch, c.cfg)
@@ -469,6 +452,50 @@ func Figure5Context(ctx context.Context, cam Campaign, trials int) (Fig5Result, 
 		}
 	}
 	return Fig5Result{Lines: lines}, nil
+}
+
+// fig5Cells enumerates Figure 5's lines and their (line, benchmark) cells
+// in campaign order.
+func fig5Cells() ([]Fig5Line, []fig5Cell, error) {
+	type cfg struct {
+		threadsDiv int
+		place      sim.Placement
+	}
+	var lines []Fig5Line
+	var cells []fig5Cell
+	for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
+		for _, f := range clock.ReportedFrequencies(spec) {
+			for _, c := range []cfg{
+				{1, sim.Clustered},
+				{2, sim.Spreaded},
+				{2, sim.Clustered},
+			} {
+				n := spec.Cores / c.threadsDiv
+				cores, err := sim.CoresFor(spec, c.place, n)
+				if err != nil {
+					return nil, nil, err
+				}
+				label := fmt.Sprintf("%s %dT @ %v", spec.Name, n, f)
+				if c.threadsDiv > 1 {
+					label = fmt.Sprintf("%s %dT(%v) @ %v", spec.Name, n, c.place, f)
+				}
+				line := len(lines)
+				lines = append(lines, Fig5Line{
+					Label: label, Chip: spec, Freq: f,
+					Threads: n, Place: c.place,
+				})
+				for _, b := range workload.CharacterizationSet() {
+					cells = append(cells, fig5Cell{line: line, cfg: &vmin.Config{
+						Spec:      spec,
+						FreqClass: clock.ClassOf(spec, f),
+						Cores:     cores,
+						Bench:     b,
+					}})
+				}
+			}
+		}
+	}
+	return lines, cells, nil
 }
 
 // Render writes each line as voltage → pfail pairs.

@@ -85,15 +85,16 @@ func TestEvaluationCoalescingEquivalence(t *testing.T) {
 	spec := chip.XGene3Spec()
 	wl := wlgen.Generate(spec, wlgen.Config{Duration: 600}, 42)
 	for _, cfg := range SystemConfigs() {
-		on, mOn, err := evaluate(spec, wl, cfg, true)
+		on, sOn, err := evaluate(spec, wl, cfg, true)
 		if err != nil {
 			t.Fatalf("%v coalesced: %v", cfg, err)
 		}
-		off, mOff, err := evaluate(spec, wl, cfg, false)
+		off, sOff, err := evaluate(spec, wl, cfg, false)
 		if err != nil {
 			t.Fatalf("%v serial: %v", cfg, err)
 		}
-		assertEquivalent(t, cfg.String(), on, off, mOn, mOff)
+		mOn := sOn.M
+		assertEquivalent(t, cfg.String(), on, off, mOn, sOff.M)
 		if cfg == Placement || cfg == Optimal {
 			if on.Emergencies != 0 {
 				t.Errorf("%v: %d voltage emergencies with coalescing", cfg, on.Emergencies)
@@ -115,14 +116,15 @@ func TestWlgenHourCoalescingEquivalence(t *testing.T) {
 	}
 	spec := chip.XGene2Spec()
 	wl := wlgen.Generate(spec, wlgen.Config{Duration: 3600}, 7)
-	on, mOn, err := evaluate(spec, wl, Optimal, true)
+	on, sOn, err := evaluate(spec, wl, Optimal, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, mOff, err := evaluate(spec, wl, Optimal, false)
+	off, sOff, err := evaluate(spec, wl, Optimal, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mOn, mOff := sOn.M, sOff.M
 	assertEquivalent(t, "Optimal/1h", on, off, mOn, mOff)
 	assertSeriesEquivalent(t, "power", on.Power, off.Power)
 	assertSeriesEquivalent(t, "load", on.Load, off.Load)

@@ -129,18 +129,50 @@ func Evaluate(spec *chip.Spec, wl *wlgen.Workload, cfg SystemConfig) (EvalResult
 }
 
 // evaluate is Evaluate with an explicit tick-coalescing switch. It also
-// returns the replayed machine so the equivalence tests can compare
-// observables beyond the table metrics (per-core counters, finish order).
-func evaluate(spec *chip.Spec, wl *wlgen.Workload, cfg SystemConfig, coalesce bool) (EvalResult, *sim.Machine, error) {
+// returns the replayed control stack, and through it the machine, so the
+// equivalence tests can compare observables beyond the table metrics
+// (per-core counters, finish order, controller state).
+func evaluate(spec *chip.Spec, wl *wlgen.Workload, cfg SystemConfig, coalesce bool) (EvalResult, *Stack, error) {
 	m := sim.New(spec)
 	m.SetCoalescing(coalesce)
 	res := EvalResult{Config: cfg, Chip: spec}
+	// The Fig. 14/15 recorder never ends a batch. Samples that fall due
+	// strictly inside a committed batch are taken by this hook, registered
+	// before the control stack: it runs after the commit and before any
+	// controller acts, which is the state serial stepping samples at those
+	// ticks (no controller boundary lies inside a batch). A sample on the
+	// batch's last tick is taken after the stack, as serial stepping does.
+	rec := trace.NewRecorder(1.0)
+	m.OnTickBounded(func(mm *sim.Machine, k int) {
+		end := mm.Ticks()
+		rec.TickSpan(end-uint64(k)+1, end-1, mm.Tick)
+	}, nil)
 	stack, err := NewStack(m, cfg, 0, nil, nil)
 	if err != nil {
 		return res, nil, err
 	}
+	trackFigures(rec, m, stack, cfg, &res)
+	m.OnTickBounded(func(mm *sim.Machine, _ int) { rec.Tick(mm.Now()) }, nil)
 
-	rec := trace.NewRecorder(1.0)
+	// Replay the arrival schedule.
+	if err := replayArrivals(m, wl, cfg.String()); err != nil {
+		return res, stack, err
+	}
+
+	res.TimeSec = m.Now()
+	res.EnergyJ = m.Meter.Energy()
+	res.EnergyBD = m.EnergyBreakdown()
+	res.AvgPowerW = m.Meter.AveragePower()
+	res.ED2P = res.EnergyJ * res.TimeSec * res.TimeSec
+	res.Emergencies = len(m.Emergencies())
+	// A disabled daemon takes no actions, so Baseline and Safe Vmin stay
+	// at zero.
+	res.DaemonStats = stack.D.Stats()
+	return res, stack, nil
+}
+
+// trackFigures registers res's Fig. 14/15 series on rec.
+func trackFigures(rec *trace.Recorder, m *sim.Machine, stack *Stack, cfg SystemConfig, res *EvalResult) {
 	res.Power = rec.Track("power (W)", m.LastPower)
 	res.Load = rec.Track("busy cores", func() float64 {
 		return float64(m.Spec.Cores - m.FreeCoreCount())
@@ -166,23 +198,6 @@ func evaluate(spec *chip.Spec, wl *wlgen.Workload, cfg SystemConfig, coalesce bo
 		_, mm := classCounts()
 		return float64(mm)
 	})
-	m.OnTickBounded(func(mm *sim.Machine, _ int) { rec.Tick(mm.Now()) }, rec.NextSampleTime)
-
-	// Replay the arrival schedule.
-	if err := replayArrivals(m, wl, cfg.String()); err != nil {
-		return res, m, err
-	}
-
-	res.TimeSec = m.Now()
-	res.EnergyJ = m.Meter.Energy()
-	res.EnergyBD = m.EnergyBreakdown()
-	res.AvgPowerW = m.Meter.AveragePower()
-	res.ED2P = res.EnergyJ * res.TimeSec * res.TimeSec
-	res.Emergencies = len(m.Emergencies())
-	// A disabled daemon takes no actions, so Baseline and Safe Vmin stay
-	// at zero.
-	res.DaemonStats = stack.D.Stats()
-	return res, m, nil
 }
 
 // EvalSet is the four-configuration comparison of Table III (X-Gene 2) or

@@ -198,23 +198,23 @@ func TestQuietGovernorRestoreMatchesContinuous(t *testing.T) {
 // the seed-42 one-hour Table III/IV replays, so a tick-boundary
 // regression shows up as a count rather than as timing noise. The
 // daemon's configurations are exact; Baseline and Safe Vmin are bounded
-// (each is 43,817 on X-Gene 2 and 51,666 on X-Gene 3 when every ondemand
-// sample ends a batch).
+// (they are 8,026 on X-Gene 2 and 17,756 on X-Gene 3 when every 1-s
+// Fig. 14/15 sample ends a batch).
 func TestReplayCommitCounts(t *testing.T) {
 	for _, tc := range []struct {
 		spec             *chip.Spec
 		daemon, baseline uint64
 	}{
-		{chip.XGene2Spec(), 16233, 9000},
-		{chip.XGene3Spec(), 22693, 20000},
+		{chip.XGene2Spec(), 12557, 4402},
+		{chip.XGene3Spec(), 19110, 14208},
 	} {
 		wl := wlgen.Generate(tc.spec, wlgen.Config{Duration: 3600}, 42)
 		for _, cfg := range SystemConfigs() {
-			_, m, err := evaluate(tc.spec, wl, cfg, true)
+			_, s, err := evaluate(tc.spec, wl, cfg, true)
 			if err != nil {
 				t.Fatal(err)
 			}
-			commits := m.Ticks() - m.CoalescedTicks()
+			commits := s.M.Ticks() - s.M.CoalescedTicks()
 			switch cfg {
 			case Placement, Optimal:
 				if commits != tc.daemon {

@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // PanicError wraps a panic that escaped a worker function, preserving the
@@ -34,13 +35,13 @@ func (e *PanicError) Error() string {
 // workload and the machine: the result is min(jobs, GOMAXPROCS,
 // requested), with requested <= 0 meaning "no explicit cap". Campaign
 // cells are CPU-bound simulation, so a width beyond GOMAXPROCS only adds
-// scheduler churn, and a width beyond the job count only parks workers
-// on a closed channel; tiny campaigns (a 4-variant ablation sweep on a
-// 64-way host) therefore spin up 4 workers, not 64. The result is always
-// at least 1. Pool deliberately does not use this resolution: its
-// callers hold workers across blocking waits (a fleet run waits on its
-// session's lock between chunks), so an explicit Pool width wider than
-// the machine is meaningful there.
+// scheduler churn, and a width beyond the job count only starts workers
+// that find nothing left to claim; tiny campaigns (a 4-variant ablation
+// sweep on a 64-way host) therefore spin up 4 workers, not 64. The
+// result is always at least 1. Pool deliberately does not use this
+// resolution: its callers hold workers across blocking waits (a fleet
+// run waits on its session's lock between chunks), so an explicit Pool
+// width wider than the machine is meaningful there.
 func EffectiveWidth(requested, jobs int) int {
 	w := runtime.GOMAXPROCS(0)
 	if requested > 0 && requested < w {
@@ -55,16 +56,17 @@ func EffectiveWidth(requested, jobs int) int {
 	return w
 }
 
-// Run dispatches fn over jobs with at most width concurrent workers and
-// returns the results in job order: results[i] is fn's result for jobs[i],
-// regardless of completion order. The width is resolved by EffectiveWidth
-// (width <= 0 means runtime.GOMAXPROCS(0), and it is clamped to the job
-// count and the machine); width 1 runs the jobs serially on the calling
-// goroutine (the determinism baseline).
+// Run fans fn out over jobs with at most width concurrent workers, the
+// calling goroutine among them, and returns the results in job order:
+// results[i] is fn's result for jobs[i], regardless of completion order.
+// The width is resolved by EffectiveWidth (width <= 0 means
+// runtime.GOMAXPROCS(0), and it is clamped to the job count and the
+// machine); width 1 runs the jobs serially on the calling goroutine (the
+// determinism baseline).
 //
 // A worker panic is recovered into a *PanicError and treated as that job's
 // error. On the first error (or on ctx cancellation) no further jobs are
-// dispatched; in-flight jobs finish, their results are kept, and Run
+// claimed; in-flight jobs finish, their results are kept, and Run
 // returns the error of the lowest-indexed failed job — deterministic no
 // matter which worker hit it first. The partial result slice is always
 // returned: entries for jobs that never ran hold zero values.
@@ -96,62 +98,54 @@ func RunStats[J, R any](ctx context.Context, jobs []J, width int, st *Stats, fn 
 		firstErr error
 		firstIdx int
 	)
-	fail := func(i int, err error) {
-		errMu.Lock()
-		if firstErr == nil || i < firstIdx {
-			firstErr, firstIdx = err, i
-		}
-		errMu.Unlock()
-		cancel()
-	}
-
-	work := func(i int) {
-		st.begin()
-		defer st.end()
-		r, err := safeCall(ctx, i, jobs[i], fn)
-		if err != nil {
-			fail(i, err)
-			return
-		}
-		results[i] = r
-	}
-
-	if width == 1 {
-		for i := range jobs {
-			if ctx.Err() != nil {
-				break
+	// Workers claim job indices from one counter, so indices are handed
+	// out in order without a dispatcher: every job below a claimed index
+	// has already been claimed, and a failure or cancellation stops
+	// further claims.
+	var next atomic.Int64
+	worker := func() {
+		for ctx.Err() == nil {
+			i := int(next.Add(1) - 1)
+			if i >= len(jobs) {
+				return
 			}
-			work(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < width; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					work(i)
+			st.begin()
+			r, err := safeCall(ctx, i, jobs[i], fn)
+			if err == nil {
+				results[i] = r
+			}
+			st.end()
+			if err != nil {
+				errMu.Lock()
+				if firstErr == nil || i < firstIdx {
+					firstErr, firstIdx = err, i
 				}
-			}()
-		}
-	dispatch:
-		for i := range jobs {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				break dispatch
+				errMu.Unlock()
+				cancel()
+				return
 			}
 		}
-		close(idx)
-		wg.Wait()
 	}
+
+	// The calling goroutine is one of the width workers, so width 1 runs
+	// serially with no goroutine at all.
+	var wg sync.WaitGroup
+	wg.Add(width - 1)
+	for w := 1; w < width; w++ {
+		go func() {
+			defer wg.Done()
+			worker()
+		}()
+	}
+	worker()
+	wg.Wait()
 
 	if firstErr != nil {
 		return results, firstErr
 	}
-	// cancel() has not run yet (it is deferred), so a non-nil ctx.Err()
-	// here can only come from the caller's context.
+	// Only a job error calls cancel() before the deferred one, so with no
+	// error a non-nil ctx.Err() here can only come from the caller's
+	// context.
 	if err := ctx.Err(); err != nil {
 		return results, err
 	}

@@ -314,3 +314,178 @@ func TestRunTinyCampaignSpawnsNoIdleWorkers(t *testing.T) {
 		t.Errorf("peak concurrency %d for a 2-job campaign, want <= 2", p)
 	}
 }
+
+// withProcs raises GOMAXPROCS to at least n for the test, so
+// EffectiveWidth does not clamp the width the test needs.
+func withProcs(t testing.TB, n int) {
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// TestRunCallerIsAWorker: two jobs that can only finish while both are in
+// flight complete at width 2 with a single extra goroutine, so the
+// calling goroutine runs one of them. A missing worker fails the test on
+// a timeout instead of hanging it.
+func TestRunCallerIsAWorker(t *testing.T) {
+	withProcs(t, 2)
+	base := runtime.NumGoroutine()
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var during atomic.Int64
+	_, err := Run(context.Background(), []int{0, 1}, 2, func(_ context.Context, j int) (int, error) {
+		close(started[j])
+		select {
+		case <-started[1-j]:
+		case <-time.After(5 * time.Second):
+			return 0, fmt.Errorf("job %d: the other job never started", j)
+		}
+		if j == 0 {
+			during.Store(int64(runtime.NumGoroutine()))
+		}
+		return j, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// base counts the test goroutine, so one worker goroutine is all Run
+	// may add.
+	if n := during.Load(); n > int64(base)+1 {
+		t.Errorf("%d goroutines while both jobs ran, want at most %d: the caller is not a worker", n, base+1)
+	}
+}
+
+// TestRunLowestErrorAmongClaimedJobs: a higher-indexed job fails first,
+// while a lower-indexed claimed job is still running; the lower one's
+// later error is the one returned, jobs claimed before the failure keep
+// their results, and the failure stops further claims.
+func TestRunLowestErrorAmongClaimedJobs(t *testing.T) {
+	withProcs(t, 2)
+	failed5 := make(chan struct{})
+	var ran [8]atomic.Bool
+	got, err := Run(context.Background(), []int{0, 1, 2, 3, 4, 5, 6, 7}, 2, func(_ context.Context, j int) (int, error) {
+		ran[j].Store(true)
+		switch j {
+		case 2:
+			select {
+			case <-failed5:
+			case <-time.After(5 * time.Second):
+				return 0, errors.New("job 5 never ran while job 2 was in flight")
+			}
+			return 0, errors.New("job 2 failed")
+		case 5:
+			defer close(failed5)
+			return 0, errors.New("job 5 failed")
+		}
+		return j + 100, nil
+	})
+	if err == nil || err.Error() != "job 2 failed" {
+		t.Fatalf("error = %v, want job 2's", err)
+	}
+	for _, j := range []int{0, 1, 3, 4} {
+		if got[j] != j+100 {
+			t.Errorf("results[%d] = %d, want %d", j, got[j], j+100)
+		}
+	}
+	for _, j := range []int{6, 7} {
+		if ran[j].Load() {
+			t.Errorf("job %d was claimed after both workers had failed", j)
+		}
+	}
+}
+
+// TestRunCancellationStopsClaims: once the caller's context is cancelled
+// each worker claims at most the one index it was already reaching for.
+func TestRunCancellationStopsClaims(t *testing.T) {
+	const width, trigger = 2, 10
+	withProcs(t, width)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var maxStarted atomic.Int64
+	jobs := make([]int, 100)
+	for i := range jobs {
+		jobs[i] = i
+	}
+	_, err := Run(ctx, jobs, width, func(_ context.Context, j int) (int, error) {
+		for {
+			m := maxStarted.Load()
+			if int64(j) <= m || maxStarted.CompareAndSwap(m, int64(j)) {
+				break
+			}
+		}
+		if j == trigger {
+			cancel()
+		}
+		return j, nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if m := maxStarted.Load(); m > trigger+width {
+		t.Errorf("job %d started after the cancellation at job %d (width %d)", m, trigger, width)
+	}
+}
+
+// TestRunLeavesNoGoroutines: every worker goroutine has exited soon after
+// Run returns, on success, on a job error and on a panic.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	withProcs(t, 4)
+	base := runtime.NumGoroutine()
+	jobs := make([]int, 64)
+	for i := range jobs {
+		jobs[i] = i
+	}
+	for _, fn := range []func(context.Context, int) (int, error){
+		func(_ context.Context, j int) (int, error) { return j, nil },
+		func(_ context.Context, j int) (int, error) {
+			if j == 3 {
+				return 0, errors.New("boom")
+			}
+			return j, nil
+		},
+		func(_ context.Context, j int) (int, error) {
+			if j == 7 {
+				panic("boom")
+			}
+			return j, nil
+		},
+	} {
+		_, _ = Run(context.Background(), jobs, 4, fn)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run returned, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// fineCell is roughly 10 µs of CPU-bound work, the size of a Figure 3-5
+// characterization cell served by the clean-level fast path.
+func fineCell(_ context.Context, j int) (float64, error) {
+	x := float64(j)
+	for i := 0; i < 4000; i++ {
+		x = x*1.0000001 + 1e-9
+	}
+	return x, nil
+}
+
+// BenchmarkRunFineCells measures the fan-out overhead on campaigns of
+// many tiny cells: width 2 should approach half the serial time on a
+// machine with two free CPUs.
+func BenchmarkRunFineCells(b *testing.B) {
+	jobs := make([]int, 1000)
+	for i := range jobs {
+		jobs[i] = i
+	}
+	for _, width := range []int{1, 2} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(context.Background(), jobs, width, fineCell); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -3,13 +3,18 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"avfs/internal/chip"
 	"avfs/internal/experiments/runner"
+	"avfs/internal/vmin"
 	"avfs/internal/vmin/store"
 )
 
@@ -202,5 +207,88 @@ func TestCharacterizeCacheBudget(t *testing.T) {
 
 	if speedup < 10 {
 		t.Errorf("warm-store rerun speedup %.1fx, want >= 10x", speedup)
+	}
+}
+
+// fmtKey is the fmt-built characterization key the store used before
+// KeyFor appended its fields directly; disk-mirrored datasets are named
+// by these strings.
+func fmtKey(ch *vmin.Characterizer, c *vmin.Config) string {
+	safe, unsafe := ch.TrialCounts()
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s|chip=%s/%d|nom=%d|floor=%d|fc=%d|cores=",
+		vmin.ModelVersion, c.Spec.Name, c.Spec.Model,
+		c.Spec.NominalMV, c.Spec.MinSafeMV, c.FreqClass)
+	cores := append([]chip.CoreID(nil), c.Cores...)
+	sort.Slice(cores, func(i, j int) bool { return cores[i] < cores[j] })
+	for i, id := range cores {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%d", id)
+	}
+	b.WriteString("|bench=")
+	if c.Bench != nil {
+		fmt.Fprintf(&b, "%s/%d", c.Bench.Name, c.Bench.VminOffsetMV)
+	}
+	if c.PMDOffsets != nil {
+		b.WriteString("|pmdoff=")
+		for i, o := range c.PMDOffsets {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "%d", o)
+		}
+	}
+	fmt.Fprintf(&b, "|salt=%d|safe=%d|unsafe=%d", ch.Salt, safe, unsafe)
+	return b.String()
+}
+
+// TestKeyForMatchesFmtKeys: the store's keys are byte-identical to the
+// fmt-built ones for every Figure 3/4/5 cell, so datasets persisted
+// under the old keys still resolve; reversed core sets, PMD offset
+// overrides and a missing benchmark are covered too.
+func TestKeyForMatchesFmtKeys(t *testing.T) {
+	_, cells3, err := fig3Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cells5, err := fig5Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []*vmin.Config
+	for _, c := range cells3 {
+		cfgs = append(cfgs, c.cfg)
+	}
+	for _, c := range fig4Cells(chip.XGene2Spec()) {
+		cfgs = append(cfgs, c.cfg)
+	}
+	for _, c := range cells5 {
+		cfgs = append(cfgs, c.cfg)
+	}
+	if len(cfgs) != 975 {
+		t.Fatalf("%d figure cells", len(cfgs))
+	}
+	edges := []*vmin.Config{}
+	for _, c := range cfgs[:3] {
+		rev := *c
+		rev.Cores = append([]chip.CoreID(nil), c.Cores...)
+		for i, j := 0, len(rev.Cores)-1; i < j; i, j = i+1, j-1 {
+			rev.Cores[i], rev.Cores[j] = rev.Cores[j], rev.Cores[i]
+		}
+		offs := *c
+		offs.PMDOffsets = vmin.SampleChipOffsets(c.Spec, 7)
+		offs.PMDOffsets[0] = -13
+		none := *c
+		none.Bench = nil
+		edges = append(edges, &rev, &offs, &none)
+	}
+	for _, ch := range []*vmin.Characterizer{{}, {SafeTrials: 40, UnsafeTrials: 40}, {Salt: -3, SafeTrials: 7}} {
+		for _, c := range append(cfgs, edges...) {
+			if got, want := store.KeyFor(ch, c).String(), fmtKey(ch, c); got != want {
+				t.Fatalf("KeyFor = %q, fmt key %q", got, want)
+			}
+		}
 	}
 }

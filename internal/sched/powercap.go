@@ -49,6 +49,10 @@ type RestoreTarget struct {
 	SetMHz  chip.MHz `json:"set_mhz"`
 }
 
+// maxCapSamplePeriod is the longest control-loop period a restored power
+// cap accepts, in seconds: a RAPL-like loop samples in milliseconds.
+const maxCapSamplePeriod = 1.0
+
 // NewPowerCap creates the governor with RAPL-like defaults (10 ms control
 // loop).
 func NewPowerCap(m *sim.Machine, budgetW float64) *PowerCap {
@@ -164,15 +168,23 @@ func cloneRestore(in map[chip.PMDID]RestoreTarget) map[chip.PMDID]RestoreTarget 
 // machine. The caller still chooses how to hook it (Attach or
 // AttachGovernor), mirroring how it was attached originally. A sample
 // instant serial stepping cannot produce is rejected: one far in the
-// future would freeze the control loop.
+// future would freeze the control loop. So is a sample period that is
+// not finite or longer than maxCapSamplePeriod (the cap would stall
+// after its next sample; a non-positive one keeps the default), and a
+// headroom outside (0, 1], which has no hysteresis band.
 func RestorePowerCap(m *sim.Machine, st PowerCapState) (*PowerCap, error) {
 	g := NewPowerCap(m, math.Max(st.BudgetW, 1e-9))
+	if math.IsNaN(st.SamplePeriod) || math.IsInf(st.SamplePeriod, 0) || st.SamplePeriod > maxCapSamplePeriod {
+		return nil, fmt.Errorf("sched: power cap sample period %v is not a finite period of at most %vs",
+			st.SamplePeriod, maxCapSamplePeriod)
+	}
 	if st.SamplePeriod > 0 {
 		g.SamplePeriod = st.SamplePeriod
 	}
-	if st.Headroom > 0 {
-		g.Headroom = st.Headroom
+	if !(st.Headroom > 0 && st.Headroom <= 1) {
+		return nil, fmt.Errorf("sched: power cap headroom %v outside (0, 1]", st.Headroom)
 	}
+	g.Headroom = st.Headroom
 	if err := checkNextSample(st.NextSample, m.Now(), g.SamplePeriod); err != nil {
 		return nil, err
 	}

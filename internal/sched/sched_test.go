@@ -307,3 +307,39 @@ func TestRestoreRejectsUnreachableNextSample(t *testing.T) {
 		t.Errorf("a rejected restore wrote next sample %v", b.Governor.NextSample())
 	}
 }
+
+// TestRestoreRejectsStallingCapSettings: a restored cap's sample period
+// must be finite and at most 1 s (a non-positive one keeps the default),
+// and its headroom must lie in (0, 1].
+func TestRestoreRejectsStallingCapSettings(t *testing.T) {
+	m := sim.New(chip.XGene3Spec())
+	cs := NewPowerCap(m, 40).CaptureState()
+	for _, period := range []float64{0, -1, 0.001, 1} {
+		st := cs
+		st.SamplePeriod = period
+		if _, err := RestorePowerCap(m, st); err != nil {
+			t.Errorf("sample period %v rejected: %v", period, err)
+		}
+	}
+	for _, period := range []float64{1.001, 1e308, math.Inf(1), math.Inf(-1), math.NaN()} {
+		st := cs
+		st.SamplePeriod = period
+		if _, err := RestorePowerCap(m, st); err == nil {
+			t.Errorf("sample period %v accepted", period)
+		}
+	}
+	for _, h := range []float64{1e-6, 0.5, 1} {
+		st := cs
+		st.Headroom = h
+		if _, err := RestorePowerCap(m, st); err != nil {
+			t.Errorf("headroom %v rejected: %v", h, err)
+		}
+	}
+	for _, h := range []float64{0, -0.5, 1.0001, 1e308, math.Inf(1), math.NaN()} {
+		st := cs
+		st.Headroom = h
+		if _, err := RestorePowerCap(m, st); err == nil {
+			t.Errorf("headroom %v accepted", h)
+		}
+	}
+}

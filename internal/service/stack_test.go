@@ -355,6 +355,14 @@ func TestRestoreChecksStackAgainstPolicy(t *testing.T) {
 			mutate("safe-vmin", func(st *snapshot.SessionState) { st.Baseline.NextSample = -1 })},
 		{"capped optimal whose cap never samples again",
 			mutate("optimal-cap30", func(st *snapshot.SessionState) { st.PowerCap.NextSample = 1e308 })},
+		{"capped optimal whose cap stalls after its next sample",
+			mutate("optimal-cap30", func(st *snapshot.SessionState) { st.PowerCap.SamplePeriod = 1e308 })},
+		{"capped optimal sampling slower than once a second",
+			mutate("optimal-cap30", func(st *snapshot.SessionState) { st.PowerCap.SamplePeriod = 1.5 })},
+		{"capped optimal without a hysteresis band",
+			mutate("optimal-cap30", func(st *snapshot.SessionState) { st.PowerCap.Headroom = 1e308 })},
+		{"capped optimal with a negative headroom",
+			mutate("optimal-cap30", func(st *snapshot.SessionState) { st.PowerCap.Headroom = -0.5 })},
 	} {
 		if _, err := restore(tc.st); !errors.Is(err, ErrInvalidRequest) {
 			t.Errorf("%s: restore = %v, want ErrInvalidRequest", tc.name, err)
@@ -405,7 +413,8 @@ func FuzzRestoreSession(f *testing.F) {
 		}
 		f.Add(payload)
 	}
-	// Sample instants no serial run produces: restore must reject them.
+	// Sample instants, cap periods and headrooms no serial run produces:
+	// restore must reject them.
 	for _, seed := range []struct {
 		name string
 		edit func(*snapshot.SessionState)
@@ -413,6 +422,9 @@ func FuzzRestoreSession(f *testing.F) {
 		{"baseline", func(st *snapshot.SessionState) { st.Baseline.NextSample = 1e308 }},
 		{"safe-vmin", func(st *snapshot.SessionState) { st.Baseline.NextSample = -1e308 }},
 		{"optimal-cap30", func(st *snapshot.SessionState) { st.PowerCap.NextSample = 1e308 }},
+		{"optimal-cap30", func(st *snapshot.SessionState) { st.PowerCap.SamplePeriod = 1e308 }},
+		{"optimal-cap30", func(st *snapshot.SessionState) { st.PowerCap.Headroom = 1e308 }},
+		{"optimal-cap30", func(st *snapshot.SessionState) { st.PowerCap.Headroom = -1 }},
 	} {
 		_, payload, err := snapshot.Encode(states[seed.name])
 		if err != nil {

@@ -23,7 +23,7 @@ var (
 
 // RunForContext advances the simulation by d simulated seconds, checking
 // ctx between tick commits: every OnTickBounded boundary (daemon poll,
-// trace sample, arrival) and every exact tick re-checks the context, so a
+// governor sample, arrival) and every exact tick re-checks the context, so a
 // cancelled request abandons a long run at the next commit instead of
 // finishing it. The simulation is left in a consistent state at whatever
 // tick the cancellation landed on; the context's error is returned.

@@ -41,7 +41,7 @@ const steadyRhoEps = 1e-12
 const maxBatchTicks = 1 << 16
 
 // boundarySlop mirrors the FP tolerance the tick consumers use in their
-// own "has the boundary passed" checks (daemon poll, trace recorder), so
+// own "has the boundary passed" checks (daemon poll, governor sample), so
 // a batch never skips past a tick on which a consumer would have acted.
 const boundarySlop = 1e-12
 

@@ -161,8 +161,7 @@ func (r *Recorder) Track(name string, fn func() float64) *Series {
 }
 
 // NextSampleTime returns the simulation time of the next scheduled
-// sample — the tick boundary a coalescing simulator must not batch past
-// (see sim.Machine.OnTickBounded).
+// sample.
 func (r *Recorder) NextSampleTime() float64 { return r.next }
 
 // Tick samples all gauges if the interval elapsed since the last sample.
@@ -177,4 +176,43 @@ func (r *Recorder) Tick(now float64) {
 	// Schedule strictly ahead even if the caller's step overshot several
 	// intervals.
 	r.next = math.Max(r.next+r.Interval, now+r.Interval/2)
+}
+
+// TickSpan samples the ticks first..last of a fixed-step simulation, tick
+// i at time float64(i)*dt, exactly as calling Tick once per tick would,
+// but visits only the ticks on which a sample falls due. An empty span
+// (last < first) samples nothing. A coalescing simulator calls it for the
+// ticks of a committed batch, so sampling never has to end a batch (see
+// sim.Machine.OnTickBounded).
+func (r *Recorder) TickSpan(first, last uint64, dt float64) {
+	for i := first; i <= last; {
+		j := r.dueTick(i, last, dt)
+		if j > last {
+			return
+		}
+		r.Tick(float64(j) * dt)
+		i = j + 1
+	}
+}
+
+// dueTick returns the first tick j in [i, last] on which Tick would take
+// a sample, or last+1 when there is none.
+func (r *Recorder) dueTick(i, last uint64, dt float64) uint64 {
+	due := func(j uint64) bool { return !(float64(j)*dt+1e-12 < r.next) }
+	// Estimate from the boundary, then walk to the exact tick: tick
+	// times are monotonic in j, so the walk settles on the serial answer.
+	j := last + 1
+	switch est := (r.next - 1e-12) / dt; {
+	case !(est > float64(i)):
+		j = i
+	case est < float64(last):
+		j = uint64(est)
+	}
+	for j > i && due(j-1) {
+		j--
+	}
+	for j <= last && !due(j) {
+		j++
+	}
+	return j
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -161,6 +163,57 @@ func TestRecorderMultipleGauges(t *testing.T) {
 	}
 	if a.Points()[0].V != 1 || b.Points()[0].V != 2 {
 		t.Error("gauge values wrong")
+	}
+}
+
+// TestRecorderTickSpanMatchesPerTick: sampling the ticks of arbitrary
+// spans, whole or as interior plus last tick, takes the same samples at
+// the same times with the same schedule as calling Tick on every tick.
+func TestRecorderTickSpanMatchesPerTick(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, dt := range []float64{0.001, 0.007, 0.01, 0.1, 0.3} {
+		for _, interval := range []float64{1, 0.25, 0.0105, 0} {
+			ref, span, split := NewRecorder(interval), NewRecorder(interval), NewRecorder(interval)
+			var calls [3]int
+			series := make([]*Series, 3)
+			for i, r := range []*Recorder{ref, span, split} {
+				series[i] = r.Track("calls", func() float64 { calls[i]++; return float64(calls[i]) })
+			}
+			for tick := uint64(1); tick < 20000; {
+				k := uint64(1 + rng.Intn(700))
+				if rng.Intn(4) == 0 {
+					k = 1
+				}
+				last := tick + k - 1
+				for i := tick; i <= last; i++ {
+					ref.Tick(float64(i) * dt)
+				}
+				span.TickSpan(tick, last, dt)
+				split.TickSpan(tick, last-1, dt)
+				split.Tick(float64(last) * dt)
+				for i, r := range []*Recorder{span, split} {
+					if r.NextSampleTime() != ref.NextSampleTime() || calls[i+1] != calls[0] {
+						t.Fatalf("dt %v interval %v, ticks %d..%d: recorder %d next %v after %d samples, per-tick %v after %d",
+							dt, interval, tick, last, i, r.NextSampleTime(), calls[i+1], ref.NextSampleTime(), calls[0])
+					}
+				}
+				tick = last + 1
+			}
+			if calls[0] < 20 {
+				t.Fatalf("dt %v interval %v: only %d samples", dt, interval, calls[0])
+			}
+			for i := 1; i < 3; i++ {
+				if !reflect.DeepEqual(series[i].Points(), series[0].Points()) {
+					t.Errorf("dt %v interval %v: recorder %d sampled different points", dt, interval, i)
+				}
+			}
+		}
+	}
+	r := NewRecorder(1)
+	s := r.Track("g", func() float64 { return 1 })
+	r.TickSpan(5, 4, 0.01)
+	if s.Len() != 0 {
+		t.Error("an empty span took a sample")
 	}
 }
 

@@ -13,11 +13,9 @@
 package store
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 
-	"avfs/internal/chip"
 	"avfs/internal/vmin"
 )
 
@@ -37,35 +35,54 @@ type Key struct {
 // Characterize.
 func KeyFor(ch *vmin.Characterizer, c *vmin.Config) Key {
 	safe, unsafe := ch.TrialCounts()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|chip=%s/%d|nom=%d|floor=%d|fc=%d|cores=",
-		vmin.ModelVersion, c.Spec.Name, c.Spec.Model,
-		c.Spec.NominalMV, c.Spec.MinSafeMV, c.FreqClass)
-	cores := append([]chip.CoreID(nil), c.Cores...)
-	sort.Slice(cores, func(i, j int) bool { return cores[i] < cores[j] })
+	cores := c.Cores
+	if !slices.IsSorted(cores) {
+		cores = slices.Clone(cores)
+		slices.Sort(cores)
+	}
+	b := make([]byte, 0, 160+4*len(cores)+6*len(c.PMDOffsets))
+	b = append(b, vmin.ModelVersion...)
+	b = append(b, "|chip="...)
+	b = append(b, c.Spec.Name...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(c.Spec.Model), 10)
+	b = append(b, "|nom="...)
+	b = strconv.AppendInt(b, int64(c.Spec.NominalMV), 10)
+	b = append(b, "|floor="...)
+	b = strconv.AppendInt(b, int64(c.Spec.MinSafeMV), 10)
+	b = append(b, "|fc="...)
+	b = strconv.AppendInt(b, int64(c.FreqClass), 10)
+	b = append(b, "|cores="...)
 	for i, id := range cores {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", id)
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	b.WriteString("|bench=")
+	b = append(b, "|bench="...)
 	if c.Bench != nil {
 		// The workload catalog is part of the identity: a benchmark's Vmin
 		// offset feeds SafeVmin directly.
-		fmt.Fprintf(&b, "%s/%d", c.Bench.Name, c.Bench.VminOffsetMV)
+		b = append(b, c.Bench.Name...)
+		b = append(b, '/')
+		b = strconv.AppendInt(b, int64(c.Bench.VminOffsetMV), 10)
 	}
 	if c.PMDOffsets != nil {
-		b.WriteString("|pmdoff=")
+		b = append(b, "|pmdoff="...)
 		for i, o := range c.PMDOffsets {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			fmt.Fprintf(&b, "%d", o)
+			b = strconv.AppendInt(b, int64(o), 10)
 		}
 	}
-	fmt.Fprintf(&b, "|salt=%d|safe=%d|unsafe=%d", ch.Salt, safe, unsafe)
-	return Key{id: b.String()}
+	b = append(b, "|salt="...)
+	b = strconv.AppendInt(b, ch.Salt, 10)
+	b = append(b, "|safe="...)
+	b = strconv.AppendInt(b, int64(safe), 10)
+	b = append(b, "|unsafe="...)
+	b = strconv.AppendInt(b, int64(unsafe), 10)
+	return Key{id: string(b)}
 }
 
 // String returns the canonical key string (stored verbatim in disk
