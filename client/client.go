@@ -78,29 +78,11 @@ func New(base string, httpClient ...*http.Client) *Client {
 // Non-2xx responses come back as *api.Error with Status and RetryAfterSec
 // filled from the HTTP layer.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return fmt.Errorf("client: encode request: %w", err)
-		}
-		body = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	resp, err := c.send(ctx, method, path, in)
 	if err != nil {
-		return fmt.Errorf("client: build request: %w", err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("client: %s %s: %w", method, path, err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return decodeError(resp)
-	}
 	if out == nil || resp.StatusCode == http.StatusNoContent {
 		return nil
 	}
@@ -108,6 +90,36 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
 	}
 	return nil
+}
+
+// send issues one request with in (if non-nil) as its JSON body. A status
+// >= 400 comes back as the decoded wire error; otherwise the caller owns
+// the response body.
+func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
+	var body io.Reader
+	if in != nil {
+		buf, err := json.Marshal(in)
+		if err != nil {
+			return nil, fmt.Errorf("client: encode request: %w", err)
+		}
+		body = bytes.NewReader(buf)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return nil, fmt.Errorf("client: build request: %w", err)
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("client: %s %s: %w", method, path, err)
+	}
+	if resp.StatusCode >= 400 {
+		defer resp.Body.Close()
+		return nil, decodeError(resp)
+	}
+	return resp, nil
 }
 
 // decodeError reconstructs a wire error; a body that is not the error
@@ -366,30 +378,11 @@ func (c *Client) Characterize(ctx context.Context, id string, req api.Characteri
 // absolute offset, returning the next offset to poll from. The cursor is
 // int64, matching the /spans cursor and the server's ring indices.
 func (c *Client) Trace(ctx context.Context, id string, since int64) (lines []string, next int64, err error) {
-	path := fmt.Sprintf("/v1/sessions/%s/trace?since=%d", url.PathEscape(id), since)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, 0, fmt.Errorf("client: build request: %w", err)
+	recs, next, _, err := cursorStream[json.RawMessage](ctx, c, id, "trace", "Trace", since)
+	for _, rec := range recs {
+		lines = append(lines, string(rec))
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, 0, fmt.Errorf("client: GET trace: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return nil, 0, decodeError(resp)
-	}
-	next, _ = strconv.ParseInt(resp.Header.Get("X-Trace-Next"), 10, 64)
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, 0, fmt.Errorf("client: read trace: %w", err)
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			lines = append(lines, line)
-		}
-	}
-	return lines, next, nil
+	return lines, next, err
 }
 
 // Snapshot captures a session's complete (machine, daemon) state into the
@@ -467,31 +460,31 @@ func (c *Client) SLO(ctx context.Context, id string) (api.SLO, error) {
 // whether the cursor had fallen behind the server's retained window
 // (spans were dropped — the caller missed data).
 func (c *Client) Spans(ctx context.Context, id string, since int64) (spans []api.Span, next int64, truncated bool, err error) {
-	path := fmt.Sprintf("/v1/sessions/%s/spans?since=%d", url.PathEscape(id), since)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	return cursorStream[api.Span](ctx, c, id, "spans", "Span", since)
+}
+
+// cursorStream GETs one session cursor stream (/trace, /spans) from since
+// and decodes its JSONL records, reading the next cursor and the
+// truncation flag from the X-<header>-Next and X-<header>-Truncated
+// headers.
+func cursorStream[T any](ctx context.Context, c *Client, id, stream, header string, since int64) (recs []T, next int64, truncated bool, err error) {
+	resp, err := c.send(ctx, http.MethodGet, fmt.Sprintf("/v1/sessions/%s/%s?since=%d", url.PathEscape(id), stream, since), nil)
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("client: build request: %w", err)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("client: GET spans: %w", err)
+		return nil, 0, false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return nil, 0, false, decodeError(resp)
-	}
-	next, _ = strconv.ParseInt(resp.Header.Get("X-Span-Next"), 10, 64)
-	truncated = resp.Header.Get("X-Span-Truncated") == "true"
+	next, _ = strconv.ParseInt(resp.Header.Get("X-"+header+"-Next"), 10, 64)
+	truncated = resp.Header.Get("X-"+header+"-Truncated") == "true"
 	dec := json.NewDecoder(resp.Body)
 	for {
-		var sp api.Span
-		if err := dec.Decode(&sp); err != nil {
+		var rec T
+		if err := dec.Decode(&rec); err != nil {
 			if err == io.EOF {
-				return spans, next, truncated, nil
+				return recs, next, truncated, nil
 			}
-			return spans, next, truncated, fmt.Errorf("client: decode spans: %w", err)
+			return recs, next, truncated, fmt.Errorf("client: decode %s: %w", stream, err)
 		}
-		spans = append(spans, sp)
+		recs = append(recs, rec)
 	}
 }
 
@@ -539,18 +532,11 @@ func (c *Client) Metrics(ctx context.Context, id string) (string, error) {
 	if id != "" {
 		path = "/v1/sessions/" + url.PathEscape(id) + "/metrics"
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	resp, err := c.send(ctx, http.MethodGet, path, nil)
 	if err != nil {
-		return "", fmt.Errorf("client: build request: %w", err)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return "", fmt.Errorf("client: GET metrics: %w", err)
+		return "", err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return "", decodeError(resp)
-	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return "", fmt.Errorf("client: read metrics: %w", err)

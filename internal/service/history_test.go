@@ -5,102 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"avfs/api"
 	"avfs/internal/snapshot"
-	"avfs/internal/telemetry"
 	"avfs/internal/telemetry/export"
 )
-
-// decision is the n-th decision fed to a test ring, tagged with its
-// absolute index so order and identity are checkable.
-func decision(n int64) telemetry.Decision {
-	return telemetry.Decision{At: float64(n), Reconfig: n, Proc: -1}
-}
-
-// wantWindow checks that recs are exactly decisions from..to-1 in order.
-func wantWindow(t *testing.T, tag string, recs []telemetry.Decision, from, to int64) {
-	t.Helper()
-	if int64(len(recs)) != to-from {
-		t.Fatalf("%s: %d records, want %d", tag, len(recs), to-from)
-	}
-	for i, d := range recs {
-		if d != decision(from+int64(i)) {
-			t.Fatalf("%s: record %d is decision %d, want %d", tag, i, d.Reconfig, from+int64(i))
-		}
-	}
-}
-
-// TestTraceRingWrap drives the decision ring three times past its
-// capacity: the window is always the newest traceCap decisions in order,
-// and the (next, truncated) cursor contract holds at its boundaries.
-func TestTraceRingWrap(t *testing.T) {
-	s := &session{}
-	for n := int64(0); n < 10; n++ {
-		s.appendTrace(decision(n))
-	}
-	recs, next, truncated := s.traceSince(0)
-	if truncated || next != 10 {
-		t.Fatalf("before wrap: next %d truncated %v", next, truncated)
-	}
-	wantWindow(t, "before wrap", recs, 0, 10)
-
-	const total = 3*traceCap + 7
-	for n := int64(10); n < total; n++ {
-		s.appendTrace(decision(n))
-	}
-	oldest := int64(total - traceCap)
-	for _, tc := range []struct {
-		name      string
-		since     int64
-		from      int64
-		truncated bool
-	}{
-		{"from zero", 0, oldest, true},
-		{"one behind the oldest", oldest - 1, oldest, true},
-		{"at the oldest", oldest, oldest, false},
-		{"mid window, before the wrap point", oldest + 5, oldest + 5, false},
-		{"mid window, past the wrap point", total - 3, total - 3, false},
-		{"at the newest", total, total, false},
-	} {
-		recs, next, truncated := s.traceSince(tc.since)
-		if next != total || truncated != tc.truncated {
-			t.Errorf("%s: next %d truncated %v, want %d %v", tc.name, next, truncated, int64(total), tc.truncated)
-		}
-		wantWindow(t, tc.name, recs, tc.from, total)
-	}
-}
-
-// TestAppendTraceFullRingConstant pins the ring's O(1) append: once the
-// ring is full, a decision allocates nothing and overwrites exactly one
-// slot of the same backing array, instead of shifting the window.
-func TestAppendTraceFullRingConstant(t *testing.T) {
-	s := &session{}
-	n := int64(0)
-	for ; n < traceCap+3; n++ {
-		s.appendTrace(decision(n))
-	}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		s.appendTrace(decision(n))
-		n++
-	}); allocs != 0 {
-		t.Errorf("append to a full ring allocates %v times", allocs)
-	}
-
-	before := append([]telemetry.Decision(nil), s.traceBuf...)
-	base := unsafe.SliceData(s.traceBuf)
-	s.appendTrace(decision(n))
-	if unsafe.SliceData(s.traceBuf) != base || len(s.traceBuf) != traceCap {
-		t.Fatal("append to a full ring replaced the backing array")
-	}
-	for i := range before {
-		changed := s.traceBuf[i] != before[i]
-		if want := int64(i) == n%traceCap; changed != want {
-			t.Fatalf("slot %d changed=%v, want %v (only the oldest slot may be overwritten)", i, changed, want)
-		}
-	}
-}
 
 // loadHistory gives a session many more finished processes than it
 // retains: waves of single-threaded jobs, each run to completion.

@@ -148,14 +148,9 @@ func (f *Fleet) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
-		limit := 0
-		if v := q.Get("limit"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				writeError(w, fmt.Errorf("%w: limit=%q", ErrInvalidRequest, v))
-				return
-			}
-			limit = n
+		limit, ok := queryInt[int](w, q.Get("limit"), "limit")
+		if !ok {
+			return
 		}
 		sl, err := f.ListPage(q.Get("cursor"), limit, q.Get("state"), q.Get("policy"))
 		respond(w, http.StatusOK, sl, err)
@@ -267,66 +262,18 @@ func (f *Fleet) Handler() http.Handler {
 			Search:    q.Get("search"),
 		}
 		var ok bool
-		if req.Threads, ok = queryInt(w, q.Get("threads"), "threads"); !ok {
+		if req.Threads, ok = queryInt[int](w, q.Get("threads"), "threads"); !ok {
 			return
 		}
-		if req.FreqMHz, ok = queryInt(w, q.Get("freq_mhz"), "freq_mhz"); !ok {
+		if req.FreqMHz, ok = queryInt[int](w, q.Get("freq_mhz"), "freq_mhz"); !ok {
 			return
 		}
 		est, err := f.Estimate(req)
 		respond(w, http.StatusOK, est, err)
 	})
 
-	mux.HandleFunc("GET /v1/sessions/{id}/trace", sess(func(w http.ResponseWriter, r *http.Request) {
-		var since int64
-		if q := r.URL.Query().Get("since"); q != "" {
-			n, err := strconv.ParseInt(q, 10, 64)
-			if err != nil || n < 0 {
-				writeError(w, fmt.Errorf("%w: since=%q", ErrInvalidRequest, q))
-				return
-			}
-			since = n
-		}
-		recs, next, truncated, err := f.TraceSince(r.PathValue("id"), since)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		w.Header().Set("X-Trace-Next", strconv.FormatInt(next, 10))
-		w.Header().Set("X-Trace-Truncated", strconv.FormatBool(truncated))
-		enc := json.NewEncoder(w)
-		for _, d := range recs {
-			if err := enc.Encode(d); err != nil {
-				return // client went away
-			}
-		}
-	}))
-	mux.HandleFunc("GET /v1/sessions/{id}/spans", sess(func(w http.ResponseWriter, r *http.Request) {
-		var since int64
-		if q := r.URL.Query().Get("since"); q != "" {
-			n, err := strconv.ParseInt(q, 10, 64)
-			if err != nil || n < 0 {
-				writeError(w, fmt.Errorf("%w: since=%q", ErrInvalidRequest, q))
-				return
-			}
-			since = n
-		}
-		spans, next, truncated, err := f.Spans(r.PathValue("id"), since)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
-		w.Header().Set("X-Span-Next", strconv.FormatInt(next, 10))
-		w.Header().Set("X-Span-Truncated", strconv.FormatBool(truncated))
-		enc := json.NewEncoder(w)
-		for _, sp := range spans {
-			if err := enc.Encode(sp); err != nil {
-				return // client went away
-			}
-		}
-	}))
+	mux.HandleFunc("GET /v1/sessions/{id}/trace", sess(cursorStream("Trace", f.TraceSince)))
+	mux.HandleFunc("GET /v1/sessions/{id}/spans", sess(cursorStream("Span", f.Spans)))
 	mux.HandleFunc("GET /v1/sessions/{id}/slo", sess(func(w http.ResponseWriter, r *http.Request) {
 		slo, err := f.SLO(r.PathValue("id"))
 		respond(w, http.StatusOK, slo, err)
@@ -536,18 +483,45 @@ func servePrometheus(w http.ResponseWriter, reg *telemetry.Registry) {
 	_ = export.Prometheus(w, reg)
 }
 
+// cursorStream serves one session cursor stream (/trace, /spans) as
+// JSONL from ?since=N, a non-negative int64 (default 0). The
+// X-<name>-Next and X-<name>-Truncated headers carry read's next cursor
+// and truncation flag (the ringbuf cursor contract).
+func cursorStream[T any](name string, read func(id string, since int64) ([]T, int64, bool, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		since, ok := queryInt[int64](w, r.URL.Query().Get("since"), "since")
+		if !ok {
+			return
+		}
+		recs, next, truncated, err := read(r.PathValue("id"), since)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
+		w.Header().Set("X-"+name+"-Next", strconv.FormatInt(next, 10))
+		w.Header().Set("X-"+name+"-Truncated", strconv.FormatBool(truncated))
+		enc := json.NewEncoder(w)
+		for _, rec := range recs {
+			if err := enc.Encode(rec); err != nil {
+				return // client went away
+			}
+		}
+	}
+}
+
 // queryInt parses a non-negative integer query parameter ("" = 0),
 // reporting false after writing the error response.
-func queryInt(w http.ResponseWriter, v, name string) (int, bool) {
+func queryInt[N int | int64](w http.ResponseWriter, v, name string) (N, bool) {
 	if v == "" {
 		return 0, true
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || n < 0 || int64(N(n)) != n {
 		writeError(w, fmt.Errorf("%w: %s=%q", ErrInvalidRequest, name, v))
 		return 0, false
 	}
-	return n, true
+	return N(n), true
 }
 
 // decodeJSON parses a request body, tolerating an empty body as the zero

@@ -54,6 +54,7 @@ func FuzzSessionHTTP(f *testing.F) {
 		{2, `{"seconds":3600,"until_idle":true}`},
 		{2, `{"seconds":5,"async":true}`},
 		{2, `{"seconds":-1}`},
+		{2, `{"seconds":1e300,"async":true}`},
 		{3, `{"policy":"safe-vmin"}`},
 		{3, `{"policy":"optimal","power_cap_watts":7}`},
 		{3, `{"power_cap_watts":-1e308}`},

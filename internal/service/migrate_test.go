@@ -187,7 +187,9 @@ func TestMigrationRefusals(t *testing.T) {
 	if _, err := a.Submit(s.ID, api.SubmitRequest{Benchmark: "CG", Threads: 2}); err != nil {
 		t.Fatal(err)
 	}
-	job, err := a.RunAsync(ctx, s.ID, api.RunRequest{Seconds: 5, Async: true})
+	// A run this long cannot finish during the test, so the refusal
+	// below meets it in flight by construction.
+	job, err := a.RunAsync(ctx, s.ID, api.RunRequest{Seconds: 1e9, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,21 +200,38 @@ func TestMigrationRefusals(t *testing.T) {
 	if !errors.Is(err, service.ErrConflict) {
 		t.Fatalf("busy migration error = %v, want conflict", err)
 	}
+	if _, err := a.CancelJob(s.ID, job.ID); err != nil {
+		t.Fatal(err)
+	}
 	for {
 		j, err := a.Job(s.ID, job.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.Status == api.JobDone || j.Status == api.JobFailed {
+		if j.Status == api.JobCanceled {
 			break
+		}
+		if j.Status == api.JobDone || j.Status == api.JobFailed {
+			t.Fatalf("cancelled run ended %s", j.Status)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// Clean move, then importing the same ID again must conflict.
-	mig, err := a.MigrateSession(ctx, api.MigrateRequest{Session: s.ID, TargetName: "b", TargetURL: bs.URL})
-	if err != nil {
-		t.Fatal(err)
+	// Clean move, then importing the same ID again must conflict. The
+	// cancel stops the run at an arbitrary tick, possibly inside a staged
+	// fail-safe transition, which cannot be captured until it settles: a
+	// conflict now is answered by a short advance and a retry.
+	var mig api.Migration
+	for attempt := 0; ; attempt++ {
+		if mig, err = a.MigrateSession(ctx, api.MigrateRequest{Session: s.ID, TargetName: "b", TargetURL: bs.URL}); err == nil {
+			break
+		}
+		if !errors.Is(err, service.ErrConflict) || attempt == 10 {
+			t.Fatal(err)
+		}
+		if _, err := a.RunSync(ctx, s.ID, api.RunRequest{Seconds: 0.1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st, err := b.Snapshot(s.ID)
 	if err != nil {

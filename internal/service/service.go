@@ -604,21 +604,21 @@ func (f *Fleet) SetPolicy(id string, req api.PolicyRequest) (api.Session, error)
 	return s.snapshot(now), nil
 }
 
-// TraceSince returns a session's buffered decision records from an
-// absolute offset, plus the next offset to poll from and whether the
-// offset had fallen behind the ring (records were dropped).
+// TraceSince reads a session's decision ring from an absolute cursor:
+// the records, the next cursor to poll from, and whether the cursor had
+// fallen behind the retained window (the ringbuf cursor contract). It
+// does not wait on the actor lock.
 func (f *Fleet) TraceSince(id string, since int64) ([]telemetry.Decision, int64, bool, error) {
 	s, err := f.lookup(id)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	recs, next, truncated := s.traceSince(since)
+	recs, next, truncated := s.trace.Since(since)
 	return recs, next, truncated, nil
 }
 
-// Spans returns a session's completed spans from an absolute cursor,
-// the next cursor to poll from, and whether the cursor had fallen behind
-// the ring's retained window.
+// Spans reads a session's span ring from an absolute cursor, with
+// TraceSince's shape and contract.
 func (f *Fleet) Spans(id string, since int64) ([]telemetry.Span, int64, bool, error) {
 	s, err := f.lookup(id)
 	if err != nil {
@@ -704,9 +704,9 @@ func (f *Fleet) RunSync(ctx context.Context, id string, req api.RunRequest) (api
 		return api.RunResult{}, err
 	}
 	s.mu.Lock()
-	if s.migrating {
+	if err := s.refuseRunLocked(req.Seconds); err != nil {
 		s.mu.Unlock()
-		return api.RunResult{}, fmt.Errorf("%w: session migrating to a peer", ErrConflict)
+		return api.RunResult{}, err
 	}
 	s.activeJobs++
 	s.mu.Unlock()
@@ -776,10 +776,10 @@ func (f *Fleet) RunAsync(ctx context.Context, id string, req api.RunRequest) (ap
 		done:      make(chan struct{}),
 	}
 	s.mu.Lock()
-	if s.migrating {
+	if err := s.refuseRunLocked(req.Seconds); err != nil {
 		s.mu.Unlock()
 		cancel()
-		return api.Job{}, fmt.Errorf("%w: session migrating to a peer", ErrConflict)
+		return api.Job{}, err
 	}
 	s.jobs = append(s.jobs, j)
 	s.activeJobs++

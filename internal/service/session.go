@@ -10,6 +10,7 @@ import (
 	"avfs/internal/chip"
 	"avfs/internal/clock"
 	"avfs/internal/experiments"
+	"avfs/internal/ringbuf"
 	"avfs/internal/sim"
 	"avfs/internal/snapshot"
 	"avfs/internal/telemetry"
@@ -40,6 +41,9 @@ type session struct {
 	// registries keep metric names collision-free across tenants.
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
+	// trace is the decision ring /trace serves. It has its own lock, so
+	// reads never wait on a running chunk.
+	trace *ringbuf.Ring[telemetry.Decision]
 
 	// Observability plane (all nil when the fleet runs with NoTrace):
 	// spans is the session's bounded span ring; reqSLO/advSLO track
@@ -57,13 +61,6 @@ type session struct {
 	stack     *experiments.Stack
 	ttl       time.Duration
 	lastTouch time.Time
-	// traceBuf is the bounded decision-trace ring the JSONL endpoint
-	// serves: decision abs lives in slot abs%traceCap, and traceNext is the
-	// absolute index of the next one. The cursor is int64 end-to-end (like
-	// the span cursor): a long-lived session's absolute offsets must not
-	// overflow on 32-bit builds.
-	traceBuf  []telemetry.Decision
-	traceNext int64
 	// jobs holds every async run ever admitted for the session (they are
 	// few and tiny; reaping the session drops them all).
 	jobs []*job
@@ -195,6 +192,7 @@ func assembleSession(parent context.Context, id, model string, m *sim.Machine, t
 		cancel:    cancel,
 		reg:       telemetry.NewRegistry(),
 		tracer:    telemetry.NewTracer(),
+		trace:     ringbuf.New[telemetry.Decision](traceCap),
 		m:         m,
 		ttl:       defaultTTL,
 		lastTouch: now,
@@ -213,7 +211,7 @@ func assembleSession(parent context.Context, id, model string, m *sim.Machine, t
 			"Actor hold-time: time the session lock was held per run chunk.", lockBounds)
 	}
 	m.SetHistoryLimit(sessionHistory)
-	s.tracer.Subscribe(s.appendTrace)
+	s.tracer.Subscribe(s.trace.Append)
 	telemetry.WireMachine(m, s.reg, s.tracer)
 	var err error
 	if s.stack, err = build(s.reg, s.tracer); err != nil {
@@ -345,6 +343,27 @@ func (s *session) characterizeCell(req api.CharacterizeRequest) (*vmin.Character
 		Placement: place.String(),
 		Benchmark: req.Benchmark,
 	}, nil
+}
+
+// refuseRunLocked reports why a run of seconds cannot be admitted now:
+// the session is migrating, or the run would take its tick counter past
+// sim.MaxTicks. mu must be held.
+func (s *session) refuseRunLocked(seconds float64) error {
+	if s.migrating {
+		return fmt.Errorf("%w: session migrating to a peer", ErrConflict)
+	}
+	return checkTickBound(s.m.Ticks(), s.m.Tick, seconds)
+}
+
+// checkTickBound rejects an advance of seconds, from ticks steps of tick
+// seconds, that takes the tick counter past sim.MaxTicks: such a window
+// has no simulated answer (and the surrogate's would not be finite), and
+// a run would pin a pool worker until cancelled.
+func checkTickBound(ticks uint64, tick, seconds float64) error {
+	if (float64(ticks)*tick+seconds)/tick >= sim.MaxTicks {
+		return fmt.Errorf("%w: a %g s window takes the tick counter past 2^53", ErrInvalidRequest, seconds)
+	}
+	return nil
 }
 
 // runMetaFrom extracts the request's correlation identity from ctx. When
@@ -612,44 +631,6 @@ func (s *session) wireProcessLocked(p *sim.Process) api.Process {
 		wp.Runtime = s.m.Now() - p.Started
 	}
 	return wp
-}
-
-// appendTrace feeds the decision ring (called under mu: the tracer only
-// emits while the machine steps, and the machine only steps under mu).
-// Once full, each decision overwrites the oldest slot in O(1).
-func (s *session) appendTrace(d telemetry.Decision) {
-	if len(s.traceBuf) < traceCap {
-		s.traceBuf = append(s.traceBuf, d)
-	} else {
-		s.traceBuf[s.traceNext%traceCap] = d
-	}
-	s.traceNext++
-}
-
-// traceSince returns the buffered decisions with absolute index >= since,
-// in order, plus the next offset to poll from and whether the offset had
-// fallen behind the ring (decisions between it and the oldest retained
-// record were dropped — the caller must know it missed data rather than
-// silently resuming).
-func (s *session) traceSince(since int64) (recs []telemetry.Decision, next int64, truncated bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if oldest := s.traceNext - int64(len(s.traceBuf)); since < oldest {
-		truncated = true
-		since = oldest
-	}
-	if since < s.traceNext {
-		recs = make([]telemetry.Decision, 0, s.traceNext-since)
-	}
-	// The window is at most two runs of the backing array: from since's
-	// slot to the end, then from slot 0.
-	for since < s.traceNext {
-		i := since % traceCap
-		run := s.traceBuf[i:min(int64(len(s.traceBuf)), i+s.traceNext-since)]
-		recs = append(recs, run...)
-		since += int64(len(run))
-	}
-	return recs, s.traceNext, truncated
 }
 
 // lookupJob finds an async handle by ID.

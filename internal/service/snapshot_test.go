@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"avfs/api"
+	"avfs/internal/sim"
 )
 
 // seedSession creates a session with the standard mixed workload and
@@ -277,6 +278,54 @@ func TestWhatIfValidation(t *testing.T) {
 	}
 	if _, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{Seconds: limit - 1, Fast: true}); err != nil {
 		t.Errorf("window to tick 2^53-100 = %v, want an answer", err)
+	}
+}
+
+// TestRunPastMaxTicksRefused: a run that takes the tick counter past
+// 2^53 is a 400 invalid_request in both modes, whether the seconds are
+// huge or the session's tick is tiny, and admits nothing that could pin
+// a pool worker.
+func TestRunPastMaxTicksRefused(t *testing.T) {
+	f, _ := testFleet(t, Config{})
+	ts := httptest.NewServer(f.Handler())
+	defer ts.Close()
+	normal := mustCreate(t, f, api.CreateSessionRequest{})
+	tiny := mustCreate(t, f, api.CreateSessionRequest{TickSeconds: 1e-300})
+	for _, tc := range []struct {
+		session string
+		seconds float64
+	}{
+		{normal.ID, 1e300},
+		{normal.ID, float64(1<<53) * sim.DefaultTick},
+		{tiny.ID, 1},
+	} {
+		for _, async := range []bool{false, true} {
+			raw, _ := json.Marshal(api.RunRequest{Seconds: tc.seconds, Async: async})
+			resp, err := http.Post(ts.URL+"/v1/sessions/"+tc.session+"/run", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var apiErr api.Error
+			decErr := json.NewDecoder(resp.Body).Decode(&apiErr)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || decErr != nil || apiErr.Code != api.CodeInvalidRequest {
+				t.Errorf("%g s run (async %t) on %s = %d %+v (%v), want 400 %s",
+					tc.seconds, async, tc.session, resp.StatusCode, apiErr, decErr, api.CodeInvalidRequest)
+			}
+		}
+	}
+	for _, id := range []string{normal.ID, tiny.ID} {
+		got, err := f.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != api.SessionIdle || got.Ticks != 0 {
+			t.Errorf("%s after refused runs: state %s, %d ticks", id, got.State, got.Ticks)
+		}
+	}
+	// One tick short of the bound is still admitted.
+	if _, err := f.RunSync(context.Background(), tiny.ID, api.RunRequest{Seconds: 1e-300}); err != nil {
+		t.Errorf("one-tick run on the tiny-tick session: %v", err)
 	}
 }
 

@@ -224,10 +224,8 @@ func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (a
 		return api.WhatIfReport{}, err
 	}
 
-	// A window past sim.MaxTicks has no simulated answer, and the
-	// surrogate's would not be finite.
-	if (float64(st.Machine.Ticks)*st.Machine.Tick+req.Seconds)/st.Machine.Tick >= sim.MaxTicks {
-		return api.WhatIfReport{}, fmt.Errorf("%w: a %g s what-if window takes the tick counter past 2^53", ErrInvalidRequest, req.Seconds)
+	if err := checkTickBound(st.Machine.Ticks, st.Machine.Tick, req.Seconds); err != nil {
+		return api.WhatIfReport{}, err
 	}
 
 	if req.Fast {

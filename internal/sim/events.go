@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"avfs/internal/chip"
+	"avfs/internal/ringbuf"
 )
 
 // EventKind classifies a machine event.
@@ -66,28 +67,9 @@ func (e Event) String() string {
 	return fmt.Sprintf("%9.3fs %-9s %s", e.At, e.Kind, e.Detail)
 }
 
-// eventLog is a bounded append-only log; when full, the oldest half is
-// dropped (long evaluations would otherwise accumulate millions of freq
-// events).
-type eventLog struct {
-	events  []Event
-	dropped int
-	limit   int
-}
-
-const defaultEventLimit = 100_000
-
-func (l *eventLog) add(e Event) {
-	if l.limit == 0 {
-		l.limit = defaultEventLimit
-	}
-	if len(l.events) >= l.limit {
-		half := len(l.events) / 2
-		l.dropped += half
-		l.events = append(l.events[:0], l.events[half:]...)
-	}
-	l.events = append(l.events, e)
-}
+// eventLogCap bounds the machine event log: long evaluations would
+// otherwise accumulate millions of freq events.
+const eventLogCap = 100_000
 
 // EnableEventLog turns on structured event recording (off by default;
 // recording costs allocations on hot paths). Existing history starts from
@@ -96,7 +78,7 @@ func (m *Machine) EnableEventLog() {
 	if m.log != nil {
 		return
 	}
-	m.log = &eventLog{}
+	m.log = ringbuf.New[Event](eventLogCap)
 	m.seedVFMirrors()
 }
 
@@ -126,20 +108,22 @@ func (m *Machine) seedVFMirrors() {
 	m.evGen, m.evValid = m.Chip.Generation(), true
 }
 
-// Events returns the recorded events (nil when the log is disabled).
+// Events returns a copy of the retained events, the newest eventLogCap
+// in order (nil when the log is disabled or empty).
 func (m *Machine) Events() []Event {
 	if m.log == nil {
 		return nil
 	}
-	return m.log.events
+	events, _, _ := m.log.Since(0)
+	return events
 }
 
-// EventsDropped reports how many old events were discarded by the bound.
+// EventsDropped reports how many old events the bound has overwritten.
 func (m *Machine) EventsDropped() int {
 	if m.log == nil {
 		return 0
 	}
-	return m.log.dropped
+	return int(m.log.Dropped())
 }
 
 // logEvent records an event when the log or any subscriber is active.
@@ -149,7 +133,7 @@ func (m *Machine) logEvent(kind EventKind, proc int, format string, args ...any)
 	}
 	e := Event{At: m.now, Kind: kind, Proc: proc, Detail: fmt.Sprintf(format, args...)}
 	if m.log != nil {
-		m.log.add(e)
+		m.log.Append(e)
 	}
 	for _, fn := range m.subs {
 		fn(e)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"avfs/internal/chip"
+	"avfs/internal/ringbuf"
 	"avfs/internal/workload"
 )
 
@@ -87,54 +88,6 @@ func TestEventLogRecordsEmergencies(t *testing.T) {
 	}
 }
 
-func TestEventLogBounded(t *testing.T) {
-	l := &eventLog{limit: 10}
-	for i := 0; i < 25; i++ {
-		l.add(Event{At: float64(i)})
-	}
-	if len(l.events) > 10 {
-		t.Errorf("log grew to %d events beyond the bound", len(l.events))
-	}
-	if l.dropped == 0 {
-		t.Error("bound never dropped anything")
-	}
-	// The newest events survive.
-	last := l.events[len(l.events)-1]
-	if last.At != 24 {
-		t.Errorf("newest event lost: %v", last)
-	}
-}
-
-func TestEventLogEvictionPreservesOrdering(t *testing.T) {
-	// The oldest-half eviction must keep the surviving events in their
-	// original append order with no gaps: after any number of additions the
-	// log is a contiguous, ordered suffix of everything ever added.
-	l := &eventLog{limit: 16}
-	for i := 0; i < 100; i++ {
-		l.add(Event{At: float64(i), Proc: i})
-		if len(l.events) == 0 {
-			t.Fatal("log empty after add")
-		}
-		for j := 1; j < len(l.events); j++ {
-			if l.events[j].Proc != l.events[j-1].Proc+1 {
-				t.Fatalf("after add %d: events not contiguous at %d: %v -> %v",
-					i, j, l.events[j-1].Proc, l.events[j].Proc)
-			}
-		}
-		if newest := l.events[len(l.events)-1].Proc; newest != i {
-			t.Fatalf("after add %d: newest event is %d", i, newest)
-		}
-		if oldest := l.events[0].Proc; oldest != i+1-len(l.events) {
-			t.Fatalf("after add %d: log of %d events starts at %d, want %d",
-				i, len(l.events), oldest, i+1-len(l.events))
-		}
-		if l.dropped+len(l.events) != i+1 {
-			t.Fatalf("after add %d: dropped %d + kept %d != added %d",
-				i, l.dropped, len(l.events), i+1)
-		}
-	}
-}
-
 func TestSubscribeReceivesEventsWithoutLog(t *testing.T) {
 	m := New(chip.XGene3Spec())
 	var got []Event
@@ -161,10 +114,65 @@ func TestSubscribeReceivesEventsWithoutLog(t *testing.T) {
 	}
 }
 
+func TestEventLogBounded(t *testing.T) {
+	m := New(chip.XGene3Spec())
+	m.EnableEventLog()
+	m.log = ringbuf.New[Event](10)
+	for i := 0; i < 25; i++ {
+		m.now = float64(i)
+		m.logEvent(EvPlace, i, "")
+	}
+	events := m.Events()
+	if len(events) > 10 {
+		t.Errorf("log grew to %d events beyond the bound", len(events))
+	}
+	if m.EventsDropped() == 0 {
+		t.Error("bound never dropped anything")
+	}
+	// The newest events survive.
+	if last := events[len(events)-1]; last.At != 24 {
+		t.Errorf("newest event lost: %v", last)
+	}
+}
+
+func TestEventLogEvictionPreservesOrdering(t *testing.T) {
+	// Overwriting the oldest event must keep the survivors in their
+	// original append order with no gaps: after any number of additions the
+	// log is a contiguous, ordered suffix of everything ever added.
+	m := New(chip.XGene3Spec())
+	m.EnableEventLog()
+	m.log = ringbuf.New[Event](16)
+	for i := 0; i < 100; i++ {
+		m.now = float64(i)
+		m.logEvent(EvPlace, i, "")
+		events := m.Events()
+		if len(events) == 0 {
+			t.Fatal("log empty after add")
+		}
+		for j := 1; j < len(events); j++ {
+			if events[j].Proc != events[j-1].Proc+1 {
+				t.Fatalf("after add %d: events not contiguous at %d: %v -> %v",
+					i, j, events[j-1].Proc, events[j].Proc)
+			}
+		}
+		if newest := events[len(events)-1].Proc; newest != i {
+			t.Fatalf("after add %d: newest event is %d", i, newest)
+		}
+		if oldest := events[0].Proc; oldest != i+1-len(events) {
+			t.Fatalf("after add %d: log of %d events starts at %d, want %d",
+				i, len(events), oldest, i+1-len(events))
+		}
+		if dropped := m.EventsDropped(); dropped+len(events) != i+1 {
+			t.Fatalf("after add %d: dropped %d + kept %d != added %d",
+				i, dropped, len(events), i+1)
+		}
+	}
+}
+
 func TestSubscribeAlongsideLogSeesUnboundedStream(t *testing.T) {
 	m := New(chip.XGene3Spec())
 	m.EnableEventLog()
-	m.log.limit = 8 // tiny bound so the log evicts while the subscriber tails
+	m.log = ringbuf.New[Event](8) // tiny bound so the log evicts while the subscriber tails
 	n := 0
 	m.Subscribe(func(Event) { n++ })
 	p := m.MustSubmit(workload.MustByName("namd"), 1)

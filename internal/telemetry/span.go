@@ -3,6 +3,8 @@ package telemetry
 import (
 	"sync/atomic"
 	"time"
+
+	"avfs/internal/ringbuf"
 )
 
 // Span is one completed operation of a causal request trace: what ran,
@@ -50,23 +52,13 @@ var spanIDs atomic.Int64
 // always means "no span").
 func NextSpanID() int64 { return spanIDs.Add(1) }
 
-// spanRec stamps a stored span with its absolute ring index, so readers
-// can detect a slot that was overwritten underneath their cursor.
-type spanRec struct {
-	abs int64
-	sp  Span
-}
-
-// SpanRing is a bounded lock-free ring of completed spans with an
-// absolute-index cursor, the span analogue of the session decision-trace
-// ring: writers never block (an atomic fetch-add claims a slot, an atomic
-// pointer store publishes the record), the newest capacity records are
-// retained, and Since reports — rather than silently skips — a cursor
-// that has fallen off the retained window.
+// SpanRing is a session's bounded ring of completed spans: a
+// ringbuf.Ring that also owns the spans' monotonic epoch and fills zero
+// span IDs. Append, Start, Len and Since are nil-safe: a nil ring is
+// tracing off.
 type SpanRing struct {
+	ring  *ringbuf.Ring[Span]
 	epoch time.Time
-	slots []atomic.Pointer[spanRec]
-	head  atomic.Int64 // absolute index of the next record to be written
 }
 
 // DefaultSpanCap is the default per-session ring capacity. A request
@@ -81,23 +73,15 @@ func NewSpanRing(capacity int) *SpanRing {
 	if capacity <= 0 {
 		capacity = DefaultSpanCap
 	}
-	return &SpanRing{epoch: time.Now(), slots: make([]atomic.Pointer[spanRec], capacity)}
+	return &SpanRing{ring: ringbuf.New[Span](capacity), epoch: time.Now()}
 }
-
-// Cap returns the ring capacity.
-func (r *SpanRing) Cap() int { return len(r.slots) }
-
-// Now returns monotonic nanoseconds since the ring epoch — the StartNs
-// timebase.
-func (r *SpanRing) Now() int64 { return time.Since(r.epoch).Nanoseconds() }
 
 // Stamp converts a time.Time captured by the caller into the ring's
 // monotonic StartNs timebase.
 func (r *SpanRing) Stamp(t time.Time) int64 { return t.Sub(r.epoch).Nanoseconds() }
 
-// Append publishes one completed span. A zero ID is filled from
-// NextSpanID. Safe for concurrent use; a nil ring drops the span (the
-// tracing-off path costs one nil check).
+// Append records one completed span, filling a zero ID from NextSpanID.
+// Safe for concurrent use.
 func (r *SpanRing) Append(sp Span) {
 	if r == nil {
 		return
@@ -105,8 +89,7 @@ func (r *SpanRing) Append(sp Span) {
 	if sp.ID == 0 {
 		sp.ID = NextSpanID()
 	}
-	idx := r.head.Add(1) - 1
-	r.slots[idx%int64(len(r.slots))].Store(&spanRec{abs: idx, sp: sp})
+	r.ring.Append(sp)
 }
 
 // Len returns how many spans have ever been appended (the next cursor).
@@ -114,43 +97,17 @@ func (r *SpanRing) Len() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.head.Load()
+	return r.ring.Head()
 }
 
-// Since returns the retained spans with absolute index >= cursor in
-// append order, the next cursor to poll from, and whether the cursor had
-// fallen behind the retained window (records between the cursor and the
-// oldest retained span were dropped — the caller must know it missed
-// data rather than silently resuming).
+// Since reads the ring from an absolute cursor under the ringbuf cursor
+// contract: the spans, the next cursor, and whether the cursor had fallen
+// behind the retained window.
 func (r *SpanRing) Since(cursor int64) (spans []Span, next int64, truncated bool) {
 	if r == nil {
 		return nil, 0, false
 	}
-	head := r.head.Load()
-	oldest := head - int64(len(r.slots))
-	if oldest < 0 {
-		oldest = 0
-	}
-	if cursor < 0 {
-		cursor = 0
-	}
-	if cursor < oldest {
-		truncated = true
-		cursor = oldest
-	}
-	for i := cursor; i < head; i++ {
-		rec := r.slots[i%int64(len(r.slots))].Load()
-		if rec == nil || rec.abs != i {
-			// nil / stale: a writer claimed the slot but has not published
-			// yet; newer: the record was overwritten after we read head.
-			if rec != nil && rec.abs > i {
-				truncated = true
-			}
-			continue
-		}
-		spans = append(spans, rec.sp)
-	}
-	return spans, head, truncated
+	return r.ring.Since(cursor)
 }
 
 // SpanHandle is an in-flight span: Start stamps the begin time, End

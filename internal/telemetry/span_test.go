@@ -41,9 +41,9 @@ func TestSpanRingAppendSince(t *testing.T) {
 	}
 }
 
-// TestSpanRingWraparoundTruncation is the satellite-required case: a
-// cursor older than the oldest retained record must signal truncation
-// rather than silently skipping the dropped spans.
+// TestSpanRingWraparoundTruncation: a cursor older than the oldest
+// retained record must signal truncation rather than silently skipping
+// the dropped spans.
 func TestSpanRingWraparoundTruncation(t *testing.T) {
 	r := NewSpanRing(4)
 	for i := 0; i < 10; i++ {

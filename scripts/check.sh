@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full repository check: vet, build, race-enabled tests, a 5 s fuzz smoke
+# Full repository check: gofmt, vet, build, race-enabled tests, a 5 s fuzz smoke
 # of every fuzz target (`go test ./...` only replays their seed corpora),
 # two perfbench smoke runs (the benchmark module builds, replays correctly
 # and reproduces the golden Table III/IV rows), the telemetry-overhead
@@ -19,6 +19,16 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# gofmt walks every .go file under the root, perfbench/ included (its
+# own module, which go vet below does not reach).
+echo "==> gofmt -l"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: unformatted files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
