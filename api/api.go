@@ -89,18 +89,14 @@ type CreateSessionRequest struct {
 	// Policy is one of the four Table IV configurations: "baseline",
 	// "safe-vmin", "placement", "optimal" (default "optimal").
 	Policy string `json:"policy,omitempty"`
-	// TickSeconds overrides the integration step (default 0.010).
+	// TickSeconds overrides the integration step (default 0.010); it must
+	// be finite, positive and at most 1 s.
 	TickSeconds float64 `json:"tick_seconds,omitempty"`
 	// PollSeconds overrides the daemon's monitoring period (default 0.4).
 	PollSeconds float64 `json:"poll_seconds,omitempty"`
 	// TTLSeconds overrides the fleet's idle-session reaping deadline for
 	// this session; 0 inherits the fleet default.
 	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
-	// Coalescing disables steady-state tick batching when set to false
-	// (default true). Mostly useful for tests and trace-fidelity studies.
-	// Both settings give exactly the same integers (ticks, emergencies),
-	// times and finish order; energies agree within 1e-9 relative.
-	Coalescing *bool `json:"coalescing,omitempty"`
 	// ID pre-assigns the session identifier. It is minted by the cluster
 	// router so a session's home node is a pure function of its ID;
 	// clients creating sessions directly should leave it empty and let

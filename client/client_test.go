@@ -295,16 +295,20 @@ func clientBase(t *testing.T, f *service.Fleet) string {
 	return ts.URL
 }
 
+// pollEveryTick is a daemon poll period of one default tick: the daemon's
+// boundary then ends every batch, so a long run steps one tick at a time
+// and takes wall time for a test to act on it mid-run.
+const pollEveryTick = 0.01
+
 // TestBackpressureRetryAfter saturates a 1-worker/1-queue fleet and checks
 // the 429 + Retry-After contract end to end.
 func TestBackpressureRetryAfter(t *testing.T) {
 	_, c := newServer(t, service.Config{Workers: 1, Queue: 1})
 	ctx := context.Background()
-	off := false
 
 	var ids [3]string
 	for i := range ids {
-		s, err := c.CreateSession(ctx, api.CreateSessionRequest{Coalescing: &off})
+		s, err := c.CreateSession(ctx, api.CreateSessionRequest{PollSeconds: pollEveryTick})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,8 +361,7 @@ func TestBackpressureRetryAfter(t *testing.T) {
 func TestDrainOverHTTP(t *testing.T) {
 	f, c := newServer(t, service.Config{})
 	ctx := context.Background()
-	off := false
-	s, err := c.CreateSession(ctx, api.CreateSessionRequest{Coalescing: &off})
+	s, err := c.CreateSession(ctx, api.CreateSessionRequest{PollSeconds: pollEveryTick})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,9 @@ import (
 )
 
 // goldenSnapshotID is the content address of goldenSession. It pins the
-// snapshot encoding and snap-v1 hashing: forks and migrations between
+// snapshot encoding and snap-v2 hashing: forks and migrations between
 // nodes of different builds rely on identical states hashing identically.
-const goldenSnapshotID = "ee1c5f44bac9db200141c6b6377c052dee48172f1a9308bc23f472fbdb21cfee"
+const goldenSnapshotID = "7d1ab2c56ab040d5c00e761b4fcf074089af34d171bd0ce2d09f1398d6b2f428"
 
 // goldenSession is a fixed X-Gene 2 session: the Optimal daemon over CG on
 // four cores and lbm on one, ten simulated seconds in.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"avfs/internal/chip"
+	"avfs/internal/power"
 	"avfs/internal/sim"
 	"avfs/internal/workload"
 )
@@ -44,8 +45,8 @@ type fingerprint struct {
 	finished            []int
 	completed           []float64
 	counters            []sim.CoreCounters
-	energy              float64
-	coreEnergy          []float64
+	meter               power.MeterState
+	coreEnergy          []uint64 // float64 bits
 }
 
 func fingerprintOf(m *sim.Machine, d *Daemon) fingerprint {
@@ -55,12 +56,12 @@ func fingerprintOf(m *sim.Machine, d *Daemon) fingerprint {
 		checks:      m.EmergencyChecks(),
 		stats:       d.Stats(),
 		reconfigs:   d.Reconfigurations(),
-		energy:      m.Meter.Energy(),
+		meter:       m.Meter.State(),
 	}
 	for _, p := range m.Finished() {
 		f.finished = append(f.finished, p.ID)
 		f.completed = append(f.completed, p.Completed)
-		f.coreEnergy = append(f.coreEnergy, p.CoreEnergy())
+		f.coreEnergy = append(f.coreEnergy, math.Float64bits(p.CoreEnergy()))
 	}
 	for c := 0; c < m.Spec.Cores; c++ {
 		f.counters = append(f.counters, m.Counters(chip.CoreID(c)))
@@ -68,14 +69,7 @@ func fingerprintOf(m *sim.Machine, d *Daemon) fingerprint {
 	return f
 }
 
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
-}
-
-// compareFingerprints: integers and times exact, energies within 1e-9.
+// compareFingerprints: every observable bit for bit, energies included.
 func compareFingerprints(t *testing.T, label string, got, want fingerprint) {
 	t.Helper()
 	if got.ticks != want.ticks || got.emergencies != want.emergencies || got.checks != want.checks {
@@ -93,8 +87,8 @@ func compareFingerprints(t *testing.T, label string, got, want fingerprint) {
 			t.Errorf("%s: finish %d = proc %d at %v, want proc %d at %v", label, i,
 				got.finished[i], got.completed[i], want.finished[i], want.completed[i])
 		}
-		if r := relDiff(got.coreEnergy[i], want.coreEnergy[i]); r > 1e-9 {
-			t.Errorf("%s: proc %d core energy rel diff %g", label, want.finished[i], r)
+		if got.coreEnergy[i] != want.coreEnergy[i] {
+			t.Errorf("%s: proc %d core energy bits %x, want %x", label, want.finished[i], got.coreEnergy[i], want.coreEnergy[i])
 		}
 	}
 	for c := range want.counters {
@@ -102,8 +96,8 @@ func compareFingerprints(t *testing.T, label string, got, want fingerprint) {
 			t.Errorf("%s: core %d counters %+v, want %+v", label, c, got.counters[c], want.counters[c])
 		}
 	}
-	if r := relDiff(got.energy, want.energy); r > 1e-9 {
-		t.Errorf("%s: energy %v vs %v (rel %g)", label, got.energy, want.energy, r)
+	if got.meter != want.meter {
+		t.Errorf("%s: meter %+v, want %+v", label, got.meter, want.meter)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"avfs/internal/chip"
 	"avfs/internal/metrics"
+	"avfs/internal/sim"
 	"avfs/internal/wlgen"
 )
 
@@ -319,9 +320,7 @@ func TestAblationStudiesTable(t *testing.T) {
 
 // TestAblationPaperPolicyIsOptimalCell pins the relaxed sweep's paper
 // policy point to the Optimal campaign cell of the same workload: the
-// same ticks, completion time and daemon actions. Energy agrees within
-// 1e-12 relative, not bit for bit, because the cell's 1 Hz Fig. 14/15
-// recorder splits coalesced batches.
+// same ticks, completion time, daemon actions and energy bits.
 func TestAblationPaperPolicyIsOptimalCell(t *testing.T) {
 	const duration, seed = 300, 42
 	for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
@@ -334,7 +333,7 @@ func TestAblationPaperPolicyIsOptimalCell(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cell, cs, err := evaluate(spec, wl, Optimal, true)
+		cell, cs, err := evaluate(sim.New(spec), wl, Optimal)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,8 +356,8 @@ func TestAblationPaperPolicyIsOptimalCell(t *testing.T) {
 		if st := s.D.Stats(); st != cell.DaemonStats {
 			t.Errorf("%s: paper policy daemon stats %+v, Optimal cell %+v", spec.Name, st, cell.DaemonStats)
 		}
-		if d := math.Abs(s.M.Meter.Energy()-cell.EnergyJ) / cell.EnergyJ; d > 1e-12 {
-			t.Errorf("%s: paper policy energy %v J, Optimal cell %v J (rel %.2g)", spec.Name, s.M.Meter.Energy(), cell.EnergyJ, d)
+		if math.Float64bits(s.M.Meter.Energy()) != math.Float64bits(cell.EnergyJ) {
+			t.Errorf("%s: paper policy energy %v J, Optimal cell %v J", spec.Name, s.M.Meter.Energy(), cell.EnergyJ)
 		}
 
 		// The sweep's point is the replayed variant against the Baseline.
@@ -367,7 +366,7 @@ func TestAblationPaperPolicyIsOptimalCell(t *testing.T) {
 			math.Float64bits(pt.TimePenalty) != math.Float64bits(metrics.RelDiff(cell.TimeSec, base.TimeSec)) ||
 			pt.Emergencies != cell.Emergencies ||
 			pt.ClassFlips != cell.DaemonStats.ClassFlips || pt.Migrations != cell.DaemonStats.Migrations ||
-			math.Abs(pt.EnergySavings-metrics.Savings(base.EnergyJ, cell.EnergyJ)) > 1e-12 {
+			math.Float64bits(pt.EnergySavings) != math.Float64bits(metrics.Savings(base.EnergyJ, cell.EnergyJ)) {
 			t.Errorf("%s: sweep point %+v disagrees with the Optimal cell (%v s, %v J, %+v)",
 				spec.Name, pt, cell.TimeSec, cell.EnergyJ, cell.DaemonStats)
 		}

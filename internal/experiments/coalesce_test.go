@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"avfs/internal/chip"
@@ -10,27 +11,29 @@ import (
 	"avfs/internal/wlgen"
 )
 
-// relativeClose reports |a-b| <= tol * max(|a|,|b|) (exact match allowed).
-func relativeClose(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= tol*scale
+// perTick is a fresh machine that commits every tick on its own: a hook
+// whose boundary is always now ends every batch after one tick. It is the
+// serial oracle batched replays must equal bit for bit.
+func perTick(spec *chip.Spec) *sim.Machine {
+	m := sim.New(spec)
+	m.OnTickBounded(nil, m.Now)
+	return m
 }
 
-// assertEquivalent compares two replays of the same workload+config with
-// coalescing on/off: integer observables exactly, floats within 1e-9
-// relative.
+// assertEquivalent compares a batched and a per-tick replay of the same
+// workload+config: every observable bit for bit, energies included.
 func assertEquivalent(t *testing.T, label string, on, off EvalResult, mOn, mOff *sim.Machine) {
 	t.Helper()
+	if n := mOff.CoalescedTicks(); n != 0 {
+		t.Fatalf("%s: the per-tick replay coalesced %d ticks", label, n)
+	}
 	if on.TimeSec != off.TimeSec {
 		t.Errorf("%s: completion time diverged: on %v, off %v", label, on.TimeSec, off.TimeSec)
 	}
-	if !relativeClose(on.EnergyJ, off.EnergyJ, 1e-9) {
-		t.Errorf("%s: energy diverged: on %v, off %v", label, on.EnergyJ, off.EnergyJ)
+	if math.Float64bits(on.EnergyJ) != math.Float64bits(off.EnergyJ) || on.EnergyBD != off.EnergyBD {
+		t.Errorf("%s: energy diverged: on %v %+v, off %v %+v", label, on.EnergyJ, on.EnergyBD, off.EnergyJ, off.EnergyBD)
 	}
-	if !relativeClose(on.AvgPowerW, off.AvgPowerW, 1e-9) {
+	if math.Float64bits(on.AvgPowerW) != math.Float64bits(off.AvgPowerW) {
 		t.Errorf("%s: avg power diverged: on %v, off %v", label, on.AvgPowerW, off.AvgPowerW)
 	}
 	if on.Emergencies != off.Emergencies {
@@ -51,45 +54,36 @@ func assertEquivalent(t *testing.T, label string, on, off EvalResult, mOn, mOff 
 		t.Fatalf("%s: finish counts diverged: on %d, off %d", label, len(fOn), len(fOff))
 	}
 	for i := range fOn {
-		if fOn[i].ID != fOff[i].ID || fOn[i].Completed != fOff[i].Completed {
-			t.Errorf("%s: finish order diverged at %d: on %d@%v, off %d@%v",
-				label, i, fOn[i].ID, fOn[i].Completed, fOff[i].ID, fOff[i].Completed)
+		if fOn[i].ID != fOff[i].ID || fOn[i].Completed != fOff[i].Completed ||
+			math.Float64bits(fOn[i].CoreEnergy()) != math.Float64bits(fOff[i].CoreEnergy()) {
+			t.Errorf("%s: finish diverged at %d: on %d@%v %v J, off %d@%v %v J", label, i,
+				fOn[i].ID, fOn[i].Completed, fOn[i].CoreEnergy(), fOff[i].ID, fOff[i].Completed, fOff[i].CoreEnergy())
 		}
 	}
 }
 
-// assertSeriesEquivalent compares a recorded time series point by point.
+// assertSeriesEquivalent compares a recorded time series point by point,
+// bit for bit.
 func assertSeriesEquivalent(t *testing.T, label string, on, off *trace.Series) {
 	t.Helper()
-	pOn, pOff := on.Points(), off.Points()
-	if len(pOn) != len(pOff) {
-		t.Fatalf("%s: sample counts diverged: on %d, off %d", label, len(pOn), len(pOff))
-	}
-	for i := range pOn {
-		if pOn[i].T != pOff[i].T {
-			t.Errorf("%s: sample %d instant diverged: on %v, off %v", label, i, pOn[i].T, pOff[i].T)
-			return
-		}
-		if !relativeClose(pOn[i].V, pOff[i].V, 1e-9) {
-			t.Errorf("%s: sample %d value diverged: on %v, off %v", label, i, pOn[i].V, pOff[i].V)
-			return
-		}
+	if !reflect.DeepEqual(on.Points(), off.Points()) {
+		t.Errorf("%s: series diverged between batched and per-tick replays", label)
 	}
 }
 
 // TestEvaluationCoalescingEquivalence replays the Table IV evaluation (all
-// four system configurations, fixed seed) with tick coalescing on and off
-// and asserts the results are equivalent — including the daemon's
+// four system configurations, fixed seed) batched and per tick and asserts
+// the results are bit-identical — including the daemon's
 // zero-voltage-emergency invariant holding in both modes.
 func TestEvaluationCoalescingEquivalence(t *testing.T) {
 	spec := chip.XGene3Spec()
 	wl := wlgen.Generate(spec, wlgen.Config{Duration: 600}, 42)
 	for _, cfg := range SystemConfigs() {
-		on, sOn, err := evaluate(spec, wl, cfg, true)
+		on, sOn, err := evaluate(sim.New(spec), wl, cfg)
 		if err != nil {
 			t.Fatalf("%v coalesced: %v", cfg, err)
 		}
-		off, sOff, err := evaluate(spec, wl, cfg, false)
+		off, sOff, err := evaluate(perTick(spec), wl, cfg)
 		if err != nil {
 			t.Fatalf("%v serial: %v", cfg, err)
 		}
@@ -101,7 +95,7 @@ func TestEvaluationCoalescingEquivalence(t *testing.T) {
 			}
 		}
 		if mOn.CoalescedTicks() == 0 {
-			t.Errorf("%v: coalescing enabled but no ticks were coalesced", cfg)
+			t.Errorf("%v: no ticks were coalesced", cfg)
 		}
 	}
 }
@@ -116,11 +110,11 @@ func TestWlgenHourCoalescingEquivalence(t *testing.T) {
 	}
 	spec := chip.XGene2Spec()
 	wl := wlgen.Generate(spec, wlgen.Config{Duration: 3600}, 7)
-	on, sOn, err := evaluate(spec, wl, Optimal, true)
+	on, sOn, err := evaluate(sim.New(spec), wl, Optimal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, sOff, err := evaluate(spec, wl, Optimal, false)
+	off, sOff, err := evaluate(perTick(spec), wl, Optimal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,18 +124,16 @@ type EvalResult struct {
 // Evaluate replays workload wl on a fresh machine of the given chip under
 // the chosen system configuration and measures the paper's table metrics.
 func Evaluate(spec *chip.Spec, wl *wlgen.Workload, cfg SystemConfig) (EvalResult, error) {
-	res, _, err := evaluate(spec, wl, cfg, true)
+	res, _, err := evaluate(sim.New(spec), wl, cfg)
 	return res, err
 }
 
-// evaluate is Evaluate with an explicit tick-coalescing switch. It also
-// returns the replayed control stack, and through it the machine, so the
-// equivalence tests can compare observables beyond the table metrics
-// (per-core counters, finish order, controller state).
-func evaluate(spec *chip.Spec, wl *wlgen.Workload, cfg SystemConfig, coalesce bool) (EvalResult, *Stack, error) {
-	m := sim.New(spec)
-	m.SetCoalescing(coalesce)
-	res := EvalResult{Config: cfg, Chip: spec}
+// evaluate is Evaluate on a caller-built machine. It also returns the
+// replayed control stack, and through it the machine, so the equivalence
+// tests can step a machine tick by tick and compare observables beyond the
+// table metrics (per-core counters, finish order, controller state).
+func evaluate(m *sim.Machine, wl *wlgen.Workload, cfg SystemConfig) (EvalResult, *Stack, error) {
+	res := EvalResult{Config: cfg, Chip: m.Spec}
 	// The Fig. 14/15 recorder never ends a batch. Samples that fall due
 	// strictly inside a committed batch are taken by this hook, registered
 	// before the control stack: it runs after the commit and before any

@@ -7,6 +7,7 @@ import (
 
 	"avfs/internal/chip"
 	"avfs/internal/daemon"
+	"avfs/internal/power"
 	"avfs/internal/sim"
 	"avfs/internal/snapshot"
 	"avfs/internal/wlgen"
@@ -31,7 +32,7 @@ func quietRun(t *testing.T, spec *chip.Spec, cfg SystemConfig, ref bool) (*sim.M
 }
 
 // replayPrint is every observable of a replay the quiet governor must
-// keep: integers and times exactly, energies to a tolerance.
+// keep, energies as their fixed-point integers.
 type replayPrint struct {
 	now                 float64
 	ticks               uint64
@@ -42,15 +43,14 @@ type replayPrint struct {
 	finished            []int
 	started, completed  []float64
 	counters            []sim.CoreCounters
-	energies            []float64
+	meter               power.MeterState
+	coreEnergyBits      []uint64
 }
 
 func replayPrintOf(m *sim.Machine, s *Stack) replayPrint {
-	bd := m.EnergyBreakdown()
 	p := replayPrint{
 		now: m.Now(), ticks: m.Ticks(), checks: m.EmergencyChecks(), emergencies: m.EmergencyCount(),
-		stats: s.D.Stats(), nextSample: s.Base.Governor.NextSample(),
-		energies: []float64{m.Meter.Energy(), bd.CoreDynamic, bd.PMDUncore, bd.L3Fabric, bd.MemCtl, bd.Leakage},
+		stats: s.D.Stats(), nextSample: s.Base.Governor.NextSample(), meter: m.Meter.State(),
 	}
 	for pmd := 0; pmd < m.Spec.PMDs(); pmd++ {
 		p.freqs = append(p.freqs, m.Chip.PMDFreq(chip.PMDID(pmd)))
@@ -59,7 +59,7 @@ func replayPrintOf(m *sim.Machine, s *Stack) replayPrint {
 		p.finished = append(p.finished, pr.ID)
 		p.started = append(p.started, pr.Started)
 		p.completed = append(p.completed, pr.Completed)
-		p.energies = append(p.energies, pr.CoreEnergy())
+		p.coreEnergyBits = append(p.coreEnergyBits, math.Float64bits(pr.CoreEnergy()))
 	}
 	for c := 0; c < m.Spec.Cores; c++ {
 		p.counters = append(p.counters, m.Counters(chip.CoreID(c)))
@@ -67,23 +67,11 @@ func replayPrintOf(m *sim.Machine, s *Stack) replayPrint {
 	return p
 }
 
-// compareReplayPrints fails t unless got equals want, energies within tol
-// relative (0: bit for bit).
-func compareReplayPrints(t *testing.T, label string, got, want replayPrint, tol float64) {
+// compareReplayPrints fails t unless got equals want bit for bit.
+func compareReplayPrints(t *testing.T, label string, got, want replayPrint) {
 	t.Helper()
-	g, w := got, want
-	g.energies, w.energies = nil, nil
-	if !reflect.DeepEqual(g, w) {
-		t.Errorf("%s: replay diverged\n got %+v\nwant %+v", label, g, w)
-	}
-	ge, we := got.energies, want.energies
-	if len(ge) != len(we) {
-		t.Fatalf("%s: %d energies, want %d", label, len(ge), len(we))
-	}
-	for i := range we {
-		if tol == 0 && math.Float64bits(ge[i]) != math.Float64bits(we[i]) || !relativeClose(ge[i], we[i], tol) {
-			t.Errorf("%s: energy %d = %v, want %v (tolerance %g)", label, i, ge[i], we[i], tol)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: replay diverged\n got %+v\nwant %+v", label, got, want)
 	}
 }
 
@@ -119,9 +107,9 @@ var quietPhases = []struct {
 // TestQuietGovernorMatchesSampleBoundaries is the oracle for the quiet
 // ondemand governor: letting a batch cross the samples that cannot move
 // a frequency leaves every observable of Baseline and Safe Vmin on both
-// chips equal to stopping at every sample (energies within 1e-12: a
-// batch sums the same watts in fewer terms), through busy, decaying and
-// fully idle stretches, while committing far fewer batches.
+// chips equal to stopping at every sample, energies bit for bit, through
+// busy, decaying and fully idle stretches, while committing far fewer
+// batches.
 func TestQuietGovernorMatchesSampleBoundaries(t *testing.T) {
 	for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
 		for _, cfg := range []SystemConfig{Baseline, SafeVmin} {
@@ -137,7 +125,7 @@ func TestQuietGovernorMatchesSampleBoundaries(t *testing.T) {
 				if ph.quiet && !runS.Base.Governor.Quiet() {
 					t.Errorf("%s %s: precondition: the phase must end quiet", label, ph.name)
 				}
-				compareReplayPrints(t, label+" "+ph.name, replayPrintOf(run, runS), replayPrintOf(ref, refS), 1e-12)
+				compareReplayPrints(t, label+" "+ph.name, replayPrintOf(run, runS), replayPrintOf(ref, refS))
 			}
 			refCommits, runCommits := ref.Ticks()-ref.CoalescedTicks(), run.Ticks()-run.CoalescedTicks()
 			if 2*runCommits > refCommits {
@@ -188,7 +176,7 @@ func TestQuietGovernorRestoreMatchesContinuous(t *testing.T) {
 						t.Fatalf("%s %s: %v", label, ph.name, err)
 					}
 				}
-				compareReplayPrints(t, label+" restored, "+ph.name, replayPrintOf(m, s), replayPrintOf(cont, contS), 0)
+				compareReplayPrints(t, label+" restored, "+ph.name, replayPrintOf(m, s), replayPrintOf(cont, contS))
 			}
 		}
 	}
@@ -210,7 +198,7 @@ func TestReplayCommitCounts(t *testing.T) {
 	} {
 		wl := wlgen.Generate(tc.spec, wlgen.Config{Duration: 3600}, 42)
 		for _, cfg := range SystemConfigs() {
-			_, s, err := evaluate(tc.spec, wl, cfg, true)
+			_, s, err := evaluate(sim.New(tc.spec), wl, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -33,9 +33,8 @@ func sampleBoundedEvaluate(t *testing.T, spec *chip.Spec, wl *wlgen.Workload, cf
 // TestRecorderInsideBatchesMatchesSampleBounded: taking the samples that
 // fall inside a batch from the committed state records the same Fig.
 // 14/15 points as ending a batch at every sample, and leaves every other
-// observable equal (energies within 1e-12: fewer, longer batches sum the
-// same watts in fewer terms), on both chips under all four
-// configurations, with fewer commits.
+// observable equal bit for bit, energies included, on both chips under
+// all four configurations, with fewer commits.
 func TestRecorderInsideBatchesMatchesSampleBounded(t *testing.T) {
 	for _, spec := range []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()} {
 		for _, seed := range []int64{42, 43} {
@@ -43,7 +42,7 @@ func TestRecorderInsideBatchesMatchesSampleBounded(t *testing.T) {
 			for _, cfg := range SystemConfigs() {
 				label := spec.Name + "/" + cfg.String()
 				ref, refM, refS := sampleBoundedEvaluate(t, spec, wl, cfg)
-				got, s, err := evaluate(spec, wl, cfg, true)
+				got, s, err := evaluate(sim.New(spec), wl, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,7 +57,7 @@ func TestRecorderInsideBatchesMatchesSampleBounded(t *testing.T) {
 						t.Errorf("%s seed %d: %s series diverged from the sample-bounded replay", label, seed, pair[0].Name)
 					}
 				}
-				compareReplayPrints(t, label, replayPrintOf(s.M, s), replayPrintOf(refM, refS), 1e-12)
+				compareReplayPrints(t, label, replayPrintOf(s.M, s), replayPrintOf(refM, refS))
 				commits, refCommits := s.M.Ticks()-s.M.CoalescedTicks(), refM.Ticks()-refM.CoalescedTicks()
 				if commits >= refCommits {
 					t.Errorf("%s seed %d: %d commits, sample-bounded reference %d", label, seed, commits, refCommits)

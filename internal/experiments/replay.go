@@ -12,8 +12,8 @@ import (
 // until every arrival is submitted and the machine drains idle. It
 // registers the next pending arrival as a tick boundary, so the simulator
 // may coalesce steady ticks between arrivals but always hands control back
-// on the tick an arrival is due (submission instants are identical whether
-// coalescing is on or off). label names the run in error messages.
+// on the tick an arrival is due (submission instants are identical to
+// per-tick stepping). label names the run in error messages.
 func replayArrivals(m *sim.Machine, wl *wlgen.Workload, label string) error {
 	next := 0
 	limit := wl.Duration*3 + 3600

@@ -21,6 +21,8 @@ package power
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"avfs/internal/chip"
 )
@@ -232,62 +234,169 @@ func (m *Model) IdlePower(v chip.Millivolts, f chip.MHz) float64 {
 	return m.Power(st).Total()
 }
 
-// Meter integrates power over time into energy, and tracks averages. It is
-// the simulator-side stand-in for the external power instrumentation the
-// paper's measurements rely on.
-type Meter struct {
-	energyJ float64
-	seconds float64
-	peakW   float64
+// quantumBits sets the unit of every time-integrated energy accumulator:
+// 2^-40 J, fine enough that an hour's per-tick rounding stays near 1e-11
+// relative, coarse enough that a tick below 2^24 J fits a uint64.
+const quantumBits = 40
+
+// Quantum is the energy accumulators' unit in joules.
+const Quantum = 1.0 / (1 << quantumBits)
+
+// Quanta returns the energy of watts held for dt seconds in whole quanta,
+// rounded to nearest, ties to even. It panics on a negative energy (a
+// negative dt) or one outside a uint64 (sim.MaxTick keeps every tick's
+// energy far inside it).
+func Quanta(watts, dt float64) uint64 {
+	// The conversion keeps the rounding below from fusing into this
+	// product on architectures with fused multiply-add.
+	q := float64(watts * dt * (1 << quantumBits))
+	if !(q >= 0 && q < 0x1p64) {
+		panic("power: a tick's energy is negative or outside a uint64 of quanta")
+	}
+	if q < 0x1p52 {
+		// Below 2^52 the sum's ulp is 1, so adding 2^52 rounds q to an
+		// integer; at or above it q already is one.
+		q = q + 0x1p52 - 0x1p52
+	}
+	return uint64(q)
 }
 
-// Accumulate adds watts over dt seconds.
-func (e *Meter) Accumulate(watts, dt float64) {
-	if dt < 0 {
-		panic("power: negative dt")
+// Joules is an exact energy accumulator: an unsigned 128-bit count of
+// quanta. Adding k ticks' quanta at once lands on the same integer as
+// adding them one tick at a time, so batched and per-tick stepping agree
+// bit for bit.
+type Joules struct {
+	Hi uint64 `json:"hi,omitempty"`
+	Lo uint64 `json:"lo"`
+}
+
+// Add adds k×q quanta.
+func (j *Joules) Add(q, k uint64) {
+	hi, lo := bits.Mul64(q, k)
+	var c uint64
+	j.Lo, c = bits.Add64(j.Lo, lo, 0)
+	j.Hi += hi + c
+}
+
+// Plus returns j+o.
+func (j Joules) Plus(o Joules) Joules {
+	lo, c := bits.Add64(j.Lo, o.Lo, 0)
+	return Joules{Hi: j.Hi + o.Hi + c, Lo: lo}
+}
+
+// J returns the energy in joules, correctly rounded to float64.
+func (j Joules) J() float64 {
+	if j.Hi == 0 {
+		return float64(j.Lo) * Quantum
 	}
-	e.energyJ += watts * dt
-	e.seconds += dt
-	if watts > e.peakW {
-		e.peakW = watts
+	// The top 64 bits of the 128-bit count, with every bit shifted out
+	// folded into the lowest one so round-to-nearest-even sees it.
+	n := bits.Len64(j.Hi)
+	top := j.Hi<<(64-n) | j.Lo>>n
+	if j.Lo<<(64-n) != 0 {
+		top |= 1
 	}
+	return math.Ldexp(float64(top), n-quantumBits)
+}
+
+// TickEnergy is the energy of one tick per Breakdown component, in quanta:
+// computed once per distinct tick and committed any number of times.
+type TickEnergy struct {
+	CoreDynamic uint64 `json:"core_dynamic"`
+	PMDUncore   uint64 `json:"pmd_uncore"`
+	L3Fabric    uint64 `json:"l3_fabric"`
+	MemCtl      uint64 `json:"mem_ctl"`
+	Leakage     uint64 `json:"leakage"`
+}
+
+// Quanta returns the energy of holding the breakdown for dt seconds.
+func (b Breakdown) Quanta(dt float64) TickEnergy {
+	return TickEnergy{
+		CoreDynamic: Quanta(b.CoreDynamic, dt),
+		PMDUncore:   Quanta(b.PMDUncore, dt),
+		L3Fabric:    Quanta(b.L3Fabric, dt),
+		MemCtl:      Quanta(b.MemCtl, dt),
+		Leakage:     Quanta(b.Leakage, dt),
+	}
+}
+
+// Meter integrates power over fixed-length ticks into exact energy per
+// model component, and tracks averages. It is the simulator-side stand-in
+// for the external power instrumentation the paper's measurements rely on.
+type Meter struct {
+	st    MeterState
+	ticks uint64
+	tick  float64
+}
+
+// Commit adds k ticks of dt seconds each, each drawing watts and the
+// energy q.
+func (e *Meter) Commit(q *TickEnergy, watts float64, k uint64, dt float64) {
+	e.st.CoreDynamic.Add(q.CoreDynamic, k)
+	e.st.PMDUncore.Add(q.PMDUncore, k)
+	e.st.L3Fabric.Add(q.L3Fabric, k)
+	e.st.MemCtl.Add(q.MemCtl, k)
+	e.st.Leakage.Add(q.Leakage, k)
+	e.ticks += k
+	e.tick = dt
+	if watts > e.st.PeakW {
+		e.st.PeakW = watts
+	}
+}
+
+// Total returns the accumulated energy in quanta: exactly the sum of the
+// five components.
+func (st *MeterState) Total() Joules {
+	return st.CoreDynamic.Plus(st.PMDUncore).Plus(st.L3Fabric).Plus(st.MemCtl).Plus(st.Leakage)
 }
 
 // Energy returns the accumulated energy in joules.
-func (e *Meter) Energy() float64 { return e.energyJ }
+func (e *Meter) Energy() float64 { return e.st.Total().J() }
 
-// Seconds returns the accumulated wall-clock time.
-func (e *Meter) Seconds() float64 { return e.seconds }
+// Breakdown returns the accumulated energy per component in joules (the
+// Breakdown fields hold joules here, not watts).
+func (e *Meter) Breakdown() Breakdown {
+	return Breakdown{
+		CoreDynamic: e.st.CoreDynamic.J(),
+		PMDUncore:   e.st.PMDUncore.J(),
+		L3Fabric:    e.st.L3Fabric.J(),
+		MemCtl:      e.st.MemCtl.J(),
+		Leakage:     e.st.Leakage.J(),
+	}
+}
+
+// Seconds returns the accumulated time: the tick count times the tick.
+func (e *Meter) Seconds() float64 { return float64(e.ticks) * e.tick }
 
 // AveragePower returns accumulated energy divided by accumulated time,
 // or 0 before any accumulation.
 func (e *Meter) AveragePower() float64 {
-	if e.seconds == 0 {
+	if e.ticks == 0 {
 		return 0
 	}
-	return e.energyJ / e.seconds
+	return e.Energy() / e.Seconds()
 }
 
 // Peak returns the highest instantaneous power seen.
-func (e *Meter) Peak() float64 { return e.peakW }
-
-// Reset clears the meter.
-func (e *Meter) Reset() { *e = Meter{} }
+func (e *Meter) Peak() float64 { return e.st.PeakW }
 
 // MeterState is the serializable state of a Meter (see the session
-// snapshot machinery in internal/sim).
+// snapshot machinery in internal/sim): the five component accumulators in
+// quanta and the peak. The time base is the owner's tick count and tick.
 type MeterState struct {
-	EnergyJ float64 `json:"energy_j"`
-	Seconds float64 `json:"seconds"`
-	PeakW   float64 `json:"peak_w"`
+	CoreDynamic Joules  `json:"core_dynamic"`
+	PMDUncore   Joules  `json:"pmd_uncore"`
+	L3Fabric    Joules  `json:"l3_fabric"`
+	MemCtl      Joules  `json:"mem_ctl"`
+	Leakage     Joules  `json:"leakage"`
+	PeakW       float64 `json:"peak_w"`
 }
 
 // State captures the meter's accumulators.
-func (e *Meter) State() MeterState {
-	return MeterState{EnergyJ: e.energyJ, Seconds: e.seconds, PeakW: e.peakW}
-}
+func (e *Meter) State() MeterState { return e.st }
 
-// Restore overwrites the meter with previously captured accumulators.
-func (e *Meter) Restore(st MeterState) {
-	e.energyJ, e.seconds, e.peakW = st.EnergyJ, st.Seconds, st.PeakW
+// Restore overwrites the meter with previously captured accumulators over
+// ticks ticks of tick seconds.
+func (e *Meter) Restore(st MeterState, ticks uint64, tick float64) {
+	e.st, e.ticks, e.tick = st, ticks, tick
 }

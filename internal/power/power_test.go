@@ -172,34 +172,93 @@ func TestMemUtilClamped(t *testing.T) {
 
 func TestMeterAccumulation(t *testing.T) {
 	var e Meter
-	e.Accumulate(10, 2)
-	e.Accumulate(20, 1)
+	ten := Breakdown{CoreDynamic: 4, Leakage: 6}.Quanta(0.5)
+	twenty := Breakdown{CoreDynamic: 20}.Quanta(0.5)
+	e.Commit(&ten, 10, 4, 0.5)
+	e.Commit(&twenty, 20, 2, 0.5)
 	if e.Energy() != 40 {
 		t.Errorf("Energy = %v, want 40", e.Energy())
+	}
+	if bd := e.Breakdown(); bd != (Breakdown{CoreDynamic: 28, Leakage: 12}) {
+		t.Errorf("Breakdown = %+v", bd)
 	}
 	if e.Seconds() != 3 {
 		t.Errorf("Seconds = %v, want 3", e.Seconds())
 	}
-	if math.Abs(e.AveragePower()-40.0/3.0) > 1e-12 {
+	if e.AveragePower() != 40.0/3.0 {
 		t.Errorf("AveragePower = %v", e.AveragePower())
 	}
 	if e.Peak() != 20 {
 		t.Errorf("Peak = %v, want 20", e.Peak())
 	}
-	e.Reset()
-	if e.Energy() != 0 || e.Seconds() != 0 || e.AveragePower() != 0 {
-		t.Error("Reset did not clear the meter")
+	var zero Meter
+	if zero.Energy() != 0 || zero.Seconds() != 0 || zero.AveragePower() != 0 {
+		t.Error("a fresh meter is not zero")
 	}
 }
 
 func TestMeterNegativeDtPanics(t *testing.T) {
-	var e Meter
 	defer func() {
 		if recover() == nil {
 			t.Error("negative dt should panic")
 		}
 	}()
-	e.Accumulate(1, -1)
+	Quanta(1, -1)
+}
+
+// TestQuantaRange: one tick's energy outside a uint64 of quanta, or not a
+// number, panics instead of wrapping.
+func TestQuantaRange(t *testing.T) {
+	for _, watts := range []float64{math.NaN(), math.Inf(1), -1, 0x1p33} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Quanta(%v, 1) did not panic", watts)
+				}
+			}()
+			Quanta(watts, 1)
+		}()
+	}
+	if got := Quanta(1.5, 0.25); got != 3<<(quantumBits-3) {
+		t.Errorf("Quanta(1.5, 0.25) = %d, want %d", got, 3<<(quantumBits-3))
+	}
+	// Halfway cases round to the even quantum.
+	if a, b := Quanta(2.5*Quantum, 1), Quanta(3.5*Quantum, 1); a != 2 || b != 4 {
+		t.Errorf("Quanta of 2.5 and 3.5 quanta = %d, %d; want 2, 4", a, b)
+	}
+}
+
+// TestJoulesCarry: a 128-bit sum crossing 2^64 quanta carries into the
+// high word and reads back the correctly rounded float.
+func TestJoulesCarry(t *testing.T) {
+	var j Joules
+	j.Add(1<<63, 3) // 1.5 × 2^64 quanta
+	if j != (Joules{Hi: 1, Lo: 1 << 63}) {
+		t.Fatalf("3 × 2^63 quanta = %+v", j)
+	}
+	if got, want := j.J(), 1.5*0x1p64*Quantum; got != want {
+		t.Errorf("J() = %v, want %v", got, want)
+	}
+	j.Add(math.MaxUint64, 1)
+	if j != (Joules{Hi: 2, Lo: 1<<63 - 1}) {
+		t.Fatalf("after adding 2^64-1 = %+v", j)
+	}
+	// 2^65 + 2^63 - 1 quanta: the bits below float64's 53 round away.
+	if got, want := j.J(), (0x1p65+0x1p63)*Quantum; got != want {
+		t.Errorf("J() = %v, want %v", got, want)
+	}
+	// A tie rounds to even unless a lower bit breaks it.
+	tie := Joules{Hi: 1, Lo: 1 << 11}     // 2^64 + 2^11: halfway, rounds down to even
+	above := Joules{Hi: 1, Lo: 1<<11 | 1} // one quantum above the tie rounds up
+	if got, want := tie.J(), 0x1p64*Quantum; got != want {
+		t.Errorf("tie J() = %v, want %v", got, want)
+	}
+	if got, want := above.J(), (0x1p64+0x1p12)*Quantum; got != want {
+		t.Errorf("above-tie J() = %v, want %v", got, want)
+	}
+	if sum := tie.Plus(Joules{Lo: math.MaxUint64}); sum != (Joules{Hi: 2, Lo: 1<<11 - 1}) {
+		t.Errorf("Plus carry = %+v", sum)
+	}
 }
 
 func TestPowerNonNegativeProperty(t *testing.T) {

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"testing"
 
 	"avfs/internal/chip"
@@ -38,17 +37,15 @@ func TestPowerCapComposesWithDaemon(t *testing.T) {
 	}
 
 	// A non-binding cap must be behavior-neutral: zero emergencies and
-	// the same trajectory as no cap at all. Energy is compared to 1e-9
-	// relative — the governor's 10ms hook partitions tick batches
-	// differently, which reorders the (associativity-sensitive) energy
-	// summation without changing any decision.
+	// the same trajectory as no cap at all, energy bit for bit: the
+	// governor's 10ms hook partitions tick batches differently, and the
+	// fixed-point meter sums every partition to the same integers.
 	generous := run(500)
 	if n := len(generous.Emergencies()); n != 0 {
 		t.Errorf("non-binding 500W cap caused %d voltage emergencies", n)
 	}
-	g, u := generous.Meter.Energy(), uncapped.Meter.Energy()
-	if diff := math.Abs(g-u) / u; diff > 1e-9 {
-		t.Errorf("non-binding cap changed energy: %.9f J vs %.9f J uncapped (rel %.2e)", g, u, diff)
+	if g, u := generous.Meter.State(), uncapped.Meter.State(); g != u {
+		t.Errorf("non-binding cap changed energy: %+v vs %+v uncapped", g, u)
 	}
 
 	// A binding cap throttles but still never undervolts the machine

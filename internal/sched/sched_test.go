@@ -63,7 +63,9 @@ func TestDefaultPlacerFIFOBlocks(t *testing.T) {
 func TestBlockedHeadCoalesces(t *testing.T) {
 	run := func(coalesce bool) (*sim.Machine, *sim.Process) {
 		m := sim.New(chip.XGene2Spec())
-		m.SetCoalescing(coalesce)
+		if !coalesce {
+			m.OnTickBounded(nil, m.Now) // the per-tick oracle
+		}
 		NewBaseline(m)
 		m.MustSubmit(workload.MustByName("EP"), 6)
 		m.MustSubmit(workload.MustByName("namd"), 1)
@@ -86,7 +88,7 @@ func TestBlockedHeadCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sBig.Started != bBig.Started || serial.Ticks() != batched.Ticks() {
+	if sBig.Started != bBig.Started || serial.Ticks() != batched.Ticks() || serial.Meter.State() != batched.Meter.State() {
 		t.Errorf("blocked head started at %v (%d ticks total), want %v (%d ticks) as with per-tick stepping",
 			bBig.Started, batched.Ticks(), sBig.Started, serial.Ticks())
 	}
@@ -222,7 +224,9 @@ func TestOndemandQuiet(t *testing.T) {
 func TestQuietBaselineMatchesSerial(t *testing.T) {
 	run := func(coalesce bool) (*sim.Machine, *Baseline) {
 		m := sim.New(chip.XGene2Spec())
-		m.SetCoalescing(coalesce)
+		if !coalesce {
+			m.OnTickBounded(nil, m.Now) // the per-tick oracle
+		}
 		b := NewBaseline(m)
 		m.MustSubmit(workload.MustByName("namd"), 1)
 		m.MustSubmit(workload.MustByName("lbm"), 1)
@@ -246,6 +250,9 @@ func TestQuietBaselineMatchesSerial(t *testing.T) {
 	}
 	if !bb.Governor.Quiet() || batched.RunningCount() != 0 {
 		t.Fatal("precondition: the run must end idle and quiet")
+	}
+	if serial.Meter.State() != batched.Meter.State() {
+		t.Errorf("meter %+v, serial %+v", batched.Meter.State(), serial.Meter.State())
 	}
 	fs, fb := serial.Finished(), batched.Finished()
 	if len(fs) != 3 || len(fb) != 3 {

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"avfs/api"
 	"avfs/internal/chip"
@@ -90,9 +89,8 @@ func TestCursorContract(t *testing.T) {
 			},
 		},
 		{
-			// Every request to a session records an http.request span once
-			// its response is written, so each read appends one span too:
-			// read waits for it and learns its index from its ID.
+			// A read of /spans records no span of its own, so the ring
+			// holds exactly what push appended.
 			name:     "spans",
 			capacity: telemetry.DefaultSpanCap,
 			push: func(t *testing.T, n int64) int64 {
@@ -104,17 +102,7 @@ func TestCursorContract(t *testing.T) {
 				return s.spans.Len()
 			},
 			read: func(t *testing.T, cursor int64) ([]int64, int64, bool) {
-				head := s.spans.Len()
 				recs, next, truncated := httpCursor[telemetry.Span](t, ts.URL, sess.ID, "spans", "Span", cursor, f.Spans)
-				for deadline := time.Now().Add(5 * time.Second); s.spans.Len() == head; time.Sleep(time.Millisecond) {
-					if time.Now().After(deadline) {
-						t.Fatal("the read recorded no http.request span")
-					}
-				}
-				if s.spans.Len() != head+1 {
-					t.Fatalf("the read appended %d spans, want its one http.request span", s.spans.Len()-head)
-				}
-				learnSpans()
 				idx := make([]int64, len(recs))
 				for i, sp := range recs {
 					idx[i] = spanIdx[sp.ID]
@@ -316,6 +304,51 @@ func TestAppendTraceFullRingConstant(t *testing.T) {
 		if want := base + n - traceCap + int64(i); d.Reconfig != want {
 			t.Fatalf("record %d is decision %d, want %d", i, d.Reconfig, want)
 		}
+	}
+}
+
+// TestSpansPollerDoesNotObserveItself: polling an idle session's /spans
+// with ?since=next records nothing into the ring it drains. After 5,000
+// polls, more than the ring holds, X-Span-Next has not moved and every
+// span of the run before them is still readable from 0.
+func TestSpansPollerDoesNotObserveItself(t *testing.T) {
+	f, _ := testFleet(t, Config{})
+	h := f.Handler()
+	get := func(path string) *httptest.ResponseRecorder {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body.Bytes())
+		}
+		return rec
+	}
+	sess := mustCreate(t, f, api.CreateSessionRequest{Policy: "optimal"})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions/"+sess.ID+"/run",
+		strings.NewReader(`{"seconds":2}`)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("run: %d %s", rec.Code, rec.Body.Bytes())
+	}
+	spansPath := "/v1/sessions/" + sess.ID + "/spans?since="
+	first := get(spansPath + "0")
+	next := first.Header().Get("X-Span-Next")
+	if next == "0" || first.Body.Len() == 0 {
+		t.Fatalf("precondition: the run recorded no spans (next %s)", next)
+	}
+	const polls = 5000
+	if polls <= telemetry.DefaultSpanCap {
+		t.Fatal("precondition: the polls must outnumber the ring's slots")
+	}
+	for i := 0; i < polls; i++ {
+		r := get(spansPath + next)
+		if got := r.Header().Get("X-Span-Next"); got != next || r.Body.Len() != 0 {
+			t.Fatalf("poll %d: X-Span-Next %s, %d body bytes; want %s and none", i, got, r.Body.Len(), next)
+		}
+	}
+	again := get(spansPath + "0")
+	if again.Header().Get("X-Span-Truncated") != "false" || again.Body.String() != first.Body.String() {
+		t.Errorf("the run's spans changed under the poller (truncated %s)", again.Header().Get("X-Span-Truncated"))
 	}
 }
 

@@ -344,6 +344,10 @@ type reqMeta struct {
 	id      string
 	root    int64
 	session string
+	// historyRead marks a read of the session's own /trace or /spans
+	// stream, which records no root span: a poller would otherwise append
+	// one span per poll to the ring it drains.
+	historyRead bool
 }
 
 // metaKey keys reqMeta in a request context.
@@ -418,7 +422,7 @@ func (f *Fleet) instrument(next http.Handler) http.Handler {
 		if m.session != "" {
 			if s, err := f.lookup(m.session); err == nil {
 				s.reqSLO.Observe(dur, failed, now)
-				if s.spans != nil {
+				if s.spans != nil && !m.historyRead {
 					sp := telemetry.Span{
 						ID: m.root, Request: m.id, Session: m.session,
 						Name: "http.request", StartNs: s.spans.Stamp(start),
@@ -489,6 +493,9 @@ func servePrometheus(w http.ResponseWriter, reg *telemetry.Registry) {
 // and truncation flag (the ringbuf cursor contract).
 func cursorStream[T any](name string, read func(id string, since int64) ([]T, int64, bool, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		if m := metaFrom(r.Context()); m != nil {
+			m.historyRead = true
+		}
 		since, ok := queryInt[int64](w, r.URL.Query().Get("since"), "since")
 		if !ok {
 			return

@@ -22,19 +22,10 @@ func newMigrationPair(t *testing.T) (*service.Fleet, *service.Fleet, *httptest.S
 	return a, b, bs
 }
 
-// relClose checks |x-y| <= tol * max(|x|,|y|).
-func relClose(x, y, tol float64) bool {
-	if x == y {
-		return true
-	}
-	return math.Abs(x-y) <= tol*math.Max(math.Abs(x), math.Abs(y))
-}
-
 // TestMigrationBitEquality is the acceptance pin for drain-to-peer
 // migration: a session migrated mid-campaign and then advanced is
 // bit-identical to a control that never moved (a fork of the same
-// state advanced equally on the source node). Integer state matches
-// exactly; energy within 1e-9 relative.
+// state advanced equally on the source node), energies included.
 func TestMigrationBitEquality(t *testing.T) {
 	a, b, bs := newMigrationPair(t)
 	ctx := context.Background()
@@ -146,7 +137,7 @@ func TestMigrationBitEquality(t *testing.T) {
 		if g.Progress != w.Progress || g.Runtime != w.Runtime {
 			t.Fatalf("process %d progress/runtime diverged:\n got %+v\nwant %+v", i, g, w)
 		}
-		if !relClose(g.CoreEnergyJ, w.CoreEnergyJ, 1e-9) {
+		if math.Float64bits(g.CoreEnergyJ) != math.Float64bits(w.CoreEnergyJ) {
 			t.Fatalf("process %d energy diverged: %v vs %v", i, g.CoreEnergyJ, w.CoreEnergyJ)
 		}
 	}
@@ -162,12 +153,11 @@ func TestMigrationBitEquality(t *testing.T) {
 	if gotE.VoltageMV != wantE.VoltageMV || gotE.Emergencies != wantE.Emergencies {
 		t.Fatalf("integer energy state diverged:\n got %+v\nwant %+v", gotE, wantE)
 	}
-	if !relClose(gotE.EnergyJ, wantE.EnergyJ, 1e-9) {
-		t.Fatalf("energy diverged: %v vs %v (rel %v)",
-			gotE.EnergyJ, wantE.EnergyJ, math.Abs(gotE.EnergyJ-wantE.EnergyJ)/wantE.EnergyJ)
+	if math.Float64bits(gotE.EnergyJ) != math.Float64bits(wantE.EnergyJ) {
+		t.Fatalf("energy diverged: %v vs %v", gotE.EnergyJ, wantE.EnergyJ)
 	}
 	for k, wv := range wantE.Breakdown {
-		if !relClose(gotE.Breakdown[k], wv, 1e-9) {
+		if math.Float64bits(gotE.Breakdown[k]) != math.Float64bits(wv) {
 			t.Fatalf("breakdown[%s] diverged: %v vs %v", k, gotE.Breakdown[k], wv)
 		}
 	}

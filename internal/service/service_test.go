@@ -2,8 +2,11 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -82,8 +85,26 @@ func TestCreateValidation(t *testing.T) {
 	if _, err := f.Create(api.CreateSessionRequest{Policy: "turbo"}); !errors.Is(err, ErrUnknownPolicy) {
 		t.Errorf("unknown policy = %v", err)
 	}
-	if _, err := f.Create(api.CreateSessionRequest{TickSeconds: -1}); !errors.Is(err, ErrInvalidRequest) {
-		t.Errorf("negative tick = %v", err)
+	for _, tick := range []float64{-1, math.NaN(), math.Inf(1), math.Nextafter(sim.MaxTick, 2), 1e308} {
+		if _, err := f.Create(api.CreateSessionRequest{TickSeconds: tick}); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("tick %v = %v, want ErrInvalidRequest", tick, err)
+		}
+	}
+	if _, err := f.Create(api.CreateSessionRequest{TickSeconds: sim.MaxTick}); err != nil {
+		t.Errorf("the largest tick, %v s: %v", sim.MaxTick, err)
+	}
+}
+
+// TestCreateIgnoresCoalescingField: a request from a client that still
+// sends the removed "coalescing" knob creates an ordinary session.
+func TestCreateIgnoresCoalescingField(t *testing.T) {
+	f, _ := testFleet(t, Config{})
+	rec := httptest.NewRecorder()
+	f.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions",
+		strings.NewReader(`{"model":"xgene2","coalescing":false}`)))
+	var got api.Session
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusCreated || err != nil || got.Model != "xgene2" {
+		t.Fatalf("create with a stray coalescing field = %d %s (%v)", rec.Code, rec.Body.Bytes(), err)
 	}
 }
 
@@ -191,8 +212,8 @@ func TestPerSessionSerialization(t *testing.T) {
 // actor lock: session reads complete while a long run is in flight.
 func TestReadsInterleaveWithRun(t *testing.T) {
 	f, _ := testFleet(t, Config{})
-	off := false
-	s := mustCreate(t, f, api.CreateSessionRequest{Coalescing: &off})
+	s := mustCreate(t, f, api.CreateSessionRequest{})
+	StepPerTick(t, f, s.ID)
 	if _, err := f.Submit(s.ID, api.SubmitRequest{Benchmark: "CG", Threads: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +296,8 @@ func TestAsyncJobLifecycle(t *testing.T) {
 
 func TestCancelJobMidRun(t *testing.T) {
 	f, _ := testFleet(t, Config{})
-	off := false
-	s := mustCreate(t, f, api.CreateSessionRequest{Coalescing: &off})
+	s := mustCreate(t, f, api.CreateSessionRequest{})
+	StepPerTick(t, f, s.ID)
 	if _, err := f.Submit(s.ID, api.SubmitRequest{Benchmark: "CG", Threads: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -434,8 +455,8 @@ func TestTouchDefersReaping(t *testing.T) {
 
 func TestDrainFinishesInFlightRuns(t *testing.T) {
 	f, _ := testFleet(t, Config{})
-	off := false
-	s := mustCreate(t, f, api.CreateSessionRequest{Coalescing: &off})
+	s := mustCreate(t, f, api.CreateSessionRequest{})
+	StepPerTick(t, f, s.ID)
 	if _, err := f.Submit(s.ID, api.SubmitRequest{Benchmark: "CG", Threads: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -471,10 +492,10 @@ func TestDrainFinishesInFlightRuns(t *testing.T) {
 
 func TestBackpressureWhenPoolSaturated(t *testing.T) {
 	f, _ := testFleet(t, Config{Workers: 1, Queue: 1})
-	off := false
 	var sess [3]api.Session
 	for i := range sess {
-		sess[i] = mustCreate(t, f, api.CreateSessionRequest{Coalescing: &off})
+		sess[i] = mustCreate(t, f, api.CreateSessionRequest{})
+		StepPerTick(t, f, sess[i].ID)
 		if _, err := f.Submit(sess[i].ID, api.SubmitRequest{Benchmark: "CG", Threads: 8}); err != nil {
 			t.Fatal(err)
 		}
@@ -520,8 +541,8 @@ func TestBackpressureWhenPoolSaturated(t *testing.T) {
 
 func TestDeleteAbortsInFlightRun(t *testing.T) {
 	f, _ := testFleet(t, Config{})
-	off := false
-	s := mustCreate(t, f, api.CreateSessionRequest{Coalescing: &off})
+	s := mustCreate(t, f, api.CreateSessionRequest{})
+	StepPerTick(t, f, s.ID)
 	if _, err := f.Submit(s.ID, api.SubmitRequest{Benchmark: "CG", Threads: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -599,8 +620,8 @@ func TestFleetMetricsSurface(t *testing.T) {
 // the next commit and surfaces the context error.
 func TestRunSyncHonorsCallerDeadline(t *testing.T) {
 	f, _ := testFleet(t, Config{})
-	off := false
-	s := mustCreate(t, f, api.CreateSessionRequest{Coalescing: &off})
+	s := mustCreate(t, f, api.CreateSessionRequest{})
+	StepPerTick(t, f, s.ID)
 	if _, err := f.Submit(s.ID, api.SubmitRequest{Benchmark: "CG", Threads: 8}); err != nil {
 		t.Fatal(err)
 	}

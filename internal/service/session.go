@@ -134,11 +134,11 @@ func newSession(parent context.Context, id string, req api.CreateSessionRequest,
 		return nil, fmt.Errorf("%w: negative duration", ErrInvalidRequest)
 	}
 	m := sim.New(chip.SpecFor(model))
-	if req.TickSeconds > 0 {
+	if req.TickSeconds != 0 {
+		if err := sim.CheckTick(req.TickSeconds); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+		}
 		m.Tick = req.TickSeconds
-	}
-	if req.Coalescing != nil {
-		m.SetCoalescing(*req.Coalescing)
 	}
 	return assembleSession(parent, id, model.Name(), m, req.TTLSeconds, defaultTTL, now, obs,
 		func(reg *telemetry.Registry, tr *telemetry.Tracer) (*experiments.Stack, error) {

@@ -8,11 +8,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"avfs/api"
 	"avfs/internal/sim"
+	"avfs/internal/snapshot"
 )
 
 // seedSession creates a session with the standard mixed workload and
@@ -326,6 +328,82 @@ func TestRunPastMaxTicksRefused(t *testing.T) {
 	// One tick short of the bound is still admitted.
 	if _, err := f.RunSync(context.Background(), tiny.ID, api.RunRequest{Seconds: 1e-300}); err != nil {
 		t.Errorf("one-tick run on the tiny-tick session: %v", err)
+	}
+}
+
+// TestImportRejectsBadEnergy: a peer snapshot whose energy quanta are
+// negative, fractional or beyond what MaxTicks ticks can hold is a 400
+// and restores nothing; the unedited snapshot imports.
+func TestImportRejectsBadEnergy(t *testing.T) {
+	f, _ := testFleet(t, Config{})
+	s, err := f.lookup(seedSession(t, f, "optimal").ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	st, err := s.captureStateLocked()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, state, err := snapshot.Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// edit returns state with one number replaced, decoding with UseNumber
+	// so every other integer survives the round trip exactly.
+	edit := func(value string, path ...string) json.RawMessage {
+		dec := json.NewDecoder(bytes.NewReader(state))
+		dec.UseNumber()
+		var root map[string]any
+		if err := dec.Decode(&root); err != nil {
+			t.Fatal(err)
+		}
+		obj := root
+		for _, k := range path[:len(path)-1] {
+			obj = obj[k].(map[string]any)
+		}
+		obj[path[len(path)-1]] = json.Number(value)
+		raw, err := json.Marshal(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	h := f.Handler()
+	imp := func(name string, state json.RawMessage) int {
+		body, err := json.Marshal(api.ImportRequest{Session: name, State: state})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/import", bytes.NewReader(body)))
+		return rec.Code
+	}
+	for _, tc := range []struct {
+		name, value string
+		path        []string
+	}{
+		{"negative", "-1", []string{"machine", "meter", "leakage", "lo"}},
+		{"fractional", "0.5", []string{"machine", "meter", "core_dynamic", "lo"}},
+		{"above uint64", "18446744073709551616", []string{"machine", "meter", "mem_ctl", "lo"}},
+		{"beyond MaxTicks ticks", "9007199254740992", []string{"machine", "meter", "l3_fabric", "hi"}},
+		{"huge negative", "-1e300", []string{"machine", "meter", "pmd_uncore", "lo"}},
+		{"negative peak", "-1e300", []string{"machine", "meter", "peak_w"}},
+		{"negative steady quantum", "-1", []string{"machine", "steady", "energy", "leakage"}},
+	} {
+		if code := imp("bad-"+strings.ReplaceAll(tc.name, " ", "-"), edit(tc.value, tc.path...)); code != http.StatusBadRequest {
+			t.Errorf("%s energy: import = %d, want 400", tc.name, code)
+		}
+	}
+	if code := imp("good", state); code != http.StatusCreated {
+		t.Fatalf("unedited import = %d, want 201", code)
+	}
+	f.mu.Lock()
+	n := len(f.sessions)
+	f.mu.Unlock()
+	if n != 2 {
+		t.Errorf("%d sessions after the imports, want the seed and the good import", n)
 	}
 }
 

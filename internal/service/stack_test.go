@@ -19,8 +19,8 @@ import (
 // session it predicts: one branch's override (policy flip, power cap or
 // both) advanced 60 s must land where PUT /policy with the same override
 // takes the session in a 60 s run, and an until-idle branch must stop
-// where an until-idle session run stops. Ticks, clock, emergencies and
-// voltage are exact; the window energy agrees within 1e-9 relative. The
+// where an until-idle session run stops. Ticks, clock, emergencies,
+// voltage and the window energy are exact. The
 // seeded mix draws 6.5-9 W, so caps of 12 W and up never bind (the
 // branch must still not bring a second placer or free boosting), and the
 // 5-7 W caps do; a branch of a capped session retunes its governor.
@@ -100,8 +100,8 @@ func TestWhatIfBranchMatchesLiveOverride(t *testing.T) {
 					b.Ticks, b.Now, b.Emergencies, b.VoltageMV, run.Ticks, run.Now, run.Emergencies-before.Emergencies, live.VoltageMV)
 			}
 			energy := run.EnergyJ - before.EnergyJ
-			if rd := relDiff(b.EnergyJ, energy); rd > 1e-9 {
-				t.Errorf("branch energy %.3f J, live %.3f J (rel %g)", b.EnergyJ, energy, rd)
+			if math.Float64bits(b.EnergyJ) != math.Float64bits(energy) {
+				t.Errorf("branch energy %v J, live %v J", b.EnergyJ, energy)
 			}
 			if tc.untilIdle && (b.Running != 0 || b.Pending != 0) {
 				t.Errorf("until-idle branch ended with %d running, %d pending", b.Running, b.Pending)
@@ -150,9 +150,8 @@ func TestUntilIdleWindowMatchesBranch(t *testing.T) {
 			b.Ticks, b.Now, run.Ticks, run.Now, before.Ticks+237)
 	}
 	// The chunk ends split the session's coalesced batches where the
-	// branch commits one, so the window energy agrees to FP-summation
-	// tolerance rather than in every bit (with one chunk it is bit-equal).
-	if energy := run.EnergyJ - before.EnergyJ; relDiff(b.EnergyJ, energy) > 1e-12 {
+	// branch commits one; the fixed-point meter sums both to the same bits.
+	if energy := run.EnergyJ - before.EnergyJ; math.Float64bits(b.EnergyJ) != math.Float64bits(energy) {
 		t.Errorf("branch energy %v J, session window %v J", b.EnergyJ, energy)
 	}
 }
@@ -162,7 +161,7 @@ func TestUntilIdleWindowMatchesBranch(t *testing.T) {
 // tick at or after its time as the campaign's replay does, then runs it
 // until idle, and checks that the session runs the cell: the same drain instant and tick, the
 // same completions, emergencies and daemon actions, and the same energy
-// within 1e-9 relative. The session differs from the cell only in what
+// bits. The session differs from the cell only in what
 // cannot move the result: its telemetry hooks, the campaign's 1 s power
 // recorder and run chunking.
 func TestSessionMatchesCampaignCell(t *testing.T) {
@@ -225,8 +224,8 @@ func TestSessionMatchesCampaignCell(t *testing.T) {
 				if st := s.stack.D.Stats(); st != want.DaemonStats {
 					t.Errorf("daemon stats %+v, cell %+v", st, want.DaemonStats)
 				}
-				if rd := relDiff(got.EnergyJ, want.EnergyJ); rd > 1e-9 {
-					t.Errorf("energy %.6f J, cell %.6f J (rel %g)", got.EnergyJ, want.EnergyJ, rd)
+				if math.Float64bits(got.EnergyJ) != math.Float64bits(want.EnergyJ) {
+					t.Errorf("energy %v J, cell %v J", got.EnergyJ, want.EnergyJ)
 				}
 			})
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 // traceBenchFleet builds a fleet with tracing on or off and one busy
-// session with steady-state coalescing disabled, so ns/op measures the
+// session stepped one tick at a time, so ns/op measures the
 // exact per-tick path the span/SLO instrumentation rides on. Coalesced
 // batches replay thousands of ticks in nanoseconds and would make any
 // fixed per-chunk cost look enormous relative to work that no production
@@ -21,11 +21,11 @@ import (
 func traceBenchFleet(b testing.TB, noTrace bool) (*service.Fleet, string) {
 	f := service.New(service.Config{ReapEvery: -1, NoTrace: noTrace})
 	b.Cleanup(f.Close)
-	off := false
-	s, err := f.Create(api.CreateSessionRequest{Policy: "optimal", Coalescing: &off})
+	s, err := f.Create(api.CreateSessionRequest{Policy: "optimal"})
 	if err != nil {
 		b.Fatal(err)
 	}
+	service.StepPerTick(b, f, s.ID)
 	// Warm the session past its transient regime before timing: the
 	// finished-process log and allocator heap grow over the first tens of
 	// advances and drag per-op cost up with them, which would otherwise

@@ -52,7 +52,7 @@ func wireSnapshot(snapID, sessionID string, st *snapshot.SessionState) api.Snaps
 		Policy:    st.Policy,
 		Now:       float64(st.Machine.Ticks) * st.Machine.Tick,
 		Ticks:     st.Machine.Ticks,
-		EnergyJ:   st.Machine.EnergyJ,
+		EnergyJ:   st.Machine.Meter.Total().J(),
 		Processes: len(st.Machine.Processes),
 	}
 }

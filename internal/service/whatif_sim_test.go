@@ -38,15 +38,6 @@ func submitMix(t *testing.T, f *Fleet, policy string) api.Session {
 	return s
 }
 
-// relDiff returns |a-b| / max(|a|,|b|) (0 when both are 0).
-func relDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	if d == 0 {
-		return 0
-	}
-	return d / math.Max(math.Abs(a), math.Abs(b))
-}
-
 // TestConcurrentRunsMatchSerial drives several identical sessions
 // through one fleet concurrently and checks each against a serial run of
 // the same workload on that fleet: sessions share no simulator state, so

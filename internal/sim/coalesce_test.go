@@ -2,21 +2,38 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"avfs/internal/chip"
 	"avfs/internal/clock"
+	"avfs/internal/power"
 	"avfs/internal/vmin"
 	"avfs/internal/workload"
 )
 
+// perTick registers a hook whose boundary is always now, so m commits
+// every tick on its own: the serial oracle batched stepping must equal.
+func perTick(m *Machine) *Machine {
+	m.OnTickBounded(nil, m.Now)
+	return m
+}
+
+// newRun returns a fresh X-Gene 3 machine, stepped per tick unless
+// coalesce.
+func newRun(coalesce bool) *Machine {
+	if coalesce {
+		return xg3()
+	}
+	return perTick(xg3())
+}
+
 // TestHourRunExactTicks pins the integer-time contract: an hour of
 // simulation is exactly 360 000 ticks with Now derived from the count, no
-// matter how the hour is sliced or whether coalescing is enabled.
+// matter how the hour is sliced or whether ticks are batched.
 func TestHourRunExactTicks(t *testing.T) {
 	for _, coalesce := range []bool{true, false} {
-		m := xg3()
-		m.SetCoalescing(coalesce)
+		m := newRun(coalesce)
 		m.RunFor(3600)
 		if m.Ticks() != 360000 {
 			t.Errorf("coalesce=%v: 1-hour run took %d ticks, want 360000", coalesce, m.Ticks())
@@ -87,7 +104,8 @@ func TestZeroMigrationPenaltyIsFree(t *testing.T) {
 type machineFingerprint struct {
 	ticks       uint64
 	now         float64
-	energy      float64
+	meter       power.MeterState
+	coreEnergy  []power.Joules
 	counters    []CoreCounters
 	emergencies int
 	emChecks    int
@@ -99,7 +117,7 @@ func fingerprint(m *Machine) machineFingerprint {
 	fp := machineFingerprint{
 		ticks:       m.Ticks(),
 		now:         m.Now(),
-		energy:      m.Meter.Energy(),
+		meter:       m.Meter.State(),
 		emergencies: len(m.Emergencies()),
 		emChecks:    m.EmergencyChecks(),
 	}
@@ -109,26 +127,18 @@ func fingerprint(m *Machine) machineFingerprint {
 	for _, p := range m.Finished() {
 		fp.finishOrder = append(fp.finishOrder, p.ID)
 		fp.finishTimes = append(fp.finishTimes, p.Completed)
+		fp.coreEnergy = append(fp.coreEnergy, p.coreEnergy)
 	}
 	return fp
 }
 
-func relClose(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= tol*scale
-}
-
 // TestSerialCoalescedEquivalence runs the same scenario — including a
-// mid-run V/F reprogramming that invalidates steady state — with
-// coalescing on and off, and asserts the trajectories match: integer
-// observables exactly, energies within 1e-9 relative.
+// mid-run V/F reprogramming that invalidates steady state — batched and
+// per tick, and asserts the trajectories match bit for bit: integer
+// observables, times and every energy accumulator.
 func TestSerialCoalescedEquivalence(t *testing.T) {
 	run := func(coalesce bool) *Machine {
-		m := xg3()
-		m.SetCoalescing(coalesce)
+		m := newRun(coalesce)
 		cg := m.MustSubmit(workload.MustByName("CG"), 4)
 		lu := m.MustSubmit(workload.MustByName("LU"), 4)
 		nd := m.MustSubmit(workload.MustByName("namd"), 1)
@@ -151,8 +161,8 @@ func TestSerialCoalescedEquivalence(t *testing.T) {
 		if err := m.RunUntilIdle(24 * 3600); err != nil {
 			t.Fatal(err)
 		}
-		if coalesce && m.CoalescedTicks() == 0 {
-			t.Error("coalescing enabled but no ticks were coalesced")
+		if coalesced := m.CoalescedTicks() != 0; coalesced != coalesce {
+			t.Errorf("batched run %v, but %d ticks were coalesced", coalesce, m.CoalescedTicks())
 		}
 		return m
 	}
@@ -163,8 +173,8 @@ func TestSerialCoalescedEquivalence(t *testing.T) {
 	if on.ticks != off.ticks || on.now != off.now {
 		t.Errorf("time diverged: on %d ticks/%v, off %d ticks/%v", on.ticks, on.now, off.ticks, off.now)
 	}
-	if !relClose(on.energy, off.energy, 1e-9) {
-		t.Errorf("energy diverged: on %v, off %v", on.energy, off.energy)
+	if on.meter != off.meter || !slices.Equal(on.coreEnergy, off.coreEnergy) {
+		t.Errorf("energy diverged: on %+v %v, off %+v %v", on.meter, on.coreEnergy, off.meter, off.coreEnergy)
 	}
 	for c := range on.counters {
 		if on.counters[c] != off.counters[c] {
@@ -194,8 +204,7 @@ func TestSerialCoalescedEquivalence(t *testing.T) {
 // first tick at or past each multiple of the interval, in both modes.
 func TestBoundedHookSampleInstants(t *testing.T) {
 	sample := func(coalesce bool) []float64 {
-		m := xg3()
-		m.SetCoalescing(coalesce)
+		m := newRun(coalesce)
 		p := m.MustSubmit(workload.MustByName("namd"), 1)
 		if err := m.Place(p, []chip.CoreID{0}); err != nil {
 			t.Fatal(err)

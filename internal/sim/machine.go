@@ -74,8 +74,9 @@ type upd struct {
 	cpi    float64
 	instr  float64
 	cycles float64
-	// Commit quanta of one steady tick (Phase 5 equivalents).
-	coreW   float64
+	// Commit quanta of one steady tick (Phase 5 equivalents); coreQ is
+	// the core dynamic energy in power.Quantum units.
+	coreQ   uint64
 	dCycles uint64
 	dInstr  uint64
 	dL3C    uint64
@@ -94,9 +95,9 @@ type steadyCache struct {
 	tick     float64
 	// n is the number of entries of Machine.upds the cache covers.
 	n int
-	// Power of one steady tick.
-	watts float64
-	bd    power.Breakdown
+	// Power of one steady tick and its energy per component.
+	watts  float64
+	energy power.TickEnergy
 	// emCheck replays the Phase 4 accounting: ticks with any runnable
 	// thread count one emergency evaluation each.
 	emCheck bool
@@ -163,8 +164,6 @@ type Machine struct {
 	finDropped  int
 	histLimit   int
 	lastWatts   float64
-	// energyBD accumulates joules per power-model component.
-	energyBD power.Breakdown
 
 	// log records structured events when enabled via EnableEventLog.
 	log *ringbuf.Ring[Event]
@@ -215,11 +214,6 @@ type Machine struct {
 
 	// steady is the coalescing engine's cached tick.
 	steady steadyCache
-	// coalescing gates multi-tick commits (Advance); per-tick Step always
-	// reuses the steady cache regardless. Both settings give exactly the
-	// same integers, times and finish order; energies agree within 1e-9
-	// relative (a batch sums energy in a different order).
-	coalescing bool
 	// coalesced counts ticks committed beyond the first of each batch.
 	coalesced uint64
 
@@ -246,14 +240,13 @@ type Machine struct {
 // New creates an idle machine for the given chip spec.
 func New(spec *chip.Spec) *Machine {
 	return &Machine{
-		Spec:       spec,
-		Chip:       chip.New(spec),
-		Power:      power.NewModel(spec),
-		Tick:       DefaultTick,
-		procs:      map[int]*Process{},
-		coreThr:    make([]*Thread, spec.Cores),
-		counters:   make([]CoreCounters, spec.Cores),
-		coalescing: true,
+		Spec:     spec,
+		Chip:     chip.New(spec),
+		Power:    power.NewModel(spec),
+		Tick:     DefaultTick,
+		procs:    map[int]*Process{},
+		coreThr:  make([]*Thread, spec.Cores),
+		counters: make([]CoreCounters, spec.Cores),
 	}
 }
 
@@ -268,12 +261,6 @@ func (m *Machine) Ticks() uint64 { return m.ticks }
 // from the steady-state cache in multi-tick batches (every tick beyond
 // the first of each batch).
 func (m *Machine) CoalescedTicks() uint64 { return m.coalesced }
-
-// SetCoalescing enables or disables multi-tick steady-state batching in
-// Advance/RunFor/RunUntilIdle (on by default). Both settings produce the
-// same trajectory: integer counters and tick times exactly, accumulated
-// energies within FP-summation tolerance.
-func (m *Machine) SetCoalescing(on bool) { m.coalescing = on }
 
 // OnFinish registers a callback invoked whenever a process completes.
 // Callbacks run in registration order.
@@ -655,7 +642,7 @@ func (m *Machine) MemUtilization() float64 { return m.memRho }
 
 // EnergyBreakdown returns the accumulated energy per power-model
 // component in joules (the Breakdown fields hold joules here, not watts).
-func (m *Machine) EnergyBreakdown() power.Breakdown { return m.energyBD }
+func (m *Machine) EnergyBreakdown() power.Breakdown { return m.Meter.Breakdown() }
 
 // LastPower returns the instantaneous power of the last tick in watts —
 // the simulator's stand-in for the external power sensor sampled by the
@@ -820,9 +807,8 @@ func (m *Machine) steadyReady() bool {
 // it is the exact-path fast tick; with k > 1 it is the coalescing engine's
 // batch commit. Progress is applied as k repeated additions so the float
 // trajectory of every thread is identical to serial stepping; integer
-// counters multiply exactly; time-integrated energies accumulate the same
-// watts over k*dt (equal within FP-summation tolerance, ~1e-16 relative
-// per batch).
+// counters and the fixed-point energies add k times the tick's quanta, so
+// every observable equals serial stepping bit for bit.
 func (m *Machine) commitSteady(k int) {
 	c := &m.steady
 	// Progress is folded tick by tick — k repeated additions — so every
@@ -855,28 +841,22 @@ func (m *Machine) commitSteady(k int) {
 		}
 	}
 
-	dtk := m.Tick * float64(k)
+	ku := uint64(k)
 	m.lastWatts = c.watts
-	m.Meter.Accumulate(c.watts, dtk)
-	m.energyBD.CoreDynamic += c.bd.CoreDynamic * dtk
-	m.energyBD.PMDUncore += c.bd.PMDUncore * dtk
-	m.energyBD.L3Fabric += c.bd.L3Fabric * dtk
-	m.energyBD.MemCtl += c.bd.MemCtl * dtk
-	m.energyBD.Leakage += c.bd.Leakage * dtk
+	m.Meter.Commit(&c.energy, c.watts, ku, m.Tick)
 	if c.emCheck {
 		// Every replayed tick ran the emergency evaluation; the cache is
 		// only valid while the programmed voltage meets the requirement,
 		// so none of them records an emergency.
 		m.emChecks += k
 	}
-	ku := uint64(k)
 	for i := 0; i < c.n; i++ {
 		u := &m.upds[i]
 		cc := &m.counters[u.t.Core]
 		cc.Cycles += ku * u.dCycles
 		cc.Instructions += ku * u.dInstr
 		cc.L3CAccesses += ku * u.dL3C
-		u.t.Proc.coreEnergyJ += u.coreW * dtk
+		u.t.Proc.coreEnergy.Add(u.coreQ, ku)
 	}
 	m.ticks += ku
 	m.now = float64(m.ticks) * m.Tick
@@ -974,14 +954,9 @@ func (m *Machine) stepFull() {
 	// --- Phase 3: power integration (uses pre-update stall fractions).
 	st := m.fillPowerState()
 	bd := m.Power.Power(*st)
-	watts := bd.Total()
-	m.lastWatts = watts
-	m.Meter.Accumulate(watts, dt)
-	m.energyBD.CoreDynamic += bd.CoreDynamic * dt
-	m.energyBD.PMDUncore += bd.PMDUncore * dt
-	m.energyBD.L3Fabric += bd.L3Fabric * dt
-	m.energyBD.MemCtl += bd.MemCtl * dt
-	m.energyBD.Leakage += bd.Leakage * dt
+	m.lastWatts = bd.Total()
+	energy := bd.Quanta(dt)
+	m.Meter.Commit(&energy, m.lastWatts, 1, dt)
 
 	// --- Phase 4: voltage-emergency check and V/F change logging.
 	voltageSafe := true
@@ -1017,12 +992,12 @@ func (m *Machine) stepFull() {
 		cc.Cycles += u.dCycles
 		cc.Instructions += u.dInstr
 		cc.L3CAccesses += u.dL3C
-		u.coreW = m.Power.CoreDynamicPower(v, m.Chip.CoreFreq(t.Core), power.CoreState{
+		u.coreQ = power.Quanta(m.Power.CoreDynamicPower(v, m.Chip.CoreFreq(t.Core), power.CoreState{
 			Busy:      true,
 			Activity:  u.bench.Activity,
 			StallFrac: t.stallFrac,
-		})
-		t.Proc.coreEnergyJ += u.coreW * dt
+		}), dt)
+		t.Proc.coreEnergy.Add(u.coreQ, 1)
 		if t.instrDone >= t.instrTotal {
 			finished = true
 		}
@@ -1060,7 +1035,7 @@ func (m *Machine) stepFull() {
 			tick:     m.Tick,
 			n:        len(upds),
 			watts:    cbd.Total(),
-			bd:       cbd,
+			energy:   cbd.Quanta(m.Tick),
 			emCheck:  len(upds) > 0,
 		}
 	}
@@ -1193,16 +1168,16 @@ func (m *Machine) fillPowerState() *power.State {
 
 // Advance moves the simulation forward by at least one tick, committing
 // a whole batch of steady ticks at once when the machine is in steady
-// state (and coalescing is enabled). It returns the number of ticks
-// committed. The batch is bounded by the earliest thread completion, the
-// next boundary any OnTickBounded hook declares, and the max-horizon cap;
-// OnTick hooks force per-tick stepping.
+// state. It returns the number of ticks committed. The batch is bounded
+// by the earliest thread completion, the next boundary any OnTickBounded
+// hook declares, and the max-horizon cap; OnTick hooks force per-tick
+// stepping.
 func (m *Machine) Advance() int { return m.advance(1 << 30) }
 
 // advance is Advance bounded additionally by limit ticks (used by
 // RunFor/RunUntilIdle to stop exactly on their deadlines).
 func (m *Machine) advance(limit int) int {
-	if limit <= 1 || !m.coalescing || !m.steadyReady() {
+	if limit <= 1 || !m.steadyReady() {
 		m.Step()
 		return 1
 	}

@@ -388,9 +388,8 @@ func TestEnergyAccumulatesEvenIdle(t *testing.T) {
 	if m.Meter.Energy() <= 0 {
 		t.Error("idle machine still consumes energy")
 	}
-	// The meter sums tick (or batch) durations while Now derives from the
-	// integer tick count, so they agree only to FP-summation tolerance.
-	if math.Abs(m.Now()-m.Meter.Seconds()) > 1e-9 {
+	// Both clocks derive from the integer tick count.
+	if m.Now() != m.Meter.Seconds() {
 		t.Errorf("meter time %.12f != sim time %.12f", m.Meter.Seconds(), m.Now())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"avfs/internal/chip"
+	"avfs/internal/power"
 	"avfs/internal/workload"
 )
 
@@ -95,16 +96,16 @@ type Process struct {
 	Started   float64
 	Completed float64
 
-	// coreEnergyJ accumulates the core dynamic energy attributed to this
+	// coreEnergy accumulates the core dynamic energy attributed to this
 	// process's threads (shared uncore/leakage energy is not divided).
-	coreEnergyJ float64
+	coreEnergy power.Joules
 }
 
 // CoreEnergy returns the core dynamic energy in joules attributed to the
 // process so far. It excludes the chip's shared components (PMD uncore,
 // L3, memory controllers, leakage), so the sum over processes is below
 // the machine meter's total.
-func (p *Process) CoreEnergy() float64 { return p.coreEnergyJ }
+func (p *Process) CoreEnergy() float64 { return p.coreEnergy.J() }
 
 // newProcess builds a process with the Amdahl work split of the paper's
 // parallel programs: thread 0 carries the serial fraction plus its share

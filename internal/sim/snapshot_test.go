@@ -10,6 +10,7 @@ import (
 
 	"avfs/internal/chip"
 	"avfs/internal/daemon"
+	"avfs/internal/power"
 	"avfs/internal/sim"
 	"avfs/internal/workload"
 )
@@ -25,12 +26,8 @@ func mustEqualMachines(t *testing.T, want, got *sim.Machine, tag string) {
 	if math.Float64bits(want.Now()) != math.Float64bits(got.Now()) {
 		t.Fatalf("%s: now %x != %x", tag, math.Float64bits(got.Now()), math.Float64bits(want.Now()))
 	}
-	if math.Float64bits(want.Meter.Energy()) != math.Float64bits(got.Meter.Energy()) {
-		t.Fatalf("%s: energy %.17g != %.17g (delta %g)", tag,
-			got.Meter.Energy(), want.Meter.Energy(), got.Meter.Energy()-want.Meter.Energy())
-	}
-	if math.Float64bits(want.Meter.Peak()) != math.Float64bits(got.Meter.Peak()) {
-		t.Fatalf("%s: peak power %v != %v", tag, got.Meter.Peak(), want.Meter.Peak())
+	if want.Meter.State() != got.Meter.State() {
+		t.Fatalf("%s: meter %+v != %+v", tag, got.Meter.State(), want.Meter.State())
 	}
 	if want.Chip.Voltage() != got.Chip.Voltage() {
 		t.Fatalf("%s: voltage %d != %d", tag, got.Chip.Voltage(), want.Chip.Voltage())
@@ -55,8 +52,8 @@ func mustEqualMachines(t *testing.T, want, got *sim.Machine, tag string) {
 		t.Fatalf("%s: finished %d != %d", tag, len(gf), len(wf))
 	}
 	for i := range wf {
-		if wf[i].ID != gf[i].ID ||
-			math.Float64bits(wf[i].Completed) != math.Float64bits(gf[i].Completed) {
+		if wf[i].ID != gf[i].ID || math.Float64bits(wf[i].Completed) != math.Float64bits(gf[i].Completed) ||
+			math.Float64bits(wf[i].CoreEnergy()) != math.Float64bits(gf[i].CoreEnergy()) {
 			t.Fatalf("%s: finished[%d] = proc %d @%v, want proc %d @%v",
 				tag, i, gf[i].ID, gf[i].Completed, wf[i].ID, wf[i].Completed)
 		}
@@ -65,6 +62,9 @@ func mustEqualMachines(t *testing.T, want, got *sim.Machine, tag string) {
 		gp := got.ProcessByID(wp.ID)
 		if gp == nil {
 			t.Fatalf("%s: process %d missing", tag, wp.ID)
+		}
+		if math.Float64bits(wp.CoreEnergy()) != math.Float64bits(gp.CoreEnergy()) {
+			t.Fatalf("%s: proc %d core energy %.17g != %.17g", tag, wp.ID, gp.CoreEnergy(), wp.CoreEnergy())
 		}
 		for i := range wp.Threads {
 			if math.Float64bits(wp.Threads[i].Progress()) != math.Float64bits(gp.Threads[i].Progress()) {
@@ -238,9 +238,15 @@ func TestSnapshotRestoreValidation(t *testing.T) {
 		t.Error("restore with truncated counters must fail")
 	}
 	bad2 := roundTrip(t, st)
-	bad2.Tick = 0
-	if _, err := sim.RestoreMachine(chip.XGene3Spec(), bad2); err == nil {
-		t.Error("restore with zero tick must fail")
+	for _, tick := range []float64{0, -0.01, math.Inf(1), math.NaN(), sim.MaxTick * 2} {
+		bad2.Tick = tick
+		if _, err := sim.RestoreMachine(chip.XGene3Spec(), bad2); err == nil {
+			t.Errorf("restore with tick %v must fail", tick)
+		}
+	}
+	bad2.Tick = sim.MaxTick
+	if _, err := sim.RestoreMachine(chip.XGene3Spec(), bad2); err != nil {
+		t.Errorf("restore with tick MaxTick: %v", err)
 	}
 }
 
@@ -299,6 +305,12 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 		{"inflated next ID", func(st *sim.MachineState) { st.NextID = 1 << 40 }},
 		{"negative next ID", func(st *sim.MachineState) { st.NextID = -1 }},
 		{"wrapping tick count", func(st *sim.MachineState) { st.Ticks = 1<<64 - 1 }},
+		{"tick above MaxTick", func(st *sim.MachineState) { st.Tick = 1e308 }},
+		{"tick just above MaxTick", func(st *sim.MachineState) { st.Tick = math.Nextafter(sim.MaxTick, 2) }},
+		{"meter energy out of range", func(st *sim.MachineState) { st.Meter.Leakage.Hi = sim.MaxTicks }},
+		{"process core energy out of range", func(st *sim.MachineState) { st.Processes[0].CoreEnergy.Hi = 1<<64 - 1 }},
+		{"negative peak power", func(st *sim.MachineState) { st.Meter.PeakW = -1e300 }},
+		{"stall fraction out of range", func(st *sim.MachineState) { st.Processes[1].Threads[0].StallFrac = -1e300 }},
 		{"missing process", func(st *sim.MachineState) { st.Processes = st.Processes[:3] }},
 		{"steady quantum on another core", func(st *sim.MachineState) { st.Steady.Upds[0].Core = 6 }},
 		{"steady quantum for a pending thread", func(st *sim.MachineState) {
@@ -321,7 +333,12 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 // It steps one simulated second, capped at 1e5 ticks so a mutated
 // sub-microsecond tick cannot stall the fuzzer.
 func FuzzRestoreMachine(f *testing.F) {
-	for _, st := range []*sim.MachineState{restoreBase(f), restoreTrimmed(f)} {
+	// The largest legal tick and meter: one tick of MaxTick seconds on an
+	// accumulator one tick below the range bound.
+	extreme := restoreBase(f)
+	extreme.Tick = sim.MaxTick
+	extreme.Meter.CoreDynamic = power.Joules{Hi: sim.MaxTicks - 1, Lo: 1<<64 - 1}
+	for _, st := range []*sim.MachineState{restoreBase(f), restoreTrimmed(f), extreme} {
 		raw, err := json.Marshal(st)
 		if err != nil {
 			f.Fatal(err)

@@ -27,8 +27,10 @@ import (
 // Version tags the serialization format. Restoring a snapshot written by
 // a different format version is a miss (the state layout or the
 // simulator's numeric trajectory may have changed). It is hashed into
-// every id, so changing it changes every content address.
-const Version = "snap-v1"
+// every id, so changing it changes every content address. snap-v2 carries
+// energies as fixed-point integers (power.Joules); a snap-v1 payload would
+// decode to zero joules, so it must miss.
+const Version = "snap-v2"
 
 // SessionState is the complete serializable state of one fleet session:
 // the machine and both controller stacks, plus the session-level knobs
@@ -45,8 +47,7 @@ type SessionState struct {
 
 	// PowerCap carries the session's power-cap governor, when one is
 	// attached, so a capped session migrates bit-identically. Omitted
-	// when nil, which keeps the content addresses of every pre-existing
-	// snapshot unchanged (still snap-v1).
+	// when nil.
 	PowerCap *sched.PowerCapState `json:"power_cap,omitempty"`
 }
 

@@ -86,6 +86,31 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeIgnoresCoalescingKey: a snap-v2 payload that still carries
+// the removed machine "coalescing" flag decodes to the same state, which
+// restores.
+func TestDecodeIgnoresCoalescingKey(t *testing.T) {
+	st := sampleState(t, 5)
+	_, payload, err := Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := strings.Replace(string(payload), `"machine":{`, `"machine":{"coalescing":false,`, 1)
+	if stray == string(payload) {
+		t.Fatal("precondition: the payload has no machine object")
+	}
+	got, err := Decode([]byte(stray))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if _, again, err := Encode(got); err != nil || string(again) != string(payload) {
+		t.Fatalf("decoded state re-encodes differently (%v)", err)
+	}
+	if _, err := sim.RestoreMachine(chip.XGene3Spec(), got.Machine); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+}
+
 func TestStoreDiskPersistence(t *testing.T) {
 	dir := t.TempDir()
 	st := sampleState(t, 10)

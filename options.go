@@ -24,26 +24,14 @@ func NewDecisionTracer() *DecisionTracer { return telemetry.NewTracer() }
 // Option configures a Machine under construction (NewMachineWithOptions).
 type Option func(*Machine) error
 
-// WithTick overrides the integration step (default 10 ms).
+// WithTick overrides the integration step (default 10 ms). The step must
+// be finite, positive and at most sim.MaxTick (1 s).
 func WithTick(seconds float64) Option {
 	return func(m *Machine) error {
-		if seconds <= 0 {
-			return fmt.Errorf("%w: tick %v s (must be > 0)", ErrInvalidOption, seconds)
+		if err := sim.CheckTick(seconds); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidOption, err)
 		}
 		m.Tick = seconds
-		return nil
-	}
-}
-
-// WithCoalescing enables or disables steady-state multi-tick batching
-// (on by default). Disabling trades speed for per-tick hook fidelity.
-// The two settings agree exactly on integers (ticks, emergencies, PMU
-// counters), times and the order processes finish in; energies agree
-// within 1e-9 relative, because a batch sums its ticks' energy in a
-// different order than serial ticks do.
-func WithCoalescing(on bool) Option {
-	return func(m *Machine) error {
-		m.SetCoalescing(on)
 		return nil
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -12,7 +13,6 @@ func TestNewMachineWithOptions(t *testing.T) {
 	reg := NewTelemetryRegistry()
 	m, err := NewMachineWithOptions(XGene3,
 		WithTick(0.005),
-		WithCoalescing(false),
 		WithMigrationPenalty(0.001),
 		WithVminDrift(10),
 		WithEventLog(),
@@ -40,6 +40,10 @@ func TestMachineOptionValidation(t *testing.T) {
 	}{
 		{"zero tick", WithTick(0)},
 		{"negative tick", WithTick(-0.01)},
+		{"NaN tick", WithTick(math.NaN())},
+		{"infinite tick", WithTick(math.Inf(1))},
+		{"tick above one second", WithTick(1.001)},
+		{"huge tick", WithTick(1e308)},
 		{"negative migration penalty", WithMigrationPenalty(-1)},
 		{"negative drift", WithVminDrift(-5)},
 	}
@@ -49,6 +53,9 @@ func TestMachineOptionValidation(t *testing.T) {
 				t.Errorf("err = %v, want ErrInvalidOption", err)
 			}
 		})
+	}
+	if _, err := NewMachineWithOptions(XGene3, WithTick(1)); err != nil {
+		t.Errorf("the largest tick, 1 s: %v", err)
 	}
 }
 
@@ -105,10 +112,12 @@ func TestDaemonOptionValidation(t *testing.T) {
 }
 
 func TestRunForContextCancellation(t *testing.T) {
-	m, err := NewMachineWithOptions(XGene3, WithCoalescing(false))
+	m, err := NewMachineWithOptions(XGene3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One tick per commit, so the day-long run outlasts the deadline below.
+	m.OnTickBounded(nil, m.Now)
 	if _, err := m.Submit(benchmark(t, "CG"), 8); err != nil {
 		t.Fatal(err)
 	}

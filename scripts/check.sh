@@ -1,5 +1,6 @@
 #!/bin/sh
-# Full repository check: gofmt, vet, build, race-enabled tests, a 5 s fuzz smoke
+# Full repository check: gofmt, vet, build, race-enabled tests, an arm64
+# fused-FP ratchet (scripts/fma_count.sh against scripts/fma_baseline.txt), a 5 s fuzz smoke
 # of every fuzz target (`go test ./...` only replays their seed corpora),
 # two perfbench smoke runs (the benchmark module builds, replays correctly
 # and reproduces the golden Table III/IV rows), the telemetry-overhead
@@ -38,6 +39,17 @@ go build ./...
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+# Go may fuse x*y + z into one rounding on arm64 (never on amd64), so a
+# fused site can move simulated bits between architectures. The count per
+# package may only go down; lower scripts/fma_baseline.txt when it does.
+echo "==> arm64 fused-FP ratchet"
+counts="$(sh scripts/fma_count.sh)"
+echo "$counts"
+echo "$counts" | awk 'NR == FNR { base[$1] = $2; next }
+	$2 > base[$1] + 0 { print "arm64 fused FP ops in " $1 ": " $2 ", baseline " base[$1] + 0; bad = 1 }
+	END { exit bad }' scripts/fma_baseline.txt - >&2 ||
+	{ echo "arm64 fused-FP count rose above scripts/fma_baseline.txt" >&2; exit 1; }
 
 # -fuzz takes one package and one target per run.
 echo "==> fuzz smoke (5 s per target)"
