@@ -396,8 +396,9 @@ func (c *Client) Snapshot(ctx context.Context, id string) (api.Snapshot, error) 
 }
 
 // Fork branches a new session off a snapshot of an existing one. With an
-// empty SnapshotID the server snapshots the session first. The child
-// replays deterministically from the branch point.
+// empty SnapshotID the server forks from the session's current state,
+// without storing it. The child replays deterministically from the branch
+// point.
 func (c *Client) Fork(ctx context.Context, id string, req api.ForkRequest) (api.Fork, error) {
 	var fk api.Fork
 	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/fork", req, &fk)

@@ -194,12 +194,12 @@ func surrogateProcs(st *snapshot.SessionState) ([]surrogate.Proc, error) {
 }
 
 // whatIfFast answers every branch of a what-if from the surrogate: one
-// EstimateSet per branch over the snapshot's remaining work, microseconds
-// in total where the simulated path pays milliseconds per branch.
-func (f *Fleet) whatIfFast(id, snapID string, st *snapshot.SessionState, specs []branchSpec, req api.WhatIfRequest) (api.WhatIfReport, error) {
+// EstimateSet per branch over the snapshot's remaining work, a few
+// microseconds for four branches (docs/PERFORMANCE.md §7).
+func (f *Fleet) whatIfFast(id string, st *snapshot.SessionState, specs []branchSpec, req api.WhatIfRequest) (api.WhatIfReport, error) {
 	report := api.WhatIfReport{
 		Session:    id,
-		SnapshotID: snapID,
+		SnapshotID: req.SnapshotID,
 		BaseNow:    float64(st.Machine.Ticks) * st.Machine.Tick,
 		BaseTicks:  st.Machine.Ticks,
 		Seconds:    req.Seconds,

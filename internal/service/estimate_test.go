@@ -163,6 +163,7 @@ func TestWhatIfFast(t *testing.T) {
 	f, _ := testFleet(t, Config{})
 	s := seedSession(t, f, "baseline")
 
+	store := snapshotStoreMetrics(t, f)
 	rep, err := f.WhatIf(context.Background(), s.ID, api.WhatIfRequest{Seconds: 60, Fast: true})
 	if err != nil {
 		t.Fatalf("fast WhatIf: %v", err)
@@ -170,8 +171,11 @@ func TestWhatIfFast(t *testing.T) {
 	if rep.Source != "surrogate" {
 		t.Fatalf("report source = %q, want surrogate", rep.Source)
 	}
-	if rep.Session != s.ID || rep.SnapshotID == "" || rep.BaseNow != 30 {
+	if rep.Session != s.ID || rep.SnapshotID != "" || rep.BaseNow != 30 {
 		t.Fatalf("bad report envelope: %+v", rep)
+	}
+	if got := snapshotStoreMetrics(t, f); got != store {
+		t.Errorf("an unnamed fast what-if moved the snapshot store:\n%s\n->\n%s", store, got)
 	}
 	want := []string{"baseline", "safe-vmin", "placement", "optimal"}
 	if len(rep.Branches) != len(want) {
@@ -195,6 +199,12 @@ func TestWhatIfFast(t *testing.T) {
 		t.Errorf("fast what-if spawned %d jobs", len(jobs.Jobs))
 	}
 }
+
+// surrogateWindowErr bounds the surrogate's relative energy error per
+// branch over TestWhatIfFastTracksSimulated's 60 s window on seedSession:
+// the worst branch measured 6.2% (5.5% to 7.6% over 10 s to 3,600 s
+// windows), plus 3.8 points of margin for model refits.
+const surrogateWindowErr = 0.10
 
 // TestWhatIfFastTracksSimulated answers one snapshot from both engines:
 // the surrogate's branches track the simulated ones, and the sync
@@ -235,7 +245,7 @@ func TestWhatIfFastTracksSimulated(t *testing.T) {
 			t.Fatalf("simulated branch %s: %+v", sb.Name, sb)
 		}
 		e := math.Abs(fb.EnergyJ-sb.EnergyJ) / sb.EnergyJ
-		if e >= 0.6 {
+		if e >= surrogateWindowErr {
 			t.Errorf("branch %q surrogate energy off by %.0f%% (fast %v, simulated %v)",
 				fb.Name, 100*e, fb.EnergyJ, sb.EnergyJ)
 		}

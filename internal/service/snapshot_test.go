@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"avfs/api"
 	"avfs/internal/sim"
 	"avfs/internal/snapshot"
+	"avfs/internal/telemetry/export"
 )
 
 // seedSession creates a session with the standard mixed workload and
@@ -112,6 +114,169 @@ func TestForkDeterministic(t *testing.T) {
 	}
 }
 
+// snapshotStoreMetrics returns the fleet's snapshot-store samples (stored
+// sizes, resident entries, fills) in exposition form.
+func snapshotStoreMetrics(t *testing.T, f *Fleet) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := export.Prometheus(&sb, f.Registry()); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if strings.HasPrefix(line, "avfs_snapshot_") {
+			out = append(out, line)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no avfs_snapshot_ samples exported")
+	}
+	return strings.Join(out, "\n")
+}
+
+// TestUnnamedForkNotStored: a fork that names no snapshot branches from a
+// fresh capture, reports no snapshot id and leaves the store untouched;
+// a named one stores nothing more either.
+func TestUnnamedForkNotStored(t *testing.T) {
+	f, _ := testFleet(t, Config{})
+	s := seedSession(t, f, "optimal")
+	store := snapshotStoreMetrics(t, f)
+	fork, err := f.Fork(s.ID, api.ForkRequest{})
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	if fork.SnapshotID != "" {
+		t.Errorf("unnamed fork reported snapshot %q", fork.SnapshotID)
+	}
+	if got := snapshotStoreMetrics(t, f); got != store {
+		t.Errorf("an unnamed fork moved the snapshot store:\n%s\n->\n%s", store, got)
+	}
+	if p, _ := f.Get(s.ID); fork.Session.Ticks != p.Ticks ||
+		math.Float64bits(fork.Session.EnergyJ) != math.Float64bits(p.EnergyJ) {
+		t.Errorf("child not born at the parent's instant: %+v vs %+v", fork.Session, p)
+	}
+
+	snap, err := f.Snapshot(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store = snapshotStoreMetrics(t, f)
+	if _, err := f.Fork(s.ID, api.ForkRequest{SnapshotID: snap.ID}); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotStoreMetrics(t, f); got != store {
+		t.Errorf("a named fork moved the snapshot store:\n%s\n->\n%s", store, got)
+	}
+}
+
+// TestStoredSnapshotIsImmutable: fast and simulated what-ifs and forks
+// from one stored id, run concurrently while the live session keeps
+// advancing, leave the stored state as it was put: it still encodes to
+// its id. So does an unstored capture: it aliases nothing the session
+// goes on to change.
+func TestStoredSnapshotIsImmutable(t *testing.T) {
+	f, _ := testFleet(t, Config{Workers: 2})
+	s := seedSession(t, f, "optimal")
+	snap, err := f.Snapshot(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := f.lookup(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.mu.Lock()
+	unnamed, err := live.captureStateLocked()
+	live.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unnamedID, _, err := snapshot.Encode(unnamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	spawn := func(fn func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := fn(); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	spawn(func() error {
+		_, err := f.RunSync(ctx, s.ID, api.RunRequest{Seconds: 60})
+		return err
+	})
+	for i := 0; i < 2; i++ {
+		for _, fast := range []bool{false, true} {
+			spawn(func() error {
+				_, err := f.WhatIf(ctx, s.ID, api.WhatIfRequest{SnapshotID: snap.ID, Seconds: 20, Fast: fast})
+				return err
+			})
+		}
+		spawn(func() error {
+			fork, err := f.Fork(s.ID, api.ForkRequest{SnapshotID: snap.ID})
+			if err != nil {
+				return err
+			}
+			_, err = f.RunSync(ctx, fork.Session.ID, api.RunRequest{Seconds: 20})
+			return err
+		})
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	st, ok := f.snaps.Get(snap.ID)
+	if !ok {
+		t.Fatal("stored snapshot lost")
+	}
+	if id, _, err := snapshot.Encode(st); err != nil || id != snap.ID {
+		t.Errorf("stored state now encodes to %s (%v), want %s", id, err, snap.ID)
+	}
+	if id, _, err := snapshot.Encode(unnamed); err != nil || id != unnamedID {
+		t.Errorf("unstored capture now encodes to %s (%v), want %s", id, err, unnamedID)
+	}
+	if p, _ := f.Get(s.ID); p.Ticks == snap.Ticks {
+		t.Error("the live session did not advance past the snapshot")
+	}
+}
+
+// fastWhatIfAllocs bounds the allocations of a four-branch fast what-if
+// on a stored id: the report, the branch specs and the surrogate's
+// process list, 14 when measured (a decode of the stored state adds 96).
+const fastWhatIfAllocs = 30
+
+// TestStoredSnapshotLookupsDoNotParse: a memory-resident snapshot is
+// served without allocating, so without decoding, and a fast what-if on
+// it costs the surrogate's work alone.
+func TestStoredSnapshotLookupsDoNotParse(t *testing.T) {
+	f, _ := testFleet(t, Config{})
+	s := seedSession(t, f, "baseline")
+	snap, err := f.Snapshot(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, func() { f.snaps.Get(snap.ID) }); n != 0 {
+		t.Errorf("Store.Get allocates %v times per call, want 0", n)
+	}
+	req := api.WhatIfRequest{SnapshotID: snap.ID, Seconds: 60, Fast: true}
+	ctx := context.Background()
+	if _, err := f.WhatIf(ctx, s.ID, req); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { f.WhatIf(ctx, s.ID, req) }); n > fastWhatIfAllocs {
+		t.Errorf("fast what-if on a stored id allocates %v times, want at most %d", n, fastWhatIfAllocs)
+	}
+}
+
 func TestForkPolicyOverride(t *testing.T) {
 	f, _ := testFleet(t, Config{})
 	s := seedSession(t, f, "optimal")
@@ -158,12 +323,16 @@ func TestWhatIfDefaultBranches(t *testing.T) {
 	f, _ := testFleet(t, Config{})
 	s := seedSession(t, f, "baseline")
 
+	store := snapshotStoreMetrics(t, f)
 	rep, err := f.WhatIf(context.Background(), s.ID, api.WhatIfRequest{Seconds: 60})
 	if err != nil {
 		t.Fatalf("WhatIf: %v", err)
 	}
-	if rep.Session != s.ID || rep.SnapshotID == "" || rep.BaseNow != 30 || rep.Seconds != 60 {
+	if rep.Session != s.ID || rep.SnapshotID != "" || rep.BaseNow != 30 || rep.Seconds != 60 {
 		t.Fatalf("bad report envelope: %+v", rep)
+	}
+	if got := snapshotStoreMetrics(t, f); got != store {
+		t.Errorf("an unnamed what-if moved the snapshot store:\n%s\n->\n%s", store, got)
 	}
 	want := []string{"baseline", "safe-vmin", "placement", "optimal"}
 	if len(rep.Branches) != len(want) {

@@ -57,29 +57,22 @@ func wireSnapshot(snapID, sessionID string, st *snapshot.SessionState) api.Snaps
 	}
 }
 
-// resolveSnapshot turns a request's snapshot reference into stored state:
-// a non-empty id is looked up (ErrSnapshotNotFound on any store miss), an
-// empty one captures the session's current state and stores it. The
-// caller must hold the session busy (beginJob) across the call.
-func (f *Fleet) resolveSnapshot(s *session, snapID string) (string, *snapshot.SessionState, error) {
+// resolveSnapshot turns a request's snapshot reference into state to
+// branch from: a non-empty id is looked up (ErrSnapshotNotFound on any
+// store miss), an empty one captures the session's current state without
+// storing it. Either way the state is read-only. The caller must hold the
+// session busy (beginJob) across the call.
+func (f *Fleet) resolveSnapshot(s *session, snapID string) (*snapshot.SessionState, error) {
 	if snapID != "" {
 		st, ok := f.snaps.Get(snapID)
 		if !ok {
-			return "", nil, fmt.Errorf("%w: %s", ErrSnapshotNotFound, snapID)
+			return nil, fmt.Errorf("%w: %s", ErrSnapshotNotFound, snapID)
 		}
-		return snapID, st, nil
+		return st, nil
 	}
 	s.mu.Lock()
-	st, err := s.captureStateLocked()
-	s.mu.Unlock()
-	if err != nil {
-		return "", nil, err
-	}
-	id, err := f.snaps.Put(st)
-	if err != nil {
-		return "", nil, err
-	}
-	return id, st, nil
+	defer s.mu.Unlock()
+	return s.captureStateLocked()
 }
 
 // Fork branches a new session off a snapshot of an existing one. The
@@ -111,7 +104,7 @@ func (f *Fleet) Fork(id string, req api.ForkRequest) (api.Fork, error) {
 	cid := f.mintSessionID()
 
 	parent.beginJob()
-	snapID, st, err := f.resolveSnapshot(parent, req.SnapshotID)
+	st, err := f.resolveSnapshot(parent, req.SnapshotID)
 	parent.endJob(f.cfg.Clock())
 	if err != nil {
 		return api.Fork{}, err
@@ -134,7 +127,7 @@ func (f *Fleet) Fork(id string, req api.ForkRequest) (api.Fork, error) {
 	if err != nil {
 		return api.Fork{}, err
 	}
-	return api.Fork{SnapshotID: snapID, Session: ws}, nil
+	return api.Fork{SnapshotID: req.SnapshotID, Session: ws}, nil
 }
 
 // branchSpec is one validated what-if branch configuration.
@@ -219,7 +212,7 @@ func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (a
 	// reaper cannot delete it while its branches still run.
 	s.beginJob()
 	defer s.endJob(f.cfg.Clock())
-	snapID, st, err := f.resolveSnapshot(s, req.SnapshotID)
+	st, err := f.resolveSnapshot(s, req.SnapshotID)
 	if err != nil {
 		return api.WhatIfReport{}, err
 	}
@@ -231,12 +224,12 @@ func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (a
 	if req.Fast {
 		// The instant tier: every branch answered from the closed-form
 		// surrogate.
-		return f.whatIfFast(id, snapID, st, specs, req)
+		return f.whatIfFast(id, st, specs, req)
 	}
 
 	report := api.WhatIfReport{
 		Session:    id,
-		SnapshotID: snapID,
+		SnapshotID: req.SnapshotID,
 		BaseNow:    float64(st.Machine.Ticks) * st.Machine.Tick,
 		BaseTicks:  st.Machine.Ticks,
 		Seconds:    req.Seconds,

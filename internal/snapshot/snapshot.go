@@ -4,12 +4,15 @@
 // fork and what-if primitives (ROADMAP item 1): capture once, branch N
 // deterministic children from it.
 //
-// The store is a thin wrapper over internal/castore: the id is the sha256
-// of the versioned payload and is the cache key, the payload rides in
-// castore's {version, key, payload} envelope, and every load failure —
-// missing file, corruption, version skew, id mismatch — is a miss, never
-// an error. Snapshots are immutable by construction: a loaded payload must
-// hash back to its id, so a corrupted or tampered file simply fails to
+// The store is a thin wrapper over internal/castore, like the Vmin and
+// surrogate stores: the id is the sha256 of the versioned payload and is
+// the cache key, the memory tier holds the decoded state, and the disk
+// mirror holds the payload in castore's {version, key, payload} envelope.
+// A snapshot is an immutable value: it is encoded once, when it is put,
+// and decoded once, when a disk file is loaded; every Get shares it
+// read-only. Every load failure — missing file, corruption, version skew,
+// id mismatch — is a miss, never an error: a loaded payload must hash
+// back to its id, so a corrupted or tampered file simply fails to
 // resolve.
 package snapshot
 

@@ -213,3 +213,43 @@ func TestStoreMemoryOnly(t *testing.T) {
 		t.Fatal("a different memory-only store resolved the id")
 	}
 }
+
+// TestStoreSharesDecodedState: a resident snapshot is the state Put was
+// given, served without allocating; the memory tier keeps no encoded
+// copy; and the disk mirror holds exactly the envelope of Encode's
+// payload.
+func TestStoreSharesDecodedState(t *testing.T) {
+	dir := t.TempDir()
+	st := sampleState(t, 5)
+	s := NewStore(dir)
+	id, err := s.Put(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(id); !ok || got != st {
+		t.Fatalf("Get = %p, %v; want the put state %p", got, ok, st)
+	}
+	if n := testing.AllocsPerRun(20, func() { s.Get(id) }); n != 0 {
+		t.Errorf("Get of a resident id allocates %v times, want 0", n)
+	}
+	v, _, err := s.cas.Get(id, func() (*stored, error) { return nil, errNotFound })
+	if err != nil || v.payload != nil {
+		t.Errorf("memory tier keeps %d payload bytes (%v), want none", len(v.payload), err)
+	}
+
+	_, payload, err := Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(struct {
+		Version string          `json:"version"`
+		Key     string          `json:"key"`
+		Payload json.RawMessage `json:"payload"`
+	}{Version, id, payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(oneFile(t, dir)); err != nil || string(got) != string(want) {
+		t.Errorf("disk envelope differs from the encoded payload's (%v)", err)
+	}
+}
