@@ -67,10 +67,12 @@ func Quantile(xs []float64, q float64) float64 {
 		return 0
 	}
 	sort.Float64s(xs)
-	pos := q * float64(len(xs)-1)
+	// The conversions keep both products from fusing with the add or
+	// subtract that follows on architectures with fused multiply-add.
+	pos := float64(q * float64(len(xs)-1))
 	i := int(pos)
 	if i+1 >= len(xs) {
 		return xs[len(xs)-1]
 	}
-	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
+	return xs[i] + float64((pos-float64(i))*(xs[i+1]-xs[i]))
 }

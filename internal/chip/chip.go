@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -25,7 +26,10 @@ import (
 type Millivolts int
 
 // String renders the voltage as e.g. "870mV".
-func (v Millivolts) String() string { return fmt.Sprintf("%dmV", int(v)) }
+func (v Millivolts) String() string {
+	var buf [24]byte
+	return string(append(strconv.AppendInt(buf[:0], int64(v), 10), "mV"...))
+}
 
 // Volts converts the level to volts.
 func (v Millivolts) Volts() float64 { return float64(v) / 1000.0 }
@@ -34,7 +38,10 @@ func (v Millivolts) Volts() float64 { return float64(v) / 1000.0 }
 type MHz int
 
 // String renders the frequency as e.g. "2400MHz".
-func (f MHz) String() string { return fmt.Sprintf("%dMHz", int(f)) }
+func (f MHz) String() string {
+	var buf [24]byte
+	return string(append(strconv.AppendInt(buf[:0], int64(f), 10), "MHz"...))
+}
 
 // GHz converts the frequency to gigahertz.
 func (f MHz) GHz() float64 { return float64(f) / 1000.0 }

@@ -2,9 +2,24 @@ package chip
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
+
+// TestUnitStringsMatchFmt pins the strconv rendering of Millivolts and MHz
+// to the %d form, including zero, negatives and the int extremes.
+func TestUnitStringsMatchFmt(t *testing.T) {
+	for _, v := range []int{0, 1, -1, 9, 10, 99, 100, 870, 980, 1500, 3000, -42, math.MaxInt, math.MinInt} {
+		if got, want := Millivolts(v).String(), fmt.Sprintf("%dmV", v); got != want {
+			t.Errorf("Millivolts(%d) = %q, want %q", v, got, want)
+		}
+		if got, want := MHz(v).String(), fmt.Sprintf("%dMHz", v); got != want {
+			t.Errorf("MHz(%d) = %q, want %q", v, got, want)
+		}
+	}
+}
 
 // TestParseModel pins every wire alias of the two chips, the default and
 // the round trip through Name.

@@ -72,6 +72,30 @@ func (c Class) String() string {
 	}
 }
 
+// classSyms are the classes' trace names.
+var classSyms = [...]telemetry.Sym{
+	Unknown:         telemetry.Intern(Unknown.String()),
+	CPUIntensive:    telemetry.Intern(CPUIntensive.String()),
+	MemoryIntensive: telemetry.Intern(MemoryIntensive.String()),
+}
+
+// sym returns the class's trace name.
+func (c Class) sym() telemetry.Sym { return classSyms[c] }
+
+// The decision rules the trace names.
+var (
+	ruleBelowLo      = telemetry.Intern("l3c<threshold-hyst")
+	ruleHold         = telemetry.Intern("hysteresis-hold")
+	ruleAboveHi      = telemetry.Intern("l3c>=threshold+hyst")
+	ruleBelowHi      = telemetry.Intern("l3c<threshold+hyst")
+	rulePlacement    = telemetry.Intern("cluster-cpu/spread-mem")
+	ruleResettle     = telemetry.Intern("monitor-resettle")
+	ruleFailSafe     = telemetry.Intern("fail-safe-raise")
+	ruleNominalHold  = telemetry.Intern("nominal-hold")
+	ruleApplyPlan    = telemetry.Intern("apply-plan")
+	ruleSettleToVmin = telemetry.Intern("settle-to-safe-vmin")
+)
+
 // Config tunes the daemon. The zero value is not valid; use DefaultConfig.
 type Config struct {
 	// PollInterval is the monitoring period in seconds. The paper's 1M-
@@ -512,8 +536,11 @@ func (d *Daemon) poll() {
 		d.hMargin.Observe(float64(d.M.Chip.Voltage() - d.M.RequiredSafeVmin()))
 	}
 	flipped := false
-	// Nothing in the loop changes the running set, so it iterates the
-	// machine's own list; a steady poll allocates nothing.
+	// Nothing in the loop changes the running set or the placement, so it
+	// iterates the machine's own list (a steady poll allocates nothing)
+	// and the traced utilization is read once per poll, on first use.
+	utilized := -1
+	var droopClass droop.MagnitudeClass
 	for _, p := range d.M.RunningView() {
 		st := d.state(p)
 		if st.sample == nil || !onCores(p, st.sample.Cores()) {
@@ -528,20 +555,24 @@ func (d *Daemon) poll() {
 		d.stats.Classifications++
 		newClass, rule := d.classify(st.class, rate)
 		if d.traceActive() {
-			d.tracer.Emit(telemetry.Decision{
+			if utilized < 0 {
+				utilized = d.M.UtilizedPMDCount()
+				droopClass = droop.ClassOfPMDs(d.M.Spec, utilized)
+			}
+			d.tracer.Emit(telemetry.Record{
 				At: d.M.Now(), Kind: telemetry.DecClassify, Rule: rule,
-				Proc: p.ID, Class: newClass.String(), L3CRate: rate,
-				UtilizedPMDs: d.M.UtilizedPMDCount(), DroopClass: int(d.DroopClass()),
+				Proc: int32(p.ID), Class: newClass.sym(), Value: rate,
+				UtilizedPMDs: uint16(utilized), DroopClass: uint8(droopClass),
 			})
 		}
 		if newClass != st.class {
 			if st.class != Unknown {
 				d.stats.ClassFlips++
 				if d.traceActive() {
-					d.tracer.Emit(telemetry.Decision{
+					d.tracer.Emit(telemetry.Record{
 						At: d.M.Now(), Kind: telemetry.DecClassFlip, Rule: rule,
-						Proc: p.ID, Class: newClass.String(), L3CRate: rate,
-						Detail: fmt.Sprintf("%v -> %v", st.class, newClass),
+						Proc: int32(p.ID), Class: newClass.sym(), PrevClass: st.class.sym(),
+						Value: rate,
 					})
 				}
 			}
@@ -558,20 +589,20 @@ func (d *Daemon) poll() {
 
 // classify applies the threshold with hysteresis, returning the new class
 // and the rule that fired (for the decision trace).
-func (d *Daemon) classify(cur Class, rate float64) (Class, string) {
+func (d *Daemon) classify(cur Class, rate float64) (Class, telemetry.Sym) {
 	hi := d.Cfg.L3CThreshold * (1 + d.Cfg.Hysteresis)
 	lo := d.Cfg.L3CThreshold * (1 - d.Cfg.Hysteresis)
 	switch cur {
 	case MemoryIntensive:
 		if rate < lo {
-			return CPUIntensive, "l3c<threshold-hyst"
+			return CPUIntensive, ruleBelowLo
 		}
-		return MemoryIntensive, "hysteresis-hold"
+		return MemoryIntensive, ruleHold
 	default:
 		if rate >= hi {
-			return MemoryIntensive, "l3c>=threshold+hyst"
+			return MemoryIntensive, ruleAboveHi
 		}
-		return CPUIntensive, "l3c<threshold+hyst"
+		return CPUIntensive, ruleBelowHi
 	}
 }
 
@@ -731,12 +762,12 @@ func (d *Daemon) replace() {
 				utilized++
 			}
 		}
-		d.tracer.Emit(telemetry.Decision{
+		d.tracer.Emit(telemetry.Record{
 			At: d.M.Now(), Kind: telemetry.DecPlacement,
-			Rule: "cluster-cpu/spread-mem", Proc: -1,
-			UtilizedPMDs: utilized,
-			DroopClass:   int(droop.ClassOfPMDs(d.M.Spec, utilized)),
-			Detail:       fmt.Sprintf("%d processes planned", len(pl.assign)),
+			Rule: rulePlacement, Proc: -1,
+			UtilizedPMDs: uint16(utilized),
+			DroopClass:   uint8(droop.ClassOfPMDs(d.M.Spec, utilized)),
+			N:            int32(len(pl.assign)),
 		})
 	}
 	d.transition(pl)
@@ -953,18 +984,18 @@ func (d *Daemon) transition(pl *plan) {
 			cur := d.M.Chip.Voltage()
 			safe := maxMV(cur, req)
 			if d.traceActive() {
-				d.tracer.Emit(telemetry.Decision{
+				d.tracer.Emit(telemetry.Record{
 					At: d.M.Now(), Kind: telemetry.DecGuardRaise, Reconfig: rid,
-					Rule: "monitor-resettle", Proc: -1,
-					FromMV: int(cur), ToMV: int(safe), RequiredMV: int(req),
+					Rule: ruleResettle, Proc: -1,
+					From: int32(cur), To: int32(safe), Required: int32(req),
 				})
 			}
 			d.setVoltage(req)
 			if d.traceActive() {
-				d.tracer.Emit(telemetry.Decision{
+				d.tracer.Emit(telemetry.Record{
 					At: d.M.Now(), Kind: telemetry.DecSettle, Reconfig: rid,
-					Rule: "monitor-resettle", Proc: -1,
-					FromMV: int(safe), ToMV: int(d.M.Chip.Voltage()), RequiredMV: int(req),
+					Rule: ruleResettle, Proc: -1,
+					From: int32(safe), To: int32(d.M.Chip.Voltage()), Required: int32(req),
 				})
 			}
 			if d.hLatency != nil {
@@ -983,15 +1014,15 @@ func (d *Daemon) transition(pl *plan) {
 			utilized++
 		}
 	}
-	traceRaise := func(rule string, safe chip.Millivolts, from chip.Millivolts) {
+	traceRaise := func(rule telemetry.Sym, safe chip.Millivolts, from chip.Millivolts) {
 		if d.traceActive() {
-			d.tracer.Emit(telemetry.Decision{
+			d.tracer.Emit(telemetry.Record{
 				At: d.M.Now(), Kind: telemetry.DecGuardRaise, Reconfig: rid,
 				Rule: rule, Proc: -1,
-				FromMV: int(from), ToMV: int(d.M.Chip.Voltage()),
-				RequiredMV: int(target), UtilizedPMDs: utilized,
-				DroopClass: int(droop.ClassOfPMDs(d.M.Spec, utilized)),
-				Detail:     fmt.Sprintf("guard level %v", safe),
+				From: int32(from), To: int32(d.M.Chip.Voltage()),
+				Required: int32(target), UtilizedPMDs: uint16(utilized),
+				DroopClass: uint8(droop.ClassOfPMDs(d.M.Spec, utilized)),
+				N:          int32(safe),
 			})
 		}
 	}
@@ -1003,7 +1034,7 @@ func (d *Daemon) transition(pl *plan) {
 			if safe > from {
 				d.setVoltage(safe)
 			}
-			traceRaise("fail-safe-raise", safe, from)
+			traceRaise(ruleFailSafe, safe, from)
 		}
 	} else {
 		target = nominal
@@ -1012,7 +1043,7 @@ func (d *Daemon) transition(pl *plan) {
 			if from < nominal {
 				d.setVoltage(nominal)
 			}
-			traceRaise("nominal-hold", nominal, from)
+			traceRaise(ruleNominalHold, nominal, from)
 		}
 	}
 
@@ -1043,12 +1074,12 @@ func (d *Daemon) transition(pl *plan) {
 			d.setFreq(chip.PMDID(p), pl.pmdFreq[p])
 		}
 		if d.traceActive() {
-			d.tracer.Emit(telemetry.Decision{
+			d.tracer.Emit(telemetry.Record{
 				At: d.M.Now(), Kind: telemetry.DecReconfigure, Reconfig: rid,
-				Rule: "apply-plan", Proc: -1,
-				UtilizedPMDs: utilized,
-				DroopClass:   int(droop.ClassOfPMDs(d.M.Spec, utilized)),
-				Detail:       fmt.Sprintf("migrations=%d", migrations),
+				Rule: ruleApplyPlan, Proc: -1,
+				UtilizedPMDs: uint16(utilized),
+				DroopClass:   uint8(droop.ClassOfPMDs(d.M.Spec, utilized)),
+				N:            int32(migrations),
 			})
 		}
 	}
@@ -1059,12 +1090,12 @@ func (d *Daemon) transition(pl *plan) {
 			from := d.M.Chip.Voltage()
 			d.setVoltage(target)
 			if d.traceActive() {
-				d.tracer.Emit(telemetry.Decision{
+				d.tracer.Emit(telemetry.Record{
 					At: d.M.Now(), Kind: telemetry.DecSettle, Reconfig: rid,
-					Rule: "settle-to-safe-vmin", Proc: -1,
-					FromMV: int(from), ToMV: int(d.M.Chip.Voltage()),
-					RequiredMV: int(target), UtilizedPMDs: utilized,
-					DroopClass: int(droop.ClassOfPMDs(d.M.Spec, utilized)),
+					Rule: ruleSettleToVmin, Proc: -1,
+					From: int32(from), To: int32(d.M.Chip.Voltage()),
+					Required: int32(target), UtilizedPMDs: uint16(utilized),
+					DroopClass: uint8(droop.ClassOfPMDs(d.M.Spec, utilized)),
 				})
 			}
 		}

@@ -36,7 +36,7 @@ func TestStreamAppendsAllocationFree(t *testing.T) {
 			spans.Append(telemetry.Span{Name: "sim.advance", Session: "s-1", StartNs: n})
 		}},
 		{"events", func(n int64) {
-			events.Append(sim.Event{At: float64(n), Kind: sim.EvFreq, Proc: -1, Detail: "PMD0 3000MHz -> 1500MHz"})
+			events.Append(sim.Event{At: float64(n), Kind: sim.EvFreq, Proc: -1, From: 3000, To: 1500})
 		}},
 	} {
 		if allocs := fullAppendAllocs(256, tc.appendOne); allocs != 0 {

@@ -75,7 +75,7 @@ func TestCursorContract(t *testing.T) {
 			capacity: traceCap,
 			push: func(t *testing.T, n int64) int64 {
 				for ; decisions < n; decisions++ {
-					s.trace.Append(telemetry.Decision{Kind: telemetry.DecSettle, Reconfig: decisions, Proc: -1})
+					s.trace.Append(telemetry.Record{Kind: telemetry.DecSettle, Reconfig: decisions, Proc: -1})
 				}
 				return decisions
 			},
@@ -215,7 +215,7 @@ func TestTraceRingWrap(t *testing.T) {
 	_, base, _, _ := f.TraceSince(sess.ID, math.MaxInt64)
 	emitTo := func(to int64) {
 		for n := s.trace.Head(); n < to; n++ {
-			s.tracer.Emit(telemetry.Decision{Kind: telemetry.DecSettle, Reconfig: n, Proc: -1})
+			s.tracer.Emit(telemetry.Record{Kind: telemetry.DecSettle, Reconfig: n, Proc: -1})
 		}
 	}
 	wantWindow := func(tag string, recs []telemetry.Decision, from, to int64) {
@@ -281,7 +281,7 @@ func TestAppendTraceFullRingConstant(t *testing.T) {
 	// tags its decisions with their absolute index: Reconfig = base + n.
 	_, base, _, _ := f.TraceSince(sess.ID, math.MaxInt64)
 	emit := func(n int64) {
-		s.tracer.Emit(telemetry.Decision{Kind: telemetry.DecSettle, Reconfig: base + n, Proc: -1})
+		s.tracer.Emit(telemetry.Record{Kind: telemetry.DecSettle, Reconfig: base + n, Proc: -1})
 	}
 	n := int64(0)
 	for ; n < traceCap+3; n++ {

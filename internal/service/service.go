@@ -605,16 +605,20 @@ func (f *Fleet) SetPolicy(id string, req api.PolicyRequest) (api.Session, error)
 }
 
 // TraceSince reads a session's decision ring from an absolute cursor:
-// the records, the next cursor to poll from, and whether the cursor had
-// fallen behind the retained window (the ringbuf cursor contract). It
-// does not wait on the actor lock.
+// the records rendered to their wire form, the next cursor to poll from,
+// and whether the cursor had fallen behind the retained window (the
+// ringbuf cursor contract). It does not wait on the actor lock.
 func (f *Fleet) TraceSince(id string, since int64) ([]telemetry.Decision, int64, bool, error) {
 	s, err := f.lookup(id)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	recs, next, truncated := s.trace.Since(since)
-	return recs, next, truncated, nil
+	out := make([]telemetry.Decision, len(recs))
+	for i := range recs {
+		out[i] = recs[i].Decision()
+	}
+	return out, next, truncated, nil
 }
 
 // Spans reads a session's span ring from an absolute cursor, with

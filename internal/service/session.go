@@ -41,9 +41,9 @@ type session struct {
 	// registries keep metric names collision-free across tenants.
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
-	// trace is the decision ring /trace serves. It has its own lock, so
-	// reads never wait on a running chunk.
-	trace *ringbuf.Ring[telemetry.Decision]
+	// trace is the decision ring /trace serves, of typed records rendered
+	// on read. It has its own lock, so reads never wait on a running chunk.
+	trace *ringbuf.Ring[telemetry.Record]
 
 	// Observability plane (all nil when the fleet runs with NoTrace):
 	// spans is the session's bounded span ring; reqSLO/advSLO track
@@ -192,7 +192,7 @@ func assembleSession(parent context.Context, id, model string, m *sim.Machine, t
 		cancel:    cancel,
 		reg:       telemetry.NewRegistry(),
 		tracer:    telemetry.NewTracer(),
-		trace:     ringbuf.New[telemetry.Decision](traceCap),
+		trace:     ringbuf.New[telemetry.Record](traceCap),
 		m:         m,
 		ttl:       defaultTTL,
 		lastTouch: now,

@@ -2,13 +2,14 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
 
 	"avfs/internal/chip"
 	"avfs/internal/ringbuf"
 )
 
 // EventKind classifies a machine event.
-type EventKind int
+type EventKind uint8
 
 const (
 	// EvSubmit: a process was submitted.
@@ -49,22 +50,65 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one entry of the machine's event log.
+// Event is one entry of the machine's event log. It carries its operands,
+// not its text: Detail renders the summary only when read, so logging a
+// V/F change or an emergency formats and allocates nothing.
 type Event struct {
 	At   float64
 	Kind EventKind
 	// Proc is the process ID for lifecycle events, -1 otherwise.
 	Proc int
-	// Detail is a human-readable summary.
-	Detail string
+	// Text is the benchmark of a submit or finish, and the whole detail
+	// of a place or migrate (rare events, rendered with their core list
+	// when logged).
+	Text string
+	// Secs is a finished process's runtime in seconds.
+	Secs float64
+	// N is a submit's thread count or a freq event's PMD.
+	N int32
+	// From and To are a voltage (mV) or freq (MHz) event's levels before
+	// and after, and an emergency's programmed voltage and requirement (mV).
+	From, To int32
 }
+
+// Detail renders the event's human-readable summary.
+func (e Event) Detail() string {
+	var buf [64]byte
+	b := buf[:0]
+	switch e.Kind {
+	case EvSubmit:
+		b = append(append(b, e.Text...), " x"...)
+		b = append(strconv.AppendInt(b, int64(e.N), 10), " threads"...)
+	case EvFinish:
+		b = append(append(b, e.Text...), " after "...)
+		b = append(strconv.AppendFloat(b, e.Secs, 'f', 1, 64), 's')
+	case EvVoltage:
+		b = append(appendMV(b, e.From), " -> "...)
+		b = appendMV(b, e.To)
+	case EvFreq:
+		b = append(strconv.AppendInt(append(b, "PMD"...), int64(e.N), 10), ' ')
+		b = append(appendMHz(b, e.From), " -> "...)
+		b = appendMHz(b, e.To)
+	case EvEmergency:
+		b = append(appendMV(append(b, "V="...), e.From), " < required "...)
+		b = appendMV(b, e.To)
+	default:
+		b = append(b, e.Text...)
+	}
+	return string(b)
+}
+
+// appendMV and appendMHz append a level as chip.Millivolts and chip.MHz
+// render it.
+func appendMV(b []byte, v int32) []byte  { return append(strconv.AppendInt(b, int64(v), 10), "mV"...) }
+func appendMHz(b []byte, f int32) []byte { return append(strconv.AppendInt(b, int64(f), 10), "MHz"...) }
 
 // String renders the event as a log line.
 func (e Event) String() string {
 	if e.Proc >= 0 {
-		return fmt.Sprintf("%9.3fs %-9s proc=%d %s", e.At, e.Kind, e.Proc, e.Detail)
+		return fmt.Sprintf("%9.3fs %-9s proc=%d %s", e.At, e.Kind, e.Proc, e.Detail())
 	}
-	return fmt.Sprintf("%9.3fs %-9s %s", e.At, e.Kind, e.Detail)
+	return fmt.Sprintf("%9.3fs %-9s %s", e.At, e.Kind, e.Detail())
 }
 
 // eventLogCap bounds the machine event log: long evaluations would
@@ -72,8 +116,8 @@ func (e Event) String() string {
 const eventLogCap = 100_000
 
 // EnableEventLog turns on structured event recording (off by default;
-// recording costs allocations on hot paths). Existing history starts from
-// this call.
+// place and migrate events allocate their text, and the log's slots grow
+// up to eventLogCap). Existing history starts from this call.
 func (m *Machine) EnableEventLog() {
 	if m.log != nil {
 		return
@@ -126,12 +170,13 @@ func (m *Machine) EventsDropped() int {
 	return int(m.log.Dropped())
 }
 
-// logEvent records an event when the log or any subscriber is active.
-func (m *Machine) logEvent(kind EventKind, proc int, format string, args ...any) {
+// logEvent stamps e with the current time and records it when the log or
+// any subscriber is active.
+func (m *Machine) logEvent(e Event) {
 	if !m.eventsOn() {
 		return
 	}
-	e := Event{At: m.now, Kind: kind, Proc: proc, Detail: fmt.Sprintf(format, args...)}
+	e.At = m.now
 	if m.log != nil {
 		m.log.Append(e)
 	}
@@ -140,16 +185,25 @@ func (m *Machine) logEvent(kind EventKind, proc int, format string, args ...any)
 	}
 }
 
-// logPlacement records a place or migrate event for p onto cores. The
-// core list is formatted only when events are on, so placements on an
+// logPlacement records a place or migrate event for p onto cores, its
+// text rendered as "%s on %v" ("to" for a migrate) renders it. The core
+// list is rendered only when events are on, so placements on an
 // unobserved machine allocate nothing for logging.
 func (m *Machine) logPlacement(kind EventKind, p *Process, cores []chip.CoreID) {
 	if !m.eventsOn() {
 		return
 	}
-	verb := "on"
+	verb := " on ["
 	if kind == EvMigrate {
-		verb = "to"
+		verb = " to ["
 	}
-	m.logEvent(kind, p.ID, "%s %s %v", p.Bench.Name, verb, cores)
+	var buf [128]byte
+	b := append(append(buf[:0], p.Bench.Name...), verb...)
+	for i, c := range cores {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(c), 10)
+	}
+	m.logEvent(Event{Kind: kind, Proc: p.ID, Text: string(append(b, ']'))})
 }

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -54,10 +57,10 @@ func TestEventLogVoltageAndFreqChanges(t *testing.T) {
 	m.RunFor(0.05)
 	var sawV, sawF bool
 	for _, e := range m.Events() {
-		if e.Kind == EvVoltage && strings.Contains(e.Detail, "900mV") {
+		if e.Kind == EvVoltage && strings.Contains(e.Detail(), "900mV") {
 			sawV = true
 		}
-		if e.Kind == EvFreq && strings.Contains(e.Detail, "PMD0") {
+		if e.Kind == EvFreq && strings.Contains(e.Detail(), "PMD0") {
 			sawF = true
 		}
 	}
@@ -78,8 +81,8 @@ func TestEventLogRecordsEmergencies(t *testing.T) {
 	for _, e := range m.Events() {
 		if e.Kind == EvEmergency {
 			found = true
-			if !strings.Contains(e.Detail, "required") {
-				t.Errorf("emergency detail %q missing requirement", e.Detail)
+			if !strings.Contains(e.Detail(), "required") {
+				t.Errorf("emergency detail %q missing requirement", e.Detail())
 			}
 		}
 	}
@@ -120,7 +123,7 @@ func TestEventLogBounded(t *testing.T) {
 	m.log = ringbuf.New[Event](10)
 	for i := 0; i < 25; i++ {
 		m.now = float64(i)
-		m.logEvent(EvPlace, i, "")
+		m.logEvent(Event{Kind: EvPlace, Proc: i})
 	}
 	events := m.Events()
 	if len(events) > 10 {
@@ -144,7 +147,7 @@ func TestEventLogEvictionPreservesOrdering(t *testing.T) {
 	m.log = ringbuf.New[Event](16)
 	for i := 0; i < 100; i++ {
 		m.now = float64(i)
-		m.logEvent(EvPlace, i, "")
+		m.logEvent(Event{Kind: EvPlace, Proc: i})
 		events := m.Events()
 		if len(events) == 0 {
 			t.Fatal("log empty after add")
@@ -191,14 +194,98 @@ func TestSubscribeAlongsideLogSeesUnboundedStream(t *testing.T) {
 }
 
 func TestEventString(t *testing.T) {
-	e := Event{At: 1.5, Kind: EvPlace, Proc: 3, Detail: "CG on [0 1]"}
+	e := Event{At: 1.5, Kind: EvPlace, Proc: 3, Text: "CG on [0 1]"}
 	s := e.String()
 	if !strings.Contains(s, "place") || !strings.Contains(s, "proc=3") {
 		t.Errorf("event string %q", s)
 	}
-	e2 := Event{At: 2, Kind: EvVoltage, Proc: -1, Detail: "870mV -> 835mV"}
+	e2 := Event{At: 2, Kind: EvVoltage, Proc: -1, From: 870, To: 835}
 	if strings.Contains(e2.String(), "proc=") {
 		t.Error("non-process events must omit proc=")
+	}
+}
+
+// TestEventDetailMatchesFmt pins the render-on-read detail of every kind
+// to the fmt formats the log used to store.
+func TestEventDetailMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		n, from, to := int32(rng.Intn(64)), int32(rng.Intn(4000)-100), int32(rng.Intn(4000))
+		secs := rng.ExpFloat64() * 100
+		if i%7 == 0 {
+			secs = math.Round(secs*10)/10 + 0.05 // a rounding tie
+		}
+		for _, tc := range []struct {
+			e    Event
+			want string
+		}{
+			{Event{Kind: EvSubmit, Text: "CG", N: n}, fmt.Sprintf("%s x%d threads", "CG", n)},
+			{Event{Kind: EvPlace, Text: "lbm on [3]"}, "lbm on [3]"},
+			{Event{Kind: EvMigrate, Text: "CG to [0 1]"}, "CG to [0 1]"},
+			{Event{Kind: EvFinish, Text: "mcf", Secs: secs}, fmt.Sprintf("%s after %.1fs", "mcf", secs)},
+			{Event{Kind: EvVoltage, From: from, To: to}, fmt.Sprintf("%v -> %v", chip.Millivolts(from), chip.Millivolts(to))},
+			{Event{Kind: EvFreq, N: n, From: from, To: to}, fmt.Sprintf("PMD%d %v -> %v", n, chip.MHz(from), chip.MHz(to))},
+			{Event{Kind: EvEmergency, From: from, To: to}, fmt.Sprintf("V=%v < required %v", chip.Millivolts(from), chip.Millivolts(to))},
+		} {
+			if got := tc.e.Detail(); got != tc.want {
+				t.Fatalf("%v detail = %q, fmt renders %q", tc.e.Kind, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestPlacementTextMatchesFmt pins the place/migrate text to the fmt
+// rendering "%s %s %v" of the benchmark, the verb and the core list.
+func TestPlacementTextMatchesFmt(t *testing.T) {
+	m := New(chip.XGene3Spec())
+	var got []Event
+	m.Subscribe(func(e Event) { got = append(got, e) })
+	p := m.MustSubmit(workload.MustByName("CG"), 4)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		cores := make([]chip.CoreID, rng.Intn(40))
+		for j := range cores {
+			cores[j] = chip.CoreID(rng.Intn(1 << uint(rng.Intn(20))))
+		}
+		for _, kind := range []EventKind{EvPlace, EvMigrate} {
+			verb := "on"
+			if kind == EvMigrate {
+				verb = "to"
+			}
+			m.logPlacement(kind, p, cores)
+			if e, want := got[len(got)-1], fmt.Sprintf("%s %s %v", p.Bench.Name, verb, cores); e.Detail() != want {
+				t.Fatalf("%v text %q, fmt renders %q", kind, e.Detail(), want)
+			}
+		}
+	}
+}
+
+// TestVFEventLoggingZeroAlloc pins logging a V/F change to a subscriber
+// at zero allocations.
+func TestVFEventLoggingZeroAlloc(t *testing.T) {
+	m := New(chip.XGene3Spec())
+	m.EnableEventLog()
+	m.log = ringbuf.New[Event](16)
+	n := 0
+	m.Subscribe(func(Event) { n++ })
+	p := m.MustSubmit(workload.MustByName("namd"), 1)
+	m.Place(p, []chip.CoreID{0})
+	levels := []chip.MHz{m.Spec.MaxFreq, m.Spec.HalfFreq()}
+	i := 0
+	step := func() {
+		i++
+		m.Chip.SetPMDFreq(0, levels[i%2])
+		m.Step()
+	}
+	for j := 0; j < 32; j++ {
+		step() // fill the log so its slots stop growing
+	}
+	before := n
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("a V/F-changing tick allocates %.1f times, want 0", allocs)
+	}
+	if n == before {
+		t.Fatal("no event reached the subscriber")
 	}
 }
 

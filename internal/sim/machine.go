@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"avfs/internal/chip"
 	"avfs/internal/clock"
@@ -227,8 +229,10 @@ type Machine struct {
 	reqBench []*workload.Benchmark
 	reqCores [][]chip.CoreID
 
-	// planned is Reassign's scratch: the planned process per target core.
+	// planned and moves are Reassign's scratch: the planned process per
+	// target core, and the places and migrations it logs.
 	planned []*Process
+	moves   []placement
 
 	// onFinish callbacks run after a process completes (within Step,
 	// after state updates), in registration order.
@@ -307,7 +311,7 @@ func (m *Machine) Submit(b *workload.Benchmark, nThreads int) (*Process, error) 
 	m.procs[p.ID] = p
 	m.pending = append(m.pending, p)
 	m.placeGen++
-	m.logEvent(EvSubmit, p.ID, "%s x%d threads", b.Name, nThreads)
+	m.logEvent(Event{Kind: EvSubmit, Proc: p.ID, Text: b.Name, N: int32(nThreads)})
 	return p, nil
 }
 
@@ -458,6 +462,7 @@ func (m *Machine) Reassign(assign map[*Process][]chip.CoreID) error {
 		}
 	}
 	stall := m.ticks + m.stallTicks()
+	logging, moves := m.eventsOn(), m.moves[:0]
 	for p, cores := range assign {
 		moved := false
 		for i, t := range p.Threads {
@@ -465,18 +470,39 @@ func (m *Machine) Reassign(assign map[*Process][]chip.CoreID) error {
 			t.Core = cores[i]
 			m.coreThr[cores[i]] = t
 		}
+		kind := EvMigrate
 		if p.State == Pending {
 			m.startRunning(p)
-			m.logPlacement(EvPlace, p, cores)
+			kind = EvPlace
 		} else if moved {
 			for _, t := range p.Threads {
 				t.stalledUntilTick = stall
 			}
-			m.logPlacement(EvMigrate, p, cores)
+		} else {
+			continue
+		}
+		if logging {
+			moves = append(moves, placement{p, kind})
 		}
 	}
+	// The map's order is random; the log lists the moves by process ID.
+	if logging {
+		slices.SortFunc(moves, func(a, b placement) int { return cmp.Compare(a.p.ID, b.p.ID) })
+		for _, mv := range moves {
+			m.logPlacement(mv.kind, mv.p, assign[mv.p])
+		}
+	}
+	clear(moves)
+	m.moves = moves[:0]
 	m.placeGen++
 	return nil
+}
+
+// placement is one place or migrate of a Reassign, held until the batch
+// is logged in process-ID order.
+type placement struct {
+	p    *Process
+	kind EventKind
 }
 
 // checkFree verifies that the cores are valid, distinct and not occupied
@@ -968,7 +994,7 @@ func (m *Machine) stepFull() {
 				At: m.now, Voltage: m.Chip.Voltage(), Required: req,
 			})
 			m.trimHistory()
-			m.logEvent(EvEmergency, -1, "V=%v < required %v", m.Chip.Voltage(), req)
+			m.logEvent(Event{Kind: EvEmergency, Proc: -1, From: int32(m.Chip.Voltage()), To: int32(req)})
 		}
 	}
 	m.syncVFEvents()
@@ -1100,7 +1126,7 @@ func (m *Machine) completeFinished() {
 		m.finished = append(m.finished, p)
 		m.trimHistory()
 		m.placeGen++
-		m.logEvent(EvFinish, p.ID, "%s after %.1fs", p.Bench.Name, p.Runtime())
+		m.logEvent(Event{Kind: EvFinish, Proc: p.ID, Text: p.Bench.Name, Secs: p.Runtime()})
 		for _, fn := range m.onFinish {
 			fn(p)
 		}
@@ -1117,12 +1143,12 @@ func (m *Machine) syncVFEvents() {
 	}
 	if g := m.Chip.Generation(); !m.evValid || g != m.evGen {
 		if v := m.Chip.Voltage(); v != m.lastV {
-			m.logEvent(EvVoltage, -1, "%v -> %v", m.lastV, v)
+			m.logEvent(Event{Kind: EvVoltage, Proc: -1, From: int32(m.lastV), To: int32(v)})
 			m.lastV = v
 		}
 		for p := 0; p < m.Spec.PMDs(); p++ {
 			if f := m.Chip.PMDFreq(chip.PMDID(p)); f != m.lastF[p] {
-				m.logEvent(EvFreq, -1, "PMD%d %v -> %v", p, m.lastF[p], f)
+				m.logEvent(Event{Kind: EvFreq, Proc: -1, N: int32(p), From: int32(m.lastF[p]), To: int32(f)})
 				m.lastF[p] = f
 			}
 		}

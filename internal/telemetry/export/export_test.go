@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"avfs/internal/sim"
 	"avfs/internal/telemetry"
 )
 
@@ -157,16 +158,50 @@ func TestJSONLRoundTrip(t *testing.T) {
 	sink := NewJSONL(&buf)
 	sink.Attach(tr)
 
-	want := []telemetry.Decision{
-		{At: 1.5, Kind: telemetry.DecClassify, Rule: "l3c>=threshold+hyst", Proc: 2,
-			Class: "memory", L3CRate: 4150, UtilizedPMDs: 3, DroopClass: 2},
-		{At: 1.5, Kind: telemetry.DecGuardRaise, Rule: "fail-safe-raise", Reconfig: 7,
-			Proc: -1, FromMV: 880, ToMV: 940, RequiredMV: 940},
-		{At: 1.6, Kind: telemetry.DecSettle, Rule: "settle-to-safe-vmin", Reconfig: 7,
-			Proc: -1, FromMV: 940, ToMV: 895, RequiredMV: 895, UtilizedPMDs: 3, DroopClass: 1},
+	// Each record and the wire form it renders to.
+	cases := []struct {
+		rec  telemetry.Record
+		want telemetry.Decision
+	}{
+		{telemetry.Record{At: 1.5, Kind: telemetry.DecClassify, Rule: telemetry.Intern("l3c>=threshold+hyst"), Proc: 2,
+			Class: telemetry.Intern("memory"), Value: 4150, UtilizedPMDs: 3, DroopClass: 2},
+			telemetry.Decision{At: 1.5, Kind: telemetry.DecClassify, Rule: "l3c>=threshold+hyst", Proc: 2,
+				Class: "memory", L3CRate: 4150, UtilizedPMDs: 3, DroopClass: 2}},
+		{telemetry.Record{At: 1.5, Kind: telemetry.DecClassFlip, Rule: telemetry.Intern("l3c>=threshold+hyst"), Proc: 2,
+			Class: telemetry.Intern("memory"), PrevClass: telemetry.Intern("cpu"), Value: 4150.25},
+			telemetry.Decision{At: 1.5, Kind: telemetry.DecClassFlip, Rule: "l3c>=threshold+hyst", Proc: 2,
+				Class: "memory", L3CRate: 4150.25, Detail: "cpu -> memory"}},
+		{telemetry.Record{At: 1.5, Kind: telemetry.DecPlacement, Rule: telemetry.Intern("cluster-cpu/spread-mem"), Proc: -1,
+			UtilizedPMDs: 4, DroopClass: 1, N: 0},
+			telemetry.Decision{At: 1.5, Kind: telemetry.DecPlacement, Rule: "cluster-cpu/spread-mem", Proc: -1,
+				UtilizedPMDs: 4, DroopClass: 1, Detail: "0 processes planned"}},
+		{telemetry.Record{At: 1.5, Kind: telemetry.DecGuardRaise, Rule: telemetry.Intern("fail-safe-raise"), Reconfig: 7,
+			Proc: -1, From: 880, To: 940, Required: 940, N: 940},
+			telemetry.Decision{At: 1.5, Kind: telemetry.DecGuardRaise, Rule: "fail-safe-raise", Reconfig: 7,
+				Proc: -1, FromMV: 880, ToMV: 940, RequiredMV: 940, Detail: "guard level 940mV"}},
+		{telemetry.Record{At: 1.5, Kind: telemetry.DecGuardRaise, Rule: telemetry.Intern("monitor-resettle"), Reconfig: 8,
+			Proc: -1, From: 880, To: 880, Required: 870},
+			telemetry.Decision{At: 1.5, Kind: telemetry.DecGuardRaise, Rule: "monitor-resettle", Reconfig: 8,
+				Proc: -1, FromMV: 880, ToMV: 880, RequiredMV: 870}},
+		{telemetry.Record{At: 1.55, Kind: telemetry.DecReconfigure, Rule: telemetry.Intern("apply-plan"), Reconfig: 7,
+			Proc: -1, UtilizedPMDs: 3, DroopClass: 1, N: 2},
+			telemetry.Decision{At: 1.55, Kind: telemetry.DecReconfigure, Rule: "apply-plan", Reconfig: 7,
+				Proc: -1, UtilizedPMDs: 3, DroopClass: 1, Detail: "migrations=2"}},
+		{telemetry.Record{At: 1.6, Kind: telemetry.DecSettle, Rule: telemetry.Intern("settle-to-safe-vmin"), Reconfig: 7,
+			Proc: -1, From: 940, To: 895, Required: 895, UtilizedPMDs: 3, DroopClass: 1},
+			telemetry.Decision{At: 1.6, Kind: telemetry.DecSettle, Rule: "settle-to-safe-vmin", Reconfig: 7,
+				Proc: -1, FromMV: 940, ToMV: 895, RequiredMV: 895, UtilizedPMDs: 3, DroopClass: 1}},
+		{telemetry.MachineRecord(sim.Event{At: 1.6, Kind: sim.EvFreq, Proc: -1, N: 3, From: 3000, To: 1500}),
+			telemetry.Decision{At: 1.6, Kind: telemetry.DecMachineEvent, Rule: "freq", Proc: -1,
+				Detail: "PMD3 3000MHz -> 1500MHz"}},
+		{telemetry.MachineRecord(sim.Event{At: 1.7, Kind: sim.EvFinish, Proc: 4, Text: "mcf", Secs: 31.25}),
+			telemetry.Decision{At: 1.7, Kind: telemetry.DecMachineEvent, Rule: "finish", Proc: 4,
+				Detail: "mcf after 31.2s"}},
 	}
-	for _, d := range want {
-		tr.Emit(d)
+	var want []telemetry.Decision
+	for _, c := range cases {
+		tr.Emit(c.rec)
+		want = append(want, c.want)
 	}
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
@@ -187,7 +222,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 
 func TestJSONLLatchesWriteError(t *testing.T) {
 	sink := NewJSONL(failWriter{})
-	sink.Write(telemetry.Decision{Kind: telemetry.DecClassify})
+	sink.Write(telemetry.Record{Kind: telemetry.DecClassify})
 	sink.Flush()
 	if sink.Err() == nil {
 		t.Error("sink must latch the underlying write error")

@@ -26,14 +26,14 @@ func NewJSONL(w io.Writer) *JSONL {
 	return &JSONL{enc: json.NewEncoder(bw), bw: bw}
 }
 
-// Write encodes one decision as a line.
-func (j *JSONL) Write(d telemetry.Decision) {
+// Write renders one record and encodes it as a line.
+func (j *JSONL) Write(r telemetry.Record) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return
 	}
-	j.err = j.enc.Encode(d)
+	j.err = j.enc.Encode(r.Decision())
 }
 
 // Attach subscribes the sink to a tracer.

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,16 +13,22 @@ import (
 // per bucket, and a quantile is reported as the geometric midpoint of the
 // bucket the exact rank lands in, so the relative error of any reported
 // quantile is bounded by sqrt(latGrowth)-1 — just under 1% — at every
-// magnitude from nanoseconds to minutes. Observe is lock-free and
-// allocation-free (one float log plus one atomic add), which is what lets
-// the serving hot path observe every request and every tick-batch commit
-// inside the existing <=5% telemetry overhead budget.
+// magnitude from nanoseconds to minutes. Observe is lock-free (one float
+// log plus atomic adds) and allocation-free once the chunk it lands in is
+// warm, which is what lets the serving hot path observe every request and
+// every tick-batch commit inside the existing <=5% telemetry overhead
+// budget.
+//
+// Memory is in proportion to use: the buckets live in latChunk-bucket
+// chunks, each allocated (512 B) by the first observation that lands in
+// it, so an idle histogram is its chunk table (~300 B) and a service
+// whose latencies span three decades holds about nine chunks.
 //
 // Unlike the fixed-bucket Histogram, LatencyHist is not a Prometheus
 // metric kind: SLO surfaces export its quantiles as gauges instead of
 // shipping ~2200 cumulative bucket series per scrape.
 type LatencyHist struct {
-	counts [latBuckets]atomic.Int64
+	chunks [latChunks]atomic.Pointer[latChunkCounts]
 	n      atomic.Int64
 	sum    atomic.Int64 // nanoseconds
 }
@@ -32,7 +39,13 @@ const (
 	latGrowth = 1.02
 	// latBuckets covers [1ns, 2^63 ns): ceil(ln(2^63)/ln(1.02)) = 2206.
 	latBuckets = 2206
+	// latChunk buckets share one lazily allocated chunk.
+	latChunk  = 64
+	latChunks = (latBuckets + latChunk - 1) / latChunk
 )
+
+// latChunkCounts is one chunk of bucket counters.
+type latChunkCounts [latChunk]atomic.Int64
 
 var (
 	latLn    = math.Log(latGrowth)
@@ -62,7 +75,8 @@ func latMid(i int) float64 { return math.Exp((float64(i) + 0.5) * latLn) }
 // NewLatencyHist creates an empty histogram.
 func NewLatencyHist() *LatencyHist { return &LatencyHist{} }
 
-// Observe records one duration. Lock-free, allocation-free.
+// Observe records one duration. Lock-free; allocation-free into a warm
+// chunk.
 func (h *LatencyHist) Observe(d time.Duration) { h.ObserveNs(d.Nanoseconds()) }
 
 // ObserveNs records one duration given in nanoseconds.
@@ -70,9 +84,24 @@ func (h *LatencyHist) ObserveNs(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	h.counts[latIndex(ns)].Add(1)
+	i := latIndex(ns)
+	c := h.chunks[i/latChunk].Load()
+	if c == nil {
+		c = h.warm(i / latChunk)
+	}
+	c[i%latChunk].Add(1)
 	h.n.Add(1)
 	h.sum.Add(ns)
+}
+
+// warm allocates chunk k on its first observation. Concurrent first
+// observations race one CAS; the losers count into the winner's chunk.
+func (h *LatencyHist) warm(k int) *latChunkCounts {
+	fresh := new(latChunkCounts)
+	if h.chunks[k].CompareAndSwap(nil, fresh) {
+		return fresh
+	}
+	return h.chunks[k].Load()
 }
 
 // Count returns the number of observations.
@@ -82,17 +111,29 @@ func (h *LatencyHist) Count() int64 { return h.n.Load() }
 // (see LatencySnapshot.Quantile for the rank and error contract).
 func (h *LatencyHist) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
-// Snapshot copies the current state for windowed SLO math. Concurrent
-// observations may land between bucket reads; the snapshot is a
-// consistent-enough point-in-time view for quantile extraction (each
-// bucket is internally exact, and rank extraction tolerates the count
-// being off by in-flight observations).
+// Snapshot copies the current state for windowed SLO math, storing only
+// the warm chunks. Concurrent observations may land between bucket
+// reads; the snapshot is a consistent-enough point-in-time view for
+// quantile extraction (each bucket is internally exact, and rank
+// extraction tolerates the count being off by in-flight observations).
 func (h *LatencyHist) Snapshot() LatencySnapshot {
-	s := LatencySnapshot{counts: make([]int64, latBuckets)}
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		s.counts[i] = c
-		s.n += c
+	var warm [latChunks]*latChunkCounts
+	s := LatencySnapshot{taken: true}
+	for k := range h.chunks {
+		if warm[k] = h.chunks[k].Load(); warm[k] != nil {
+			s.mask |= 1 << k
+		}
+	}
+	s.counts = make([]int64, 0, bits.OnesCount64(s.mask)*latChunk)
+	for _, c := range warm {
+		if c == nil {
+			continue
+		}
+		for i := range c {
+			v := c[i].Load()
+			s.counts = append(s.counts, v)
+			s.n += v
+		}
 	}
 	s.sum = h.sum.Load()
 	return s
@@ -100,11 +141,25 @@ func (h *LatencyHist) Snapshot() LatencySnapshot {
 
 // LatencySnapshot is an immutable point-in-time copy of a LatencyHist,
 // the unit of windowed SLO math: subtract an older snapshot to get the
-// distribution of just the interval between them.
+// distribution of just the interval between them. It holds the chunks
+// that were warm when it was taken; every other bucket is zero.
 type LatencySnapshot struct {
+	// mask has bit k set when chunk k is stored; counts holds the stored
+	// chunks' buckets in ascending chunk order, latChunk per chunk.
+	mask   uint64
 	counts []int64
 	n      int64
 	sum    int64
+	taken  bool // false for the zero value, which stands for "no snapshot"
+}
+
+// chunk returns the stored buckets of chunk k, nil when it is not stored.
+func (s *LatencySnapshot) chunk(k int) []int64 {
+	if s.mask&(1<<k) == 0 {
+		return nil
+	}
+	j := bits.OnesCount64(s.mask&(1<<k-1)) * latChunk
+	return s.counts[j : j+latChunk]
 }
 
 // Count returns the snapshot's observation count.
@@ -122,19 +177,30 @@ func (s LatencySnapshot) MeanNs() float64 {
 }
 
 // Sub returns the distribution of observations recorded after old was
-// taken: the per-bucket difference, clamped at zero.
+// taken: the per-bucket difference, clamped at zero. A bucket old holds
+// and s does not differs by a negative count, so it clamps away.
 func (s LatencySnapshot) Sub(old LatencySnapshot) LatencySnapshot {
-	if old.counts == nil {
+	if !old.taken {
 		return s
 	}
-	d := LatencySnapshot{counts: make([]int64, latBuckets)}
-	for i := range s.counts {
-		c := s.counts[i] - old.counts[i]
-		if c < 0 {
-			c = 0
+	d := LatencySnapshot{mask: s.mask, counts: make([]int64, len(s.counts)), taken: true}
+	j := 0
+	for k := 0; k < latChunks; k++ {
+		if s.mask&(1<<k) == 0 {
+			continue
 		}
-		d.counts[i] = c
-		d.n += c
+		prev := old.chunk(k)
+		for i, c := range s.counts[j : j+latChunk] {
+			if prev != nil {
+				c -= prev[i]
+			}
+			if c < 0 {
+				c = 0
+			}
+			d.counts[j+i] = c
+			d.n += c
+		}
+		j += latChunk
 	}
 	if d.sum = s.sum - old.sum; d.sum < 0 {
 		d.sum = 0
@@ -162,11 +228,18 @@ func (s LatencySnapshot) Quantile(q float64) float64 {
 		rank = 1
 	}
 	var cum int64
-	for i, c := range s.counts {
-		cum += c
-		if cum >= rank {
-			return latMid(i)
+	j := 0
+	for k := 0; k < latChunks; k++ {
+		if s.mask&(1<<k) == 0 {
+			continue
 		}
+		for i, c := range s.counts[j : j+latChunk] {
+			cum += c
+			if cum >= rank {
+				return latMid(k*latChunk + i)
+			}
+		}
+		j += latChunk
 	}
 	return latMid(latBuckets - 1)
 }
@@ -292,9 +365,9 @@ func (t *SLOTracker) Windowed(now time.Time) (LatencySnapshot, int64, time.Durat
 	errs := t.errs.Load() - errBase
 	covered := t.window
 	if !t.epochStart.IsZero() {
-		if since := now.Sub(t.epochStart); since > 0 && base.counts != nil {
+		if since := now.Sub(t.epochStart); since > 0 && base.taken {
 			covered = t.window + since
-		} else if base.counts == nil {
+		} else if !base.taken {
 			covered = since
 		}
 	}

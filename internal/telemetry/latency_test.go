@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 )
@@ -197,5 +199,194 @@ func TestSLOTrackerNil(t *testing.T) {
 	}
 	if tr.Window() != 0 {
 		t.Error("nil tracker Window should be 0")
+	}
+}
+
+// denseHist is the reference layout: every bucket stored, as LatencyHist
+// kept them before its chunks became lazy.
+type denseHist struct {
+	counts [latBuckets]int64
+	n, sum int64
+}
+
+func (d *denseHist) observe(ns int64) {
+	if ns < 0 {
+		ns = 0
+	}
+	d.counts[latIndex(ns)]++
+	d.n++
+	d.sum += ns
+}
+
+func (d *denseHist) sub(old *denseHist) *denseHist {
+	out := &denseHist{}
+	for i := range d.counts {
+		if c := d.counts[i] - old.counts[i]; c > 0 {
+			out.counts[i] = c
+			out.n += c
+		}
+	}
+	if out.sum = d.sum - old.sum; out.sum < 0 {
+		out.sum = 0
+	}
+	return out
+}
+
+func (d *denseHist) quantile(q float64) float64 {
+	if d.n == 0 {
+		return 0
+	}
+	q = math.Min(math.Max(q, 0), 1)
+	rank := int64(math.Ceil(q * float64(d.n)))
+	if rank < 1 {
+		rank = 1
+	}
+	var cum int64
+	for i, c := range d.counts {
+		if cum += c; cum >= rank {
+			return latMid(i)
+		}
+	}
+	return latMid(latBuckets - 1)
+}
+
+// bucket reads bucket i of a sparse snapshot (0 when its chunk is not
+// stored).
+func (s LatencySnapshot) bucket(i int) int64 {
+	if c := s.chunk(i / latChunk); c != nil {
+		return c[i%latChunk]
+	}
+	return 0
+}
+
+// sameAsDense fails t unless snapshot s equals the dense reference d in
+// every bucket, count, sum and quantile.
+func sameAsDense(t *testing.T, what string, s LatencySnapshot, d *denseHist) {
+	t.Helper()
+	for i := 0; i < latBuckets; i++ {
+		if s.bucket(i) != d.counts[i] {
+			t.Fatalf("%s: bucket %d = %d, dense %d", what, i, s.bucket(i), d.counts[i])
+		}
+	}
+	if s.Count() != d.n || s.SumNs() != d.sum {
+		t.Fatalf("%s: count/sum %d/%d, dense %d/%d", what, s.Count(), s.SumNs(), d.n, d.sum)
+	}
+	for _, q := range []float64{-1, 0, 1e-9, 0.001, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999, 1, 2} {
+		if got, want := s.Quantile(q), d.quantile(q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: q%g = %v, dense %v", what, q, got, want)
+		}
+	}
+}
+
+// TestLatencyHistMatchesDense replays random latencies spanning every
+// magnitude — with 0 ns, 1 ns and top-bucket values mixed in — into the
+// sparse histogram and the dense reference, and requires bit-identical
+// buckets, counts, quantiles and windowed differences, including a Sub
+// against a snapshot holding chunks the newer one lacks.
+func TestLatencyHistMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	draw := func() int64 {
+		switch rng.Intn(10) {
+		case 0:
+			return 0
+		case 1:
+			return 1
+		case 2:
+			return math.MaxInt64 - rng.Int63n(1<<40)
+		case 3:
+			return -rng.Int63n(100)
+		}
+		return int64(math.Exp(rng.Float64() * 43)) // 1 ns .. ~5e18 ns
+	}
+	h, d := NewLatencyHist(), &denseHist{}
+	var bases []LatencySnapshot
+	var dbases []*denseHist
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 1+rng.Intn(3000); i++ {
+			ns := draw()
+			h.ObserveNs(ns)
+			d.observe(ns)
+		}
+		snap := h.Snapshot()
+		sameAsDense(t, "snapshot", snap, d)
+		for j, base := range bases {
+			sameAsDense(t, "window", snap.Sub(base), d.sub(dbases[j]))
+		}
+		bases = append(bases, snap)
+		cp := *d
+		dbases = append(dbases, &cp)
+	}
+
+	// A base with chunks the newer snapshot has never seen.
+	other, dother := NewLatencyHist(), &denseHist{}
+	for _, ns := range []int64{0, 1, 3, 1 << 20, 1 << 40, math.MaxInt64} {
+		other.ObserveNs(ns)
+		dother.observe(ns)
+	}
+	small, dsmall := NewLatencyHist(), &denseHist{}
+	small.ObserveNs(5000)
+	dsmall.observe(5000)
+	sameAsDense(t, "disjoint window", small.Snapshot().Sub(other.Snapshot()), dsmall.sub(dother))
+	sameAsDense(t, "empty", NewLatencyHist().Snapshot(), &denseHist{})
+}
+
+// TestLatencyHistConcurrentWarmUp races first observations into cold
+// chunks: every goroutine starts on the same cold chunk, and the counts
+// must come out exact (run under -race to check the CAS publication).
+func TestLatencyHistConcurrentWarmUp(t *testing.T) {
+	const workers, per = 8, 2000
+	values := []int64{1000, 1001, 1003, 5_000_000_000}
+	for round := 0; round < 20; round++ {
+		h := NewLatencyHist()
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < per; i++ {
+					h.ObserveNs(values[i%len(values)])
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		d := &denseHist{}
+		for w := 0; w < workers; w++ {
+			for i := 0; i < per; i++ {
+				d.observe(values[i%len(values)])
+			}
+		}
+		sameAsDense(t, "concurrent", h.Snapshot(), d)
+	}
+}
+
+// TestLatencyHistMemoryInProportion pins the sparse layout: an idle
+// histogram stores no chunk, and observations in one decade of latency
+// warm only the chunks that decade spans.
+func TestLatencyHistMemoryInProportion(t *testing.T) {
+	h := NewLatencyHist()
+	if s := h.Snapshot(); s.mask != 0 || len(s.counts) != 0 {
+		t.Fatalf("idle histogram stores %d buckets", len(s.counts))
+	}
+	for ns := int64(1_000); ns < 10_000; ns += 7 {
+		h.ObserveNs(ns)
+	}
+	// One decade is ln(10)/ln(1.02) = 116 buckets: at most three chunks.
+	if s := h.Snapshot(); bits.OnesCount64(s.mask) > 3 || len(s.counts) != bits.OnesCount64(s.mask)*latChunk {
+		t.Fatalf("one decade warmed %d chunks (%d buckets stored)", bits.OnesCount64(s.mask), len(s.counts))
+	}
+}
+
+// TestLatencyHistWarmObserveZeroAlloc pins Observe into a warm chunk at
+// zero allocations, at both ends of the range.
+func TestLatencyHistWarmObserveZeroAlloc(t *testing.T) {
+	h := NewLatencyHist()
+	for _, ns := range []int64{0, 137_000, math.MaxInt64} {
+		h.ObserveNs(ns) // warm the chunk
+		if allocs := testing.AllocsPerRun(1000, func() { h.ObserveNs(ns) }); allocs != 0 {
+			t.Errorf("ObserveNs(%d) into a warm chunk allocates %.1f times, want 0", ns, allocs)
+		}
 	}
 }

@@ -39,7 +39,7 @@ const (
 // WireMachine instruments a simulated machine: registers its electrical
 // and scheduling state as gauges, counts machine events per kind, and
 // forwards every event of the machine's log onto the tracer bus as
-// DecMachineEvent entries. Either reg or tr may be nil.
+// DecMachineEvent records. Either reg or tr may be nil.
 func WireMachine(m *sim.Machine, reg *Registry, tr *Tracer) {
 	var evCounters [sim.EvEmergency + 1]*Counter
 	if reg != nil {
@@ -112,13 +112,7 @@ func WireMachine(m *sim.Machine, reg *Registry, tr *Tracer) {
 			evCounters[e.Kind].Inc()
 		}
 		if tr != nil && tr.Active() {
-			tr.Emit(Decision{
-				At:     e.At,
-				Kind:   DecMachineEvent,
-				Rule:   e.Kind.String(),
-				Proc:   e.Proc,
-				Detail: e.Detail,
-			})
+			tr.Emit(MachineRecord(e))
 		}
 	})
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"avfs/internal/chip"
+	"avfs/internal/daemon"
+	"avfs/internal/ringbuf"
 	"avfs/internal/sim"
 	"avfs/internal/telemetry"
 	"avfs/internal/workload"
@@ -83,8 +85,8 @@ func TestWireMachineEventCountersAndTrace(t *testing.T) {
 	m := sim.New(chip.XGene3Spec())
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer()
-	var traced []telemetry.Decision
-	tr.Subscribe(func(d telemetry.Decision) { traced = append(traced, d) })
+	var traced []telemetry.Record
+	tr.Subscribe(func(r telemetry.Record) { traced = append(traced, r) })
 	telemetry.WireMachine(m, reg, tr)
 
 	submit(t, m, "namd", 1)
@@ -97,7 +99,8 @@ func TestWireMachineEventCountersAndTrace(t *testing.T) {
 	if len(traced) == 0 {
 		t.Fatal("tracer received no machine events")
 	}
-	for _, d := range traced {
+	for _, r := range traced {
+		d := r.Decision()
 		if d.Kind != telemetry.DecMachineEvent {
 			t.Errorf("machine-bus decision kind %v, want machine-event", d.Kind)
 		}
@@ -125,5 +128,63 @@ func TestWireMachineEnvelopeGauges(t *testing.T) {
 	}
 	if n != 12 { // 3 frequency classes x 4 droop classes
 		t.Errorf("XGene2 publishes %d envelope gauges, want 12", n)
+	}
+}
+
+// TestWiredVFTickZeroAlloc pins the traced stepping path at zero
+// allocations: a tick that changes V/F on a wired machine, with a
+// decision ring subscribed to the tracer, formats and allocates nothing.
+func TestWiredVFTickZeroAlloc(t *testing.T) {
+	m := sim.New(chip.XGene3Spec())
+	tr := telemetry.NewTracer()
+	ring := ringbuf.New[telemetry.Record](64)
+	tr.Subscribe(ring.Append)
+	telemetry.WireMachine(m, telemetry.NewRegistry(), tr)
+	p := submit(t, m, "namd", 1)
+	m.Place(p, []chip.CoreID{0})
+	freqs := []chip.MHz{m.Spec.MaxFreq, m.Spec.HalfFreq()}
+	volts := []chip.Millivolts{m.Spec.NominalMV, m.Spec.NominalMV - 10}
+	i := 0
+	step := func() {
+		i++
+		m.Chip.SetPMDFreq(0, freqs[i%2])
+		m.Chip.SetVoltage(volts[i%2])
+		m.Step()
+	}
+	for j := 0; j < 128; j++ {
+		step() // fill the ring so its slots stop growing
+	}
+	head := ring.Head()
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Errorf("a traced V/F-changing tick allocates %.1f times, want 0", allocs)
+	}
+	if got := ring.Head() - head; got < 2*200 {
+		t.Fatalf("ring received %d records over 200 V/F-changing ticks, want >= 400", got)
+	}
+}
+
+// TestTracedDaemonPollZeroAlloc pins the daemon's classify decisions at
+// zero allocations: steady polls of a loaded machine emit a classify
+// record per process into a subscribed ring without allocating.
+func TestTracedDaemonPollZeroAlloc(t *testing.T) {
+	m := sim.New(chip.XGene3Spec())
+	tr := telemetry.NewTracer()
+	ring := ringbuf.New[telemetry.Record](64)
+	tr.Subscribe(ring.Append)
+	reg := telemetry.NewRegistry()
+	telemetry.WireMachine(m, reg, tr)
+	d := daemon.New(m, daemon.DefaultConfig())
+	d.Instrument(reg, tr)
+	d.Attach()
+	for _, w := range []string{"mcf", "namd", "lbm"} {
+		submit(t, m, w, 1)
+	}
+	m.RunFor(5) // placed, classified and settled
+	head := ring.Head()
+	if allocs := testing.AllocsPerRun(20, func() { m.RunFor(0.4) }); allocs != 0 {
+		t.Errorf("a traced steady poll allocates %.1f times, want 0", allocs)
+	}
+	if ring.Head()-head < 3*20 {
+		t.Fatalf("ring received %d records over 20 polls of 3 processes", ring.Head()-head)
 	}
 }

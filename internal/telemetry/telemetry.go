@@ -24,7 +24,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -74,22 +74,28 @@ func Labels(kv ...string) []Label {
 }
 
 // renderName appends the {k="v",...} suffix to a metric name, producing
-// the canonical identity used for duplicate detection and lookups.
+// the canonical identity used for duplicate detection and lookups. Values
+// are quoted as %q quotes them.
 func renderName(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
+	n := len(name) + 2
+	for _, l := range labels {
+		n += len(l.Key) + len(l.Value) + 4
+	}
+	b := make([]byte, 0, n)
+	b = append(b, name...)
+	b = append(b, '{')
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }
 
 // Counter is a monotonically increasing integer metric.

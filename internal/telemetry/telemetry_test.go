@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"math"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterAndFloatCounter(t *testing.T) {
@@ -124,16 +126,16 @@ func TestTracerSubscribeAndToggle(t *testing.T) {
 	if tr.Active() {
 		t.Error("tracer with no subscribers must be inactive")
 	}
-	var got []Decision
-	tr.Subscribe(func(d Decision) { got = append(got, d) })
+	var got []Record
+	tr.Subscribe(func(r Record) { got = append(got, r) })
 	if !tr.Active() {
 		t.Error("subscribed tracer must be active")
 	}
-	tr.Emit(Decision{Kind: DecSettle, Proc: -1})
+	tr.Emit(Record{Kind: DecSettle, Proc: -1})
 	tr.SetEnabled(false)
-	tr.Emit(Decision{Kind: DecSettle, Proc: -1})
+	tr.Emit(Record{Kind: DecSettle, Proc: -1})
 	tr.SetEnabled(true)
-	tr.Emit(Decision{Kind: DecGuardRaise, Proc: -1})
+	tr.Emit(Record{Kind: DecGuardRaise, Proc: -1})
 	if len(got) != 2 {
 		t.Fatalf("received %d decisions, want 2 (disabled emit must drop)", len(got))
 	}
@@ -163,5 +165,28 @@ func TestDecisionKindText(t *testing.T) {
 	var k DecisionKind
 	if err := k.UnmarshalText([]byte("bogus")); err == nil {
 		t.Error("unknown kind must fail to unmarshal")
+	}
+}
+
+// TestRecordSlotSize pins the decision-ring slot: a Record is 72 bytes
+// (a rendered Decision is 128 plus its strings).
+func TestRecordSlotSize(t *testing.T) {
+	if sz := unsafe.Sizeof(Record{}); sz != 72 {
+		t.Errorf("Record is %d bytes, want 72", sz)
+	}
+}
+
+// TestInternRoundTrip pins the symbol table: Sym(0) is "", a name interns
+// to one symbol, and an unknown symbol renders empty.
+func TestInternRoundTrip(t *testing.T) {
+	if Intern("") != 0 || Sym(0).String() != "" {
+		t.Error(`Sym(0) must be ""`)
+	}
+	a, b := Intern("test-rule-a"), Intern("test-rule-b")
+	if a == b || Intern("test-rule-a") != a || a.String() != "test-rule-a" || b.String() != "test-rule-b" {
+		t.Errorf("intern: a=%d %q, b=%d %q", a, a.String(), b, b.String())
+	}
+	if got := Sym(math.MaxUint16).String(); got != "" {
+		t.Errorf("unknown symbol renders %q", got)
 	}
 }
