@@ -46,7 +46,6 @@ import (
 	"avfs/internal/chip"
 	"avfs/internal/daemon"
 	"avfs/internal/experiments"
-	"avfs/internal/sched"
 	"avfs/internal/sim"
 	"avfs/internal/wlgen"
 	"avfs/internal/workload"
@@ -117,9 +116,10 @@ func OptimalDaemonConfig() DaemonConfig { return daemon.DefaultConfig() }
 func PlacementDaemonConfig() DaemonConfig { return daemon.PlacementOnlyConfig() }
 
 // AttachBaseline wires the default Linux-like stack (load-balanced
-// placement + ondemand governor at nominal voltage) onto a machine — the
-// paper's Baseline configuration.
-func AttachBaseline(m *Machine) { sched.NewBaseline(m) }
+// placement + ondemand governor) onto a machine at nominal voltage and
+// maximum frequency — the paper's Baseline configuration, which cannot
+// fail to program.
+func AttachBaseline(m *Machine) { _, _ = experiments.NewStack(m, experiments.Baseline, 0, nil, nil) }
 
 // BenchmarkByName returns the model of a program by name (e.g. "CG",
 // "milc"). Unknown names report an error wrapping ErrUnknownBenchmark.
@@ -163,14 +163,4 @@ func Evaluate(m Model, wl *Workload, cfg SystemConfig) (EvalResult, error) {
 // EvaluateAll runs the full four-configuration comparison.
 func EvaluateAll(m Model, wl *Workload) (*EvalSet, error) {
 	return experiments.EvaluateAllContext(context.Background(), experiments.Campaign{}, chip.SpecFor(m), wl)
-}
-
-// clusteredCores and spreadedCores adapt the sim package's allocation
-// helpers for the facade.
-func clusteredCores(spec *chip.Spec, n int) ([]chip.CoreID, error) {
-	return sim.ClusteredCores(spec, n)
-}
-
-func spreadedCores(spec *chip.Spec, n int) ([]chip.CoreID, error) {
-	return sim.SpreadedCores(spec, n)
 }

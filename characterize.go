@@ -4,6 +4,7 @@ import (
 	"avfs/internal/chip"
 	"avfs/internal/clock"
 	"avfs/internal/droop"
+	"avfs/internal/sim"
 	"avfs/internal/vmin"
 )
 
@@ -74,11 +75,11 @@ func DroopClassOf(spec *ChipSpec, utilizedPMDs int) droop.MagnitudeClass {
 // ClusteredAllocation returns the canonical clustered core set for n
 // threads (both cores of each PMD before the next PMD).
 func ClusteredAllocation(m Model, n int) ([]CoreID, error) {
-	return clusteredCores(chip.SpecFor(m), n)
+	return sim.ClusteredCores(chip.SpecFor(m), n)
 }
 
 // SpreadedAllocation returns the canonical spreaded core set for n threads
 // (one core per PMD while PMDs remain).
 func SpreadedAllocation(m Model, n int) ([]CoreID, error) {
-	return spreadedCores(chip.SpecFor(m), n)
+	return sim.SpreadedCores(chip.SpecFor(m), n)
 }

@@ -15,8 +15,12 @@
 //
 // Usage:
 //
-//	avfsd [-chip xgene2|xgene3] [-mode optimal|placement|monitor]
+//	avfsd [-chip xgene2|xgene3]
+//	      [-mode baseline|safe-vmin|placement|optimal|monitor]
 //	      [-telemetry <file>]
+//
+// -mode is a Table IV configuration, or monitor: the Optimal daemon with
+// placement and voltage adaptation off.
 //
 // With -telemetry, every daemon decision (classification, placement, and
 // each phase of the fail-safe voltage protocol) streams to the file as
@@ -38,12 +42,11 @@ import (
 	"os"
 
 	"avfs/internal/chip"
-	"avfs/internal/daemon"
 )
 
 func main() {
 	chipFlag := flag.String("chip", "xgene3", "chip: xgene2 or xgene3")
-	mode := flag.String("mode", "optimal", "daemon mode: optimal, placement or monitor")
+	mode := flag.String("mode", "optimal", "baseline, safe-vmin, placement, optimal or monitor")
 	telPath := flag.String("telemetry", "", "stream the JSONL decision trace to this file")
 	flag.Parse()
 
@@ -53,23 +56,11 @@ func main() {
 		os.Exit(2)
 	}
 	spec := chip.SpecFor(model)
-
-	var cfg daemon.Config
-	switch *mode {
-	case "optimal":
-		cfg = daemon.DefaultConfig()
-	case "placement":
-		cfg = daemon.PlacementOnlyConfig()
-	case "monitor":
-		cfg = daemon.DefaultConfig()
-		cfg.AdaptPlacement = false
-		cfg.AdaptVoltage = false
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
+	s, err := newSession(spec, *mode, os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "avfsd:", err)
 		os.Exit(2)
 	}
-
-	s := newSession(spec, cfg, os.Stdout)
 	if *telPath != "" {
 		f, err := os.Create(*telPath)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"avfs/internal/chip"
 	"avfs/internal/daemon"
 	"avfs/internal/droop"
+	"avfs/internal/experiments"
 	"avfs/internal/sim"
 	"avfs/internal/slimpro"
 	"avfs/internal/sysfs"
@@ -18,15 +19,13 @@ import (
 	"avfs/internal/workload"
 )
 
-// session is one interactive daemon instance: machine, daemon, management
-// controller, virtual sysfs and the telemetry plane, with every command
-// writing to out. Factoring it out of main keeps the scripted-session
-// tests on exactly the code path the CLI runs.
+// session is one interactive daemon instance: a machine under its
+// control stack, management controller, virtual sysfs and the telemetry
+// plane, with every command writing to out. Factoring it out of main
+// keeps the scripted-session tests on exactly the code path the CLI runs.
 type session struct {
-	spec   *chip.Spec
 	m      *sim.Machine
-	mgmt   *slimpro.Controller
-	d      *daemon.Daemon
+	stack  *experiments.Stack
 	fs     *sysfs.FS
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
@@ -34,26 +33,36 @@ type session struct {
 	out    io.Writer
 }
 
-// newSession builds a fully wired session: the machine event log feeds
-// the telemetry bus, the daemon and SLIMpro controller register their
-// metrics, and sysfs exposes the registry as read-only nodes.
-func newSession(spec *chip.Spec, cfg daemon.Config, out io.Writer) *session {
+// newSession builds a fully wired session under mode: a Table IV
+// configuration (experiments.ParseSystemConfig) or "monitor", the Optimal
+// daemon adapting neither placement nor voltage. The SLIMpro controller
+// registers its metrics beside the stack's, and sysfs exposes the
+// registry as read-only nodes.
+func newSession(spec *chip.Spec, mode string, out io.Writer) (*session, error) {
+	monitor := mode == "monitor"
+	if monitor {
+		mode = "optimal"
+	}
+	cfg, err := experiments.ParseSystemConfig(mode)
+	if err != nil {
+		return nil, err
+	}
 	m := sim.New(spec)
 	m.EnableEventLog()
-	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer()
-	telemetry.WireMachine(m, reg, tracer)
-	mgmt := slimpro.Attach(m)
-	mgmt.Instrument(reg)
-	d := daemon.New(m, cfg)
-	d.Instrument(reg, tracer)
-	d.Attach()
+	reg, tracer := telemetry.NewRegistry(), telemetry.NewTracer()
+	stack, err := experiments.NewStack(m, cfg, 0, reg, tracer)
+	if err == nil && monitor {
+		dc := stack.D.Cfg
+		dc.AdaptPlacement, dc.AdaptVoltage = false, false
+		err = stack.D.Reconfigure(dc)
+	}
+	if err != nil {
+		return nil, err
+	}
+	slimpro.Attach(m).Instrument(reg)
 	fs := sysfs.New(m)
 	fs.AttachTelemetry(reg)
-	return &session{
-		spec: spec, m: m, mgmt: mgmt, d: d, fs: fs,
-		reg: reg, tracer: tracer, out: out,
-	}
+	return &session{m: m, stack: stack, fs: fs, reg: reg, tracer: tracer, out: out}, nil
 }
 
 // streamJSONL attaches a JSONL decision-trace sink (the -telemetry flag).
@@ -139,8 +148,12 @@ func (s *session) cmdRun(fields []string) {
 		return
 	}
 	sec, err := strconv.ParseFloat(fields[1], 64)
-	if err != nil || sec <= 0 {
+	if err != nil || !(sec > 0) {
 		fmt.Fprintln(s.out, "bad duration:", fields[1])
+		return
+	}
+	if err := sim.CheckAdvance(s.m.Ticks(), s.m.Tick, sec); err != nil {
+		fmt.Fprintln(s.out, "bad duration:", err)
 		return
 	}
 	s.m.RunFor(sec)
@@ -228,12 +241,12 @@ func (s *session) printStatus() {
 		s.metric(telemetry.MetricSimSeconds),
 		s.metric(telemetry.MetricVoltageMV),
 		droop.MagnitudeClass(s.metric(telemetry.MetricDroopClass)),
-		s.metric(telemetry.MetricBusyCores), s.spec.Cores,
+		s.metric(telemetry.MetricBusyCores), s.m.Spec.Cores,
 		s.metric(telemetry.MetricUtilizedPMDs),
 		s.metric(telemetry.MetricTemperatureC))
-	for p := 0; p < s.spec.PMDs(); p++ {
+	for p := 0; p < s.m.Spec.PMDs(); p++ {
 		fmt.Fprintf(s.out, "  PMD%-2d %v", p, s.m.Chip.PMDFreq(chip.PMDID(p)))
-		c0, c1 := s.spec.CoresOf(chip.PMDID(p))
+		c0, c1 := s.m.Spec.CoresOf(chip.PMDID(p))
 		for _, c := range []chip.CoreID{c0, c1} {
 			if t := s.m.ThreadOn(c); t != nil {
 				fmt.Fprintf(s.out, "  core%d:%s#%d(%.0f%%)", c, t.Proc.Bench.Name, t.Proc.ID, 100*t.Progress())
@@ -242,7 +255,7 @@ func (s *session) printStatus() {
 		fmt.Fprintln(s.out)
 	}
 	for _, p := range s.m.Running() {
-		fmt.Fprintf(s.out, "  proc %d %-12s %v  cores %v\n", p.ID, p.Bench.Name, s.d.ClassOf(p), p.Cores())
+		fmt.Fprintf(s.out, "  proc %d %-12s %v  cores %v\n", p.ID, p.Bench.Name, s.stack.D.ClassOf(p), p.Cores())
 	}
 	for _, p := range s.m.Pending() {
 		fmt.Fprintf(s.out, "  proc %d %-12s pending\n", p.ID, p.Bench.Name)

@@ -2,17 +2,46 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"avfs/internal/chip"
 	"avfs/internal/daemon"
+	"avfs/internal/experiments"
+	"avfs/internal/snapshot"
 	"avfs/internal/telemetry"
 	texport "avfs/internal/telemetry/export"
 )
+
+// canonicalScript is the interactive script the scripted-session tests
+// and the golden session run: a CG/lbm mix that drives memory-intensive
+// spreading, then namd, EP and milc arrivals.
+var canonicalScript = []string{
+	"submit CG 8",
+	"submit lbm 1",
+	"run 30",
+	"submit namd 1",
+	"submit EP 4",
+	"run 30",
+	"submit milc 1",
+	"run 60",
+}
+
+// mustSession builds an X-Gene 3 session under mode writing to out.
+func mustSession(t *testing.T, mode string, out io.Writer) *session {
+	t.Helper()
+	s, err := newSession(chip.XGene3Spec(), mode, out)
+	if err != nil {
+		t.Fatalf("mode %q: %v", mode, err)
+	}
+	return s
+}
 
 // scriptedSession runs the canonical interactive script against a fully
 // wired session with a JSONL trace attached, returning the decoded trace
@@ -20,19 +49,10 @@ import (
 func scriptedSession(t *testing.T) (*session, []telemetry.Decision) {
 	t.Helper()
 	var out bytes.Buffer
-	s := newSession(chip.XGene3Spec(), daemon.DefaultConfig(), &out)
+	s := mustSession(t, "optimal", &out)
 	var trace bytes.Buffer
 	s.streamJSONL(&trace)
-	for _, line := range []string{
-		"submit CG 8",
-		"submit lbm 1",
-		"run 30",
-		"submit namd 1",
-		"submit EP 4",
-		"run 30",
-		"submit milc 1",
-		"run 60",
-	} {
+	for _, line := range canonicalScript {
 		if s.exec(line) {
 			t.Fatalf("command %q ended the session", line)
 		}
@@ -117,7 +137,7 @@ func TestTraceRecordsClassificationInputs(t *testing.T) {
 // resumes it.
 func TestTraceToggle(t *testing.T) {
 	var out bytes.Buffer
-	s := newSession(chip.XGene3Spec(), daemon.DefaultConfig(), &out)
+	s := mustSession(t, "optimal", &out)
 	var trace bytes.Buffer
 	s.streamJSONL(&trace)
 	s.exec("trace off")
@@ -167,7 +187,7 @@ func TestDumpParsesAsPrometheus(t *testing.T) {
 // prints are the registry's numbers (the refactor's whole point).
 func TestStatusAgreesWithRegistry(t *testing.T) {
 	var out bytes.Buffer
-	s := newSession(chip.XGene3Spec(), daemon.DefaultConfig(), &out)
+	s := mustSession(t, "optimal", &out)
 	s.exec("submit CG 8")
 	s.exec("run 30")
 	out.Reset()
@@ -212,6 +232,78 @@ func TestSysfsExposesTelemetry(t *testing.T) {
 	}
 	if err := s.fs.Write(node, "0"); err == nil {
 		t.Errorf("telemetry node %s must be read-only", node)
+	}
+}
+
+// TestModes builds a session under each -mode name: the four Table IV
+// configurations enable their own stack, monitor runs the Optimal daemon
+// with placement and voltage adaptation off, and an unknown name fails.
+func TestModes(t *testing.T) {
+	for _, tc := range []struct {
+		mode                      string
+		daemon, base, place, volt bool
+	}{
+		{"baseline", false, true, false, false},
+		{"safe-vmin", false, true, false, false},
+		{"placement", true, false, true, false},
+		{"optimal", true, false, true, true},
+		{"monitor", true, false, false, false},
+	} {
+		var out bytes.Buffer
+		s := mustSession(t, tc.mode, &out)
+		var st snapshot.SessionState
+		if err := s.stack.Capture(&st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Daemon.Disabled == tc.daemon || st.Baseline.Disabled == tc.base {
+			t.Errorf("%s: daemon disabled %t, baseline disabled %t", tc.mode, st.Daemon.Disabled, st.Baseline.Disabled)
+		}
+		if cfg := s.stack.D.Cfg; tc.daemon && (cfg.AdaptPlacement != tc.place || cfg.AdaptVoltage != tc.volt) {
+			t.Errorf("%s: daemon adapts placement %t, voltage %t", tc.mode, cfg.AdaptPlacement, cfg.AdaptVoltage)
+		}
+		s.exec("submit CG 8")
+		s.exec("run 5")
+		if !strings.Contains(out.String(), "t=5.0s") {
+			t.Errorf("%s: run did not advance the clock:\n%s", tc.mode, out.String())
+		}
+	}
+	if _, err := newSession(chip.XGene3Spec(), "turbo", io.Discard); !errors.Is(err, experiments.ErrUnknownPolicy) {
+		t.Errorf("unknown mode: err = %v, want ErrUnknownPolicy", err)
+	}
+}
+
+// TestRunRefusesUnboundedWindow checks that a run past the tick counter's
+// range is refused at once, with an error and the clock where it was,
+// instead of stepping until the process is killed.
+func TestRunRefusesUnboundedWindow(t *testing.T) {
+	var out bytes.Buffer
+	s := mustSession(t, "optimal", &out)
+	s.exec("submit CG 8")
+	s.exec("run 1")
+	ticks := s.m.Ticks()
+	for _, w := range []string{"1e300", "inf", "nan"} {
+		out.Reset()
+		done := make(chan bool)
+		go func() { done <- s.exec("run " + w) }()
+		select {
+		case quit := <-done:
+			if quit {
+				t.Fatalf("run %s ended the session", w)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %s still running after 10 s", w)
+		}
+		if !strings.Contains(out.String(), "bad duration") {
+			t.Errorf("run %s printed %q, want an error", w, out.String())
+		}
+		if got := s.m.Ticks(); got != ticks {
+			t.Errorf("run %s moved the clock from tick %d to %d", w, ticks, got)
+		}
+	}
+	out.Reset()
+	s.exec("run 1")
+	if !strings.Contains(out.String(), "t=2.0s") {
+		t.Errorf("session unusable after a refused run: %q", out.String())
 	}
 }
 

@@ -311,3 +311,35 @@ func TestBadConfigPanics(t *testing.T) {
 	}()
 	New(sim.New(chip.XGene2Spec()), Config{})
 }
+
+// TestRestoreRejectsFinishedProcess: a daemon tracks only live processes
+// (its finish hook drops the others), so a snapshot that carries state for
+// a finished one was not captured from a run and is refused. Accepted, the
+// state would outlive the process in the machine's bounded history, and
+// no later capture of the session would restore.
+func TestRestoreRejectsFinishedProcess(t *testing.T) {
+	m := sim.New(chip.XGene3Spec())
+	d := New(m, DefaultConfig())
+	d.Attach()
+	p, err := m.Submit(workload.MustByName("namd"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunUntilIdle(3600); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := d.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Procs = append(ds.Procs, ProcControlState{Proc: p.ID})
+	m2, err := sim.RestoreMachine(m.Spec, m.CaptureState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2 := New(m2, DefaultConfig())
+	d2.Attach()
+	if err := d2.RestoreState(ds); err == nil {
+		t.Errorf("restore accepted daemon state for finished process %d", p.ID)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"avfs/internal/perfmon"
+	"avfs/internal/sim"
 )
 
 // This file is the controller half of session snapshots: the daemon's
@@ -104,8 +105,8 @@ func (d *Daemon) RestoreState(st *State) error {
 	d.states = map[int]*procState{}
 	for _, pcs := range st.Procs {
 		p := d.M.ProcessByID(pcs.Proc)
-		if p == nil {
-			return fmt.Errorf("daemon: snapshot references unknown process %d", pcs.Proc)
+		if p == nil || p.State == sim.Finished {
+			return fmt.Errorf("daemon: snapshot references unknown or finished process %d", pcs.Proc)
 		}
 		ps := &procState{proc: p, class: Class(pcs.Class)}
 		if pcs.Sample != nil {

@@ -162,14 +162,11 @@ func TestQuietGovernorRestoreMatchesContinuous(t *testing.T) {
 			if st, err = snapshot.Decode(payload); err != nil {
 				t.Fatal(err)
 			}
-			m, err := sim.RestoreMachine(spec, st.Machine)
+			s, err := RestoreStack(st, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := RestoreStack(m, st, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := s.M
 			for _, ph := range quietPhases[1:] {
 				for _, mm := range []*sim.Machine{cont, m} {
 					if err := ph.run(mm); err != nil {

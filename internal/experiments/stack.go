@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"avfs/internal/chip"
 	"avfs/internal/clock"
 	"avfs/internal/daemon"
 	"avfs/internal/sched"
@@ -13,14 +14,16 @@ import (
 )
 
 // Stack is a machine's control stack under a Table IV configuration: the
-// Linux-like baseline and the paper's daemon, both attached (baseline
-// first, so hooks fire in one order) with exactly the configuration's
-// one enabled, plus an optional power cap composed beside it. A disabled
-// stack's hooks are inert and impose no tick boundary.
+// machine's telemetry, the Linux-like baseline and the paper's daemon,
+// attached in that order (so hooks fire in one order) with exactly the
+// configuration's one stack enabled, plus an optional power cap composed
+// beside it. A disabled stack's hooks are inert and impose no tick
+// boundary.
 //
-// It is the only wiring of the four configurations: campaign cells,
-// fleet sessions and what-if branches all build through it, so a session
-// under a configuration runs that configuration's campaign cell.
+// It is the only wiring of a machine to its telemetry and controllers:
+// campaign cells, fleet sessions, what-if branches, the avfsd REPL and
+// the facade's AttachBaseline all build through it, so a session under a
+// configuration runs that configuration's campaign cell.
 type Stack struct {
 	M      *sim.Machine
 	Config SystemConfig
@@ -32,9 +35,11 @@ type Stack struct {
 	Cap *sched.PowerCap
 }
 
-// attachStack hooks the baseline and then the daemon onto m; the daemon
-// reports to reg and tr when they are non-nil.
+// attachStack wires m's telemetry and hooks the baseline and then the
+// daemon onto m; the machine and the daemon report to reg and tr when
+// they are non-nil.
 func attachStack(m *sim.Machine, poll float64, reg *telemetry.Registry, tr *telemetry.Tracer) *Stack {
+	telemetry.WireMachine(m, reg, tr)
 	dc := daemon.DefaultConfig()
 	if poll > 0 {
 		dc.PollInterval = poll
@@ -55,9 +60,10 @@ func NewStack(m *sim.Machine, cfg SystemConfig, poll float64, reg *telemetry.Reg
 	return s, nil
 }
 
-// RestoreStack attaches both stacks to m, restored from st.Machine, and
+// RestoreStack restores st's machine, attaches both stacks to it and
 // writes st's captured daemon, baseline and power cap over them. The
-// electrical state is the machine's, so nothing is reprogrammed.
+// electrical state is the machine's, so nothing is reprogrammed. An
+// unknown model fails with chip.ErrUnknownModel.
 //
 // Snapshots come from outside too (peer imports, disk mirrors), so the
 // stacks must agree with the policy label: exactly the policy's stack is
@@ -65,7 +71,18 @@ func NewStack(m *sim.Machine, cfg SystemConfig, poll float64, reg *telemetry.Reg
 // configuration at the snapshot's poll interval. A disabled daemon's
 // configuration is not checked: after a Placement to Baseline flip it
 // stays the Placement one.
-func RestoreStack(m *sim.Machine, st *snapshot.SessionState, reg *telemetry.Registry, tr *telemetry.Tracer) (*Stack, error) {
+func RestoreStack(st *snapshot.SessionState, reg *telemetry.Registry, tr *telemetry.Tracer) (*Stack, error) {
+	model, err := chip.ParseModel(st.Model)
+	if err != nil {
+		return nil, err
+	}
+	if st.Machine == nil {
+		return nil, fmt.Errorf("experiments: snapshot missing machine state")
+	}
+	m, err := sim.RestoreMachine(chip.SpecFor(model), st.Machine)
+	if err != nil {
+		return nil, err
+	}
 	cfg, err := ParseSystemConfig(st.Policy)
 	if err != nil {
 		return nil, err

@@ -140,60 +140,57 @@ func newSession(parent context.Context, id string, req api.CreateSessionRequest,
 		}
 		m.Tick = req.TickSeconds
 	}
-	return assembleSession(parent, id, model.Name(), m, req.TTLSeconds, defaultTTL, now, obs,
+	return assembleSession(parent, id, req.TTLSeconds, defaultTTL, now, obs,
 		func(reg *telemetry.Registry, tr *telemetry.Tracer) (*experiments.Stack, error) {
 			return experiments.NewStack(m, cfg, req.PollSeconds, reg, tr)
 		})
 }
 
-// restoreSession rebuilds a session from a snapshot: the machine, then
-// its control stack with the captured controller state written over it
-// (see experiments.RestoreStack, which also rejects a stack that
-// contradicts the snapshot's policy label).
+// restoreSession rebuilds a session from a snapshot: the machine and its
+// control stack with the captured controller state written over it (see
+// experiments.RestoreStack, which also rejects a stack that contradicts
+// the snapshot's policy label).
 func restoreSession(parent context.Context, id string, st *snapshot.SessionState,
 	ttlSeconds float64, defaultTTL time.Duration, now time.Time, obs obsConfig) (*session, error) {
 
-	model, err := chip.ParseModel(st.Model)
-	if err != nil {
-		return nil, err
-	}
-	if st.Machine == nil {
-		return nil, fmt.Errorf("%w: snapshot missing machine state", ErrInvalidRequest)
-	}
 	if ttlSeconds < 0 {
 		return nil, fmt.Errorf("%w: negative duration", ErrInvalidRequest)
 	}
-	m, err := sim.RestoreMachine(chip.SpecFor(model), st.Machine)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-	}
-	return assembleSession(parent, id, model.Name(), m, ttlSeconds, defaultTTL, now, obs,
+	return assembleSession(parent, id, ttlSeconds, defaultTTL, now, obs,
 		func(reg *telemetry.Registry, tr *telemetry.Tracer) (*experiments.Stack, error) {
-			return experiments.RestoreStack(m, st, reg, tr)
+			return experiments.RestoreStack(st, reg, tr)
 		})
 }
 
-// assembleSession wraps machine m in a session: its private telemetry,
-// the observability plane and the bounded history, then the control
-// stack that build attaches to m (after the machine's telemetry hooks,
-// so hooks fire in one order for every session). A stack that does not
-// build is an invalid request.
-func assembleSession(parent context.Context, id, model string, m *sim.Machine, ttlSeconds float64,
+// assembleSession builds a session around the control stack that build
+// wires to its private telemetry (the stack attaches the machine's
+// telemetry hooks before its controllers, so hooks fire in one order for
+// every session), then adds the observability plane and bounds the
+// machine's history. A stack that does not build is an invalid request.
+func assembleSession(parent context.Context, id string, ttlSeconds float64,
 	defaultTTL time.Duration, now time.Time, obs obsConfig,
 	build func(*telemetry.Registry, *telemetry.Tracer) (*experiments.Stack, error)) (*session, error) {
 
+	reg, tracer := telemetry.NewRegistry(), telemetry.NewTracer()
+	trace := ringbuf.New[telemetry.Record](traceCap)
+	tracer.Subscribe(trace.Append)
+	stack, err := build(reg, tracer)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
+	}
 	ctx, cancel := context.WithCancel(parent)
 	s := &session{
 		id:        id,
-		model:     model,
+		model:     stack.M.Spec.Model.Name(),
 		node:      obs.node,
 		created:   now,
 		ctx:       ctx,
 		cancel:    cancel,
-		reg:       telemetry.NewRegistry(),
-		tracer:    telemetry.NewTracer(),
-		trace:     ringbuf.New[telemetry.Record](traceCap),
-		m:         m,
+		reg:       reg,
+		tracer:    tracer,
+		trace:     trace,
+		m:         stack.M,
+		stack:     stack,
 		ttl:       defaultTTL,
 		lastTouch: now,
 	}
@@ -210,14 +207,7 @@ func assembleSession(parent context.Context, id, model string, m *sim.Machine, t
 		s.hLockHold = s.reg.Histogram("avfs_session_lock_hold_seconds",
 			"Actor hold-time: time the session lock was held per run chunk.", lockBounds)
 	}
-	m.SetHistoryLimit(sessionHistory)
-	s.tracer.Subscribe(s.trace.Append)
-	telemetry.WireMachine(m, s.reg, s.tracer)
-	var err error
-	if s.stack, err = build(s.reg, s.tracer); err != nil {
-		cancel()
-		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
-	}
+	s.m.SetHistoryLimit(sessionHistory)
 	return s, nil
 }
 
@@ -352,16 +342,8 @@ func (s *session) refuseRunLocked(seconds float64) error {
 	if s.migrating {
 		return fmt.Errorf("%w: session migrating to a peer", ErrConflict)
 	}
-	return checkTickBound(s.m.Ticks(), s.m.Tick, seconds)
-}
-
-// checkTickBound rejects an advance of seconds, from ticks steps of tick
-// seconds, that takes the tick counter past sim.MaxTicks: such a window
-// has no simulated answer (and the surrogate's would not be finite), and
-// a run would pin a pool worker until cancelled.
-func checkTickBound(ticks uint64, tick, seconds float64) error {
-	if (float64(ticks)*tick+seconds)/tick >= sim.MaxTicks {
-		return fmt.Errorf("%w: a %g s window takes the tick counter past 2^53", ErrInvalidRequest, seconds)
+	if err := sim.CheckAdvance(s.m.Ticks(), s.m.Tick, seconds); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 	return nil
 }

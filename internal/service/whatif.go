@@ -217,8 +217,8 @@ func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (a
 		return api.WhatIfReport{}, err
 	}
 
-	if err := checkTickBound(st.Machine.Ticks, st.Machine.Tick, req.Seconds); err != nil {
-		return api.WhatIfReport{}, err
+	if err := sim.CheckAdvance(st.Machine.Ticks, st.Machine.Tick, req.Seconds); err != nil {
+		return api.WhatIfReport{}, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 
 	if req.Fast {
@@ -316,18 +316,11 @@ type branchRig struct {
 // power cap compose exactly as PUT /policy applies them to a live
 // session; the branch is unobserved and never enters the registry.
 func buildBranch(st *snapshot.SessionState, spec branchSpec) (*branchRig, error) {
-	model, err := chip.ParseModel(st.Model)
-	if err != nil {
-		return nil, err
-	}
-	m, err := sim.RestoreMachine(chip.SpecFor(model), st.Machine)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-	}
-	stack, err := experiments.RestoreStack(m, st, nil, nil)
+	stack, err := experiments.RestoreStack(st, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidRequest, err)
 	}
+	m := stack.M
 	if spec.cfg != nil {
 		// Capture refuses an in-flight transition, so the flip is legal.
 		if err := stack.Apply(*spec.cfg); err != nil {

@@ -236,6 +236,17 @@ func CheckTick(tick float64) error {
 	return nil
 }
 
+// CheckAdvance rejects an advance of seconds, from ticks steps of tick
+// seconds, that takes the tick counter past MaxTicks (or is not a
+// number): such a window has no simulated answer, and a run of it would
+// step until cancelled.
+func CheckAdvance(ticks uint64, tick, seconds float64) error {
+	if !((float64(ticks)*tick+seconds)/tick < MaxTicks) {
+		return fmt.Errorf("a %g s window takes the tick counter past 2^53", seconds)
+	}
+	return nil
+}
+
 // energyInRange reports whether an accumulator holds no more than
 // MaxTicks ticks of at most 2^64 quanta each can reach.
 func energyInRange(j power.Joules) bool { return j.Hi < MaxTicks }

@@ -184,8 +184,6 @@ func NewDaemonWithOptions(m *Machine, opts ...DaemonOption) (*Daemon, error) {
 		return nil, fmt.Errorf("%w: poll interval %v s (must be > 0)", ErrInvalidOption, o.cfg.PollInterval)
 	}
 	d := daemon.New(m, o.cfg)
-	if o.reg != nil || o.tracer != nil {
-		d.Instrument(o.reg, o.tracer)
-	}
+	d.Instrument(o.reg, o.tracer)
 	return d, nil
 }

@@ -22,7 +22,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # gofmt walks every .go file under the root, perfbench/ included (its
-# own module, which go vet below does not reach).
+# own module, which go vet ./... does not reach, so it is vetted apart).
 echo "==> gofmt -l"
 unformatted="$(gofmt -l .)"
 if [ -n "$unformatted" ]; then
@@ -33,6 +33,7 @@ fi
 
 echo "==> go vet ./..."
 go vet ./...
+(cd perfbench && go vet ./...)
 
 echo "==> go build ./..."
 go build ./...
