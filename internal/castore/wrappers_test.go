@@ -20,9 +20,9 @@ import (
 )
 
 // goldenSnapshotID is the content address of goldenSession. It pins the
-// snapshot encoding and snap-v2 hashing: forks and migrations between
+// snapshot encoding and snap-v3 hashing: forks and migrations between
 // nodes of different builds rely on identical states hashing identically.
-const goldenSnapshotID = "7d1ab2c56ab040d5c00e761b4fcf074089af34d171bd0ce2d09f1398d6b2f428"
+const goldenSnapshotID = "08b4c021d6cffa418a97ee8f70e02178c77caeb4d6d08556eb493e0ef68afbd4"
 
 // goldenSession is a fixed X-Gene 2 session: the Optimal daemon over CG on
 // four cores and lbm on one, ten simulated seconds in.

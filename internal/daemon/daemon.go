@@ -239,20 +239,9 @@ type Daemon struct {
 	// Telemetry (all nil/zero when uninstrumented — the hot path then
 	// pays only nil checks; the overhead benchmark in internal/telemetry
 	// keeps that claim honest).
-	tracer   *telemetry.Tracer
-	hLatency *telemetry.Histogram
-	hMargin  *telemetry.Histogram
-	// Residency accounting. Frequencies only move when the chip's
-	// generation counter bumps, so per-PMD classes are cached per
-	// generation and ticks accumulate into a single epoch span; the
-	// settled per-[pmd][class] seconds live in residency and the
-	// registered CounterFuncs add the open epoch back in at gather time.
-	// One float add per tick instead of a per-PMD scan.
-	residency [][]float64 // [pmd][clock.FreqClass] settled seconds
-	resClass  []clock.FreqClass
-	resGen    uint64
-	resValid  bool
-	resSpan   float64 // seconds accumulated in the current generation
+	tracer    *telemetry.Tracer
+	hLatency  *telemetry.Histogram
+	hMargin   *telemetry.Histogram
 	reconfigs int64
 }
 
@@ -302,22 +291,11 @@ func (d *Daemon) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	d.hMargin = reg.Histogram(MetricGuardMargin,
 		"Programmed voltage minus true safe Vmin, sampled at each poll.",
 		[]float64{0, 5, 10, 20, 40, 80, 160})
-	spec := d.M.Spec
-	d.residency = make([][]float64, spec.PMDs())
-	d.resClass = make([]clock.FreqClass, spec.PMDs())
-	for p := range d.residency {
-		d.residency[p] = make([]float64, int(clock.DividedLow)+1)
-		for fc := range d.residency[p] {
-			p, fc := p, clock.FreqClass(fc)
+	for p := 0; p < d.M.Spec.PMDs(); p++ {
+		for fc := clock.FullSpeed; fc <= clock.DividedLow; fc++ {
 			reg.CounterFunc(MetricResidency,
 				"Seconds each PMD spent programmed in each frequency class.",
-				func() float64 {
-					v := d.residency[p][fc]
-					if d.resValid && d.resClass[p] == fc {
-						v += d.resSpan
-					}
-					return v
-				},
+				func() float64 { return float64(d.M.Residency(chip.PMDID(p), fc)) * d.M.Tick },
 				telemetry.Label{Key: "pmd", Value: strconv.Itoa(p)},
 				telemetry.Label{Key: "class", Value: fc.String()})
 		}
@@ -383,7 +361,7 @@ func (d *Daemon) Attach() {
 		delete(d.states, p.ID)
 		d.dirty = true
 	})
-	d.M.OnTickBounded(func(_ *sim.Machine, k int) { d.tick(k) }, d.nextBoundary)
+	d.M.OnTickBounded(func(*sim.Machine, int) { d.tick() }, d.nextBoundary)
 	// Establish the initial electrical state.
 	d.dirty = true
 }
@@ -458,25 +436,9 @@ func (d *Daemon) Reconfigure(cfg Config) error {
 	return nil
 }
 
-// tick is the daemon's end-of-commit entry point; ticks is how many
-// simulator ticks the machine just committed (1 on the exact path).
-func (d *Daemon) tick(ticks int) {
-	// Residency accounting covers every committed tick, before the early
-	// returns of the transition machinery. Frequencies cannot change
-	// inside a coalesced batch (any chip programming invalidates steady
-	// state), so the whole span sat in the current class — and while the
-	// chip generation is unchanged the classes are the cached ones, so
-	// the span folds into one accumulator.
-	if d.residency != nil {
-		if g := d.M.Chip.Generation(); !d.resValid || g != d.resGen {
-			d.flushResidency()
-			for p := range d.resClass {
-				d.resClass[p] = clock.ClassOf(d.M.Spec, d.M.Chip.PMDFreq(chip.PMDID(p)))
-			}
-			d.resGen, d.resValid = g, true
-		}
-		d.resSpan += float64(ticks) * d.M.Tick
-	}
+// tick is the daemon's end-of-commit entry point, after a commit of one
+// tick or of a coalesced batch.
+func (d *Daemon) tick() {
 	// An in-flight staged transition runs to completion before any new
 	// decision is taken (the controller is busy actuating).
 	if len(d.queue) > 0 {
@@ -510,18 +472,6 @@ func (d *Daemon) tick(ticks int) {
 		d.poll()
 		d.nextPoll = d.M.Now() + d.Cfg.PollInterval
 	}
-}
-
-// flushResidency settles the open epoch span into the per-class totals
-// (called before the cached classes change).
-func (d *Daemon) flushResidency() {
-	if !d.resValid || d.resSpan == 0 {
-		return
-	}
-	for p, fc := range d.resClass {
-		d.residency[p][fc] += d.resSpan
-	}
-	d.resSpan = 0
 }
 
 // TransitionInFlight reports whether a staged transition is executing.

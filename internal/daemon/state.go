@@ -35,9 +35,6 @@ type State struct {
 	Stats     Stats              `json:"stats"`
 	Reconfigs int64              `json:"reconfigs"`
 	Procs     []ProcControlState `json:"procs,omitempty"`
-	// Residency holds the settled per-[pmd][class] seconds with the open
-	// epoch span folded in; nil when the daemon is uninstrumented.
-	Residency [][]float64 `json:"residency,omitempty"`
 }
 
 // CaptureState snapshots the daemon's controller state. It fails while a
@@ -72,17 +69,6 @@ func (d *Daemon) CaptureState() (*State, error) {
 			}
 		}
 		st.Procs = append(st.Procs, pcs)
-	}
-	if d.residency != nil {
-		st.Residency = make([][]float64, len(d.residency))
-		for p := range d.residency {
-			st.Residency[p] = append([]float64(nil), d.residency[p]...)
-			// Fold the open epoch span so the captured totals equal what
-			// the registered counters report at this instant.
-			if d.resValid && d.resSpan != 0 {
-				st.Residency[p][d.resClass[p]] += d.resSpan
-			}
-		}
 	}
 	return st, nil
 }
@@ -121,21 +107,6 @@ func (d *Daemon) RestoreState(st *State) error {
 		}
 		d.states[pcs.Proc] = ps
 	}
-	// Residency resumes with the epoch cache invalid; the next tick
-	// re-reads the chip's classes under the restored generation.
-	if d.residency != nil && st.Residency != nil {
-		if len(st.Residency) != len(d.residency) {
-			return fmt.Errorf("daemon: snapshot residency shape mismatch")
-		}
-		for p := range d.residency {
-			if len(st.Residency[p]) != len(d.residency[p]) {
-				return fmt.Errorf("daemon: snapshot residency shape mismatch")
-			}
-			copy(d.residency[p], st.Residency[p])
-		}
-	}
-	d.resValid = false
-	d.resSpan = 0
 	// The blocked key is not part of the snapshot: the first tick with
 	// work pending replans once, as a no-op, and records it afresh.
 	d.blockedOK = false

@@ -22,13 +22,11 @@ var ErrPoolClosed = errors.New("runner: pool closed")
 // Pool is the long-lived sibling of Run: a fixed set of workers fed by a
 // bounded admission queue, for callers that submit work over time (the
 // fleet service's per-session operations) instead of fanning out one batch.
-// It shares the batch engine's contract — panics are captured as
-// *PanicError, an optional *Stats observes planned/in-flight/completed
-// work — and adds explicit saturation: a submission that finds the queue
-// full fails fast with ErrSaturated rather than queueing unboundedly.
+// It shares the batch engine's panic capture (as *PanicError) and adds
+// explicit saturation: a submission that finds the queue full fails fast
+// with ErrSaturated rather than queueing unboundedly.
 type Pool struct {
 	jobs    chan poolJob
-	st      *Stats
 	hooks   atomic.Pointer[Hooks]
 	wg      sync.WaitGroup // workers
 	pending atomic.Int64   // admitted but not yet completed
@@ -62,8 +60,8 @@ type poolJob struct {
 
 // NewPool starts a pool of width workers with a queue-deep admission
 // buffer. width <= 0 means runtime.GOMAXPROCS(0); queue <= 0 means
-// 4*width. st may be nil.
-func NewPool(width, queue int, st *Stats) *Pool {
+// 4*width.
+func NewPool(width, queue int) *Pool {
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
@@ -72,7 +70,6 @@ func NewPool(width, queue int, st *Stats) *Pool {
 	}
 	p := &Pool{
 		jobs: make(chan poolJob, queue),
-		st:   st,
 		idle: make(chan struct{}, 1),
 	}
 	p.wg.Add(width)
@@ -95,13 +92,11 @@ func (p *Pool) worker() {
 		if h := p.hooks.Load(); h != nil && h.QueueWait != nil && !j.admitted.IsZero() {
 			h.QueueWait(time.Since(j.admitted))
 		}
-		p.st.begin()
 		started := time.Now()
 		err := p.runOne(j)
 		if h := p.hooks.Load(); h != nil && h.JobDone != nil {
 			h.JobDone(time.Since(started))
 		}
-		p.st.end()
 		p.finish(j, err)
 	}
 }
@@ -147,7 +142,6 @@ func (p *Pool) Go(ctx context.Context, fn func(context.Context) error) (<-chan e
 	select {
 	case p.jobs <- j:
 		p.mu.Unlock()
-		p.st.plan(1)
 		return j.done, nil
 	default:
 		p.pending.Add(-1)

@@ -11,7 +11,7 @@ import (
 // queue-wait and one run-duration observation per executed job, with
 // plausible values.
 func TestPoolHooksObserveWaitAndRun(t *testing.T) {
-	p := NewPool(2, 8, nil)
+	p := NewPool(2, 8)
 	defer p.Close()
 	var waits, runs atomic.Int64
 	var maxRun atomic.Int64
@@ -60,7 +60,7 @@ func TestPoolHooksObserveWaitAndRun(t *testing.T) {
 // TestPoolHooksSkipAbandonedJobs checks that jobs cancelled before a
 // worker picks them up produce no run-duration observation.
 func TestPoolHooksSkipAbandonedJobs(t *testing.T) {
-	p := NewPool(1, 8, nil)
+	p := NewPool(1, 8)
 	defer p.Close()
 	var runs atomic.Int64
 	p.SetHooks(&Hooks{JobDone: func(time.Duration) { runs.Add(1) }})

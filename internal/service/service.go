@@ -219,7 +219,7 @@ func New(cfg Config) *Fleet {
 	}
 	f := &Fleet{
 		cfg:        cfg,
-		pool:       runner.NewPool(cfg.Workers, cfg.Queue, nil),
+		pool:       runner.NewPool(cfg.Workers, cfg.Queue),
 		reg:        telemetry.NewRegistry(),
 		store:      store.New(cfg.CacheDir),
 		snaps:      snapshot.NewStore(cfg.SnapshotDir),

@@ -123,7 +123,6 @@ func (m *Machine) EnableEventLog() {
 		return
 	}
 	m.log = ringbuf.New[Event](eventLogCap)
-	m.seedVFMirrors()
 }
 
 // Subscribe registers a callback invoked synchronously for every event
@@ -132,25 +131,10 @@ func (m *Machine) EnableEventLog() {
 // turns event generation on.
 func (m *Machine) Subscribe(fn func(Event)) {
 	m.subs = append(m.subs, fn)
-	m.seedVFMirrors()
 }
 
 // eventsOn reports whether events are generated at all.
 func (m *Machine) eventsOn() bool { return m.log != nil || len(m.subs) > 0 }
-
-// seedVFMirrors initializes the V/F change mirrors (once) so only future
-// changes produce events.
-func (m *Machine) seedVFMirrors() {
-	if m.lastF != nil {
-		return
-	}
-	m.lastV = m.Chip.Voltage()
-	m.lastF = make([]chip.MHz, m.Spec.PMDs())
-	for p := range m.lastF {
-		m.lastF[p] = m.Chip.PMDFreq(chip.PMDID(p))
-	}
-	m.evGen, m.evValid = m.Chip.Generation(), true
-}
 
 // Events returns a copy of the retained events, the newest eventLogCap
 // in order (nil when the log is disabled or empty).

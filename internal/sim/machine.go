@@ -113,6 +113,19 @@ type rosterKey struct {
 	chipGen, placeGen uint64
 }
 
+// vfMirror is the machine's record of what the chip was programmed to as
+// of the last full tick, and of how many committed ticks each PMD ran in
+// each frequency class: ticks from since on ran at f, the ones before
+// are settled in res. So no committed tick needs residency work of its
+// own.
+type vfMirror struct {
+	gen   uint64 // chip generation the mirror was last diffed under
+	v     chip.Millivolts
+	f     []chip.MHz
+	since uint64
+	res   [][clock.DividedLow + 1]uint64
+}
+
 // tickHook is one registered end-of-tick callback. It declares the next
 // simulation time it cares about, letting the engine batch every tick
 // strictly before it.
@@ -171,14 +184,9 @@ type Machine struct {
 	log *ringbuf.Ring[Event]
 	// subs receive every event as it happens (see Subscribe).
 	subs []func(Event)
-	// lastV/lastF mirror the chip's programmed V/F so Step can log
-	// changes regardless of which component programmed them; evGen is the
-	// chip generation the mirrors reflect, so steady ticks skip the scan
-	// (the generation bumps on every real V/F change).
-	lastV   chip.Millivolts
-	lastF   []chip.MHz
-	evGen   uint64
-	evValid bool
+	// vf mirrors the chip's programmed V/F as of the last full tick and
+	// keeps each PMD's frequency-class residency (see syncVF).
+	vf vfMirror
 	// emChecks counts voltage-emergency evaluations (one per tick with
 	// any thread making progress) — the denominator behind the paper's
 	// "zero emergencies" claim.
@@ -243,7 +251,7 @@ type Machine struct {
 
 // New creates an idle machine for the given chip spec.
 func New(spec *chip.Spec) *Machine {
-	return &Machine{
+	m := &Machine{
 		Spec:     spec,
 		Chip:     chip.New(spec),
 		Power:    power.NewModel(spec),
@@ -252,6 +260,12 @@ func New(spec *chip.Spec) *Machine {
 		coreThr:  make([]*Thread, spec.Cores),
 		counters: make([]CoreCounters, spec.Cores),
 	}
+	m.vf = vfMirror{gen: m.Chip.Generation(), v: m.Chip.Voltage(),
+		f: make([]chip.MHz, spec.PMDs()), res: make([][clock.DividedLow + 1]uint64, spec.PMDs())}
+	for p := range m.vf.f {
+		m.vf.f[p] = m.Chip.PMDFreq(chip.PMDID(p))
+	}
+	return m
 }
 
 // Now returns the simulation time in seconds.
@@ -997,7 +1011,7 @@ func (m *Machine) stepFull() {
 			m.logEvent(Event{Kind: EvEmergency, Proc: -1, From: int32(m.Chip.Voltage()), To: int32(req)})
 		}
 	}
-	m.syncVFEvents()
+	m.syncVF()
 
 	// --- Phase 5: commit progress, counters and per-process energy
 	// attribution (core dynamic share only; uncore is chip-shared).
@@ -1133,27 +1147,42 @@ func (m *Machine) completeFinished() {
 	}
 }
 
-// syncVFEvents emits EvVoltage/EvFreq events for any V/F reprogramming
-// since the last full tick, by diffing the chip against the machine's
-// mirrors. Gated on the chip generation so steady ticks skip the scan.
-// Called by stepFull after the emergency check.
-func (m *Machine) syncVFEvents() {
-	if !m.eventsOn() {
+// syncVF diffs the chip against the V/F mirror once per chip
+// generation, before this tick commits: it logs an EvVoltage/EvFreq
+// event per changed level and settles the ticks [since, ticks) into the
+// classes the PMDs ran at. This tick and the ones after it run at the
+// chip's present V/F. A steady tick never needs the diff: its cache is
+// keyed to the generation the last full tick diffed under. Called by
+// stepFull after the emergency check.
+func (m *Machine) syncVF() {
+	mv := &m.vf
+	g := m.Chip.Generation()
+	if g == mv.gen {
 		return
 	}
-	if g := m.Chip.Generation(); !m.evValid || g != m.evGen {
-		if v := m.Chip.Voltage(); v != m.lastV {
-			m.logEvent(Event{Kind: EvVoltage, Proc: -1, From: int32(m.lastV), To: int32(v)})
-			m.lastV = v
-		}
-		for p := 0; p < m.Spec.PMDs(); p++ {
-			if f := m.Chip.PMDFreq(chip.PMDID(p)); f != m.lastF[p] {
-				m.logEvent(Event{Kind: EvFreq, Proc: -1, N: int32(p), From: int32(m.lastF[p]), To: int32(f)})
-				m.lastF[p] = f
-			}
-		}
-		m.evGen, m.evValid = g, true
+	mv.gen = g
+	if v := m.Chip.Voltage(); v != mv.v {
+		m.logEvent(Event{Kind: EvVoltage, Proc: -1, From: int32(mv.v), To: int32(v)})
+		mv.v = v
 	}
+	for p, f := range mv.f {
+		mv.res[p][clock.ClassOf(m.Spec, f)] += m.ticks - mv.since
+		if nf := m.Chip.PMDFreq(chip.PMDID(p)); nf != f {
+			m.logEvent(Event{Kind: EvFreq, Proc: -1, N: int32(p), From: int32(f), To: int32(nf)})
+			mv.f[p] = nf
+		}
+	}
+	mv.since = m.ticks
+}
+
+// Residency returns how many of the committed ticks PMD p ran in
+// frequency class fc (0 for a class the chip does not have). Over the
+// chip's classes a PMD's residencies sum to Ticks().
+func (m *Machine) Residency(p chip.PMDID, fc clock.FreqClass) uint64 {
+	if clock.ClassOf(m.Spec, m.vf.f[p]) == fc {
+		return m.vf.res[p][fc] + m.ticks - m.vf.since
+	}
+	return m.vf.res[p][fc]
 }
 
 // siblingThread returns the thread on the other core of c's PMD, or nil.

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"avfs/internal/chip"
+	"avfs/internal/clock"
 	"avfs/internal/power"
 	"avfs/internal/workload"
 )
@@ -94,6 +95,14 @@ type MachineState struct {
 
 	VoltageMV  int   `json:"voltage_mv"`
 	PMDFreqMHz []int `json:"pmd_freq_mhz"`
+	// MirrorVoltageMV and MirrorFreqMHz are the V/F mirror, the levels
+	// as of the last full tick (the chip's may be newer: a reprogram the
+	// next full tick logs). Residency is each PMD's committed ticks per
+	// frequency class, [pmd][clock.FreqClass] over the chip's classes;
+	// every row sums to Ticks.
+	MirrorVoltageMV int        `json:"mirror_voltage_mv"`
+	MirrorFreqMHz   []int      `json:"mirror_freq_mhz"`
+	Residency       [][]uint64 `json:"residency"`
 
 	Meter     power.MeterState `json:"meter"`
 	LastWatts float64          `json:"last_watts"`
@@ -150,8 +159,16 @@ func (m *Machine) CaptureState() *MachineState {
 		Counters:         append([]CoreCounters(nil), m.counters...),
 	}
 	st.FinishedDropped, st.EmergenciesDropped = m.finDropped, m.emDropped
-	for p := 0; p < m.Spec.PMDs(); p++ {
+	st.MirrorVoltageMV = int(m.vf.v)
+	classes := clock.Classes(m.Spec)
+	for p, f := range m.vf.f {
 		st.PMDFreqMHz = append(st.PMDFreqMHz, int(m.Chip.PMDFreq(chip.PMDID(p))))
+		st.MirrorFreqMHz = append(st.MirrorFreqMHz, int(f))
+		row := make([]uint64, len(classes))
+		for _, fc := range classes {
+			row[fc] = m.Residency(chip.PMDID(p), fc)
+		}
+		st.Residency = append(st.Residency, row)
 	}
 	if len(m.emergencies) > 0 {
 		st.Emergencies = append([]Emergency(nil), m.emergencies...)
@@ -239,9 +256,10 @@ func CheckTick(tick float64) error {
 // CheckAdvance rejects an advance of seconds, from ticks steps of tick
 // seconds, that takes the tick counter past MaxTicks (or is not a
 // number): such a window has no simulated answer, and a run of it would
-// step until cancelled.
+// step until cancelled. The conversion keeps the product from fusing
+// with the add on architectures with fused multiply-add.
 func CheckAdvance(ticks uint64, tick, seconds float64) error {
-	if !((float64(ticks)*tick+seconds)/tick < MaxTicks) {
+	if !((float64(float64(ticks)*tick)+seconds)/tick < MaxTicks) {
 		return fmt.Errorf("a %g s window takes the tick counter past 2^53", seconds)
 	}
 	return nil
@@ -250,6 +268,28 @@ func CheckAdvance(ticks uint64, tick, seconds float64) error {
 // energyInRange reports whether an accumulator holds no more than
 // MaxTicks ticks of at most 2^64 quanta each can reach.
 func energyInRange(j power.Joules) bool { return j.Hi < MaxTicks }
+
+// checkVF rejects a V/F mirror no machine on spec holds: a wrong shape,
+// a level off the chip's voltage or frequency grid, or a PMD whose class
+// residencies do not sum to the tick count.
+func checkVF(spec *chip.Spec, st *MachineState) error {
+	if v := chip.Millivolts(st.MirrorVoltageMV); spec.ClampVoltage(v) != v ||
+		len(st.MirrorFreqMHz) != spec.PMDs() || len(st.Residency) != spec.PMDs() {
+		return fmt.Errorf("sim: snapshot V/F mirror (%d mV, %d PMDs, %d residency rows) does not fit the chip",
+			st.MirrorVoltageMV, len(st.MirrorFreqMHz), len(st.Residency))
+	}
+	for p, f := range st.MirrorFreqMHz {
+		row, sum := st.Residency[p], uint64(0)
+		for _, n := range row {
+			sum += min(n, st.Ticks+1)
+		}
+		if spec.ClampFreq(chip.MHz(f)) != chip.MHz(f) || len(row) != len(clock.Classes(spec)) || sum != st.Ticks {
+			return fmt.Errorf("sim: snapshot PMD %d mirror (%d MHz, %d residency classes) does not fit the chip at %d ticks",
+				p, f, len(row), st.Ticks)
+		}
+	}
+	return nil
+}
 
 // RestoreMachine builds a machine on spec from a captured state. The
 // restored machine has no hooks, subscribers or event log — the caller
@@ -289,6 +329,9 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 		return nil, fmt.Errorf("sim: snapshot shape mismatch (counters=%d pmds=%d)",
 			len(st.Counters), len(st.PMDFreqMHz))
 	}
+	if err := checkVF(spec, st); err != nil {
+		return nil, err
+	}
 	m := New(spec)
 	m.Tick = st.Tick
 	m.ticks = st.Ticks
@@ -316,6 +359,17 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 	m.Chip.SetVoltage(chip.Millivolts(st.VoltageMV))
 	for p, f := range st.PMDFreqMHz {
 		m.Chip.SetPMDFreq(chip.PMDID(p), chip.MHz(f))
+	}
+	// The mirror resumes with its open span starting here, and one diff
+	// owed: a generation the chip does not hold makes the next full tick
+	// log (and settle) whatever was reprogrammed after the capture's last
+	// full tick, as the original machine would. A diff that finds the
+	// mirror current changes nothing observable.
+	mv := &m.vf
+	mv.gen, mv.v, mv.since = m.Chip.Generation()-1, chip.Millivolts(st.MirrorVoltageMV), st.Ticks
+	for p, f := range st.MirrorFreqMHz {
+		mv.f[p] = chip.MHz(f)
+		copy(mv.res[p][:], st.Residency[p])
 	}
 
 	// Processes and threads, rebuilt verbatim (not through newProcess —

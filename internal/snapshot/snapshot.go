@@ -30,10 +30,10 @@ import (
 // Version tags the serialization format. Restoring a snapshot written by
 // a different format version is a miss (the state layout or the
 // simulator's numeric trajectory may have changed). It is hashed into
-// every id, so changing it changes every content address. snap-v2 carries
-// energies as fixed-point integers (power.Joules); a snap-v1 payload would
-// decode to zero joules, so it must miss.
-const Version = "snap-v2"
+// every id, so changing it changes every content address. snap-v3 carries
+// the machine's V/F mirror with its tick-count residency (sim.VFState);
+// a snap-v2 payload has neither, so it must miss.
+const Version = "snap-v3"
 
 // SessionState is the complete serializable state of one fleet session:
 // the machine and both controller stacks, plus the session-level knobs

@@ -86,7 +86,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeIgnoresCoalescingKey: a snap-v2 payload that still carries
+// TestDecodeIgnoresCoalescingKey: a payload that still carries
 // the removed machine "coalescing" flag decodes to the same state, which
 // restores.
 func TestDecodeIgnoresCoalescingKey(t *testing.T) {

@@ -52,22 +52,20 @@ echo "$counts" | awk 'NR == FNR { base[$1] = $2; next }
 	END { exit bad }' scripts/fma_baseline.txt - >&2 ||
 	{ echo "arm64 fused-FP count rose above scripts/fma_baseline.txt" >&2; exit 1; }
 
-# -fuzz takes one package and one target per run. The engine minimizes
+# -fuzz takes one package and one target per run, so the targets are
+# discovered with `go test -list` (a new one cannot be left out): each
+# package's Fuzz names print before its "ok" line. The engine minimizes
 # every new-coverage input for up to -fuzzminimizetime (default 60 s)
 # and counts none of those executions, so without the 1 s cap a 5 s
 # smoke spends itself minimizing its first find and reports 0 execs/s.
 echo "==> fuzz smoke (5 s per target)"
-go test ./internal/castore -run '^$' -fuzz '^FuzzLoad$' -fuzztime 5s -fuzzminimizetime 1s
-go test ./internal/chip -run '^$' -fuzz '^FuzzClamps$' -fuzztime 5s -fuzzminimizetime 1s
-go test ./internal/sim -run '^$' -fuzz '^FuzzRestoreMachine$' -fuzztime 5s -fuzzminimizetime 1s
-go test ./internal/service -run '^$' -fuzz '^FuzzRestoreSession$' -fuzztime 5s -fuzzminimizetime 1s
-go test ./internal/service -run '^$' -fuzz '^FuzzWhatIfHTTP$' -fuzztime 5s -fuzzminimizetime 1s
-go test ./internal/service -run '^$' -fuzz '^FuzzSessionHTTP$' -fuzztime 5s -fuzzminimizetime 1s
-go test ./internal/service -run '^$' -fuzz '^FuzzImportHTTP$' -fuzztime 5s -fuzzminimizetime 1s
-go test ./internal/cluster -run '^$' -fuzz '^FuzzRouterHTTP$' -fuzztime 5s -fuzzminimizetime 1s
-go test ./internal/export -run '^$' -fuzz '^FuzzSanitize$' -fuzztime 5s -fuzzminimizetime 1s
-go test ./internal/sysfs -run '^$' -fuzz '^FuzzReadWrite$' -fuzztime 5s -fuzzminimizetime 1s
-go test ./internal/telemetry/export -run '^$' -fuzz '^FuzzParsePrometheus$' -fuzztime 5s -fuzzminimizetime 1s
+listing="$(go test -list '^Fuzz' ./...)"
+targets="$(echo "$listing" | awk '/^Fuzz/ { f[n++] = $1; next }
+	/^ok / { for (i = 0; i < n; i++) print $2, f[i]; n = 0 }')"
+[ -n "$targets" ] || { echo "fuzz smoke: no Fuzz targets found" >&2; exit 1; }
+echo "$targets" | while read -r pkg target; do
+	go test "$pkg" -run '^$' -fuzz "^$target\$" -fuzztime 5s -fuzzminimizetime 1s || exit 1
+done
 
 # perfbench/ is its own Go module, so the build above never compiles it;
 # a one-second advance run builds it against this tree and replays its
