@@ -20,9 +20,9 @@ import (
 )
 
 // goldenSnapshotID is the content address of goldenSession. It pins the
-// snapshot encoding and snap-v3 hashing: forks and migrations between
+// snapshot encoding and snap-v4 hashing: forks and migrations between
 // nodes of different builds rely on identical states hashing identically.
-const goldenSnapshotID = "08b4c021d6cffa418a97ee8f70e02178c77caeb4d6d08556eb493e0ef68afbd4"
+const goldenSnapshotID = "48efff3633e45c57082d0dc5e825a1d09443a59b27933ecc5bd2521186453179"
 
 // goldenSession is a fixed X-Gene 2 session: the Optimal daemon over CG on
 // four cores and lbm on one, ten simulated seconds in.

@@ -42,11 +42,9 @@ type fingerprint struct {
 	emergencies, checks int
 	stats               Stats
 	reconfigs           int64
-	finished            []int
-	completed           []float64
+	finished            []sim.Record
 	counters            []sim.CoreCounters
 	meter               power.MeterState
-	coreEnergy          []uint64 // float64 bits
 }
 
 func fingerprintOf(m *sim.Machine, d *Daemon) fingerprint {
@@ -58,11 +56,7 @@ func fingerprintOf(m *sim.Machine, d *Daemon) fingerprint {
 		reconfigs:   d.Reconfigurations(),
 		meter:       m.Meter.State(),
 	}
-	for _, p := range m.Finished() {
-		f.finished = append(f.finished, p.ID)
-		f.completed = append(f.completed, p.Completed)
-		f.coreEnergy = append(f.coreEnergy, math.Float64bits(p.CoreEnergy()))
-	}
+	f.finished = append(f.finished, m.Finished()...)
 	for c := 0; c < m.Spec.Cores; c++ {
 		f.counters = append(f.counters, m.Counters(chip.CoreID(c)))
 	}
@@ -82,13 +76,12 @@ func compareFingerprints(t *testing.T, label string, got, want fingerprint) {
 	if len(got.finished) != len(want.finished) {
 		t.Fatalf("%s: %d finished, want %d", label, len(got.finished), len(want.finished))
 	}
-	for i := range want.finished {
-		if got.finished[i] != want.finished[i] || got.completed[i] != want.completed[i] {
-			t.Errorf("%s: finish %d = proc %d at %v, want proc %d at %v", label, i,
-				got.finished[i], got.completed[i], want.finished[i], want.completed[i])
-		}
-		if got.coreEnergy[i] != want.coreEnergy[i] {
-			t.Errorf("%s: proc %d core energy bits %x, want %x", label, want.finished[i], got.coreEnergy[i], want.coreEnergy[i])
+	for i, w := range want.finished {
+		if g := got.finished[i]; g.ID != w.ID || g.Bench != w.Bench || g.Threads != w.Threads || g.CoreEnergy != w.CoreEnergy ||
+			math.Float64bits(g.Submitted) != math.Float64bits(w.Submitted) ||
+			math.Float64bits(g.Started) != math.Float64bits(w.Started) ||
+			math.Float64bits(g.Completed) != math.Float64bits(w.Completed) {
+			t.Errorf("%s: finish %d = %+v, want %+v", label, i, g, w)
 		}
 	}
 	for c := range want.counters {

@@ -292,7 +292,7 @@ func (d *Daemon) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		"Programmed voltage minus true safe Vmin, sampled at each poll.",
 		[]float64{0, 5, 10, 20, 40, 80, 160})
 	for p := 0; p < d.M.Spec.PMDs(); p++ {
-		for fc := clock.FullSpeed; fc <= clock.DividedLow; fc++ {
+		for _, fc := range clock.Classes(d.M.Spec) {
 			reg.CounterFunc(MetricResidency,
 				"Seconds each PMD spent programmed in each frequency class.",
 				func() float64 { return float64(d.M.Residency(chip.PMDID(p), fc)) * d.M.Tick },

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"avfs/internal/perfmon"
-	"avfs/internal/sim"
 )
 
 // This file is the controller half of session snapshots: the daemon's
@@ -91,7 +90,7 @@ func (d *Daemon) RestoreState(st *State) error {
 	d.states = map[int]*procState{}
 	for _, pcs := range st.Procs {
 		p := d.M.ProcessByID(pcs.Proc)
-		if p == nil || p.State == sim.Finished {
+		if p == nil {
 			return fmt.Errorf("daemon: snapshot references unknown or finished process %d", pcs.Proc)
 		}
 		ps := &procState{proc: p, class: Class(pcs.Class)}

@@ -53,11 +53,12 @@ func assertEquivalent(t *testing.T, label string, on, off EvalResult, mOn, mOff 
 	if len(fOn) != len(fOff) {
 		t.Fatalf("%s: finish counts diverged: on %d, off %d", label, len(fOn), len(fOff))
 	}
-	for i := range fOn {
-		if fOn[i].ID != fOff[i].ID || fOn[i].Completed != fOff[i].Completed ||
-			math.Float64bits(fOn[i].CoreEnergy()) != math.Float64bits(fOff[i].CoreEnergy()) {
-			t.Errorf("%s: finish diverged at %d: on %d@%v %v J, off %d@%v %v J", label, i,
-				fOn[i].ID, fOn[i].Completed, fOn[i].CoreEnergy(), fOff[i].ID, fOff[i].Completed, fOff[i].CoreEnergy())
+	for i, a := range fOn {
+		if b := fOff[i]; a.ID != b.ID || a.Bench != b.Bench || a.Threads != b.Threads || a.CoreEnergy != b.CoreEnergy ||
+			math.Float64bits(a.Submitted) != math.Float64bits(b.Submitted) ||
+			math.Float64bits(a.Started) != math.Float64bits(b.Started) ||
+			math.Float64bits(a.Completed) != math.Float64bits(b.Completed) {
+			t.Errorf("%s: finish diverged at %d: on %+v, off %+v", label, i, a, b)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func replayPrintOf(m *sim.Machine, s *Stack) replayPrint {
 		p.finished = append(p.finished, pr.ID)
 		p.started = append(p.started, pr.Started)
 		p.completed = append(p.completed, pr.Completed)
-		p.coreEnergyBits = append(p.coreEnergyBits, math.Float64bits(pr.CoreEnergy()))
+		p.coreEnergyBits = append(p.coreEnergyBits, math.Float64bits(pr.CoreEnergy.J()))
 	}
 	for c := 0; c < m.Spec.Cores; c++ {
 		p.counters = append(p.counters, m.Counters(chip.CoreID(c)))

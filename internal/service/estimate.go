@@ -168,9 +168,6 @@ func (f *Fleet) Estimate(req api.EstimateRequest) (api.Estimate, error) {
 func surrogateProcs(st *snapshot.SessionState) ([]surrogate.Proc, error) {
 	procs := make([]surrogate.Proc, 0, len(st.Machine.Processes))
 	for _, p := range st.Machine.Processes {
-		if sim.ProcState(p.State) == sim.Finished {
-			continue
-		}
 		b, err := workload.ByName(p.Bench)
 		if err != nil {
 			return nil, fmt.Errorf("%w: snapshot process %d: %v", ErrInvalidRequest, p.ID, err)

@@ -13,7 +13,7 @@ import (
 
 // loadHistory gives a session many more finished processes than it
 // retains: waves of single-threaded jobs, each run to completion.
-func loadHistory(t *testing.T, f *Fleet, id string, waves int) {
+func loadHistory(t testing.TB, f *Fleet, id string, waves int) {
 	t.Helper()
 	for w := 0; w < waves; w++ {
 		for i := 0; i < 32; i++ {
@@ -29,8 +29,8 @@ func loadHistory(t *testing.T, f *Fleet, id string, waves int) {
 
 // snapshotByteCap bounds the encoded snapshot of a session whose live
 // load is one machine's worth of single-threaded jobs: sessionHistory
-// finished processes at about 300 B each, plus about 25 KB of live state.
-// Full history would take about 175 KB for the 512 finished processes of
+// finished records at about 130 B each, plus about 25 KB of live state.
+// Full history would take about 90 KB for the 512 finished processes of
 // TestSnapshotSizeBounded.
 const snapshotByteCap = 64 << 10
 
@@ -168,4 +168,58 @@ func TestSessionHistoryExact(t *testing.T) {
 		return
 	}
 	t.Fatal("no optimal branch in the default what-if")
+}
+
+// BenchmarkHistoryRestore measures the restores a session with a full
+// retained history pays per branch: a fork (restore, wire and publish a
+// child session, then delete it) and a what-if branch (restore a
+// transient machine and control stack). The snapshot holds sessionHistory
+// finished processes and a machine's worth of live ones.
+//
+//	go test ./internal/service -run '^$' -bench HistoryRestore
+func BenchmarkHistoryRestore(b *testing.B) {
+	f, _ := testFleet(b, Config{})
+	s := mustCreate(b, f, api.CreateSessionRequest{Model: "xgene3", Policy: "optimal"})
+	loadHistory(b, f, s.ID, 3)
+	for i := 0; i < 32; i++ {
+		if _, err := f.Submit(s.ID, api.SubmitRequest{Benchmark: "namd", Threads: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := f.RunSync(context.Background(), s.ID, api.RunRequest{Seconds: 5}); err != nil {
+		b.Fatal(err)
+	}
+	got, err := f.Get(s.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap, err := f.Snapshot(s.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, ok := f.snaps.Get(snap.ID)
+	if !ok || snap.Processes != sessionHistory+got.Running+got.Pending || got.Running == 0 {
+		b.Fatalf("snapshot of %d processes (stored %v), want %d finished and %d live",
+			snap.Processes, ok, sessionHistory, got.Running+got.Pending)
+	}
+	b.Run("fork", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fk, err := f.Fork(s.ID, api.ForkRequest{SnapshotID: snap.ID})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := f.Delete(fk.Session.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("whatif", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := buildBranch(st, branchSpec{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

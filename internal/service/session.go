@@ -580,15 +580,28 @@ func (s *session) processes() api.ProcessList {
 		Processes:       []api.Process{},
 		FinishedDropped: s.m.FinishedCount() - len(s.m.Finished()),
 	}
-	for _, set := range [][]*sim.Process{s.m.Pending(), s.m.Running(), s.m.Finished()} {
+	for _, set := range [][]*sim.Process{s.m.Pending(), s.m.RunningView()} {
 		for _, p := range set {
 			out.Processes = append(out.Processes, s.wireProcessLocked(p))
 		}
 	}
+	for _, r := range s.m.Finished() {
+		out.Processes = append(out.Processes, api.Process{
+			ID:          r.ID,
+			Benchmark:   r.Bench,
+			Threads:     r.Threads,
+			State:       sim.Finished.String(),
+			Submitted:   r.Submitted,
+			CoreEnergyJ: r.CoreEnergy.J(),
+			Progress:    1,
+			Runtime:     r.Completed - r.Started,
+		})
+	}
 	return out
 }
 
-// wireProcessLocked converts one simulator process. mu must be held.
+// wireProcessLocked converts one live simulator process. mu must be
+// held.
 func (s *session) wireProcessLocked(p *sim.Process) api.Process {
 	wp := api.Process{
 		ID:          p.ID,
@@ -606,10 +619,7 @@ func (s *session) wireProcessLocked(p *sim.Process) api.Process {
 		prog += t.Progress()
 	}
 	wp.Progress = prog / float64(len(p.Threads))
-	switch {
-	case p.Completed >= 0:
-		wp.Runtime = p.Completed - p.Started
-	case p.Started >= 0:
+	if p.Started >= 0 {
 		wp.Runtime = s.m.Now() - p.Started
 	}
 	return wp

@@ -53,7 +53,7 @@ func wireSnapshot(snapID, sessionID string, st *snapshot.SessionState) api.Snaps
 		Now:       float64(st.Machine.Ticks) * st.Machine.Tick,
 		Ticks:     st.Machine.Ticks,
 		EnergyJ:   st.Machine.Meter.Total().J(),
-		Processes: len(st.Machine.Processes),
+		Processes: len(st.Machine.Processes) + len(st.Machine.Finished),
 	}
 }
 

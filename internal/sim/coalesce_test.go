@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"avfs/internal/chip"
@@ -105,12 +104,10 @@ type machineFingerprint struct {
 	ticks       uint64
 	now         float64
 	meter       power.MeterState
-	coreEnergy  []power.Joules
 	counters    []CoreCounters
 	emergencies int
 	emChecks    int
-	finishOrder []int
-	finishTimes []float64
+	finished    []RecordBits
 }
 
 func fingerprint(m *Machine) machineFingerprint {
@@ -124,11 +121,7 @@ func fingerprint(m *Machine) machineFingerprint {
 	for c := 0; c < m.Spec.Cores; c++ {
 		fp.counters = append(fp.counters, m.Counters(chip.CoreID(c)))
 	}
-	for _, p := range m.Finished() {
-		fp.finishOrder = append(fp.finishOrder, p.ID)
-		fp.finishTimes = append(fp.finishTimes, p.Completed)
-		fp.coreEnergy = append(fp.coreEnergy, p.coreEnergy)
-	}
+	fp.finished = BitsOf(m.Finished())
 	return fp
 }
 
@@ -173,8 +166,8 @@ func TestSerialCoalescedEquivalence(t *testing.T) {
 	if on.ticks != off.ticks || on.now != off.now {
 		t.Errorf("time diverged: on %d ticks/%v, off %d ticks/%v", on.ticks, on.now, off.ticks, off.now)
 	}
-	if on.meter != off.meter || !slices.Equal(on.coreEnergy, off.coreEnergy) {
-		t.Errorf("energy diverged: on %+v %v, off %+v %v", on.meter, on.coreEnergy, off.meter, off.coreEnergy)
+	if on.meter != off.meter {
+		t.Errorf("energy diverged: on %+v, off %+v", on.meter, off.meter)
 	}
 	for c := range on.counters {
 		if on.counters[c] != off.counters[c] {
@@ -185,16 +178,12 @@ func TestSerialCoalescedEquivalence(t *testing.T) {
 		t.Errorf("emergency accounting diverged: on %d/%d, off %d/%d",
 			on.emergencies, on.emChecks, off.emergencies, off.emChecks)
 	}
-	if len(on.finishOrder) != len(off.finishOrder) {
-		t.Fatalf("finish counts diverged: on %d, off %d", len(on.finishOrder), len(off.finishOrder))
+	if len(on.finished) != len(off.finished) {
+		t.Fatalf("finish counts diverged: on %d, off %d", len(on.finished), len(off.finished))
 	}
-	for i := range on.finishOrder {
-		if on.finishOrder[i] != off.finishOrder[i] {
-			t.Errorf("finish order diverged at %d: on %d, off %d", i, on.finishOrder[i], off.finishOrder[i])
-		}
-		if on.finishTimes[i] != off.finishTimes[i] {
-			t.Errorf("finish time of process %d diverged: on %v, off %v",
-				on.finishOrder[i], on.finishTimes[i], off.finishTimes[i])
+	for i := range on.finished {
+		if on.finished[i] != off.finished[i] {
+			t.Errorf("finish record %d diverged: on %+v, off %+v", i, on.finished[i], off.finished[i])
 		}
 	}
 }

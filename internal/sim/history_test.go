@@ -32,19 +32,18 @@ func mustMatchHistory(t *testing.T, full, bounded *sim.Machine, limit int, tag s
 		t.Fatalf("%s: totals finished %d/%d emergencies %d/%d", tag,
 			full.FinishedCount(), bounded.FinishedCount(), full.EmergencyCount(), bounded.EmergencyCount())
 	}
-	ff, bf := full.Finished(), bounded.Finished()
+	ff, bf := sim.BitsOf(full.Finished()), sim.BitsOf(bounded.Finished())
 	if len(bf) != min(limit, len(ff)) {
 		t.Fatalf("%s: %d finished retained, want %d", tag, len(bf), min(limit, len(ff)))
 	}
-	for i, p := range bf {
-		w := ff[len(ff)-len(bf)+i]
-		if p.ID != w.ID || math.Float64bits(p.Completed) != math.Float64bits(w.Completed) {
-			t.Fatalf("%s: finished[%d] = proc %d @%v, want proc %d @%v", tag, i, p.ID, p.Completed, w.ID, w.Completed)
+	for i, r := range bf {
+		if w := ff[len(ff)-len(bf)+i]; r != w {
+			t.Fatalf("%s: finished[%d] = %+v, want %+v", tag, i, r, w)
 		}
 	}
-	for _, p := range ff[:len(ff)-len(bf)] {
-		if bounded.ProcessByID(p.ID) != nil {
-			t.Fatalf("%s: dropped process %d still resolvable", tag, p.ID)
+	for _, r := range ff {
+		if bounded.ProcessByID(r.ID) != nil {
+			t.Fatalf("%s: finished process %d still resolvable", tag, r.ID)
 		}
 	}
 	fe, be := full.Emergencies(), bounded.Emergencies()
@@ -78,8 +77,9 @@ func TestHistoryLimitMatchesFullHistory(t *testing.T) {
 		}
 		if round%3 == 2 {
 			mst, dst := captureBoth(t, bounded, bd)
-			if n := len(mst.Processes) - bounded.RunningCount() - bounded.PendingCount(); n > limit {
-				t.Fatalf("round %d: capture carries %d finished processes, limit %d", round, n, limit)
+			if n := len(mst.Processes) - bounded.RunningCount() - bounded.PendingCount(); n != 0 || len(mst.Finished) > limit {
+				t.Fatalf("round %d: capture carries %d finished processes and %d records, limit %d",
+					round, n, len(mst.Finished), limit)
 			}
 			bounded, bd = restorePair(t, mst, dst)
 			bounded.SetHistoryLimit(limit)
@@ -118,6 +118,30 @@ func restoreTrimmed(t testing.TB) *sim.MachineState {
 	return st
 }
 
+// restoreFolded is a captured X-Gene 2 machine under the Optimal daemon
+// that has folded many finished processes into records and kept them all,
+// with running and pending processes still live.
+func restoreFolded(t testing.TB) *sim.MachineState {
+	t.Helper()
+	m := sim.New(chip.XGene2Spec())
+	daemon.New(m, daemon.DefaultConfig()).Attach()
+	for round := 0; round < 6; round++ {
+		for _, name := range []string{"namd", "mcf", "lbm", "milc"} {
+			m.MustSubmit(workload.MustByName(name), 1)
+		}
+		m.MustSubmit(workload.MustByName("EP"), 2)
+		m.RunFor(60)
+	}
+	m.MustSubmit(workload.MustByName("CG"), 8)
+	m.RunFor(1)
+	st := m.CaptureState()
+	if len(st.Finished) < 8 || st.FinishedDropped != 0 || m.RunningCount() == 0 || m.PendingCount() == 0 {
+		t.Fatalf("unexpected folded state: %d records, %d dropped, running %d pending %d",
+			len(st.Finished), st.FinishedDropped, m.RunningCount(), m.PendingCount())
+	}
+	return st
+}
+
 // TestRestoreTrimmedRoundTrip restores a trimmed state and captures it
 // again: the dropped counts and retained tails survive unchanged.
 func TestRestoreTrimmedRoundTrip(t *testing.T) {
@@ -126,7 +150,7 @@ func TestRestoreTrimmedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RestoreMachine: %v", err)
 	}
-	if m.FinishedCount() != st.FinishedDropped+len(st.FinishedOrder) ||
+	if m.FinishedCount() != st.FinishedDropped+len(st.Finished) ||
 		m.EmergencyCount() != st.EmergenciesDropped+len(st.Emergencies) {
 		t.Fatalf("totals %d/%d after restore", m.FinishedCount(), m.EmergencyCount())
 	}
@@ -139,20 +163,25 @@ func TestRestoreTrimmedRoundTrip(t *testing.T) {
 
 // TestRestoreRejectsMalformedHistory is TestRestoreRejectsMalformed for
 // the trimmed shape: the dropped counts must be in range and account for
-// exactly the IDs the state does not carry, and the finish order must
+// exactly the IDs the state does not carry, and the finished records must
 // list each retained finished process once.
 func TestRestoreRejectsMalformedHistory(t *testing.T) {
 	base := restoreTrimmed(t)
 	// droppedID is an ID below NextID the trimmed state no longer carries.
-	droppedID := 0
-	for i, ps := range base.Processes {
-		if ps.ID != i {
-			droppedID = i
-			break
-		}
+	held := map[int]bool{}
+	for _, ps := range base.Processes {
+		held[ps.ID] = true
 	}
-	if droppedID == base.Processes[droppedID].ID {
-		t.Fatal("the trimmed base has no ID gap")
+	for _, r := range base.Finished {
+		held[r.ID] = true
+	}
+	droppedID := 0
+	for held[droppedID] {
+		droppedID++
+	}
+	if droppedID >= base.NextID || len(base.Processes) < 2 || len(base.Finished) < 2 {
+		t.Fatalf("the trimmed base has no ID gap, or too few live or finished processes: %d live, %d finished",
+			len(base.Processes), len(base.Finished))
 	}
 	for _, tc := range []struct {
 		name string
@@ -160,14 +189,14 @@ func TestRestoreRejectsMalformedHistory(t *testing.T) {
 	}{
 		{"negative finished dropped", func(st *sim.MachineState) {
 			st.FinishedDropped = -1
-			st.NextID = len(st.Processes) - 1
+			st.NextID = len(st.Processes) + len(st.Finished) - 1
 		}},
 		{"negative emergencies dropped", func(st *sim.MachineState) { st.EmergenciesDropped = -1 }},
 		{"huge emergencies dropped", func(st *sim.MachineState) { st.EmergenciesDropped = 1 << 53 }},
 		{"dropped count off by one", func(st *sim.MachineState) { st.FinishedDropped++ }},
 		{"next ID past 2^53", func(st *sim.MachineState) {
 			st.NextID = 1 << 53
-			st.FinishedDropped = st.NextID - len(st.Processes)
+			st.FinishedDropped = st.NextID - len(st.Processes) - len(st.Finished)
 		}},
 		{"ID at next ID", func(st *sim.MachineState) { st.Processes[len(st.Processes)-1].ID = st.NextID }},
 		{"negative ID", func(st *sim.MachineState) { st.Processes[0].ID = -1 }},
@@ -175,15 +204,19 @@ func TestRestoreRejectsMalformedHistory(t *testing.T) {
 			st.Processes[0], st.Processes[1] = st.Processes[1], st.Processes[0]
 		}},
 		{"duplicate finish", func(st *sim.MachineState) {
-			st.FinishedOrder = []int{st.FinishedOrder[0], st.FinishedOrder[0]}
+			st.Finished[1] = st.Finished[0]
 		}},
 		{"unfinished in finish order", func(st *sim.MachineState) {
-			st.FinishedOrder[0] = st.Processes[len(st.Processes)-1].ID
+			st.Finished[0].ID = st.Processes[len(st.Processes)-1].ID
 		}},
 		{"finished missing from finish order", func(st *sim.MachineState) {
-			st.FinishedOrder = st.FinishedOrder[1:]
+			st.Finished = st.Finished[1:]
 		}},
-		{"dropped process in finish order", func(st *sim.MachineState) { st.FinishedOrder[0] = droppedID }},
+		{"dropped process in finish order", func(st *sim.MachineState) {
+			r := st.Finished[0]
+			r.ID = droppedID
+			st.Finished = append(st.Finished, r)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := roundTrip(t, base)

