@@ -1,12 +1,11 @@
 package daemon
 
 import (
-	"math"
 	"testing"
 
 	"avfs/internal/chip"
-	"avfs/internal/power"
 	"avfs/internal/sim"
+	"avfs/internal/stateeq"
 	"avfs/internal/workload"
 )
 
@@ -36,62 +35,15 @@ func blockedRun(t *testing.T, perTick bool) (*sim.Machine, *Daemon) {
 	return m, d
 }
 
-// fingerprint is every observable the skip must leave untouched.
-type fingerprint struct {
-	ticks               uint64
-	emergencies, checks int
-	stats               Stats
-	reconfigs           int64
-	finished            []sim.Record
-	counters            []sim.CoreCounters
-	meter               power.MeterState
-}
-
-func fingerprintOf(m *sim.Machine, d *Daemon) fingerprint {
-	f := fingerprint{
-		ticks:       m.Ticks(),
-		emergencies: len(m.Emergencies()),
-		checks:      m.EmergencyChecks(),
-		stats:       d.Stats(),
-		reconfigs:   d.Reconfigurations(),
-		meter:       m.Meter.State(),
-	}
-	f.finished = append(f.finished, m.Finished()...)
-	for c := 0; c < m.Spec.Cores; c++ {
-		f.counters = append(f.counters, m.Counters(chip.CoreID(c)))
-	}
-	return f
-}
-
-// compareFingerprints: every observable bit for bit, energies included.
-func compareFingerprints(t *testing.T, label string, got, want fingerprint) {
+// stackState is the complete state of a daemon run: its machine's
+// capture and the daemon's.
+func stackState(t *testing.T, m *sim.Machine, d *Daemon) map[string]any {
 	t.Helper()
-	if got.ticks != want.ticks || got.emergencies != want.emergencies || got.checks != want.checks {
-		t.Errorf("%s: ticks/emergencies/checks %d/%d/%d, want %d/%d/%d", label,
-			got.ticks, got.emergencies, got.checks, want.ticks, want.emergencies, want.checks)
+	ds, err := d.CaptureState()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.stats != want.stats || got.reconfigs != want.reconfigs {
-		t.Errorf("%s: stats %+v reconfigs %d, want %+v reconfigs %d", label, got.stats, got.reconfigs, want.stats, want.reconfigs)
-	}
-	if len(got.finished) != len(want.finished) {
-		t.Fatalf("%s: %d finished, want %d", label, len(got.finished), len(want.finished))
-	}
-	for i, w := range want.finished {
-		if g := got.finished[i]; g.ID != w.ID || g.Bench != w.Bench || g.Threads != w.Threads || g.CoreEnergy != w.CoreEnergy ||
-			math.Float64bits(g.Submitted) != math.Float64bits(w.Submitted) ||
-			math.Float64bits(g.Started) != math.Float64bits(w.Started) ||
-			math.Float64bits(g.Completed) != math.Float64bits(w.Completed) {
-			t.Errorf("%s: finish %d = %+v, want %+v", label, i, g, w)
-		}
-	}
-	for c := range want.counters {
-		if got.counters[c] != want.counters[c] {
-			t.Errorf("%s: core %d counters %+v, want %+v", label, c, got.counters[c], want.counters[c])
-		}
-	}
-	if got.meter != want.meter {
-		t.Errorf("%s: meter %+v, want %+v", label, got.meter, want.meter)
-	}
+	return map[string]any{"machine": m.CaptureState(), "daemon": ds}
 }
 
 // headBlocked reports whether the FIFO head is waiting for cores.
@@ -107,6 +59,9 @@ func headBlocked(m *sim.Machine) bool {
 // unblock it, and the drain to idle. The skipping run must coalesce while
 // blocked; the per-tick reference cannot.
 func TestBlockedQueueSkipMatchesPerTickReplans(t *testing.T) {
+	// The reference replans on every tick and so never coalesces; the
+	// count of coalesced ticks is the only field the two may differ in.
+	const perTickOnly = "machine.coalesced"
 	ref, refD := blockedRun(t, true)
 	run, runD := blockedRun(t, false)
 
@@ -120,7 +75,9 @@ func TestBlockedQueueSkipMatchesPerTickReplans(t *testing.T) {
 	if runD.Stats().Migrations == 0 {
 		t.Fatal("precondition: the class flip under a blocked queue must migrate")
 	}
-	compareFingerprints(t, "at 2 s", fingerprintOf(run, runD), fingerprintOf(ref, refD))
+	if d := stateeq.Diff(stackState(t, ref, refD), stackState(t, run, runD), perTickOnly); d != "" {
+		t.Errorf("at 2 s: %s", d)
+	}
 
 	// A blocked stretch: the skipping run coalesces, the reference steps
 	// every tick.
@@ -136,7 +93,9 @@ func TestBlockedQueueSkipMatchesPerTickReplans(t *testing.T) {
 	if grew := ref.CoalescedTicks() - r0; grew != 0 {
 		t.Errorf("per-tick reference coalesced %d ticks; the oracle hook is not forcing replans", grew)
 	}
-	compareFingerprints(t, "at 12 s", fingerprintOf(run, runD), fingerprintOf(ref, refD))
+	if d := stateeq.Diff(stackState(t, ref, refD), stackState(t, run, runD), perTickOnly); d != "" {
+		t.Errorf("at 12 s: %s", d)
+	}
 
 	// An outside write to the chip while blocked (a composed governor, an
 	// operator) moves only the chip generation; the next replan must undo
@@ -150,7 +109,9 @@ func TestBlockedQueueSkipMatchesPerTickReplans(t *testing.T) {
 	if !headBlocked(run) || run.Chip.Voltage() == run.Spec.NominalMV {
 		t.Fatal("precondition: the queue stays blocked and the daemon re-settles the voltage")
 	}
-	compareFingerprints(t, "after an outside chip write", fingerprintOf(run, runD), fingerprintOf(ref, refD))
+	if d := stateeq.Diff(stackState(t, ref, refD), stackState(t, run, runD), perTickOnly); d != "" {
+		t.Errorf("after an outside chip write: %s", d)
+	}
 
 	if err := ref.RunUntilIdle(24 * 3600); err != nil {
 		t.Fatal(err)
@@ -158,7 +119,9 @@ func TestBlockedQueueSkipMatchesPerTickReplans(t *testing.T) {
 	if err := run.RunUntilIdle(24 * 3600); err != nil {
 		t.Fatal(err)
 	}
-	compareFingerprints(t, "idle", fingerprintOf(run, runD), fingerprintOf(ref, refD))
+	if d := stateeq.Diff(stackState(t, ref, refD), stackState(t, run, runD), perTickOnly); d != "" {
+		t.Errorf("idle: %s", d)
+	}
 }
 
 // TestBlockedRestoreMatchesContinuous: a snapshot taken in the middle of a
@@ -193,7 +156,9 @@ func TestBlockedRestoreMatchesContinuous(t *testing.T) {
 			reconfigs, d2.Reconfigurations(), d2.blockedOK)
 	}
 	cont.RunFor(1)
-	compareFingerprints(t, "1 s after restore", fingerprintOf(m2, d2), fingerprintOf(cont, contD))
+	if d := stateeq.Diff(stackState(t, cont, contD), stackState(t, m2, d2)); d != "" {
+		t.Errorf("1 s after restore: %s", d)
+	}
 
 	if err := cont.RunUntilIdle(24 * 3600); err != nil {
 		t.Fatal(err)
@@ -201,7 +166,9 @@ func TestBlockedRestoreMatchesContinuous(t *testing.T) {
 	if err := m2.RunUntilIdle(24 * 3600); err != nil {
 		t.Fatal(err)
 	}
-	compareFingerprints(t, "idle", fingerprintOf(m2, d2), fingerprintOf(cont, contD))
+	if d := stateeq.Diff(stackState(t, cont, contD), stackState(t, m2, d2)); d != "" {
+		t.Errorf("idle: %s", d)
+	}
 }
 
 // TestSteadyPollAllocationFree pins the monitoring loop's steady state: a

@@ -7,6 +7,8 @@ import (
 
 	"avfs/internal/chip"
 	"avfs/internal/sim"
+	"avfs/internal/snapshot"
+	"avfs/internal/stateeq"
 	"avfs/internal/trace"
 	"avfs/internal/wlgen"
 )
@@ -20,11 +22,28 @@ func perTick(spec *chip.Spec) *sim.Machine {
 	return m
 }
 
-// assertEquivalent compares a batched and a per-tick replay of the same
-// workload+config: every observable bit for bit, energies included.
-func assertEquivalent(t *testing.T, label string, on, off EvalResult, mOn, mOff *sim.Machine) {
+// sessionState is a stack's complete captured state, as a session
+// snapshot holds it.
+func sessionState(t *testing.T, s *Stack) *snapshot.SessionState {
 	t.Helper()
-	if n := mOff.CoalescedTicks(); n != 0 {
+	st := &snapshot.SessionState{Model: s.M.Spec.Model.Name(), Machine: s.M.CaptureState()}
+	if err := s.Capture(st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// strategyOnly is the one field of the captured state in which two
+// stepping strategies may differ: the count of coalesced ticks, the
+// batched strategy's own bookkeeping.
+const strategyOnly = "machine.coalesced"
+
+// assertEquivalent compares a batched and a per-tick replay of the same
+// workload+config: the table metrics and the stacks' captured states,
+// bit for bit, energies included.
+func assertEquivalent(t *testing.T, label string, on, off EvalResult, sOn, sOff *Stack) {
+	t.Helper()
+	if n := sOff.M.CoalescedTicks(); n != 0 {
 		t.Fatalf("%s: the per-tick replay coalesced %d ticks", label, n)
 	}
 	if on.TimeSec != off.TimeSec {
@@ -42,24 +61,8 @@ func assertEquivalent(t *testing.T, label string, on, off EvalResult, mOn, mOff 
 	if on.DaemonStats != off.DaemonStats {
 		t.Errorf("%s: daemon stats diverged: on %+v, off %+v", label, on.DaemonStats, off.DaemonStats)
 	}
-	for c := 0; c < mOn.Spec.Cores; c++ {
-		cc := chip.CoreID(c)
-		if mOn.Counters(cc) != mOff.Counters(cc) {
-			t.Errorf("%s: core %d counters diverged: on %+v, off %+v",
-				label, c, mOn.Counters(cc), mOff.Counters(cc))
-		}
-	}
-	fOn, fOff := mOn.Finished(), mOff.Finished()
-	if len(fOn) != len(fOff) {
-		t.Fatalf("%s: finish counts diverged: on %d, off %d", label, len(fOn), len(fOff))
-	}
-	for i, a := range fOn {
-		if b := fOff[i]; a.ID != b.ID || a.Bench != b.Bench || a.Threads != b.Threads || a.CoreEnergy != b.CoreEnergy ||
-			math.Float64bits(a.Submitted) != math.Float64bits(b.Submitted) ||
-			math.Float64bits(a.Started) != math.Float64bits(b.Started) ||
-			math.Float64bits(a.Completed) != math.Float64bits(b.Completed) {
-			t.Errorf("%s: finish diverged at %d: on %+v, off %+v", label, i, a, b)
-		}
+	if d := stateeq.Diff(sessionState(t, sOff), sessionState(t, sOn), strategyOnly); d != "" {
+		t.Errorf("%s: batched state diverged from per-tick: %s", label, d)
 	}
 }
 
@@ -89,7 +92,7 @@ func TestEvaluationCoalescingEquivalence(t *testing.T) {
 			t.Fatalf("%v serial: %v", cfg, err)
 		}
 		mOn := sOn.M
-		assertEquivalent(t, cfg.String(), on, off, mOn, sOff.M)
+		assertEquivalent(t, cfg.String(), on, off, sOn, sOff)
 		if cfg == Placement || cfg == Optimal {
 			if on.Emergencies != 0 {
 				t.Errorf("%v: %d voltage emergencies with coalescing", cfg, on.Emergencies)
@@ -119,8 +122,8 @@ func TestWlgenHourCoalescingEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mOn, mOff := sOn.M, sOff.M
-	assertEquivalent(t, "Optimal/1h", on, off, mOn, mOff)
+	mOn := sOn.M
+	assertEquivalent(t, "Optimal/1h", on, off, sOn, sOff)
 	assertSeriesEquivalent(t, "power", on.Power, off.Power)
 	assertSeriesEquivalent(t, "load", on.Load, off.Load)
 	assertSeriesEquivalent(t, "cpu procs", on.CPUProcs, off.CPUProcs)

@@ -7,10 +7,10 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
+	"avfs/internal/benchkit"
 	"avfs/internal/chip"
 	"avfs/internal/experiments/runner"
 	"avfs/internal/wlgen"
@@ -96,10 +96,10 @@ func TestCampaignCancellationMidFigure(t *testing.T) {
 }
 
 // TestFigure3ParallelBudget is the CI speedup gate: it times the Figure 3
-// campaign serially and with 4 workers in interleaved pairs (alternating
-// which runs first), hard-fails if a parallel result diverges from the
-// serial one, and records the median speedup and its interquartile spread
-// in the JSON file named by AVFS_BENCH_EXPERIMENTS_OUT (see
+// campaign serially and with 4 workers in interleaved pairs
+// (internal/benchkit), hard-fails if any run's result or work diverges
+// from the first run's, whatever the widths, and records the median per-pair speedup and
+// its quartiles in the JSON file named by AVFS_BENCH_EXPERIMENTS_OUT (see
 // scripts/check.sh). When the resolved width is 1 (one usable CPU) the
 // two runs are the same serial campaign and the report says the ratio is
 // not meaningful. The >= 2x speedup floor is only enforced on machines
@@ -113,56 +113,43 @@ func TestFigure3ParallelBudget(t *testing.T) {
 	const workers = 4
 	const pairs = 11
 
-	run := func(width int) (Fig3Result, *runner.Stats, float64) {
-		st := runner.NewStats()
-		begin := time.Now()
-		res, err := Figure3Context(context.Background(), Campaign{Workers: width, Stats: st}, trials)
-		if err != nil {
-			t.Fatal(err)
+	// Every run, serial or parallel, must reproduce the first run's
+	// result and work.
+	var ref *Fig3Result
+	var refStats *runner.Stats
+	timed := func(width int) func() float64 {
+		return func() float64 {
+			st := runner.NewStats()
+			begin := time.Now()
+			res, err := Figure3Context(context.Background(), Campaign{Workers: width, Stats: st}, trials)
+			secs := time.Since(begin).Seconds()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case ref == nil:
+				ref, refStats = &res, st
+			case !reflect.DeepEqual(*ref, res):
+				t.Fatalf("Figure3 result at width %d diverges from the first run's — determinism is broken", width)
+			case st.Runs() != refStats.Runs() || st.Completed() != refStats.Completed():
+				t.Fatalf("Figure3 at width %d did different work: %d cells / %d runs, first run %d cells / %d runs",
+					width, st.Completed(), st.Runs(), refStats.Completed(), refStats.Runs())
+			}
+			return secs
 		}
-		return res, st, time.Since(begin).Seconds()
 	}
-	var serialSecs, parallelSecs, ratios []float64
-	var serialStats *runner.Stats
-	for i := 0; i < pairs; i++ {
-		var serial, parallel Fig3Result
-		var sSt, pSt *runner.Stats
-		var sSec, pSec float64
-		if i%2 == 0 {
-			serial, sSt, sSec = run(1)
-			parallel, pSt, pSec = run(workers)
-		} else {
-			parallel, pSt, pSec = run(workers)
-			serial, sSt, sSec = run(1)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatal("parallel Figure3 result diverges from serial — determinism is broken")
-		}
-		if sSt.Runs() != pSt.Runs() || sSt.Completed() != pSt.Completed() {
-			t.Fatalf("parallel campaign did different work: %d cells / %d runs vs %d cells / %d runs",
-				pSt.Completed(), pSt.Runs(), sSt.Completed(), sSt.Runs())
-		}
-		serialStats = sSt
-		serialSecs = append(serialSecs, sSec)
-		parallelSecs = append(parallelSecs, pSec)
-		ratios = append(ratios, sSec/pSec)
-	}
-	sort.Float64s(serialSecs)
-	sort.Float64s(parallelSecs)
-	sort.Float64s(ratios)
-	quartile := func(xs []float64, q int) float64 { return xs[q*(len(xs)-1)/4] }
+	// The parallel run is the baseline, so the per-pair ratio is the
+	// serial run's cost over it: the speedup.
+	c := benchkit.Pairs(pairs, timed(workers), timed(1))
 
-	effWorkers := runner.EffectiveWidth(workers, int(serialStats.Completed()))
-	speedup := quartile(ratios, 2)
+	effWorkers := runner.EffectiveWidth(workers, int(refStats.Completed()))
 	report := struct {
-		Trials        int     `json:"trials"`
-		Cells         int64   `json:"cells"`
-		SimRuns       int64   `json:"sim_runs"`
-		Workers       int     `json:"workers"`
-		EffWorkers    int     `json:"effective_workers"`
-		NumCPU        int     `json:"num_cpu"`
-		GOMAXPROCS    int     `json:"gomaxprocs"`
-		GoVersion     string  `json:"go_version"`
+		Trials     int   `json:"trials"`
+		Cells      int64 `json:"cells"`
+		SimRuns    int64 `json:"sim_runs"`
+		Workers    int   `json:"workers"`
+		EffWorkers int   `json:"effective_workers"`
+		benchkit.Env
 		Pairs         int     `json:"pairs"`
 		SerialSec     float64 `json:"serial_sec_median"`
 		ParallelSec   float64 `json:"parallel_sec_median"`
@@ -172,19 +159,17 @@ func TestFigure3ParallelBudget(t *testing.T) {
 		NotMeaningful bool    `json:"not_meaningful,omitempty"`
 	}{
 		Trials:        trials,
-		Cells:         serialStats.Completed(),
-		SimRuns:       serialStats.Runs(),
+		Cells:         refStats.Completed(),
+		SimRuns:       refStats.Runs(),
 		Workers:       workers,
 		EffWorkers:    effWorkers,
-		NumCPU:        runtime.NumCPU(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		GoVersion:     runtime.Version(),
+		Env:           c.Env,
 		Pairs:         pairs,
-		SerialSec:     quartile(serialSecs, 2),
-		ParallelSec:   quartile(parallelSecs, 2),
-		Speedup:       speedup,
-		SpeedupP25:    quartile(ratios, 1),
-		SpeedupP75:    quartile(ratios, 3),
+		SerialSec:     c.VariantMedian,
+		ParallelSec:   c.BaseMedian,
+		Speedup:       c.Ratio,
+		SpeedupP25:    c.RatioP25,
+		SpeedupP75:    c.RatioP75,
 		NotMeaningful: effWorkers == 1,
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
@@ -196,9 +181,9 @@ func TestFigure3ParallelBudget(t *testing.T) {
 	}
 	t.Logf("figure3 x%d (effective %d) trials=%d, %d pairs: serial %.4fs, parallel %.4fs, speedup %.2fx [%.2f, %.2f] (%d cells, %d runs)",
 		workers, effWorkers, trials, pairs, report.SerialSec, report.ParallelSec,
-		speedup, report.SpeedupP25, report.SpeedupP75, report.Cells, report.SimRuns)
+		report.Speedup, report.SpeedupP25, report.SpeedupP75, report.Cells, report.SimRuns)
 
-	if runtime.NumCPU() >= workers && speedup < 2 {
-		t.Errorf("parallel speedup %.2fx at %d workers, want >= 2x", speedup, workers)
+	if runtime.NumCPU() >= workers && report.Speedup < 2 {
+		t.Errorf("parallel speedup %.2fx at %d workers, want >= 2x", report.Speedup, workers)
 	}
 }

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"math"
-	"reflect"
 	"testing"
 
 	"avfs/internal/chip"
-	"avfs/internal/daemon"
-	"avfs/internal/power"
 	"avfs/internal/sim"
 	"avfs/internal/snapshot"
+	"avfs/internal/stateeq"
 	"avfs/internal/wlgen"
 	"avfs/internal/workload"
 )
@@ -29,50 +26,6 @@ func quietRun(t *testing.T, spec *chip.Spec, cfg SystemConfig, ref bool) (*sim.M
 		m.OnTickBounded(nil, s.Base.Governor.NextSample)
 	}
 	return m, s
-}
-
-// replayPrint is every observable of a replay the quiet governor must
-// keep, energies as their fixed-point integers.
-type replayPrint struct {
-	now                 float64
-	ticks               uint64
-	checks, emergencies int
-	stats               daemon.Stats
-	nextSample          float64
-	freqs               []chip.MHz
-	finished            []int
-	started, completed  []float64
-	counters            []sim.CoreCounters
-	meter               power.MeterState
-	coreEnergyBits      []uint64
-}
-
-func replayPrintOf(m *sim.Machine, s *Stack) replayPrint {
-	p := replayPrint{
-		now: m.Now(), ticks: m.Ticks(), checks: m.EmergencyChecks(), emergencies: m.EmergencyCount(),
-		stats: s.D.Stats(), nextSample: s.Base.Governor.NextSample(), meter: m.Meter.State(),
-	}
-	for pmd := 0; pmd < m.Spec.PMDs(); pmd++ {
-		p.freqs = append(p.freqs, m.Chip.PMDFreq(chip.PMDID(pmd)))
-	}
-	for _, pr := range m.Finished() {
-		p.finished = append(p.finished, pr.ID)
-		p.started = append(p.started, pr.Started)
-		p.completed = append(p.completed, pr.Completed)
-		p.coreEnergyBits = append(p.coreEnergyBits, math.Float64bits(pr.CoreEnergy.J()))
-	}
-	for c := 0; c < m.Spec.Cores; c++ {
-		p.counters = append(p.counters, m.Counters(chip.CoreID(c)))
-	}
-	return p
-}
-
-// compareReplayPrints fails t unless got equals want bit for bit.
-func compareReplayPrints(t *testing.T, label string, got, want replayPrint) {
-	t.Helper()
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("%s: replay diverged\n got %+v\nwant %+v", label, got, want)
-	}
 }
 
 // quietPhases are the stretches of the oracle scenario: a busy stretch
@@ -125,7 +78,9 @@ func TestQuietGovernorMatchesSampleBoundaries(t *testing.T) {
 				if ph.quiet && !runS.Base.Governor.Quiet() {
 					t.Errorf("%s %s: precondition: the phase must end quiet", label, ph.name)
 				}
-				compareReplayPrints(t, label+" "+ph.name, replayPrintOf(run, runS), replayPrintOf(ref, refS))
+				if d := stateeq.Diff(sessionState(t, refS), sessionState(t, runS), strategyOnly); d != "" {
+					t.Errorf("%s %s: replay diverged: %s", label, ph.name, d)
+				}
 			}
 			refCommits, runCommits := ref.Ticks()-ref.CoalescedTicks(), run.Ticks()-run.CoalescedTicks()
 			if 2*runCommits > refCommits {
@@ -173,7 +128,9 @@ func TestQuietGovernorRestoreMatchesContinuous(t *testing.T) {
 						t.Fatalf("%s %s: %v", label, ph.name, err)
 					}
 				}
-				compareReplayPrints(t, label+" restored, "+ph.name, replayPrintOf(m, s), replayPrintOf(cont, contS))
+				if d := stateeq.Diff(sessionState(t, contS), sessionState(t, s)); d != "" {
+					t.Errorf("%s restored, %s: replay diverged: %s", label, ph.name, d)
+				}
 			}
 		}
 	}

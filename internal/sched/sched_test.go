@@ -6,8 +6,19 @@ import (
 
 	"avfs/internal/chip"
 	"avfs/internal/sim"
+	"avfs/internal/stateeq"
 	"avfs/internal/workload"
 )
+
+// stackState is the complete state of a run under the baseline stack:
+// its machine's capture and the stack's.
+func stackState(m *sim.Machine, b *Baseline) map[string]any {
+	return map[string]any{"machine": m.CaptureState(), "baseline": b.CaptureState()}
+}
+
+// perTickOnly is the one field a per-tick oracle may differ in from a
+// batched run: the count of coalesced ticks, which it keeps at 0.
+const perTickOnly = "machine.coalesced"
 
 func TestDefaultPlacerSpreadsAcrossPMDs(t *testing.T) {
 	m := sim.New(chip.XGene3Spec())
@@ -61,12 +72,12 @@ func TestDefaultPlacerFIFOBlocks(t *testing.T) {
 // samples while blocked — and the head is still placed on the very tick
 // its cores free up, as with per-tick placement attempts.
 func TestBlockedHeadCoalesces(t *testing.T) {
-	run := func(coalesce bool) (*sim.Machine, *sim.Process) {
+	run := func(coalesce bool) (*sim.Machine, *Baseline) {
 		m := sim.New(chip.XGene2Spec())
 		if !coalesce {
 			m.OnTickBounded(nil, m.Now) // the per-tick oracle
 		}
-		NewBaseline(m)
+		b := NewBaseline(m)
 		m.MustSubmit(workload.MustByName("EP"), 6)
 		m.MustSubmit(workload.MustByName("namd"), 1)
 		m.MustSubmit(workload.MustByName("gcc"), 1)
@@ -76,10 +87,10 @@ func TestBlockedHeadCoalesces(t *testing.T) {
 		if big.State != sim.Pending || headFits(m) {
 			t.Fatal("precondition: the CG head must be blocked at 5 s")
 		}
-		return m, big
+		return m, b
 	}
-	serial, sBig := run(false)
-	batched, bBig := run(true)
+	serial, sb := run(false)
+	batched, bb := run(true)
 	if c := batched.CoalescedTicks(); c < 250 {
 		t.Errorf("blocked baseline coalesced %d of 500 ticks, want most of them", c)
 	}
@@ -88,15 +99,8 @@ func TestBlockedHeadCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if sBig.Started != bBig.Started || serial.Ticks() != batched.Ticks() || serial.Meter.State() != batched.Meter.State() {
-		t.Errorf("blocked head started at %v (%d ticks total), want %v (%d ticks) as with per-tick stepping",
-			bBig.Started, batched.Ticks(), sBig.Started, serial.Ticks())
-	}
-	fs, fb := serial.Finished(), batched.Finished()
-	for i := range fs {
-		if fs[i].ID != fb[i].ID || fs[i].Completed != fb[i].Completed {
-			t.Errorf("finish %d: proc %d at %v, want proc %d at %v", i, fb[i].ID, fb[i].Completed, fs[i].ID, fs[i].Completed)
-		}
+	if d := stateeq.Diff(stackState(serial, sb), stackState(batched, bb), perTickOnly); d != "" {
+		t.Errorf("batched run diverged from per-tick placement attempts: %s", d)
 	}
 }
 
@@ -238,30 +242,12 @@ func TestQuietBaselineMatchesSerial(t *testing.T) {
 	for _, d := range []float64{3.33, 20, 60, 200} {
 		serial.RunFor(d)
 		batched.RunFor(d)
-		if serial.Ticks() != batched.Ticks() || sb.Governor.NextSample() != bb.Governor.NextSample() {
-			t.Fatalf("after %v s: ticks %d, next sample %v; serial %d, %v", d,
-				batched.Ticks(), bb.Governor.NextSample(), serial.Ticks(), sb.Governor.NextSample())
-		}
-		for p := 0; p < serial.Spec.PMDs(); p++ {
-			if f, want := batched.Chip.PMDFreq(chip.PMDID(p)), serial.Chip.PMDFreq(chip.PMDID(p)); f != want {
-				t.Errorf("after %v s: PMD%d at %v, serial %v", d, p, f, want)
-			}
+		if diff := stateeq.Diff(stackState(serial, sb), stackState(batched, bb), perTickOnly); diff != "" {
+			t.Fatalf("after %v s: %s", d, diff)
 		}
 	}
-	if !bb.Governor.Quiet() || batched.RunningCount() != 0 {
-		t.Fatal("precondition: the run must end idle and quiet")
-	}
-	if serial.Meter.State() != batched.Meter.State() {
-		t.Errorf("meter %+v, serial %+v", batched.Meter.State(), serial.Meter.State())
-	}
-	fs, fb := serial.Finished(), batched.Finished()
-	if len(fs) != 3 || len(fb) != 3 {
-		t.Fatalf("%d and %d finished, want 3", len(fs), len(fb))
-	}
-	for i := range fs {
-		if fs[i].ID != fb[i].ID || fs[i].Completed != fb[i].Completed {
-			t.Errorf("finish %d: proc %d at %v, serial proc %d at %v", i, fb[i].ID, fb[i].Completed, fs[i].ID, fs[i].Completed)
-		}
+	if !bb.Governor.Quiet() || batched.RunningCount() != 0 || len(batched.Finished()) != 3 {
+		t.Fatal("precondition: the run must end idle and quiet with all three programs finished")
 	}
 	// Idle and quiet, a batch is bounded by the max horizon, not by the
 	// 0.1 s samples.

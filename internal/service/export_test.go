@@ -1,6 +1,10 @@
 package service
 
-import "testing"
+import (
+	"testing"
+
+	"avfs/internal/snapshot"
+)
 
 // StepPerTick makes session id's machine commit one tick at a time: a
 // hook whose boundary is always now ends every batch. Tests use it where
@@ -14,4 +18,21 @@ func StepPerTick(t testing.TB, f *Fleet, id string) {
 	s.mu.Lock()
 	s.m.OnTickBounded(nil, s.m.Now)
 	s.mu.Unlock()
+}
+
+// CaptureSession returns session id's complete captured state, as a
+// snapshot of it would hold it.
+func CaptureSession(t testing.TB, f *Fleet, id string) *snapshot.SessionState {
+	t.Helper()
+	s, err := f.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, err := s.captureStateLocked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

@@ -3,14 +3,13 @@ package service_test
 import (
 	"context"
 	"errors"
-	"math"
 	"net/http/httptest"
-	"reflect"
 	"testing"
 	"time"
 
 	"avfs/api"
 	"avfs/internal/service"
+	"avfs/internal/stateeq"
 )
 
 func newMigrationPair(t *testing.T) (*service.Fleet, *service.Fleet, *httptest.Server) {
@@ -102,64 +101,9 @@ func TestMigrationBitEquality(t *testing.T) {
 		}
 	}
 
-	want, err := a.Get(control)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Get(s.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Now != want.Now {
-		t.Fatalf("clocks diverged: migrated %v, control %v", got.Now, want.Now)
-	}
-	if got.Policy != want.Policy {
-		t.Fatalf("policy diverged: %q vs %q", got.Policy, want.Policy)
-	}
-
-	wantPs, err := a.Processes(control)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPs, err := b.Processes(s.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotPs.Processes) != len(wantPs.Processes) {
-		t.Fatalf("process counts diverged: %d vs %d", len(gotPs.Processes), len(wantPs.Processes))
-	}
-	for i := range wantPs.Processes {
-		w, g := wantPs.Processes[i], gotPs.Processes[i]
-		if g.ID != w.ID || g.Benchmark != w.Benchmark || g.Threads != w.Threads ||
-			g.State != w.State || !reflect.DeepEqual(g.Cores, w.Cores) {
-			t.Fatalf("process %d integer state diverged:\n got %+v\nwant %+v", i, g, w)
-		}
-		if g.Progress != w.Progress || g.Runtime != w.Runtime {
-			t.Fatalf("process %d progress/runtime diverged:\n got %+v\nwant %+v", i, g, w)
-		}
-		if math.Float64bits(g.CoreEnergyJ) != math.Float64bits(w.CoreEnergyJ) {
-			t.Fatalf("process %d energy diverged: %v vs %v", i, g.CoreEnergyJ, w.CoreEnergyJ)
-		}
-	}
-
-	wantE, err := a.Energy(control)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotE, err := b.Energy(s.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotE.VoltageMV != wantE.VoltageMV || gotE.Emergencies != wantE.Emergencies {
-		t.Fatalf("integer energy state diverged:\n got %+v\nwant %+v", gotE, wantE)
-	}
-	if math.Float64bits(gotE.EnergyJ) != math.Float64bits(wantE.EnergyJ) {
-		t.Fatalf("energy diverged: %v vs %v", gotE.EnergyJ, wantE.EnergyJ)
-	}
-	for k, wv := range wantE.Breakdown {
-		if math.Float64bits(gotE.Breakdown[k]) != math.Float64bits(wv) {
-			t.Fatalf("breakdown[%s] diverged: %v vs %v", k, gotE.Breakdown[k], wv)
-		}
+	want, got := service.CaptureSession(t, a, control), service.CaptureSession(t, b, s.ID)
+	if d := stateeq.Diff(want, got); d != "" {
+		t.Fatalf("migrated session diverged from the control: %s", d)
 	}
 }
 

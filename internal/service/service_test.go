@@ -266,7 +266,17 @@ func waitJob(t *testing.T, f *Fleet, sid, jid string, timeout time.Duration) api
 }
 
 func TestAsyncJobLifecycle(t *testing.T) {
-	f, _ := testFleet(t, Config{})
+	// One worker, held by a run that cannot finish during the test, so
+	// the job below is still queued when RunAsync returns by
+	// construction: a 60 s run alone can finish before RunAsync reads
+	// its status.
+	f, _ := testFleet(t, Config{Workers: 1})
+	blocker := mustCreate(t, f, api.CreateSessionRequest{})
+	StepPerTick(t, f, blocker.ID)
+	bj, err := f.RunAsync(context.Background(), blocker.ID, api.RunRequest{Seconds: 1e9})
+	if err != nil {
+		t.Fatalf("RunAsync: %v", err)
+	}
 	s := mustCreate(t, f, api.CreateSessionRequest{})
 	if _, err := f.Submit(s.ID, api.SubmitRequest{Benchmark: "CG", Threads: 4}); err != nil {
 		t.Fatal(err)
@@ -275,8 +285,11 @@ func TestAsyncJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunAsync: %v", err)
 	}
-	if j.Status != api.JobQueued && j.Status != api.JobRunning {
-		t.Fatalf("fresh job status = %s", j.Status)
+	if j.Status != api.JobQueued {
+		t.Fatalf("fresh job status = %s, want queued behind the held worker", j.Status)
+	}
+	if _, err := f.CancelJob(blocker.ID, bj.ID); err != nil {
+		t.Fatal(err)
 	}
 	done := waitJob(t, f, s.ID, j.ID, 60*time.Second)
 	if done.Status != api.JobDone {

@@ -2,12 +2,13 @@ package sim_test
 
 import (
 	"encoding/json"
-	"math"
+	"sync"
 	"testing"
 
 	"avfs/internal/chip"
 	"avfs/internal/daemon"
 	"avfs/internal/sim"
+	"avfs/internal/stateeq"
 	"avfs/internal/workload"
 )
 
@@ -16,30 +17,22 @@ import (
 // are the newest entries of the full history.
 func mustMatchHistory(t *testing.T, full, bounded *sim.Machine, limit int, tag string) {
 	t.Helper()
-	if full.Ticks() != bounded.Ticks() ||
-		math.Float64bits(full.Meter.Energy()) != math.Float64bits(bounded.Meter.Energy()) ||
-		full.EnergyBreakdown() != bounded.EnergyBreakdown() ||
-		full.Chip.Voltage() != bounded.Chip.Voltage() {
-		t.Fatalf("%s: trajectory diverged: ticks %d/%d energy %.17g/%.17g",
-			tag, full.Ticks(), bounded.Ticks(), full.Meter.Energy(), bounded.Meter.Energy())
-	}
-	for c := 0; c < full.Spec.Cores; c++ {
-		if full.Counters(chip.CoreID(c)) != bounded.Counters(chip.CoreID(c)) {
-			t.Fatalf("%s: core %d counters diverged", tag, c)
-		}
+	// The retained history is what the limit trims; the totals and tails
+	// below check it.
+	if d := stateeq.Diff(full.CaptureState(), bounded.CaptureState(),
+		"finished", "finished_dropped", "emergencies", "emergencies_dropped"); d != "" {
+		t.Fatalf("%s: trajectory diverged: %s", tag, d)
 	}
 	if full.FinishedCount() != bounded.FinishedCount() || full.EmergencyCount() != bounded.EmergencyCount() {
 		t.Fatalf("%s: totals finished %d/%d emergencies %d/%d", tag,
 			full.FinishedCount(), bounded.FinishedCount(), full.EmergencyCount(), bounded.EmergencyCount())
 	}
-	ff, bf := sim.BitsOf(full.Finished()), sim.BitsOf(bounded.Finished())
+	ff, bf := full.Finished(), bounded.Finished()
 	if len(bf) != min(limit, len(ff)) {
 		t.Fatalf("%s: %d finished retained, want %d", tag, len(bf), min(limit, len(ff)))
 	}
-	for i, r := range bf {
-		if w := ff[len(ff)-len(bf)+i]; r != w {
-			t.Fatalf("%s: finished[%d] = %+v, want %+v", tag, i, r, w)
-		}
+	if d := stateeq.Diff(ff[len(ff)-len(bf):], bf); d != "" {
+		t.Fatalf("%s: finished tail: %s", tag, d)
 	}
 	for _, r := range ff {
 		if bounded.ProcessByID(r.ID) != nil {
@@ -50,10 +43,8 @@ func mustMatchHistory(t *testing.T, full, bounded *sim.Machine, limit int, tag s
 	if len(be) != min(limit, len(fe)) {
 		t.Fatalf("%s: %d emergencies retained, want %d", tag, len(be), min(limit, len(fe)))
 	}
-	for i, e := range be {
-		if e != fe[len(fe)-len(be)+i] {
-			t.Fatalf("%s: emergency[%d] = %+v, want %+v", tag, i, e, fe[len(fe)-len(be)+i])
-		}
+	if d := stateeq.Diff(fe[len(fe)-len(be):], be); d != "" {
+		t.Fatalf("%s: emergency tail: %s", tag, d)
 	}
 }
 
@@ -158,6 +149,96 @@ func TestRestoreTrimmedRoundTrip(t *testing.T) {
 	got, _ := json.Marshal(m.CaptureState())
 	if string(got) != string(want) {
 		t.Fatalf("trimmed state changed across restore:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestCaptureKeepsItsRecords: a capture shares its machine's finished
+// records read-only, and stays as it was while the machine runs on,
+// finishing processes and trimming its history. Captures every 10 s meet
+// the records' backing array at several lengths and spare capacities.
+func TestCaptureKeepsItsRecords(t *testing.T) {
+	const limit = 4
+	m := sim.New(chip.XGene2Spec())
+	daemon.New(m, daemon.DefaultConfig()).Attach()
+	m.SetHistoryLimit(limit)
+	refill := func() {
+		m.MustSubmit(workload.MustByName("EP"), 2)
+		for _, name := range []string{"namd", "mcf", "lbm", "milc"} {
+			m.MustSubmit(workload.MustByName(name), 1)
+		}
+	}
+	type capture struct {
+		st  *sim.MachineState
+		raw []byte
+	}
+	var caps []capture
+	shared := 0
+	for i := 0; i < 18; i++ {
+		if i%6 == 0 {
+			refill()
+		}
+		m.RunFor(10)
+		st := m.CaptureState()
+		if len(st.Finished) > 0 && &st.Finished[0] == &m.Finished()[0] {
+			shared++
+		}
+		raw, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps = append(caps, capture{st, raw})
+	}
+	dropped := caps[len(caps)-1].st.FinishedDropped
+	for round := 0; round < 3; round++ {
+		refill()
+		m.RunFor(60)
+	}
+	if shared == 0 || m.FinishedCount()-len(m.Finished()) < dropped+limit {
+		t.Fatalf("precondition: captures must share the machine's records (%d did) and the machine must trim past them",
+			shared)
+	}
+	for i, c := range caps {
+		if d := stateeq.Diff(json.RawMessage(c.raw), c.st); d != "" {
+			t.Errorf("capture at %d s changed as its machine ran on: %s", 10*(i+1), d)
+		}
+	}
+}
+
+// TestRestoresShareOneState: machines restored from one decoded state
+// share its finished records read-only, so they step at once (the race
+// detector watches the records) and land on the same state, and the
+// decoded state stays as it was.
+func TestRestoresShareOneState(t *testing.T) {
+	st := roundTrip(t, restoreFolded(t))
+	want, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := make([]*sim.Machine, 2)
+	for i := range ms {
+		if ms[i], err = sim.RestoreMachine(chip.XGene2Spec(), st); err != nil {
+			t.Fatal(err)
+		}
+		daemon.New(ms[i], daemon.DefaultConfig()).Attach()
+		ms[i].SetHistoryLimit(len(st.Finished))
+	}
+	var wg sync.WaitGroup
+	for _, m := range ms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m.RunFor(120)
+		}()
+	}
+	wg.Wait()
+	if n := ms[0].FinishedCount() - len(st.Finished); n < 2 {
+		t.Fatalf("precondition: the restored machines must append and trim records, %d finished", n)
+	}
+	if d := stateeq.Diff(ms[0].CaptureState(), ms[1].CaptureState()); d != "" {
+		t.Errorf("machines restored from one state diverged: %s", d)
+	}
+	if d := stateeq.Diff(json.RawMessage(want), st); d != "" {
+		t.Errorf("the decoded state changed under its restored machines: %s", d)
 	}
 }
 

@@ -2,10 +2,10 @@ package sim
 
 import (
 	"math"
-	"slices"
 	"testing"
 
 	"avfs/internal/chip"
+	"avfs/internal/stateeq"
 	"avfs/internal/workload"
 )
 
@@ -53,7 +53,7 @@ func rosterRun(t *testing.T, forceRebuild bool) (*Machine, int) {
 }
 
 // TestRosterReuseMatchesRebuild: reusing the thread roster across full
-// ticks is a cache, not an approximation — every observable, energies
+// ticks is a cache, not an approximation — the captured state, energies
 // included, equals rebuilding it on every full tick bit for bit.
 func TestRosterReuseMatchesRebuild(t *testing.T) {
 	ref, refReused := rosterRun(t, true)
@@ -64,19 +64,9 @@ func TestRosterReuseMatchesRebuild(t *testing.T) {
 	if len(run.Finished()) != 3 {
 		t.Fatalf("precondition: %d of 3 processes finished", len(run.Finished()))
 	}
-	if got, want := fingerprint(run), fingerprint(ref); !sameFingerprint(got, want) {
-		t.Errorf("roster reuse diverged:\n got %+v\nwant %+v", got, want)
+	if d := stateeq.Diff(ref.CaptureState(), run.CaptureState()); d != "" {
+		t.Errorf("roster reuse diverged: %s", d)
 	}
-	if got, want := run.MemUtilization(), ref.MemUtilization(); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("memory utilization %v, rebuilt every tick %v", got, want)
-	}
-}
-
-// sameFingerprint compares two fingerprints exactly, energy quanta included.
-func sameFingerprint(a, b machineFingerprint) bool {
-	return a.ticks == b.ticks && a.now == b.now && a.meter == b.meter &&
-		a.emergencies == b.emergencies && a.emChecks == b.emChecks &&
-		slices.Equal(a.counters, b.counters) && slices.Equal(a.finished, b.finished)
 }
 
 // TestRosterFullTickAllocationFree: a full tick that reuses the roster —

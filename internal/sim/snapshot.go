@@ -132,7 +132,10 @@ type MachineState struct {
 }
 
 // CaptureState extracts the machine's complete state. The machine is not
-// modified; the returned state shares no memory with it.
+// modified. The returned state shares only the finished records with it,
+// read-only: the machine never writes a record it holds, only appends
+// past the captured length or drops from the front, so the capture keeps
+// its records however the machine runs on. Callers must not write them.
 func (m *Machine) CaptureState() *MachineState {
 	st := &MachineState{
 		Model:            int(m.Spec.Model),
@@ -199,7 +202,7 @@ func (m *Machine) CaptureState() *MachineState {
 		}
 		st.Processes = append(st.Processes, ps)
 	}
-	st.Finished = slices.Clone(m.finished)
+	st.Finished = m.finished[:len(m.finished):len(m.finished)]
 	// Capture the steady cache only while it is live for the current
 	// generations and tick length; a stale cache fails steadyReady on
 	// both sides, so dropping it preserves the trajectory.
@@ -288,7 +291,9 @@ func checkVF(spec *chip.Spec, st *MachineState) error {
 // restored machine has no hooks, subscribers or event log — the caller
 // re-attaches its controller stack (in the same registration order as the
 // original, for identical replay) after restoring. Benchmarks are
-// resolved by name against the workload catalog.
+// resolved by name against the workload catalog. The machine shares
+// st's finished records read-only, as a capture shares its machine's, so
+// any number of machines may be restored from one state and run at once.
 func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 	if int(spec.Model) != st.Model || spec.Cores != st.Cores {
 		return nil, fmt.Errorf("sim: snapshot for model %d/%d cores, spec is %d/%d",
@@ -450,7 +455,10 @@ func RestoreMachine(spec *chip.Spec, st *MachineState) (*Machine, error) {
 			return nil, fmt.Errorf("sim: snapshot process ID %d out of range or repeated", id)
 		}
 	}
-	m.finished = slices.Clone(st.Finished)
+	// Shared read-only with st: the clipped capacity makes the machine's
+	// first append copy, so machines restored from one state never write
+	// into it or into each other.
+	m.finished = st.Finished[:len(st.Finished):len(st.Finished)]
 
 	// Steady cache: rebuild the frozen tick against the restored threads,
 	// re-keyed to the restored chip/placement generations so steadyReady

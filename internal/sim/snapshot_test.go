@@ -13,66 +13,9 @@ import (
 	"avfs/internal/daemon"
 	"avfs/internal/power"
 	"avfs/internal/sim"
+	"avfs/internal/stateeq"
 	"avfs/internal/workload"
 )
-
-// mustEqualMachines asserts bit-exact equality of two machines' externally
-// observable state: tick counter, clock and energy bits, per-core PMU
-// counters, electrical state, and per-process/thread trajectories.
-func mustEqualMachines(t *testing.T, want, got *sim.Machine, tag string) {
-	t.Helper()
-	if want.Ticks() != got.Ticks() {
-		t.Fatalf("%s: ticks %d != %d", tag, got.Ticks(), want.Ticks())
-	}
-	if math.Float64bits(want.Now()) != math.Float64bits(got.Now()) {
-		t.Fatalf("%s: now %x != %x", tag, math.Float64bits(got.Now()), math.Float64bits(want.Now()))
-	}
-	if want.Meter.State() != got.Meter.State() {
-		t.Fatalf("%s: meter %+v != %+v", tag, got.Meter.State(), want.Meter.State())
-	}
-	if want.Chip.Voltage() != got.Chip.Voltage() {
-		t.Fatalf("%s: voltage %d != %d", tag, got.Chip.Voltage(), want.Chip.Voltage())
-	}
-	for p := 0; p < want.Spec.PMDs(); p++ {
-		if want.Chip.PMDFreq(chip.PMDID(p)) != got.Chip.PMDFreq(chip.PMDID(p)) {
-			t.Fatalf("%s: pmd %d freq %v != %v", tag, p,
-				got.Chip.PMDFreq(chip.PMDID(p)), want.Chip.PMDFreq(chip.PMDID(p)))
-		}
-	}
-	for c := 0; c < want.Spec.Cores; c++ {
-		w, g := want.Counters(chip.CoreID(c)), got.Counters(chip.CoreID(c))
-		if w != g {
-			t.Fatalf("%s: core %d counters %+v != %+v", tag, c, g, w)
-		}
-	}
-	if len(want.Emergencies()) != len(got.Emergencies()) {
-		t.Fatalf("%s: emergencies %d != %d", tag, len(got.Emergencies()), len(want.Emergencies()))
-	}
-	wf, gf := sim.BitsOf(want.Finished()), sim.BitsOf(got.Finished())
-	if len(wf) != len(gf) {
-		t.Fatalf("%s: finished %d != %d", tag, len(gf), len(wf))
-	}
-	for i := range wf {
-		if wf[i] != gf[i] {
-			t.Fatalf("%s: finished[%d] = %+v, want %+v", tag, i, gf[i], wf[i])
-		}
-	}
-	for _, wp := range append(append([]*sim.Process{}, want.Running()...), want.Pending()...) {
-		gp := got.ProcessByID(wp.ID)
-		if gp == nil {
-			t.Fatalf("%s: process %d missing", tag, wp.ID)
-		}
-		if math.Float64bits(wp.CoreEnergy()) != math.Float64bits(gp.CoreEnergy()) {
-			t.Fatalf("%s: proc %d core energy %.17g != %.17g", tag, wp.ID, gp.CoreEnergy(), wp.CoreEnergy())
-		}
-		for i := range wp.Threads {
-			if math.Float64bits(wp.Threads[i].Progress()) != math.Float64bits(gp.Threads[i].Progress()) {
-				t.Fatalf("%s: proc %d thread %d progress %.17g != %.17g",
-					tag, wp.ID, i, gp.Threads[i].Progress(), wp.Threads[i].Progress())
-			}
-		}
-	}
-}
 
 // roundTrip serializes and re-parses a machine state, mimicking exactly
 // what the snapshot store does on the wire — the test must cover the JSON
@@ -141,7 +84,9 @@ func TestSnapshotRestoreImmediate(t *testing.T) {
 	m.RunFor(20)
 	mst, dst := captureBoth(t, m, d)
 	m2, _ := restorePair(t, mst, dst)
-	mustEqualMachines(t, m, m2, "immediate restore")
+	if d := stateeq.Diff(m.CaptureState(), m2.CaptureState()); d != "" {
+		t.Fatalf("immediate restore: %s", d)
+	}
 }
 
 // TestSnapshotReplayBitIdentical is the determinism contract: snapshot a
@@ -155,7 +100,9 @@ func TestSnapshotReplayBitIdentical(t *testing.T) {
 
 	mst, dst := captureBoth(t, m, d)
 	m2, _ := restorePair(t, mst, dst)
-	mustEqualMachines(t, m, m2, "at capture")
+	if d := stateeq.Diff(m.CaptureState(), m2.CaptureState()); d != "" {
+		t.Fatalf("at capture: %s", d)
+	}
 
 	// Identical inputs on both sides: advance, submit mid-run, advance.
 	for _, mm := range []*sim.Machine{m, m2} {
@@ -165,7 +112,9 @@ func TestSnapshotReplayBitIdentical(t *testing.T) {
 		}
 		mm.RunFor(60)
 	}
-	mustEqualMachines(t, m, m2, "after replay")
+	if d := stateeq.Diff(m.CaptureState(), m2.CaptureState()); d != "" {
+		t.Fatalf("after replay: %s", d)
+	}
 }
 
 // TestSnapshotMidCoalescedBatch pins the hardest restore case: capturing
@@ -190,11 +139,15 @@ func TestSnapshotMidCoalescedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RestoreMachine: %v", err)
 	}
-	mustEqualMachines(t, m, m2, "at capture")
+	if d := stateeq.Diff(m.CaptureState(), m2.CaptureState()); d != "" {
+		t.Fatalf("at capture: %s", d)
+	}
 
 	m.RunFor(25)
 	m2.RunFor(25)
-	mustEqualMachines(t, m, m2, "after coalesced replay")
+	if d := stateeq.Diff(m.CaptureState(), m2.CaptureState()); d != "" {
+		t.Fatalf("after coalesced replay: %s", d)
+	}
 }
 
 // TestSnapshotForkDivergence forks two children off one snapshot and runs
@@ -215,7 +168,9 @@ func TestSnapshotForkDivergence(t *testing.T) {
 	control.RunFor(40)
 	variant.RunFor(40)
 
-	mustEqualMachines(t, m, control, "control child")
+	if d := stateeq.Diff(m.CaptureState(), control.CaptureState()); d != "" {
+		t.Fatalf("control child: %s", d)
+	}
 	if math.Float64bits(m.Meter.Energy()) == math.Float64bits(variant.Meter.Energy()) {
 		t.Error("variant child with extra work matched the parent's energy exactly")
 	}
@@ -546,7 +501,9 @@ func TestSnapshotRestoreBudget(t *testing.T) {
 	// The restored trajectory must land exactly where the cold one does.
 	cold := coldRun()
 	warm := warmRun()
-	mustEqualMachines(t, cold, warm, "fast-forward equivalence")
+	if d := stateeq.Diff(cold.CaptureState(), warm.CaptureState()); d != "" {
+		t.Fatalf("fast-forward equivalence: %s", d)
+	}
 
 	// The restore path is the baseline, so the per-pair ratio is the
 	// cold run's cost over it: the speedup.

@@ -60,6 +60,19 @@ check_vet() {
 	go vet ./... && (cd perfbench && go vet ./...)
 }
 
+# The race run's output is kept in .bench_build/race.log, and the summary
+# repeats its failure lines, so a console cut to its last lines still
+# names the failing test. A pipe would report tee's status, so the test
+# run's status travels through a file.
+check_race() {
+	mkdir -p .bench_build
+	{
+		go test -race ./... 2>&1
+		echo $? >.bench_build/race.status
+	} | tee .bench_build/race.log
+	return "$(cat .bench_build/race.status)"
+}
+
 # Go may fuse x*y + z into one rounding on arm64 (never on amd64), so a
 # fused site can move simulated bits between architectures. The count per
 # package may only go down; lower scripts/fma_baseline.txt when it does.
@@ -120,7 +133,7 @@ bench_gate() {
 gate "gofmt -l" check_gofmt
 gate "go vet ./..." check_vet
 gate "go build ./..." go build ./...
-gate "go test -race ./..." go test -race ./...
+gate "go test -race ./..." check_race
 gate "arm64 fused-FP ratchet" check_fma
 gate "fuzz smoke (5 s per target)" check_fuzz
 gate "perfbench smoke run (advance, 1 s)" check_perfbench advance
@@ -149,6 +162,10 @@ gate "surrogate gates (microsecond query budget + accuracy vs simulator)" \
 
 echo "==> summary"
 echo "$results" | sed '1d'
+if grep -Eq -e '--- FAIL:|^FAIL' .bench_build/race.log 2>/dev/null; then
+	echo "race run failures (.bench_build/race.log):"
+	grep -E -e '--- FAIL:|^FAIL' .bench_build/race.log
+fi
 if [ "$failed" -ne 0 ]; then
 	echo "FAILED" >&2
 	exit 1
