@@ -1,7 +1,9 @@
 // Package api defines the wire types of the AVFS fleet control plane's
 // v1 HTTP/JSON API. Both sides speak it: internal/service implements the
 // server, avfs/client consumes it, and neither leaks internal simulator
-// types onto the wire.
+// types onto the wire. The service and internal/cluster consume it too,
+// through avfs/client, for every node-to-node call: heartbeats, session
+// listings, migrations and imports, and the metrics fan-out.
 //
 // Errors travel as a JSON body with a stable machine-readable Code; the
 // client reconstructs them as *Error values that satisfy errors.Is against

@@ -13,6 +13,8 @@
 //	e, _ := c.Energy(ctx, s.ID)
 //	fmt.Println(e.EnergyJ, "J")
 //
+// The cluster's own node-to-node calls (heartbeats, session listings,
+// migrations and imports, metrics fan-out) go through this client too.
 // See docs/API.md for the endpoint surface and the error model.
 package client
 
@@ -74,6 +76,12 @@ func New(base string, httpClient ...*http.Client) *Client {
 	return c
 }
 
+// maxResponseBytes bounds every success body the client reads: 64 MiB,
+// the limit on /v1/cluster/import bodies and so the largest body the API
+// accepts. A longer body fails the call with an *http.MaxBytesError
+// instead of being buffered whole.
+const maxResponseBytes = 64 << 20
+
 // do issues one request and decodes the response into out (nil to discard).
 // Non-2xx responses come back as *api.Error with Status and RetryAfterSec
 // filled from the HTTP layer.
@@ -94,7 +102,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 
 // send issues one request with in (if non-nil) as its JSON body. A status
 // >= 400 comes back as the decoded wire error; otherwise the caller owns
-// the response body.
+// the response body, which reads at most maxResponseBytes.
 func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
 	var body io.Reader
 	if in != nil {
@@ -119,6 +127,7 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 		defer resp.Body.Close()
 		return nil, decodeError(resp)
 	}
+	resp.Body = http.MaxBytesReader(nil, resp.Body, maxResponseBytes)
 	return resp, nil
 }
 
@@ -523,6 +532,31 @@ func (c *Client) MigrateSession(ctx context.Context, req api.MigrateRequest) (ap
 	var m api.Migration
 	err := c.do(ctx, http.MethodPost, "/v1/cluster/migrate", req, &m)
 	return m, err
+}
+
+// Heartbeat registers or refreshes a node with the router behind this
+// client's base URL — the node agent's beat. The reply carries the
+// membership epoch, the node's power-budget share and the peer list.
+func (c *Client) Heartbeat(ctx context.Context, hb api.NodeHeartbeat) (api.HeartbeatReply, error) {
+	var r api.HeartbeatReply
+	err := c.do(ctx, http.MethodPost, "/cluster/v1/nodes", hb, &r)
+	return r, err
+}
+
+// Deregister removes a node from the router's membership (clean
+// shutdown; an unclean exit expires by heartbeat TTL instead).
+func (c *Client) Deregister(ctx context.Context, name string) error {
+	return c.do(ctx, http.MethodDelete, "/cluster/v1/nodes/"+url.PathEscape(name), nil, nil)
+}
+
+// ImportSession hands a migrated session's snapshot to the node behind
+// this client's base URL — the peer end of MigrateSession. The node
+// verifies the payload against SnapshotID and restores the session under
+// its original identity.
+func (c *Client) ImportSession(ctx context.Context, req api.ImportRequest) (api.Session, error) {
+	var s api.Session
+	err := c.do(ctx, http.MethodPost, "/v1/cluster/import", req, &s)
+	return s, err
 }
 
 // Metrics fetches a Prometheus text-format snapshot: the fleet's with

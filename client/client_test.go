@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -631,5 +632,61 @@ func TestSnapshotForkWhatIfOverHTTP(t *testing.T) {
 
 	if _, err := c.Fork(ctx, s.ID, api.ForkRequest{SnapshotID: "nope"}); !errors.Is(err, api.ErrSnapshotNotFound) {
 		t.Errorf("bogus fork = %v, want ErrSnapshotNotFound", err)
+	}
+}
+
+// TestResponseBodyBound: a success body longer than 64 MiB fails the call
+// with *http.MaxBytesError instead of being buffered whole.
+func TestResponseBodyBound(t *testing.T) {
+	const bound = 64 << 20
+	chunk := []byte(strings.Repeat("a", 1<<20))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// One JSON string streamed past the bound.
+		_, _ = io.WriteString(w, `{"id":"`)
+		for n := 0; n <= bound; n += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+		_, _ = io.WriteString(w, `"}`)
+	}))
+	t.Cleanup(ts.Close)
+	_, err := client.New(ts.URL, ts.Client()).Session(context.Background(), "s-big")
+	var tooBig *http.MaxBytesError
+	if !errors.As(err, &tooBig) || tooBig.Limit != bound {
+		t.Fatalf("oversized body: error = %v, want *http.MaxBytesError at %d bytes", err, bound)
+	}
+}
+
+// TestBoundedReadsReuseConnection: typed and text reads through the
+// bounded body still hand their connection back for keep-alive.
+func TestBoundedReadsReuseConnection(t *testing.T) {
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			_, _ = io.WriteString(w, "# TYPE avfs_up gauge\navfs_up 1\n")
+			return
+		}
+		_, _ = io.WriteString(w, `{"id":"s-1"}`+"\n")
+	}))
+	var conns atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL, ts.Client())
+	ctx := context.Background()
+	for i := 0; i < 50; i++ {
+		if _, err := c.Session(ctx, "s-1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Metrics(ctx, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("100 sequential calls opened %d connections, want 1", n)
 	}
 }

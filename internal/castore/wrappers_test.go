@@ -22,7 +22,7 @@ import (
 // goldenSnapshotID is the content address of goldenSession. It pins the
 // snapshot encoding and snap-v4 hashing: forks and migrations between
 // nodes of different builds rely on identical states hashing identically.
-const goldenSnapshotID = "48efff3633e45c57082d0dc5e825a1d09443a59b27933ecc5bd2521186453179"
+const goldenSnapshotID = "10740ec93da767acb08895438d78fbd35d668fe7038147537681f7fc39dc289f"
 
 // goldenSession is a fixed X-Gene 2 session: the Optimal daemon over CG on
 // four cores and lbm on one, ten simulated seconds in.

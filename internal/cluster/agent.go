@@ -1,16 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
 
 	"avfs/api"
+	"avfs/client"
 	"avfs/internal/service"
 )
 
@@ -24,10 +22,10 @@ import (
 type Agent struct {
 	fleet     *service.Fleet
 	routerURL string
+	router    *client.Client
 	name      string
 	advertise string
 	interval  time.Duration
-	client    *http.Client
 
 	mu       sync.Mutex
 	draining bool
@@ -52,8 +50,6 @@ type AgentConfig struct {
 	AdvertiseURL string
 	// Interval is the heartbeat period (default 2s).
 	Interval time.Duration
-	// Client performs router and peer requests; nil gets a 10s default.
-	Client *http.Client
 }
 
 // NewAgent builds an agent; call Start to begin heartbeating.
@@ -64,16 +60,13 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 10 * time.Second}
-	}
 	return &Agent{
 		fleet:     cfg.Fleet,
 		routerURL: cfg.RouterURL,
+		router:    client.New(cfg.RouterURL, &http.Client{Timeout: 10 * time.Second}),
 		name:      cfg.Name,
 		advertise: cfg.AdvertiseURL,
 		interval:  cfg.Interval,
-		client:    cfg.Client,
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 	}, nil
@@ -121,37 +114,14 @@ func (a *Agent) Beat(ctx context.Context) error {
 	a.mu.Lock()
 	draining := a.draining
 	a.mu.Unlock()
-	hb := api.NodeHeartbeat{
+	reply, err := a.router.Heartbeat(ctx, api.NodeHeartbeat{
 		Name:     a.name,
 		URL:      a.advertise,
 		Sessions: a.fleet.SessionCount(),
 		DemandW:  a.fleet.DemandW(),
 		Draining: draining,
-	}
-	body, err := json.Marshal(&hb)
+	})
 	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		a.routerURL+"/cluster/v1/nodes", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("router answered HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	var reply api.HeartbeatReply
-	if err := json.Unmarshal(raw, &reply); err != nil {
 		return err
 	}
 	a.mu.Lock()
@@ -258,19 +228,5 @@ func (a *Agent) MigrateAll(ctx context.Context) ([]api.Migration, []error) {
 // Deregister removes the node from the router's registry (clean
 // shutdown; an unclean exit expires by heartbeat TTL instead).
 func (a *Agent) Deregister(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		a.routerURL+"/cluster/v1/nodes/"+a.name, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := a.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("router answered HTTP %d", resp.StatusCode)
-	}
-	return nil
+	return a.router.Deregister(ctx, a.name)
 }

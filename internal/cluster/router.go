@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"avfs/api"
+	"avfs/client"
 	"avfs/internal/telemetry"
 	"avfs/internal/telemetry/export"
 )
@@ -69,7 +70,8 @@ type RouterConfig struct {
 	LoadFactor float64
 	// Clock is injectable for tests; nil means time.Now.
 	Clock func() time.Time
-	// Client performs node requests; nil gets a 30s-timeout default.
+	// Client carries every node request, typed calls and byte relays
+	// alike; nil gets a 30s-timeout default.
 	Client *http.Client
 }
 
@@ -346,32 +348,23 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 // Nodes that cannot be reached are named in the reply's unreachable list
 // instead of silently shrinking the page.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.RawQuery
-	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
+	q := r.URL.Query()
+	opts := client.ListOptions{Cursor: q.Get("cursor"), State: q.Get("state"), Policy: q.Get("policy")}
+	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			writeAPIError(w, http.StatusBadRequest, api.CodeInvalidRequest, "limit must be a non-negative integer")
 			return
 		}
-		limit = n
+		opts.Limit = n
 	}
 	nodes := rt.reg.Snapshot() // draining nodes still hold sessions
 	out := api.SessionList{Sessions: []api.Session{}}
 	truncated := false
 	for _, n := range nodes {
-		u := n.URL + "/v1/sessions"
-		if q != "" {
-			u += "?" + q
-		}
-		status, _, body, err := rt.forward(r, http.MethodGet, u, nil)
-		if err != nil || status != http.StatusOK {
+		page, err := client.New(n.URL, rt.client).ListSessionsPage(r.Context(), opts)
+		if err != nil {
 			rt.mNodeErrs.Inc()
-			out.Unreachable = append(out.Unreachable, n.Name)
-			continue
-		}
-		var page api.SessionList
-		if json.Unmarshal(body, &page) != nil {
 			out.Unreachable = append(out.Unreachable, n.Name)
 			continue
 		}
@@ -381,8 +374,8 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		out.Sessions = append(out.Sessions, page.Sessions...)
 	}
 	sort.Slice(out.Sessions, func(i, j int) bool { return out.Sessions[i].ID < out.Sessions[j].ID })
-	if limit > 0 && len(out.Sessions) > limit {
-		out.Sessions = out.Sessions[:limit]
+	if opts.Limit > 0 && len(out.Sessions) > opts.Limit {
+		out.Sessions = out.Sessions[:opts.Limit]
 		truncated = true
 	}
 	if truncated && len(out.Sessions) > 0 {
@@ -507,12 +500,12 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fams := map[string]*fam{}
 	var order []string
 	for _, n := range rt.reg.Snapshot() {
-		status, _, body, err := rt.forward(r, http.MethodGet, n.URL+"/metrics", nil)
-		if err != nil || status != http.StatusOK {
+		text, err := client.New(n.URL, rt.client).Metrics(r.Context(), "")
+		if err != nil {
 			rt.mNodeErrs.Inc()
 			continue
 		}
-		ms, typed, err := export.ParsePrometheusTyped(bytes.NewReader(body))
+		ms, typed, err := export.ParsePrometheusTyped(strings.NewReader(text))
 		if err != nil {
 			rt.mNodeErrs.Inc()
 			continue
@@ -557,9 +550,10 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// forward performs one node request, tagging it X-AVFS-Proxied so the
-// node answers in place instead of bouncing the caller back through the
-// router with a redirect.
+// forward performs one node request for the byte relays (handleCreate,
+// handleProxy), which copy node headers and bodies verbatim. It tags the
+// request X-AVFS-Proxied so the node answers in place instead of
+// bouncing the caller back through the router with a redirect.
 func (rt *Router) forward(src *http.Request, method, url string, body []byte) (int, http.Header, []byte, error) {
 	var rd io.Reader
 	if body != nil {
@@ -644,7 +638,12 @@ func (rt *Router) Rebalance(ctx context.Context) api.RebalanceReport {
 		}
 	}
 	for _, n := range nodes {
-		ids, err := rt.listNodeSessions(ctx, n.URL)
+		nc := client.New(n.URL, rt.client)
+		var ids []string
+		err := nc.EachSession(ctx, client.ListOptions{Limit: 500}, func(s api.Session) error {
+			ids = append(ids, s.ID)
+			return nil
+		})
 		if err != nil {
 			report.Errors = append(report.Errors, fmt.Sprintf("%s: list: %v", n.Name, err))
 			continue
@@ -674,7 +673,7 @@ func (rt *Router) Rebalance(ctx context.Context) api.RebalanceReport {
 					continue
 				}
 			}
-			mig, err := rt.migrate(ctx, n.URL, api.MigrateRequest{
+			mig, err := nc.MigrateSession(ctx, api.MigrateRequest{
 				Session:    id,
 				TargetName: owner,
 				TargetURL:  readyURLs[owner],
@@ -689,76 +688,4 @@ func (rt *Router) Rebalance(ctx context.Context) api.RebalanceReport {
 		}
 	}
 	return report
-}
-
-// listNodeSessions pages through one node's session IDs.
-func (rt *Router) listNodeSessions(ctx context.Context, nodeURL string) ([]string, error) {
-	var ids []string
-	cursor := ""
-	for {
-		u := nodeURL + "/v1/sessions?limit=500"
-		if cursor != "" {
-			u += "&cursor=" + cursor
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("X-AVFS-Proxied", "router")
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-		}
-		var page api.SessionList
-		if err := json.Unmarshal(body, &page); err != nil {
-			return nil, err
-		}
-		for _, s := range page.Sessions {
-			ids = append(ids, s.ID)
-		}
-		if page.NextCursor == "" {
-			return ids, nil
-		}
-		cursor = page.NextCursor
-	}
-}
-
-// migrate asks a source node to ship one session to a peer.
-func (rt *Router) migrate(ctx context.Context, sourceURL string, mr api.MigrateRequest) (api.Migration, error) {
-	body, err := json.Marshal(&mr)
-	if err != nil {
-		return api.Migration{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		sourceURL+"/v1/cluster/migrate", bytes.NewReader(body))
-	if err != nil {
-		return api.Migration{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-AVFS-Proxied", "router")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return api.Migration{}, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return api.Migration{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return api.Migration{}, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	var mig api.Migration
-	if err := json.Unmarshal(raw, &mig); err != nil {
-		return api.Migration{}, err
-	}
-	return mig, nil
 }

@@ -217,7 +217,8 @@ type Daemon struct {
 
 	// queue holds the staged phases of an in-flight transition when
 	// Cfg.TransitionTicks > 0; cooldown counts ticks until the next
-	// phase fires.
+	// phase fires. Neither is captured in snapshots: CaptureState refuses
+	// while the queue is non-empty, and every enqueue resets cooldown.
 	queue    []func()
 	cooldown int
 

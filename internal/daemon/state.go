@@ -30,7 +30,6 @@ type State struct {
 	Disabled  bool               `json:"disabled"`
 	NextPoll  float64            `json:"next_poll"`
 	Dirty     bool               `json:"dirty"`
-	Cooldown  int                `json:"cooldown"`
 	Stats     Stats              `json:"stats"`
 	Reconfigs int64              `json:"reconfigs"`
 	Procs     []ProcControlState `json:"procs,omitempty"`
@@ -48,7 +47,6 @@ func (d *Daemon) CaptureState() (*State, error) {
 		Disabled:  d.disabled,
 		NextPoll:  d.nextPoll,
 		Dirty:     d.dirty,
-		Cooldown:  d.cooldown,
 		Stats:     d.stats,
 		Reconfigs: d.reconfigs,
 	}
@@ -84,7 +82,6 @@ func (d *Daemon) RestoreState(st *State) error {
 	d.disabled = st.Disabled
 	d.nextPoll = st.NextPoll
 	d.dirty = st.Dirty
-	d.cooldown = st.Cooldown
 	d.stats = st.Stats
 	d.reconfigs = st.Reconfigs
 	d.states = map[int]*procState{}

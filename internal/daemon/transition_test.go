@@ -5,6 +5,7 @@ import (
 
 	"avfs/internal/chip"
 	"avfs/internal/sim"
+	"avfs/internal/stateeq"
 	"avfs/internal/workload"
 )
 
@@ -125,5 +126,54 @@ func TestMemFreqDefaultPerChip(t *testing.T) {
 	d3 := New(sim.New(chip.XGene3Spec()), DefaultConfig())
 	if d3.memFreq() != 1500 {
 		t.Errorf("X-Gene 3 memory frequency %v, want 1500", d3.memFreq())
+	}
+}
+
+// TestStagedRestoreMatchesContinuous: a snapshot taken on the tick a
+// staged transition's last phase fired — the moment the phase countdown
+// is still armed — restores into a daemon whose next transition lands on
+// the same bits as the continuous run's.
+func TestStagedRestoreMatchesContinuous(t *testing.T) {
+	cfg := stagedConfig(3, false)
+	cont := sim.New(chip.XGene3Spec())
+	contD := New(cont, cfg)
+	contD.Attach()
+	cont.MustSubmit(workload.MustByName("namd"), 1)
+	cont.Step()
+	if !contD.TransitionInFlight() {
+		t.Fatal("precondition: the arrival must stage a transition")
+	}
+	for contD.TransitionInFlight() {
+		cont.Step()
+	}
+	ds, err := contD.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := sim.RestoreMachine(chip.XGene3Spec(), cont.CaptureState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2 := New(m2, cfg)
+	d2.Attach()
+	if err := d2.RestoreState(ds); err != nil {
+		t.Fatal(err)
+	}
+
+	reconfigs := contD.Reconfigurations()
+	for _, m := range []*sim.Machine{cont, m2} {
+		m.MustSubmit(workload.MustByName("lbm"), 1)
+		m.Step()
+	}
+	if !contD.TransitionInFlight() || !d2.TransitionInFlight() {
+		t.Fatal("precondition: the second arrival must stage a transition on both runs")
+	}
+	cont.RunFor(1)
+	m2.RunFor(1)
+	if contD.Reconfigurations() == reconfigs {
+		t.Fatal("precondition: the second transition must reconfigure")
+	}
+	if d := stateeq.Diff(stackState(t, cont, contD), stackState(t, m2, d2)); d != "" {
+		t.Errorf("1 s after the next transition: %s", d)
 	}
 }

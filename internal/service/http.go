@@ -564,10 +564,14 @@ func respond(w http.ResponseWriter, okStatus int, body any, err error) {
 
 // writeError maps err through the status table and writes the wire body.
 // A *api.Error with a concrete status (a peer's response relayed by the
-// migration path) passes through with its code and status intact.
+// migration path) passes through with its code, status and Retry-After
+// intact.
 func writeError(w http.ResponseWriter, err error) {
 	var apiErr *api.Error
 	if errors.As(err, &apiErr) && apiErr.Status != 0 {
+		if apiErr.RetryAfterSec > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(apiErr.RetryAfterSec))
+		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		w.WriteHeader(apiErr.Status)
 		_ = json.NewEncoder(w).Encode(&api.Error{Code: apiErr.Code, Message: err.Error()})

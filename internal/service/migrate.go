@@ -1,15 +1,14 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"avfs/api"
+	"avfs/client"
 	"avfs/internal/snapshot"
 )
 
@@ -26,8 +25,11 @@ import (
 // to demand, each node partitions its share across sessions the same
 // way, and the per-session caps apply through the PowerCap governor.
 
-// shipClient posts migration payloads between nodes. Migrations are
-// node-to-node on a trusted network; the timeout bounds a hung peer.
+// shipClient carries migration payloads to peers through the wire
+// client, so a peer's wire error comes back as an *api.Error with its
+// code, status and Retry-After intact (conflict, draining and full
+// semantics survive the hop). Migrations are node-to-node on a trusted
+// network; the timeout bounds a hung peer.
 var shipClient = &http.Client{Timeout: 30 * time.Second}
 
 // ImportSession restores a migrated session under its original identity.
@@ -88,9 +90,14 @@ func (f *Fleet) ImportSession(req api.ImportRequest) (api.Session, error) {
 // the run completes); mutations arriving mid-ship are refused the same
 // way, so nothing can land between the shipped state and the deletion.
 // On any failure the session stays here, untouched and writable again.
+// A target_url that is not an absolute http(s) URL is refused before
+// anything is captured.
 func (f *Fleet) MigrateSession(ctx context.Context, req api.MigrateRequest) (api.Migration, error) {
 	if req.Session == "" || req.TargetURL == "" {
 		return api.Migration{}, fmt.Errorf("%w: migrate needs session and target_url", ErrInvalidRequest)
+	}
+	if u, err := url.Parse(req.TargetURL); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return api.Migration{}, fmt.Errorf("%w: target_url %q is not an http(s) URL with a host", ErrInvalidRequest, req.TargetURL)
 	}
 	s, err := f.lookup(req.Session)
 	if err != nil {
@@ -125,7 +132,7 @@ func (f *Fleet) MigrateSession(ctx context.Context, req api.MigrateRequest) (api
 	if err != nil {
 		return abort(err)
 	}
-	if err := f.ship(ctx, req.TargetURL, api.ImportRequest{
+	if _, err := client.New(req.TargetURL, shipClient).ImportSession(ctx, api.ImportRequest{
 		Session:    req.Session,
 		TTLSeconds: ttl.Seconds(),
 		SnapshotID: snapID,
@@ -143,39 +150,6 @@ func (f *Fleet) MigrateSession(ctx context.Context, req api.MigrateRequest) (api
 		SnapshotID: snapID,
 		DurationMS: float64(time.Since(start).Nanoseconds()) / 1e6,
 	}, nil
-}
-
-// ship POSTs an import request to a peer and maps its response onto the
-// shared error contract (a peer's wire error comes back with its code
-// and status intact, so conflict/draining/full semantics survive the
-// hop).
-func (f *Fleet) ship(ctx context.Context, targetURL string, imp api.ImportRequest) error {
-	body, err := json.Marshal(imp)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		targetURL+"/v1/cluster/import", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := shipClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 == 2 {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	apiErr := new(api.Error)
-	if json.Unmarshal(raw, apiErr) == nil && apiErr.Code != "" {
-		apiErr.Status = resp.StatusCode
-		return apiErr
-	}
-	return fmt.Errorf("peer answered HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
 }
 
 // DemandW sums the sessions' average power draw — the node's demand

@@ -2,8 +2,12 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,9 +111,10 @@ func TestMigrationBitEquality(t *testing.T) {
 	}
 }
 
-// TestMigrationRefusals pins the conflict surface: busy sessions
-// refuse to move, mutations refuse mid-migration, imports verify the
-// content address and reject duplicates.
+// TestMigrationRefusals pins the conflict surface: malformed targets
+// are refused before anything is captured, busy sessions refuse to
+// move, mutations refuse mid-migration, imports verify the content
+// address and reject duplicates.
 func TestMigrationRefusals(t *testing.T) {
 	a, b, bs := newMigrationPair(t)
 	ctx := context.Background()
@@ -120,6 +125,16 @@ func TestMigrationRefusals(t *testing.T) {
 	}
 	if _, err := a.Submit(s.ID, api.SubmitRequest{Benchmark: "CG", Threads: 2}); err != nil {
 		t.Fatal(err)
+	}
+	for _, target := range []string{"ftp://x", "http://", "localhost:1", "::bogus"} {
+		_, err := a.MigrateSession(ctx, api.MigrateRequest{Session: s.ID, TargetName: "b", TargetURL: target})
+		if !errors.Is(err, service.ErrInvalidRequest) {
+			t.Errorf("target_url %q: error = %v, want invalid_request", target, err)
+		}
+		lift := 0.0
+		if _, err := a.SetPolicy(s.ID, api.PolicyRequest{PowerCapW: &lift}); err != nil {
+			t.Errorf("target_url %q: session not writable after the refusal: %v", target, err)
+		}
 	}
 	// A run this long cannot finish during the test, so the refusal
 	// below meets it in flight by construction.
@@ -187,5 +202,39 @@ func TestMigrationRefusals(t *testing.T) {
 	_, err = b.ImportSession(api.ImportRequest{Session: "fresh", SnapshotID: "sha256:bogus", State: []byte(`{}`)})
 	if err == nil || !errors.Is(err, service.ErrInvalidRequest) {
 		t.Fatalf("mismatched content address error = %v, want invalid_request", err)
+	}
+}
+
+// TestMigrationRelaysPeerRetryAfter: a migration over HTTP to a draining
+// peer answers with the peer's 503 draining and its Retry-After hint, and
+// the session stays on the source.
+func TestMigrationRelaysPeerRetryAfter(t *testing.T) {
+	a, b, bs := newMigrationPair(t)
+	as := httptest.NewServer(a.Handler())
+	t.Cleanup(as.Close)
+
+	s, err := a.Create(api.CreateSessionRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"session":%q,"target_name":"b","target_url":%q}`, s.ID, bs.URL)
+	resp, err := http.Post(as.URL+"/v1/cluster/migrate", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e api.Error
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != api.CodeDraining || resp.Header.Get("Retry-After") != "5" {
+		t.Errorf("migrate to a draining peer = %d %s, Retry-After %q; want 503 draining, Retry-After 5",
+			resp.StatusCode, e.Code, resp.Header.Get("Retry-After"))
+	}
+	if _, err := a.Get(s.ID); err != nil {
+		t.Errorf("refused migration lost the session: %v", err)
 	}
 }

@@ -87,10 +87,7 @@ func WireMachine(m *sim.Machine, reg *Registry, tr *Tracer) {
 		// The static Table II envelope (what the daemon programs), so an
 		// exported scrape carries the policy table alongside the live
 		// state it explains.
-		for _, fc := range []clock.FreqClass{clock.FullSpeed, clock.HalfSpeed, clock.DividedLow} {
-			if fc == clock.DividedLow && spec.Model != chip.XGene2 {
-				continue
-			}
+		for _, fc := range clock.Classes(spec) {
 			for dc := 0; dc < droop.NumClasses; dc++ {
 				env := envelopeOfClass(spec, fc, dc)
 				reg.Gauge(MetricVminEnvelope, "Safe-Vmin class envelope (Table II).",

@@ -1,6 +1,8 @@
 #!/bin/sh
-# Full repository check: gofmt, vet, build, race-enabled tests, an arm64
-# fused-FP ratchet (scripts/fma_count.sh against scripts/fma_baseline.txt), a 5 s fuzz smoke
+# Full repository check: gofmt, vet, build, the one-HTTP-client rule
+# (only avfs/client and the router's byte relay build requests),
+# race-enabled tests, an arm64 fused-FP ratchet (scripts/fma_count.sh
+# against scripts/fma_baseline.txt), a 5 s fuzz smoke
 # of every fuzz target (`go test ./...` only replays their seed corpora),
 # two perfbench smoke runs (the benchmark module builds, replays correctly
 # and reproduces the golden Table III/IV rows), the telemetry-overhead
@@ -117,6 +119,27 @@ check_perfbench() {
 	echo "$last" | grep -Eq '"failed":0[,}]' || { echo "perfbench $1: failed ops" >&2; return 1; }
 }
 
+# Every typed call one process makes to another goes through avfs/client,
+# which owns the encoding, the error decoding and the response bound. So
+# outside perfbench/ (its own module) and tests, only client/client.go and
+# the router's byte relay, Router.forward, may build a request themselves.
+check_one_client() {
+	hits="$(find . -path './.*' -prune -o -path ./perfbench -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | sort | xargs awk '
+		FNR == 1 { fn = "" }
+		/^func / { fn = $0 }
+		/http\.NewRequest/ {
+			if (FILENAME == "./client/client.go") next
+			if (FILENAME == "./internal/cluster/router.go" && fn ~ /^func \(rt \*Router\) forward\(/) next
+			print FILENAME ":" FNR ": " $0
+		}')" || return 1
+	if [ -n "$hits" ]; then
+		echo "http.NewRequest* outside client/client.go and Router.forward:" >&2
+		echo "$hits" >&2
+		return 1
+	fi
+}
+
 # bench_gate FILE VAR PKG TESTS [NAME=VALUE...]: run a package's
 # benchmark gates with VAR naming their JSON summary FILE (and any further
 # environment given), then print the summary.
@@ -133,6 +156,7 @@ bench_gate() {
 gate "gofmt -l" check_gofmt
 gate "go vet ./..." check_vet
 gate "go build ./..." go build ./...
+gate "one HTTP client" check_one_client
 gate "go test -race ./..." check_race
 gate "arm64 fused-FP ratchet" check_fma
 gate "fuzz smoke (5 s per target)" check_fuzz
