@@ -342,8 +342,8 @@ type Characterization struct {
 	SafeVminMV int  `json:"safe_vmin_mv"`
 	SafeFound  bool `json:"safe_found"`
 	TotalRuns  int  `json:"total_runs"`
-	// Source reports which store tier served the dataset: "computed"
-	// (simulated now), "memory" or "disk".
+	// Source reports how the server's in-process store served the
+	// dataset: "computed" (simulated now) or "memory" (a cached cell).
 	Source string              `json:"source"`
 	Levels []CharacterizeLevel `json:"levels,omitempty"`
 }

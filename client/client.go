@@ -376,7 +376,7 @@ func (c *Client) UpdatePolicy(ctx context.Context, id string, req api.PolicyRequ
 // Characterize runs (or fetches from the server's process-wide store) the
 // safe-Vmin characterization of one configuration on the session's chip.
 // The response's Source field reports whether the dataset was simulated
-// now ("computed") or served from the "memory" or "disk" tier.
+// now ("computed") or served from the server's memory ("memory").
 func (c *Client) Characterize(ctx context.Context, id string, req api.CharacterizeRequest) (api.Characterization, error) {
 	var cz api.Characterization
 	err := c.do(ctx, http.MethodPost, "/v1/sessions/"+url.PathEscape(id)+"/characterize", req, &cz)

@@ -13,13 +13,11 @@
 //	ablate [-study threshold|guard|poll|hysteresis|memfreq|relaxed|
 //	        protocol|aging|migration|capping|all]
 //	       [-chip xgene2|xgene3] [-duration 900] [-seed 42] [-j N]
-//	       [-cache-dir DIR] [-cpuprofile FILE] [-memprofile FILE]
+//	       [-cpuprofile FILE] [-memprofile FILE]
 //
 // -j sets the worker-pool width used to run a sweep's variants in
-// parallel; results are identical for any width. -cache-dir persists any
-// Monte Carlo characterization datasets the studies request (see
-// EXPERIMENTS.md). -cpuprofile and -memprofile write pprof profiles
-// covering the whole run.
+// parallel; results are identical for any width. -cpuprofile and
+// -memprofile write pprof profiles covering the whole run.
 package main
 
 import (
@@ -46,7 +44,6 @@ func run() int {
 	duration := flag.Float64("duration", 900, "workload duration in seconds")
 	seed := flag.Int64("seed", 42, "workload seed")
 	jobs := flag.Int("j", 0, "parallel worker cap (0 = adaptive: min(jobs, cores)) per sweep")
-	cacheDir := flag.String("cache-dir", "", "persist characterization datasets under this directory (default: in-process memoization only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file")
 	flag.Parse()
@@ -70,7 +67,7 @@ func run() int {
 	}()
 
 	ctx := context.Background()
-	cam := experiments.Campaign{Workers: *jobs, Store: store.New(*cacheDir)}
+	cam := experiments.Campaign{Workers: *jobs, Store: store.New("")}
 
 	ran := false
 	for _, st := range experiments.AblationStudies() {

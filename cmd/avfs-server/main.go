@@ -7,10 +7,9 @@
 // Usage:
 //
 //	avfs-server [-addr :8080] [-max-sessions 256] [-ttl 15m]
-//	            [-workers N] [-queue M] [-chunk 1.0] [-cache-dir DIR]
-//	            [-snapshot-dir DIR] [-drain-timeout 2m] [-access-log PATH]
-//	            [-slow-ms 1000] [-slo-window 1m] [-pprof-addr ADDR]
-//	            [-no-trace]
+//	            [-workers N] [-queue M] [-chunk 1.0] [-snapshot-dir DIR]
+//	            [-drain-timeout 2m] [-access-log PATH] [-slow-ms 1000]
+//	            [-slo-window 1m] [-pprof-addr ADDR] [-no-trace]
 //	            [-router URL -node NAME -advertise URL [-heartbeat 2s]]
 //
 // Flags:
@@ -21,12 +20,6 @@
 //	-workers       concurrent runs across all sessions (default GOMAXPROCS)
 //	-queue         admitted-but-waiting runs before 429 busy (default 4x)
 //	-chunk         simulated seconds a run holds its session lock for
-//	-cache-dir     persist characterization datasets (and, under its
-//	               surrogate/ subdirectory, fitted surrogate models) so the
-//	               fleet's content-addressed stores survive restarts; safe
-//	               to share between server processes on one filesystem —
-//	               writes are temp-file + atomic rename, and racing writers
-//	               can only produce identical content
 //	-snapshot-dir  persist session snapshots under this directory, so fork
 //	               and what-if can resolve snapshot ids across restarts
 //	-drain-timeout graceful drain budget before shutdown is forced
@@ -80,7 +73,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "run admission queue depth (0 = 4x workers)")
 	chunk := flag.Float64("chunk", 1.0, "simulated seconds per session-lock hold")
-	cacheDir := flag.String("cache-dir", "", "persist characterization datasets under this directory (default: in-process memoization only)")
 	snapshotDir := flag.String("snapshot-dir", "", "persist session snapshots under this directory (default: in-process only)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful drain budget before forcing shutdown")
 	accessLog := flag.String("access-log", "", `JSONL access log path ("-" = stderr, "" = off)`)
@@ -119,7 +111,6 @@ func main() {
 		Workers:     *workers,
 		Queue:       *queue,
 		RunChunk:    *chunk,
-		CacheDir:    *cacheDir,
 		SnapshotDir: *snapshotDir,
 		AccessLog:   accessW,
 		SlowLog:     os.Stderr,

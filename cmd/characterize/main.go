@@ -7,7 +7,7 @@
 // Usage:
 //
 //	characterize [-experiment fig3|fig4|fig5|fig10|table1|fleet|all]
-//	             [-trials N] [-j N] [-cache-dir DIR] [-progress] [-metrics FILE]
+//	             [-trials N] [-j N] [-progress] [-metrics FILE]
 //
 // -trials reduces the per-level run count from the paper's 1000 for faster
 // exploration (the discovered Vmin values are identical in practice: the
@@ -19,11 +19,8 @@
 // and -metrics writes a Prometheus snapshot of the runner telemetry after
 // the experiments finish.
 //
-// -cache-dir enables the on-disk tier of the characterization store:
-// datasets are persisted under the directory and reruns with identical
-// parameters are served from disk instead of resimulated (identical
-// output, see EXPERIMENTS.md). Within one invocation the in-process tier
-// memoizes across experiments regardless of the flag.
+// Within one invocation the in-process characterization store memoizes
+// datasets across experiments.
 package main
 
 import (
@@ -46,7 +43,6 @@ func main() {
 	trials := flag.Int("trials", 0, "runs per voltage level (0 = the paper's 1000)")
 	dies := flag.Int("dies", 100, "sampled dies for the fleet study")
 	jobs := flag.Int("j", 0, "parallel worker cap (0 = adaptive: min(jobs, cores)) for the characterization campaigns")
-	cacheDir := flag.String("cache-dir", "", "persist characterization datasets under this directory (default: in-process memoization only)")
 	progress := flag.Bool("progress", false, "print campaign progress to stderr")
 	metricsFile := flag.String("metrics", "", "write a Prometheus snapshot of the runner telemetry to this file")
 	flag.Parse()
@@ -54,7 +50,7 @@ func main() {
 	st := runner.NewStats()
 	reg := telemetry.NewRegistry()
 	st.Instrument(reg)
-	cache := store.New(*cacheDir)
+	cache := store.New("")
 	cache.Instrument(reg)
 	cam := experiments.Campaign{Workers: *jobs, Stats: st, Store: cache}
 	ctx := context.Background()

@@ -7,16 +7,13 @@
 //
 //	evaluate [-chip xgene2|xgene3|both] [-duration 3600] [-seed 42]
 //	         [-fig14] [-fig15] [-seeds N] [-csv DIR] [-j N]
-//	         [-cache-dir DIR] [-cpuprofile FILE] [-memprofile FILE]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 //	         [-instant [-node NM] [-scaling cons|itrs] [-sweep-nodes]]
 //
 // -j sets the worker-pool width: the four configuration replays (or the
 // seeds of the robustness study) run in parallel, with results identical
-// for any width. -cache-dir persists any Monte Carlo characterization
-// datasets the campaign requests — and, under its surrogate/
-// subdirectory, fitted surrogate models (see EXPERIMENTS.md).
-// -cpuprofile and -memprofile write pprof profiles covering the whole
-// campaign.
+// for any width. -cpuprofile and -memprofile write pprof profiles
+// covering the whole campaign.
 //
 // -instant answers the Table IV comparison from the closed-form
 // surrogate tier instead of replaying the workload: after a one-time
@@ -64,7 +61,6 @@ func run() int {
 	seeds := flag.Int("seeds", 0, "run the multi-seed robustness study over N seeds instead of the table")
 	csvDir := flag.String("csv", "", "also export summary and timelines as CSV files into this directory")
 	jobs := flag.Int("j", 0, "parallel worker cap (0 = adaptive: min(jobs, cores)) for the configuration replays")
-	cacheDir := flag.String("cache-dir", "", "persist characterization datasets under this directory (default: in-process memoization only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file")
 	instant := flag.Bool("instant", false, "answer the Table IV comparison from the closed-form surrogate tier instead of simulating")
@@ -85,7 +81,7 @@ func run() int {
 	}()
 
 	ctx := context.Background()
-	cam := experiments.Campaign{Workers: *jobs, Store: store.New(*cacheDir)}
+	cam := experiments.Campaign{Workers: *jobs, Store: store.New("")}
 	specs, err := chipsFor(*chipFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -93,7 +89,7 @@ func run() int {
 	}
 	for _, spec := range specs {
 		if *instant || *sweepNodes {
-			if err := runInstant(spec, *duration, *seed, *nodeFlag, *scalingFlag, *sweepNodes, *cacheDir); err != nil {
+			if err := runInstant(spec, *duration, *seed, *nodeFlag, *scalingFlag, *sweepNodes); err != nil {
 				fmt.Fprintln(os.Stderr, "evaluate:", err)
 				return 1
 			}
@@ -150,17 +146,13 @@ func run() int {
 // one workload, every system configuration, on the native chip or a
 // grid of technology-node projections. Queries are closed-form — the
 // printed elapsed time covers the whole grid after the one-time fit.
-func runInstant(spec *chip.Spec, duration float64, seed int64, nodeStr, scalingStr string, sweep bool, cacheDir string) error {
+func runInstant(spec *chip.Spec, duration float64, seed int64, nodeStr, scalingStr string, sweep bool) error {
 	wl := wlgen.Generate(spec, wlgen.Config{Duration: duration}, seed)
 	fmt.Printf("generated workload: %d processes, %d threads total, %.0f%% memory-intensive\n",
 		wl.TotalProcesses(), wl.TotalThreads(), 100*wl.MemoryIntensiveShare())
 
-	dir := ""
-	if cacheDir != "" {
-		dir = filepath.Join(cacheDir, "surrogate")
-	}
 	fitStart := time.Now()
-	model, err := surrogate.NewStore(dir).Get(spec, surrogate.FitConfig{})
+	model, err := surrogate.NewStore("").Get(spec, surrogate.FitConfig{})
 	if err != nil {
 		return err
 	}

@@ -6,11 +6,10 @@
 // Usage:
 //
 //	tradeoffs [-experiment fig7|fig11|fig12|all] [-chip xgene2|xgene3|both]
-//	          [-placement clustered|spreaded] [-j N] [-cache-dir DIR]
+//	          [-placement clustered|spreaded] [-j N]
 //
 // -j sets the worker-pool width for the measurement campaigns; results
-// are identical for any width. -cache-dir persists any Monte Carlo
-// characterization datasets the campaigns request (see EXPERIMENTS.md).
+// are identical for any width.
 package main
 
 import (
@@ -30,7 +29,6 @@ func main() {
 	chipFlag := flag.String("chip", "both", "chip: xgene2, xgene3 or both")
 	placeFlag := flag.String("placement", "clustered", "allocation for fig11/fig12: clustered or spreaded")
 	jobs := flag.Int("j", 0, "parallel worker cap (0 = adaptive: min(jobs, cores)) for the measurement campaigns")
-	cacheDir := flag.String("cache-dir", "", "persist characterization datasets under this directory (default: in-process memoization only)")
 	flag.Parse()
 
 	specs := []*chip.Spec{chip.XGene2Spec(), chip.XGene3Spec()}
@@ -49,7 +47,7 @@ func main() {
 	}
 
 	ctx := context.Background()
-	cam := experiments.Campaign{Workers: *jobs, Store: store.New(*cacheDir)}
+	cam := experiments.Campaign{Workers: *jobs, Store: store.New("")}
 	fail := func(name string, err error) {
 		fmt.Fprintf(os.Stderr, "tradeoffs %s: %v\n", name, err)
 		os.Exit(1)

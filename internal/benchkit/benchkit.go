@@ -21,6 +21,12 @@ type Env struct {
 	GoVersion  string `json:"go_version"`
 }
 
+// CurrentEnv is the stamp of this process: its host's CPU count, its
+// GOMAXPROCS and the Go release that built it.
+func CurrentEnv() Env {
+	return Env{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+}
+
 // Comparison is the result of Pairs: the sides' median costs and the
 // median and quartiles of the per-pair variant/baseline ratios.
 type Comparison struct {
@@ -51,7 +57,7 @@ func Pairs(n int, base, variant func() float64) Comparison {
 		rs[i] = vs[i] / bs[i]
 	}
 	return Comparison{
-		Env:           Env{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()},
+		Env:           CurrentEnv(),
 		BaseMedian:    Quantile(bs, 0.5),
 		VariantMedian: Quantile(vs, 0.5),
 		Ratio:         Quantile(rs, 0.5),

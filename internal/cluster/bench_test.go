@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"avfs/api"
+	"avfs/internal/benchkit"
 )
 
 // clusterBenchReport is the JSON summary scripts/check.sh records as
@@ -33,6 +34,7 @@ type clusterBenchReport struct {
 	MigrationBudgetMS float64 `json:"migration_budget_ms"`
 	MigrationMeanMS   float64 `json:"migration_mean_ms"`
 	UnreachableProbes int64   `json:"unreachable_probes"`
+	benchkit.Env
 }
 
 // singleNodeFloor reads the single-node control-plane floor from the
@@ -101,6 +103,7 @@ func TestClusterScaleBudget(t *testing.T) {
 		clients = 12
 	}
 	rep := clusterBenchReport{
+		Env:               benchkit.CurrentEnv(),
 		Nodes:             3,
 		TargetReqPerSec:   target,
 		SingleNodeFloor:   floor,

@@ -290,6 +290,64 @@ func TestRouterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRouterListRelaysRefusal: a filter every node refuses is the
+// caller's error, not an outage. The router relays the nodes' 4xx and
+// counts no node error; a node that is down is still named unreachable.
+func TestRouterListRelaysRefusal(t *testing.T) {
+	_, rts, nodes := newCluster(t, 2, 0)
+	nodeErrs := func() float64 {
+		t.Helper()
+		resp, err := http.Get(rts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		ms, err := export.ParsePrometheus(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, ok := export.Find(ms, "avfs_router_node_errors_total", nil)
+		if !ok {
+			t.Fatal("avfs_router_node_errors_total missing")
+		}
+		return m.Value
+	}
+	refused := func(query string, wantStatus int, wantCode string) {
+		t.Helper()
+		resp, err := http.Get(rts.URL + "/v1/sessions?" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e api.Error
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Fatalf("%s: bad body: %v", query, err)
+		}
+		if resp.StatusCode != wantStatus || e.Code != wantCode || e.Message == "" {
+			t.Errorf("%s: HTTP %d %+v, want %d %s with a message", query, resp.StatusCode, e, wantStatus, wantCode)
+		}
+	}
+
+	before := nodeErrs()
+	refused("state=bogus", http.StatusBadRequest, api.CodeInvalidRequest)
+	refused("policy=bogus", http.StatusBadRequest, api.CodeUnknownPolicy)
+	if after := nodeErrs(); after != before {
+		t.Errorf("refused filters counted node errors: %v -> %v", before, after)
+	}
+
+	// A stopped node is an outage: listed unreachable and counted, and
+	// the node that answers still decides a refusal.
+	nodes[1].srv.Close()
+	var page api.SessionList
+	if status, _ := doJSON(t, http.MethodGet, rts.URL+"/v1/sessions", nil, &page); status != http.StatusOK {
+		t.Fatalf("list with a stopped node: HTTP %d", status)
+	}
+	if len(page.Unreachable) != 1 || page.Unreachable[0] != nodes[1].name {
+		t.Errorf("unreachable = %v, want [%s]", page.Unreachable, nodes[1].name)
+	}
+	refused("state=bogus", http.StatusBadRequest, api.CodeInvalidRequest)
+}
+
 // TestClusterPowerBudget pins the two-level partition: the router
 // splits the cluster budget across nodes by demand, each agent splits
 // its share across sessions, and the caps land on the wire as

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -346,7 +347,9 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 // handleList aggregates GET /v1/sessions across the fleet: fan out the
 // same cursor/filters to every node, merge-sort by ID, cut at the limit.
 // Nodes that cannot be reached are named in the reply's unreachable list
-// instead of silently shrinking the page.
+// instead of silently shrinking the page. A refusal is not an outage:
+// when every node that answered refused with the same 4xx (a bad filter,
+// say), the router relays it.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	opts := client.ListOptions{Cursor: q.Get("cursor"), State: q.Get("state"), Policy: q.Get("policy")}
@@ -360,19 +363,40 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	nodes := rt.reg.Snapshot() // draining nodes still hold sessions
 	out := api.SessionList{Sessions: []api.Session{}}
-	truncated := false
+	truncated, paged := false, false
+	var refused []string   // nodes that answered with a 4xx
+	var refusal *api.Error // their common refusal; nil once two differ
 	for _, n := range nodes {
 		page, err := client.New(n.URL, rt.client).ListSessionsPage(r.Context(), opts)
+		var ae *api.Error
+		if errors.As(err, &ae) && ae.Status >= 400 && ae.Status < 500 {
+			if len(refused) == 0 || (refusal != nil && ae.Status == refusal.Status && ae.Code == refusal.Code) {
+				refusal = ae
+			} else {
+				refusal = nil
+			}
+			refused = append(refused, n.Name)
+			continue
+		}
 		if err != nil {
 			rt.mNodeErrs.Inc()
 			out.Unreachable = append(out.Unreachable, n.Name)
 			continue
 		}
+		paged = true
 		if page.NextCursor != "" {
 			truncated = true
 		}
 		out.Sessions = append(out.Sessions, page.Sessions...)
 	}
+	if refusal != nil && !paged {
+		writeAPIError(w, refusal.Status, refusal.Code, refusal.Message)
+		return
+	}
+	// Refusals that disagree, or beside a node's page, leave a node out
+	// of the page as an outage does.
+	rt.mNodeErrs.Add(int64(len(refused)))
+	out.Unreachable = append(out.Unreachable, refused...)
 	sort.Slice(out.Sessions, func(i, j int) bool { return out.Sessions[i].ID < out.Sessions[j].ID })
 	if opts.Limit > 0 && len(out.Sessions) > opts.Limit {
 		out.Sessions = out.Sessions[:opts.Limit]

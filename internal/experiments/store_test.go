@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"avfs/internal/benchkit"
 	"avfs/internal/chip"
 	"avfs/internal/experiments/runner"
 	"avfs/internal/vmin"
@@ -111,12 +111,12 @@ func TestFigure5ReusesFigure3Cells(t *testing.T) {
 	}
 }
 
-// TestCharacterizeCacheBudget is the CI memoization gate: it runs the
-// reduced Figure 3 campaign cold against an empty two-tier store, reruns
-// it warm from the in-process tier and again disk-warm from a fresh store
-// over the same directory, hard-fails if any rerun diverges or if the warm
-// rerun is not >= 10x faster than the cold one, and records timings plus
-// hit/miss counts in the JSON file named by AVFS_BENCH_CACHE_OUT (see
+// TestCharacterizeCacheBudget is the CI memoization gate: it times the
+// reduced Figure 3 campaign cold (a fresh store each run) against warm (a
+// store the first run filled) in interleaved pairs (internal/benchkit),
+// hard-fails if any run diverges from the first or a warm run simulates
+// anything, or if the median warm speedup is under 10x, and records the
+// median and quartiles in the JSON file named by AVFS_BENCH_CACHE_OUT (see
 // scripts/check.sh, which writes BENCH_cache.json).
 func TestCharacterizeCacheBudget(t *testing.T) {
 	out := os.Getenv("AVFS_BENCH_CACHE_OUT")
@@ -125,75 +125,73 @@ func TestCharacterizeCacheBudget(t *testing.T) {
 	}
 	const trials = 200
 	const workers = 4
+	const pairs = 15
 	ctx := context.Background()
-	dir := t.TempDir()
-	st := store.New(dir)
 
-	coldStats := runner.NewStats()
-	begin := time.Now()
-	cold, err := Figure3Context(ctx, Campaign{Workers: workers, Stats: coldStats, Store: st}, trials)
+	st := store.New("")
+	fillStats := runner.NewStats()
+	ref, err := Figure3Context(ctx, Campaign{Workers: workers, Stats: fillStats, Store: st}, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldSec := time.Since(begin).Seconds()
-
-	warmStats := runner.NewStats()
-	begin = time.Now()
-	warm, err := Figure3Context(ctx, Campaign{Workers: workers, Stats: warmStats, Store: st}, trials)
-	if err != nil {
-		t.Fatal(err)
+	var warmStats *runner.Stats
+	timed := func(warm bool) func() float64 {
+		return func() float64 {
+			cache, stats := store.New(""), runner.NewStats()
+			if warm {
+				cache, warmStats = st, stats
+			}
+			begin := time.Now()
+			res, err := Figure3Context(ctx, Campaign{Workers: workers, Stats: stats, Store: cache}, trials)
+			secs := time.Since(begin).Seconds()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Fatalf("Figure3 (warm=%v) diverges from the first run — memoization is broken", warm)
+			}
+			if warm && stats.Runs() != 0 {
+				t.Fatalf("warm rerun simulated %d runs; every cell should have been cache-served", stats.Runs())
+			}
+			return secs
+		}
 	}
-	warmSec := time.Since(begin).Seconds()
+	// The warm run is the baseline, so the per-pair ratio is the cold
+	// run's cost over it: the speedup.
+	c := benchkit.Pairs(pairs, timed(true), timed(false))
 
-	fresh := store.New(dir)
-	begin = time.Now()
-	disk, err := Figure3Context(ctx, Campaign{Workers: workers, Store: fresh}, trials)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diskSec := time.Since(begin).Seconds()
-
-	if !reflect.DeepEqual(warm, cold) || !reflect.DeepEqual(disk, cold) {
-		t.Fatal("cache-served Figure3 rerun diverges from the cold run — memoization is broken")
-	}
-	if warmStats.Runs() != 0 {
-		t.Fatalf("warm rerun simulated %d runs; every cell should have been cache-served", warmStats.Runs())
-	}
-
-	speedup := coldSec / warmSec
-	diskSpeedup := coldSec / diskSec
 	report := struct {
-		Trials       int     `json:"trials"`
-		Cells        int64   `json:"cells"`
-		SimRuns      int64   `json:"sim_runs"`
-		CachedRuns   int64   `json:"cached_runs_saved"`
-		Workers      int     `json:"workers"`
-		NumCPU       int     `json:"num_cpu"`
-		ColdSec      float64 `json:"cold_sec"`
-		WarmSec      float64 `json:"warm_sec"`
-		DiskWarmSec  float64 `json:"disk_warm_sec"`
-		WarmSpeedup  float64 `json:"warm_speedup"`
-		DiskSpeedup  float64 `json:"disk_speedup"`
+		Trials     int   `json:"trials"`
+		Cells      int64 `json:"cells"`
+		SimRuns    int64 `json:"sim_runs"`
+		CachedRuns int64 `json:"cached_runs_saved"`
+		Workers    int   `json:"workers"`
+		benchkit.Env
+		Pairs        int     `json:"pairs"`
+		ColdSec      float64 `json:"cold_sec_median"`
+		WarmSec      float64 `json:"warm_sec_median"`
+		Speedup      float64 `json:"warm_speedup_median"`
+		SpeedupP25   float64 `json:"warm_speedup_p25"`
+		SpeedupP75   float64 `json:"warm_speedup_p75"`
 		StoreMisses  int64   `json:"store_misses"`
 		MemoryHits   int64   `json:"store_memory_hits"`
-		DiskHits     int64   `json:"store_disk_hits"`
 		InflightWait int64   `json:"store_inflight_waits"`
 	}{
 		Trials:       trials,
-		Cells:        coldStats.Completed(),
-		SimRuns:      coldStats.Runs(),
+		Cells:        fillStats.Completed(),
+		SimRuns:      fillStats.Runs(),
 		CachedRuns:   warmStats.CachedRuns(),
 		Workers:      workers,
-		NumCPU:       runtime.NumCPU(),
-		ColdSec:      coldSec,
-		WarmSec:      warmSec,
-		DiskWarmSec:  diskSec,
-		WarmSpeedup:  speedup,
-		DiskSpeedup:  diskSpeedup,
+		Env:          c.Env,
+		Pairs:        pairs,
+		ColdSec:      c.VariantMedian,
+		WarmSec:      c.BaseMedian,
+		Speedup:      c.Ratio,
+		SpeedupP25:   c.RatioP25,
+		SpeedupP75:   c.RatioP75,
 		StoreMisses:  st.Misses(),
 		MemoryHits:   st.Hits(),
-		DiskHits:     fresh.DiskHits(),
-		InflightWait: fresh.InflightWaits(),
+		InflightWait: st.InflightWaits(),
 	}
 	buf, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -202,11 +200,12 @@ func TestCharacterizeCacheBudget(t *testing.T) {
 	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("figure3 trials=%d: cold %.3fs, warm %.4fs (%.0fx), disk-warm %.4fs (%.0fx); %d misses, %d memory hits, %d disk hits",
-		trials, coldSec, warmSec, speedup, diskSec, diskSpeedup, report.StoreMisses, report.MemoryHits, report.DiskHits)
+	t.Logf("figure3 trials=%d, %d pairs: cold %.4fs, warm %.5fs, speedup %.0fx [%.0f, %.0f]; %d misses, %d memory hits",
+		trials, pairs, report.ColdSec, report.WarmSec, report.Speedup, report.SpeedupP25, report.SpeedupP75,
+		report.StoreMisses, report.MemoryHits)
 
-	if speedup < 10 {
-		t.Errorf("warm-store rerun speedup %.1fx, want >= 10x", speedup)
+	if report.Speedup < 10 {
+		t.Errorf("warm-store rerun speedup %.1fx, want >= 10x", report.Speedup)
 	}
 }
 

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -89,5 +90,40 @@ func TestOptionPresets(t *testing.T) {
 	q := Quick()
 	if q.Trials == 0 || q.EvalDuration >= d.EvalDuration {
 		t.Error("Quick must reduce fidelity")
+	}
+}
+
+// TestQuickMatchesCommittedReport: REPORT.md at the repository root is
+// what `report -quick` prints today, apart from its "Generated" timestamp
+// line. A change that moves a table or figure must commit the
+// regenerated report (go run ./cmd/report -quick -o REPORT.md).
+func TestQuickMatchesCommittedReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full report generation in -short mode")
+	}
+	want, err := os.ReadFile("../../REPORT.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := Generate(&b, Quick()); err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(string(want), "\n")
+	gotLines := strings.Split(b.String(), "\n")
+	for i := 0; i < max(len(wantLines), len(gotLines)); i++ {
+		var w, g string
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if strings.HasPrefix(w, "Generated ") && strings.HasPrefix(g, "Generated ") {
+			continue
+		}
+		if w != g {
+			t.Fatalf("REPORT.md is stale from line %d (regenerate with go run ./cmd/report -quick -o REPORT.md):\ncommitted: %q\nreport -quick: %q", i+1, w, g)
+		}
 	}
 }

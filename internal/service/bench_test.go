@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"avfs/api"
+	"avfs/internal/benchkit"
 	"avfs/internal/service"
 )
 
@@ -70,6 +71,7 @@ type serviceBenchReport struct {
 	FloorReqPerSec float64 `json:"floor_req_per_sec"`
 	Requests       int64   `json:"requests"`
 	Clients        int     `json:"clients"`
+	benchkit.Env
 }
 
 // TestServiceThroughputBudget is the CI perf gate for the control plane:
@@ -101,6 +103,7 @@ func TestServiceThroughputBudget(t *testing.T) {
 			break
 		}
 	}
+	best.Env = benchkit.CurrentEnv()
 	data, err := json.MarshalIndent(best, "", "  ")
 	if err != nil {
 		t.Fatal(err)

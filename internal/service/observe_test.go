@@ -336,7 +336,7 @@ func TestSLOQuantileAccuracy(t *testing.T) {
 // TestSpansEndpointWraparound drives the ring past capacity and checks the
 // HTTP surface signals the truncation instead of silently skipping spans.
 func TestSpansEndpointWraparound(t *testing.T) {
-	f, _ := testFleet(t, Config{SpanCap: 8})
+	f, _ := testFleet(t, Config{})
 	ts := httptest.NewServer(f.Handler())
 	defer ts.Close()
 
@@ -345,6 +345,8 @@ func TestSpansEndpointWraparound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An 8-slot ring in place of the default, so 20 spans wrap it.
+	s.spans = telemetry.NewSpanRing(8)
 	for i := 0; i < 20; i++ {
 		s.spans.Append(telemetry.Span{Name: fmt.Sprintf("op-%d", i)})
 	}

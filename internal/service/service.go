@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -40,16 +39,6 @@ type Config struct {
 	// (default 1 s): the granularity at which reads, submits and policy
 	// flips interleave with an in-flight run.
 	RunChunk float64
-	// CacheDir enables the on-disk tier of the fleet's characterization
-	// store (datasets persist there across server restarts) and, under
-	// CacheDir/surrogate, of the fitted surrogate-model store. ""
-	// (default) keeps both stores in-process only. Either way the stores
-	// are shared by every session, so identical requests from different
-	// tenants are served from cache (see internal/vmin/store). The
-	// directory may live on a shared filesystem: both stores write
-	// artifacts via temp file + atomic rename, so concurrent server
-	// processes can only ever race to identical content.
-	CacheDir string
 	// SnapshotDir enables the on-disk tier of the fleet's session-snapshot
 	// store: snapshots persist there across server restarts, so a fork can
 	// resolve a snapshot id taken by a previous process. "" (default) keeps
@@ -73,9 +62,6 @@ type Config struct {
 	SlowLog io.Writer
 	// SlowRequest is the slow-request log threshold (default 1 s).
 	SlowRequest time.Duration
-	// SpanCap bounds each session's span ring (default
-	// telemetry.DefaultSpanCap).
-	SpanCap int
 	// SLOWindow is the rolling window of the /slo surfaces (default
 	// telemetry.DefaultSLOWindow).
 	SLOWindow time.Duration
@@ -110,9 +96,6 @@ func (c Config) withDefaults() Config {
 	if c.SlowRequest <= 0 {
 		c.SlowRequest = time.Second
 	}
-	if c.SpanCap <= 0 {
-		c.SpanCap = telemetry.DefaultSpanCap
-	}
 	if c.SLOWindow <= 0 {
 		c.SLOWindow = telemetry.DefaultSLOWindow
 	}
@@ -134,7 +117,7 @@ type Fleet struct {
 	// the fork and what-if endpoints.
 	snaps *snapshot.Store
 	// surModels caches fitted surrogate models (the instant-estimate
-	// tier); its disk tier lives under CacheDir/surrogate. estimators
+	// tier) in memory, shared by every session. estimators
 	// holds the lazily built per-(chip, tech node, roadmap) query engines
 	// (see estimate.go), each behind its own lock.
 	surModels  *surrogate.Store
@@ -213,17 +196,13 @@ func (c *memStatsCache) read() *runtime.MemStats {
 // New starts a fleet.
 func New(cfg Config) *Fleet {
 	cfg = cfg.withDefaults()
-	surDir := ""
-	if cfg.CacheDir != "" {
-		surDir = filepath.Join(cfg.CacheDir, "surrogate")
-	}
 	f := &Fleet{
 		cfg:        cfg,
 		pool:       runner.NewPool(cfg.Workers, cfg.Queue),
 		reg:        telemetry.NewRegistry(),
-		store:      store.New(cfg.CacheDir),
+		store:      store.New(""),
 		snaps:      snapshot.NewStore(cfg.SnapshotDir),
-		surModels:  surrogate.NewStore(surDir),
+		surModels:  surrogate.NewStore(""),
 		estimators: make(map[string]*estimatorEntry),
 		sessions:   make(map[string]*session),
 		reapStop:   make(chan struct{}),
@@ -311,7 +290,7 @@ func (f *Fleet) Registry() *telemetry.Registry { return f.reg }
 // session is built with: the observability plane and the node name.
 func (f *Fleet) sessionWiring() obsConfig {
 	return obsConfig{
-		enabled: !f.cfg.NoTrace, spanCap: f.cfg.SpanCap, window: f.cfg.SLOWindow,
+		enabled: !f.cfg.NoTrace, window: f.cfg.SLOWindow,
 		node: f.cfg.NodeName,
 	}
 }
@@ -559,9 +538,9 @@ func (f *Fleet) Energy(id string) (api.Energy, error) {
 // Characterize resolves one characterization cell for a session through
 // the fleet's process-wide store: a cell is simulated at most once per
 // (configuration, salt, trial-count, model-version) identity no matter how
-// many sessions — or concurrent requests — ask for it, and persists across
-// restarts when Config.CacheDir is set. The store's hit/miss counters are
-// part of the /metrics surface.
+// many sessions — or concurrent requests — ask for it within this
+// process. The store's hit/miss counters are part of the /metrics
+// surface.
 func (f *Fleet) Characterize(id string, req api.CharacterizeRequest) (api.Characterization, error) {
 	s, err := f.lookup(id)
 	if err != nil {

@@ -102,7 +102,6 @@ const sessionHistory = 64
 // (see Fleet.sessionWiring).
 type obsConfig struct {
 	enabled bool
-	spanCap int
 	window  time.Duration
 	// node is the fleet's Config.NodeName, stamped on the session.
 	node string
@@ -198,7 +197,7 @@ func assembleSession(parent context.Context, id string, ttlSeconds float64,
 		s.ttl = time.Duration(ttlSeconds * float64(time.Second))
 	}
 	if obs.enabled {
-		s.spans = telemetry.NewSpanRing(obs.spanCap)
+		s.spans = telemetry.NewSpanRing(telemetry.DefaultSpanCap)
 		s.reqSLO = telemetry.NewSLOTracker(obs.window)
 		s.advSLO = telemetry.NewSLOTracker(obs.window)
 		lockBounds := []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"avfs/internal/benchkit"
 	"avfs/internal/chip"
 	"avfs/internal/daemon"
 	"avfs/internal/sim"
@@ -117,6 +118,7 @@ type simBenchReport struct {
 	DaemonTicksPerSec  float64 `json:"daemon_ticks_per_sec"`
 	Speedup            float64 `json:"coalescing_speedup"`
 	SpeedupFloor       float64 `json:"speedup_floor"`
+	benchkit.Env
 }
 
 // TestSimSteadyStateBudget is the CI perf gate: the steady-state Step path
@@ -160,6 +162,7 @@ func TestSimSteadyStateBudget(t *testing.T) {
 			break
 		}
 	}
+	best.Env = benchkit.CurrentEnv()
 	data, err := json.MarshalIndent(best, "", "  ")
 	if err != nil {
 		t.Fatal(err)

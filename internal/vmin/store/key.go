@@ -6,8 +6,8 @@
 // The store is a typed wrapper over internal/castore, which supplies the
 // in-process tier (singleflight: duplicates wait on the one in-flight
 // sweep instead of recomputing), the optional on-disk tier (one envelope
-// per key, so characterization cost is paid once across campaigns, CLI
-// invocations and service restarts) and the rule that any unreadable,
+// per key; no command passes a directory, since a campaign recomputes
+// faster than it reads one back) and the rule that any unreadable,
 // corrupt or skewed file is a miss, never an error. This package owns the
 // key derivation and the dataset copy-out.
 package store

@@ -415,9 +415,9 @@ func TestInstrumentExposesCounters(t *testing.T) {
 	}
 }
 
-// TestSharedCacheDirConcurrent is the shared-filesystem contract for
-// -cache-dir: several server processes (modeled as independent Stores —
-// no shared memory tier, no shared singleflight) may point at the same
+// TestSharedCacheDirConcurrent is the shared-filesystem contract of a
+// Store's dir: several processes (modeled as independent Stores — no
+// shared memory tier, no shared singleflight) may point at the same
 // directory. Writers race, but each write lands as a temp file followed
 // by an atomic rename, and a characterization is a pure function of its
 // key — so concurrent processes can only ever race to identical content,
