@@ -216,10 +216,15 @@ type Daemon struct {
 	blockedOK bool
 
 	// queue holds the staged phases of an in-flight transition when
-	// Cfg.TransitionTicks > 0; cooldown counts ticks until the next
-	// phase fires. Neither is captured in snapshots: CaptureState refuses
-	// while the queue is non-empty, and every enqueue resets cooldown.
-	queue    []func()
+	// Cfg.TransitionTicks > 0, cut from phases; tr is what those phases
+	// share and pl the plan they apply. cooldown counts ticks until the
+	// next phase fires. None is captured in snapshots: CaptureState
+	// refuses while the queue is non-empty, and every enqueue resets
+	// cooldown.
+	queue    []phase
+	phases   [len(safeOrder)]phase
+	tr       inflight
+	pl       plan
 	cooldown int
 
 	// disabled suspends the daemon's decision loop (see SetEnabled): ticks
@@ -231,11 +236,15 @@ type Daemon struct {
 	stats Stats
 
 	// curFreq/curUtil are currentRequired's per-PMD scratch; jobs and
-	// memSlots are buildPlan's. Replans reuse them instead of allocating.
+	// memSlots are buildPlan's; cores is openSample's, and spare holds
+	// the measurement windows of finished processes for it to reuse.
+	// Replans and polls reuse them instead of allocating.
 	curFreq  []chip.MHz
 	curUtil  []bool
 	jobs     []planJob
 	memSlots []chip.CoreID
+	cores    []chip.CoreID
+	spare    []*perfmon.Sample
 
 	// Telemetry (all nil/zero when uninstrumented — the hot path then
 	// pays only nil checks; the overhead benchmark in internal/telemetry
@@ -359,6 +368,9 @@ func (d *Daemon) ClassCounts() (cpu, mem int) {
 // machine may coalesce steady ticks up to the daemon's next poll instant.
 func (d *Daemon) Attach() {
 	d.M.OnFinish(func(p *sim.Process) {
+		if st := d.states[p.ID]; st != nil && st.sample != nil {
+			d.spare = append(d.spare, st.sample)
+		}
 		delete(d.states, p.ID)
 		d.dirty = true
 	})
@@ -447,9 +459,9 @@ func (d *Daemon) tick() {
 			d.cooldown--
 			return
 		}
-		step := d.queue[0]
+		ph := d.queue[0]
 		d.queue = d.queue[1:]
-		step()
+		d.runPhase(ph)
 		d.cooldown = d.Cfg.TransitionTicks
 		return
 	}
@@ -495,7 +507,7 @@ func (d *Daemon) poll() {
 	for _, p := range d.M.RunningView() {
 		st := d.state(p)
 		if st.sample == nil || !onCores(p, st.sample.Cores()) {
-			st.sample = d.sampler.Open(p.Cores())
+			d.openSample(st, p)
 			continue
 		}
 		if !st.sample.Ready() {
@@ -536,6 +548,23 @@ func (d *Daemon) poll() {
 	if flipped && d.Cfg.AdaptPlacement {
 		d.retune()
 	}
+}
+
+// openSample opens st's measurement window over p's cores. A process that
+// moved reopens its window in place, and a new one takes a window a
+// finished process left before a fresh one is allocated.
+func (d *Daemon) openSample(st *procState, p *sim.Process) {
+	d.cores = p.AppendCores(d.cores[:0])
+	if st.sample == nil && len(d.spare) > 0 {
+		last := len(d.spare) - 1
+		st.sample, d.spare[last] = d.spare[last], nil
+		d.spare = d.spare[:last]
+	}
+	if st.sample == nil {
+		st.sample = d.sampler.Open(d.cores)
+		return
+	}
+	st.sample.Retarget(d.cores)
 }
 
 // classify applies the threshold with hysteresis, returning the new class
@@ -674,13 +703,40 @@ type planJob struct {
 }
 
 // plan is a complete target configuration produced by the placement
-// policy; admitted counts the pending processes it places. The
-// transition that applies a plan consumes its assign map.
+// policy; admitted counts the pending processes it places. A plan from
+// buildPlan carries a placement (place is set, and assign maps every
+// planned process to its cores, cut from arena); one from retune only
+// reprograms frequencies and voltage. The transition that applies a plan
+// consumes its assign map.
+//
+// The daemon fills one plan for every replan and retune: a plan is
+// applied before the next decision is taken (tick takes none while a
+// staged transition is in flight), so two plans are never live at once.
 type plan struct {
+	place    bool
 	assign   map[*sim.Process][]chip.CoreID
+	arena    []chip.CoreID
 	pmdFreq  []chip.MHz
 	utilized []bool
 	admitted int
+}
+
+// reset empties the plan for a chip of spec's shape: no placement, every
+// PMD unutilized at the minimum frequency.
+func (pl *plan) reset(spec *chip.Spec) {
+	if pl.assign == nil {
+		pl.assign = map[*sim.Process][]chip.CoreID{}
+		pl.arena = make([]chip.CoreID, 0, spec.Cores)
+		pl.pmdFreq = make([]chip.MHz, spec.PMDs())
+		pl.utilized = make([]bool, spec.PMDs())
+	}
+	pl.place, pl.admitted = false, 0
+	clear(pl.assign)
+	pl.arena = pl.arena[:0]
+	for p := range pl.pmdFreq {
+		pl.pmdFreq[p] = spec.MinFreq
+	}
+	clear(pl.utilized)
 }
 
 // replace is the Placement part for arrival/completion events: it computes
@@ -703,6 +759,7 @@ func (d *Daemon) replace() {
 	}
 	pl := d.buildPlan()
 	if pl.admitted == 0 && d.applied(pl) {
+		clear(pl.assign) // the plan holds no process past its use
 		d.noop()
 		return
 	}
@@ -762,13 +819,8 @@ func (d *Daemon) applied(pl *plan) bool {
 // can only change on arrival/completion (Sec. VI-A).
 func (d *Daemon) retune() {
 	spec := d.M.Spec
-	pl := &plan{
-		pmdFreq:  make([]chip.MHz, spec.PMDs()),
-		utilized: make([]bool, spec.PMDs()),
-	}
-	for p := 0; p < spec.PMDs(); p++ {
-		pl.pmdFreq[p] = spec.MinFreq
-	}
+	pl := &d.pl
+	pl.reset(spec)
 	for _, proc := range d.M.RunningView() {
 		cls := d.ClassOf(proc)
 		for _, t := range proc.Threads {
@@ -821,20 +873,14 @@ func (d *Daemon) buildPlan() *plan {
 	defer clear(jobs) // the scratch holds no process past the plan
 	d.stats.Placements += admitted
 
-	pl := &plan{
-		assign:   make(map[*sim.Process][]chip.CoreID, len(jobs)),
-		pmdFreq:  make([]chip.MHz, spec.PMDs()),
-		utilized: make([]bool, spec.PMDs()),
-		admitted: admitted,
-	}
-	for p := range pl.pmdFreq {
-		pl.pmdFreq[p] = spec.MinFreq
-	}
-	// Every planned core list is cut from one arena: admission keeps the
-	// plan within the chip's cores. Thread demand is split by class,
-	// preserving process order: CPU jobs (and Unknown) first, then memory
-	// jobs.
-	arena := make([]chip.CoreID, 0, spec.Cores)
+	pl := &d.pl
+	pl.reset(spec)
+	pl.place, pl.admitted = true, admitted
+	// Every planned core list is cut from the plan's arena: admission
+	// keeps the plan within the chip's cores, so the arena never grows.
+	// Thread demand is split by class, preserving process order: CPU jobs
+	// (and Unknown) first, then memory jobs.
+	arena := pl.arena
 
 	// CPU block: consecutive cores from 0 upwards.
 	next := 0
@@ -882,6 +928,7 @@ func (d *Daemon) buildPlan() *plan {
 		}
 		pl.assign[j.proc] = arena[start:len(arena):len(arena)]
 	}
+	pl.arena = arena
 
 	// Frequencies: max on PMDs with any CPU/Unknown thread, reduced on
 	// memory-only PMDs.
@@ -908,6 +955,40 @@ func (d *Daemon) buildPlan() *plan {
 		}
 	}
 	return pl
+}
+
+// phase is one step of the fail-safe protocol.
+type phase uint8
+
+const (
+	// phaseRaise raises the voltage to a level safe for both the current
+	// and the target configuration.
+	phaseRaise phase = iota
+	// phaseReconfigure applies the migrations, placements and per-PMD
+	// frequencies.
+	phaseReconfigure
+	// phaseSettle lowers the voltage to the target's safe level.
+	phaseSettle
+)
+
+// The protocol's phase orders: the fail-safe one, and its inversion for
+// the Cfg.UnsafeOrder ablation (actuate first, fix the voltage
+// afterwards — the intermediate state can sit below its safe Vmin).
+var (
+	safeOrder   = [...]phase{phaseRaise, phaseReconfigure, phaseSettle}
+	unsafeOrder = [...]phase{phaseReconfigure, phaseRaise, phaseSettle}
+)
+
+// inflight is what the phases of one transition share besides the plan
+// they apply, d.pl.
+type inflight struct {
+	rid     int64
+	started float64
+	// target is the settle level (nominal without voltage adaptation)
+	// and guard the raise level; raiseRule names the raise in the trace.
+	target, guard chip.Millivolts
+	raiseRule     telemetry.Sym
+	utilized      int
 }
 
 // transition applies a plan under the fail-safe voltage protocol:
@@ -956,57 +1037,59 @@ func (d *Daemon) transition(pl *plan) {
 		return
 	}
 
-	// Phase A: raise the voltage to a level safe for both the current
-	// and the target configuration before touching anything.
-	target := d.requiredMV(pl.pmdFreq, pl.utilized)
-	utilized := 0
+	tr := inflight{rid: rid, started: started, target: d.requiredMV(pl.pmdFreq, pl.utilized)}
 	for _, u := range pl.utilized {
 		if u {
-			utilized++
+			tr.utilized++
 		}
 	}
-	traceRaise := func(rule telemetry.Sym, safe chip.Millivolts, from chip.Millivolts) {
+	if d.Cfg.AdaptVoltage {
+		tr.guard, tr.raiseRule = maxMV(d.currentRequired(), tr.target), ruleFailSafe
+	} else {
+		tr.target, tr.guard, tr.raiseRule = nominal, nominal, ruleNominalHold
+	}
+	d.tr = tr
+
+	order := safeOrder
+	if d.Cfg.UnsafeOrder {
+		order = unsafeOrder
+	}
+	if d.Cfg.TransitionTicks <= 0 {
+		for _, ph := range order {
+			d.runPhase(ph)
+		}
+		return
+	}
+	d.queue = append(d.phases[:0], order[:]...)
+	d.cooldown = 0
+}
+
+// runPhase executes one phase of the in-flight transition d.tr.
+func (d *Daemon) runPhase(ph phase) {
+	tr := &d.tr
+	switch ph {
+	case phaseRaise:
+		from := d.M.Chip.Voltage()
+		if tr.guard > from {
+			d.setVoltage(tr.guard)
+		}
 		if d.traceActive() {
 			d.tracer.Emit(telemetry.Record{
-				At: d.M.Now(), Kind: telemetry.DecGuardRaise, Reconfig: rid,
-				Rule: rule, Proc: -1,
+				At: d.M.Now(), Kind: telemetry.DecGuardRaise, Reconfig: tr.rid,
+				Rule: tr.raiseRule, Proc: -1,
 				From: int32(from), To: int32(d.M.Chip.Voltage()),
-				Required: int32(target), UtilizedPMDs: uint16(utilized),
-				DroopClass: uint8(droop.ClassOfPMDs(d.M.Spec, utilized)),
-				N:          int32(safe),
+				Required: int32(tr.target), UtilizedPMDs: uint16(tr.utilized),
+				DroopClass: uint8(droop.ClassOfPMDs(d.M.Spec, tr.utilized)),
+				N:          int32(tr.guard),
 			})
 		}
-	}
-	var raise func()
-	if d.Cfg.AdaptVoltage {
-		safe := maxMV(d.currentRequired(), target)
-		raise = func() {
-			from := d.M.Chip.Voltage()
-			if safe > from {
-				d.setVoltage(safe)
-			}
-			traceRaise(ruleFailSafe, safe, from)
-		}
-	} else {
-		target = nominal
-		raise = func() {
-			from := d.M.Chip.Voltage()
-			if from < nominal {
-				d.setVoltage(nominal)
-			}
-			traceRaise(ruleNominalHold, nominal, from)
-		}
-	}
-
-	// Phase B: migrations, placements (atomically via Reassign) and the
-	// per-PMD frequency program.
-	reconfigure := func() {
+	case phaseReconfigure:
+		pl := &d.pl
 		migrations := 0
-		if pl.assign != nil {
+		if pl.place {
 			// Processes may have finished while the transition was
-			// staged; their planned cores are simply free by now. The
-			// plan belongs to this transition alone, so they leave its
-			// own map.
+			// staged; their planned cores are simply free by now, and
+			// they leave the plan.
 			for p, cores := range pl.assign {
 				if p.State == sim.Finished {
 					delete(pl.assign, p)
@@ -1019,6 +1102,7 @@ func (d *Daemon) transition(pl *plan) {
 			if err := d.M.Reassign(pl.assign); err != nil {
 				panic(fmt.Sprintf("daemon: reassign failed: %v", err))
 			}
+			clear(pl.assign) // the plan holds no process past its use
 			d.stats.Migrations += migrations
 		}
 		for p := range pl.pmdFreq {
@@ -1026,49 +1110,31 @@ func (d *Daemon) transition(pl *plan) {
 		}
 		if d.traceActive() {
 			d.tracer.Emit(telemetry.Record{
-				At: d.M.Now(), Kind: telemetry.DecReconfigure, Reconfig: rid,
+				At: d.M.Now(), Kind: telemetry.DecReconfigure, Reconfig: tr.rid,
 				Rule: ruleApplyPlan, Proc: -1,
-				UtilizedPMDs: uint16(utilized),
-				DroopClass:   uint8(droop.ClassOfPMDs(d.M.Spec, utilized)),
+				UtilizedPMDs: uint16(tr.utilized),
+				DroopClass:   uint8(droop.ClassOfPMDs(d.M.Spec, tr.utilized)),
 				N:            int32(migrations),
 			})
 		}
-	}
-
-	// Phase C: settle the voltage down to the target's safe level.
-	settle := func() {
+	case phaseSettle:
 		if d.Cfg.AdaptVoltage {
 			from := d.M.Chip.Voltage()
-			d.setVoltage(target)
+			d.setVoltage(tr.target)
 			if d.traceActive() {
 				d.tracer.Emit(telemetry.Record{
-					At: d.M.Now(), Kind: telemetry.DecSettle, Reconfig: rid,
+					At: d.M.Now(), Kind: telemetry.DecSettle, Reconfig: tr.rid,
 					Rule: ruleSettleToVmin, Proc: -1,
 					From: int32(from), To: int32(d.M.Chip.Voltage()),
-					Required: int32(target), UtilizedPMDs: uint16(utilized),
-					DroopClass: uint8(droop.ClassOfPMDs(d.M.Spec, utilized)),
+					Required: int32(tr.target), UtilizedPMDs: uint16(tr.utilized),
+					DroopClass: uint8(droop.ClassOfPMDs(d.M.Spec, tr.utilized)),
 				})
 			}
 		}
 		if d.hLatency != nil {
-			d.hLatency.Observe(d.M.Now() - started)
+			d.hLatency.Observe(d.M.Now() - tr.started)
 		}
 	}
-
-	phases := []func(){raise, reconfigure, settle}
-	if d.Cfg.UnsafeOrder {
-		// Ablation: actuate first, fix the voltage afterwards — the
-		// intermediate state can sit below its safe Vmin.
-		phases = []func(){reconfigure, raise, settle}
-	}
-	if d.Cfg.TransitionTicks <= 0 {
-		for _, ph := range phases {
-			ph()
-		}
-		return
-	}
-	d.queue = append(d.queue, phases...)
-	d.cooldown = 0
 }
 
 func maxMV(a, b chip.Millivolts) chip.Millivolts {

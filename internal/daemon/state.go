@@ -24,7 +24,7 @@ type ProcControlState struct {
 
 // State is the daemon's complete serializable controller state. A daemon
 // with a staged transition in flight cannot be captured: the queued
-// fail-safe phases are closures.
+// fail-safe phases and the plan they apply are not part of it.
 type State struct {
 	Cfg       Config             `json:"cfg"`
 	Disabled  bool               `json:"disabled"`

@@ -10,6 +10,7 @@ package perfmon
 
 import (
 	"fmt"
+	"slices"
 
 	"avfs/internal/chip"
 	"avfs/internal/sim"
@@ -80,15 +81,20 @@ type DeltaSampler struct {
 
 // Open starts a measurement window over the given cores.
 func (d *DeltaSampler) Open(cores []chip.CoreID) *Sample {
-	s := &Sample{
-		pmu:    d.PMU,
-		cores:  append([]chip.CoreID(nil), cores...),
-		cycle0: make([]uint64, len(cores)),
-		l3c0:   make([]uint64, len(cores)),
-		instr0: make([]uint64, len(cores)),
-	}
-	s.Rearm()
+	s := &Sample{pmu: d.PMU}
+	s.Retarget(cores)
 	return s
+}
+
+// Retarget restarts the window over a new core set in place: it is
+// Open(cores) reusing s's storage, for a monitor whose process moved.
+func (s *Sample) Retarget(cores []chip.CoreID) {
+	n := len(cores)
+	s.cores = append(s.cores[:0], cores...)
+	s.cycle0 = slices.Grow(s.cycle0[:0], n)[:n]
+	s.l3c0 = slices.Grow(s.l3c0[:0], n)[:n]
+	s.instr0 = slices.Grow(s.instr0[:0], n)[:n]
+	s.Rearm()
 }
 
 // Rearm restarts the window over the same cores by taking the first read

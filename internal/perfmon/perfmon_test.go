@@ -88,6 +88,47 @@ func TestRearmMatchesOpen(t *testing.T) {
 	}
 }
 
+// TestRetargetMatchesOpen: a window retargeted in place onto a moved
+// process's new cores — fewer, as many, or more than it had — equals a
+// fresh Open over those cores: the same cores, readings and serialized
+// state, and a closed measurement with the same deltas. Retargeting
+// within the window's capacity does not allocate.
+func TestRetargetMatchesOpen(t *testing.T) {
+	m := sim.New(chip.XGene3Spec())
+	sampler := DeltaSampler{PMU: &PMU{M: m}}
+	for i, name := range []string{"CG", "lbm", "EP", "milc"} {
+		p := m.MustSubmit(workload.MustByName(name), 1)
+		if err := m.Place(p, []chip.CoreID{chip.CoreID(3 * i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.RunFor(0.2)
+	s := sampler.Open([]chip.CoreID{0, 3, 6})
+	for _, cores := range [][]chip.CoreID{{9}, {3, 6, 9}, {0, 3, 6, 9}, {6, 0}} {
+		m.RunFor(0.1)
+		s.Retarget(cores)
+		fresh := sampler.Open(cores)
+		got, err := json.Marshal(s.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(fresh.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("retargeted onto %v:\n%s\nwant a fresh window's\n%s", cores, got, want)
+		}
+		m.RunFor(0.5)
+		if gm, wm := s.Close(), fresh.Close(); gm != wm {
+			t.Errorf("retargeted onto %v: measured %+v, a fresh window %+v", cores, gm, wm)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.Retarget([]chip.CoreID{3, 9}) }); allocs != 0 {
+		t.Errorf("Retarget within capacity allocates %v times, want 0", allocs)
+	}
+}
+
 func TestThresholdSeparatesClasses(t *testing.T) {
 	// The daemon's exact decision input: measured rate vs the 3K
 	// threshold must reproduce the catalog ground truth for every

@@ -10,7 +10,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"avfs/internal/chip"
 	"avfs/internal/sim"
@@ -21,40 +20,51 @@ import (
 // spreading across PMDs before doubling them up.
 type DefaultPlacer struct {
 	M *sim.Machine
+
+	// ranked, taken and picked are pickCores' scratch, reused across
+	// placements.
+	ranked []chip.CoreID
+	taken  []bool
+	picked []chip.CoreID
 }
 
 // pickCores selects n free cores, preferring cores whose PMD sibling is
 // idle (spread), then filling remaining capacity; it returns nil if fewer
-// than n cores are free.
+// than n cores are free. The returned slice is the placer's scratch,
+// valid until the next call.
 func (p *DefaultPlacer) pickCores(n int) []chip.CoreID {
-	free := p.M.FreeCores()
-	if len(free) < n {
+	m := p.M
+	if m.FreeCoreCount() < n {
 		return nil
 	}
-	// Rank free cores: cores on fully idle PMDs first, then by ID for
-	// determinism.
-	idlePMD := func(c chip.CoreID) bool {
-		return p.M.ThreadOn(c^1) == nil
-	}
-	sort.SliceStable(free, func(i, j int) bool {
-		ii, jj := idlePMD(free[i]), idlePMD(free[j])
-		if ii != jj {
-			return ii
+	// Rank free cores: cores on fully idle PMDs first, then the others,
+	// each in ascending order.
+	ranked := p.ranked[:0]
+	for _, sibIdle := range [...]bool{true, false} {
+		for c := range m.Spec.Cores {
+			id := chip.CoreID(c)
+			if m.ThreadOn(id) == nil && (m.ThreadOn(id^1) == nil) == sibIdle {
+				ranked = append(ranked, id)
+			}
 		}
-		return free[i] < free[j]
-	})
+	}
+	p.ranked = ranked
+	if len(p.taken) < m.Spec.Cores {
+		p.taken = make([]bool, m.Spec.Cores)
+	}
+	taken := p.taken
+	defer clear(taken)
 	// Picking spread cores one at a time changes sibling idleness;
 	// emulate the balancer's sequential decisions.
-	var out []chip.CoreID
-	taken := map[chip.CoreID]bool{}
+	out := p.picked[:0]
 	for len(out) < n {
 		best := chip.CoreID(-1)
 		bestIdle := false
-		for _, c := range free {
+		for _, c := range ranked {
 			if taken[c] {
 				continue
 			}
-			sibIdle := p.M.ThreadOn(c^1) == nil && !taken[c^1]
+			sibIdle := m.ThreadOn(c^1) == nil && !taken[c^1]
 			if best < 0 || (sibIdle && !bestIdle) {
 				best, bestIdle = c, sibIdle
 				if sibIdle {
@@ -68,6 +78,7 @@ func (p *DefaultPlacer) pickCores(n int) []chip.CoreID {
 		taken[best] = true
 		out = append(out, best)
 	}
+	p.picked = out
 	return out
 }
 
@@ -222,7 +233,9 @@ func (g *Ondemand) tickBatch(k int) {
 	dt := g.M.Tick
 	end := g.M.Ticks()
 	for c := end - uint64(k-1); c < end; c++ {
-		if now := float64(c) * dt; now+1e-12 >= g.nextSample {
+		// The conversion keeps the product from fusing with the adds
+		// on architectures with fused multiply-add.
+		if now := float64(float64(c) * dt); now+1e-12 >= g.nextSample {
 			g.nextSample = now + g.SamplePeriod
 		}
 	}

@@ -159,14 +159,17 @@ func newProcess(id int, b *workload.Benchmark, nThreads int, now float64) (*Proc
 
 // Cores returns the cores currently hosting the process's threads
 // (unplaced threads are skipped).
-func (p *Process) Cores() []chip.CoreID {
-	var out []chip.CoreID
+func (p *Process) Cores() []chip.CoreID { return p.AppendCores(nil) }
+
+// AppendCores appends the cores Cores returns to dst and returns the
+// extended slice, for callers that reuse one buffer.
+func (p *Process) AppendCores(dst []chip.CoreID) []chip.CoreID {
 	for _, t := range p.Threads {
 		if t.Core >= 0 {
-			out = append(out, t.Core)
+			dst = append(dst, t.Core)
 		}
 	}
-	return out
+	return dst
 }
 
 // Runtime returns the wall-clock execution time, or -1 if not finished.

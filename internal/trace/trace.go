@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Point is one sample of a series.
@@ -31,6 +32,10 @@ func (s *Series) Add(t, v float64) {
 	}
 	s.pts = append(s.pts, Point{t, v})
 }
+
+// Grow reserves room for n more samples, so the next n Adds do not
+// reallocate.
+func (s *Series) Grow(n int) { s.pts = slices.Grow(s.pts, n) }
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.pts) }
@@ -75,7 +80,9 @@ func (s *Series) Mean() float64 {
 	}
 	var sum float64
 	for i := 0; i < n-1; i++ {
-		sum += s.pts[i].V * (s.pts[i+1].T - s.pts[i].T)
+		// The conversion keeps the product from fusing with the add
+		// on architectures with fused multiply-add.
+		sum += float64(s.pts[i].V * (s.pts[i+1].T - s.pts[i].T))
 	}
 	return sum / span
 }
@@ -121,6 +128,7 @@ func (s *Series) Resample(t0, t1, dt float64) *Series {
 // as a 1-minute moving average of 1-second samples (Fig. 15).
 func (s *Series) MovingAvg(window float64) *Series {
 	out := NewSeries(s.Name + fmt.Sprintf(" (avg %gs)", window))
+	out.Grow(len(s.pts))
 	var sum float64
 	start := 0
 	for i, p := range s.pts {
@@ -153,11 +161,20 @@ func NewRecorder(interval float64) *Recorder {
 }
 
 // Track registers a gauge function under a new named series and returns
-// the series.
+// the series. A sample reads the gauges in the order they were tracked.
 func (r *Recorder) Track(name string, fn func() float64) *Series {
 	s := NewSeries(name)
 	r.gauges = append(r.gauges, gauge{s, fn})
 	return s
+}
+
+// Reserve makes room in every tracked series for the samples of a run
+// of span simulated seconds, so sampling it never grows a series.
+func (r *Recorder) Reserve(span float64) {
+	n := int(span/r.Interval) + 1
+	for _, g := range r.gauges {
+		g.s.Grow(n)
+	}
 }
 
 // NextSampleTime returns the simulation time of the next scheduled
@@ -174,8 +191,10 @@ func (r *Recorder) Tick(now float64) {
 		g.s.Add(now, g.fn())
 	}
 	// Schedule strictly ahead even if the caller's step overshot several
-	// intervals.
-	r.next = math.Max(r.next+r.Interval, now+r.Interval/2)
+	// intervals. The conversion keeps the halving, which compiles to a
+	// product, from fusing with the add on architectures with fused
+	// multiply-add.
+	r.next = math.Max(r.next+r.Interval, now+float64(r.Interval/2))
 }
 
 // TickSpan samples the ticks first..last of a fixed-step simulation, tick
@@ -190,7 +209,7 @@ func (r *Recorder) TickSpan(first, last uint64, dt float64) {
 		if j > last {
 			return
 		}
-		r.Tick(float64(j) * dt)
+		r.Tick(tickTime(j, dt))
 		i = j + 1
 	}
 }
@@ -198,7 +217,7 @@ func (r *Recorder) TickSpan(first, last uint64, dt float64) {
 // dueTick returns the first tick j in [i, last] on which Tick would take
 // a sample, or last+1 when there is none.
 func (r *Recorder) dueTick(i, last uint64, dt float64) uint64 {
-	due := func(j uint64) bool { return !(float64(j)*dt+1e-12 < r.next) }
+	due := func(j uint64) bool { return !(tickTime(j, dt)+1e-12 < r.next) }
 	// Estimate from the boundary, then walk to the exact tick: tick
 	// times are monotonic in j, so the walk settles on the serial answer.
 	j := last + 1
@@ -216,3 +235,8 @@ func (r *Recorder) dueTick(i, last uint64, dt float64) uint64 {
 	}
 	return j
 }
+
+// tickTime is the simulation time of tick j. The conversion keeps the
+// product from fusing with a caller's add on architectures with fused
+// multiply-add.
+func tickTime(j uint64, dt float64) float64 { return float64(float64(j) * dt) }

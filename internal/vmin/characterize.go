@@ -3,9 +3,9 @@ package vmin
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"avfs/internal/chip"
 )
@@ -121,20 +121,47 @@ func (c *Characterization) SafeVminOrErr() (chip.Millivolts, error) {
 // characterizations are reproducible run to run. The core list is hashed
 // in canonical (sorted) order: a configuration is a core *set*, so the
 // same cores passed in a different order must characterize identically.
+//
+// The hash is 64-bit FNV-1a (hash/fnv's New64a) over the chip name, the
+// frequency class byte, each core as two little-endian bytes and the
+// benchmark name, computed inline so a sweep allocates nothing for it.
 func seedFor(c *Config, salt int64) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(c.Spec.Name))
-	h.Write([]byte{byte(c.FreqClass)})
-	cores := append([]chip.CoreID(nil), c.Cores...)
-	sort.Slice(cores, func(i, j int) bool { return cores[i] < cores[j] })
+	h := fnvString(fnvOffset64, c.Spec.Name)
+	h = fnvByte(h, byte(c.FreqClass))
+	var buf [64]chip.CoreID
+	cores := append(buf[:0], c.Cores...)
+	slices.Sort(cores)
 	for _, id := range cores {
-		h.Write([]byte{byte(id), byte(id >> 8)})
+		h = fnvByte(fnvByte(h, byte(id)), byte(id>>8))
 	}
 	if c.Bench != nil {
-		h.Write([]byte(c.Bench.Name))
+		h = fnvString(h, c.Bench.Name)
 	}
-	return int64(h.Sum64()) ^ salt
+	return int64(h) ^ salt
 }
+
+// The 64-bit FNV-1a parameters.
+const (
+	fnvOffset64 uint64 = 14695981039346656037
+	fnvPrime64  uint64 = 1099511628211
+)
+
+// fnvByte folds one byte into an FNV-1a hash.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvString folds the bytes of s into an FNV-1a hash.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
+	}
+	return h
+}
+
+// rngPool holds the sweeps' generators. A math/rand source is a 4.9 KB
+// table, and re-seeding one puts it in exactly the state a fresh source
+// of that seed starts in, so a sweep borrows a generator instead of
+// building one.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // Characterizer runs voltage sweeps against the Vmin model, reproducing
 // the paper's methodology: walk down from nominal in StepMV steps, declare
@@ -213,9 +240,17 @@ func (ch *Characterizer) Characterize(c *Config) Characterization {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(seedFor(c, ch.Salt))
+	return ch.sweep(c, rng)
+}
+
+// sweep is Characterize on a validated configuration, drawing from rng,
+// which the caller has seeded with seedFor(c, ch.Salt).
+func (ch *Characterizer) sweep(c *Config, rng *rand.Rand) Characterization {
 	safeTrials, unsafeTrials := ch.TrialCounts()
 	modelSafe := SafeVmin(c)
-	rng := rand.New(rand.NewSource(seedFor(c, ch.Salt)))
 	out := Characterization{Config: c}
 
 	// Phase 1: find the safe Vmin. Walk down from nominal; the safe

@@ -1,8 +1,10 @@
 package vmin
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"avfs/internal/chip"
@@ -113,11 +115,60 @@ func TestFastPathMatchesLegacy(t *testing.T) {
 	}
 }
 
+// TestReseededGeneratorMatchesFresh proves the pooled generator: one
+// generator re-seeded for each sweep of an interleaved sequence of
+// configurations, and Characterize through the pool, both reproduce the
+// sweep on a fresh rand.New(rand.NewSource(seed)).
+func TestReseededGeneratorMatchesFresh(t *testing.T) {
+	ch := &Characterizer{SafeTrials: 200, UnsafeTrials: 60}
+	cfgs := fastPathConfigs()
+	var order []*Config
+	for i := range cfgs {
+		order = append(order, cfgs[i], cfgs[len(cfgs)-1-i])
+	}
+	reused := rand.New(rand.NewSource(1))
+	for i, cfg := range order {
+		want := legacyCharacterize(ch, cfg)
+		reused.Seed(seedFor(cfg, ch.Salt))
+		if got := ch.sweep(cfg, reused); !reflect.DeepEqual(got, want) {
+			t.Errorf("sweep %d (%s): re-seeded generator diverged:\n got %+v\nwant %+v", i, cfg.Spec.Name, got, want)
+		}
+		if got := ch.Characterize(cfg); !reflect.DeepEqual(got, want) {
+			t.Errorf("sweep %d (%s): pooled generator diverged:\n got %+v\nwant %+v", i, cfg.Spec.Name, got, want)
+		}
+	}
+}
+
+// TestSeedForMatchesHashFNV pins the inline FNV-1a of seedFor to
+// hash/fnv's over the same bytes, so every characterization seed is
+// unchanged.
+func TestSeedForMatchesHashFNV(t *testing.T) {
+	for _, cfg := range fastPathConfigs() {
+		cfg.Cores = append([]chip.CoreID{cfg.Cores[len(cfg.Cores)-1]}, cfg.Cores[:len(cfg.Cores)-1]...)
+		h := fnv.New64a()
+		h.Write([]byte(cfg.Spec.Name))
+		h.Write([]byte{byte(cfg.FreqClass)})
+		sorted := slices.Clone(cfg.Cores)
+		slices.Sort(sorted)
+		for _, id := range sorted {
+			h.Write([]byte{byte(id), byte(id >> 8)})
+		}
+		if cfg.Bench != nil {
+			h.Write([]byte(cfg.Bench.Name))
+		}
+		for _, salt := range []int64{0, 42} {
+			if got, want := seedFor(cfg, salt), int64(h.Sum64())^salt; got != want {
+				t.Errorf("%s %d cores salt %d: seedFor %d, hash/fnv %d", cfg.Spec.Name, len(cfg.Cores), salt, got, want)
+			}
+		}
+	}
+}
+
 // BenchmarkCharacterize tracks the cost (and allocations) of one full
 // sweep at paper-default trial counts. The clean-level fast path plus the
-// FaultTally retype keep the safe-region walk allocation-free: the only
-// remaining allocations are the RNG, the Levels slice and Validate's
-// scratch — independent of SafeRuns.
+// FaultTally retype keep the safe-region walk allocation-free, and the
+// generator comes from a pool: the only remaining allocations are the
+// Levels slice and Validate's scratch — independent of SafeRuns.
 func BenchmarkCharacterize(b *testing.B) {
 	cfg := &Config{
 		Spec:      chip.XGene3Spec(),

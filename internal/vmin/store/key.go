@@ -40,7 +40,9 @@ func KeyFor(ch *vmin.Characterizer, c *vmin.Config) Key {
 		cores = slices.Clone(cores)
 		slices.Sort(cores)
 	}
-	b := make([]byte, 0, 160+4*len(cores)+6*len(c.PMDOffsets))
+	// The key is built on the stack; only its string is allocated.
+	var buf [256]byte
+	b := buf[:0]
 	b = append(b, vmin.ModelVersion...)
 	b = append(b, "|chip="...)
 	b = append(b, c.Spec.Name...)
