@@ -14,7 +14,7 @@
 // Usage:
 //
 //	avfs-router [-addr :8090] [-budget-watts W] [-node-ttl 10s]
-//	            [-load-factor 1.25] [-rebalance-every D]
+//	            [-rebalance-every D]
 //
 // Flags:
 //
@@ -22,8 +22,6 @@
 //	-budget-watts     cluster-wide power budget partitioned across nodes
 //	                  by demand; 0 disables power capping
 //	-node-ttl         heartbeat expiry for silent nodes (default 10s)
-//	-load-factor      bounded-load placement factor (default 1.25): a
-//	                  node above load-factor × mean sessions is skipped
 //	-rebalance-every  periodically migrate sessions back to their
 //	                  hash-chosen home nodes (off when 0)
 package main
@@ -46,14 +44,12 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	budget := flag.Float64("budget-watts", 0, "cluster-wide power budget (0 = uncapped)")
 	nodeTTL := flag.Duration("node-ttl", 10*time.Second, "heartbeat expiry for silent nodes")
-	loadFactor := flag.Float64("load-factor", 1.25, "bounded-load placement factor")
 	rebalanceEvery := flag.Duration("rebalance-every", 0, "periodic rebalance interval (0 = off)")
 	flag.Parse()
 
 	rt := cluster.NewRouter(cluster.RouterConfig{
 		BudgetW:      *budget,
 		HeartbeatTTL: *nodeTTL,
-		LoadFactor:   *loadFactor,
 	})
 
 	srv := &http.Server{

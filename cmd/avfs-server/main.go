@@ -7,9 +7,9 @@
 // Usage:
 //
 //	avfs-server [-addr :8080] [-max-sessions 256] [-ttl 15m]
-//	            [-workers N] [-queue M] [-chunk 1.0] [-snapshot-dir DIR]
-//	            [-drain-timeout 2m] [-access-log PATH] [-slow-ms 1000]
-//	            [-slo-window 1m] [-pprof-addr ADDR] [-no-trace]
+//	            [-workers N] [-queue M] [-snapshot-dir DIR]
+//	            [-drain-timeout 2m] [-access-log PATH]
+//	            [-pprof-addr ADDR] [-no-trace]
 //	            [-router URL -node NAME -advertise URL [-heartbeat 2s]]
 //
 // Flags:
@@ -19,15 +19,11 @@
 //	-ttl           idle-session reaping deadline (default 15m)
 //	-workers       concurrent runs across all sessions (default GOMAXPROCS)
 //	-queue         admitted-but-waiting runs before 429 busy (default 4x)
-//	-chunk         simulated seconds a run holds its session lock for
 //	-snapshot-dir  persist session snapshots under this directory, so fork
 //	               and what-if can resolve snapshot ids across restarts
 //	-drain-timeout graceful drain budget before shutdown is forced
 //	               (default 2m)
 //	-access-log    JSONL access log: a file path, or "-" for stderr
-//	-slow-ms       slow-request threshold in milliseconds; slow requests
-//	               are flagged in the access log and mirrored to stderr
-//	-slo-window    rolling window for /v1/sessions/{id}/slo quantiles
 //	-pprof-addr    serve net/http/pprof on a SEPARATE listener (e.g.
 //	               localhost:6060); off unless set, and deliberately not
 //	               mounted on the public API address
@@ -39,6 +35,10 @@
 //	               X-AVFS-Node header carry it
 //	-advertise     base URL peers and the router reach this node at
 //	-heartbeat     router heartbeat period (default 2s)
+//
+// Requests slower than one second are flagged "slow" in the access log
+// and always mirrored to stderr; the /slo windows span one minute; a run
+// holds its session lock one simulated second at a time.
 //
 // On SIGTERM/SIGINT the server drains gracefully: the listener stops, new
 // sessions and runs are rejected with 503 + Retry-After, and every
@@ -72,12 +72,9 @@ func main() {
 	ttl := flag.Duration("ttl", 15*time.Minute, "idle-session reaping deadline")
 	workers := flag.Int("workers", 0, "concurrent runs (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "run admission queue depth (0 = 4x workers)")
-	chunk := flag.Float64("chunk", 1.0, "simulated seconds per session-lock hold")
 	snapshotDir := flag.String("snapshot-dir", "", "persist session snapshots under this directory (default: in-process only)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful drain budget before forcing shutdown")
 	accessLog := flag.String("access-log", "", `JSONL access log path ("-" = stderr, "" = off)`)
-	slowMS := flag.Int("slow-ms", 1000, "slow-request threshold in milliseconds")
-	sloWindow := flag.Duration("slo-window", time.Minute, "rolling window for session SLO quantiles")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (off when empty)")
 	noTrace := flag.Bool("no-trace", false, "disable request spans and SLO tracking")
 	routerURL := flag.String("router", "", "cluster router base URL (off when empty)")
@@ -110,12 +107,9 @@ func main() {
 		SessionTTL:  *ttl,
 		Workers:     *workers,
 		Queue:       *queue,
-		RunChunk:    *chunk,
 		SnapshotDir: *snapshotDir,
 		AccessLog:   accessW,
 		SlowLog:     os.Stderr,
-		SlowRequest: time.Duration(*slowMS) * time.Millisecond,
-		SLOWindow:   *sloWindow,
 		NoTrace:     *noTrace,
 		NodeName:    *nodeName,
 	})

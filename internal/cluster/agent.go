@@ -114,11 +114,16 @@ func (a *Agent) Beat(ctx context.Context) error {
 	a.mu.Lock()
 	draining := a.draining
 	a.mu.Unlock()
+	_, demands := a.fleet.SessionDemands()
+	var demandW float64 // summed in ID order, so the float sum is deterministic
+	for _, d := range demands {
+		demandW += d
+	}
 	reply, err := a.router.Heartbeat(ctx, api.NodeHeartbeat{
 		Name:     a.name,
 		URL:      a.advertise,
 		Sessions: a.fleet.SessionCount(),
-		DemandW:  a.fleet.DemandW(),
+		DemandW:  demandW,
 		Draining: draining,
 	})
 	if err != nil {

@@ -65,10 +65,6 @@ type RouterConfig struct {
 	BudgetW float64
 	// HeartbeatTTL expires nodes that stop checking in (default 10s).
 	HeartbeatTTL time.Duration
-	// LoadFactor bounds placement imbalance: a node is skipped when it
-	// holds more than LoadFactor times the mean session count (default
-	// 1.25, the classic bounded-load setting).
-	LoadFactor float64
 	// Clock is injectable for tests; nil means time.Now.
 	Clock func() time.Time
 	// Client carries every node request, typed calls and byte relays
@@ -76,11 +72,12 @@ type RouterConfig struct {
 	Client *http.Client
 }
 
+// loadFactor is the classic bounded-load setting: placement skips a node
+// holding more than loadFactor times the mean session count.
+const loadFactor = 1.25
+
 // NewRouter builds a router with the given configuration.
 func NewRouter(cfg RouterConfig) *Router {
-	if cfg.LoadFactor <= 1 {
-		cfg.LoadFactor = 1.25
-	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 30 * time.Second}
 	}
@@ -147,7 +144,7 @@ func (rt *Router) place(id string) (api.Node, error) {
 	for _, n := range ready {
 		total += n.Sessions
 	}
-	capacity := int(rt.cfg.LoadFactor*float64(total+1)/float64(len(ready))) + 1
+	capacity := int(loadFactor*float64(total+1)/float64(len(ready))) + 1
 	owner := ring.OwnerBounded(id, rt.load(ready), capacity)
 	for _, n := range ready {
 		if n.Name == owner {

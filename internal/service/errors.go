@@ -15,8 +15,9 @@
 //     admission queue surfaces as ErrBusy, which the HTTP layer maps to
 //     429 + Retry-After — the backpressure path.
 //   - Long runs hold the session lock one chunk of simulated time at a
-//     time (Config.RunChunk), so reads and submits interleave with an
-//     in-flight run at chunk granularity instead of blocking behind it.
+//     time (runChunk, one simulated second), so reads and submits
+//     interleave with an in-flight run at chunk granularity instead of
+//     blocking behind it.
 //   - Request deadlines and cancellation propagate into the simulation
 //     through Machine.RunForContext, which re-checks the context at every
 //     tick-batch commit.

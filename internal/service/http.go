@@ -445,7 +445,7 @@ func (f *Fleet) instrument(next http.Handler) http.Handler {
 			DurationMS: float64(dur.Nanoseconds()) / 1e6,
 			Bytes:      sw.bytes,
 			Session:    m.session,
-			Slow:       dur >= f.cfg.SlowRequest,
+			Slow:       dur >= slowRequest,
 		}
 		if f.cfg.AccessLog != nil {
 			f.writeLog(f.cfg.AccessLog, rec)

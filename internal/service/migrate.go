@@ -56,19 +56,11 @@ func (f *Fleet) ImportSession(req api.ImportRequest) (api.Session, error) {
 	}
 	now := f.cfg.Clock()
 	f.mu.Lock()
-	if f.draining {
-		f.mu.Unlock()
-		return api.Session{}, fmt.Errorf("%w: not accepting sessions", ErrDraining)
-	}
-	if len(f.sessions) >= f.cfg.MaxSessions {
-		f.mu.Unlock()
-		return api.Session{}, fmt.Errorf("%w: %d sessions live", ErrFleetFull, len(f.sessions))
-	}
-	if _, dup := f.sessions[req.Session]; dup {
-		f.mu.Unlock()
-		return api.Session{}, fmt.Errorf("%w: session %s already exists", ErrConflict, req.Session)
-	}
+	err = f.admitLocked(req.Session)
 	f.mu.Unlock()
+	if err != nil {
+		return api.Session{}, err
+	}
 
 	s, err := restoreSession(f.baseCtx, req.Session, st, req.TTLSeconds, f.cfg.SessionTTL, now, f.sessionWiring())
 	if err != nil {
@@ -152,24 +144,6 @@ func (f *Fleet) MigrateSession(ctx context.Context, req api.MigrateRequest) (api
 	}, nil
 }
 
-// DemandW sums the sessions' average power draw — the node's demand
-// signal in the cluster power-budget partition.
-func (f *Fleet) DemandW() float64 {
-	f.mu.Lock()
-	all := make([]*session, 0, len(f.sessions))
-	for _, s := range f.sessions {
-		all = append(all, s)
-	}
-	f.mu.Unlock()
-	var total float64
-	for _, s := range all {
-		s.mu.Lock()
-		total += s.m.Meter.AveragePower()
-		s.mu.Unlock()
-	}
-	return total
-}
-
 // SessionDemands reports every live session's average power draw,
 // ordered by ID — the per-session demand vector the node agent
 // partitions its watt share over.
@@ -199,8 +173,8 @@ func (f *Fleet) SetSessionPowerCap(id string, w float64) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.migrating {
-		return fmt.Errorf("%w: session migrating to a peer", ErrConflict)
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	s.stack.SetPowerCap(w)
 	return nil

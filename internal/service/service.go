@@ -35,10 +35,6 @@ type Config struct {
 	// (default 4x workers). A full queue is the ErrBusy backpressure path.
 	Workers int
 	Queue   int
-	// RunChunk is how much simulated time a run advances per lock hold
-	// (default 1 s): the granularity at which reads, submits and policy
-	// flips interleave with an in-flight run.
-	RunChunk float64
 	// SnapshotDir enables the on-disk tier of the fleet's session-snapshot
 	// store: snapshots persist there across server restarts, so a fork can
 	// resolve a snapshot id taken by a previous process. "" (default) keeps
@@ -57,14 +53,9 @@ type Config struct {
 
 	// AccessLog receives one JSONL record per HTTP request (nil disables).
 	AccessLog io.Writer
-	// SlowLog receives a JSONL record for requests slower than SlowRequest
-	// (nil disables; default threshold 1 s).
+	// SlowLog receives a JSONL record for requests slower than
+	// slowRequest (nil disables).
 	SlowLog io.Writer
-	// SlowRequest is the slow-request log threshold (default 1 s).
-	SlowRequest time.Duration
-	// SLOWindow is the rolling window of the /slo surfaces (default
-	// telemetry.DefaultSLOWindow).
-	SLOWindow time.Duration
 	// NoTrace disables the span/SLO layer entirely — the tracing-off
 	// baseline of the overhead gate. Access and slow logs still work.
 	NoTrace bool
@@ -84,23 +75,23 @@ func (c Config) withDefaults() Config {
 	if c.Queue <= 0 {
 		c.Queue = 4 * c.Workers
 	}
-	if c.RunChunk <= 0 {
-		c.RunChunk = 1.0
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
 	if c.ReapEvery == 0 {
 		c.ReapEvery = 5 * time.Second
 	}
-	if c.SlowRequest <= 0 {
-		c.SlowRequest = time.Second
-	}
-	if c.SLOWindow <= 0 {
-		c.SLOWindow = telemetry.DefaultSLOWindow
-	}
 	return c
 }
+
+// runChunk is how much simulated time a run advances per lock hold, in
+// seconds: the granularity at which reads, submits and policy flips
+// interleave with an in-flight run.
+const runChunk = 1.0
+
+// slowRequest is the latency from which a request is flagged slow in
+// the access log and mirrored to the slow log.
+const slowRequest = time.Second
 
 // Fleet is the control plane: session registry, bounded run pool, TTL
 // reaper and drain choreography. Construct with New, serve with Handler
@@ -268,7 +259,7 @@ func New(cfg Config) *Fleet {
 		})
 
 	if !cfg.NoTrace {
-		f.reqSLO = telemetry.NewSLOTracker(cfg.SLOWindow)
+		f.reqSLO = telemetry.NewSLOTracker(telemetry.DefaultSLOWindow)
 		f.reg.Gauge("avfs_http_request_seconds",
 			"Fleet-wide rolling-window request latency.", func() float64 {
 				snap, _, _ := f.reqSLO.Windowed(f.cfg.Clock())
@@ -289,10 +280,7 @@ func (f *Fleet) Registry() *telemetry.Registry { return f.reg }
 // sessionWiring assembles the fleet-derived settings a new or restored
 // session is built with: the observability plane and the node name.
 func (f *Fleet) sessionWiring() obsConfig {
-	return obsConfig{
-		enabled: !f.cfg.NoTrace, window: f.cfg.SLOWindow,
-		node: f.cfg.NodeName,
-	}
+	return obsConfig{enabled: !f.cfg.NoTrace, node: f.cfg.NodeName}
 }
 
 // reapLoop ticks the TTL reaper until Close.
@@ -364,27 +352,20 @@ func validSessionID(id string) error {
 // validation; duplicates fail with ErrConflict.
 func (f *Fleet) Create(req api.CreateSessionRequest) (api.Session, error) {
 	now := f.cfg.Clock()
-	f.mu.Lock()
-	if f.draining {
-		f.mu.Unlock()
-		return api.Session{}, fmt.Errorf("%w: not accepting sessions", ErrDraining)
-	}
-	if len(f.sessions) >= f.cfg.MaxSessions {
-		f.mu.Unlock()
-		return api.Session{}, fmt.Errorf("%w: %d sessions live", ErrFleetFull, len(f.sessions))
-	}
 	id := req.ID
-	if id != "" {
-		if err := validSessionID(id); err != nil {
-			f.mu.Unlock()
-			return api.Session{}, err
-		}
-		if _, dup := f.sessions[id]; dup {
-			f.mu.Unlock()
-			return api.Session{}, fmt.Errorf("%w: session %s already exists", ErrConflict, id)
+	f.mu.Lock()
+	// The fleet-wide refusals come first, then the id's own: validity,
+	// then duplicate.
+	err := f.admitLocked("")
+	if err == nil && id != "" {
+		if err = validSessionID(id); err == nil {
+			err = f.admitLocked(id)
 		}
 	}
 	f.mu.Unlock()
+	if err != nil {
+		return api.Session{}, err
+	}
 	if id == "" {
 		id = f.mintSessionID()
 	}
@@ -398,28 +379,37 @@ func (f *Fleet) Create(req api.CreateSessionRequest) (api.Session, error) {
 	return f.publish(s, now)
 }
 
+// admitLocked reports why a session with this id cannot join the
+// registry now: the fleet is draining, it is full, or id is already
+// live (never true of ""). f.mu must be held. Every way in (the Create,
+// Fork and ImportSession pre-checks and publish) asks here.
+func (f *Fleet) admitLocked(id string) error {
+	if f.draining {
+		return fmt.Errorf("%w: not accepting sessions", ErrDraining)
+	}
+	if len(f.sessions) >= f.cfg.MaxSessions {
+		return fmt.Errorf("%w: %d sessions live", ErrFleetFull, len(f.sessions))
+	}
+	if _, dup := f.sessions[id]; dup {
+		return fmt.Errorf("%w: session %s already exists", ErrConflict, id)
+	}
+	return nil
+}
+
 // publish inserts a built session into the registry, re-checking the
 // admission windows (drain, capacity, duplicate ID) that may have closed
 // while the session was constructed outside the fleet lock.
 func (f *Fleet) publish(s *session, now time.Time) (api.Session, error) {
 	f.mu.Lock()
-	if f.draining {
-		f.mu.Unlock()
-		s.cancel()
-		return api.Session{}, fmt.Errorf("%w: not accepting sessions", ErrDraining)
+	err := f.admitLocked(s.id)
+	if err == nil {
+		f.sessions[s.id] = s
 	}
-	if len(f.sessions) >= f.cfg.MaxSessions {
-		f.mu.Unlock()
-		s.cancel()
-		return api.Session{}, fmt.Errorf("%w: %d sessions live", ErrFleetFull, len(f.sessions))
-	}
-	if _, dup := f.sessions[s.id]; dup {
-		f.mu.Unlock()
-		s.cancel()
-		return api.Session{}, fmt.Errorf("%w: session %s already exists", ErrConflict, s.id)
-	}
-	f.sessions[s.id] = s
 	f.mu.Unlock()
+	if err != nil {
+		s.cancel()
+		return api.Session{}, err
+	}
 	f.mSessions.Inc()
 	return s.snapshot(now), nil
 }
@@ -665,25 +655,30 @@ func (f *Fleet) SessionMetrics(id string, w io.Writer) error {
 	return export.Prometheus(w, s.reg)
 }
 
-// admitGate rejects new runs while draining.
-func (f *Fleet) admitGate() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.draining {
-		return fmt.Errorf("%w: not accepting runs", ErrDraining)
+// admitRun is the prologue of every time advance (sync run, async run,
+// what-if): it resolves the session, refuses new runs while draining,
+// and rejects a non-positive window before the run takes a pool slot.
+// what names the operation in that last refusal.
+func (f *Fleet) admitRun(id, what string, seconds float64) (*session, error) {
+	s, err := f.lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if f.Draining() {
+		return nil, fmt.Errorf("%w: not accepting runs", ErrDraining)
+	}
+	if seconds <= 0 {
+		return nil, fmt.Errorf("%w: %s seconds must be positive", ErrInvalidRequest, what)
+	}
+	return s, nil
 }
 
 // RunSync advances a session's simulated time on the worker pool, blocking
 // until the advance completes or ctx ends. Concurrent runs on one session
 // serialize on its actor lock; pool saturation fails fast with ErrBusy.
 func (f *Fleet) RunSync(ctx context.Context, id string, req api.RunRequest) (api.RunResult, error) {
-	s, err := f.lookup(id)
+	s, err := f.admitRun(id, "run", req.Seconds)
 	if err != nil {
-		return api.RunResult{}, err
-	}
-	if err := f.admitGate(); err != nil {
 		return api.RunResult{}, err
 	}
 	s.mu.Lock()
@@ -704,7 +699,7 @@ func (f *Fleet) RunSync(ctx context.Context, id string, req api.RunRequest) (api
 	err = f.pool.Do(ctx, func(jctx context.Context) error {
 		s.queueSpan(admitted, rm)
 		var runErr error
-		res, runErr = s.runChunked(jctx, req.Seconds, req.UntilIdle, f.cfg.RunChunk, f.cfg.Clock, rm)
+		res, runErr = s.runChunked(jctx, req.Seconds, req.UntilIdle, f.cfg.Clock, rm)
 		return runErr
 	})
 	switch {
@@ -734,15 +729,9 @@ func (f *Fleet) RunSync(ctx context.Context, id string, req api.RunRequest) (api
 // waits for it instead. ctx only carries the request's correlation
 // identity for the job's trace; it does not bound the job's lifetime.
 func (f *Fleet) RunAsync(ctx context.Context, id string, req api.RunRequest) (api.Job, error) {
-	s, err := f.lookup(id)
+	s, err := f.admitRun(id, "run", req.Seconds)
 	if err != nil {
 		return api.Job{}, err
-	}
-	if err := f.admitGate(); err != nil {
-		return api.Job{}, err
-	}
-	if req.Seconds <= 0 {
-		return api.Job{}, fmt.Errorf("%w: run seconds must be positive", ErrInvalidRequest)
 	}
 	f.mu.Lock()
 	f.nextJob++
@@ -780,7 +769,7 @@ func (f *Fleet) RunAsync(ctx context.Context, id string, req api.RunRequest) (ap
 		s.mu.Lock()
 		j.status = api.JobRunning
 		s.mu.Unlock()
-		res, runErr := s.runChunked(ctx, j.seconds, j.untilIdle, f.cfg.RunChunk, f.cfg.Clock, rm)
+		res, runErr := s.runChunked(ctx, j.seconds, j.untilIdle, f.cfg.Clock, rm)
 		s.mu.Lock()
 		j.result = res
 		j.err = runErr

@@ -102,7 +102,6 @@ const sessionHistory = 64
 // (see Fleet.sessionWiring).
 type obsConfig struct {
 	enabled bool
-	window  time.Duration
 	// node is the fleet's Config.NodeName, stamped on the session.
 	node string
 }
@@ -198,8 +197,8 @@ func assembleSession(parent context.Context, id string, ttlSeconds float64,
 	}
 	if obs.enabled {
 		s.spans = telemetry.NewSpanRing(telemetry.DefaultSpanCap)
-		s.reqSLO = telemetry.NewSLOTracker(obs.window)
-		s.advSLO = telemetry.NewSLOTracker(obs.window)
+		s.reqSLO = telemetry.NewSLOTracker(telemetry.DefaultSLOWindow)
+		s.advSLO = telemetry.NewSLOTracker(telemetry.DefaultSLOWindow)
 		lockBounds := []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 		s.hLockWait = s.reg.Histogram("avfs_session_lock_wait_seconds",
 			"Actor mailbox queue-wait: time spent acquiring the session lock per run chunk.", lockBounds)
@@ -242,8 +241,8 @@ func (s *session) setPolicy(req api.PolicyRequest, now time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lastTouch = now
-	if s.migrating {
-		return fmt.Errorf("%w: session migrating to a peer", ErrConflict)
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	if flip {
 		if err := s.stack.Apply(cfg); err != nil {
@@ -266,21 +265,14 @@ func (s *session) submit(req api.SubmitRequest, now time.Time) (api.Process, err
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lastTouch = now
-	if s.migrating {
-		return api.Process{}, fmt.Errorf("%w: session migrating to a peer", ErrConflict)
+	if err := s.writableLocked(); err != nil {
+		return api.Process{}, err
 	}
 	p, err := s.m.Submit(b, req.Threads)
 	if err != nil {
 		return api.Process{}, err
 	}
 	return s.wireProcessLocked(p), nil
-}
-
-// touch refreshes the TTL clock: the session was just used.
-func (s *session) touch(now time.Time) {
-	s.mu.Lock()
-	s.lastTouch = now
-	s.mu.Unlock()
 }
 
 // characterizeCell validates a characterize request against the session's
@@ -334,12 +326,21 @@ func (s *session) characterizeCell(req api.CharacterizeRequest) (*vmin.Character
 	}, nil
 }
 
+// writableLocked refuses every mutation (submit, run, policy, power
+// cap) of a session that is migrating to a peer. mu must be held.
+func (s *session) writableLocked() error {
+	if s.migrating {
+		return fmt.Errorf("%w: session migrating to a peer", ErrConflict)
+	}
+	return nil
+}
+
 // refuseRunLocked reports why a run of seconds cannot be admitted now:
 // the session is migrating, or the run would take its tick counter past
 // sim.MaxTicks. mu must be held.
 func (s *session) refuseRunLocked(seconds float64) error {
-	if s.migrating {
-		return fmt.Errorf("%w: session migrating to a peer", ErrConflict)
+	if err := s.writableLocked(); err != nil {
+		return err
 	}
 	if err := sim.CheckAdvance(s.m.Ticks(), s.m.Tick, seconds); err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
@@ -402,13 +403,7 @@ const chunkSpanBudget = 64
 // request's correlation identity; the run emits one "runner.cell" span
 // with per-chunk "sim.advance" children (budgeted) and feeds the
 // advance-latency SLO and the lock wait/hold histograms.
-func (s *session) runChunked(ctx context.Context, seconds float64, untilIdle bool, chunk float64, clk func() time.Time, rm runMeta) (api.RunResult, error) {
-	if seconds <= 0 {
-		return api.RunResult{}, fmt.Errorf("%w: run seconds must be positive", ErrInvalidRequest)
-	}
-	if chunk <= 0 {
-		chunk = 1.0
-	}
+func (s *session) runChunked(ctx context.Context, seconds float64, untilIdle bool, clk func() time.Time, rm runMeta) (api.RunResult, error) {
 	cell := s.spans.Start("runner.cell", rm.parent, rm.request)
 	cell.SetSession(s.id)
 	cell.SetJob(rm.job)
@@ -425,7 +420,7 @@ func (s *session) runChunked(ctx context.Context, seconds float64, untilIdle boo
 			runErr = err
 			break
 		}
-		step := chunk
+		step := runChunk
 		if step > remaining {
 			step = remaining
 		}

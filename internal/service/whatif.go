@@ -13,6 +13,7 @@ import (
 	"avfs/internal/experiments"
 	"avfs/internal/sim"
 	"avfs/internal/snapshot"
+	"avfs/internal/surrogate"
 )
 
 // This file implements the fleet's snapshot/fork/what-if surface: capture
@@ -92,15 +93,11 @@ func (f *Fleet) Fork(id string, req api.ForkRequest) (api.Fork, error) {
 	}
 	now := f.cfg.Clock()
 	f.mu.Lock()
-	if f.draining {
-		f.mu.Unlock()
-		return api.Fork{}, fmt.Errorf("%w: not accepting sessions", ErrDraining)
-	}
-	if len(f.sessions) >= f.cfg.MaxSessions {
-		f.mu.Unlock()
-		return api.Fork{}, fmt.Errorf("%w: %d sessions live", ErrFleetFull, len(f.sessions))
-	}
+	err = f.admitLocked("")
 	f.mu.Unlock()
+	if err != nil {
+		return api.Fork{}, err
+	}
 	cid := f.mintSessionID()
 
 	parent.beginJob()
@@ -183,15 +180,9 @@ func parseBranchSpec(b api.WhatIfBranchSpec) (branchSpec, error) {
 // they never appear in the session registry and vanish once the report
 // is built. An empty branch list compares the four Table IV policies.
 func (f *Fleet) WhatIf(ctx context.Context, id string, req api.WhatIfRequest) (api.WhatIfReport, error) {
-	s, err := f.lookup(id)
+	s, err := f.admitRun(id, "what-if", req.Seconds)
 	if err != nil {
 		return api.WhatIfReport{}, err
-	}
-	if err := f.admitGate(); err != nil {
-		return api.WhatIfReport{}, err
-	}
-	if req.Seconds <= 0 {
-		return api.WhatIfReport{}, fmt.Errorf("%w: what-if seconds must be positive", ErrInvalidRequest)
 	}
 	wire := req.Branches
 	if len(wire) == 0 {
@@ -371,8 +362,8 @@ func (r *branchRig) report(out *api.WhatIfBranch) {
 			}
 		}
 		sort.Float64s(runtimes)
-		out.P50RuntimeS = nearestRank(runtimes, 0.50)
-		out.P99RuntimeS = nearestRank(runtimes, 0.99)
+		out.P50RuntimeS = runtimes[surrogate.RankIndex(len(runtimes), 0.50)]
+		out.P99RuntimeS = runtimes[surrogate.RankIndex(len(runtimes), 0.99)]
 	}
 }
 
@@ -467,19 +458,4 @@ func replaceRunning(m *sim.Machine, place sim.Placement) error {
 		return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 	return nil
-}
-
-// nearestRank returns the nearest-rank quantile of a sorted sample.
-func nearestRank(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(q*float64(len(sorted)) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }

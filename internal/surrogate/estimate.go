@@ -665,8 +665,8 @@ func (e *Estimator) EstimateSet(procs []Proc, spec BranchSpec, horizonS float64,
 	// Nearest-rank quantiles over completed runtimes.
 	if n := len(e.dur); n > 0 {
 		insertionSort(e.dur)
-		out.P50RuntimeS = e.dur[rankIndex(n, 0.50)]
-		out.P99RuntimeS = e.dur[rankIndex(n, 0.99)]
+		out.P50RuntimeS = e.dur[RankIndex(n, 0.50)]
+		out.P99RuntimeS = e.dur[RankIndex(n, 0.99)]
 	}
 	return out
 }
@@ -703,8 +703,10 @@ func insertionSort(xs []float64) {
 	}
 }
 
-// rankIndex is the nearest-rank quantile index for n sorted samples.
-func rankIndex(n int, q float64) int {
+// RankIndex is the nearest-rank quantile index for n > 0 sorted samples:
+// the ⌈q·n⌉-th smallest, 0-based. Every p50/p99 runtime of the API, from
+// the simulator or the surrogate, is read through it.
+func RankIndex(n int, q float64) int {
 	i := int(math.Ceil(q*float64(n))) - 1
 	if i < 0 {
 		i = 0
