@@ -20,21 +20,21 @@
 //
 // Quick start:
 //
-//	machine, err := avfs.NewMachineWithOptions(avfs.XGene3)
+//	machine := avfs.NewMachine(avfs.XGene3)
+//	s, err := avfs.NewStack(machine, avfs.Optimal, nil, nil) // the paper's daemon
 //	if err != nil { ... }
-//	d, err := avfs.NewDaemonWithOptions(machine)
-//	if err != nil { ... }
-//	d.Attach()
 //	bench, err := avfs.BenchmarkByName("CG")
 //	if err != nil { ... } // errors.Is(err, avfs.ErrUnknownBenchmark)
 //	p, _ := machine.Submit(bench, 8)
-//	_ = p
 //	_ = machine.RunForContext(ctx, 60) // simulated seconds
-//	fmt.Println(machine.Meter.Energy(), "J")
+//	fmt.Println(s.D.ClassOf(p), machine.Meter.Energy(), "J")
 //
-// Construction is configured with functional options (options.go) and
-// failures are typed sentinels (errors.go) matched with errors.Is. Long
-// runs take a context — Machine.RunForContext and
+// A machine runs under one of the paper's four Table IV configurations
+// through a Stack, the same wiring the campaign, the fleet sessions and
+// avfsd use; s.D.Reconfigure retunes the daemon, and the machine's own
+// fields and setters (Tick, SetMigrationPenalty, SetVminDrift) set the
+// simulation. Failures are typed sentinels (errors.go) matched with
+// errors.Is. Long runs take a context — Machine.RunForContext and
 // Machine.RunUntilIdleContext stop between tick batches when the context
 // ends, which is how the fleet service (internal/service, cmd/avfs-server)
 // propagates request deadlines and drain cancellation into simulations.
@@ -47,6 +47,7 @@ import (
 	"avfs/internal/daemon"
 	"avfs/internal/experiments"
 	"avfs/internal/sim"
+	"avfs/internal/telemetry"
 	"avfs/internal/wlgen"
 	"avfs/internal/workload"
 )
@@ -76,6 +77,10 @@ type (
 
 // Machine is the simulated server (see internal/sim).
 type Machine = sim.Machine
+
+// NewMachine creates an idle simulated server of the given model: nominal
+// voltage, every PMD at maximum frequency, the default 10 ms tick.
+func NewMachine(model Model) *Machine { return sim.New(Spec(model)) }
 
 // Process is a running program instance on a Machine.
 type Process = sim.Process
@@ -115,12 +120,6 @@ func OptimalDaemonConfig() DaemonConfig { return daemon.DefaultConfig() }
 // placement and frequency adaptation at nominal voltage.
 func PlacementDaemonConfig() DaemonConfig { return daemon.PlacementOnlyConfig() }
 
-// AttachBaseline wires the default Linux-like stack (load-balanced
-// placement + ondemand governor) onto a machine at nominal voltage and
-// maximum frequency — the paper's Baseline configuration, which cannot
-// fail to program.
-func AttachBaseline(m *Machine) { _, _ = experiments.NewStack(m, experiments.Baseline, 0, nil, nil) }
-
 // BenchmarkByName returns the model of a program by name (e.g. "CG",
 // "milc"). Unknown names report an error wrapping ErrUnknownBenchmark.
 func BenchmarkByName(name string) (*BenchmarkModel, error) {
@@ -147,6 +146,31 @@ const (
 	PlacementOnly  = experiments.Placement
 	Optimal        = experiments.Optimal
 )
+
+// Stack is a machine's control stack under one system configuration: the
+// Linux-like baseline and the paper's daemon, attached with exactly the
+// configuration's one enabled (see internal/experiments).
+type Stack = experiments.Stack
+
+// NewStack attaches the control stacks to a fresh machine and programs
+// cfg; the machine and the daemon report to reg and tr when they are
+// non-nil. Stack.Apply switches configuration later.
+func NewStack(m *Machine, cfg SystemConfig, reg *TelemetryRegistry, tr *DecisionTracer) (*Stack, error) {
+	return experiments.NewStack(m, cfg, 0, reg, tr)
+}
+
+// TelemetryRegistry collects the library's metrics (see internal/telemetry).
+type TelemetryRegistry = telemetry.Registry
+
+// DecisionTracer records structured daemon decision traces.
+type DecisionTracer = telemetry.Tracer
+
+// NewTelemetryRegistry creates an empty metric registry.
+func NewTelemetryRegistry() *TelemetryRegistry { return telemetry.NewRegistry() }
+
+// NewDecisionTracer creates a decision tracer. Enable it and subscribe a
+// sink (e.g. export.NewJSONL(w).Attach(tr)) to receive records.
+func NewDecisionTracer() *DecisionTracer { return telemetry.NewTracer() }
 
 // EvalResult is the outcome of replaying a workload under one
 // configuration.

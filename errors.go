@@ -1,8 +1,6 @@
 package avfs
 
 import (
-	"errors"
-
 	"avfs/internal/service"
 	"avfs/internal/sim"
 	"avfs/internal/vmin"
@@ -27,17 +25,13 @@ var (
 	// multiple threads of a single-threaded program.
 	ErrInvalidProcess = sim.ErrInvalidProcess
 
-	// ErrInvalidPlacement rejects a Place/Migrate/Reassign whose core
+	// ErrInvalidPlacement rejects a Place or Reassign whose core
 	// assignment is malformed, conflicting, or in the wrong process state.
 	ErrInvalidPlacement = sim.ErrInvalidPlacement
 
 	// ErrNotIdle is RunUntilIdle's timeout: the budget elapsed with work
 	// still running or pending (usually an unplaceable process).
 	ErrNotIdle = sim.ErrNotIdle
-
-	// ErrInvalidOption rejects a NewMachineWithOptions /
-	// NewDaemonWithOptions call with an out-of-range option value.
-	ErrInvalidOption = errors.New("avfs: invalid option")
 
 	// ErrSessionNotFound reports an unknown (or reaped) control-plane
 	// session ID; the server answers it with 404 session_not_found.

@@ -9,15 +9,12 @@ import (
 // The library's core flow: a simulated server, the paper's daemon, a
 // mixed workload, and the resulting V/F decisions.
 func Example() {
-	machine, err := avfs.NewMachineWithOptions(avfs.XGene3)
+	machine := avfs.NewMachine(avfs.XGene3)
+	s, err := avfs.NewStack(machine, avfs.Optimal, nil, nil) // the paper's daemon
 	if err != nil {
 		panic(err)
 	}
-	d, err := avfs.NewDaemonWithOptions(machine) // the Optimal configuration
-	if err != nil {
-		panic(err)
-	}
-	d.Attach()
+	d := s.D
 
 	cgModel, _ := avfs.BenchmarkByName("CG")     // memory-intensive
 	namdModel, _ := avfs.BenchmarkByName("namd") // CPU-intensive

@@ -67,10 +67,7 @@ func mix(m *avfs.Machine) {
 }
 
 func run(name string, setup func(*avfs.Machine)) (energy, seconds float64) {
-	m, err := avfs.NewMachineWithOptions(avfs.XGene3)
-	if err != nil {
-		panic(err)
-	}
+	m := avfs.NewMachine(avfs.XGene3)
 	setup(m)
 	mix(m)
 	if err := m.RunUntilIdle(3600); err != nil {
@@ -82,16 +79,20 @@ func run(name string, setup func(*avfs.Machine)) (energy, seconds float64) {
 	return m.Meter.Energy(), m.Now()
 }
 
-func main() {
-	baseE, baseT := run("baseline", func(m *avfs.Machine) { avfs.AttachBaseline(m) })
-	raceE, raceT := run("race-to-idle", func(m *avfs.Machine) { (&raceToIdle{m: m}).attach() })
-	daemonE, daemonT := run("paper daemon", func(m *avfs.Machine) {
-		d, err := avfs.NewDaemonWithOptions(m)
-		if err != nil {
+// stack returns the set-up that runs a machine under one of the paper's
+// system configurations.
+func stack(cfg avfs.SystemConfig) func(*avfs.Machine) {
+	return func(m *avfs.Machine) {
+		if _, err := avfs.NewStack(m, cfg, nil, nil); err != nil {
 			panic(err)
 		}
-		d.Attach()
-	})
+	}
+}
+
+func main() {
+	baseE, baseT := run("baseline", stack(avfs.Baseline))
+	raceE, raceT := run("race-to-idle", func(m *avfs.Machine) { (&raceToIdle{m: m}).attach() })
+	daemonE, daemonT := run("paper daemon", stack(avfs.Optimal))
 
 	fmt.Printf("%-14s %10s %10s %10s\n", "policy", "energy (J)", "time (s)", "ED2P")
 	for _, row := range []struct {

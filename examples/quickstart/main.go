@@ -30,15 +30,12 @@ func submitMix(m *avfs.Machine) {
 
 func main() {
 	// --- Run 1: the paper's daemon (Optimal configuration).
-	optimal, err := avfs.NewMachineWithOptions(avfs.XGene3)
+	optimal := avfs.NewMachine(avfs.XGene3)
+	s, err := avfs.NewStack(optimal, avfs.Optimal, nil, nil)
 	if err != nil {
 		panic(err)
 	}
-	d, err := avfs.NewDaemonWithOptions(optimal)
-	if err != nil {
-		panic(err)
-	}
-	d.Attach()
+	d := s.D
 	submitMix(optimal)
 	optimal.RunFor(2) // let the monitor classify
 
@@ -56,11 +53,10 @@ func main() {
 	}
 
 	// --- Run 2: the Linux-like baseline (ondemand governor, nominal V).
-	baseline, err := avfs.NewMachineWithOptions(avfs.XGene3)
-	if err != nil {
+	baseline := avfs.NewMachine(avfs.XGene3)
+	if _, err := avfs.NewStack(baseline, avfs.Baseline, nil, nil); err != nil {
 		panic(err)
 	}
-	avfs.AttachBaseline(baseline)
 	submitMix(baseline)
 	if err := baseline.RunUntilIdle(3600); err != nil {
 		panic(err)

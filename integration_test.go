@@ -123,11 +123,14 @@ func TestFullPipelineConsistency(t *testing.T) {
 // TestDaemonOnAgedMachineEndToEnd exercises the aging extension through
 // the facade: a 5-year-old machine with an age-aware guard stays safe.
 func TestDaemonOnAgedMachineEndToEnd(t *testing.T) {
-	m := newMachine(t, XGene2)
+	s := newStack(t, XGene2, Optimal)
+	m := s.M
 	m.SetVminDrift(16) // ≈ 5 years on the X-Gene 2 aging model
 	cfg := OptimalDaemonConfig()
 	cfg.GuardMV = 16 + Spec(XGene2).VoltageStep
-	attachDaemon(t, m, WithDaemonConfig(cfg))
+	if err := s.D.Reconfigure(cfg); err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"lbm", "namd", "CG"} {
 		b := benchmark(t, name)
 		n := 1

@@ -22,7 +22,7 @@ import (
 //
 // It is the only wiring of a machine to its telemetry and controllers:
 // campaign cells, fleet sessions, what-if branches, the avfsd REPL and
-// the facade's AttachBaseline all build through it, so a session under a
+// the facade's NewStack all build through it, so a session under a
 // configuration runs that configuration's campaign cell.
 type Stack struct {
 	M      *sim.Machine

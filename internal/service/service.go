@@ -114,9 +114,9 @@ type Fleet struct {
 	surModels  *surrogate.Store
 	estMu      sync.Mutex
 	estimators map[string]*estimatorEntry
-	// batchTicks accumulates the branch-ticks of every simulated what-if
+	// branchTicks accumulates the branch-ticks of every simulated what-if
 	// for the /metrics counter.
-	batchTicks atomic.Uint64
+	branchTicks atomic.Uint64
 
 	// baseCtx parents every session context; Close cancels it, aborting
 	// whatever Drain left behind.
@@ -253,9 +253,9 @@ func New(cfg Config) *Fleet {
 
 	// What-if work. The function reads a lock-free atomic, so the scrape
 	// cost stays within the telemetry overhead budget.
-	f.reg.CounterFunc("avfs_sim_batch_ticks_total",
+	f.reg.CounterFunc("avfs_whatif_branch_ticks_total",
 		"Branch-ticks committed by simulated what-ifs.", func() float64 {
-			return float64(f.batchTicks.Load())
+			return float64(f.branchTicks.Load())
 		})
 
 	if !cfg.NoTrace {

@@ -411,7 +411,7 @@ func (f *Fleet) advanceBranches(ctx context.Context, st *snapshot.SessionState, 
 		}
 		rig.report(&out[i])
 	}
-	f.batchTicks.Add(bs.Ticks)
+	f.branchTicks.Add(bs.Ticks)
 	bs.WallSeconds = time.Since(begin).Seconds()
 	if bs.WallSeconds > 0 {
 		bs.TicksPerSec = float64(bs.Ticks) / bs.WallSeconds

@@ -299,7 +299,7 @@ func TestWhatIfCancelMidWindow(t *testing.T) {
 // registered on every fleet and counts work once a what-if runs.
 func TestBatchMetricsExported(t *testing.T) {
 	names := []string{
-		"avfs_sim_batch_ticks_total",
+		"avfs_whatif_branch_ticks_total",
 	}
 	f, _ := testFleet(t, Config{})
 	s := seedSession(t, f, "optimal")
@@ -308,21 +308,22 @@ func TestBatchMetricsExported(t *testing.T) {
 			t.Errorf("fleet is missing metric %s", name)
 		}
 	}
-	for _, gone := range []string{"avfs_sim_batch_sessions", "avfs_sim_batch_shard_size", "avfs_sim_batch_shared_ticks_total",
-		"avfs_sim_batch_memo_hits_total", "avfs_sim_batch_memo_misses_total", "avfs_surrogate_refinements_total"} {
+	for _, gone := range []string{"avfs_sim_batch_ticks_total", "avfs_sim_batch_sessions", "avfs_sim_batch_shard_size",
+		"avfs_sim_batch_shared_ticks_total", "avfs_sim_batch_memo_hits_total", "avfs_sim_batch_memo_misses_total",
+		"avfs_surrogate_refinements_total"} {
 		if _, ok := f.reg.Value(gone); ok {
 			t.Errorf("fleet still exports %s", gone)
 		}
 	}
-	if v, _ := f.reg.Value("avfs_sim_batch_ticks_total"); v != 0 {
-		t.Errorf("avfs_sim_batch_ticks_total = %v before any what-if, want 0", v)
+	if v, _ := f.reg.Value("avfs_whatif_branch_ticks_total"); v != 0 {
+		t.Errorf("avfs_whatif_branch_ticks_total = %v before any what-if, want 0", v)
 	}
 	rep, err := f.WhatIf(context.Background(), s.ID, api.WhatIfRequest{Seconds: 30})
 	if err != nil {
 		t.Fatalf("WhatIf: %v", err)
 	}
-	if v, _ := f.reg.Value("avfs_sim_batch_ticks_total"); v <= 0 || uint64(v) != rep.Batch.Ticks {
-		t.Errorf("avfs_sim_batch_ticks_total = %v after a what-if, want %d", v, rep.Batch.Ticks)
+	if v, _ := f.reg.Value("avfs_whatif_branch_ticks_total"); v <= 0 || uint64(v) != rep.Batch.Ticks {
+		t.Errorf("avfs_whatif_branch_ticks_total = %v after a what-if, want %d", v, rep.Batch.Ticks)
 	}
 }
 

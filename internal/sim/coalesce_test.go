@@ -64,7 +64,7 @@ func TestMigrationStallBoundary(t *testing.T) {
 	}
 	m.RunFor(1)
 	migTick := m.Ticks()
-	if err := m.Migrate(p, []chip.CoreID{2}); err != nil {
+	if err := m.Reassign(map[*Process][]chip.CoreID{p: {2}}); err != nil {
 		t.Fatal(err)
 	}
 	for m.Ticks() < migTick+50 {
@@ -90,7 +90,7 @@ func TestZeroMigrationPenaltyIsFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.RunFor(1)
-	if err := m.Migrate(p, []chip.CoreID{2}); err != nil {
+	if err := m.Reassign(map[*Process][]chip.CoreID{p: {2}}); err != nil {
 		t.Fatal(err)
 	}
 	m.Step()

@@ -13,7 +13,7 @@ var (
 	// ErrInvalidProcess rejects a malformed Submit (no threads, or
 	// multiple threads of a single-threaded program).
 	ErrInvalidProcess = errors.New("sim: invalid process")
-	// ErrInvalidPlacement rejects a Place/Migrate/Reassign whose core
+	// ErrInvalidPlacement rejects a Place or Reassign whose core
 	// assignment is malformed, conflicting or in the wrong process state.
 	ErrInvalidPlacement = errors.New("sim: invalid placement")
 	// ErrNotIdle is returned by RunUntilIdle when the deadline passes with

@@ -28,7 +28,7 @@ func TestEventLogLifecycle(t *testing.T) {
 	p := m.MustSubmit(workload.MustByName("IS"), 2)
 	m.Place(p, []chip.CoreID{0, 1})
 	m.RunFor(1)
-	if err := m.Migrate(p, []chip.CoreID{4, 5}); err != nil {
+	if err := m.Reassign(map[*Process][]chip.CoreID{p: {4, 5}}); err != nil {
 		t.Fatal(err)
 	}
 	m.RunUntilIdle(3600)

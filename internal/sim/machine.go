@@ -369,7 +369,7 @@ func (m *Machine) Place(p *Process, cores []chip.CoreID) error {
 	if len(cores) != len(p.Threads) {
 		return fmt.Errorf("%w: process %d has %d threads but %d cores given", ErrInvalidPlacement, p.ID, len(p.Threads), len(cores))
 	}
-	if err := m.checkFree(cores, nil); err != nil {
+	if err := m.checkFree(cores); err != nil {
 		return err
 	}
 	for i, t := range p.Threads {
@@ -390,35 +390,6 @@ func (m *Machine) stallTicks() uint64 {
 		return 0
 	}
 	return uint64(math.Ceil(m.migrationPenalty/m.Tick - 1e-9))
-}
-
-// Migrate moves a running process's threads onto a new core set, modelling
-// the kernel's process migration. Cores occupied by other processes are
-// rejected; the process's own current cores may be reused.
-func (m *Machine) Migrate(p *Process, cores []chip.CoreID) error {
-	if p.State != Running {
-		return fmt.Errorf("%w: process %d is %v, not running", ErrInvalidPlacement, p.ID, p.State)
-	}
-	if len(cores) != len(p.Threads) {
-		return fmt.Errorf("%w: process %d has %d threads but %d cores given", ErrInvalidPlacement, p.ID, len(p.Threads), len(cores))
-	}
-	if err := m.checkFree(cores, p); err != nil {
-		return err
-	}
-	for _, t := range p.Threads {
-		if t.Core >= 0 && m.coreThr[t.Core] == t {
-			m.coreThr[t.Core] = nil
-		}
-	}
-	stall := m.ticks + m.stallTicks()
-	for i, t := range p.Threads {
-		t.Core = cores[i]
-		m.coreThr[cores[i]] = t
-		t.stalledUntilTick = stall
-	}
-	m.placeGen++
-	m.logPlacement(EvMigrate, p, cores)
-	return nil
 }
 
 // Reassign atomically applies a whole-machine placement: every process in
@@ -515,9 +486,8 @@ type placement struct {
 	kind EventKind
 }
 
-// checkFree verifies that the cores are valid, distinct and not occupied
-// by any process other than owner.
-func (m *Machine) checkFree(cores []chip.CoreID, owner *Process) error {
+// checkFree verifies that the cores are valid, distinct and unoccupied.
+func (m *Machine) checkFree(cores []chip.CoreID) error {
 	seen := map[chip.CoreID]bool{}
 	for _, c := range cores {
 		if !m.Spec.ValidCore(c) {
@@ -527,7 +497,7 @@ func (m *Machine) checkFree(cores []chip.CoreID, owner *Process) error {
 			return fmt.Errorf("%w: core %d assigned twice", ErrInvalidPlacement, c)
 		}
 		seen[c] = true
-		if t := m.coreThr[c]; t != nil && t.Proc != owner {
+		if t := m.coreThr[c]; t != nil {
 			return fmt.Errorf("%w: core %d already occupied by process %d", ErrInvalidPlacement, c, t.Proc.ID)
 		}
 	}

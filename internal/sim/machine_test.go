@@ -233,7 +233,7 @@ func TestPlaceValidation(t *testing.T) {
 		t.Error("occupied core must error")
 	}
 	if err := m.Place(p, []chip.CoreID{4, 5, 6, 7}); err == nil {
-		t.Error("re-placing a running process must error (use Migrate)")
+		t.Error("re-placing a running process must error (use Reassign)")
 	}
 }
 
@@ -242,14 +242,14 @@ func TestMigrate(t *testing.T) {
 	p := m.MustSubmit(workload.MustByName("CG"), 2)
 	m.Place(p, []chip.CoreID{0, 1})
 	m.RunFor(1)
-	if err := m.Migrate(p, []chip.CoreID{10, 12}); err != nil {
+	if err := m.Reassign(map[*Process][]chip.CoreID{p: {10, 12}}); err != nil {
 		t.Fatal(err)
 	}
 	if m.ThreadOn(0) != nil || m.ThreadOn(10) == nil {
 		t.Error("migration did not move occupancy")
 	}
 	// Overlapping self-migration is allowed.
-	if err := m.Migrate(p, []chip.CoreID{10, 11}); err != nil {
+	if err := m.Reassign(map[*Process][]chip.CoreID{p: {10, 11}}); err != nil {
 		t.Fatal(err)
 	}
 	// Work survives migration.
@@ -265,7 +265,7 @@ func TestReassignAtomicPermutation(t *testing.T) {
 	b := m.MustSubmit(workload.MustByName("milc"), 1)
 	m.Place(a, []chip.CoreID{0})
 	m.Place(b, []chip.CoreID{1})
-	// Swap their cores — impossible with pairwise Migrate calls.
+	// Swap their cores — impossible one process at a time.
 	err := m.Reassign(map[*Process][]chip.CoreID{
 		a: {1},
 		b: {0},
@@ -454,8 +454,8 @@ func TestUntilIdleWindowMatchesRunFor(t *testing.T) {
 }
 
 // TestRequiredVminCacheMatchesRecompute: the memoized requirement is an
-// exact oracle. Baseline-like trajectories (Place and Migrate onto random
-// free cores) and daemon-like ones (whole-machine Reassign plans) on both
+// exact oracle. Baseline-like trajectories (Place and one-process Reassign
+// onto random free cores) and daemon-like ones (whole-machine Reassign plans) on both
 // chips mix in voltage-only writes, frequency changes within one class,
 // frequency-class flips, aging drift, migrations and completions; after
 // every change and at every commit RequiredSafeVmin must equal a
@@ -551,7 +551,7 @@ func TestRequiredVminCacheMatchesRecompute(t *testing.T) {
 						p := running[rng.Intn(len(running))]
 						cores := append(p.Cores(), m.FreeCores()...)
 						rng.Shuffle(len(cores), func(i, j int) { cores[i], cores[j] = cores[j], cores[i] })
-						if err := m.Migrate(p, cores[:len(p.Threads)]); err != nil {
+						if err := m.Reassign(map[*Process][]chip.CoreID{p: cores[:len(p.Threads)]}); err != nil {
 							t.Fatal(err)
 						}
 					case 7: // run, with completions
@@ -616,7 +616,7 @@ func TestRandomPlacementNeverDoubleOccupies(t *testing.T) {
 				break
 			}
 			rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
-			if err := m.Migrate(p, free[:len(p.Threads)]); err != nil {
+			if err := m.Reassign(map[*Process][]chip.CoreID{p: free[:len(p.Threads)]}); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
@@ -655,7 +655,7 @@ func TestMigrationPenaltyStallsThreads(t *testing.T) {
 	m.Place(p, []chip.CoreID{0})
 	m.RunFor(1)
 	instrBefore := m.Counters(0).Instructions
-	if err := m.Migrate(p, []chip.CoreID{2}); err != nil {
+	if err := m.Reassign(map[*Process][]chip.CoreID{p: {2}}); err != nil {
 		t.Fatal(err)
 	}
 	m.RunFor(0.4) // still inside the penalty window

@@ -43,7 +43,7 @@ func rosterRun(t *testing.T, forceRebuild bool) (*Machine, int) {
 		}
 	}
 	advanceTo(2)
-	if err := m.Migrate(namd, []chip.CoreID{5}); err != nil {
+	if err := m.Reassign(map[*Process][]chip.CoreID{namd: {5}}); err != nil {
 		t.Fatal(err)
 	}
 	advanceTo(4)

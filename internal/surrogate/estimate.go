@@ -27,8 +27,7 @@ const stallActivityFloor = 0.55
 // pair. Construction precomputes everything the query path needs — the
 // frequency grid, the Vmin guardband curve per (frequency class,
 // utilized-PMD count), scaled coefficients — so EstimateEnergy,
-// EstimateRuntime, SearchEnergyOptimal and EstimateSet run with zero
-// allocations. An Estimator is NOT safe for concurrent use (it owns
+// SearchEnergyOptimal and EstimateSet run with zero allocations. An Estimator is NOT safe for concurrent use (it owns
 // scratch buffers); wrap calls in a mutex or keep one per goroutine.
 type Estimator struct {
 	// Spec is the (possibly node-scaled) chip the estimates describe.
@@ -279,12 +278,6 @@ func (e *Estimator) EstimateEnergy(q Query) (Estimate, error) {
 		return Estimate{}, err
 	}
 	return e.estimateOne(q.Bench, threads, q.Placement, q.Freq, q.Voltage), nil
-}
-
-// EstimateRuntime answers just the runtime of a configuration point.
-func (e *Estimator) EstimateRuntime(q Query) (float64, error) {
-	est, err := e.EstimateEnergy(q)
-	return est.RuntimeS, err
 }
 
 // Objective selects what SearchEnergyOptimal minimizes.

@@ -1,9 +1,9 @@
 // Package surrogate is the fleet's microsecond "instant estimate" tier:
 // closed-form analytic power/perf/Vmin models fitted once against the
-// simulator, then queried in closed form — EstimateEnergy,
-// EstimateRuntime and SearchEnergyOptimal answer config-search questions
-// in microseconds with zero allocations, where the simulator pays
-// milliseconds per branch. The simulator stays the ground truth: fitted
+// simulator, then queried in closed form — EstimateEnergy and
+// SearchEnergyOptimal answer config-search questions in microseconds
+// with zero allocations, where the simulator pays milliseconds per
+// branch. The simulator stays the ground truth: fitted
 // models carry per-cell correction ratios regressed from small
 // calibration simulations, the accuracy gates in surrogate_test.go bound
 // the residual error per workload class across all four Table IV

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Full repository check: gofmt, vet, build, the one-HTTP-client rule
-# (only avfs/client and the router's byte relay build requests),
-# race-enabled tests, an arm64 fused-FP ratchet (scripts/fma_count.sh
+# (only avfs/client and the router's byte relay build requests), the
+# one-wiring rule (only experiments.Stack builds the daemon, the baseline
+# and the machine's telemetry), a run of every example, race-enabled
+# tests, an arm64 fused-FP ratchet (scripts/fma_count.sh
 # against scripts/fma_baseline.txt), a 5 s fuzz smoke
 # of every fuzz target (`go test ./...` only replays their seed corpora),
 # two perfbench smoke runs (the benchmark module builds, replays correctly
@@ -140,6 +142,36 @@ check_one_client() {
 	fi
 }
 
+# experiments.Stack is the one wiring of a machine to its telemetry and
+# controllers: campaign cells, sessions, what-if branches, avfsd and the
+# public facade all build through it. So outside perfbench/ and tests,
+# only internal/experiments/stack.go may construct the daemon or the
+# baseline or wire the machine's telemetry.
+check_one_wiring() {
+	hits="$(find . -path './.*' -prune -o -path ./perfbench -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | sort | xargs awk '
+		/daemon\.New\(|sched\.NewBaseline\(|telemetry\.WireMachine\(/ {
+			if (FILENAME == "./internal/experiments/stack.go") next
+			print FILENAME ":" FNR ": " $0
+		}')" || return 1
+	if [ -n "$hits" ]; then
+		echo "daemon.New, sched.NewBaseline or telemetry.WireMachine outside internal/experiments/stack.go:" >&2
+		echo "$hits" >&2
+		return 1
+	fi
+}
+
+# go build compiles the examples but never runs them; each must also run
+# to completion (they take milliseconds).
+check_examples() {
+	bad=0
+	for dir in examples/*/; do
+		echo "go run ./$dir"
+		go run "./$dir" >/dev/null || { echo "example ./$dir failed" >&2; bad=1; }
+	done
+	return $bad
+}
+
 # bench_gate FILE VAR PKG TESTS [NAME=VALUE...]: run a package's
 # benchmark gates with VAR naming their JSON summary FILE (and any further
 # environment given), then print the summary.
@@ -157,6 +189,8 @@ gate "gofmt -l" check_gofmt
 gate "go vet ./..." check_vet
 gate "go build ./..." go build ./...
 gate "one HTTP client" check_one_client
+gate "one wiring" check_one_wiring
+gate "examples run" check_examples
 gate "go test -race ./..." check_race
 gate "arm64 fused-FP ratchet" check_fma
 gate "fuzz smoke (5 s per target)" check_fuzz
