@@ -30,8 +30,10 @@
 package daemon
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"avfs/internal/chip"
@@ -182,6 +184,64 @@ type procState struct {
 	sample *perfmon.Sample
 }
 
+// procTable is the daemon's per-process bookkeeping, sorted by process
+// ID: a poll adds running processes and a completion drops them. The
+// daemon reads it while walking the machine's running list, which is in
+// ascending ID order too, so a lookup first tries the entry after the
+// last one found and searches only on a miss. A poll, a class count or
+// a replan thus finds each process's state with one compare instead of
+// hashing its ID.
+type procTable struct {
+	s []*procState
+	// next is the index after the last entry found.
+	next int
+}
+
+// search returns the index of id's entry, or where it would be inserted,
+// and leaves next at the first entry past id.
+func (t *procTable) search(id int) (int, bool) {
+	if i := t.next; i < len(t.s) && t.s[i].proc.ID == id {
+		t.next = i + 1
+		return i, true
+	}
+	i, ok := slices.BinarySearchFunc(t.s, id, func(st *procState, id int) int { return cmp.Compare(st.proc.ID, id) })
+	t.next = i
+	if ok {
+		t.next++
+	}
+	return i, ok
+}
+
+// get returns id's state, or nil.
+func (t *procTable) get(id int) *procState {
+	if i, ok := t.search(id); ok {
+		return t.s[i]
+	}
+	return nil
+}
+
+// put stores st under its process's ID, replacing any state there.
+func (t *procTable) put(st *procState) {
+	if i, ok := t.search(st.proc.ID); ok {
+		t.s[i] = st
+	} else {
+		t.s = slices.Insert(t.s, i, st)
+		t.next = i + 1
+	}
+}
+
+// remove drops id's state and returns it, or nil.
+func (t *procTable) remove(id int) *procState {
+	i, ok := t.search(id)
+	if !ok {
+		return nil
+	}
+	st := t.s[i]
+	t.s = slices.Delete(t.s, i, i+1)
+	t.next = i
+	return st
+}
+
 // blockedKey identifies everything a placement plan depends on besides
 // the configuration: the machine's placement generation (submissions,
 // placements, migrations, completions), the chip's electrical
@@ -200,7 +260,7 @@ type Daemon struct {
 
 	pmu      *perfmon.PMU
 	sampler  perfmon.DeltaSampler
-	states   map[int]*procState
+	states   procTable
 	nextPoll float64
 	// dirty is set when arrivals/completions require a placement pass.
 	dirty bool
@@ -330,7 +390,6 @@ func New(m *sim.Machine, cfg Config) *Daemon {
 		Cfg:     cfg,
 		pmu:     pmu,
 		sampler: perfmon.DeltaSampler{PMU: pmu},
-		states:  map[int]*procState{},
 		curFreq: make([]chip.MHz, m.Spec.PMDs()),
 		curUtil: make([]bool, m.Spec.PMDs()),
 	}
@@ -342,7 +401,7 @@ func (d *Daemon) Stats() Stats { return d.stats }
 // ClassOf returns the daemon's current classification of a process
 // (Unknown for processes it has not sampled yet).
 func (d *Daemon) ClassOf(p *sim.Process) Class {
-	if st, ok := d.states[p.ID]; ok {
+	if st := d.states.get(p.ID); st != nil {
 		return st.class
 	}
 	return Unknown
@@ -368,10 +427,9 @@ func (d *Daemon) ClassCounts() (cpu, mem int) {
 // machine may coalesce steady ticks up to the daemon's next poll instant.
 func (d *Daemon) Attach() {
 	d.M.OnFinish(func(p *sim.Process) {
-		if st := d.states[p.ID]; st != nil && st.sample != nil {
+		if st := d.states.remove(p.ID); st != nil && st.sample != nil {
 			d.spare = append(d.spare, st.sample)
 		}
-		delete(d.states, p.ID)
 		d.dirty = true
 	})
 	d.M.OnTickBounded(func(*sim.Machine, int) { d.tick() }, d.nextBoundary)
@@ -588,10 +646,10 @@ func (d *Daemon) classify(cur Class, rate float64) (Class, telemetry.Sym) {
 
 // state returns (creating if needed) the bookkeeping for p.
 func (d *Daemon) state(p *sim.Process) *procState {
-	st, ok := d.states[p.ID]
-	if !ok {
+	st := d.states.get(p.ID)
+	if st == nil {
 		st = &procState{proc: p, class: Unknown}
-		d.states[p.ID] = st
+		d.states.put(st)
 	}
 	return st
 }

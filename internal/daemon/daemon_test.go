@@ -343,3 +343,49 @@ func TestRestoreRejectsFinishedProcess(t *testing.T) {
 		t.Errorf("restore accepted daemon state for finished process %d", p.ID)
 	}
 }
+
+// TestProcTableMatchesMap drives the daemon's process table and a map
+// through the same seeded puts, gets and removals, in ascending walks
+// and at random, and checks every answer and the table's ID order.
+func TestProcTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	procs := make([]*sim.Process, 64)
+	for i := range procs {
+		procs[i] = &sim.Process{ID: 3 * i}
+	}
+	var tab procTable
+	ref := map[int]*procState{}
+	for step := 0; step < 20000; step++ {
+		p := procs[rng.Intn(len(procs))]
+		switch rng.Intn(4) {
+		case 0:
+			st := &procState{proc: p}
+			tab.put(st)
+			ref[p.ID] = st
+		case 1:
+			if got, want := tab.remove(p.ID), ref[p.ID]; got != want {
+				t.Fatalf("step %d: remove(%d) = %p, want %p", step, p.ID, got, want)
+			}
+			delete(ref, p.ID)
+		case 2:
+			for _, q := range procs {
+				if got, want := tab.get(q.ID), ref[q.ID]; got != want {
+					t.Fatalf("step %d: ascending get(%d) = %p, want %p", step, q.ID, got, want)
+				}
+			}
+		default: // a random ID, present or absent
+			id := p.ID + rng.Intn(2)
+			if got, want := tab.get(id), ref[id]; got != want {
+				t.Fatalf("step %d: get(%d) = %p, want %p", step, id, got, want)
+			}
+		}
+		if len(tab.s) != len(ref) {
+			t.Fatalf("step %d: table holds %d states, map %d", step, len(tab.s), len(ref))
+		}
+		for i := 1; i < len(tab.s); i++ {
+			if tab.s[i-1].proc.ID >= tab.s[i].proc.ID {
+				t.Fatalf("step %d: table out of ID order at %d", step, i)
+			}
+		}
+	}
+}

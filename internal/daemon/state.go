@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"fmt"
-	"sort"
 
 	"avfs/internal/perfmon"
 )
@@ -50,14 +49,8 @@ func (d *Daemon) CaptureState() (*State, error) {
 		Stats:     d.stats,
 		Reconfigs: d.reconfigs,
 	}
-	ids := make([]int, 0, len(d.states))
-	for id := range d.states {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		ps := d.states[id]
-		pcs := ProcControlState{Proc: id, Class: int(ps.class)}
+	for _, ps := range d.states.s {
+		pcs := ProcControlState{Proc: ps.proc.ID, Class: int(ps.class)}
 		if ps.sample != nil {
 			s := ps.sample.State()
 			pcs.Sample = &s
@@ -84,7 +77,7 @@ func (d *Daemon) RestoreState(st *State) error {
 	d.dirty = st.Dirty
 	d.stats = st.Stats
 	d.reconfigs = st.Reconfigs
-	d.states = map[int]*procState{}
+	d.states = procTable{}
 	for _, pcs := range st.Procs {
 		p := d.M.ProcessByID(pcs.Proc)
 		if p == nil {
@@ -101,7 +94,7 @@ func (d *Daemon) RestoreState(st *State) error {
 				return fmt.Errorf("daemon: process %d sample core mismatch", pcs.Proc)
 			}
 		}
-		d.states[pcs.Proc] = ps
+		d.states.put(ps)
 	}
 	// The blocked key is not part of the snapshot: the first tick with
 	// work pending replans once, as a no-op, and records it afresh.

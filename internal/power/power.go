@@ -170,6 +170,8 @@ func (m *Model) Power(st State) Breakdown {
 	rel2 := v2 / (vn * vn)
 	rel3 := rel2 * (v / vn)
 
+	// The float64 conversions in the loop keep each product from fusing
+	// with its add on architectures with fused multiply-add.
 	var b Breakdown
 	for p := 0; p < m.Spec.PMDs(); p++ {
 		fHz := st.PMDFreq[p].Hz()
@@ -179,16 +181,16 @@ func (m *Model) Power(st State) Breakdown {
 		if pmdBusy {
 			gate = 1.0
 		}
-		b.PMDUncore += m.Coeff.PMDCapF * v2 * fHz * gate
+		b.PMDUncore += float64(m.Coeff.PMDCapF * v2 * fHz * gate)
 		for _, ci := range []chip.CoreID{c0, c1} {
 			cs := st.Cores[ci]
 			if !cs.Busy {
-				b.CoreDynamic += m.Coeff.CoreCapF * v2 * fHz * m.Coeff.IdleCoreFactor
+				b.CoreDynamic += float64(m.Coeff.CoreCapF * v2 * fHz * m.Coeff.IdleCoreFactor)
 				continue
 			}
 			// A stalled cycle burns only the activity floor.
-			eff := cs.Activity * ((1-cs.StallFrac)*1.0 + cs.StallFrac*stallActivityFloor)
-			b.CoreDynamic += m.Coeff.CoreCapF * v2 * fHz * eff
+			eff := cs.Activity * (float64((1-cs.StallFrac)*1.0) + float64(cs.StallFrac*stallActivityFloor))
+			b.CoreDynamic += float64(m.Coeff.CoreCapF * v2 * fHz * eff)
 		}
 	}
 	b.L3Fabric = m.Coeff.L3Watts * rel2
@@ -213,10 +215,11 @@ func clamp01(x float64) float64 {
 // occupying the core.
 func (m *Model) CoreDynamicPower(v chip.Millivolts, f chip.MHz, cs CoreState) float64 {
 	vv := v.Volts()
+	// As in Power, the conversions keep the sum from fusing.
 	if !cs.Busy {
 		return m.Coeff.CoreCapF * vv * vv * f.Hz() * m.Coeff.IdleCoreFactor
 	}
-	eff := cs.Activity * ((1-cs.StallFrac)*1.0 + cs.StallFrac*stallActivityFloor)
+	eff := cs.Activity * (float64((1-cs.StallFrac)*1.0) + float64(cs.StallFrac*stallActivityFloor))
 	return m.Coeff.CoreCapF * vv * vv * f.Hz() * eff
 }
 

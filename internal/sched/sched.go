@@ -228,18 +228,54 @@ func (g *Ondemand) nextBoundary() float64 {
 // a batch crosses a sample instant only while the governor is quiet, so
 // those samples move nothing but the sample phase — and then evaluates
 // the last tick through Tick, exactly as serial stepping would; k = 1 is
-// Tick. The replay is bounded by k, whatever the sample phase.
+// Tick.
 func (g *Ondemand) tickBatch(k int) {
-	dt := g.M.Tick
 	end := g.M.Ticks()
-	for c := end - uint64(k-1); c < end; c++ {
-		// The conversion keeps the product from fusing with the adds
-		// on architectures with fused multiply-add.
-		if now := float64(float64(c) * dt); now+1e-12 >= g.nextSample {
-			g.nextSample = now + g.SamplePeriod
-		}
-	}
+	g.nextSample = replaySamples(g.nextSample, g.SamplePeriod, g.M.Tick, end-uint64(k-1), end)
 	g.Tick()
+}
+
+// replaySamples returns the sample instant after serial stepping has
+// applied Tick's rule — a tick at now+1e-12 >= next samples and sets next
+// to now + period — on each tick of [from, end), where tick c is at
+// now = c*dt. The rule's predicate is monotone in c, so instead of testing
+// every tick it jumps from one sample to the next: the first sample's
+// tick is estimated by a division and each later one a period's stride
+// past the last, and the predicate itself corrects every estimate. A
+// sample costs about two tests of the predicate, whatever the ticks
+// between samples.
+func replaySamples(next, period, dt float64, from, end uint64) float64 {
+	var stride uint64
+	if s := period / dt; s >= 1 && s < float64(end-from) {
+		stride = uint64(s)
+	}
+	guess := end
+	if est := (next - 1e-12) / dt; est < float64(end) {
+		guess = uint64(max(est, 0))
+	}
+	for c := from; c < end; {
+		// The first due tick in [c, end), or end if none is.
+		g := min(max(guess, c), end)
+		for g > c && sampleDue(g-1, dt, next) {
+			g--
+		}
+		for g < end && !sampleDue(g, dt, next) {
+			g++
+		}
+		if g == end {
+			break
+		}
+		next = float64(float64(g)*dt) + period
+		c, guess = g+1, g+stride
+	}
+	return next
+}
+
+// sampleDue is Tick's sample predicate at tick c. The conversion keeps
+// the product from fusing with the add on architectures with fused
+// multiply-add.
+func sampleDue(c uint64, dt, next float64) bool {
+	return float64(float64(c)*dt)+1e-12 >= next
 }
 
 // Baseline bundles the default placer and the ondemand governor — the

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"avfs/internal/chip"
@@ -333,6 +335,85 @@ func TestRestoreRejectsStallingCapSettings(t *testing.T) {
 		st.Headroom = h
 		if _, err := RestorePowerCap(m, st); err == nil {
 			t.Errorf("headroom %v accepted", h)
+		}
+	}
+}
+
+// replaySamplesPerTick is the governor's batch replay as it was first
+// written, testing the sample rule on every tick of [from, end): the
+// oracle replaySamples' jumps must reproduce bit for bit.
+func replaySamplesPerTick(next, period, dt float64, from, end uint64) float64 {
+	for c := from; c < end; c++ {
+		if now := float64(float64(c) * dt); now+1e-12 >= next {
+			next = now + period
+		}
+	}
+	return next
+}
+
+// TestReplaySamplesMatchesPerTick compares the jumping replay with the
+// per-tick oracle over seeded tick lengths, periods, batch sizes and
+// sample phases, including a sample due exactly on the batch's last tick
+// and one just past it, early and late in a run.
+func TestReplaySamplesMatchesPerTick(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	dts := []float64{0.01, 0.001, 0.0137, 0.25, 1e-4}
+	for i := 0; i < 20000; i++ {
+		dt := dts[rng.Intn(len(dts))]
+		periods := []float64{0.1, 0.05, dt, dt / 2, 0.3333, 1, dt + 1e-13, 7 * dt}
+		period := periods[rng.Intn(len(periods))]
+		from := uint64(rng.Int63n(2_000_000))
+		if rng.Intn(4) == 0 {
+			// Late in a long run tick times are coarse: float64(c)*dt
+			// moves by whole ulps, and estimates land off the boundary.
+			from = 1<<52 - uint64(rng.Int63n(1<<50))
+		}
+		k := 1 + rng.Intn(3000)
+		if rng.Intn(4) == 0 {
+			k = 1 + rng.Intn(1<<16)
+		}
+		end := from + uint64(k-1)
+		last := float64(float64(end-1) * dt)
+		var next float64
+		switch rng.Intn(6) {
+		case 0:
+			next = last + 1e-12 // due exactly on the last replayed tick
+		case 1:
+			next = last
+		case 2:
+			next = float64(float64(end)*dt) + 1e-12 // due just past the batch
+		case 3:
+			next = 0
+		default:
+			next = float64(float64(from)*dt) + (rng.Float64()*2-0.5)*period
+		}
+		want := replaySamplesPerTick(next, period, dt, from, end)
+		if got := replaySamples(next, period, dt, from, end); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("dt=%v period=%v ticks [%d,%d) next=%v: got %v, want %v",
+				dt, period, from, end, next, got, want)
+		}
+	}
+}
+
+// BenchmarkReplaySamples measures a quiet governor's batch replay at the
+// default 10 ms tick and 0.1 s sample period, jumping and per tick, over
+// batches of k ticks.
+func BenchmarkReplaySamples(b *testing.B) {
+	for _, k := range []uint64{10, 100, 1000} {
+		for _, v := range []struct {
+			name string
+			fn   func(next, period, dt float64, from, end uint64) float64
+		}{{"jump", replaySamples}, {"per-tick", replaySamplesPerTick}} {
+			b.Run(fmt.Sprintf("k=%d/%s", k, v.name), func(b *testing.B) {
+				next := 0.0
+				for i := 0; i < b.N; i++ {
+					from := uint64(i%1000) * k
+					next = v.fn(next, 0.1, 0.01, from, from+k-1)
+					if from+k >= 1000*k {
+						next = 0
+					}
+				}
+			})
 		}
 	}
 }

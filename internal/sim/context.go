@@ -26,8 +26,13 @@ var (
 // governor sample, arrival) and every exact tick re-checks the context, so a
 // cancelled request abandons a long run at the next commit instead of
 // finishing it. The simulation is left in a consistent state at whatever
-// tick the cancellation landed on; the context's error is returned.
+// tick the cancellation landed on; the context's error is returned. A
+// tick length CheckTick refuses is an error before any step: simulated
+// time could not advance on it.
 func (m *Machine) RunForContext(ctx context.Context, d float64) error {
+	if err := CheckTick(m.Tick); err != nil {
+		return err
+	}
 	end := m.now + d
 	for m.now < end-1e-12 {
 		if err := ctx.Err(); err != nil {
@@ -40,8 +45,12 @@ func (m *Machine) RunForContext(ctx context.Context, d float64) error {
 
 // RunUntilIdleContext advances until no process is running or pending, or
 // until maxSeconds of additional simulated time elapse, re-checking ctx at
-// every commit like RunForContext. A timeout wraps ErrNotIdle.
+// every commit like RunForContext. A timeout wraps ErrNotIdle; a tick
+// length CheckTick refuses is an error before any step.
 func (m *Machine) RunUntilIdleContext(ctx context.Context, maxSeconds float64) error {
+	if err := CheckTick(m.Tick); err != nil {
+		return err
+	}
 	deadline := m.now + maxSeconds - 1e-12
 	for m.now < deadline {
 		if err := ctx.Err(); err != nil {

@@ -66,22 +66,33 @@ type CoreCounters struct {
 
 // upd is the per-thread scratch record of one tick: the static factors
 // resolved in Phase 1, the equilibrium progress of Phase 2, and the
-// derived per-tick commit quanta reused by the steady-state engine.
+// derived per-tick commit quanta reused by the steady-state engine. The
+// steady engine reads only the leading fields, so they come first: a
+// steady tick touches one cache line per thread for most records.
 type upd struct {
-	t      *Thread
-	bench  *workload.Benchmark
-	core   chip.CoreID
-	fGHz   float64
-	l2Infl float64
-	cpi    float64
-	instr  float64
-	cycles float64
+	t     *Thread
+	instr float64
 	// Commit quanta of one steady tick (Phase 5 equivalents); coreQ is
 	// the core dynamic energy in power.Quantum units.
 	coreQ   uint64
 	dCycles uint64
 	dInstr  uint64
 	dL3C    uint64
+
+	bench  *workload.Benchmark
+	core   chip.CoreID
+	fGHz   float64
+	l2Infl float64
+	// The memory fixed point's per-thread constants, taken from the
+	// benchmark when the roster is built: hz is fGHz*1e9, and memStall
+	// the product MemPerInstr*l2Infl*StallNs that Benchmark.CPIAt forms
+	// first, so the fixed point computes CPIAt's bits.
+	cpiBase  float64
+	memPer   float64
+	memStall float64
+	hz       float64
+	cpi      float64
+	cycles   float64
 }
 
 // steadyCache captures the fully converged outcome of one tick so that
@@ -124,6 +135,56 @@ type vfMirror struct {
 	f     []chip.MHz
 	since uint64
 	res   [][clock.DividedLow + 1]uint64
+}
+
+// MissReason is why a tick took the full path instead of replaying the
+// steady cache: each full tick counts under exactly one reason.
+type MissReason uint8
+
+const (
+	// MissUnconverged: the last full tick's memory fixed point was still
+	// moving, so it cached nothing.
+	MissUnconverged MissReason = iota
+	// MissPlacement: the placement generation (submit, place, reassign,
+	// completion, aging drift) or the tick length moved since the last
+	// full tick, or the machine has run no full tick yet (since it was
+	// built or restored).
+	MissPlacement
+	// MissVF: the chip's V/F generation moved since the last full tick,
+	// or that tick recorded a voltage emergency.
+	MissVF
+	// MissFinishing: a thread finishes within this tick, which the
+	// steady cache cannot replay.
+	MissFinishing
+	// MissStalled: the last full tick found a thread in a migration stall.
+	MissStalled
+	// MissClamped: the last full tick clamped a thread's progress to its
+	// remaining work, its last tick of work.
+	MissClamped
+	// NumMissReasons is the number of reasons.
+	NumMissReasons
+)
+
+var missNames = [NumMissReasons]string{"unconverged", "placement", "vf", "finishing", "stalled", "clamped"}
+
+// String names the reason as the coalesce-miss metric labels it.
+func (r MissReason) String() string {
+	if r < NumMissReasons {
+		return missNames[r]
+	}
+	return fmt.Sprintf("MissReason(%d)", int(r))
+}
+
+// missLog attributes full ticks to reasons. It records the generations
+// and tick length the last full tick ran under, and why that tick left
+// the next one to the full path as well. It is observability, not
+// state: captures leave it out.
+type missLog struct {
+	seen              bool
+	chipGen, placeGen uint64
+	tick              float64
+	next              MissReason
+	counts            [NumMissReasons]uint64
 }
 
 // tickHook is one registered end-of-tick callback. It declares the next
@@ -224,6 +285,8 @@ type Machine struct {
 	steady steadyCache
 	// coalesced counts ticks committed beyond the first of each batch.
 	coalesced uint64
+	// misses counts the full ticks by reason.
+	misses missLog
 
 	// Cached RequiredSafeVmin, keyed by (chip generation, placeGen).
 	reqVmin     chip.Millivolts
@@ -648,6 +711,11 @@ func (m *Machine) Emergencies() []Emergency { return m.emergencies }
 // including those SetHistoryLimit dropped from Emergencies.
 func (m *Machine) EmergencyCount() int { return m.emDropped + len(m.emergencies) }
 
+// CoalesceMisses returns how many full ticks the machine ran for each
+// reason, indexed by MissReason. They sum to the ticks committed outside
+// the steady cache.
+func (m *Machine) CoalesceMisses() [NumMissReasons]uint64 { return m.misses.counts }
+
 // EmergencyChecks returns how many times the voltage-emergency check ran.
 func (m *Machine) EmergencyChecks() int { return m.emChecks }
 
@@ -911,6 +979,17 @@ func (m *Machine) stepFull() {
 	chipGen := m.Chip.Generation()
 	placeGen := m.placeGen
 	m.steady.valid = false
+	ml := &m.misses
+	why := ml.next
+	switch {
+	case !ml.seen:
+		why = MissPlacement
+	case ml.chipGen != chipGen:
+		why = MissVF
+	case ml.placeGen != placeGen || ml.tick != dt:
+		why = MissPlacement
+	}
+	ml.counts[why]++
 
 	// --- Phase 1: per-thread static factors (L2 sharing) and the
 	// memory-contention fixed point. Demand on the shared L3/DRAM path
@@ -930,31 +1009,34 @@ func (m *Machine) stepFull() {
 	}
 	upds := m.upds
 
+	// The explicit float64 conversions below keep each product from
+	// fusing with its add on architectures with fused multiply-add.
 	rho := m.memRho
 	var lastMix float64
 	for iter := 0; iter < 6; iter++ {
-		q := 1.0 / (1.0 - math.Min(rho, maxMemRho))
-		contInfl := 1.0 + contentionOverlap*(q-1.0)
+		contInfl := contention(rho)
 		var demand float64
 		for i := range upds {
 			u := &upds[i]
-			cpi := u.bench.CPIAt(u.fGHz, u.l2Infl, contInfl)
-			demand += (u.fGHz * 1e9 / cpi) * u.bench.MemPerInstr * u.l2Infl
+			cpi := u.cpiBase + float64(u.memStall*contInfl*u.fGHz)
+			demand += float64(u.hz / cpi * u.memPer * u.l2Infl)
 		}
-		next := math.Min(demand/m.Spec.MemBandwidth, 1.0)
-		mixed := 0.5*rho + 0.5*next
+		next := demand / m.Spec.MemBandwidth
+		if next > 1 {
+			next = 1
+		}
+		mixed := float64(0.5*rho) + float64(0.5*next)
 		lastMix = math.Abs(mixed - rho)
 		rho = mixed
 	}
-	q := 1.0 / (1.0 - math.Min(rho, maxMemRho))
-	contInfl := 1.0 + contentionOverlap*(q-1.0)
+	contInfl := contention(rho)
 
 	// --- Phase 2: per-thread effective CPI and progress at equilibrium.
 	clamped := false
 	for i := range upds {
 		u := &upds[i]
-		u.cpi = u.bench.CPIAt(u.fGHz, u.l2Infl, contInfl)
-		u.cycles = u.fGHz * 1e9 * dt
+		u.cpi = u.cpiBase + float64(u.memStall*contInfl*u.fGHz)
+		u.cycles = u.hz * dt
 		u.instr = u.cycles / u.cpi
 		if remaining := u.t.instrTotal - u.t.instrDone; u.instr > remaining {
 			u.instr = remaining
@@ -970,16 +1052,18 @@ func (m *Machine) stepFull() {
 	m.Meter.Commit(&energy, m.lastWatts, 1, dt)
 
 	// --- Phase 4: voltage-emergency check and V/F change logging.
+	// The requirement is capped at nominal, so at or above nominal the
+	// check cannot fire and the requirement is not looked up.
 	voltageSafe := true
 	if len(upds) > 0 {
 		m.emChecks++
-		if req := m.cachedRequiredVmin(); m.Chip.Voltage() < req {
-			voltageSafe = false
-			m.emergencies = append(m.emergencies, Emergency{
-				At: m.now, Voltage: m.Chip.Voltage(), Required: req,
-			})
-			m.trimHistory()
-			m.logEvent(Event{Kind: EvEmergency, Proc: -1, From: int32(m.Chip.Voltage()), To: int32(req)})
+		if v := m.Chip.Voltage(); v < m.Spec.NominalMV {
+			if req := m.cachedRequiredVmin(); v < req {
+				voltageSafe = false
+				m.emergencies = append(m.emergencies, Emergency{At: m.now, Voltage: v, Required: req})
+				m.trimHistory()
+				m.logEvent(Event{Kind: EvEmergency, Proc: -1, From: int32(v), To: int32(req)})
+			}
 		}
 	}
 	m.syncVF()
@@ -994,12 +1078,11 @@ func (m *Machine) stepFull() {
 		t.instrDone += u.instr
 		t.lastCPI = u.cpi
 		t.lastL2Infl = u.l2Infl
-		base := u.bench.CPIBase
-		t.stallFrac = (u.cpi - base) / u.cpi
+		t.stallFrac = (u.cpi - u.cpiBase) / u.cpi
 		cc := &m.counters[t.Core]
 		u.dCycles = uint64(u.cycles)
 		u.dInstr = uint64(u.instr)
-		u.dL3C = uint64(u.instr * u.bench.MemPerInstr * u.l2Infl)
+		u.dL3C = uint64(u.instr * u.memPer * u.l2Infl)
 		cc.Cycles += u.dCycles
 		cc.Instructions += u.dInstr
 		cc.L3CAccesses += u.dL3C
@@ -1029,6 +1112,26 @@ func (m *Machine) stepFull() {
 		m.completeFinished()
 	}
 
+	// The miss log keeps the keys this tick ran under and the reason a
+	// later full tick has if none of them moves: what kept this tick
+	// from caching, or else a thread finishing within the cached tick,
+	// the one other way steadyReady fails.
+	ml.seen, ml.chipGen, ml.placeGen, ml.tick = true, chipGen, placeGen, dt
+	switch {
+	case clamped:
+		ml.next = MissClamped
+	case finished:
+		ml.next = MissFinishing
+	case stalled:
+		ml.next = MissStalled
+	case !voltageSafe:
+		ml.next = MissVF
+	case lastMix >= steadyRhoEps:
+		ml.next = MissUnconverged
+	default:
+		ml.next = MissFinishing
+	}
+
 	// Rebuild the steady cache when the tick closed in equilibrium: the
 	// fixed point converged, no thread clamped/finished or sat stalled,
 	// the emergency outcome is repeatable, and nothing (including this
@@ -1054,6 +1157,17 @@ func (m *Machine) stepFull() {
 	m.runHooks(1)
 }
 
+// contention is the per-access stall inflation of memory-path
+// utilization rho: the M/M/1 queueing factor at rho, capped at
+// maxMemRho, of which contentionOverlap is exposed.
+func contention(rho float64) float64 {
+	if rho > maxMemRho {
+		rho = maxMemRho
+	}
+	q := 1.0 / (1.0 - rho)
+	return 1.0 + float64(contentionOverlap*(q-1.0))
+}
+
 // buildRoster refills upds with the threads that make progress this tick
 // — every placed thread that is neither done nor paying a migration
 // stall — and their static factors: core frequency and L2 sharing with
@@ -1073,13 +1187,15 @@ func (m *Machine) buildRoster() (stalled bool) {
 		}
 		core := chip.CoreID(c)
 		fGHz := m.Chip.CoreFreq(core).GHz()
+		b := t.Proc.Bench
 		l2Infl := 1.0
 		if sib := m.siblingThread(core); sib != nil {
-			b, s := t.Proc.Bench, sib.Proc.Bench
-			pressure := math.Sqrt(b.L2ShareSensitivity * s.L2ShareSensitivity)
-			l2Infl = 1.0 + l2SharePenalty*pressure
+			pressure := math.Sqrt(b.L2ShareSensitivity * sib.Proc.Bench.L2ShareSensitivity)
+			l2Infl = 1.0 + float64(l2SharePenalty*pressure)
 		}
-		upds = append(upds, upd{t: t, bench: t.Proc.Bench, core: core, fGHz: fGHz, l2Infl: l2Infl})
+		upds = append(upds, upd{t: t, bench: b, core: core, fGHz: fGHz, l2Infl: l2Infl,
+			cpiBase: b.CPIBase, memPer: b.MemPerInstr, memStall: b.MemPerInstr * l2Infl * b.StallNs,
+			hz: fGHz * 1e9})
 	}
 	m.upds = upds
 	return stalled
@@ -1290,8 +1406,9 @@ func (m *Machine) ticksUntil(t float64) int {
 	return k
 }
 
-// RunFor advances the simulation by d seconds. It cannot fail: only a
-// cancelled context stops RunForContext early.
+// RunFor advances the simulation by d seconds. With a background context
+// RunForContext fails only on a tick length CheckTick refuses, and then
+// RunFor steps nothing.
 func (m *Machine) RunFor(d float64) { _ = m.RunForContext(context.Background(), d) }
 
 // RunUntilIdle advances until no process is running or pending, or until

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"avfs/internal/chip"
 	"avfs/internal/clock"
@@ -701,5 +702,37 @@ func TestDeterministicReplay(t *testing.T) {
 	e2, i2 := run()
 	if e1 != e2 || i1 != i2 {
 		t.Errorf("identical runs diverged: %v/%v vs %v/%v", e1, i1, e2, i2)
+	}
+}
+
+// TestRunRefusesInvalidTick: on a tick length CheckTick refuses,
+// simulated time cannot advance, so the run loops return an error before
+// stepping instead of spinning until their deadline that never comes.
+func TestRunRefusesInvalidTick(t *testing.T) {
+	for _, tick := range []float64{0, math.NaN(), -0.01} {
+		m := xg3()
+		p := m.MustSubmit(workload.MustByName("CG"), 8)
+		cores, _ := ClusteredCores(m.Spec, 8)
+		if err := m.Place(p, cores); err != nil {
+			t.Fatal(err)
+		}
+		m.Tick = tick
+		done := make(chan [2]error, 1)
+		go func() {
+			done <- [2]error{m.RunUntilIdle(10), m.RunForContext(context.Background(), 10)}
+		}()
+		select {
+		case errs := <-done:
+			for i, err := range errs {
+				if err == nil {
+					t.Errorf("tick %v: run loop %d returned no error", tick, i)
+				}
+			}
+			if m.Ticks() != 0 {
+				t.Errorf("tick %v: %d ticks stepped", tick, m.Ticks())
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("tick %v: the run loops did not return within 10 s", tick)
+		}
 	}
 }

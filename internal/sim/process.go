@@ -143,7 +143,7 @@ func newProcess(id int, b *workload.Benchmark, nThreads int, now float64) (*Proc
 	for i := 0; i < nThreads; i++ {
 		work := parallelShare
 		if i == 0 {
-			work += b.Instructions * serial
+			work += float64(b.Instructions * serial) // no fused multiply-add
 		}
 		p.Threads = append(p.Threads, &Thread{
 			Proc:       p,

@@ -34,6 +34,7 @@ const (
 	MetricSimTicks          = "avfs_sim_ticks_total"
 	MetricSimTicksCoalesced = "avfs_sim_ticks_coalesced_total"
 	MetricSimSteadyRatio    = "avfs_sim_steady_ratio"
+	MetricSimCoalesceMiss   = "avfs_sim_coalesce_miss_total"
 )
 
 // WireMachine instruments a simulated machine: registers its electrical
@@ -78,6 +79,11 @@ func WireMachine(m *sim.Machine, reg *Registry, tr *Tracer) {
 				}
 				return 0
 			})
+		for r := sim.MissReason(0); r < sim.NumMissReasons; r++ {
+			reg.CounterFunc(MetricSimCoalesceMiss, "Full ticks the steady-state cache could not replay, by reason.",
+				func() float64 { return float64(m.CoalesceMisses()[r]) },
+				Label{"reason", r.String()})
+		}
 		for p := 0; p < spec.PMDs(); p++ {
 			pmd := chip.PMDID(p)
 			reg.Gauge(MetricPMDFreqMHz, "Programmed PMD clock frequency.",

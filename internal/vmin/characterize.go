@@ -160,8 +160,9 @@ func fnvString(h uint64, s string) uint64 {
 // rngPool holds the sweeps' generators. A math/rand source is a 4.9 KB
 // table, and re-seeding one puts it in exactly the state a fresh source
 // of that seed starts in, so a sweep borrows a generator instead of
-// building one.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// building one. The source is sweepSource, math/rand's stream with a
+// cheaper Seed.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(sweepSource)) }}
 
 // Characterizer runs voltage sweeps against the Vmin model, reproducing
 // the paper's methodology: walk down from nominal in StepMV steps, declare

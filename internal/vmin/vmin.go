@@ -346,15 +346,17 @@ func (k FaultKind) String() string {
 
 // faultMix returns the fault-type distribution as a function of the depth
 // below the safe point: shallow undervolting mostly corrupts data (ECC
-// and SDC territory); deep undervolting crashes the system.
+// and SDC territory); deep undervolting crashes the system. The
+// conversions keep each product from fusing with its add on
+// architectures with fused multiply-add.
 func faultMix(depthMV float64) (sdc, timeout, hang, crash float64) {
 	t := depthMV / pfailWindowMV
 	if t > 1 {
 		t = 1
 	}
-	sdc = 0.55 - 0.35*t
-	timeout = 0.20 - 0.10*t
-	hang = 0.15 + 0.05*t
+	sdc = 0.55 - float64(0.35*t)
+	timeout = 0.20 - float64(0.10*t)
+	hang = 0.15 + float64(0.05*t)
 	crash = 1 - sdc - timeout - hang
 	return
 }

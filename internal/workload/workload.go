@@ -152,7 +152,7 @@ func build(d def) *Benchmark {
 	}
 	stallNs := d.memFrac * 1e6 / (d.l3Per1M * refGHz)
 	m := d.l3Per1M * d.cpi / ((1 - d.memFrac) * 1e6)
-	cpiEff := d.cpi + m*stallNs*refGHz
+	cpiEff := d.cpi + float64(m*stallNs*refGHz)
 	instr := d.runSecs * refGHz * 1e9 / cpiEff
 	return &Benchmark{
 		Name:               d.name,
@@ -185,10 +185,12 @@ func (b *Benchmark) MemoryIntensive() bool {
 
 // CPIAt returns the effective CPI at core frequency fGHz with the given
 // multiplicative inflation factors on memory accesses (l2Infl) and on the
-// per-access stall (contInfl); both are >= 1.
+// per-access stall (contInfl); both are >= 1. The conversion keeps the
+// product from fusing with the add on architectures with fused
+// multiply-add.
 func (b *Benchmark) CPIAt(fGHz, l2Infl, contInfl float64) float64 {
 	m := b.MemPerInstr * l2Infl
-	return b.CPIBase + m*b.StallNs*contInfl*fGHz
+	return b.CPIBase + float64(m*b.StallNs*contInfl*fGHz)
 }
 
 // SoloRuntime returns the uncontended single-thread execution time in
